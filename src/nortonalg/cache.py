@@ -3,8 +3,10 @@
 A cache entry stores everything expensive to recompute: the distance matrix
 (as a stale-data check against a fresh rebuild of the graph), eigenvalues
 and multiplicities, and the algebra's basis, coordinates, and structure
-constants.  Idempotents are rehydrated from the eigenvalues on load rather
-than stored; every rational travels as a "numerator/denominator" string.
+constants.  The spectrum is not trusted from the file: on load it is
+recomputed from the rebuilt graph's intersection array, and the stored
+eigenvalues and multiplicities must agree with it.  Every rational travels
+as a "numerator/denominator" string.
 
 Bump CODE_TAG whenever a change could invalidate stored structure
 constants; old entries are then ignored instead of trusted.
@@ -23,7 +25,7 @@ from .errors import ConstructionError
 from .instances import InstanceBundle, build_graph, family_key, normalize_params
 from .norton import NortonAlgebra
 from .binop import BilinearOperation
-from .spectral import spectral_from_eigenvalues
+from .spectral import spectral_data
 
 CODE_TAG = "1"
 
@@ -104,9 +106,11 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     """Rebuild a bundle from cache, or None when absent or tagged stale.
 
     The graph itself is reconstructed from the family parameters (cheap) and
-    compared against the stored vertex order and distance matrix, so a cache
-    file can never silently disagree with the code that made it.  The
-    validation battery of build_instance is not repeated.
+    compared against the stored vertex order and distance matrix, and its
+    spectrum is recomputed and compared against the stored eigenvalues and
+    multiplicities, so a cache file can never silently disagree with the
+    code that made it.  The rest of the validation battery of
+    build_instance is not repeated.
     """
     params = normalize_params(name, params)
     target = cache_path(cache_dir, name, params)
@@ -122,9 +126,15 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     stored_vertices = [_detuple(v) for v in payload["vertices"]]
     if stored_vertices != list(g.vertices) or payload["dist"] != g.dist.tolist():
         raise ConstructionError(f"{target} is stale: graph no longer matches")
-    sd = spectral_from_eigenvalues(g, payload["eigenvalues"])
-    if list(sd.multiplicities) != payload["multiplicities"]:
-        raise ConstructionError(f"{target} is stale: multiplicities changed")
+    sd = spectral_data(g)
+    for key, fresh in (
+        ("eigenvalues", sd.eigenvalues),
+        ("multiplicities", sd.multiplicities),
+    ):
+        if payload[key] != list(fresh):
+            raise ConstructionError(
+                f"{target} is stale: stored {key} {payload[key]} != {list(fresh)}"
+            )
     cube = [
         [[Fraction(c) for c in row] for row in plane]
         for plane in payload["structure_constants"]

@@ -36,7 +36,13 @@ class NotDistanceRegularError(NortonError):
 
 
 class SpectralIntegralityError(NortonError):
-    """The minimal polynomial has a non-integer root (not a valid family graph)."""
+    """No integral spectrum from an intersection array (not a valid family graph).
+
+    Raised when the graph is not distance regular (chained from the
+    NotDistanceRegularError witness), when fewer than D+1 integers are
+    eigenvalues of the intersection array, or when a multiplicity is not an
+    integer.
+    """
 
 
 class FormulaMismatchError(NortonError):

@@ -307,6 +307,7 @@ class GraphInstance:
     lattice: RankedLattice | None
     notes: tuple = ()
     _index: dict = field(default=None, repr=False)
+    _intersection: IntersectionArray = field(default=None, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -577,8 +578,12 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     """Verify p[i][j][k] well-defined for every i, j, k; witness on failure.
 
     For each pair (x,y) at distance k the number of z with d(x,z) = i and
-    d(z,y) = j must not depend on the pair.
+    d(z,y) = j must not depend on the pair.  The proved array is kept on the
+    instance (whose distance matrix never changes after construction), so a
+    second check of the same graph costs nothing.
     """
+    if g._intersection is not None:
+        return g._intersection
     dmax = g.diameter
     dist = g.dist
     shells = [(dist == i).astype(np.int64) for i in range(dmax + 1)]
@@ -609,4 +614,5 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
                         int(vals[bad]),
                     )
                 p[i, j, k] = int(ref)
-    return IntersectionArray(p)
+    g._intersection = IntersectionArray(p)
+    return g._intersection

@@ -118,8 +118,7 @@ def build_instance(
     skips this battery, so a bundle from here is the ground truth.
     """
     g = build_graph(name, params, budget=budget)
-    check_distance_regular(g)
-    sd = spectral_data(g)
+    sd = spectral_data(g, check_distance_regular(g))
     sd.validate()
     for i in range(sd.count):
         theta = closed_form_eigenvalue(g.family, i)

@@ -397,7 +397,8 @@ def structure_constants(
             cube[i][j] = coeffs
             cube[j][i] = coeffs
     op = BilinearOperation(cube)
-    assert op.is_commutative
+    if not op.is_commutative:
+        raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     u, v = _one_off_pair(g, spanning)
     if not op.is_zero and rational_rank([label_coords[u], label_coords[v]]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")

@@ -1,40 +1,39 @@
 """Exact spectral decomposition of distance regular graphs.
 
-Eigenvalues come from the minimal polynomial of the adjacency matrix, found
-as the first exact linear dependence among I, A, A^2, ...; its roots are
-located by divisor search (family graphs have integral spectra).  The
-primitive idempotent E_i is the Lagrange product prod_{j != i} (A - theta_j I)
-/ (theta_i - theta_j), and multiplicities are idempotent traces.  Everything
-is exact: matrices are integer arrays over a single common denominator.
+Everything runs on the (D+1)-point quotient given by the intersection array
+that check_distance_regular proves (Brouwer-Cohen-Neumaier, Distance-Regular
+Graphs, 4.1; Biggs, Algebraic Graph Theory, ch. 21).  An integer theta is an
+eigenvalue exactly when its cosine sequence u_0 = 1, u_1 = theta/k,
+c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i also meets the last equation
+c_D u_{D-1} + a_D u_D = theta u_D; rational eigenvalues of an integer matrix
+are integers, so scanning theta = k..-k finds an integral spectrum and fewer
+than D+1 hits reject an irrational one.  Multiplicities follow Biggs,
+m_j = n / sum_i k_i u_i(theta_j)^2, and E_j = (m_j/n) sum_i u_i(theta_j) A_i
+is D+1 rationals, expanded to an n x n matrix through the distance matrix
+only on request.  All arithmetic is exact (ints and Fractions).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, gcd, lcm
 
 import numpy as np
 
-from .errors import SpectralIntegralityError
+from .errors import ConstructionError, NotDistanceRegularError, SpectralIntegralityError
 from .graphs import (
     DualPolarFamily,
     GrassmannFamily,
     GraphInstance,
     HammingFamily,
+    IntersectionArray,
     JohnsonFamily,
+    check_distance_regular,
     q_binomial,
     q_int,
 )
-
-
-def _array_gcd(arr, extra=0):
-    g = extra
-    for v in arr.reshape(-1).tolist():
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
 
 
 class RationalMatrix:
@@ -51,7 +50,7 @@ class RationalMatrix:
             den = -den
         self.den = den
         if normalize:
-            g = _array_gcd(self.num, self.den)
+            g = gcd(self.den, *self.num.reshape(-1).tolist())
             if g > 1:
                 self.num = self.num // g
                 self.den //= g
@@ -201,112 +200,111 @@ def adjacency_matrices(g: GraphInstance):
     ]
 
 
-def _minimal_polynomial(a_int: np.ndarray):
-    """Monic integer coefficients c_0..c_deg of the minimal polynomial of A."""
-    n = a_int.shape[0]
-    power = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        power[i, i] = 1
-    basis = []
-    while True:
-        basis.append(power.reshape(-1).tolist())
-        power = power @ a_int
-        coeffs = solve_linear_combination(basis, power.reshape(-1).tolist())
-        if coeffs is not None:
-            deg = len(basis)
-            poly = [-c for c in coeffs] + [Fraction(1)]
-            if any(c.denominator != 1 for c in poly):
-                # cannot happen for integer matrices (Gauss), guard anyway
-                raise SpectralIntegralityError("non-integer minimal polynomial")
-            return [int(c) for c in poly]
+def _cosine_sequence(p, theta):
+    """u_0..u_D of theta, or None when theta is not an eigenvalue.
 
-
-def _divisors(n: int):
-    n = abs(n)
-    out = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
-
-
-def _integer_roots(poly):
-    """Distinct integer roots of a monic squarefree integer polynomial.
-
-    Raises SpectralIntegralityError if any root is not an integer.
+    p is the intersection array as nested lists, p[i][j][k] = p^k_ij, so
+    c_i = p[i-1][1][i], a_i = p[i][1][i] and b_i = p[i+1][1][i].
     """
-    coeffs = list(poly)
-    roots = []
-    while coeffs[0] == 0:
-        roots.append(0)
-        coeffs = coeffs[1:]
-        if coeffs[0] == 0:
-            raise SpectralIntegralityError("repeated root 0 in minimal polynomial")
-    while len(coeffs) > 1:
-        found = None
-        for d in _divisors(coeffs[0]):
-            for cand in (d, -d):
-                acc = 0
-                for c in reversed(coeffs):
-                    acc = acc * cand + c
-                if acc == 0:
-                    found = cand
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise SpectralIntegralityError(
-                f"minimal polynomial {poly} has a non-integer root"
-            )
-        if found in roots:
-            raise SpectralIntegralityError("repeated eigenvalue in minimal polynomial")
-        roots.append(found)
-        # deflate by (x - found)
-        out = []
-        carry = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            out.append(carry)
-            carry = c + found * carry
-        assert carry == 0
-        coeffs = list(reversed(out))
-    return roots
+    d = len(p) - 1
+    u = [Fraction(1), Fraction(theta, p[1][1][0])]
+    for i in range(1, d):
+        rest = theta * u[i] - p[i - 1][1][i] * u[i - 1] - p[i][1][i] * u[i]
+        u.append(rest / p[i + 1][1][i])
+    if p[d - 1][1][d] * u[d - 1] + p[d][1][d] * u[d] != theta * u[d]:
+        return None
+    return u
+
+
+def _integer_row(coeffs):
+    """(numerators, den): coeffs over the lcm of their denominators, gcd 1."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs], den
+
+
+def _times_matrix(p, x):
+    """M[b][k], the coordinates of (sum_a x_a A_a) A_b in the basis A_0..A_D."""
+    r = range(len(p))
+    return [[sum(x[a] * p[a][b][k] for a in r if x[a]) for k in r] for b in r]
+
+
+class _DenseIdempotents(Sequence):
+    """E_0..E_D as n x n RationalMatrix, each expanded on first access."""
+
+    def __init__(self, graph: GraphInstance, coefficients):
+        self._graph = graph
+        self._coefficients = coefficients
+        self._built = [None] * len(coefficients)
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, j):
+        if self._built[j] is None:
+            # all distances 0..D occur, so this is also the dense normal form
+            num, den = _integer_row(self._coefficients[j])
+            dense = np.array(num, dtype=object)[self._graph.dist]
+            self._built[j] = RationalMatrix(dense, den, normalize=False)
+        return self._built[j]
 
 
 @dataclass(eq=False)
 class SpectralData:
-    """Eigenvalues (descending), multiplicities, and primitive idempotents."""
+    """Eigenvalues (descending), multiplicities, and primitive idempotents.
+
+    coefficients[j][i] = m_j u_i(theta_j) / n is the coefficient of A_i in
+    E_j; idempotents[j] is the same E_j as a dense n x n RationalMatrix.
+    """
 
     graph: GraphInstance
+    intersection: IntersectionArray
     eigenvalues: tuple
     multiplicities: tuple
-    idempotents: tuple
+    coefficients: tuple
+    idempotents: Sequence = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.idempotents = _DenseIdempotents(self.graph, self.coefficients)
 
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
 
     def validate(self):
-        """Full invariant battery; raises AssertionError on any failure."""
+        """Full invariant battery in the basis A_0..A_D; returns True.
+
+        Proves E_j E_l = delta_jl E_j, A_1 E_j = theta_j E_j, sum_j E_j = A_0
+        and trace E_j = n e[j][0] = m_j through A_a A_b = sum_k p^k_ab A_k,
+        plus the count, order and sum of the spectrum.  Every failure raises
+        ConstructionError, so python -O does not disable the battery.
+        """
         g = self.graph
         n = g.vertex_count
-        assert self.count == g.diameter + 1
-        assert list(self.eigenvalues) == sorted(self.eigenvalues, reverse=True)
-        assert sum(self.multiplicities) == n
-        assert self.multiplicities[0] == 1
-        assert all(m > 0 for m in self.multiplicities)
-        a1 = adjacency_matrices(g)[1]
-        ident = RationalMatrix.identity(n)
-        total = None
-        for theta, mult, e in zip(self.eigenvalues, self.multiplicities, self.idempotents):
-            assert (e @ e) == e
-            assert (a1 @ e) == e.scale(theta)
-            assert e.trace() == mult
-            total = e if total is None else total + e
-        assert total == ident
-        for i in range(self.count):
-            for j in range(i + 1, self.count):
-                assert (self.idempotents[i] @ self.idempotents[j]).is_zero
+        thetas, mults, e = self.eigenvalues, self.multiplicities, self.coefficients
+        p = self.intersection.p.tolist()
+        size = g.diameter + 1
+
+        def require(ok, what):
+            if not ok:
+                raise ConstructionError(f"{g.label()}: spectral check failed: {what}")
+
+        counts = (self.count, len(mults), len(e), len(p))
+        require(counts == (size,) * 4, f"{counts} entries for diameter {g.diameter}")
+        require(list(thetas) == sorted(set(thetas), reverse=True), f"order of {thetas}")
+        require(sum(mults) == n, f"multiplicities {mults} do not sum to {n}")
+        require(mults[0] == 1 and min(mults) > 0, f"multiplicities {mults}")
+        require([sum(c) for c in zip(*e)] == [1] + [0] * (size - 1), "sum_j E_j != I")
+        # f_j = den_j e_j is an integer vector, so the products stay in ints:
+        # E_j E_l = delta_jl E_j becomes f_j f_l = delta_jl den_l f_j
+        f, dens = zip(*map(_integer_row, e))
+        for j in range(size):
+            require(n * e[j][0] == mults[j], f"trace E_{j} != m_{j} = {mults[j]}")
+            m = _times_matrix(p, f[j])
+            require(m[1] == [thetas[j] * c for c in f[j]], f"A E_{j} != theta E_{j}")
+            for l in range(j, size):
+                want = [dens[l] * c for c in f[j]] if l == j else [0] * size
+                got = [sum(y * row[k] for y, row in zip(f[l], m)) for k in range(size)]
+                require(got == want, f"E_{j} E_{l}")
         return True
 
 
@@ -319,45 +317,45 @@ def eigenvalues(g: GraphInstance):
     return list(zip(sd.eigenvalues, sd.multiplicities))
 
 
-def spectral_data(g: GraphInstance) -> SpectralData:
-    a_int = (g.dist == 1).astype(int).astype(object)
-    poly = _minimal_polynomial(a_int)
-    thetas = sorted(_integer_roots(poly), reverse=True)
+def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
+    """Spectrum and idempotents of g from its intersection array.
+
+    Pass the array check_distance_regular returned for g; without one it is
+    derived here, and a graph that is not distance regular raises
+    SpectralIntegralityError chained from the NotDistanceRegularError.
+    """
+    if intersection is None:
+        try:
+            intersection = check_distance_regular(g)
+        except NotDistanceRegularError as exc:
+            raise SpectralIntegralityError(
+                f"{g.label()} is not distance regular: no intersection array"
+            ) from exc
+    p = intersection.p.tolist()
+    n = g.vertex_count
+    k = intersection.degree
+    if not all(p[i + 1][1][i] for i in range(g.diameter)):
+        raise SpectralIntegralityError(f"{g.label()}: some b_i = 0, not a path metric")
+    thetas, mults, coefficients = [], [], []
+    for theta in range(k, -k - 1, -1):
+        u = _cosine_sequence(p, theta)
+        if u is None:
+            continue
+        m = n / sum(p[i][i][0] * x * x for i, x in enumerate(u))
+        if m.denominator != 1:
+            raise SpectralIntegralityError(
+                f"{g.label()}: eigenvalue {theta} has multiplicity {m}"
+            )
+        thetas.append(theta)
+        mults.append(int(m))
+        coefficients.append(tuple(m * x / n for x in u))
     if len(thetas) != g.diameter + 1:
         raise SpectralIntegralityError(
-            f"{len(thetas)} eigenvalues for diameter {g.diameter}"
+            f"{g.label()}: {len(thetas)} integer eigenvalues for diameter {g.diameter}"
         )
-    return spectral_from_eigenvalues(g, thetas)
-
-
-def spectral_from_eigenvalues(g: GraphInstance, thetas) -> SpectralData:
-    """Lagrange idempotents and multiplicities for known distinct eigenvalues.
-
-    The eigenvalue list is trusted to be complete (idempotent traces catch a
-    wrong one); used both by spectral_data and when rehydrating a cache.
-    """
-    thetas = tuple(thetas)
-    a_int = (g.dist == 1).astype(int).astype(object)
-    n = g.vertex_count
-    idems = []
-    mults = []
-    for i, ti in enumerate(thetas):
-        num = np.zeros((n, n), dtype=object)
-        for r in range(n):
-            num[r, r] = 1
-        den = 1
-        for j, tj in enumerate(thetas):
-            if j == i:
-                continue
-            num = num @ a_int - tj * num
-            den *= ti - tj
-        e = RationalMatrix(num, den)
-        tr = e.trace()
-        if tr.denominator != 1 or tr <= 0:
-            raise SpectralIntegralityError(f"idempotent trace {tr} not a positive integer")
-        idems.append(e)
-        mults.append(int(tr))
-    return SpectralData(g, thetas, tuple(mults), tuple(idems))
+    return SpectralData(
+        g, intersection, tuple(thetas), tuple(mults), tuple(coefficients)
+    )
 
 
 def idempotent(g: GraphInstance, spectral: SpectralData, i: int) -> RationalMatrix:
@@ -405,6 +403,7 @@ def closed_form_multiplicity(family, i: int) -> int:
         out *= (1 + qf ** (d + e - 2 * i)) / (1 + qf ** (d + e - i))
         for j in range(1, i + 1):
             out *= (1 + qf ** (d + e - j)) / (1 + qf ** (j - e))
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise ConstructionError(f"{family.label()}: multiplicity {out} at {i}")
         return int(out)
     raise ValueError(f"no closed form for {family!r}")

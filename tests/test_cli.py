@@ -134,6 +134,17 @@ def test_cache_detects_stale_graph(tmp_path):
         load_cache("johnson", (3, 1), tmp_path)
 
 
+@pytest.mark.parametrize("key", ["eigenvalues", "multiplicities"])
+def test_cache_detects_tampered_spectrum(tmp_path, key):
+    bundle = build_instance("johnson", (4, 2))
+    target = write_cache(bundle, tmp_path)
+    payload = json.loads(target.read_text())
+    payload[key][1] += 1
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match=f"stale: stored {key}"):
+        load_cache("johnson", (4, 2), tmp_path)
+
+
 def test_cache_path_includes_params_and_tag(tmp_path):
     p = cache_path(tmp_path, "dualpolar", ("D", 2, 2))
     assert p.name == f"dualpolar-D-2-2-v{CODE_TAG}.json"

@@ -2,20 +2,36 @@
 
 Eigenvalues and multiplicities of the small family graphs are fixed by hand
 (or by the closed forms, cross-checked against each other), and the full
-idempotent invariant battery runs on every instance.
+idempotent invariant battery runs on every instance.  The n x n Lagrange
+route, prod_{j != i} (A - theta_j I) / (theta_i - theta_j), lives here as
+the reference the quotient-built idempotents are compared against.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nortonalg.errors import SpectralIntegralityError
+import nortonalg
+from nortonalg.errors import (
+    ConstructionError,
+    NotDistanceRegularError,
+    SpectralIntegralityError,
+)
 from nortonalg.graphs import (
+    HammingFamily,
+    JohnsonFamily,
     build_dual_polar,
     build_grassmann,
     build_hamming,
     build_johnson,
+    check_distance_regular,
     graph_from_distance_matrix,
 )
 from nortonalg.spectral import (
@@ -89,6 +105,46 @@ def test_rational_rank():
     assert rational_rank([(Fraction(1, 2), 1), (1, 3)]) == 2
 
 
+def petersen():
+    """Kneser graph K(5,2): 2-subsets of {0..4}, adjacent when disjoint."""
+    pairs = list(combinations(range(5), 2))
+    dist = np.array([[2 - (not set(x) & set(y)) for y in pairs] for x in pairs])
+    np.fill_diagonal(dist, 0)
+    return graph_from_distance_matrix("petersen", dist)
+
+
+def cycle(n):
+    dist = [[min(abs(i - j), n - abs(i - j)) for j in range(n)] for i in range(n)]
+    return graph_from_distance_matrix(f"C{n}", dist)
+
+
+def lagrange_idempotents(g, thetas):
+    """Reference E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)."""
+    a = adjacency_matrices(g)[1]
+    out = []
+    for i, ti in enumerate(thetas):
+        e = RationalMatrix.identity(g.vertex_count)
+        for j, tj in enumerate(thetas):
+            if j != i:
+                e = (e @ a - e.scale(tj)).scale(Fraction(1, ti - tj))
+        out.append(e)
+    return out
+
+
+def check_dense_battery(g, sd):
+    """The n x n invariants: E^2 = E, A E = theta E, trace, sum, orthogonality."""
+    a1 = adjacency_matrices(g)[1]
+    total = RationalMatrix(np.zeros((g.vertex_count,) * 2, dtype=object))
+    for theta, mult, e in zip(sd.eigenvalues, sd.multiplicities, sd.idempotents):
+        assert e @ e == e
+        assert a1 @ e == e.scale(theta)
+        assert e.trace() == mult
+        total = total + e
+    assert total == RationalMatrix.identity(g.vertex_count)
+    for i, j in combinations(range(sd.count), 2):
+        assert (sd.idempotents[i] @ sd.idempotents[j]).is_zero
+
+
 # hand-fixed spectra: (builder, eigenvalues descending, multiplicities)
 FIXED_SPECTRA = [
     (lambda: build_johnson(3, 1), (2, -1), (1, 2)),
@@ -101,6 +157,7 @@ FIXED_SPECTRA = [
     (lambda: build_grassmann(2, 4, 2), (18, 3, -3), (1, 14, 20)),
     (lambda: build_dual_polar("D", 2, 2), (3, 0, -3), (1, 4, 1)),
     (lambda: build_dual_polar("C", 2, 2), (6, 1, -3), (1, 9, 5)),
+    (petersen, (3, 1, -2), (1, 5, 4)),
 ]
 
 
@@ -111,6 +168,94 @@ def test_fixed_spectra(build, thetas, mults):
     assert sd.eigenvalues == thetas
     assert sd.multiplicities == mults
     sd.validate()
+
+
+@pytest.mark.parametrize("build,thetas,mults", FIXED_SPECTRA)
+def test_dense_idempotents_match_lagrange_oracle(build, thetas, mults):
+    g = build()
+    sd = spectral_data(g)
+    reference = lagrange_idempotents(g, thetas)
+    for j in range(sd.count):
+        assert sd.idempotents[j].den == reference[j].den
+        assert np.array_equal(sd.idempotents[j].num, reference[j].num)
+    check_dense_battery(g, sd)
+
+
+@pytest.mark.parametrize(
+    "family,build",
+    [
+        (HammingFamily(5, 3), lambda: build_hamming(5, 3)),
+        (JohnsonFamily(9, 4), lambda: build_johnson(9, 4)),
+        (JohnsonFamily(10, 3), lambda: build_johnson(10, 3)),
+    ],
+)
+def test_past_desk_scale_spectra(family, build):
+    # n = 243, 126, 120: far beyond what n x n matrix powers handle quickly
+    g = build()
+    sd = spectral_data(g, check_distance_regular(g))
+    assert sd.validate() is True
+    assert sd.count == g.diameter + 1
+    for i in range(sd.count):
+        assert sd.eigenvalues[i] == closed_form_eigenvalue(family, i)
+        assert sd.multiplicities[i] == closed_form_multiplicity(family, i)
+
+
+def test_spectral_data_reuses_the_proved_intersection_array():
+    g = build_johnson(5, 2)
+    arr = check_distance_regular(g)
+    assert check_distance_regular(g) is arr
+    assert spectral_data(g).intersection is arr
+    assert spectral_data(g, arr).coefficients == spectral_data(g).coefficients
+
+
+def _corruptions(sd):
+    """Copies with two multiplicities swapped, and with one eigenvalue changed."""
+    t, m = sd.eigenvalues, sd.multiplicities
+    return [
+        dataclasses.replace(sd, multiplicities=(m[0], m[2], m[1])),
+        dataclasses.replace(sd, eigenvalues=(t[0], t[1] + 1, t[2])),
+    ]
+
+
+def test_validate_rejects_corrupted_spectral_data():
+    sd = spectral_data(build_johnson(5, 2))  # (6, 1, -2) with (1, 4, 5)
+    for bad in _corruptions(sd):
+        # the corruption keeps count, order and sum, so only the identities catch it
+        assert sum(bad.multiplicities) == sum(sd.multiplicities)
+        with pytest.raises(ConstructionError):
+            bad.validate()
+
+
+OPTIMIZED_SCRIPT = """
+import sys
+from nortonalg.errors import ConstructionError
+from nortonalg.graphs import build_johnson
+from nortonalg.spectral import spectral_data
+from test_spectral import _corruptions
+
+sd = spectral_data(build_johnson(5, 2))
+caught = 0
+for bad in _corruptions(sd):
+    try:
+        bad.validate()
+    except ConstructionError:
+        caught += 1
+print(sys.flags.optimize, caught, sd.validate())
+"""
+
+
+def test_validate_rejects_corrupted_spectral_data_under_optimize():
+    src = str(Path(nortonalg.__file__).resolve().parents[1])
+    here = str(Path(__file__).parent)
+    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "2", "True"]
 
 
 def test_closed_forms_match_computation():
@@ -186,8 +331,11 @@ def test_non_integral_spectrum_rejected():
         [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]], dtype=int
     )
     g = graph_from_distance_matrix("path4", dist)
-    with pytest.raises(SpectralIntegralityError):
+    with pytest.raises(SpectralIntegralityError) as info:
         spectral_data(g)
+    # it is not distance regular either, and the witness travels along
+    assert isinstance(info.value.__cause__, NotDistanceRegularError)
+    assert info.value.__cause__.witness
 
 
 def test_eigenvalue_count_mismatch_rejected():
@@ -199,3 +347,19 @@ def test_eigenvalue_count_mismatch_rejected():
     g = graph_from_distance_matrix("fake", fake)
     with pytest.raises(SpectralIntegralityError):
         spectral_data(g)
+
+
+def test_distances_that_are_not_a_path_metric_rejected():
+    # two disjoint edges labelled as distance 2 apart: p-constant, but b_1 = 0
+    dist = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+    with pytest.raises(SpectralIntegralityError):
+        spectral_data(graph_from_distance_matrix("2K2", dist))
+
+
+def test_irrational_drg_spectrum_rejected():
+    # C_5 is distance regular with eigenvalues 2 and (-1 +- sqrt(5))/2
+    g = cycle(5)
+    assert check_distance_regular(g).degree == 2
+    with pytest.raises(SpectralIntegralityError):
+        spectral_data(g)
+    assert [t for t, _ in eigenvalues(cycle(6))] == [2, 1, -1, -2]
