@@ -38,7 +38,7 @@ from .graphs import (
     HammingFamily,
     JohnsonFamily,
 )
-from .norton import NortonAlgebra, _SpanSolver, family_constants, norton_oracle
+from .norton import NortonAlgebra, OracleProducts, family_constants
 from .spectral import SpectralData
 from .trees import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -486,11 +486,15 @@ def verify_classification(
     branch = predicted_branch(alg.family)
     con = family_constants(alg.family)
     if branch == BRANCH_ASSOCIATIVE:
-        assert con.get("zero_product") and alg.operation.is_zero
+        pinned = con.get("zero_product") and alg.operation.is_zero
     elif branch == BRANCH_A000975:
-        assert con["c"] == -1
+        pinned = con.get("c") == -1
     else:
-        assert con["c"] not in (-1, 0, 1) and not alg.operation.is_zero
+        pinned = con.get("c") not in (None, -1, 0, 1) and not alg.operation.is_zero
+    if not pinned:
+        raise ConstructionError(
+            f"{alg.label()}: constants {con} contradict the {branch} branch"
+        )
     m_values = tuple(range(m_max + 1))
     reports = tuple(
         count_norton_classes(alg, m, strategy=strategy, budget=budget, limit=limit)
@@ -550,17 +554,13 @@ def d22_hamming_aligned_operation(
                 vec[x] = Fraction(-1, 3)
             vec[a] += 1
             basis.append(tuple(vec))
-    solver = _SpanSolver(basis)
-    dim = len(basis)
-    cube = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            prod = norton_oracle(g, spectral, 1, basis[i], basis[j])
-            coeffs = solver.solve(prod)
-            if coeffs is None:
-                raise ConstructionError("aligned product escapes the basis span")
-            cube[i][j] = coeffs
-            cube[j][i] = coeffs
+    products = OracleProducts.of_vectors(g, spectral, range(len(basis)), basis)
+    if products.outside():
+        raise ConstructionError("aligned basis vectors leave V_1")
+    _, cube = products.expand(range(len(basis)))
+    if any(c is None for row in cube for c in row):
+        raise ConstructionError("aligned product escapes the basis span")
     op = BilinearOperation(cube)
-    assert op.is_commutative
+    if not op.is_commutative:
+        raise ConstructionError("aligned structure constants are not commutative")
     return op

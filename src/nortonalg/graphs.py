@@ -580,12 +580,16 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     For each pair (x,y) at distance k the number of z with d(x,z) = i and
     d(z,y) = j must not depend on the pair.  The proved array is kept on the
     instance (whose distance matrix never changes after construction), so a
-    second check of the same graph costs nothing.
+    second check of the same graph costs nothing.  A symmetric distance
+    matrix gives A_j A_i = (A_i A_j)^T and symmetric distance classes, so
+    only the products with i <= j are computed and p[j][i] is p[i][j].
     """
     if g._intersection is not None:
         return g._intersection
     dmax = g.diameter
     dist = g.dist
+    if not np.array_equal(dist, dist.T):
+        raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
     shells = [(dist == i).astype(np.int64) for i in range(dmax + 1)]
     masks = [dist == k for k in range(dmax + 1)]
     pair_of = []
@@ -596,7 +600,7 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
         pair_of.append((xs, ys))
     p = np.zeros((dmax + 1, dmax + 1, dmax + 1), dtype=np.int64)
     for i in range(dmax + 1):
-        for j in range(dmax + 1):
+        for j in range(i, dmax + 1):
             counts = shells[i] @ shells[j]
             for k in range(dmax + 1):
                 vals = counts[masks[k]]
@@ -613,6 +617,6 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
                         int(ref),
                         int(vals[bad]),
                     )
-                p[i, j, k] = int(ref)
+                p[i, j, k] = p[j, i, k] = int(ref)
     g._intersection = IntersectionArray(p)
     return g._intersection

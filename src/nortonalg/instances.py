@@ -27,6 +27,7 @@ from .graphs import (
 from .norton import (
     FormulaOracleReport,
     NortonAlgebra,
+    oracle_products,
     structure_constants,
     verify_formula_vs_oracle,
 )
@@ -129,6 +130,8 @@ def build_instance(
                 f"(multiplicity {sd.multiplicities[i]}) disagrees with the "
                 f"closed form {theta} (multiplicity {mult}) at index {i}"
             )
-    report = verify_formula_vs_oracle(g, sd)
-    algebra = structure_constants(g, sd)
+    # one set of spanning vectors and oracle products serves both steps
+    products = oracle_products(g, sd)
+    report = verify_formula_vs_oracle(g, sd, products=products)
+    algebra = structure_constants(g, sd, products=products)
     return InstanceBundle(g, sd, algebra, report)

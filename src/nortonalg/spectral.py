@@ -253,7 +253,9 @@ class SpectralData:
     """Eigenvalues (descending), multiplicities, and primitive idempotents.
 
     coefficients[j][i] = m_j u_i(theta_j) / n is the coefficient of A_i in
-    E_j; idempotents[j] is the same E_j as a dense n x n RationalMatrix.
+    E_j; idempotents[j] is the same E_j as a dense n x n RationalMatrix,
+    expanded only for norton_oracle, project and the tests (the Norton
+    build works from integer_coefficients).
     """
 
     graph: GraphInstance
@@ -269,6 +271,10 @@ class SpectralData:
     @property
     def count(self) -> int:
         return len(self.eigenvalues)
+
+    def integer_coefficients(self, j: int):
+        """(num, den): E_j = sum_i num[i] A_i / den in lowest terms."""
+        return _integer_row(self.coefficients[j])
 
     def validate(self):
         """Full invariant battery in the basis A_0..A_D; returns True.

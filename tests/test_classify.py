@@ -1,10 +1,16 @@
 """Classification layer: signatures, certificates, coefficient lemmas, verdicts."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nortonalg
+from nortonalg import classify
 from nortonalg.binop import METHOD_PATTERN, METHOD_TENSOR, fingerprint_key
 from nortonalg.classify import (
     BRANCH_A000975,
@@ -28,8 +34,9 @@ from nortonalg.classify import (
     verify_classification,
     verify_pattern_lemma,
 )
-from nortonalg.errors import BudgetExceededError
+from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.graphs import CustomFamily, JohnsonFamily
+from nortonalg.instances import build_instance
 from nortonalg.trees import depth_sequence, enumerate_trees, left_comb
 
 
@@ -314,3 +321,59 @@ def test_d22_operation_aligns_with_hamming(bundle, algebra):
         assert fingerprint_key(aligned, t) == fingerprint_key(h23_op, t)
     with pytest.raises(ValueError):
         d22_hamming_aligned_operation(*bundle("c22"))
+
+
+# ---------------------------------------------------------------------------
+# branch-constant pins
+
+# algebras paired with a branch their constants contradict
+WRONG_PINS = (
+    (("johnson", (5, 2)), BRANCH_ASSOCIATIVE),  # c = -1/3, product nonzero
+    (("johnson", (5, 2)), BRANCH_A000975),  # c = -1/3, not -1
+    (("johnson", (3, 1)), BRANCH_TOTALLY),  # c = -1
+    (("johnson", (4, 2)), BRANCH_TOTALLY),  # zero product, no c
+)
+
+
+def wrong_pins_caught() -> int:
+    """How many WRONG_PINS make verify_classification raise ConstructionError."""
+    real = classify.predicted_branch
+    caught = 0
+    try:
+        for spec, branch in WRONG_PINS:
+            alg = build_instance(*spec).algebra
+            classify.predicted_branch = lambda family, branch=branch: branch
+            try:
+                verify_classification(alg, 1)
+            except ConstructionError:
+                caught += 1
+    finally:
+        classify.predicted_branch = real
+    return caught
+
+
+def test_wrong_branch_pin_raises():
+    assert wrong_pins_caught() == len(WRONG_PINS)
+    for spec, _ in WRONG_PINS:  # under the true branch the same algebras pass
+        assert verify_classification(build_instance(*spec).algebra, 3).passed
+
+
+PINS_SCRIPT = """
+import sys
+from test_classify import wrong_pins_caught
+print(sys.flags.optimize, wrong_pins_caught())
+"""
+
+
+def test_wrong_branch_pin_raises_under_optimize():
+    src = str(Path(nortonalg.__file__).resolve().parents[1])
+    here = str(Path(__file__).parent)
+    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", PINS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", str(len(WRONG_PINS))]

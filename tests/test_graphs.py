@@ -9,6 +9,7 @@ import pytest
 from nortonalg import fq
 from nortonalg.errors import (
     BudgetExceededError,
+    ConstructionError,
     NotDistanceRegularError,
 )
 from nortonalg.graphs import (
@@ -350,6 +351,55 @@ def test_builtin_families_are_distance_regular():
     ]:
         arr = check_distance_regular(g)
         assert arr.value(0, 0, 0) == 1
+
+
+def _count(dist, i, j, pair):
+    x, y = pair
+    return sum(1 for z in range(len(dist)) if dist[x][z] == i and dist[z][y] == j)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_hamming(3, 3),
+        lambda: build_johnson(7, 3),
+        lambda: build_dual_polar("D", 3, 2),
+    ],
+)
+def test_intersection_array_matches_every_shell_product(build):
+    # p[i][j] for i > j is filled from the transpose; check it against A_i A_j itself
+    g = build()
+    p = check_distance_regular(g).p
+    shells = [(g.dist == i).astype(np.int64) for i in range(g.diameter + 1)]
+    for i in range(g.diameter + 1):
+        for j in range(g.diameter + 1):
+            counts = shells[i] @ shells[j]
+            for k in range(g.diameter + 1):
+                assert set(counts[g.dist == k].tolist()) == {p[i, j, k]}
+
+
+def test_prism_is_not_distance_regular_and_witness_is_real():
+    # triangular prism: triangle edges have a common neighbour, rungs do not
+    tri = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    dist = [
+        [tri[a][b] + (x != y) for y in range(2) for b in range(3)]
+        for x in range(2)
+        for a in range(3)
+    ]
+    g = graph_from_distance_matrix("prism3", dist)
+    with pytest.raises(NotDistanceRegularError) as exc:
+        check_distance_regular(g)
+    i, j, k, pair_a, pair_b, count_a, count_b = exc.value.witness
+    assert dist[pair_a[0]][pair_a[1]] == dist[pair_b[0]][pair_b[1]] == k
+    assert (count_a, count_b) == (_count(dist, i, j, pair_a), _count(dist, i, j, pair_b))
+    assert count_a != count_b
+
+
+def test_asymmetric_distance_matrix_rejected():
+    # distances along a directed 3-cycle: every p[i][j][k] is constant
+    dist = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+    with pytest.raises(ConstructionError, match="not symmetric"):
+        check_distance_regular(graph_from_distance_matrix("directed C3", dist))
 
 
 def test_path_graph_is_not_distance_regular():

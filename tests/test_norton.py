@@ -1,22 +1,39 @@
-"""Norton product layer: spanning vectors, oracle, closed forms, algebras."""
+"""Norton product layer: spanning vectors, oracle, closed forms, algebras.
+
+The per-pair Fraction route, one dense E_1 apply per pair of spanning
+vectors and a Gauss-Jordan span solver for the structure constants, lives
+here as the reference the batched integer oracle is compared against.
+"""
 
 import dataclasses
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nortonalg import norton
+from nortonalg.binop import BilinearOperation, direct_product
 from nortonalg.errors import ConstructionError, FormulaMismatchError
 from nortonalg.graphs import TOP
 from nortonalg.norton import (
+    _default_basis_candidates,
+    _exact_matmul,
+    _one_off_pair,
     family_constants,
     formula_product,
     norton_oracle,
+    oracle_products,
     spanning_vectors,
     structure_constants,
     verify_formula_vs_oracle,
 )
-from nortonalg.binop import direct_product
-from nortonalg.spectral import rational_rank
+from nortonalg.spectral import closed_form_multiplicity, rational_rank
+
+CONFTEST_INSTANCES = (
+    "j31", "j41", "j42", "j52", "g242", "h22",
+    "h13", "h23", "h14", "d22", "c22", "d32",
+)
 
 
 def test_family_constants_johnson(bundle):
@@ -208,6 +225,69 @@ def test_tampered_vectors_fail_verification(bundle):
         verify_formula_vs_oracle(g, sd, [doubled] + svs[1:])
 
 
+def test_halved_vectors_fail_verification(bundle):
+    # coords that are no longer integers still go through the integer oracle
+    g, sd = bundle("g242")
+    svs = spanning_vectors(g, sd)
+    halved = dataclasses.replace(
+        svs[3], coords=tuple(x / 2 for x in svs[3].coords)
+    )
+    with pytest.raises(FormulaMismatchError):
+        verify_formula_vs_oracle(g, sd, svs[:3] + [halved] + svs[4:])
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [("j52", "c"), ("g242", "c"), ("g242", "b"), ("c22", "b"), ("d32", "b_prime")],
+)
+def test_wrong_formula_constant_fails_verification(bundle, monkeypatch, name, key):
+    g, sd = bundle(name)
+    products = oracle_products(g, sd)  # built before the constants go wrong
+    real = family_constants
+
+    def wrong(family):
+        con = real(family)
+        return {**con, key: con[key] + 1}
+
+    monkeypatch.setattr(norton, "family_constants", wrong)
+    with pytest.raises(FormulaMismatchError):
+        verify_formula_vs_oracle(g, sd, products=products)
+
+
+@pytest.mark.parametrize("which", ["first", "second"])
+def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
+    # the oracle product is symmetric, the formula need not be: a formula
+    # wrong in one order only must still be caught
+    g, sd = bundle("j52")
+    u, v = g.lattice.levels[1][:2]
+    bad = (u, v) if which == "first" else (v, u)
+    real = formula_product
+
+    def one_sided(family, lattice, a, b):
+        out = real(family, lattice, a, b)
+        return {**out, a: out[a] * 2} if (a, b) == bad else out
+
+    monkeypatch.setattr(norton, "formula_product", one_sided)
+    with pytest.raises(FormulaMismatchError, match=re.escape(f"({bad[0]!r}, {bad[1]!r})")):
+        verify_formula_vs_oracle(g, sd)
+
+
+def test_vectors_outside_v1_are_rejected(bundle):
+    g, sd = bundle("j52")
+    e = sd.coefficients
+    swapped = dataclasses.replace(sd, coefficients=(e[0], e[2], e[1]))
+    with pytest.raises(ConstructionError, match="not in V_1"):
+        spanning_vectors(g, swapped)
+
+
+def test_exact_matmul_leaves_int64_when_sums_could_overflow():
+    big = np.array([[2**40, 1]], dtype=object)
+    col = np.array([[2**40], [-1]], dtype=object)
+    assert _exact_matmul(big, col).tolist() == [[2**80 - 1]]
+    small = _exact_matmul(np.array([[3, -2]]), np.array([[5], [7]]))
+    assert small.tolist() == [[1]] and type(small[0, 0]) is int
+
+
 def test_structure_constants_triangle(algebra):
     alg = algebra("j31")
     assert alg.dim == 2
@@ -328,3 +408,122 @@ def test_missing_lattice_is_rejected(bundle):
     sd = spectral_data(g)
     with pytest.raises(ConstructionError):
         spanning_vectors(g, sd)
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-pair Fraction route
+
+
+class ReferenceSpanSolver:
+    """Repeated exact solves of sum_i c_i row_i = target for a fixed basis."""
+
+    def __init__(self, rows):
+        self.rows = [tuple(Fraction(x) for x in r) for r in rows]
+        k = len(self.rows)
+        self.n = len(self.rows[0])
+        work = [list(r) for r in self.rows]
+        piv_cols = []
+        r = 0
+        for ccol in range(self.n):
+            piv = next((i for i in range(r, k) if work[i][ccol]), None)
+            if piv is None:
+                continue
+            work[r], work[piv] = work[piv], work[r]
+            inv = 1 / work[r][ccol]
+            work[r] = [x * inv for x in work[r]]
+            for i in range(k):
+                if i != r and work[i][ccol]:
+                    f = work[i][ccol]
+                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            piv_cols.append(ccol)
+            r += 1
+            if r == k:
+                break
+        assert r == k, "basis rows are linearly dependent"
+        self.piv_cols = piv_cols
+        # invert M[i][j] = rows[j][piv_cols[i]] by Gauss-Jordan
+        m = [[self.rows[j][c] for j in range(k)] for c in piv_cols]
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(m)]
+        for col in range(k):
+            piv = next(i for i in range(col, k) if aug[i][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv = 1 / aug[col][col]
+            aug[col] = [x * inv for x in aug[col]]
+            for i in range(k):
+                if i != col and aug[i][col]:
+                    f = aug[i][col]
+                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+        self.minv = [row[k:] for row in aug]
+
+    def solve(self, target):
+        """Coefficients over the basis, or None if target leaves the span."""
+        t = [Fraction(x) for x in target]
+        k = len(self.rows)
+        sub = [t[c] for c in self.piv_cols]
+        coeffs = [sum(self.minv[i][j] * sub[j] for j in range(k)) for i in range(k)]
+        for idx in range(self.n):
+            if sum(c * row[idx] for c, row in zip(coeffs, self.rows)) != t[idx]:
+                return None
+        return tuple(coeffs)
+
+
+def reference_sweep(g, sd, spanning):
+    """Ordered pairs checked, one dense Fraction E_1 apply per pair."""
+    by_label = {sv.label: sv for sv in spanning}
+    e1 = sd.idempotents[1]
+    pairs = 0
+    for su in spanning:
+        for sv in spanning:
+            oracle = e1.apply([a * b for a, b in zip(su.coords, sv.coords)])
+            predicted = [Fraction(0)] * g.vertex_count
+            for lbl, cf in formula_product(g.family, g.lattice, su.label, sv.label).items():
+                for idx, x in enumerate(by_label[lbl].coords):
+                    predicted[idx] += cf * x
+            assert list(oracle) == predicted, (su.label, sv.label)
+            pairs += 1
+    return pairs
+
+
+def reference_structure_constants(g, sd, spanning):
+    """(basis_labels, cube, label_coords, one_off) by rank tests and span solves."""
+    by_label = {sv.label: sv for sv in spanning}
+    labels = [sv.label for sv in spanning]
+    dim = closed_form_multiplicity(g.family, 1)
+    assert rational_rank([sv.coords for sv in spanning]) == dim
+    basis_labels, chosen_rows = [], []
+    for lbl in _default_basis_candidates(g, labels):
+        trial = chosen_rows + [by_label[lbl].coords]
+        if rational_rank(trial) == len(trial):
+            basis_labels.append(lbl)
+            chosen_rows.append(by_label[lbl].coords)
+        if len(basis_labels) == dim:
+            break
+    solver = ReferenceSpanSolver(chosen_rows)
+    label_coords = {sv.label: solver.solve(sv.coords) for sv in spanning}
+    e1 = sd.idempotents[1]
+    cube = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            prod = e1.apply([a * b for a, b in zip(chosen_rows[i], chosen_rows[j])])
+            cube[i][j] = cube[j][i] = solver.solve(prod)
+    return tuple(basis_labels), cube, label_coords, _one_off_pair(g, labels)
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
+    g, sd = bundle(name)
+    spanning = spanning_vectors(g, sd)
+    e1 = sd.idempotents[1]
+    for sv in spanning:
+        assert e1.apply(sv.unscaled) == sv.unscaled
+    report = verify_formula_vs_oracle(g, sd, spanning)
+    assert report.pairs_checked == reference_sweep(g, sd, spanning) == len(spanning) ** 2
+    basis_labels, cube, label_coords, one_off = reference_structure_constants(
+        g, sd, spanning
+    )
+    alg = algebra(name)
+    assert alg.basis_labels == basis_labels
+    assert alg.operation.constants == BilinearOperation(cube).constants
+    assert alg.label_coords == label_coords
+    assert list(alg.label_coords) == list(label_coords)
+    assert alg.one_off == one_off
