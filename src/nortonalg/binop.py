@@ -6,25 +6,33 @@ a*b = -a-b needs them).  Two parenthesizations of x_0 * ... * x_m are the
 same operation exactly when they agree on every probe tuple drawn from the
 standard basis; for operations with linear parts the probes run over the
 basis of the homogenized space (dimension+1), which restores multilinearity
-without losing any information.  All arithmetic is exact: probe tensors are
-integer arrays over one common denominator, never floats.
+without losing any information.
+
+All arithmetic is exact and runs in integers through one product step,
+_int_product: den * (x*y) on integer rows of the probe space, batched over
+any leading axes.  Probe tensors, exact evaluation and the one-off
+signatures of classify are all built from it.  Fractions appear only at the
+API edge: evaluate_parenthesization clears the denominators of its
+arguments, evaluates in integers and divides once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .trees import (
     DEFAULT_ENUMERATION_LIMIT,
+    LEAF,
     BinaryTree,
     catalan,
     depth_sequence,
     enumerate_trees,
+    node,
 )
 
 DEFAULT_FINGERPRINT_BUDGET = 10 ** 6
@@ -116,29 +124,7 @@ class BilinearOperation:
 
     def apply(self, x, y) -> tuple:
         """Exact product of two coordinate vectors."""
-        d = self._dim
-        if len(x) != d or len(y) != d:
-            raise ValueError(f"expected vectors of length {d}")
-        out = [Fraction(0)] * d
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self.constants[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                xy = xi * yj
-                row = plane[j]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += xy * row[k]
-        if self.linear_left is not None:
-            for k in range(d):
-                out[k] += sum(self.linear_left[k][i] * x[i] for i in range(d))
-        if self.linear_right is not None:
-            for k in range(d):
-                out[k] += sum(self.linear_right[k][j] * y[j] for j in range(d))
-        return tuple(out)
+        return evaluate_parenthesization(self, node(LEAF, LEAF), [x, y])
 
 
 def double_minus_operation() -> BilinearOperation:
@@ -147,37 +133,45 @@ def double_minus_operation() -> BilinearOperation:
 
 
 def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tuple:
-    """Evaluate the product shaped by t on the given argument vectors."""
+    """Evaluate the product shaped by t on the given argument vectors.
+
+    The arguments are scaled by the lcm s of their denominators (with s as
+    the affine coordinate when op has linear parts) and evaluated in
+    integers; the result is s**(m+1) * den**m times the exact value.
+    """
     if len(args) != t.leaf_count:
         raise ValueError(f"tree has {t.leaf_count} leaves, got {len(args)} arguments")
-    vecs = [tuple(_frac(c) for c in a) for a in args]
+    s, rows = _scaled_rows(op, args)
 
-    def rec(s, offset):
-        if s.is_leaf:
-            return vecs[offset]
-        lv = rec(s.left, offset)
-        rv = rec(s.right, offset + s.left.leaf_count)
-        return op.apply(lv, rv)
+    def rec(sub, offset):
+        if sub.is_leaf:
+            return rows[offset]
+        right = offset + sub.left.leaf_count
+        return _int_product(op, rec(sub.left, offset), rec(sub.right, right))
 
-    return rec(t, 0)
+    den, _ = _int_form(op)
+    m = t.internal_count
+    scale = s ** (m + 1) * den ** m
+    return tuple(Fraction(x, scale) for x in rec(t, 0)[: op.dimension].tolist())
 
 
 # ---------------------------------------------------------------------------
-# integer-scaled probe tensors
+# the integer product step
 
 
-def _common_denominator(op: BilinearOperation) -> int:
-    den = 1
-    for plane in op.constants:
-        for row in plane:
-            for c in row:
-                den = den * c.denominator // gcd(den, c.denominator)
-    for mat in (op.linear_left, op.linear_right):
-        if mat is not None:
-            for row in mat:
-                for c in row:
-                    den = den * c.denominator // gcd(den, c.denominator)
-    return den
+def _scaled_rows(op: BilinearOperation, vectors):
+    """(s, rows): the vectors times the lcm s of their denominators.
+
+    rows is an integer array with one row of length probe_dimension per
+    vector; with linear parts its last column is the affine coordinate s.
+    """
+    d = op.dimension
+    fracs = [[_frac(c) for c in v] for v in vectors]
+    if any(len(v) != d for v in fracs):
+        raise ValueError(f"expected vectors of length {d}")
+    s = lcm(*(c.denominator for v in fracs for c in v))
+    affine = [s] if op.has_linear_terms else []
+    return s, np.array([[int(c * s) for c in v] + affine for v in fracs], dtype=object)
 
 
 def _int_form(op: BilinearOperation):
@@ -190,7 +184,10 @@ def _int_form(op: BilinearOperation):
     cached = op._int_form
     if cached is not None:
         return cached
-    den = _common_denominator(op)
+    rows = [row for plane in op.constants for row in plane]
+    for mat in (op.linear_left, op.linear_right):
+        rows += mat or ()
+    den = lcm(*(c.denominator for row in rows for c in row))
     d = op.dimension
     p = op.probe_dimension
     flat = np.zeros((p, p * p), dtype=object)
@@ -219,6 +216,19 @@ def _int_form(op: BilinearOperation):
     return op._int_form
 
 
+def _int_product(op: BilinearOperation, x, y):
+    """den * (x*y) for integer rows x, y of the probe space.
+
+    Leading axes broadcast (matmul does so without copying), so one call
+    multiplies a batch of pairs, and shapes (a, 1, p) and (1, b, p) give
+    every left row times every right row.
+    """
+    _, flat = _int_form(op)
+    p = op.probe_dimension
+    # (x @ flat)[..., j, k] = sum_i x_i C[i][j][k]; contract with y over j
+    return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
+
+
 def _probe_tensor(op: BilinearOperation, t: BinaryTree) -> np.ndarray:
     """Integer tensor of the multilinear probe map of t.
 
@@ -226,7 +236,6 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree) -> np.ndarray:
     k-th output coordinate of the parenthesization evaluated at the probe
     tuple (lexicographic order over probe basis indices).
     """
-    den, flat = _int_form(op)
     p = op.probe_dimension
     cached = op._tensor_cache.get(t)
     if cached is not None:
@@ -238,9 +247,7 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree) -> np.ndarray:
     else:
         l = _probe_tensor(op, t.left)
         r = _probe_tensor(op, t.right)
-        m = (l @ flat).reshape(l.shape[0], p, p)
-        arr = np.tensordot(m, r, axes=([1], [1]))
-        arr = arr.transpose(0, 2, 1).reshape(l.shape[0] * r.shape[0], p)
+        arr = _int_product(op, l[:, None], r[None]).reshape(-1, p)
     if arr.size <= _TENSOR_CACHE_CELL_LIMIT:
         op._tensor_cache[t] = arr
     return arr
@@ -405,32 +412,3 @@ def direct_product(op1: BilinearOperation, op2: BilinearOperation) -> BilinearOp
         linear_left=block(op1.linear_left, op2.linear_left),
         linear_right=block(op1.linear_right, op2.linear_right),
     )
-
-
-def evaluate_int_scaled(op: BilinearOperation, t: BinaryTree, int_args) -> np.ndarray:
-    """Evaluate t on integer-scaled argument vectors, staying in integers.
-
-    Only for purely bilinear operations.  If every argument is some fixed
-    rational vector times a common integer scale s, the result equals
-    s**(m+1) * den**m times the exact rational evaluation, with den the
-    operation's common denominator; results for trees of equal arity are
-    directly comparable.
-    """
-    if op.has_linear_terms:
-        raise ValueError("integer-scaled evaluation needs a purely bilinear operation")
-    _, flat = _int_form(op)
-    p = op.dimension
-    args = [np.asarray(a, dtype=object) for a in int_args]
-    if len(args) != t.leaf_count:
-        raise ValueError("argument count mismatch")
-
-    def rec(s, offset):
-        if s.is_leaf:
-            return args[offset]
-        x = rec(s.left, offset)
-        y = rec(s.right, offset + s.left.leaf_count)
-        m = (x @ flat).reshape(p, p)
-        # m[j, k] = sum_i x_i C[i][j][k]; contract with y over j.
-        return y @ m
-
-    return rec(t, 0)

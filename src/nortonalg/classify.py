@@ -10,23 +10,31 @@ distinguished vector at one position and a second one everywhere else.
 Differing one-off results certify distinctness outright; merges are justified
 by full fingerprints when affordable and otherwise by the mod-2 criterion,
 which only the A000975 branch may invoke.
+
+One-off values are integers from the binop product step, memoized per tree
+shape on the algebra: a subtree's values (one row per position of the
+distinguished vector, plus the value with none) are computed once and
+shared by every tree that contains it.  Exact Fraction evaluation is kept
+for certificates and the coefficient lemmas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+import numpy as np
 
 from .binop import (
     DEFAULT_FINGERPRINT_BUDGET,
     METHOD_PATTERN,
     BilinearOperation,
     EquivalenceReport,
+    _int_product,
     _make_report,
+    _scaled_rows,
     a000975_value,
     count_classes_exact,
-    evaluate_int_scaled,
     evaluate_parenthesization,
     fingerprint_key,
 )
@@ -101,42 +109,42 @@ def expected_class_count(branch: str, m: int) -> int:
 # one-off evaluations
 
 
-def _one_off_int_pair(alg: NortonAlgebra):
-    """The preferred pair in basis coordinates, scaled to integer vectors."""
-    cached = alg._signature_cache.get("pair")
+def _one_off_values(alg: NortonAlgebra, t):
+    """(rows, rest): integer one-off values of t, memoized per tree shape.
+
+    rows[r] is t evaluated with the first preferred vector at position r and
+    the second everywhere else; rest has the second vector everywhere.  A
+    node combines its children: u lands in the left subtree (left rows times
+    right rest) or in the right one (left rest times right rows).
+    """
+    cache = alg._signature_cache
+    cached = cache.get(t)
     if cached is not None:
         return cached
-    u, v = alg.one_off_vectors()
-    den = 1
-    for x in (*u, *v):
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    iu = tuple(int(Fraction(x) * den) for x in u)
-    iv = tuple(int(Fraction(x) * den) for x in v)
-    alg._signature_cache["pair"] = (iu, iv)
-    return iu, iv
+    op = alg.operation
+    if t.is_leaf:
+        _, pair = _scaled_rows(op, alg.one_off_vectors())
+        cached = (pair[:1], pair[1])
+    else:
+        l_rows, l_rest = _one_off_values(alg, t.left)
+        r_rows, r_rest = _one_off_values(alg, t.right)
+        u_left = _int_product(op, l_rows, r_rest)
+        u_right = _int_product(op, l_rest, r_rows)
+        cached = (np.concatenate([u_left, u_right]), _int_product(op, l_rest, r_rest))
+    cache[t] = cached
+    return cached
 
 
 def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     """Exact (integer-scaled) results of every one-off assignment through t.
 
     Entry r is the evaluation with the first preferred vector at position r
-    and the second everywhere else.  Signatures of trees of equal arity are
+    and the second everywhere else, times s**(m+1) * den**m (s clears the
+    pair's denominators).  Signatures of trees of equal arity are
     comparable; distinct signatures certify distinct parenthesizations.
     """
-    cached = alg._signature_cache.get(t)
-    if cached is not None:
-        return cached
-    iu, iv = _one_off_int_pair(alg)
-    m = t.internal_count
-    sig = []
-    for r in range(m + 1):
-        args = [iv] * (m + 1)
-        args[r] = iu
-        sig.append(tuple(evaluate_int_scaled(alg.operation, t, args).tolist()))
-    sig = tuple(sig)
-    alg._signature_cache[t] = sig
-    return sig
+    rows, _ = _one_off_values(alg, t)
+    return tuple(map(tuple, rows[:, : alg.operation.dimension].tolist()))
 
 
 def _mod2_partition(trees):

@@ -121,7 +121,8 @@ def q_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise ConstructionError(f"[{n} choose {k}]_{q}: {num} not divisible by {den}")
     return num // den
 
 
@@ -411,6 +412,14 @@ def _rref_matrices(n: int, j: int, q: int):
     return out
 
 
+def _require_level_size(subspaces, n, j, q):
+    want = q_binomial(n, j, q)
+    if len(subspaces) != want:
+        raise ConstructionError(
+            f"{len(subspaces)} subspaces of dimension {j} in F_{q}^{n}, expected {want}"
+        )
+
+
 def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
     """Grassmann graph J_q(n,k): k-dim subspaces of F_q^n, d = k - dim(x n y)."""
     if not fq.is_prime(q):
@@ -419,13 +428,13 @@ def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET)
         raise ValueError(f"need n >= 2k >= 4, got ({n},{k})")
     _check_budget(q_binomial(n, k, q), budget)
     vertices = tuple(sorted(_rref_matrices(n, k, q)))
-    assert len(vertices) == q_binomial(n, k, q)
+    _require_level_size(vertices, n, k, q)
     dist = _distance_matrix(
         vertices, lambda x, y: fq.rank(x + y, q) - k
     )
     levels = [tuple(sorted(_rref_matrices(n, j, q))) for j in range(k + 1)]
     for j, lv in enumerate(levels):
-        assert len(lv) == q_binomial(n, j, q)
+        _require_level_size(lv, n, j, q)
     lattice = SubspaceLattice(q, n, k, levels)
     g = GraphInstance(GrassmannFamily(q, n, k), vertices, dist, k, lattice)
     return g
@@ -473,7 +482,8 @@ def _dual_polar_form(kind: str, d: int, q: int):
                     break
             if aniso:
                 break
-        assert aniso is not None
+        if aniso is None:
+            raise ConstructionError(f"no anisotropic binary form over F_{q}")
 
     def quad(x):
         s = sum(x[i] * x[j] for i, j in pairs)

@@ -38,7 +38,7 @@ from .graphs import (
     JohnsonFamily,
     q_int,
 )
-from .spectral import SpectralData, closed_form_multiplicity, rational_rank
+from .spectral import SpectralData, closed_form_multiplicity
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -520,7 +520,8 @@ def structure_constants(
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     u, v = _one_off_pair(g, labels)
-    if not op.is_zero and rational_rank([label_coords[u], label_coords[v]]) != 2:
+    pair = [products.index[u], products.index[v]]
+    if not op.is_zero and len(_independent_rows(products.rows, pair, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
     line = ()
     if isinstance(g.family, GrassmannFamily):

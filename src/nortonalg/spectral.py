@@ -129,65 +129,6 @@ class RationalMatrix:
         return f"RationalMatrix(shape={self.shape}, den={self.den})"
 
 
-def solve_linear_combination(basis_rows, target):
-    """Coefficients c with sum c_i * basis_i = target, or None.
-
-    Exact Gaussian elimination over the rationals; the basis rows need not be
-    independent (any valid combination is returned).
-    """
-    rows = [list(map(Fraction, r)) for r in basis_rows]
-    t = list(map(Fraction, target))
-    n = len(t)
-    if any(len(r) != n for r in rows):
-        raise ValueError("length mismatch")
-    # eliminate on the transposed system: columns are basis vectors
-    aug = [[rows[i][c] for i in range(len(rows))] + [t[c]] for c in range(n)]
-    ncols = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    # rows below r must have zero right-hand side, else inconsistent
-    if any(aug[i][-1] for i in range(r, n)):
-        return None
-    coeffs = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        coeffs[c] = aug[row_idx][-1]
-    return tuple(coeffs)
-
-
-def rational_rank(rows) -> int:
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return 0
-    n = len(m[0])
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -314,15 +255,6 @@ class SpectralData:
         return True
 
 
-def eigenvalues(g: GraphInstance):
-    """Distinct eigenvalues of the adjacency matrix with multiplicities.
-
-    Returns a list of (eigenvalue, multiplicity), eigenvalues descending.
-    """
-    sd = spectral_data(g)
-    return list(zip(sd.eigenvalues, sd.multiplicities))
-
-
 def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
     """Spectrum and idempotents of g from its intersection array.
 
@@ -362,11 +294,6 @@ def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
     return SpectralData(
         g, intersection, tuple(thetas), tuple(mults), tuple(coefficients)
     )
-
-
-def idempotent(g: GraphInstance, spectral: SpectralData, i: int) -> RationalMatrix:
-    """Primitive idempotent onto the i-th eigenspace (0 = Perron)."""
-    return spectral.idempotents[i]
 
 
 def project(spectral: SpectralData, i: int, vec):

@@ -207,7 +207,8 @@ def tree_from_depth_sequence(seq) -> BinaryTree:
 def _expand_leaf(t: BinaryTree, i: int) -> BinaryTree:
     """Replace preorder leaf i of t by a node with two fresh leaves."""
     if t.is_leaf:
-        assert i == 0
+        if i != 0:
+            raise ValueError(f"a leaf has no leaf {i}")
         return BinaryTree(LEAF, LEAF)
     nl = t.left.leaf_count
     if i < nl:

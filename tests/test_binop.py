@@ -1,4 +1,9 @@
-"""Parenthesization engine: evaluation, fingerprints, class counts."""
+"""Parenthesization engine: evaluation, fingerprints, class counts.
+
+The Fraction route, x*y = B(x,y) + Lx + Ry entry by entry and a recursion
+over the tree, lives here as the reference the integer evaluator is
+compared against.
+"""
 
 import random
 from fractions import Fraction
@@ -7,13 +12,11 @@ import pytest
 
 from nortonalg.binop import (
     BilinearOperation,
-    _int_form,
     a000975_value,
     count_classes_exact,
     direct_product,
     double_minus_classes,
     double_minus_operation,
-    evaluate_int_scaled,
     evaluate_parenthesization,
     group_trees_by_fingerprint,
     tensor_fingerprint,
@@ -26,6 +29,34 @@ from nortonalg.trees import LEAF, catalan, depth_sequence, enumerate_trees, left
 A000975_PREFIX = [1, 2, 5, 10, 21, 42, 85, 170, 341, 682]
 
 F = Fraction
+
+
+def reference_apply(op, x, y):
+    """Exact product of two coordinate vectors, one Fraction term at a time."""
+    d = op.dimension
+    out = [F(0)] * d
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k in range(d):
+                out[k] += xi * yj * op.constants[i][j][k]
+    for mat, vec in ((op.linear_left, x), (op.linear_right, y)):
+        if mat is not None:
+            for k in range(d):
+                out[k] += sum(mat[k][i] * vec[i] for i in range(d))
+    return tuple(out)
+
+
+def reference_evaluate(op, t, args):
+    """The product shaped by t, one reference_apply per internal node."""
+    vecs = [tuple(F(c) for c in a) for a in args]
+
+    def rec(s, offset):
+        if s.is_leaf:
+            return vecs[offset]
+        right = offset + s.left.leaf_count
+        return reference_apply(op, rec(s.left, offset), rec(s.right, right))
+
+    return rec(t, 0)
 
 
 def test_double_minus_left_comb_signs():
@@ -180,6 +211,8 @@ def test_evaluate_validates_shapes():
     with pytest.raises(ValueError):
         evaluate_parenthesization(op, left_comb(2), [(F(1), F(0))] * 2)
     with pytest.raises(ValueError):
+        evaluate_parenthesization(op, left_comb(1), [(F(1),), (F(1), F(0))])
+    with pytest.raises(ValueError):
         op.apply((F(1),), (F(1), F(0)))
     with pytest.raises(ValueError):
         BilinearOperation([[[0, 0]]])
@@ -187,20 +220,22 @@ def test_evaluate_validates_shapes():
 
 def test_int_scaled_evaluation_matches_exact():
     rng = random.Random(3)
-    op = _random_operation(rng, 3)
-    den = 6
-    for m in range(1, 4):
-        for t in enumerate_trees(m):
-            fracs = [
-                tuple(F(rng.randint(-5, 5), den) for _ in range(3))
-                for _ in range(m + 1)
-            ]
-            ints = [[int(c * den) for c in v] for v in fracs]
-            got = evaluate_int_scaled(op, t, ints)
-            exact = evaluate_parenthesization(op, t, fracs)
-            opden, _ = _int_form(op)
-            scale = den ** (m + 1) * opden ** m
-            assert tuple(F(v, scale) for v in got.tolist()) == exact
+    ops = [_random_operation(rng, 3), double_minus_operation()]
+    ops.append(direct_product(ops[1], BilinearOperation([[[F(1, 2)]]])))
+    for op in ops:
+        d = op.dimension
+        for m in range(0, 4):
+            for t in enumerate_trees(m):
+                args = [
+                    tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d))
+                    for _ in range(m + 1)
+                ]
+                assert evaluate_parenthesization(op, t, args) == reference_evaluate(
+                    op, t, args
+                )
+        x = tuple(F(rng.randint(-5, 5), 3) for _ in range(d))
+        y = tuple(F(rng.randint(-5, 5), 2) for _ in range(d))
+        assert op.apply(x, y) == reference_apply(op, x, y)
 
 
 def test_report_serialization():

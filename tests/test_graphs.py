@@ -1,12 +1,17 @@
 """Graph families: construction, distance laws, lattices, distance regularity."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nortonalg import fq
+import nortonalg
+from nortonalg import fq, graphs
 from nortonalg.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -246,6 +251,54 @@ def test_grassmann_validation():
         build_grassmann(2, 3, 2)  # n < 2k
     with pytest.raises(BudgetExceededError):
         build_grassmann(2, 10, 3)
+
+
+def dropped_subspaces_caught():
+    """How many builds of J_2(4,2) with one subspace dropped raise.
+
+    The first case loses a vertex (dimension 2), the second a point of the
+    lattice (dimension 1); both must raise ConstructionError.
+    """
+    real = graphs._rref_matrices
+    caught = 0
+    try:
+        for dim in (2, 1):
+            graphs._rref_matrices = lambda n, k, q, dim=dim: (
+                real(n, k, q)[1:] if k == dim else real(n, k, q)
+            )
+            try:
+                build_grassmann(2, 4, 2)
+            except ConstructionError:
+                caught += 1
+    finally:
+        graphs._rref_matrices = real
+    return caught
+
+
+def test_dropped_subspace_raises():
+    assert dropped_subspaces_caught() == 2
+    assert build_grassmann(2, 4, 2).vertex_count == 35
+
+
+DROPPED_SCRIPT = """
+import sys
+from test_graphs import dropped_subspaces_caught
+print(sys.flags.optimize, dropped_subspaces_caught())
+"""
+
+
+def test_dropped_subspace_raises_under_optimize():
+    src = str(Path(nortonalg.__file__).resolve().parents[1])
+    here = str(Path(__file__).parent)
+    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "2"]
 
 
 # ---------------------------------------------------------------------------

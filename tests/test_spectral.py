@@ -34,18 +34,16 @@ from nortonalg.graphs import (
     check_distance_regular,
     graph_from_distance_matrix,
 )
+from nortonalg.norton import _coordinates, _independent_rows
 from nortonalg.spectral import (
     RationalMatrix,
     adjacency_matrices,
     closed_form_eigenvalue,
     closed_form_multiplicity,
-    eigenvalues,
-    idempotent,
     project,
-    rational_rank,
-    solve_linear_combination,
     spectral_data,
 )
+from test_norton import integer_rows
 
 
 def test_rational_matrix_arithmetic():
@@ -85,24 +83,33 @@ def test_from_fraction_rows_round_trip():
 
 
 def test_solve_linear_combination():
-    basis = [(1, 0, 1), (0, 1, 1)]
-    assert solve_linear_combination(basis, (2, 3, 5)) == (2, 3)
-    assert solve_linear_combination(basis, (0, 0, 1)) is None
-    # dependent basis still yields some valid combination
-    basis = [(1, 1), (2, 2), (0, 1)]
-    c = solve_linear_combination(basis, (3, 4))
+    basis = integer_rows([(1, 0, 1), (0, 1, 1)])
+    kept, pivots = _independent_rows(basis, range(2), 2)
+    targets = integer_rows([(2, 3, 5), (0, 0, 1)])
+    assert _coordinates(basis[kept], pivots, targets, [1, 1]) == [(2, 3), None]
+    # a dependent basis is solved over the independent rows picked from it
+    basis = integer_rows([(1, 1), (2, 2), (0, 1)])
+    kept, pivots = _independent_rows(basis, range(3), 3)
+    assert kept == [0, 2]
+    [c] = _coordinates(basis[kept], pivots, integer_rows([(3, 4)]), [1])
     assert c is not None
     assert all(
-        sum(ci * bi[j] for ci, bi in zip(c, basis)) == t
+        sum(ci * basis[i][j] for ci, i in zip(c, kept)) == t
         for j, t in enumerate((3, 4))
     )
 
 
 def test_rational_rank():
-    assert rational_rank([(1, 2), (2, 4)]) == 1
-    assert rational_rank([(1, 0), (0, 1), (1, 1)]) == 2
-    assert rational_rank([]) == 0
-    assert rational_rank([(Fraction(1, 2), 1), (1, 3)]) == 2
+    def kept(rows):
+        ints = integer_rows(rows)
+        return _independent_rows(ints, range(len(ints)), len(ints))[0]
+
+    assert kept([(1, 2), (2, 4)]) == [0]
+    assert kept([(1, 0), (0, 1), (1, 1)]) == [0, 1]
+    assert kept([]) == []
+    # Fraction rows are cleared to integers first
+    assert (integer_rows([(Fraction(1, 2), 1), (1, 3)]) == [[1, 2], [2, 6]]).all()
+    assert kept([(Fraction(1, 2), 1), (1, 3)]) == [0, 1]
 
 
 def petersen():
@@ -281,8 +288,8 @@ def test_closed_forms_match_computation():
 def test_johnson_3_1_idempotents():
     g = build_johnson(3, 1)
     sd = spectral_data(g)
-    e0 = idempotent(g, sd, 0)
-    e1 = idempotent(g, sd, 1)
+    e0 = sd.idempotents[0]
+    e1 = sd.idempotents[1]
     assert e0.to_fraction_rows() == tuple(
         tuple(Fraction(1, 3) for _ in range(3)) for _ in range(3)
     )
@@ -312,17 +319,22 @@ def test_projection_fixed_point():
 def test_distance_matrices_live_in_idempotent_span():
     g = build_johnson(4, 2)
     sd = spectral_data(g)
-    idem_flat = [e.to_fraction_rows() for e in sd.idempotents]
-    basis = [[x for row in m for x in row] for m in idem_flat]
-    for a in adjacency_matrices(g):
-        target = [x for row in a.to_fraction_rows() for x in row]
-        coeffs = solve_linear_combination(basis, target)
-        assert coeffs is not None
-        assert len(coeffs) == sd.count
+    flat = [
+        [x for row in m.to_fraction_rows() for x in row]
+        for m in [*sd.idempotents, *adjacency_matrices(g)]
+    ]
+    rows = integer_rows(flat)  # one common scale for E_0..E_D and A_0..A_D
+    basis, targets = rows[: sd.count], rows[sd.count :]
+    kept, pivots = _independent_rows(basis, range(sd.count), sd.count)
+    assert kept == list(range(sd.count))
+    coords = _coordinates(basis, pivots, targets, [1] * len(targets))
+    assert all(c is not None and len(c) == sd.count for c in coords)
+    assert coords[1] == sd.eigenvalues  # A_1 = sum_j theta_j E_j
 
 
 def test_eigenvalues_helper():
-    assert eigenvalues(build_hamming(2, 2)) == [(2, 1), (0, 2), (-2, 1)]
+    sd = spectral_data(build_hamming(2, 2))
+    assert list(zip(sd.eigenvalues, sd.multiplicities)) == [(2, 1), (0, 2), (-2, 1)]
 
 
 def test_non_integral_spectrum_rejected():
@@ -362,4 +374,4 @@ def test_irrational_drg_spectrum_rejected():
     assert check_distance_regular(g).degree == 2
     with pytest.raises(SpectralIntegralityError):
         spectral_data(g)
-    assert [t for t, _ in eigenvalues(cycle(6))] == [2, 1, -1, -2]
+    assert spectral_data(cycle(6)).eigenvalues == (2, 1, -1, -2)

@@ -126,6 +126,14 @@ def test_tree_equality_and_hash():
         BinaryTree(LEAF, None)
 
 
+def test_expanding_a_missing_leaf_raises():
+    from nortonalg.trees import _expand_leaf
+
+    assert _expand_leaf(LEAF, 0) == node(LEAF, LEAF)
+    with pytest.raises(ValueError):
+        _expand_leaf(left_comb(2), 3)
+
+
 def test_depth_sequence_serialize():
     assert depth_sequence(left_comb(2)).serialize() == "2,2,1"
     assert DepthSequence((2, 2, 1)).mod2() == (0, 0, 1)
