@@ -365,13 +365,7 @@ def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
     _check_budget(comb(n, k), budget)
     vertices = tuple(itertools.combinations(range(1, n + 1), k))
     sets = [frozenset(v) for v in vertices]
-    nv = len(vertices)
-    dist = np.zeros((nv, nv), dtype=np.int64)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            dij = k - len(sets[i] & sets[j])
-            dist[i, j] = dij
-            dist[j, i] = dij
+    dist = _distance_matrix(sets, lambda x, y: k - len(x & y))
     lattice = SubsetLattice(n, k)
     g = GraphInstance(JohnsonFamily(n, k), vertices, dist, k, lattice, notes)
     return g

@@ -306,18 +306,6 @@ def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
     )
 
 
-def norton_oracle(g: GraphInstance, spectral: SpectralData, i: int, u, v):
-    """E_i(u . v) for two vectors already lying in eigenspace i."""
-    ei = spectral.idempotents[i]
-    u = tuple(Fraction(x) for x in u)
-    v = tuple(Fraction(x) for x in v)
-    if ei.apply(u) != u:
-        raise ValueError("left factor is not in the requested eigenspace")
-    if ei.apply(v) != v:
-        raise ValueError("right factor is not in the requested eigenspace")
-    return ei.apply([a * b for a, b in zip(u, v)])
-
-
 def formula_product(family, lattice, u, v) -> dict:
     """Closed-form product of two spanning vectors, as label -> coefficient.
 
@@ -444,9 +432,6 @@ class NortonAlgebra:
     one_off_line: tuple = ()
     notes: tuple = ()
     _signature_cache: dict = field(default_factory=dict, repr=False)
-
-    def coords_of(self, label):
-        return self.label_coords[label]
 
     def one_off_vectors(self):
         u, v = self.one_off

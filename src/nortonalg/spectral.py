@@ -9,18 +9,16 @@ c_D u_{D-1} + a_D u_D = theta u_D; rational eigenvalues of an integer matrix
 are integers, so scanning theta = k..-k finds an integral spectrum and fewer
 than D+1 hits reject an irrational one.  Multiplicities follow Biggs,
 m_j = n / sum_i k_i u_i(theta_j)^2, and E_j = (m_j/n) sum_i u_i(theta_j) A_i
-is D+1 rationals, expanded to an n x n matrix through the distance matrix
-only on request.  All arithmetic is exact (ints and Fractions).
+is D+1 rationals, the only form of E_j the package keeps: entry (x, y) of
+E_j is the coefficient of A_{dist(x, y)}.  All arithmetic is exact (ints and
+Fractions).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
-
-import numpy as np
+from math import comb, lcm
 
 from .errors import ConstructionError, NotDistanceRegularError, SpectralIntegralityError
 from .graphs import (
@@ -36,109 +34,8 @@ from .graphs import (
 )
 
 
-class RationalMatrix:
-    """Exact rational matrix: integer numerators over one positive denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1, normalize=True):
-        self.num = np.asarray(num, dtype=object)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            self.num = -self.num
-            den = -den
-        self.den = den
-        if normalize:
-            g = gcd(self.den, *self.num.reshape(-1).tolist())
-            if g > 1:
-                self.num = self.num // g
-                self.den //= g
-
-    @classmethod
-    def identity(cls, n):
-        m = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            m[i, i] = 1
-        return cls(m)
-
-    @classmethod
-    def from_fraction_rows(cls, rows):
-        den = 1
-        for r in rows:
-            for c in r:
-                f = Fraction(c)
-                den = den * f.denominator // gcd(den, f.denominator)
-        num = [[int(Fraction(c) * den) for c in r] for r in rows]
-        return cls(np.array(num, dtype=object), den)
-
-    @property
-    def shape(self):
-        return self.num.shape
-
-    def entry(self, i, j) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
-
-    def to_fraction_rows(self):
-        return tuple(
-            tuple(Fraction(int(v), self.den) for v in row)
-            for row in self.num.tolist()
-        )
-
-    def __matmul__(self, other):
-        return RationalMatrix(self.num @ other.num, self.den * other.den)
-
-    def __add__(self, other):
-        return RationalMatrix(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other):
-        return RationalMatrix(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def scale(self, f) -> "RationalMatrix":
-        f = Fraction(f)
-        return RationalMatrix(self.num * f.numerator, self.den * f.denominator)
-
-    def transpose(self):
-        return RationalMatrix(self.num.transpose().copy(), self.den, normalize=False)
-
-    def trace(self) -> Fraction:
-        return Fraction(int(np.trace(self.num)), self.den)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num.reshape(-1).tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.den == other.den and np.array_equal(self.num, other.num)
-
-    def apply(self, vec):
-        """Matrix times a vector of rationals, returned as Fractions."""
-        if len(vec) != self.shape[1]:
-            raise ValueError(f"expected vector of length {self.shape[1]}")
-        v = np.array([Fraction(x) for x in vec], dtype=object)
-        out = self.num @ v
-        return tuple(Fraction(x, self.den) for x in out.tolist())
-
-    def __repr__(self):
-        return f"RationalMatrix(shape={self.shape}, den={self.den})"
-
-
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def adjacency_matrices(g: GraphInstance):
-    """Distance-shell 0/1 matrices A_0 = I, A_1, ..., A_D as RationalMatrix."""
-    return [
-        RationalMatrix((g.dist == i).astype(int).astype(object), 1, normalize=False)
-        for i in range(g.diameter + 1)
-    ]
 
 
 def _cosine_sequence(p, theta):
@@ -169,34 +66,13 @@ def _times_matrix(p, x):
     return [[sum(x[a] * p[a][b][k] for a in r if x[a]) for k in r] for b in r]
 
 
-class _DenseIdempotents(Sequence):
-    """E_0..E_D as n x n RationalMatrix, each expanded on first access."""
-
-    def __init__(self, graph: GraphInstance, coefficients):
-        self._graph = graph
-        self._coefficients = coefficients
-        self._built = [None] * len(coefficients)
-
-    def __len__(self):
-        return len(self._built)
-
-    def __getitem__(self, j):
-        if self._built[j] is None:
-            # all distances 0..D occur, so this is also the dense normal form
-            num, den = _integer_row(self._coefficients[j])
-            dense = np.array(num, dtype=object)[self._graph.dist]
-            self._built[j] = RationalMatrix(dense, den, normalize=False)
-        return self._built[j]
-
-
 @dataclass(eq=False)
 class SpectralData:
     """Eigenvalues (descending), multiplicities, and primitive idempotents.
 
     coefficients[j][i] = m_j u_i(theta_j) / n is the coefficient of A_i in
-    E_j; idempotents[j] is the same E_j as a dense n x n RationalMatrix,
-    expanded only for norton_oracle, project and the tests (the Norton
-    build works from integer_coefficients).
+    E_j, so E_j is D+1 rationals; integer_coefficients(j) gives the same row
+    over one denominator, which is what the Norton build works from.
     """
 
     graph: GraphInstance
@@ -204,10 +80,6 @@ class SpectralData:
     eigenvalues: tuple
     multiplicities: tuple
     coefficients: tuple
-    idempotents: Sequence = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.idempotents = _DenseIdempotents(self.graph, self.coefficients)
 
     @property
     def count(self) -> int:
@@ -294,11 +166,6 @@ def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
     return SpectralData(
         g, intersection, tuple(thetas), tuple(mults), tuple(coefficients)
     )
-
-
-def project(spectral: SpectralData, i: int, vec):
-    """Orthogonal projection of a coordinate vector onto eigenspace i."""
-    return spectral.idempotents[i].apply(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ name.  The acceptance tests deliberately avoid these fixtures and rebuild
 everything inside their own timed blocks.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
+import nortonalg
 from nortonalg.graphs import (
     build_dual_polar,
     build_grassmann,
@@ -31,6 +35,18 @@ BUILDERS = {
     "c22": lambda: build_dual_polar("C", 2, 2),
     "d32": lambda: build_dual_polar("D", 3, 2),
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_on_child_path():
+    """Let child processes (python -m nortonalg) import this session's package.
+
+    pytest's pythonpath setting reaches only this process's sys.path.
+    """
+    src = str(Path(nortonalg.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import nortonalg
 from nortonalg import classify
 from nortonalg.binop import METHOD_PATTERN, METHOD_TENSOR, fingerprint_key
 from nortonalg.classify import (
@@ -366,9 +365,8 @@ print(sys.flags.optimize, wrong_pins_caught())
 
 
 def test_wrong_branch_pin_raises_under_optimize():
-    src = str(Path(nortonalg.__file__).resolve().parents[1])
-    here = str(Path(__file__).parent)
-    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    # conftest already put the package's src/ on PYTHONPATH
+    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
     result = subprocess.run(
         [sys.executable, "-O", "-c", PINS_SCRIPT],
         capture_output=True,

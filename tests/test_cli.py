@@ -90,7 +90,7 @@ def test_cache_round_trip_reproduces_reports(tmp_path):
     assert loaded is not None
     assert loaded.graph.vertices == bundle.graph.vertices
     assert loaded.spectral.eigenvalues == bundle.spectral.eigenvalues
-    assert loaded.spectral.idempotents[1] == bundle.spectral.idempotents[1]
+    assert loaded.spectral.coefficients == bundle.spectral.coefficients
     assert loaded.algebra.basis_labels == bundle.algebra.basis_labels
     assert loaded.algebra.operation.constants == bundle.algebra.operation.constants
     assert loaded.algebra.label_coords == bundle.algebra.label_coords

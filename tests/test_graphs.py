@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import nortonalg
 from nortonalg import fq, graphs
 from nortonalg.errors import (
     BudgetExceededError,
@@ -288,9 +287,8 @@ print(sys.flags.optimize, dropped_subspaces_caught())
 
 
 def test_dropped_subspace_raises_under_optimize():
-    src = str(Path(nortonalg.__file__).resolve().parents[1])
-    here = str(Path(__file__).parent)
-    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    # conftest already put the package's src/ on PYTHONPATH
+    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
     result = subprocess.run(
         [sys.executable, "-O", "-c", DROPPED_SCRIPT],
         capture_output=True,

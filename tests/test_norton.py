@@ -2,7 +2,9 @@
 
 The per-pair Fraction route, one dense E_1 apply per pair of spanning
 vectors and a Gauss-Jordan span solver for the structure constants, lives
-here as the reference the batched integer oracle is compared against.
+here as the reference the batched integer oracle is compared against.  The
+dense E_j is built here too, from its D+1 coefficients and the distance
+matrix; the package itself never expands it.
 """
 
 import dataclasses
@@ -24,7 +26,6 @@ from nortonalg.norton import (
     _one_off_pair,
     family_constants,
     formula_product,
-    norton_oracle,
     oracle_products,
     spanning_vectors,
     structure_constants,
@@ -43,6 +44,17 @@ def integer_rows(rows):
     fracs = [[Fraction(x) for x in r] for r in rows]
     scale = lcm(*(x.denominator for r in fracs for x in r))
     return np.array([[int(x * scale) for x in r] for r in fracs], dtype=object)
+
+
+def dense_idempotent(g, sd, j):
+    """E_j as an n x n object array of Fractions: entry (x, y) is e[j][dist(x, y)]."""
+    return np.array(sd.coefficients[j], dtype=object)[g.dist]
+
+
+def apply_dense(e, vec):
+    """e @ vec for a dense object matrix and a rational vector, as Fractions."""
+    out = e @ np.array([Fraction(x) for x in vec], dtype=object)
+    return tuple(Fraction(x) for x in out.tolist())
 
 
 def rank_of(rows):
@@ -124,23 +136,15 @@ def test_spanning_vectors_are_centered_and_span(bundle):
 
 def test_norton_oracle_triangle(bundle):
     g, sd = bundle("j31")
+    e1 = dense_idempotent(g, sd, 1)
     svs = spanning_vectors(g, sd)
     u, v = svs[0].coords, svs[1].coords
-    prod = norton_oracle(g, sd, 1, u, v)
+    assert apply_dense(e1, u) == u and apply_dense(e1, v) == v
+    prod = apply_dense(e1, [a * b for a, b in zip(u, v)])
     minus_u_minus_v = tuple(-a - b for a, b in zip(u, v))
     assert prod == minus_u_minus_v
     assert prod == svs[2].coords
-    assert norton_oracle(g, sd, 1, u, u) == u
-
-
-def test_norton_oracle_rejects_outside_vectors(bundle):
-    g, sd = bundle("j31")
-    e0 = (1, 0, 0)
-    inside = spanning_vectors(g, sd)[0].coords
-    with pytest.raises(ValueError):
-        norton_oracle(g, sd, 1, e0, inside)
-    with pytest.raises(ValueError):
-        norton_oracle(g, sd, 1, inside, e0)
+    assert apply_dense(e1, [a * a for a in u]) == u
 
 
 def test_formula_product_johnson(bundle):
@@ -484,11 +488,11 @@ class ReferenceSpanSolver:
 def reference_sweep(g, sd, spanning):
     """Ordered pairs checked, one dense Fraction E_1 apply per pair."""
     by_label = {sv.label: sv for sv in spanning}
-    e1 = sd.idempotents[1]
+    e1 = dense_idempotent(g, sd, 1)
     pairs = 0
     for su in spanning:
         for sv in spanning:
-            oracle = e1.apply([a * b for a, b in zip(su.coords, sv.coords)])
+            oracle = apply_dense(e1, [a * b for a, b in zip(su.coords, sv.coords)])
             predicted = [Fraction(0)] * g.vertex_count
             for lbl, cf in formula_product(g.family, g.lattice, su.label, sv.label).items():
                 for idx, x in enumerate(by_label[lbl].coords):
@@ -514,11 +518,12 @@ def reference_structure_constants(g, sd, spanning):
             break
     solver = ReferenceSpanSolver(chosen_rows)
     label_coords = {sv.label: solver.solve(sv.coords) for sv in spanning}
-    e1 = sd.idempotents[1]
+    e1 = dense_idempotent(g, sd, 1)
     cube = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            prod = e1.apply([a * b for a, b in zip(chosen_rows[i], chosen_rows[j])])
+            pointwise = [a * b for a, b in zip(chosen_rows[i], chosen_rows[j])]
+            prod = apply_dense(e1, pointwise)
             cube[i][j] = cube[j][i] = solver.solve(prod)
     return tuple(basis_labels), cube, label_coords, _one_off_pair(g, labels)
 
@@ -527,9 +532,9 @@ def reference_structure_constants(g, sd, spanning):
 def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
     g, sd = bundle(name)
     spanning = spanning_vectors(g, sd)
-    e1 = sd.idempotents[1]
+    e1 = dense_idempotent(g, sd, 1)
     for sv in spanning:
-        assert e1.apply(sv.unscaled) == sv.unscaled
+        assert apply_dense(e1, sv.unscaled) == sv.unscaled
     report = verify_formula_vs_oracle(g, sd, spanning)
     assert report.pairs_checked == reference_sweep(g, sd, spanning) == len(spanning) ** 2
     basis_labels, cube, label_coords, one_off = reference_structure_constants(

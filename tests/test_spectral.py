@@ -4,7 +4,8 @@ Eigenvalues and multiplicities of the small family graphs are fixed by hand
 (or by the closed forms, cross-checked against each other), and the full
 idempotent invariant battery runs on every instance.  The n x n Lagrange
 route, prod_{j != i} (A - theta_j I) / (theta_i - theta_j), lives here as
-the reference the quotient-built idempotents are compared against.
+the reference the quotient-built idempotents are compared against; it and
+the n x n battery run on integer numerators, never on Fraction matrices.
 """
 
 import dataclasses
@@ -13,12 +14,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import nortonalg
 from nortonalg.errors import (
     ConstructionError,
     NotDistanceRegularError,
@@ -36,50 +37,11 @@ from nortonalg.graphs import (
 )
 from nortonalg.norton import _coordinates, _independent_rows
 from nortonalg.spectral import (
-    RationalMatrix,
-    adjacency_matrices,
     closed_form_eigenvalue,
     closed_form_multiplicity,
-    project,
     spectral_data,
 )
-from test_norton import integer_rows
-
-
-def test_rational_matrix_arithmetic():
-    a = RationalMatrix([[1, 2], [3, 4]])
-    b = RationalMatrix([[0, 1], [1, 0]])
-    assert (a @ b).to_fraction_rows() == ((2, 1), (4, 3))
-    assert (a + b).entry(0, 1) == 3
-    assert (a - a).is_zero
-    half = a.scale(Fraction(1, 2))
-    assert half.entry(1, 1) == 2
-    assert half.entry(0, 0) == Fraction(1, 2)
-    assert half.den == 2
-    third = a.scale(Fraction(1, 3))
-    assert third.den == 3
-    assert third.entry(0, 0) == Fraction(1, 3)
-    assert a.transpose().entry(0, 1) == 3
-    assert a.trace() == 5
-    assert a.apply([1, Fraction(1, 2)]) == (2, 5)
-
-
-def test_rational_matrix_normalization():
-    m = RationalMatrix([[2, 4], [6, 8]], 10)
-    assert m.den == 5
-    assert m.entry(0, 0) == Fraction(1, 5)
-    neg = RationalMatrix([[1]], -2)
-    assert neg.den == 2
-    assert neg.entry(0, 0) == Fraction(-1, 2)
-    with pytest.raises(ZeroDivisionError):
-        RationalMatrix([[1]], 0)
-
-
-def test_from_fraction_rows_round_trip():
-    rows = ((Fraction(1, 3), 2), (Fraction(-1, 6), 0))
-    m = RationalMatrix.from_fraction_rows(rows)
-    assert m.den == 6
-    assert m.to_fraction_rows() == ((Fraction(1, 3), 2), (Fraction(-1, 6), 0))
+from test_norton import apply_dense, dense_idempotent, integer_rows
 
 
 def test_solve_linear_combination():
@@ -125,31 +87,50 @@ def cycle(n):
     return graph_from_distance_matrix(f"C{n}", dist)
 
 
+def shell(g, i):
+    """A_i, the distance-i 0/1 matrix, as Python integers."""
+    return (g.dist == i).astype(int).astype(object)
+
+
 def lagrange_idempotents(g, thetas):
-    """Reference E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j)."""
-    a = adjacency_matrices(g)[1]
+    """Reference E_i as (num, den) in integers, E_i = num / den.
+
+    num = prod_{j != i} (A - theta_j I) and den = prod_{j != i} (theta_i - theta_j).
+    """
+    a, ident = shell(g, 1), shell(g, 0)
     out = []
     for i, ti in enumerate(thetas):
-        e = RationalMatrix.identity(g.vertex_count)
+        num, den = ident, 1
         for j, tj in enumerate(thetas):
             if j != i:
-                e = (e @ a - e.scale(tj)).scale(Fraction(1, ti - tj))
-        out.append(e)
+                num = num @ a - tj * num
+                den *= ti - tj
+        out.append((num, den))
     return out
 
 
 def check_dense_battery(g, sd):
-    """The n x n invariants: E^2 = E, A E = theta E, trace, sum, orthogonality."""
-    a1 = adjacency_matrices(g)[1]
-    total = RationalMatrix(np.zeros((g.vertex_count,) * 2, dtype=object))
-    for theta, mult, e in zip(sd.eigenvalues, sd.multiplicities, sd.idempotents):
-        assert e @ e == e
-        assert a1 @ e == e.scale(theta)
-        assert e.trace() == mult
-        total = total + e
-    assert total == RationalMatrix.identity(g.vertex_count)
+    """The n x n invariants: E^2 = E, A E = theta E, trace, sum, orthogonality.
+
+    Each E_j is checked through its integer numerator F_j = den_j E_j, so
+    E^2 = E reads F_j F_j = den_j F_j and E_i E_j = 0 reads F_i F_j = 0.
+    """
+    a1, ident = shell(g, 1), shell(g, 0)
+    nums, dens = [], []
+    for j in range(sd.count):
+        row, den = sd.integer_coefficients(j)
+        nums.append(np.array(row, dtype=object)[g.dist])
+        dens.append(den)
+    common = lcm(*dens)
+    total = np.zeros_like(ident)
+    for theta, mult, f, den in zip(sd.eigenvalues, sd.multiplicities, nums, dens):
+        assert np.array_equal(f @ f, den * f)
+        assert np.array_equal(a1 @ f, theta * f)
+        assert np.trace(f) == mult * den
+        total = total + f * (common // den)
+    assert np.array_equal(total, common * ident)
     for i, j in combinations(range(sd.count), 2):
-        assert (sd.idempotents[i] @ sd.idempotents[j]).is_zero
+        assert not (nums[i] @ nums[j]).any()
 
 
 # hand-fixed spectra: (builder, eigenvalues descending, multiplicities)
@@ -182,9 +163,8 @@ def test_dense_idempotents_match_lagrange_oracle(build, thetas, mults):
     g = build()
     sd = spectral_data(g)
     reference = lagrange_idempotents(g, thetas)
-    for j in range(sd.count):
-        assert sd.idempotents[j].den == reference[j].den
-        assert np.array_equal(sd.idempotents[j].num, reference[j].num)
+    for j, (num, den) in enumerate(reference):
+        assert np.array_equal(dense_idempotent(g, sd, j) * den, num)
     check_dense_battery(g, sd)
 
 
@@ -252,9 +232,8 @@ print(sys.flags.optimize, caught, sd.validate())
 
 
 def test_validate_rejects_corrupted_spectral_data_under_optimize():
-    src = str(Path(nortonalg.__file__).resolve().parents[1])
-    here = str(Path(__file__).parent)
-    path = os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])
+    # conftest already put the package's src/ on PYTHONPATH
+    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
     result = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
         capture_output=True,
@@ -288,41 +267,38 @@ def test_closed_forms_match_computation():
 def test_johnson_3_1_idempotents():
     g = build_johnson(3, 1)
     sd = spectral_data(g)
-    e0 = sd.idempotents[0]
-    e1 = sd.idempotents[1]
-    assert e0.to_fraction_rows() == tuple(
-        tuple(Fraction(1, 3) for _ in range(3)) for _ in range(3)
-    )
-    ident = RationalMatrix.identity(3)
-    assert e1 == ident - e0
+    e0 = dense_idempotent(g, sd, 0)
+    e1 = dense_idempotent(g, sd, 1)
+    assert e0.tolist() == [[Fraction(1, 3)] * 3] * 3
+    assert np.array_equal(e1, shell(g, 0) - e0)
 
 
 def test_perron_idempotent_is_uniform():
     for g in (build_hamming(2, 3), build_dual_polar("C", 2, 2)):
         sd = spectral_data(g)
         n = g.vertex_count
-        e0 = sd.idempotents[0]
-        assert all(x == Fraction(1, n) for row in e0.to_fraction_rows() for x in row)
+        e0 = dense_idempotent(g, sd, 0)
+        assert all(x == Fraction(1, n) for x in e0.reshape(-1).tolist())
 
 
 def test_projection_fixed_point():
     g = build_hamming(2, 3)
     sd = spectral_data(g)
     vec = [Fraction(1)] + [Fraction(0)] * (g.vertex_count - 1)
-    pieces = [project(sd, i, vec) for i in range(sd.count)]
+    dense = [dense_idempotent(g, sd, i) for i in range(sd.count)]
+    pieces = [apply_dense(e, vec) for e in dense]
     for coord in range(g.vertex_count):
         assert sum(p[coord] for p in pieces) == vec[coord]
-    again = sd.idempotents[1].apply(pieces[1])
+    again = apply_dense(dense[1], pieces[1])
     assert again == pieces[1]
 
 
 def test_distance_matrices_live_in_idempotent_span():
     g = build_johnson(4, 2)
     sd = spectral_data(g)
-    flat = [
-        [x for row in m.to_fraction_rows() for x in row]
-        for m in [*sd.idempotents, *adjacency_matrices(g)]
-    ]
+    idempotents = [dense_idempotent(g, sd, j) for j in range(sd.count)]
+    shells = [shell(g, i) for i in range(g.diameter + 1)]
+    flat = [m.reshape(-1).tolist() for m in idempotents + shells]
     rows = integer_rows(flat)  # one common scale for E_0..E_D and A_0..A_D
     basis, targets = rows[: sd.count], rows[sd.count :]
     kept, pivots = _independent_rows(basis, range(sd.count), sd.count)
