@@ -11,9 +11,20 @@ without losing any information.
 All arithmetic is exact and runs in integers through one product step,
 _int_product: den * (x*y) on integer rows of the probe space, batched over
 any leading axes.  Probe tensors, exact evaluation and the one-off
-signatures of classify are all built from it.  Fractions appear only at the
-API edge: evaluate_parenthesization clears the denominators of its
-arguments, evaluates in integers and divides once at the end.
+signatures of classify are all built from it.  The step runs in int64
+whenever max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer
+constant table (B = max_k sum_{i,j} |den C[i][j][k]|); that product
+dominates every partial sum of both contractions, so the result is exact.
+Otherwise it runs on Python ints, and an array that has left int64 stays
+there.  Fractions appear only at the API edge: evaluate_parenthesization
+clears the denominators of its arguments, evaluates in integers and
+divides once at the end.
+
+Grouping trees by probe tensor keeps no tensor per tree.  Each tensor is
+keyed by two fixed linear forms of its entries mod 2^64; reduction mod
+2^64 is a ring map (int64 wraparound is that map), so equal tensors get
+equal keys and different keys prove different tensors.  Trees with equal
+keys are compared exactly before they are merged.
 """
 
 from __future__ import annotations
@@ -21,10 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceededError
+from .intlinalg import abs_max, fits_int64
 from .trees import (
     DEFAULT_ENUMERATION_LIMIT,
     LEAF,
@@ -37,9 +50,9 @@ from .trees import (
 
 DEFAULT_FINGERPRINT_BUDGET = 10 ** 6
 
-# Probe tensors with at most this many cells are memoized on the operation;
-# larger ones (typically the root tensors of a big count) are streamed.
-_TENSOR_CACHE_CELL_LIMIT = 250_000
+# Probe tensors of subtrees are memoized on the operation up to this many
+# cells in total; past it, subtrees are recomputed when needed.
+_TENSOR_CACHE_CELL_CAP = 1 << 24
 
 METHOD_TENSOR = "tensor_exact"
 METHOD_DEPTH_MOD2 = "depth_mod2"
@@ -73,8 +86,9 @@ class BilinearOperation:
         self.linear_left = self._as_matrix(linear_left, d)
         self.linear_right = self._as_matrix(linear_right, d)
         self._int_form = None
-        self._probe_flat = None
         self._tensor_cache = {}
+        self._tensor_cells = 0
+        self._key_weights = None
 
     @staticmethod
     def _as_matrix(m, d):
@@ -149,9 +163,8 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
         right = offset + sub.left.leaf_count
         return _int_product(op, rec(sub.left, offset), rec(sub.right, right))
 
-    den, _ = _int_form(op)
     m = t.internal_count
-    scale = s ** (m + 1) * den ** m
+    scale = s ** (m + 1) * _int_form(op).den ** m
     return tuple(Fraction(x, scale) for x in rec(t, 0)[: op.dimension].tolist())
 
 
@@ -162,8 +175,9 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
 def _scaled_rows(op: BilinearOperation, vectors):
     """(s, rows): the vectors times the lcm s of their denominators.
 
-    rows is an integer array with one row of length probe_dimension per
-    vector; with linear parts its last column is the affine coordinate s.
+    rows is an integer array (int64 when every entry fits) with one row of
+    length probe_dimension per vector; with linear parts its last column is
+    the affine coordinate s.
     """
     d = op.dimension
     fracs = [[_frac(c) for c in v] for v in vectors]
@@ -171,11 +185,21 @@ def _scaled_rows(op: BilinearOperation, vectors):
         raise ValueError(f"expected vectors of length {d}")
     s = lcm(*(c.denominator for v in fracs for c in v))
     affine = [s] if op.has_linear_terms else []
-    return s, np.array([[int(c * s) for c in v] + affine for v in fracs], dtype=object)
+    rows = np.array([[int(c * s) for c in v] + affine for v in fracs], dtype=object)
+    return s, rows.astype(np.int64) if fits_int64(abs_max(rows)) else rows
 
 
-def _int_form(op: BilinearOperation):
-    """(den, flat) with flat[i, j*p+k] = den * probe constants, Python ints.
+class _IntForm(NamedTuple):
+    """The integer constant table of an operation (see _int_form)."""
+
+    den: int
+    flat: np.ndarray  # Python ints
+    flat64: np.ndarray | None  # the same table in int64, when it fits
+    bound: int  # max_k sum_{i,j} |flat[i, j*p+k]|
+
+
+def _int_form(op: BilinearOperation) -> _IntForm:
+    """den and flat[i, j*p+k] = den * probe constants, with their bound.
 
     For operations with linear terms the constants are homogenized: probe
     index p-1 is the affine coordinate, so e_i * e_h picks up the left linear
@@ -212,7 +236,9 @@ def _int_form(op: BilinearOperation):
                     if c:
                         flat[h, j * p + k] = flat[h, j * p + k] + int(c * den)
         flat[h, h * p + h] = den
-    op._int_form = (den, flat)
+    flat64 = flat.astype(np.int64) if fits_int64(abs_max(flat)) else None
+    bound = int(np.abs(flat).reshape(p * p, p).sum(axis=0).max())
+    op._int_form = _IntForm(den, flat, flat64, bound)
     return op._int_form
 
 
@@ -221,35 +247,45 @@ def _int_product(op: BilinearOperation, x, y):
 
     Leading axes broadcast (matmul does so without copying), so one call
     multiplies a batch of pairs, and shapes (a, 1, p) and (1, b, p) give
-    every left row times every right row.
+    every left row times every right row.  The product runs in int64 when
+    x and y are int64 and max|x| * max(max|y|, 1) * bound fits, which
+    bounds every partial sum of both contractions; otherwise on Python ints.
     """
-    _, flat = _int_form(op)
+    form = _int_form(op)
     p = op.probe_dimension
+    flat = form.flat64
+    if not (
+        flat is not None
+        and x.dtype == y.dtype == np.int64
+        and fits_int64(abs_max(x), max(abs_max(y), 1), form.bound)
+    ):
+        x, y, flat = x.astype(object, copy=False), y.astype(object, copy=False), form.flat
     # (x @ flat)[..., j, k] = sum_i x_i C[i][j][k]; contract with y over j
     return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
 
 
-def _probe_tensor(op: BilinearOperation, t: BinaryTree) -> np.ndarray:
+def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> np.ndarray:
     """Integer tensor of the multilinear probe map of t.
 
     Shape (p**leaves, p); entry [probe, k] is den**internal_count(t) times the
     k-th output coordinate of the parenthesization evaluated at the probe
-    tuple (lexicographic order over probe basis indices).
+    tuple (lexicographic order over probe basis indices).  Subtree tensors
+    are memoized on the operation while their total stays within
+    _TENSOR_CACHE_CELL_CAP cells; t's own only when memo is set.
     """
-    p = op.probe_dimension
     cached = op._tensor_cache.get(t)
     if cached is not None:
         return cached
+    p = op.probe_dimension
     if t.is_leaf:
-        arr = np.zeros((p, p), dtype=object)
-        for i in range(p):
-            arr[i, i] = 1
+        arr = np.eye(p, dtype=np.int64)
     else:
-        l = _probe_tensor(op, t.left)
-        r = _probe_tensor(op, t.right)
+        l = _probe_tensor(op, t.left, memo=True)
+        r = _probe_tensor(op, t.right, memo=True)
         arr = _int_product(op, l[:, None], r[None]).reshape(-1, p)
-    if arr.size <= _TENSOR_CACHE_CELL_LIMIT:
+    if memo and op._tensor_cells + arr.size <= _TENSOR_CACHE_CELL_CAP:
         op._tensor_cache[t] = arr
+        op._tensor_cells += arr.size
     return arr
 
 
@@ -260,9 +296,33 @@ def _check_probe_budget(op, m, budget):
         raise BudgetExceededError("fingerprint", needed, budget)
 
 
-def fingerprint_key(op: BilinearOperation, t: BinaryTree) -> tuple:
-    """Hashable exact fingerprint (integer-scaled; comparable within one m)."""
-    return tuple(_probe_tensor(op, t).reshape(-1).tolist())
+def _key_weights(op: BilinearOperation, cells: int) -> np.ndarray:
+    """(cells, 2) uint64 weights of the two key forms: splitmix64 of 0..2*cells-1.
+
+    Kept on the operation for the last tensor size asked for.
+    """
+    w = op._key_weights
+    if w is None or len(w) != cells:
+        z = np.arange(2 * cells, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        w = op._key_weights = z.reshape(cells, 2)
+    return w
+
+
+def _tensor_key(tensor: np.ndarray, weights: np.ndarray) -> tuple:
+    """Two fixed linear forms of the tensor's entries mod 2^64.
+
+    Equal tensors get equal keys whatever their dtype (int64 wraparound is
+    reduction mod 2^64), so different keys prove different tensors.
+    """
+    flat = tensor.reshape(-1)
+    if flat.dtype == object:
+        flat = flat % (1 << 64)
+    return tuple((flat.astype(np.uint64) @ weights).tolist())
 
 
 def tensor_fingerprint(
@@ -276,8 +336,7 @@ def tensor_fingerprint(
     maps.
     """
     _check_probe_budget(op, t.internal_count, budget)
-    den, _ = _int_form(op)
-    scale = den ** t.internal_count
+    scale = _int_form(op).den ** t.internal_count
     return tuple(Fraction(v, scale) for v in _probe_tensor(op, t).reshape(-1).tolist())
 
 
@@ -328,7 +387,10 @@ def _make_report(m, method, groups, justifications=None) -> EquivalenceReport:
 def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET):
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
-    Returns a list of index lists in first-seen order.
+    Returns a list of index lists in first-seen order.  Each tree's probe
+    tensor is computed, keyed and dropped.  A tree joins a group only when
+    its key matches and its tensor equals the group's first tensor exactly;
+    that tensor is recomputed and kept once a matching key first arrives.
     """
     if not trees:
         return []
@@ -336,10 +398,23 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    groups = {}
+    weights = _key_weights(op, op.probe_dimension ** (m + 2))
+    groups = []
+    by_key = {}  # key -> positions in groups
+    kept = {}  # position in groups -> tensor of the group's first tree
     for idx, t in enumerate(trees):
-        groups.setdefault(fingerprint_key(op, t), []).append(idx)
-    return list(groups.values())
+        tensor = _probe_tensor(op, t)
+        candidates = by_key.setdefault(_tensor_key(tensor, weights), [])
+        for g in candidates:
+            if g not in kept:
+                kept[g] = _probe_tensor(op, trees[groups[g][0]])
+            if np.array_equal(kept[g], tensor):
+                groups[g].append(idx)
+                break
+        else:
+            candidates.append(len(groups))
+            groups.append([idx])
+    return groups
 
 
 def count_classes_exact(

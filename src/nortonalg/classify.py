@@ -9,13 +9,16 @@ much cheaper one-off pattern: evaluate each tree on assignments that place a
 distinguished vector at one position and a second one everywhere else.
 Differing one-off results certify distinctness outright; merges are justified
 by full fingerprints when affordable and otherwise by the mod-2 criterion,
-which only the A000975 branch may invoke.
+which only the A000975 branch may invoke.  Fingerprint merges go through
+binop's grouping, which compares the exact probe tensors of trees whose
+keys agree, so the tensor and pattern strategies share one exact check.
 
 One-off values are integers from the binop product step, memoized per tree
 shape on the algebra: a subtree's values (one row per position of the
 distinguished vector, plus the value with none) are computed once and
-shared by every tree that contains it.  Exact Fraction evaluation is kept
-for certificates and the coefficient lemmas.
+shared by every tree that contains it.  They stay in int64 while binop's
+overflow bound allows and move to Python integers past it.  Exact
+Fraction evaluation is kept for certificates and the coefficient lemmas.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .binop import (
     a000975_value,
     count_classes_exact,
     evaluate_parenthesization,
-    fingerprint_key,
+    group_trees_by_fingerprint,
 )
 from .errors import BudgetExceededError, ConstructionError
 from .graphs import (
@@ -192,11 +195,9 @@ def count_norton_classes(
             justifications.append(JUSTIFY_SIGNATURE)
             continue
         if affordable:
-            refined = {}
-            for i in idxs:
-                refined.setdefault(fingerprint_key(op, trees[i]), []).append(i)
-            for sub in refined.values():
-                groups.append(sub)
+            colliding = [trees[i] for i in idxs]
+            for sub in group_trees_by_fingerprint(op, colliding, budget=budget):
+                groups.append([idxs[j] for j in sub])
                 justifications.append(JUSTIFY_FINGERPRINT)
             continue
         if op.is_zero:

@@ -84,15 +84,3 @@ def intersect(a_rref, b_rref, q: int) -> tuple:
     inter = [row[n:] for row in reduced if not any(row[:n])]
     return rref(inter, q)
 
-
-def span_vectors(rref_rows, q: int):
-    """Every vector of the row space (q^dim of them), in no particular order."""
-    n = len(rref_rows[0]) if rref_rows else 0
-    vecs = [(0,) * n]
-    for row in rref_rows:
-        vecs = [
-            tuple((x + c * y) % q for x, y in zip(v, row))
-            for v in vecs
-            for c in range(q)
-        ]
-    return vecs

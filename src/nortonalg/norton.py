@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -38,10 +38,8 @@ from .graphs import (
     JohnsonFamily,
     q_int,
 )
+from .intlinalg import coordinates, exact_matmul, independent_rows
 from .spectral import SpectralData, closed_form_multiplicity
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 def family_constants(family) -> dict:
     """Named rational constants of the product formulas for one family.
@@ -95,91 +93,6 @@ def family_constants(family) -> dict:
     raise ValueError(f"no product formulas for {family!r}")
 
 
-def _abs_max(a) -> int:
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _exact_matmul(a, b):
-    """a @ b for integer arrays, as an object array of Python ints.
-
-    The product runs in int64 only when max|a| * max|b| * (inner size)
-    bounds every partial sum below 2^63; otherwise it runs on Python ints.
-    """
-    if _abs_max(a) * _abs_max(b) * a.shape[-1] <= _INT64_MAX:
-        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
-    return a.astype(object) @ b.astype(object)
-
-
-def _independent_rows(rows, order, limit):
-    """Greedy independent subset of integer rows, taken in order, at most limit.
-
-    A fraction-free incremental echelon: each candidate is reduced against
-    the rows kept so far by cross-multiplying at their pivot columns (and
-    dividing out the content), and kept when something nonzero is left.
-    Returns the kept indices and the pivot column of each; rows[kept] is
-    nonsingular on those columns.
-    """
-    echelon, kept, pivots = [], [], []
-    for idx in order:
-        if len(kept) == limit:
-            break
-        r = [int(x) for x in rows[idx]]
-        for e, c in zip(echelon, pivots):
-            if r[c]:
-                f, p = r[c], e[c]
-                r = [p * x - f * y for x, y in zip(r, e)]
-                content = gcd(*r) or 1
-                r = [x // content for x in r]
-        col = next((c for c, x in enumerate(r) if x), None)
-        if col is not None:
-            echelon.append(r)
-            kept.append(idx)
-            pivots.append(col)
-    return kept, pivots
-
-
-def _adjugate(m):
-    """(adj, det) with m @ adj == det * I, for a nonsingular integer matrix.
-
-    Fraction-free Gauss-Jordan (Bareiss) on [m | I]: every division is
-    exact, the left block ends as det * I and the right block as adj; det
-    is the determinant up to the sign of the row swaps.
-    """
-    k = len(m)
-    aug = [[int(x) for x in row] + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
-    prev = 1
-    for c in range(k):
-        piv = next((r for r in range(c, k) if aug[r][c]), None)
-        if piv is None:
-            raise ConstructionError("pivot block is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        for r in range(k):
-            if r != c:
-                f = aug[r][c]
-                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], aug[c])]
-        prev = p
-    return np.array([row[k:] for row in aug], dtype=object), prev
-
-
-def _coordinates(basis, pivots, targets, divisors):
-    """Coordinates of integer target rows over independent integer basis rows.
-
-    pivots are columns on which the basis is nonsingular.  One adjugate of
-    that k x k block solves every target at once, and basis^T C == det T is
-    then checked on all columns, so a target outside the span gives None,
-    never a wrong answer.  Target t's coordinates are divided by
-    divisors[t] and returned as a tuple of Fractions.
-    """
-    adj, det = _adjugate(basis[:, pivots].T)
-    solved = _exact_matmul(adj, targets[:, pivots].T)
-    inside = (_exact_matmul(basis.T, solved) == det * targets.T).all(axis=0)
-    return [
-        tuple(Fraction(x, det * d) for x in col) if ok else None
-        for col, ok, d in zip(solved.T.tolist(), inside, divisors)
-    ]
-
-
 @dataclass(eq=False)
 class OracleProducts:
     """The projection oracle E_1(x . y) on labelled vectors, in integers.
@@ -222,11 +135,11 @@ class OracleProducts:
     @cached_property
     def products(self) -> np.ndarray:
         i, j = np.triu_indices(len(self.labels))
-        return _exact_matmul(self.rows[i] * self.rows[j], self.e1.T)
+        return exact_matmul(self.rows[i] * self.rows[j], self.e1.T)
 
     def outside(self) -> list:
         """Labels of the vectors that E_1 does not fix, i.e. not in V_1."""
-        fixed = _exact_matmul(self.rows, self.e1.T) == self.den * self.rows
+        fixed = exact_matmul(self.rows, self.e1.T) == self.den * self.rows
         return [label for label, ok in zip(self.labels, fixed.all(axis=1)) if not ok]
 
     def expand(self, basis):
@@ -238,7 +151,7 @@ class OracleProducts:
         the span of the basis.
         """
         basis = list(basis)
-        kept, pivots = _independent_rows(self.rows, basis, len(basis))
+        kept, pivots = independent_rows(self.rows, basis, len(basis))
         if len(kept) < len(basis):
             raise ValueError("basis rows are linearly dependent")
         s, k = len(self.labels), len(basis)
@@ -246,7 +159,7 @@ class OracleProducts:
         chosen = np.array(basis)
         targets = np.concatenate([self.rows, self.products[self.pair[chosen[a], chosen[b]]]])
         divisors = [1] * s + [self.den * self.scale] * len(a)
-        solved = _coordinates(self.rows[chosen], pivots, targets, divisors)
+        solved = coordinates(self.rows[chosen], pivots, targets, divisors)
         cube = [[None] * k for _ in range(k)]
         for x, y, coeffs in zip(a.tolist(), b.tolist(), solved[s:]):
             cube[x][y] = cube[y][x] = coeffs
@@ -401,7 +314,7 @@ def verify_formula_vs_oracle(
             coefficients[row, products.index[label]] = int(cf * clear)
     # row u * s + v holds the ordered pair (u, v)
     oracle = clear * products.products[products.pair.reshape(-1)]
-    formula = products.den * products.scale * _exact_matmul(coefficients, products.rows)
+    formula = products.den * products.scale * exact_matmul(coefficients, products.rows)
     bad = np.flatnonzero((oracle != formula).any(axis=1))
     if bad.size:
         row = int(bad[0])
@@ -478,7 +391,7 @@ def structure_constants(
         list(label_order) if label_order is not None
         else _default_basis_candidates(g, labels)
     )
-    chosen, _ = _independent_rows(
+    chosen, _ = independent_rows(
         products.rows, [products.index[lbl] for lbl in candidates], dim
     )
     if len(chosen) != dim:
@@ -506,7 +419,7 @@ def structure_constants(
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     u, v = _one_off_pair(g, labels)
     pair = [products.index[u], products.index[v]]
-    if not op.is_zero and len(_independent_rows(products.rows, pair, 2)[0]) != 2:
+    if not op.is_zero and len(independent_rows(products.rows, pair, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
     line = ()
     if isinstance(g.family, GrassmannFamily):

@@ -7,11 +7,14 @@ compared against.
 
 import random
 from fractions import Fraction
+from itertools import product
 
+import numpy as np
 import pytest
 
 from nortonalg.binop import (
     BilinearOperation,
+    _probe_tensor,
     a000975_value,
     count_classes_exact,
     direct_product,
@@ -261,3 +264,58 @@ def test_commutativity_detection():
         ]
     )
     assert not asym.is_commutative
+
+
+def _scaled(op, lam):
+    """op with every structure constant times lam."""
+    return BilinearOperation(
+        [[[lam * c for c in row] for row in plane] for plane in op.constants]
+    )
+
+
+def _reference_probe_values(op, t):
+    """reference_evaluate on every probe tuple of basis vectors, in order."""
+    d = op.dimension
+    basis = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+    return [
+        reference_evaluate(op, t, list(probe))
+        for probe in product(basis, repeat=t.leaf_count)
+    ]
+
+
+def test_product_step_exact_across_the_int64_switch(algebra):
+    # H(1,3) times (2^40+1)/7: every tree of one arity scales by the same
+    # power, so the classes stay A000975's, while den * constants is about
+    # 2^40, so leaf products run in int64 and deeper ones leave it
+    op = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
+    assert _probe_tensor(op, left_comb(1)).dtype == np.int64
+    assert _probe_tensor(op, left_comb(3)).dtype == object
+    for m in range(5):
+        trees = enumerate_trees(m)
+        values = [_reference_probe_values(op, t) for t in trees]
+        for t, want in zip(trees, values):
+            got = tensor_fingerprint(op, t)
+            assert got == tuple(x for v in want for x in v)
+        by_reference = {}
+        for i, v in enumerate(values):
+            by_reference.setdefault(tuple(v), []).append(i)
+        assert group_trees_by_fingerprint(op, trees) == list(by_reference.values())
+    for m in range(5, 8):
+        groups = group_trees_by_fingerprint(op, enumerate_trees(m))
+        assert sorted(groups) == sorted(map(list, double_minus_classes(m).classes))
+    rng = random.Random(5)
+    for target in (op, direct_product(op, double_minus_operation())):
+        d = target.dimension
+        for m in range(5):
+            for t in enumerate_trees(m):
+                args = [
+                    tuple(F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+                    for _ in range(m + 1)
+                ]
+                assert evaluate_parenthesization(target, t, args) == reference_evaluate(
+                    target, t, args
+                )
+        # arguments that leave int64 before any product
+        big = [tuple(F(2**70 + i, 3) for _ in range(d)) for i in range(3)]
+        t = left_comb(2)
+        assert evaluate_parenthesization(target, t, big) == reference_evaluate(target, t, big)

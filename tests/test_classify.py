@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from nortonalg import classify
-from nortonalg.binop import METHOD_PATTERN, METHOD_TENSOR, fingerprint_key
+from nortonalg import binop, classify
+from nortonalg.binop import METHOD_PATTERN, METHOD_TENSOR, tensor_fingerprint
 from nortonalg.classify import (
     BRANCH_A000975,
     BRANCH_ASSOCIATIVE,
@@ -36,7 +36,7 @@ from nortonalg.classify import (
 from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.graphs import CustomFamily, JohnsonFamily
 from nortonalg.instances import build_instance
-from nortonalg.trees import depth_sequence, enumerate_trees, left_comb
+from nortonalg.trees import catalan, depth_sequence, enumerate_trees, left_comb
 
 
 def test_predicted_branch(bundle):
@@ -317,9 +317,24 @@ def test_d22_operation_aligns_with_hamming(bundle, algebra):
     h23_op = algebra("h23").operation
     assert aligned.constants == h23_op.constants
     for t in enumerate_trees(3):
-        assert fingerprint_key(aligned, t) == fingerprint_key(h23_op, t)
+        assert tensor_fingerprint(aligned, t) == tensor_fingerprint(h23_op, t)
     with pytest.raises(ValueError):
         d22_hamming_aligned_operation(*bundle("c22"))
+
+
+def test_equal_keys_are_checked_exactly(algebra, monkeypatch):
+    # every probe tensor gets the same key: only the exact comparison of
+    # tensors can keep the classes apart
+    monkeypatch.setattr(binop, "_tensor_key", lambda tensor, weights: 0)
+    j41, h23 = algebra("j41"), algebra("h23")
+    for m in range(6):
+        assert count_norton_classes(j41, m, strategy="tensor").class_count == catalan(m)
+        want = expected_class_count(BRANCH_A000975, m)
+        assert count_norton_classes(h23, m, strategy="tensor").class_count == want
+        rep = count_norton_classes(h23, m, strategy="pattern")
+        assert rep.class_count == want
+        merged = [j for c, j in zip(rep.classes, rep.merge_justifications) if len(c) > 1]
+        assert set(merged) == ({JUSTIFY_FINGERPRINT} if want < catalan(m) else set())
 
 
 # ---------------------------------------------------------------------------

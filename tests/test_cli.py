@@ -2,10 +2,12 @@
 
 Exit codes are the contract here: 0 success, 1 verification mismatch,
 2 invalid parameters, 3 budget exceeded.  Most tests drive main() in
-process; one subprocess test confirms the installed entry point.
+process; subprocess tests confirm the installed entry point and that a
+large tensor count fits a bounded address space.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -388,3 +390,28 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "m,observed,expected,method"
+
+
+def _limit_address_space(limit):
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_tensor_count_fits_one_gib(tmp_path):
+    # J(4,1) at m=8: 1430 probe tensors of 3^10 cells each, within the budget;
+    # grouping must keep keys, not tensors, to fit a 1 GiB address space.
+    # One BLAS thread, since each thread reserves address space of its own.
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "verify", "johnson", "4", "1",
+         "--m-max", "8", "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: _limit_address_space(1 << 30),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    verdict = json.loads(result.stdout)
+    assert verdict["passed"]
+    assert verdict["counts"][-1] == 1430
+    assert set(verdict["methods"]) == {"tensor_exact"}

@@ -53,6 +53,19 @@ def _bfs_all_pairs(dist):
     return out
 
 
+def span_vectors(rref_rows, q):
+    """Every vector of the row space over Z/q (q^dim of them), in no particular order."""
+    n = len(rref_rows[0]) if rref_rows else 0
+    vecs = [(0,) * n]
+    for row in rref_rows:
+        vecs = [
+            tuple((x + c * y) % q for x, y in zip(v, row))
+            for v in vecs
+            for c in range(q)
+        ]
+    return vecs
+
+
 # ---------------------------------------------------------------------------
 # q-integers
 
@@ -99,7 +112,7 @@ def test_fq_intersect_matches_brute_force():
             inter = fq.intersect(a, b, q)
             brute = [
                 v
-                for v in fq.span_vectors(a, q)
+                for v in span_vectors(a, q)
                 if fq.in_span(v, b, q)
             ] if a else []
             assert fq.rref(brute, q) == inter

@@ -1,10 +1,11 @@
 """Norton product layer: spanning vectors, oracle, closed forms, algebras.
 
-The per-pair Fraction route, one dense E_1 apply per pair of spanning
-vectors and a Gauss-Jordan span solver for the structure constants, lives
-here as the reference the batched integer oracle is compared against.  The
-dense E_j is built here too, from its D+1 coefficients and the distance
-matrix; the package itself never expands it.
+The per-pair route, one dense E_1 apply per pair of spanning vectors and a
+Gauss-Jordan span solver for the structure constants, lives here as the
+reference the batched integer oracle is compared against.  The dense E_j
+is built here too, from its D+1 coefficients and the distance matrix, as
+Fractions or as integer numerators over one denominator; the package
+itself never expands it.
 """
 
 import dataclasses
@@ -19,10 +20,9 @@ from nortonalg import norton
 from nortonalg.binop import BilinearOperation, direct_product
 from nortonalg.errors import ConstructionError, FormulaMismatchError
 from nortonalg.graphs import TOP
+from nortonalg.intlinalg import exact_matmul, independent_rows
 from nortonalg.norton import (
     _default_basis_candidates,
-    _exact_matmul,
-    _independent_rows,
     _one_off_pair,
     family_constants,
     formula_product,
@@ -51,15 +51,29 @@ def dense_idempotent(g, sd, j):
     return np.array(sd.coefficients[j], dtype=object)[g.dist]
 
 
+def dense_numerator(g, sd, j):
+    """(num, den) with E_j = num / den: num[x, y] = den * e[j][dist(x, y)], integers."""
+    coeffs = [Fraction(c) for c in sd.coefficients[j]]
+    den = lcm(*(c.denominator for c in coeffs))
+    return np.array([int(c * den) for c in coeffs], dtype=object)[g.dist], den
+
+
 def apply_dense(e, vec):
-    """e @ vec for a dense object matrix and a rational vector, as Fractions."""
-    out = e @ np.array([Fraction(x) for x in vec], dtype=object)
-    return tuple(Fraction(x) for x in out.tolist())
+    """E_j @ vec for e = dense_numerator(...) and a rational vector, as Fractions.
+
+    The vector is cleared to integers by the lcm s of its denominators,
+    multiplied by num in integers and divided once by den * s.
+    """
+    num, den = e
+    fracs = [Fraction(x) for x in vec]
+    s = lcm(*(x.denominator for x in fracs))
+    out = num @ np.array([int(x * s) for x in fracs], dtype=object)
+    return tuple(Fraction(x, den * s) for x in out.tolist())
 
 
 def rank_of(rows):
     ints = integer_rows(rows)
-    return len(_independent_rows(ints, range(len(ints)), len(ints))[0])
+    return len(independent_rows(ints, range(len(ints)), len(ints))[0])
 
 
 def test_family_constants_johnson(bundle):
@@ -136,7 +150,7 @@ def test_spanning_vectors_are_centered_and_span(bundle):
 
 def test_norton_oracle_triangle(bundle):
     g, sd = bundle("j31")
-    e1 = dense_idempotent(g, sd, 1)
+    e1 = dense_numerator(g, sd, 1)
     svs = spanning_vectors(g, sd)
     u, v = svs[0].coords, svs[1].coords
     assert apply_dense(e1, u) == u and apply_dense(e1, v) == v
@@ -301,8 +315,8 @@ def test_vectors_outside_v1_are_rejected(bundle):
 def test_exact_matmul_leaves_int64_when_sums_could_overflow():
     big = np.array([[2**40, 1]], dtype=object)
     col = np.array([[2**40], [-1]], dtype=object)
-    assert _exact_matmul(big, col).tolist() == [[2**80 - 1]]
-    small = _exact_matmul(np.array([[3, -2]]), np.array([[5], [7]]))
+    assert exact_matmul(big, col).tolist() == [[2**80 - 1]]
+    small = exact_matmul(np.array([[3, -2]]), np.array([[5], [7]]))
     assert small.tolist() == [[1]] and type(small[0, 0]) is int
 
 
@@ -486,9 +500,9 @@ class ReferenceSpanSolver:
 
 
 def reference_sweep(g, sd, spanning):
-    """Ordered pairs checked, one dense Fraction E_1 apply per pair."""
+    """Ordered pairs checked, one dense E_1 apply per pair."""
     by_label = {sv.label: sv for sv in spanning}
-    e1 = dense_idempotent(g, sd, 1)
+    e1 = dense_numerator(g, sd, 1)
     pairs = 0
     for su in spanning:
         for sv in spanning:
@@ -518,7 +532,7 @@ def reference_structure_constants(g, sd, spanning):
             break
     solver = ReferenceSpanSolver(chosen_rows)
     label_coords = {sv.label: solver.solve(sv.coords) for sv in spanning}
-    e1 = dense_idempotent(g, sd, 1)
+    e1 = dense_numerator(g, sd, 1)
     cube = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
@@ -532,7 +546,7 @@ def reference_structure_constants(g, sd, spanning):
 def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
     g, sd = bundle(name)
     spanning = spanning_vectors(g, sd)
-    e1 = dense_idempotent(g, sd, 1)
+    e1 = dense_numerator(g, sd, 1)
     for sv in spanning:
         assert apply_dense(e1, sv.unscaled) == sv.unscaled
     report = verify_formula_vs_oracle(g, sd, spanning)

@@ -35,25 +35,25 @@ from nortonalg.graphs import (
     check_distance_regular,
     graph_from_distance_matrix,
 )
-from nortonalg.norton import _coordinates, _independent_rows
+from nortonalg.intlinalg import coordinates, independent_rows
 from nortonalg.spectral import (
     closed_form_eigenvalue,
     closed_form_multiplicity,
     spectral_data,
 )
-from test_norton import apply_dense, dense_idempotent, integer_rows
+from test_norton import apply_dense, dense_idempotent, dense_numerator, integer_rows
 
 
 def test_solve_linear_combination():
     basis = integer_rows([(1, 0, 1), (0, 1, 1)])
-    kept, pivots = _independent_rows(basis, range(2), 2)
+    kept, pivots = independent_rows(basis, range(2), 2)
     targets = integer_rows([(2, 3, 5), (0, 0, 1)])
-    assert _coordinates(basis[kept], pivots, targets, [1, 1]) == [(2, 3), None]
+    assert coordinates(basis[kept], pivots, targets, [1, 1]) == [(2, 3), None]
     # a dependent basis is solved over the independent rows picked from it
     basis = integer_rows([(1, 1), (2, 2), (0, 1)])
-    kept, pivots = _independent_rows(basis, range(3), 3)
+    kept, pivots = independent_rows(basis, range(3), 3)
     assert kept == [0, 2]
-    [c] = _coordinates(basis[kept], pivots, integer_rows([(3, 4)]), [1])
+    [c] = coordinates(basis[kept], pivots, integer_rows([(3, 4)]), [1])
     assert c is not None
     assert all(
         sum(ci * basis[i][j] for ci, i in zip(c, kept)) == t
@@ -64,7 +64,7 @@ def test_solve_linear_combination():
 def test_rational_rank():
     def kept(rows):
         ints = integer_rows(rows)
-        return _independent_rows(ints, range(len(ints)), len(ints))[0]
+        return independent_rows(ints, range(len(ints)), len(ints))[0]
 
     assert kept([(1, 2), (2, 4)]) == [0]
     assert kept([(1, 0), (0, 1), (1, 1)]) == [0, 1]
@@ -285,7 +285,7 @@ def test_projection_fixed_point():
     g = build_hamming(2, 3)
     sd = spectral_data(g)
     vec = [Fraction(1)] + [Fraction(0)] * (g.vertex_count - 1)
-    dense = [dense_idempotent(g, sd, i) for i in range(sd.count)]
+    dense = [dense_numerator(g, sd, i) for i in range(sd.count)]
     pieces = [apply_dense(e, vec) for e in dense]
     for coord in range(g.vertex_count):
         assert sum(p[coord] for p in pieces) == vec[coord]
@@ -301,9 +301,9 @@ def test_distance_matrices_live_in_idempotent_span():
     flat = [m.reshape(-1).tolist() for m in idempotents + shells]
     rows = integer_rows(flat)  # one common scale for E_0..E_D and A_0..A_D
     basis, targets = rows[: sd.count], rows[sd.count :]
-    kept, pivots = _independent_rows(basis, range(sd.count), sd.count)
+    kept, pivots = independent_rows(basis, range(sd.count), sd.count)
     assert kept == list(range(sd.count))
-    coords = _coordinates(basis, pivots, targets, [1] * len(targets))
+    coords = coordinates(basis, pivots, targets, [1] * len(targets))
     assert all(c is not None and len(c) == sd.count for c in coords)
     assert coords[1] == sd.eigenvalues  # A_1 = sum_j theta_j E_j
 
