@@ -39,7 +39,6 @@ import numpy as np
 from .errors import BudgetExceededError
 from .intlinalg import abs_max, fits_int64
 from .trees import (
-    DEFAULT_ENUMERATION_LIMIT,
     LEAF,
     BinaryTree,
     catalan,
@@ -418,20 +417,24 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
 
 
 def count_classes_exact(
-    op: BilinearOperation,
-    m: int,
-    budget: int = DEFAULT_FINGERPRINT_BUDGET,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
+    op: BilinearOperation, m: int, budget: int = DEFAULT_FINGERPRINT_BUDGET
 ) -> EquivalenceReport:
-    """Partition the C_m parenthesizations of m+1 factors by exact equality."""
-    trees = enumerate_trees(m, limit=limit)
+    """Partition the C_m parenthesizations of m+1 factors by exact equality.
+
+    The zero operation maps every tree to zero, so it is one class without
+    any probe tensor; the budget applies to it all the same.
+    """
+    trees = enumerate_trees(m)
+    if op.is_zero:
+        _check_probe_budget(op, m, budget)
+        return _make_report(m, METHOD_TENSOR, [range(len(trees))])
     groups = group_trees_by_fingerprint(op, trees, budget=budget)
     return _make_report(m, METHOD_TENSOR, groups)
 
 
-def double_minus_classes(m: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> EquivalenceReport:
+def double_minus_classes(m: int) -> EquivalenceReport:
     """Classes of the double-minus operation: group by depth sequence mod 2."""
-    trees = enumerate_trees(m, limit=limit)
+    trees = enumerate_trees(m)
     groups = {}
     for idx, t in enumerate(trees):
         groups.setdefault(depth_sequence(t).mod2(), []).append(idx)

@@ -38,6 +38,7 @@ from .binop import (
     _scaled_rows,
     a000975_value,
     count_classes_exact,
+    double_minus_classes,
     evaluate_parenthesization,
     group_trees_by_fingerprint,
 )
@@ -52,7 +53,6 @@ from .graphs import (
 from .norton import NortonAlgebra, OracleProducts, family_constants
 from .spectral import SpectralData
 from .trees import (
-    DEFAULT_ENUMERATION_LIMIT,
     catalan,
     depth_sequence,
     enumerate_trees,
@@ -150,19 +150,11 @@ def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     return tuple(map(tuple, rows[:, : alg.operation.dimension].tolist()))
 
 
-def _mod2_partition(trees):
-    groups = {}
-    for idx, t in enumerate(trees):
-        groups.setdefault(depth_sequence(t).mod2(), []).append(idx)
-    return list(groups.values())
-
-
 def count_norton_classes(
     alg: NortonAlgebra,
     m: int,
     strategy: str = "auto",
     budget: int = DEFAULT_FINGERPRINT_BUDGET,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> EquivalenceReport:
     """Partition the arity-(m+1) parenthesizations of a Norton algebra.
 
@@ -177,11 +169,11 @@ def count_norton_classes(
     if strategy == "auto":
         strategy = "tensor" if affordable else "pattern"
     if strategy == "tensor":
-        return count_classes_exact(op, m, budget=budget, limit=limit)
+        return count_classes_exact(op, m, budget=budget)
     if strategy != "pattern":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    trees = enumerate_trees(m, limit=limit)
+    trees = enumerate_trees(m)
     by_signature = {}
     for idx, t in enumerate(trees):
         by_signature.setdefault(one_off_signature(alg, t), []).append(idx)
@@ -206,7 +198,7 @@ def count_norton_classes(
             continue
         if predicted_branch(alg.family) == BRANCH_A000975:
             if not mod2_checked:
-                want = {frozenset(g) for g in _mod2_partition(trees)}
+                want = {frozenset(c) for c in double_minus_classes(m).classes}
                 got = {frozenset(g) for g in by_signature.values()}
                 if got != want:
                     raise ConstructionError(
@@ -403,9 +395,7 @@ def coefficient_table(alg: NortonAlgebra, h_max: int) -> CoefficientTable:
     )
 
 
-def verify_pattern_lemma(
-    alg: NortonAlgebra, m_max: int, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> int:
+def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     """Check the coefficient lemma on every tree and position up to m_max.
 
     For each tree t and position r, the one-off evaluation must equal the
@@ -419,7 +409,7 @@ def verify_pattern_lemma(
     rows = {}
     checked = 0
     for m in range(1, m_max + 1):
-        for t in enumerate_trees(m, limit=limit):
+        for t in enumerate_trees(m):
             depths = depth_sequence(t)
             for r in range(m + 1):
                 h = depths[r]
@@ -483,7 +473,6 @@ def verify_classification(
     m_max: int,
     strategy: str = "auto",
     budget: int = DEFAULT_FINGERPRINT_BUDGET,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> ClassificationVerdict:
     """Compare observed class counts with the three-way prediction.
 
@@ -506,7 +495,7 @@ def verify_classification(
         )
     m_values = tuple(range(m_max + 1))
     reports = tuple(
-        count_norton_classes(alg, m, strategy=strategy, budget=budget, limit=limit)
+        count_norton_classes(alg, m, strategy=strategy, budget=budget)
         for m in m_values
     )
     counts = tuple(r.class_count for r in reports)

@@ -49,10 +49,6 @@ def rref(rows, q: int) -> tuple:
     return tuple(tuple(x % q for x in row) for row in m[:rank])
 
 
-def rank(rows, q: int) -> int:
-    return len(rref(rows, q))
-
-
 def reduce_vector(v, rref_rows, q: int) -> tuple:
     """Residue of v after elimination against an rref basis."""
     v = [x % q for x in v]

@@ -1,10 +1,12 @@
 """Johnson, Grassmann, Hamming, and dual polar graphs with ranked lattices.
 
-Each builder returns a graph instance (explicit vertex list and exact
-distance matrix) together with the graded lattice whose top level is the
-vertex set and whose lower levels index the eigenspace spanning vectors:
-subsets of size <= k, subspaces of dimension <= k, partial words, or
-isotropic subspaces, each with an adjoined maximum.
+Each builder constructs a graded lattice (subsets of size <= k, subspaces of
+dimension <= k, partial words, or isotropic subspaces, each with an adjoined
+maximum) and derives the whole graph from it: the vertices are the top level
+L_D, d(x,y) = D - rank(x meet y), and the level-1 elements (points) index
+the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
+gives both the distances (the points below x meet y are those below x and
+y, counted by M M^T) and the spanning vectors.
 """
 
 from __future__ import annotations
@@ -307,17 +309,13 @@ class GraphInstance:
     diameter: int
     lattice: RankedLattice | None
     notes: tuple = ()
-    _index: dict = field(default=None, repr=False)
+    # incidence[x, p] = 1 iff point p (lattice.levels[1][p]) lies below vertex x
+    incidence: np.ndarray | None = field(default=None, repr=False)
     _intersection: IntersectionArray = field(default=None, repr=False)
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def index(self, vertex) -> int:
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
-        return self._index[vertex]
 
     def label(self) -> str:
         return self.family.label()
@@ -340,15 +338,27 @@ def _check_budget(count, budget):
         raise BudgetExceededError("vertices", count, budget)
 
 
-def _distance_matrix(vertices, dist_fn):
-    nv = len(vertices)
-    dist = np.zeros((nv, nv), dtype=np.int64)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            dij = dist_fn(vertices[i], vertices[j])
-            dist[i, j] = dij
-            dist[j, i] = dij
-    return dist
+def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
+    """The graph on the top level L_D of a lattice, d(x,y) = D - rank(x meet y).
+
+    Every element of one level has the same number of points below it, so
+    that count, read from one element per level, names the rank of x meet y.
+    """
+    vertices = lattice.levels[-1]
+    points = lattice.levels[1]
+    depth = lattice.depth
+    incidence = np.array(
+        [[lattice.leq(p, x) for p in points] for x in vertices], dtype=np.int64
+    )
+    dist_of_count = np.full(len(points) + 1, -1, dtype=np.int64)
+    for i, lv in enumerate(lattice.levels):
+        dist_of_count[sum(lattice.leq(p, lv[0]) for p in points)] = depth - i
+    dist = dist_of_count[incidence @ incidence.T]
+    if dist.min() < 0:
+        raise ConstructionError(
+            f"{family.label()}: elements of one level differ in the points below them"
+        )
+    return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence)
 
 
 def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
@@ -363,12 +373,7 @@ def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
         notes = (f"normalized from J({n},{k}) by complementation",)
         k = n - k
     _check_budget(comb(n, k), budget)
-    vertices = tuple(itertools.combinations(range(1, n + 1), k))
-    sets = [frozenset(v) for v in vertices]
-    dist = _distance_matrix(sets, lambda x, y: k - len(x & y))
-    lattice = SubsetLattice(n, k)
-    g = GraphInstance(JohnsonFamily(n, k), vertices, dist, k, lattice, notes)
-    return g
+    return _lattice_graph(JohnsonFamily(n, k), SubsetLattice(n, k), notes)
 
 
 def build_hamming(d: int, e: int, budget: int = DEFAULT_VERTEX_BUDGET):
@@ -376,13 +381,7 @@ def build_hamming(d: int, e: int, budget: int = DEFAULT_VERTEX_BUDGET):
     if d < 1 or e < 2:
         raise ValueError(f"need d >= 1 and e >= 2, got ({d},{e})")
     _check_budget(e ** d, budget)
-    vertices = tuple(itertools.product(range(1, e + 1), repeat=d))
-    dist = _distance_matrix(
-        vertices, lambda x, y: sum(a != b for a, b in zip(x, y))
-    )
-    lattice = WordLattice(d, e)
-    g = GraphInstance(HammingFamily(d, e), vertices, dist, d, lattice)
-    return g
+    return _lattice_graph(HammingFamily(d, e), WordLattice(d, e))
 
 
 def _rref_matrices(n: int, j: int, q: int):
@@ -421,17 +420,10 @@ def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET)
     if k < 2 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 4, got ({n},{k})")
     _check_budget(q_binomial(n, k, q), budget)
-    vertices = tuple(sorted(_rref_matrices(n, k, q)))
-    _require_level_size(vertices, n, k, q)
-    dist = _distance_matrix(
-        vertices, lambda x, y: fq.rank(x + y, q) - k
-    )
     levels = [tuple(sorted(_rref_matrices(n, j, q))) for j in range(k + 1)]
     for j, lv in enumerate(levels):
         _require_level_size(lv, n, j, q)
-    lattice = SubspaceLattice(q, n, k, levels)
-    g = GraphInstance(GrassmannFamily(q, n, k), vertices, dist, k, lattice)
-    return g
+    return _lattice_graph(GrassmannFamily(q, n, k), SubspaceLattice(q, n, k, levels))
 
 
 def _dual_polar_form(kind: str, d: int, q: int):
@@ -550,14 +542,11 @@ def build_dual_polar(kind: str, d: int, q: int, budget: int = DEFAULT_VERTEX_BUD
             ):
                 raise ConstructionError("isotropic subspace of dimension d+1 found")
 
-    dist = _distance_matrix(vertices, lambda x, y: fq.rank(x + y, q) - d)
-    lattice = IsotropicLattice(q, levels, polar, quad)
-    fam = DualPolarFamily(kind, d, q)
     notes = ()
     if (kind, d, q) == ("D", 2, 2):
         notes = ("exceptional case D_2(2): complete bipartite K_{3,3}",)
-    g = GraphInstance(fam, vertices, dist, d, lattice, notes)
-    return g
+    lattice = IsotropicLattice(q, levels, polar, quad)
+    return _lattice_graph(DualPolarFamily(kind, d, q), lattice, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,8 @@ class SpanningVector:
 def spanning_vectors(g: GraphInstance, spectral: SpectralData):
     """Rescaled centered indicators for every level-1 lattice element.
 
+    The indicators are the columns of the graph's vertex-by-point incidence.
+
     Verifies that every upper set has the same size and that each centered
     indicator is fixed by E_1 (one integer product for all of them).
     """
@@ -188,15 +190,16 @@ def spanning_vectors(g: GraphInstance, spectral: SpectralData):
     n = g.vertex_count
     scale = family_constants(g.family)["rescale"]
     labels = lat.levels[1]
-    indicators = [[1 if lat.leq(v, x) else 0 for x in g.vertices] for v in labels]
-    upper_size = sum(indicators[0])
-    for v, indicator in zip(labels, indicators):
-        if sum(indicator) != upper_size:
+    indicators = g.incidence.T
+    sizes = indicators.sum(axis=1).tolist()
+    upper_size = sizes[0]
+    for v, size in zip(labels, sizes):
+        if size != upper_size:
             raise ConstructionError(
-                f"upper set of {v!r} has size {sum(indicator)}, expected {upper_size}"
+                f"upper set of {v!r} has size {size}, expected {upper_size}"
             )
     # n times the centered indicators, an integer row each
-    centered = [[n * x - upper_size for x in indicator] for indicator in indicators]
+    centered = (n * indicators - upper_size).tolist()
     for v in OracleProducts.of_vectors(g, spectral, labels, centered).outside():
         raise ConstructionError(f"centered indicator of {v!r} is not in V_1")
     out = []

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from nortonalg import binop
 from nortonalg.binop import (
     BilinearOperation,
     _probe_tensor,
@@ -136,6 +137,19 @@ def test_zero_operation_collapses_everything():
     assert op.is_zero and op.is_commutative
     for m in range(0, 6):
         assert count_classes_exact(op, m).class_count == 1
+
+
+def test_zero_operation_needs_no_probe_tensor(monkeypatch):
+    # is_zero alone proves one class; the fingerprint budget still applies
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe tensor computed for the zero operation")
+
+    monkeypatch.setattr(binop, "_probe_tensor", refuse)
+    op = BilinearOperation.zero(3)
+    report = count_classes_exact(op, 10)
+    assert report.classes == (tuple(range(catalan(10))),)
+    with pytest.raises(BudgetExceededError):
+        count_classes_exact(op, 10, budget=10)
 
 
 def test_monotone_sanity_bounds():

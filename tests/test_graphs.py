@@ -100,7 +100,7 @@ def test_fq_rref_is_canonical():
     r1 = fq.rref(rows, 2)
     r2 = fq.rref((r1[1], r1[0]), 2)
     assert r1 == r2 == fq.rref(r1, 2)
-    assert fq.rank(((1, 1), (1, 1)), 2) == 1
+    assert len(fq.rref(((1, 1), (1, 1)), 2)) == 1
 
 
 def test_fq_intersect_matches_brute_force():
@@ -242,6 +242,34 @@ def test_grassmann_distance_law():
         for j, y in enumerate(g.vertices):
             assert g.dist[i, j] == 2 - len(fq.intersect(x, y, 2))
     assert np.array_equal(_bfs_all_pairs(g.dist), g.dist)
+
+
+def _letter_disagreements(x, y):
+    return sum(a != b for a, b in zip(x, y))
+
+
+def _codimension_of_meet(d, q):
+    return lambda x, y: d - len(fq.intersect(x, y, q))
+
+
+@pytest.mark.parametrize(
+    "build, law",
+    [
+        (lambda: build_hamming(2, 3), _letter_disagreements),
+        (lambda: build_hamming(3, 3), _letter_disagreements),
+        (lambda: build_grassmann(3, 4, 2), _codimension_of_meet(2, 3)),
+        (lambda: build_dual_polar("C", 2, 2), _codimension_of_meet(2, 2)),
+        (lambda: build_dual_polar("D", 3, 2), _codimension_of_meet(3, 2)),
+        (lambda: build_dual_polar("B", 2, 2), _codimension_of_meet(2, 2)),
+        (lambda: build_dual_polar("Dplus", 2, 2), _codimension_of_meet(2, 2)),
+    ],
+    ids=["H(2,3)", "H(3,3)", "J_3(4,2)", "C_2(2)", "D_3(2)", "B_2(2)", "D_3(2)^+"],
+)
+def test_distance_law_by_definition(build, law):
+    # each family's own distance, pair by pair, beside the lattice-meet route
+    g = build()
+    want = [[law(x, y) for y in g.vertices] for x in g.vertices]
+    assert g.dist.tolist() == want
 
 
 def test_grassmann_lattice_sizes():
@@ -519,3 +547,12 @@ def test_lattice_laws_sampled_grassmann():
         assert lat.meet(lat.meet(a, b), c) == lat.meet(a, lat.meet(b, c))
         m = lat.meet(a, b)
         assert lat.join(a, m) == a and lat.leq(m, b)
+
+
+def test_lattice_graph_refuses_uneven_levels():
+    # a top level that mixes a 3-set into the 2-sets: (1, 2) meets itself in a
+    # 2-set, and no level's representative has 2 points below it
+    lat = graphs.SubsetLattice(4, 2)
+    lat.levels = lat.levels[:2] + (((1, 2, 3),) + lat.levels[2],)
+    with pytest.raises(ConstructionError, match="points below them"):
+        graphs._lattice_graph(JohnsonFamily(4, 2), lat)
