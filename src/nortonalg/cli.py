@@ -33,7 +33,7 @@ from .instances import (
     normalize_params,
     parse_instance_spec,
 )
-from .norton import formula_product
+from .norton import formula_table
 
 MAX_M = 12
 
@@ -214,16 +214,9 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 def cmd_product_table(config: RunConfig) -> int:
     bundle = _get_bundle(config)
-    family = bundle.graph.family
-    lattice = bundle.graph.lattice
-    labels = list(bundle.algebra.label_coords)
-    entries = []
-    for u in labels:
-        for v in labels:
-            terms = formula_product(family, lattice, u, v)
-            entries.append(
-                (u, v, sorted(terms.items(), key=lambda kv: labels.index(kv[0])))
-            )
+    table = formula_table(bundle.graph)
+    labels = table.labels
+    entries = [(u, v, table.product(u, v).items()) for u in labels for v in labels]
     if config.fmt == "csv":
         rows = [["u", "v", "product"]]
         for u, v, terms in entries:

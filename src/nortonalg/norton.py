@@ -8,14 +8,19 @@ of (suitably rescaled) spanning vectors back into spanning vectors; this
 module computes products both ways, checks them against each other, and
 extracts an exact structure-constant cube on a basis.
 
-The projection side runs in integers.  E_1 is D+1 rationals indexed by the
-distance matrix, num[dist] / den, and the spanning vectors times one common
+Both sides run in integers.  E_1 is D+1 rationals indexed by the distance
+matrix, num[dist] / den, and the spanning vectors times one common
 denominator are integer rows, so the oracle products of all unordered pairs
-are one integer matrix product (OracleProducts).  The formula-versus-oracle
-sweep compares every ordered pair against them with denominators cleared,
-and the structure constants re-expand the products of basis pairs through
-one fraction-free solve.  Nothing here is a float: int64 is used only where
-a bound proves that no sum can overflow, Python integers otherwise.
+are one integer matrix product (OracleProducts).  The closed forms of all
+ordered pairs are one integer coefficient table (FormulaTable), read off
+the vertex-by-point incidence M: every element below the lattice maximum is
+the meet of the vertices above it, so the vertices counted above two or
+three points decide every join the formulas name, and no lattice join is
+formed.  The formula-versus-oracle sweep compares every ordered pair with
+denominators cleared, and the structure constants re-expand the products of
+basis pairs through one fraction-free solve.  Nothing here is a float:
+int64 is used only where a bound proves that no sum can overflow, Python
+integers otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import numpy as np
 from .binop import BilinearOperation
 from .errors import ConstructionError, FormulaMismatchError
 from .graphs import (
-    TOP,
     DualPolarFamily,
     GrassmannFamily,
     GraphInstance,
@@ -38,7 +42,7 @@ from .graphs import (
     JohnsonFamily,
     q_int,
 )
-from .intlinalg import coordinates, exact_matmul, independent_rows
+from .intlinalg import coordinates, exact_matmul, fits_int64, independent_rows
 from .spectral import SpectralData, closed_form_multiplicity
 
 def family_constants(family) -> dict:
@@ -112,12 +116,17 @@ class OracleProducts:
     den: int
 
     @classmethod
+    def of_rows(cls, g: GraphInstance, spectral: SpectralData, labels, rows, scale):
+        """From integer rows that are scale times the labelled vectors."""
+        num, den = spectral.integer_coefficients(1)
+        return cls(tuple(labels), rows, scale, np.array(num, dtype=object)[g.dist], den)
+
+    @classmethod
     def of_vectors(cls, g: GraphInstance, spectral: SpectralData, labels, vectors):
         fracs = [[Fraction(x) for x in v] for v in vectors]
         scale = lcm(*(x.denominator for v in fracs for x in v))
         rows = np.array([[int(x * scale) for x in v] for v in fracs], dtype=object)
-        num, den = spectral.integer_coefficients(1)
-        return cls(tuple(labels), rows, scale, np.array(num, dtype=object)[g.dist], den)
+        return cls.of_rows(g, spectral, labels, rows, scale)
 
     @cached_property
     def index(self) -> dict:
@@ -179,16 +188,35 @@ class SpanningVector:
 def spanning_vectors(g: GraphInstance, spectral: SpectralData):
     """Rescaled centered indicators for every level-1 lattice element.
 
-    The indicators are the columns of the graph's vertex-by-point incidence.
-
-    Verifies that every upper set has the same size and that each centered
-    indicator is fixed by E_1 (one integer product for all of them).
+    They are the vectors of oracle_products(g, spectral), which checks them.
     """
+    products = oracle_products(g, spectral)
+    rescale = family_constants(g.family)["rescale"]
+    out = []
+    for v, row in zip(products.labels, products.rows.tolist()):
+        coords = tuple(Fraction(x, products.scale) for x in row)
+        out.append(SpanningVector(v, coords, tuple(x / rescale for x in coords), rescale))
+    return out
+
+
+def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
+    """OracleProducts of the rescaled centered indicators of all points.
+
+    The integer rows are read off the graph's vertex-by-point incidence,
+    after checking that every upper set has the same size and that each
+    centered indicator is fixed by E_1 (one integer product for all of
+    them).  Given spanning instead, the rows come from each vector's
+    coords, not from its label, so vectors that do not match their labels
+    fail the sweep.
+    """
+    if spanning is not None:
+        return OracleProducts.of_vectors(
+            g, spectral, [sv.label for sv in spanning], [sv.coords for sv in spanning]
+        )
     lat = g.lattice
     if lat is None:
         raise ConstructionError(f"{g.label()} carries no lattice")
     n = g.vertex_count
-    scale = family_constants(g.family)["rescale"]
     labels = lat.levels[1]
     indicators = g.incidence.T
     sizes = indicators.sum(axis=1).tolist()
@@ -198,87 +226,126 @@ def spanning_vectors(g: GraphInstance, spectral: SpectralData):
             raise ConstructionError(
                 f"upper set of {v!r} has size {size}, expected {upper_size}"
             )
-    # n times the centered indicators, an integer row each
-    centered = (n * indicators - upper_size).tolist()
-    for v in OracleProducts.of_vectors(g, spectral, labels, centered).outside():
+    # a rescaled centered indicator is rescale * (n - upper_size) / n on its
+    # upper set and -rescale * upper_size / n off it
+    rescale = family_constants(g.family)["rescale"]
+    inside = rescale * Fraction(n - upper_size, n)
+    outside = rescale * Fraction(-upper_size, n)
+    scale = lcm(inside.denominator, outside.denominator)
+    rows = np.where(indicators == 1, int(inside * scale), int(outside * scale))
+    products = OracleProducts.of_rows(g, spectral, labels, rows.astype(object), scale)
+    for v in products.outside():
         raise ConstructionError(f"centered indicator of {v!r} is not in V_1")
-    out = []
-    for v, row in zip(labels, centered):
-        unscaled = tuple(Fraction(x, n) for x in row)
-        out.append(SpanningVector(v, tuple(scale * x for x in unscaled), unscaled, scale))
-    return out
+    return products
 
 
-def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
-    """OracleProducts of the spanning vectors (default: spanning_vectors).
+def _triple_counts(incidence, first, second):
+    """Vertex counts above the point pairs (first[k], second[k]).
 
-    The integer rows come from each vector's coords, not from its label, so
-    vectors that do not match their labels fail the sweep.
+    Returns (common, triple): common[k] counts the vertices above both
+    points, triple[k, w] those above both points and above point w.
     """
-    if spanning is None:
-        spanning = spanning_vectors(g, spectral)
-    return OracleProducts.of_vectors(
-        g, spectral, [sv.label for sv in spanning], [sv.coords for sv in spanning]
-    )
+    both = incidence[:, first] * incidence[:, second]
+    return both.sum(axis=0), both.T @ incidence
 
 
-def formula_product(family, lattice, u, v) -> dict:
-    """Closed-form product of two spanning vectors, as label -> coefficient.
+@dataclass(eq=False)
+class FormulaTable:
+    """Closed-form products of all ordered pairs of spanning vectors.
 
-    Both inputs are level-1 lattice elements; the result expands the product
-    of their rescaled vectors over rescaled vectors again.  An empty dict is
-    the zero product.
+    The product of the rescaled vectors of points u and v expands as
+    sum_w coefficients[u, v, w] / clear times the rescaled vector of w, with
+    points indexed as labels (lattice level 1, the incidence columns).
     """
+
+    labels: tuple
+    coefficients: np.ndarray
+    clear: int
+
+    @cached_property
+    def index(self) -> dict:
+        return {label: i for i, label in enumerate(self.labels)}
+
+    def product(self, u, v) -> dict:
+        """Label -> coefficient of the product of u and v; zeros are left out."""
+        row = self.coefficients[self.index[u], self.index[v]]
+        return {
+            self.labels[w]: Fraction(int(row[w]), self.clear) for w in np.flatnonzero(row)
+        }
+
+
+def formula_table(g: GraphInstance) -> FormulaTable:
+    """The closed-form product of every ordered pair of points, in integers.
+
+    u * u is u, or "diagonal" u for Hamming.  For u != v the product is
+    c (u + v) (Johnson; zero when there is no c); c (u + v) plus b on every
+    point of the line join(u, v) (Grassmann); "adjacent" (u + v) when
+    join(u, v) is the lattice maximum and zero otherwise (Hamming); c (u + v)
+    when join(u, v) is the maximum, and otherwise also b on the points w
+    where join(u, v, w) has rank 2 and b' where it has rank 3 (dual polar).
+
+    Every element below the maximum is the meet of the vertices above it,
+    and a join is the maximum exactly when no vertex lies above all its
+    parts.  So with P the vertices above u and v and T those also above w,
+    both read off g.incidence: join(u, v) is the maximum iff P = 0, w lies
+    below join(u, v) iff T = P, and join(u, v, w) has rank 3 iff 0 < T < P.
+    The constants come from family_constants, looked up at call time, times
+    their common denominator clear.
+    """
+    family = g.family
+    if g.lattice is None:
+        raise ConstructionError(f"{g.label()} carries no lattice")
     con = family_constants(family)
-    out = {}
     if isinstance(family, JohnsonFamily):
-        if con.get("zero_product"):
-            return {}
-        c = con["c"]
-        if u == v:
-            out[v] = Fraction(1)
-        else:
-            out[u] = c
-            out[v] = c
+        names = () if con.get("zero_product") else ("c",)
     elif isinstance(family, GrassmannFamily):
-        if u == v:
-            out[v] = Fraction(1)
-        else:
-            c, b = con["c"], con["b"]
-            out[u] = c
-            out[v] = c
-            line = lattice.join(u, v)
-            for w in lattice.levels[1]:
-                if lattice.leq(w, line):
-                    out[w] = out.get(w, Fraction(0)) + b
+        names = ("c", "b")
     elif isinstance(family, HammingFamily):
-        if u == v:
-            out[v] = con["diagonal"]
-        elif lattice.join(u, v) is TOP:
-            out[u] = con["adjacent"]
-            out[v] = con["adjacent"]
-        # join at level 2: product vanishes
+        names = ("diagonal", "adjacent")
     elif isinstance(family, DualPolarFamily):
-        c = con["c"]
-        if u == v:
-            out[v] = Fraction(1)
-        elif lattice.join(u, v) is TOP:
-            out[u] = c
-            out[v] = c
-        else:
-            b, bp = con["b"], con["b_prime"]
-            plane = lattice.join(u, v)
-            out[u] = c
-            out[v] = c
-            for w in lattice.levels[1]:
-                r = lattice.rank_of(lattice.join(plane, w))
-                if r == 2:
-                    out[w] = out.get(w, Fraction(0)) + b
-                elif r == 3:
-                    out[w] = out.get(w, Fraction(0)) + bp
+        names = ("c", "b", "b_prime")
     else:
         raise ValueError(f"no product formulas for {family!r}")
-    return {lbl: cf for lbl, cf in out.items() if cf}
+    clear = lcm(*(Fraction(con[name]).denominator for name in names))
+    k = {name: int(con[name] * clear) for name in names}
+    m = g.incidence
+    s = m.shape[1]
+    # every entry is clear, one constant, or the sum of c and b
+    dtype = np.int64 if fits_int64(clear + sum(abs(x) for x in k.values())) else object
+    table = np.zeros((s, s, s), dtype=dtype)
+    points = np.arange(s)
+    u, v = np.nonzero(~np.eye(s, dtype=bool))
+    common = (m.T @ m)[u, v]
+    if isinstance(family, HammingFamily):
+        table[points, points, points] = k["diagonal"]
+        u, v = u[common == 0], v[common == 0]
+        table[u, v, u] = table[u, v, v] = k["adjacent"]
+    elif names:
+        table[points, points, points] = clear
+        table[u, v, u] = table[u, v, v] = k["c"]
+    if "b" in k:
+        # the b terms are symmetric in u and v; dual polar has them only
+        # where join(u, v) is a line
+        keep = (u < v) & (common > 0) if "b_prime" in k else u < v
+        u, v = u[keep], v[keep]
+        pair, triple = _triple_counts(m, u, v)
+        pair = pair[:, None]
+        extra = (triple == pair).astype(dtype) * k["b"]
+        if "b_prime" in k:
+            extra += ((triple > 0) & (triple < pair)).astype(dtype) * k["b_prime"]
+        table[u, v] += extra
+        table[v, u] += extra
+    return FormulaTable(tuple(g.lattice.levels[1]), table, clear)
+
+
+def formula_product(g: GraphInstance, u, v) -> dict:
+    """Closed-form product of two spanning vectors, as label -> coefficient.
+
+    Both inputs are level-1 lattice elements; the result, one row of
+    formula_table(g), expands the product of their rescaled vectors over
+    rescaled vectors again.  An empty dict is the zero product.
+    """
+    return formula_table(g).product(u, v)
 
 
 @dataclass(frozen=True)
@@ -296,8 +363,9 @@ def verify_formula_vs_oracle(
     Runs over every ordered pair of spanning vectors and demands exact
     agreement; the report's max_discrepancy is always zero on return.  The
     oracle side is products (from oracle_products(g, spectral, spanning)
-    unless given).  With the formula's coefficients cf_l cleared by their
-    lcm L, the pair (u, v) agrees exactly when
+    unless given), the formula side formula_table(g).  With the formula's
+    coefficients cf_l cleared by L = table.clear, the pair (u, v) agrees
+    exactly when
 
         L e1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
 
@@ -305,19 +373,17 @@ def verify_formula_vs_oracle(
     """
     if products is None:
         products = oracle_products(g, spectral, spanning)
+    table = formula_table(g)
     labels = products.labels
+    if labels != table.labels:
+        raise ValueError(f"{g.label()}: spanning vectors must be the points, in order")
     s = len(labels)
-    expansions = [
-        formula_product(g.family, g.lattice, u, v) for u in labels for v in labels
-    ]
-    clear = lcm(*(Fraction(cf).denominator for e in expansions for cf in e.values()))
-    coefficients = np.zeros((s * s, s), dtype=object)
-    for row, expansion in enumerate(expansions):
-        for label, cf in expansion.items():
-            coefficients[row, products.index[label]] = int(cf * clear)
+    clear = table.clear
     # row u * s + v holds the ordered pair (u, v)
     oracle = clear * products.products[products.pair.reshape(-1)]
-    formula = products.den * products.scale * exact_matmul(coefficients, products.rows)
+    formula = products.den * products.scale * exact_matmul(
+        table.coefficients.reshape(s * s, s), products.rows
+    )
     bad = np.flatnonzero((oracle != formula).any(axis=1))
     if bad.size:
         row = int(bad[0])
@@ -364,15 +430,19 @@ def _default_basis_candidates(g: GraphInstance, labels):
     return list(labels)
 
 
-def _one_off_pair(g: GraphInstance, labels):
+def _one_off_pair(g: GraphInstance):
+    """Indices of the preferred pair of points (lattice level 1).
+
+    The first two points, or for Hamming and dual polar the first pair whose
+    join is the lattice maximum: no vertex lies above both points.
+    """
     if isinstance(g.family, (JohnsonFamily, GrassmannFamily)):
-        return labels[0], labels[1]
-    lat = g.lattice
-    for i, u in enumerate(labels):
-        for v in labels[i + 1:]:
-            if lat.join(u, v) is TOP:
-                return u, v
-    raise ConstructionError(f"{g.label()}: no level-1 pair joins to the maximum")
+        return 0, 1
+    m = g.incidence
+    first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
+    if not first.size:
+        raise ConstructionError(f"{g.label()}: no level-1 pair joins to the maximum")
+    return int(first[0]), int(second[0])
 
 
 def structure_constants(
@@ -420,15 +490,17 @@ def structure_constants(
     op = BilinearOperation(cube)
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
-    u, v = _one_off_pair(g, labels)
+    points = g.lattice.levels[1]
+    i, j = _one_off_pair(g)
+    u, v = points[i], points[j]
     pair = [products.index[u], products.index[v]]
     if not op.is_zero and len(independent_rows(products.rows, pair, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
     line = ()
     if isinstance(g.family, GrassmannFamily):
-        lat = g.lattice
-        span = lat.join(u, v)
-        line = tuple(w for w in lat.levels[1] if lat.leq(w, span))
+        # w lies on the line u v iff every vertex above u and v is above w
+        common, triple = _triple_counts(g.incidence, [i], [j])
+        line = tuple(points[w] for w in np.flatnonzero(triple[0] == common[0]))
     return NortonAlgebra(
         family=g.family,
         dim=dim,

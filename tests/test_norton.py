@@ -1,11 +1,12 @@
 """Norton product layer: spanning vectors, oracle, closed forms, algebras.
 
-The per-pair route, one dense E_1 apply per pair of spanning vectors and a
-Gauss-Jordan span solver for the structure constants, lives here as the
-reference the batched integer oracle is compared against.  The dense E_j
-is built here too, from its D+1 coefficients and the distance matrix, as
-Fractions or as integer numerators over one denominator; the package
-itself never expands it.
+The per-pair route, one dense E_1 apply per pair of spanning vectors, the
+closed-form product of each pair from lattice joins, and a Gauss-Jordan
+span solver for the structure constants, lives here as the reference the
+batched integer oracle and the incidence-read formula table are compared
+against.  The dense E_j is built here too, from its D+1 coefficients and
+the distance matrix, as Fractions or as integer numerators over one
+denominator; the package itself never expands it.
 """
 
 import dataclasses
@@ -16,16 +17,25 @@ from math import lcm
 import numpy as np
 import pytest
 
-from nortonalg import norton
+from nortonalg import fq, norton
 from nortonalg.binop import BilinearOperation, direct_product
 from nortonalg.errors import ConstructionError, FormulaMismatchError
-from nortonalg.graphs import TOP
+from nortonalg.graphs import (
+    TOP,
+    DualPolarFamily,
+    GrassmannFamily,
+    HammingFamily,
+    JohnsonFamily,
+    RankedLattice,
+    build_dual_polar,
+    build_grassmann,
+)
 from nortonalg.intlinalg import exact_matmul, independent_rows
 from nortonalg.norton import (
     _default_basis_candidates,
-    _one_off_pair,
     family_constants,
     formula_product,
+    formula_table,
     oracle_products,
     spanning_vectors,
     structure_constants,
@@ -164,14 +174,14 @@ def test_norton_oracle_triangle(bundle):
 def test_formula_product_johnson(bundle):
     g52 = bundle("j52")[0]
     u, v = (1,), (2,)
-    assert formula_product(g52.family, g52.lattice, u, u) == {u: 1}
-    assert formula_product(g52.family, g52.lattice, u, v) == {
+    assert formula_product(g52, u, u) == {u: 1}
+    assert formula_product(g52, u, v) == {
         u: Fraction(-1, 3),
         v: Fraction(-1, 3),
     }
     g42 = bundle("j42")[0]
-    assert formula_product(g42.family, g42.lattice, (1,), (2,)) == {}
-    assert formula_product(g42.family, g42.lattice, (1,), (1,)) == {}
+    assert formula_product(g42, (1,), (2,)) == {}
+    assert formula_product(g42, (1,), (1,)) == {}
 
 
 def test_formula_product_hamming(bundle):
@@ -179,12 +189,12 @@ def test_formula_product_hamming(bundle):
     same_pos = ((1, 0), (2, 0))
     diff_pos = ((1, 0), (0, 2))
     assert g.lattice.join(*same_pos) is TOP
-    assert formula_product(g.family, g.lattice, *same_pos) == {
+    assert formula_product(g, *same_pos) == {
         same_pos[0]: Fraction(-1, 3),
         same_pos[1]: Fraction(-1, 3),
     }
-    assert formula_product(g.family, g.lattice, *diff_pos) == {}
-    assert formula_product(g.family, g.lattice, (1, 0), (1, 0)) == {
+    assert formula_product(g, *diff_pos) == {}
+    assert formula_product(g, (1, 0), (1, 0)) == {
         (1, 0): Fraction(1, 3)
     }
 
@@ -193,7 +203,7 @@ def test_formula_product_grassmann_line_sum(bundle):
     g = bundle("g242")[0]
     points = g.lattice.levels[1]
     u, v = points[0], points[1]
-    out = formula_product(g.family, g.lattice, u, v)
+    out = formula_product(g, u, v)
     assert out[u] == Fraction(-1, 18)
     assert out[v] == Fraction(-1, 18)
     others = [lbl for lbl in out if lbl not in (u, v)]
@@ -211,7 +221,7 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is not TOP
     )
-    out = formula_product(g.family, lat, *coll)
+    out = formula_product(g, *coll)
     # c + b = 0 for D_2(2): the factors drop out, the third point survives
     assert len(out) == 1
     (w, cf), = out.items()
@@ -223,7 +233,7 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is TOP
     )
-    assert formula_product(g.family, lat, *opp) == {opp[0]: -1, opp[1]: -1}
+    assert formula_product(g, *opp) == {opp[0]: -1, opp[1]: -1}
 
 
 def test_formula_matches_oracle_everywhere(bundle):
@@ -268,6 +278,13 @@ def test_halved_vectors_fail_verification(bundle):
         verify_formula_vs_oracle(g, sd, svs[:3] + [halved] + svs[4:])
 
 
+def test_sweep_refuses_vectors_out_of_point_order(bundle):
+    g, sd = bundle("j52")
+    svs = spanning_vectors(g, sd)
+    with pytest.raises(ValueError, match="in order"):
+        verify_formula_vs_oracle(g, sd, svs[::-1])
+
+
 @pytest.mark.parametrize(
     "name, key",
     [("j52", "c"), ("g242", "c"), ("g242", "b"), ("c22", "b"), ("d32", "b_prime")],
@@ -288,18 +305,21 @@ def test_wrong_formula_constant_fails_verification(bundle, monkeypatch, name, ke
 
 @pytest.mark.parametrize("which", ["first", "second"])
 def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
-    # the oracle product is symmetric, the formula need not be: a formula
+    # the oracle product is symmetric, the formula need not be: a table
     # wrong in one order only must still be caught
     g, sd = bundle("j52")
     u, v = g.lattice.levels[1][:2]
     bad = (u, v) if which == "first" else (v, u)
-    real = formula_product
+    real = formula_table
 
-    def one_sided(family, lattice, a, b):
-        out = real(family, lattice, a, b)
-        return {**out, a: out[a] * 2} if (a, b) == bad else out
+    def one_sided(graph):
+        table = real(graph)
+        a, b = table.index[bad[0]], table.index[bad[1]]
+        coefficients = table.coefficients.copy()
+        coefficients[a, b, a] *= 2
+        return dataclasses.replace(table, coefficients=coefficients)
 
-    monkeypatch.setattr(norton, "formula_product", one_sided)
+    monkeypatch.setattr(norton, "formula_table", one_sided)
     with pytest.raises(FormulaMismatchError, match=re.escape(f"({bad[0]!r}, {bad[1]!r})")):
         verify_formula_vs_oracle(g, sd)
 
@@ -370,7 +390,7 @@ def test_algebra_reproduces_formula_in_basis_coordinates(bundle, algebra):
         for u in labels:
             for v in labels:
                 got = op.apply(alg.label_coords[u], alg.label_coords[v])
-                expansion = formula_product(g.family, g.lattice, u, v)
+                expansion = formula_product(g, u, v)
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():
                     for idx, x in enumerate(alg.label_coords[lbl]):
@@ -396,7 +416,7 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
                 reversed_order.label_coords[u], reversed_order.label_coords[v]
             )
             # compare by re-expanding both over the shared formula
-            expansion = formula_product(g.family, g.lattice, u, v)
+            expansion = formula_product(g, u, v)
             for alg, got in ((default, a), (reversed_order, b)):
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():
@@ -499,6 +519,84 @@ class ReferenceSpanSolver:
         return tuple(coeffs)
 
 
+def reference_formula_product(family, lattice, u, v):
+    """The closed-form product of two points, from lattice joins per pair.
+
+    The constants are looked up at call time, as the package does.
+    """
+    con = norton.family_constants(family)
+    out = {}
+    if isinstance(family, JohnsonFamily):
+        if con.get("zero_product"):
+            return {}
+        c = con["c"]
+        if u == v:
+            out[v] = Fraction(1)
+        else:
+            out[u] = c
+            out[v] = c
+    elif isinstance(family, GrassmannFamily):
+        if u == v:
+            out[v] = Fraction(1)
+        else:
+            c, b = con["c"], con["b"]
+            out[u] = c
+            out[v] = c
+            line = lattice.join(u, v)
+            for w in lattice.levels[1]:
+                if lattice.leq(w, line):
+                    out[w] = out.get(w, Fraction(0)) + b
+    elif isinstance(family, HammingFamily):
+        if u == v:
+            out[v] = con["diagonal"]
+        elif lattice.join(u, v) is TOP:
+            out[u] = con["adjacent"]
+            out[v] = con["adjacent"]
+        # join at level 2: product vanishes
+    elif isinstance(family, DualPolarFamily):
+        c = con["c"]
+        if u == v:
+            out[v] = Fraction(1)
+        elif lattice.join(u, v) is TOP:
+            out[u] = c
+            out[v] = c
+        else:
+            b, bp = con["b"], con["b_prime"]
+            plane = lattice.join(u, v)
+            out[u] = c
+            out[v] = c
+            for w in lattice.levels[1]:
+                r = lattice.rank_of(lattice.join(plane, w))
+                if r == 2:
+                    out[w] = out.get(w, Fraction(0)) + b
+                elif r == 3:
+                    out[w] = out.get(w, Fraction(0)) + bp
+    else:
+        raise ValueError(f"no product formulas for {family!r}")
+    return {lbl: cf for lbl, cf in out.items() if cf}
+
+
+def reference_one_off(g, labels):
+    """(one_off, one_off_line) by lattice joins: the first two labels, or
+    for Hamming and dual polar the first pair joining to the maximum; the
+    Grassmann line is every label below the join of the pair."""
+    lat = g.lattice
+    if isinstance(g.family, (JohnsonFamily, GrassmannFamily)):
+        u, v = labels[0], labels[1]
+    else:
+        u, v = next(
+            (u, v)
+            for i, u in enumerate(labels)
+            for v in labels[i + 1:]
+            if lat.join(u, v) is TOP
+        )
+    line = ()
+    if isinstance(g.family, GrassmannFamily):
+        span = lat.join(u, v)
+        line = tuple(w for w in labels if lat.leq(w, span))
+    return (u, v), line
+
+
 def reference_sweep(g, sd, spanning):
     """Ordered pairs checked, one dense E_1 apply per pair."""
     by_label = {sv.label: sv for sv in spanning}
@@ -508,7 +606,8 @@ def reference_sweep(g, sd, spanning):
         for sv in spanning:
             oracle = apply_dense(e1, [a * b for a, b in zip(su.coords, sv.coords)])
             predicted = [Fraction(0)] * g.vertex_count
-            for lbl, cf in formula_product(g.family, g.lattice, su.label, sv.label).items():
+            expansion = reference_formula_product(g.family, g.lattice, su.label, sv.label)
+            for lbl, cf in expansion.items():
                 for idx, x in enumerate(by_label[lbl].coords):
                     predicted[idx] += cf * x
             assert list(oracle) == predicted, (su.label, sv.label)
@@ -517,7 +616,8 @@ def reference_sweep(g, sd, spanning):
 
 
 def reference_structure_constants(g, sd, spanning):
-    """(basis_labels, cube, label_coords, one_off) by rank tests and span solves."""
+    """(basis_labels, cube, label_coords, (one_off, one_off_line)) by rank
+    tests, span solves and lattice joins."""
     by_label = {sv.label: sv for sv in spanning}
     labels = [sv.label for sv in spanning]
     dim = closed_form_multiplicity(g.family, 1)
@@ -539,7 +639,7 @@ def reference_structure_constants(g, sd, spanning):
             pointwise = [a * b for a, b in zip(chosen_rows[i], chosen_rows[j])]
             prod = apply_dense(e1, pointwise)
             cube[i][j] = cube[j][i] = solver.solve(prod)
-    return tuple(basis_labels), cube, label_coords, _one_off_pair(g, labels)
+    return tuple(basis_labels), cube, label_coords, reference_one_off(g, labels)
 
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
@@ -559,4 +659,68 @@ def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
     assert alg.operation.constants == BilinearOperation(cube).constants
     assert alg.label_coords == label_coords
     assert list(alg.label_coords) == list(label_coords)
-    assert alg.one_off == one_off
+    assert (alg.one_off, alg.one_off_line) == one_off
+
+
+TABLE_EXTRA_BUILDERS = {
+    "b22": lambda: build_dual_polar("B", 2, 2),
+    "dplus22": lambda: build_dual_polar("Dplus", 2, 2),
+    "g252": lambda: build_grassmann(2, 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES + tuple(TABLE_EXTRA_BUILDERS))
+def test_formula_table_matches_lattice_join_reference(bundle, name):
+    g = TABLE_EXTRA_BUILDERS[name]() if name in TABLE_EXTRA_BUILDERS else bundle(name)[0]
+    table = formula_table(g)
+    points = g.lattice.levels[1]
+    assert table.labels == points
+    dropped = False
+    for u in points:
+        for v in points:
+            want = reference_formula_product(g.family, g.lattice, u, v)
+            assert table.product(u, v) == want, (u, v)
+            dropped |= u != v and bool(want) and u not in want
+    # D_2(2): c + b = 0, so collinear factors drop out of their own product
+    assert dropped == (name == "d22")
+
+
+@pytest.mark.parametrize("name", ["g242", "c22"])
+def test_formula_table_leaves_int64_for_huge_constants(bundle, monkeypatch, name):
+    # b off by 2^-70: the cleared constants pass 2^63, so the table holds
+    # Python ints, and the sweep still sees the wrong constant
+    g, sd = bundle(name)
+    products = oracle_products(g, sd)
+    real = family_constants
+
+    def huge(family):
+        con = real(family)
+        return {**con, "b": con["b"] + Fraction(1, 2**70)}
+
+    monkeypatch.setattr(norton, "family_constants", huge)
+    table = formula_table(g)
+    assert table.coefficients.dtype == object
+    points = g.lattice.levels[1]
+    for u in points:
+        for v in points:
+            assert table.product(u, v) == reference_formula_product(g.family, g.lattice, u, v)
+    with pytest.raises(FormulaMismatchError):
+        verify_formula_vs_oracle(g, sd, products=products)
+
+
+@pytest.mark.parametrize("name", ["g242", "h23", "c22", "d32"])
+def test_sweep_and_structure_form_no_lattice_join(bundle, monkeypatch, name):
+    # the formulas' joins are read off the incidence matrix: no lattice
+    # order query and no F_q elimination runs once the graph is built
+    g, sd = bundle(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice or F_q call on the sweep path")
+
+    for attr in ("join", "leq", "meet"):
+        monkeypatch.setattr(RankedLattice, attr, refuse)
+    for attr in ("rref", "reduce_vector", "in_span", "span_le", "intersect"):
+        monkeypatch.setattr(fq, attr, refuse)
+    report = verify_formula_vs_oracle(g, sd)
+    assert report.pairs_checked == len(g.lattice.levels[1]) ** 2
+    structure_constants(g, sd)
