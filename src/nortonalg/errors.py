@@ -25,7 +25,12 @@ class BudgetExceededError(NortonError):
 
 
 class NotDistanceRegularError(NortonError):
-    """Intersection numbers are not independent of the base pair; carries a witness."""
+    """Intersection numbers are not independent of the base pair; carries a witness.
+
+    witness = (i, j, k, pair_a, pair_b, count_a, count_b): both pairs lie at
+    distance k, and count_a, count_b are their numbers of z with d(x,z) = i
+    and d(z,y) = j.
+    """
 
     def __init__(self, i, j, k, pair_a, pair_b, count_a, count_b):
         super().__init__(
@@ -35,13 +40,27 @@ class NotDistanceRegularError(NortonError):
         self.witness = (i, j, k, pair_a, pair_b, count_a, count_b)
 
 
+class NotPathMetricError(NortonError):
+    """A distance matrix that is not the path metric of its distance-1 graph.
+
+    vertices names the witness: (x, y) for a diagonal entry other than 0,
+    an off-diagonal entry below 1, or a pair at distance k >= 1 with no
+    neighbour of y at distance k-1 from x; (x, y, z) for a neighbour z of y
+    with |d(x,z) - d(x,y)| > 1.
+    """
+
+    def __init__(self, message, vertices):
+        super().__init__(message)
+        self.vertices = tuple(vertices)
+
+
 class SpectralIntegralityError(NortonError):
     """No integral spectrum from an intersection array (not a valid family graph).
 
     Raised when the graph is not distance regular (chained from the
-    NotDistanceRegularError witness), when fewer than D+1 integers are
-    eigenvalues of the intersection array, or when a multiplicity is not an
-    integer.
+    NotDistanceRegularError or NotPathMetricError witness), when fewer than
+    D+1 integers are eigenvalues of the intersection array, or when a
+    multiplicity is not an integer.
     """
 
 

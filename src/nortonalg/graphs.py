@@ -7,6 +7,13 @@ L_D, d(x,y) = D - rank(x meet y), and the level-1 elements (points) index
 the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
 gives both the distances (the points below x meet y are those below x and
 y, counted by M M^T) and the spanning vectors.
+
+check_distance_regular proves any distance matrix to be the path metric of
+a distance regular graph from the numbers c_k, a_k, b_k of neighbours of y
+at distance k-1, k, k+1 from x, read for every pair (x, y) by one
+neighbour gather per vertex (Brouwer-Cohen-Neumaier, Distance-Regular
+Graphs, 4.1), and derives every p^k_ij from them by the three-term
+recurrence A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}.
 """
 
 from __future__ import annotations
@@ -18,7 +25,12 @@ from math import comb
 import numpy as np
 
 from . import fq
-from .errors import BudgetExceededError, ConstructionError, NotDistanceRegularError
+from .errors import (
+    BudgetExceededError,
+    ConstructionError,
+    NotDistanceRegularError,
+    NotPathMetricError,
+)
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -567,49 +579,137 @@ class IntersectionArray:
         return self.value(1, 1, 0)
 
 
-def check_distance_regular(g: GraphInstance) -> IntersectionArray:
-    """Verify p[i][j][k] well-defined for every i, j, k; witness on failure.
+# Cells (rows x degree x vertices) of one row block's neighbour gather; the
+# block's temporaries are a few arrays of this many small integers.
+_GATHER_CELLS = 1 << 20
 
-    For each pair (x,y) at distance k the number of z with d(x,z) = i and
-    d(z,y) = j must not depend on the pair.  The proved array is kept on the
-    instance (whose distance matrix never changes after construction), so a
-    second check of the same graph costs nothing.  A symmetric distance
-    matrix gives A_j A_i = (A_i A_j)^T and symmetric distance classes, so
-    only the products with i <= j are computed and p[j][i] is p[i][j].
+
+def _first(mask):
+    """Index tuple of the first True entry of mask, in row-major order."""
+    return tuple(int(v) for v in np.unravel_index(np.argmax(mask), mask.shape))
+
+
+def _intersection_numbers(c, a, b):
+    """p[i][j][k] = p^k_ij from c_k, a_k and b_k by the three-term recurrence.
+
+    L_i[k][j] = p^k_ij is the matrix of multiplication by A_i in the basis
+    A_0..A_D.  A_1 A_j = b_{j-1} A_{j-1} + a_j A_j + c_{j+1} A_{j+1} makes
+    L_1 tridiagonal, and the same identity with A_i in place of A_j gives
+    L_{i+1} = (L_1 L_i - b_{i-1} L_{i-1} - a_i L_i) / c_{i+1}, exactly.
+    """
+    size = len(c)
+    one = np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)
+    mats = [np.eye(size, dtype=np.int64), one]
+    for i in range(1, size - 1):
+        rest = one @ mats[i] - b[i - 1] * mats[i - 1] - a[i] * mats[i]
+        nxt, left = np.divmod(rest, c[i + 1])
+        if left.any():
+            raise ConstructionError(
+                f"A_{i + 1} is not integral: c_{i + 1} = {c[i + 1]}"
+            )
+        mats.append(nxt)
+    return np.ascontiguousarray(np.stack(mats[:size]).transpose(0, 2, 1))
+
+
+def check_distance_regular(g: GraphInstance) -> IntersectionArray:
+    """Prove g distance regular and return its intersection array.
+
+    A connected graph is distance regular exactly when, for every pair
+    (x, y) at distance k, the numbers c_k, a_k and b_k of neighbours of y at
+    distance k-1, k and k+1 from x depend only on k (Brouwer-Cohen-Neumaier,
+    Distance-Regular Graphs, 4.1).  For each block of rows x one gather
+    dist[x][nbrs] reads d(x, z) for every neighbour z of every y and checks:
+
+    * every neighbour z of y has |d(x,z) - d(x,y)| <= 1;
+    * the degree and the per-pair counts c and a (so also b) are constant
+      on each distance class;
+    * c_k >= 1 for k >= 1, the diagonal is 0 and no other entry is below 1.
+
+    The first and last make dist the path metric of the connected graph
+    dist == 1, so together they prove distance regularity in O(k n^2)
+    small-integer work.  p[i][j][k] = p^k_ij then follows from (b_k, c_k)
+    by the three-term recurrence (_intersection_numbers).  A path-metric
+    failure raises NotPathMetricError naming the vertices; a count that
+    differs between two pairs raises NotDistanceRegularError whose witness
+    (i, 1, k) with i in {k-1, k, k+1} carries both pairs' p^k_i1.  The
+    proved array is kept on the instance (whose distance matrix never
+    changes after construction), so a second check of the same graph costs
+    nothing.
     """
     if g._intersection is not None:
         return g._intersection
-    dmax = g.diameter
-    dist = g.dist
+    dist, dmax, n = g.dist, g.diameter, g.vertex_count
     if not np.array_equal(dist, dist.T):
         raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
-    shells = [(dist == i).astype(np.int64) for i in range(dmax + 1)]
-    masks = [dist == k for k in range(dmax + 1)]
-    pair_of = []
-    for k in range(dmax + 1):
-        xs, ys = np.nonzero(masks[k])
-        if len(xs) == 0:
-            raise ConstructionError(f"no pair at distance {k}")
-        pair_of.append((xs, ys))
-    p = np.zeros((dmax + 1, dmax + 1, dmax + 1), dtype=np.int64)
-    for i in range(dmax + 1):
-        for j in range(i, dmax + 1):
-            counts = shells[i] @ shells[j]
-            for k in range(dmax + 1):
-                vals = counts[masks[k]]
-                ref = vals[0]
-                if not np.all(vals == ref):
-                    xs, ys = pair_of[k]
-                    bad = int(np.nonzero(vals != ref)[0][0])
-                    raise NotDistanceRegularError(
-                        i,
-                        j,
-                        k,
-                        (int(xs[0]), int(ys[0])),
-                        (int(xs[bad]), int(ys[bad])),
-                        int(ref),
-                        int(vals[bad]),
-                    )
-                p[i, j, k] = p[j, i, k] = int(ref)
-    g._intersection = IntersectionArray(p)
+    wrong = dist < 1
+    np.fill_diagonal(wrong, np.diagonal(dist) != 0)
+    if wrong.any():
+        x, y = _first(wrong)
+        raise NotPathMetricError(
+            f"{g.label()}: d({x},{y}) = {dist[x, y]} is not a path distance", (x, y)
+        )
+    if dist.max() != dmax:
+        raise ConstructionError(
+            f"{g.label()}: largest distance {dist.max()}, diameter {dmax}"
+        )
+    adjacent = dist == 1
+    degrees = adjacent.sum(axis=1)
+    if (degrees != degrees[0]).any():
+        x = int(np.argmax(degrees != degrees[0]))
+        raise NotDistanceRegularError(
+            1, 1, 0, (0, 0), (x, x), int(degrees[0]), int(degrees[x])
+        )
+    k = int(degrees[0])
+    # nbrs[s, y] is the s-th neighbour of y
+    nbrs = np.ascontiguousarray(np.nonzero(adjacent)[1].reshape(n, k).T)
+    # below 127, distances and their differences fit int8
+    small = dist.astype(np.int8) if dmax < 127 else dist
+    first = np.full((dmax + 1, 2), -1)  # the first pair of each distance class
+    ref = np.zeros((dmax + 1, 2), dtype=np.int64)  # its c and a
+    rows = max(1, _GATHER_CELLS // (n * max(k, 1)))
+    for start in range(0, n, rows):
+        here = small[start : start + rows]
+        # step[x, s, y] = d(x, z) - d(x, y) for z the s-th neighbour of y
+        step = here[:, nbrs] - here[:, None, :]
+        if step.min(initial=0) < -1 or step.max(initial=0) > 1:
+            bx, s, y = _first(abs(step) > 1)
+            x, z = start + bx, int(nbrs[s, y])
+            raise NotPathMetricError(
+                f"{g.label()}: neighbour {z} of {y} is at distance {dist[x, z]} "
+                f"from {x}, but {y} is at distance {dist[x, y]}",
+                (x, y, z),
+            )
+        # per pair: the neighbours of y one step closer to x (c) and as far (a)
+        counts = [(step == v).sum(axis=1, dtype=np.int32) for v in (-1, 0)]
+        stuck = (counts[0] == 0) & (here > 0)
+        if stuck.any():
+            bx, y = _first(stuck)
+            x = start + bx
+            raise NotPathMetricError(
+                f"{g.label()}: no neighbour of {y} is closer to {x} than "
+                f"d({x},{y}) = {dist[x, y]}",
+                (x, y),
+            )
+        for d in np.flatnonzero(first[:, 0] < 0):
+            at = here == d
+            if at.any():
+                bx, y = _first(at)
+                first[d] = start + bx, y
+                ref[d] = counts[0][bx, y], counts[1][bx, y]
+        for col, count in enumerate(counts):
+            off = count != ref[here, col]
+            if off.any():
+                bx, y = _first(off)
+                d = int(here[bx, y])
+                raise NotDistanceRegularError(
+                    d - 1 + col,
+                    1,
+                    d,
+                    tuple(int(v) for v in first[d]),
+                    (start + bx, y),
+                    int(ref[d, col]),
+                    int(count[bx, y]),
+                )
+    c, a = ref[:, 0], ref[:, 1]
+    g._intersection = IntersectionArray(_intersection_numbers(c, a, k - c - a))
     return g._intersection

@@ -1,8 +1,9 @@
 """Exact spectral decomposition of distance regular graphs.
 
 Everything runs on the (D+1)-point quotient given by the intersection array
-that check_distance_regular proves (Brouwer-Cohen-Neumaier, Distance-Regular
-Graphs, 4.1; Biggs, Algebraic Graph Theory, ch. 21).  An integer theta is an
+that check_distance_regular proves from c_k, a_k and b_k and completes by the
+three-term recurrence (Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 4.1;
+Biggs, Algebraic Graph Theory, ch. 21).  An integer theta is an
 eigenvalue exactly when its cosine sequence u_0 = 1, u_1 = theta/k,
 c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i also meets the last equation
 c_D u_{D-1} + a_D u_D = theta u_D; rational eigenvalues of an integer matrix
@@ -20,7 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
-from .errors import ConstructionError, NotDistanceRegularError, SpectralIntegralityError
+from .errors import (
+    ConstructionError,
+    NotDistanceRegularError,
+    NotPathMetricError,
+    SpectralIntegralityError,
+)
 from .graphs import (
     DualPolarFamily,
     GrassmannFamily,
@@ -132,12 +138,13 @@ def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
 
     Pass the array check_distance_regular returned for g; without one it is
     derived here, and a graph that is not distance regular raises
-    SpectralIntegralityError chained from the NotDistanceRegularError.
+    SpectralIntegralityError chained from the NotDistanceRegularError or
+    NotPathMetricError of the check.
     """
     if intersection is None:
         try:
             intersection = check_distance_regular(g)
-        except NotDistanceRegularError as exc:
+        except (NotDistanceRegularError, NotPathMetricError) as exc:
             raise SpectralIntegralityError(
                 f"{g.label()} is not distance regular: no intersection array"
             ) from exc

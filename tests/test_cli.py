@@ -3,7 +3,7 @@
 Exit codes are the contract here: 0 success, 1 verification mismatch,
 2 invalid parameters, 3 budget exceeded.  Most tests drive main() in
 process; subprocess tests confirm the installed entry point and that a
-large tensor count fits a bounded address space.
+large tensor count and a past-desk-scale build fit a bounded address space.
 """
 
 import json
@@ -415,3 +415,21 @@ def test_tensor_count_fits_one_gib(tmp_path):
     assert verdict["passed"]
     assert verdict["counts"][-1] == 1430
     assert set(verdict["methods"]) == {"tensor_exact"}
+
+
+def test_past_desk_scale_build_fits_one_gib(tmp_path):
+    # H(6,3), n = 729: the distance-regularity proof gathers neighbour rows in
+    # blocks instead of forming n x n products, so the whole build fits
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "build", "hamming", "6", "3",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: _limit_address_space(1 << 30),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    summary = json.loads(result.stdout)
+    assert summary["vertices"] == 729
+    assert summary["diameter"] == 6
+    assert summary["multiplicities"] == [1, 12, 60, 160, 240, 192, 64]

@@ -1,5 +1,7 @@
 """Graph families: construction, distance laws, lattices, distance regularity."""
 
+import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -15,10 +17,13 @@ from nortonalg.errors import (
     BudgetExceededError,
     ConstructionError,
     NotDistanceRegularError,
+    NotPathMetricError,
 )
 from nortonalg.graphs import (
     TOP,
     DualPolarFamily,
+    GrassmannFamily,
+    HammingFamily,
     JohnsonFamily,
     build_dual_polar,
     build_grassmann,
@@ -30,6 +35,8 @@ from nortonalg.graphs import (
     q_binomial,
     q_int,
 )
+from conftest import BUILDERS
+from test_spectral import cycle, petersen
 
 
 def _bfs_all_pairs(dist):
@@ -456,10 +463,15 @@ def _count(dist, i, j, pair):
         lambda: build_hamming(3, 3),
         lambda: build_johnson(7, 3),
         lambda: build_dual_polar("D", 3, 2),
+        *BUILDERS.values(),
+        petersen,
+        lambda: cycle(6),
     ],
 )
 def test_intersection_array_matches_every_shell_product(build):
-    # p[i][j] for i > j is filled from the transpose; check it against A_i A_j itself
+    # the check reads only c_k, a_k, b_k off the graph and derives the rest of
+    # p[i][j][k] by recurrence; check every entry against A_i A_j itself,
+    # also on graphs (Petersen, C_6) that have no lattice
     g = build()
     p = check_distance_regular(g).p
     shells = [(g.dist == i).astype(np.int64) for i in range(g.diameter + 1)]
@@ -468,6 +480,56 @@ def test_intersection_array_matches_every_shell_product(build):
             counts = shells[i] @ shells[j]
             for k in range(g.diameter + 1):
                 assert set(counts[g.dist == k].tolist()) == {p[i, j, k]}
+
+
+def _q(m, q):
+    return (q ** m - 1) // (q - 1)
+
+
+def closed_form_b_c(family):
+    """(b_0..b_{D-1}, c_1..c_D) from the classical formulas (BCN 9.1-9.4)."""
+    if isinstance(family, HammingFamily):
+        d, e = family.d, family.e
+        b = [(d - i) * (e - 1) for i in range(d)]
+        c = list(range(1, d + 1))
+    elif isinstance(family, JohnsonFamily):
+        n, k = family.n, family.k
+        b = [(k - i) * (n - k - i) for i in range(k)]
+        c = [i * i for i in range(1, k + 1)]
+    elif isinstance(family, GrassmannFamily):
+        q, n, k = family.q, family.n, family.k
+        b = [q ** (2 * i + 1) * _q(k - i, q) * _q(n - k - i, q) for i in range(k)]
+        c = [_q(i, q) ** 2 for i in range(1, k + 1)]
+    else:
+        q, d, e = family.q, family.d, family.e
+        b = [q ** (i + e) * _q(d - i, q) for i in range(d)]
+        c = [_q(i, q) for i in range(1, d + 1)]
+    return b, c
+
+
+PAST_DESK_SCALE = {
+    "h63": lambda: build_hamming(6, 3),
+    "j144": lambda: build_johnson(14, 4),
+    "g252": lambda: build_grassmann(2, 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", [*BUILDERS, *PAST_DESK_SCALE])
+def test_intersection_array_matches_closed_form(name):
+    g = {**BUILDERS, **PAST_DESK_SCALE}[name]()
+    arr = check_distance_regular(g)
+    b, c = closed_form_b_c(g.family)
+    d = g.diameter
+    assert [arr.value(i + 1, 1, i) for i in range(d)] == b
+    assert [arr.value(i - 1, 1, i) for i in range(1, d + 1)] == c
+    a = [b[0] - bi - ci for bi, ci in zip(b + [0], [0] + c)]
+    assert [arr.value(i, 1, i) for i in range(d + 1)] == a
+    # k_i = p^0_ii = b_0 ... b_{i-1} / (c_1 ... c_i), and they count every vertex
+    valencies = [1]
+    for bi, ci in zip(b, c):
+        valencies.append(valencies[-1] * bi // ci)
+    assert [arr.value(i, i, 0) for i in range(d + 1)] == valencies
+    assert sum(valencies) == g.vertex_count
 
 
 def test_prism_is_not_distance_regular_and_witness_is_real():
@@ -487,6 +549,23 @@ def test_prism_is_not_distance_regular_and_witness_is_real():
     assert count_a != count_b
 
 
+def test_hexagonal_prism_witness_counts_common_neighbours():
+    # C_6 x K_2 is bipartite, so every a_k is 0; distance-2 pairs on one
+    # hexagon share one neighbour, the others two
+    dist = [
+        [min(abs(i - j), 6 - abs(i - j)) + (s != t) for t in range(2) for j in range(6)]
+        for s in range(2)
+        for i in range(6)
+    ]
+    with pytest.raises(NotDistanceRegularError) as exc:
+        check_distance_regular(graph_from_distance_matrix("prism6", dist))
+    i, j, k, pair_a, pair_b, count_a, count_b = exc.value.witness
+    assert (i, j, k) == (1, 1, 2)
+    assert dist[pair_a[0]][pair_a[1]] == dist[pair_b[0]][pair_b[1]] == k
+    assert [_count(dist, i, j, pair) for pair in (pair_a, pair_b)] == [count_a, count_b]
+    assert count_a != count_b
+
+
 def test_asymmetric_distance_matrix_rejected():
     # distances along a directed 3-cycle: every p[i][j][k] is constant
     dist = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -501,6 +580,92 @@ def test_path_graph_is_not_distance_regular():
     with pytest.raises(NotDistanceRegularError) as exc:
         check_distance_regular(g)
     assert exc.value.witness is not None
+
+
+STAR = [[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]]
+# a 4-cycle whose antipodal pair (0, 2) is labelled 3 apart
+FAKE_C4 = [[0, 1, 3, 1], [1, 0, 1, 2], [3, 1, 0, 1], [1, 2, 1, 0]]
+
+
+def refusals():
+    """The witnesses of the check's refusals of K_{1,3} and of FAKE_C4."""
+    out = []
+    try:
+        check_distance_regular(graph_from_distance_matrix("star", STAR))
+    except NotDistanceRegularError as exc:
+        out.append(exc.witness)
+    try:
+        check_distance_regular(graph_from_distance_matrix("fake C4", FAKE_C4))
+    except NotPathMetricError as exc:
+        out.append(exc.vertices)
+    return out
+
+
+def test_irregular_degree_and_non_path_metric_witnesses_are_real():
+    star, fake = refusals()
+    # K_{1,3}: the centre and a leaf differ in p^0_11, their degree
+    i, j, k, pair_a, pair_b, count_a, count_b = star
+    assert (i, j, k) == (1, 1, 0)
+    assert STAR[pair_a[0]][pair_a[1]] == STAR[pair_b[0]][pair_b[1]] == 0
+    assert [_count(STAR, i, j, pair) for pair in (pair_a, pair_b)] == [count_a, count_b]
+    assert count_a != count_b
+    # FAKE_C4: a neighbour z of y whose distance from x jumps by more than 1
+    x, y, z = fake
+    assert FAKE_C4[y][z] == 1
+    assert abs(FAKE_C4[x][z] - FAKE_C4[x][y]) > 1
+
+
+WITNESS_SCRIPT = """
+import sys
+from test_graphs import refusals
+print(sys.flags.optimize)
+print(refusals())
+"""
+
+
+def test_irregular_degree_and_non_path_metric_refused_under_optimize():
+    # conftest already put the package's src/ on PYTHONPATH
+    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    flag, witnesses = result.stdout.splitlines()
+    assert flag == "1"
+    assert ast.literal_eval(witnesses) == refusals()
+
+
+@pytest.mark.parametrize(
+    "dist,vertices",
+    [
+        # a loop at 1
+        ([[0, 1], [1, 1]], (1, 1)),
+        # two disjoint edges labelled 2 apart: every count is constant, but
+        # no neighbour of 2 is closer to 0
+        ([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]], (0, 2)),
+    ],
+)
+def test_degenerate_distances_are_not_a_path_metric(dist, vertices):
+    with pytest.raises(NotPathMetricError) as exc:
+        check_distance_regular(graph_from_distance_matrix("degenerate", dist))
+    assert exc.value.vertices == vertices
+
+
+def test_diameter_must_be_the_largest_distance():
+    g = dataclasses.replace(cycle(6), diameter=4)
+    with pytest.raises(ConstructionError, match="diameter 4"):
+        check_distance_regular(g)
+
+
+def test_recurrence_refuses_inexact_division():
+    # c = (0, 1, 2), a = 0, b = (3, 1, 0) is no graph's array: A_2 would be
+    # (A_1^2 - 3 I) / 2, which has entry 3/2
+    c, a, b = np.array([0, 1, 2]), np.array([0, 0, 0]), np.array([3, 1, 0])
+    with pytest.raises(ConstructionError, match="not integral"):
+        graphs._intersection_numbers(c, a, b)
 
 
 # ---------------------------------------------------------------------------

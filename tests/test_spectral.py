@@ -23,6 +23,7 @@ import pytest
 from nortonalg.errors import (
     ConstructionError,
     NotDistanceRegularError,
+    NotPathMetricError,
     SpectralIntegralityError,
 )
 from nortonalg.graphs import (
@@ -342,6 +343,19 @@ def test_distances_that_are_not_a_path_metric_rejected():
     dist = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
     with pytest.raises(SpectralIntegralityError):
         spectral_data(graph_from_distance_matrix("2K2", dist))
+
+
+def test_doubled_k2_rejected_by_the_check():
+    # K2 with each end doubled at distance 0: every p[i][j][k] is constant
+    # (p^0_00 = 2), but 0 and 1 are distinct vertices at distance 0
+    dist = [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [1, 1, 0, 0]]
+    g = graph_from_distance_matrix("doubled K2", dist)
+    with pytest.raises(NotPathMetricError) as exc:
+        check_distance_regular(g)
+    assert exc.value.vertices == (0, 1)
+    with pytest.raises(SpectralIntegralityError) as info:
+        spectral_data(g)
+    assert isinstance(info.value.__cause__, NotPathMetricError)
 
 
 def test_irrational_drg_spectrum_rejected():
