@@ -45,13 +45,13 @@ def cache_path(cache_dir, name: str, params) -> Path:
     return Path(cache_dir) / f"{stem}-v{CODE_TAG}.json"
 
 
-def _frac_str(f) -> str:
-    f = Fraction(f)
+def frac_str(f) -> str:
+    """"p/q" for a Fraction (or an int, as p/1); the cache and CLI text form."""
     return f"{f.numerator}/{f.denominator}"
 
 
 def _frac_list(values):
-    return [_frac_str(v) for v in values]
+    return [frac_str(v) for v in values]
 
 
 def _detuple(obj):

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .binop import DEFAULT_FINGERPRINT_BUDGET
-from .cache import default_cache_dir, load_cache, write_cache
+from .cache import default_cache_dir, frac_str, load_cache, write_cache
 from .classify import count_norton_classes, predicted_branch, verify_classification
 from .errors import (
     BudgetExceededError,
@@ -101,10 +101,6 @@ def _csv_text(rows) -> str:
 def _label_str(label) -> str:
     """Deterministic compact text for a lattice label of any shape."""
     return json.dumps(label, separators=(",", ":"))
-
-
-def _frac_str(f) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _get_bundle(config: RunConfig) -> InstanceBundle:
@@ -220,7 +216,7 @@ def cmd_product_table(config: RunConfig) -> int:
     if config.fmt == "csv":
         rows = [["u", "v", "product"]]
         for u, v, terms in entries:
-            packed = ";".join(f"{_label_str(w)}={_frac_str(c)}" for w, c in terms)
+            packed = ";".join(f"{_label_str(w)}={frac_str(c)}" for w, c in terms)
             rows.append([_label_str(u), _label_str(v), packed])
         _emit(_csv_text(rows))
     else:
@@ -231,7 +227,7 @@ def cmd_product_table(config: RunConfig) -> int:
                 {
                     "u": _label_str(u),
                     "v": _label_str(v),
-                    "terms": [[_label_str(w), _frac_str(c)] for w, c in terms],
+                    "terms": [[_label_str(w), frac_str(c)] for w, c in terms],
                 }
                 for u, v, terms in entries
             ],

@@ -8,6 +8,13 @@ the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
 gives both the distances (the points below x meet y are those below x and
 y, counted by M M^T) and the spanning vectors.
 
+The Grassmann and dual polar lattices come from one enumerator of the
+subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
+row echelon form by one new last row, so every subspace is made exactly
+once and already canonical; with a form it keeps only the totally isotropic
+ones, and the dual polar build asks for one level past d, which must be
+empty.  Every level is checked against its closed-form size.
+
 check_distance_regular proves any distance matrix to be the path metric of
 a distance regular graph from the numbers c_k, a_k, b_k of neighbours of y
 at distance k-1, k, k+1 from x, read for every pair (x, y) by one
@@ -257,45 +264,63 @@ class WordLattice(RankedLattice):
         return tuple(out)
 
 
+def _extends_isotropic(rows, v, q, polar, quad):
+    """Whether v extends the totally isotropic span of rows to a larger one.
+
+    With no form every subspace counts as isotropic.  Otherwise v must be
+    singular (quad(v) = 0; for a symplectic form, with quad None, every
+    vector is) and orthogonal to every row, which makes Q vanish on the
+    whole span: Q(sum a_i r_i) = sum a_i^2 Q(r_i) + sum_{i<j} a_i a_j B(r_i, r_j).
+    """
+    if polar is None:
+        return True
+    if quad is not None and quad(v) % q:
+        return False
+    return all(polar(v, r) % q == 0 for r in rows)
+
+
+def _subspace_levels(n, top, q, polar=None, quad=None):
+    """Levels 0..top of the subspaces of F_q^n, each a sorted tuple of rref
+    matrices; with a polar form, only the totally isotropic subspaces.
+
+    The first j rows of the rref of a (j+1)-space are the rref of a j-space,
+    its parent; the last row is e_c plus any entries after column c, where c
+    lies past the parent's pivots in a column where every parent row
+    vanishes.  Growing every parent by every such row therefore makes each
+    space exactly once, already in rref.  A space is isotropic exactly when
+    its parent is and the new row extends it (_extends_isotropic).
+    """
+    levels = [((),)]
+    for _ in range(top):
+        children = []
+        for parent in levels[-1]:
+            # an rref row's first nonzero entry is its pivot, a 1
+            start = parent[-1].index(1) + 1 if parent else 0
+            for c in range(start, n):
+                if any(row[c] for row in parent):
+                    continue
+                for tail in itertools.product(range(q), repeat=n - c - 1):
+                    v = (0,) * c + (1,) + tail
+                    if _extends_isotropic(parent, v, q, polar, quad):
+                        children.append(parent + (v,))
+        levels.append(tuple(sorted(children)))
+    return levels
+
+
 class SubspaceLattice(RankedLattice):
-    """Subspaces of F_q^n of dimension <= k, in reduced row echelon form."""
+    """Subspaces of F_q^n in reduced row echelon form, one level per dimension.
 
-    def __init__(self, q, n, k, levels):
-        self.q = q
-        self.n = n
-        self.k = k
-        super().__init__(levels)
+    With a polar form (and, for an orthogonal space, its quadratic form) the
+    levels hold the totally isotropic subspaces only.  A join of higher
+    dimension than the top level, or not isotropic, is the adjoined maximum.
+    """
 
-    def _leq(self, a, b):
-        return fq.span_le(a, b, self.q)
-
-    def _meet(self, a, b):
-        return fq.intersect(a, b, self.q)
-
-    def _join(self, a, b):
-        r = fq.rref(a + b, self.q)
-        return r if len(r) <= self.k else TOP
-
-
-class IsotropicLattice(RankedLattice):
-    """Isotropic subspaces of a symplectic or quadratic space, rref form."""
-
-    def __init__(self, q, levels, polar, quad):
+    def __init__(self, q, levels, polar=None, quad=None):
         self.q = q
         self._polar = polar
         self._quad = quad
         super().__init__(levels)
 
-    def _is_isotropic(self, rows):
-        q = self.q
-        if self._quad is not None and any(self._quad(r) % q for r in rows):
-            return False
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if self._polar(rows[i], rows[j]) % q:
-                    return False
-        return True
-
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
 
@@ -304,7 +329,10 @@ class IsotropicLattice(RankedLattice):
 
     def _join(self, a, b):
         r = fq.rref(a + b, self.q)
-        if len(r) > self.depth or not self._is_isotropic(r):
+        if len(r) > self.depth or not all(
+            _extends_isotropic(r[:i], r[i], self.q, self._polar, self._quad)
+            for i in range(len(r))
+        ):
             return TOP
         return r
 
@@ -396,33 +424,15 @@ def build_hamming(d: int, e: int, budget: int = DEFAULT_VERTEX_BUDGET):
     return _lattice_graph(HammingFamily(d, e), WordLattice(d, e))
 
 
-def _rref_matrices(n: int, j: int, q: int):
-    """All rref matrices with j rows and n columns over F_q."""
-    if j == 0:
-        return [()]
-    out = []
-    for pivots in itertools.combinations(range(n), j):
-        free = []
-        for r, p in enumerate(pivots):
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    free.append((r, c))
-        for vals in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(j)]
-            for r, p in enumerate(pivots):
-                rows[r][p] = 1
-            for (r, c), v in zip(free, vals):
-                rows[r][c] = v
-            out.append(tuple(tuple(row) for row in rows))
-    return out
-
-
-def _require_level_size(subspaces, n, j, q):
-    want = q_binomial(n, j, q)
-    if len(subspaces) != want:
-        raise ConstructionError(
-            f"{len(subspaces)} subspaces of dimension {j} in F_{q}^{n}, expected {want}"
-        )
+def _require_level_sizes(family, levels, closed_form):
+    """Refuse an enumeration whose level j does not hold closed_form(j) spaces."""
+    for j, lv in enumerate(levels):
+        want = closed_form(j)
+        if len(lv) != want:
+            raise ConstructionError(
+                f"{family.label()}: {len(lv)} subspaces of dimension {j}, "
+                f"expected {want}"
+            )
 
 
 def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
@@ -432,10 +442,10 @@ def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET)
     if k < 2 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 4, got ({n},{k})")
     _check_budget(q_binomial(n, k, q), budget)
-    levels = [tuple(sorted(_rref_matrices(n, j, q))) for j in range(k + 1)]
-    for j, lv in enumerate(levels):
-        _require_level_size(lv, n, j, q)
-    return _lattice_graph(GrassmannFamily(q, n, k), SubspaceLattice(q, n, k, levels))
+    family = GrassmannFamily(q, n, k)
+    levels = _subspace_levels(n, k, q)
+    _require_level_sizes(family, levels, lambda j: q_binomial(n, j, q))
+    return _lattice_graph(family, SubspaceLattice(q, levels))
 
 
 def _dual_polar_form(kind: str, d: int, q: int):
@@ -499,12 +509,19 @@ def _dual_polar_form(kind: str, d: int, q: int):
     return nvars, polar, quad
 
 
-def dual_polar_vertex_count(kind: str, d: int, q: int) -> int:
+def isotropic_subspace_count(kind: str, d: int, q: int, i: int) -> int:
+    """Totally isotropic i-spaces of the rank-d polar space of one kind:
+    [d i]_q prod_{j<i} (q^(d+e-j-1) + 1) (Brouwer-Cohen-Neumaier 9.4), so
+    0 for i > d."""
     e = _DUAL_POLAR_E[kind]
-    out = 1
-    for i in range(1, d + 1):
-        out *= q ** (e + i - 1) + 1
+    out = q_binomial(d, i, q)
+    for j in range(i):
+        out *= q ** (d + e - j - 1) + 1
     return out
+
+
+def dual_polar_vertex_count(kind: str, d: int, q: int) -> int:
+    return isotropic_subspace_count(kind, d, q, d)
 
 
 def build_dual_polar(kind: str, d: int, q: int, budget: int = DEFAULT_VERTEX_BUDGET):
@@ -512,6 +529,8 @@ def build_dual_polar(kind: str, d: int, q: int, budget: int = DEFAULT_VERTEX_BUD
 
     Vertices are the d-dim isotropic subspaces, d(x,y) = d - dim(x n y); the
     lattice consists of all isotropic subspaces plus an adjoined maximum.
+    The enumeration runs one level past d, which must be empty: that proves
+    the vertices maximal, so the form's Witt index is exactly d.
     """
     if kind not in DUAL_POLAR_KINDS:
         raise ValueError(f"kind must be one of {DUAL_POLAR_KINDS}, got {kind!r}")
@@ -521,44 +540,17 @@ def build_dual_polar(kind: str, d: int, q: int, budget: int = DEFAULT_VERTEX_BUD
         raise ValueError(f"q = {q} must be prime")
     _check_budget(dual_polar_vertex_count(kind, d, q), budget)
 
+    family = DualPolarFamily(kind, d, q)
     nvars, polar, quad = _dual_polar_form(kind, d, q)
-    all_vectors = itertools.product(range(q), repeat=nvars)
-    singular = [
-        v for v in all_vectors if any(v) and (quad is None or quad(v) % q == 0)
-    ]
-
-    levels = [((),)]
-    for _ in range(d):
-        nxt = set()
-        for sub in levels[-1]:
-            for v in singular:
-                if fq.in_span(v, sub, q):
-                    continue
-                if all(polar(v, b) % q == 0 for b in sub):
-                    nxt.add(fq.rref(sub + (v,), q))
-        if not nxt:
-            raise ConstructionError(f"Witt index below {d} for {kind}_{d}({q})")
-        levels.append(tuple(sorted(nxt)))
-
-    vertices = levels[d]
-    expected = dual_polar_vertex_count(kind, d, q)
-    if len(vertices) != expected:
-        raise ConstructionError(
-            f"enumerated {len(vertices)} maximal isotropics, formula says {expected}"
-        )
-    # maximality: no singular vector extends a vertex
-    for sub in vertices:
-        for v in singular:
-            if not fq.in_span(v, sub, q) and all(
-                polar(v, b) % q == 0 for b in sub
-            ):
-                raise ConstructionError("isotropic subspace of dimension d+1 found")
-
+    levels = _subspace_levels(nvars, d + 1, q, polar, quad)
+    _require_level_sizes(
+        family, levels, lambda i: isotropic_subspace_count(kind, d, q, i)
+    )
     notes = ()
     if (kind, d, q) == ("D", 2, 2):
         notes = ("exceptional case D_2(2): complete bipartite K_{3,3}",)
-    lattice = IsotropicLattice(q, levels, polar, quad)
-    return _lattice_graph(DualPolarFamily(kind, d, q), lattice, notes)
+    lattice = SubspaceLattice(q, levels[:-1], polar, quad)
+    return _lattice_graph(family, lattice, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -151,8 +151,13 @@ def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
     p = intersection.p.tolist()
     n = g.vertex_count
     k = intersection.degree
-    if not all(p[i + 1][1][i] for i in range(g.diameter)):
-        raise SpectralIntegralityError(f"{g.label()}: some b_i = 0, not a path metric")
+    # check_distance_regular proves b_i >= 1 below the diameter, but a
+    # hand-built array need not hold it, and _cosine_sequence divides by b_i
+    for i in range(g.diameter):
+        if not p[i + 1][1][i]:
+            raise SpectralIntegralityError(
+                f"{g.label()}: b_{i} = 0 below the diameter {g.diameter}"
+            )
     thetas, mults, coefficients = [], [], []
     for theta in range(k, -k - 1, -1):
         u = _cosine_sequence(p, theta)

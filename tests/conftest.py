@@ -7,6 +7,8 @@ everything inside their own timed blocks.
 """
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,26 @@ def package_on_child_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
         yield
+
+
+def run_optimized(script: str) -> str:
+    """Run script under python -O with tests/ importable; return its stdout.
+
+    The child first prints sys.flags.optimize, which must read 1, so a
+    passing run really had its asserts stripped; that line is not returned.
+    package_on_child_path has already put the package's src/ on PYTHONPATH.
+    """
+    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys\nprint(sys.flags.optimize)\n" + script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    flag, _, rest = result.stdout.partition("\n")
+    assert flag == "1"
+    return rest
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,7 @@
 """Classification layer: signatures, certificates, coefficient lemmas, verdicts."""
 
 import dataclasses
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -37,6 +33,7 @@ from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.graphs import CustomFamily, JohnsonFamily
 from nortonalg.instances import build_instance
 from nortonalg.trees import catalan, depth_sequence, enumerate_trees, left_comb
+from conftest import run_optimized
 
 
 def test_predicted_branch(bundle):
@@ -373,20 +370,10 @@ def test_wrong_branch_pin_raises():
 
 
 PINS_SCRIPT = """
-import sys
 from test_classify import wrong_pins_caught
-print(sys.flags.optimize, wrong_pins_caught())
+print(wrong_pins_caught())
 """
 
 
 def test_wrong_branch_pin_raises_under_optimize():
-    # conftest already put the package's src/ on PYTHONPATH
-    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", PINS_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["1", str(len(WRONG_PINS))]
+    assert run_optimized(PINS_SCRIPT).split() == [str(len(WRONG_PINS))]

@@ -3,11 +3,7 @@
 import ast
 import dataclasses
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +31,7 @@ from nortonalg.graphs import (
     q_binomial,
     q_int,
 )
-from conftest import BUILDERS
+from conftest import BUILDERS, run_optimized
 from test_spectral import cycle, petersen
 
 
@@ -86,16 +82,73 @@ def test_q_int_values():
 
 
 def test_q_binomial_against_subspace_enumeration():
-    # oracle: count rref matrices directly
-    from nortonalg.graphs import _rref_matrices
-
+    # oracle: count the enumerated rref matrices directly
     for q in (2, 3):
         for n in range(5):
+            levels = graphs._subspace_levels(n, n, q)
             for k in range(n + 1):
-                assert len(_rref_matrices(n, k, q)) == q_binomial(n, k, q)
+                assert len(levels[k]) == q_binomial(n, k, q)
     assert q_binomial(4, 2, 2) == 35
     assert q_binomial(4, 2, 3) == 130
     assert q_binomial(4, 1, 2) == 15
+
+
+def _brute_force_levels(n, top, q, polar=None, quad=None):
+    """Levels 0..top as the rref of every j-set of vectors spanning a j-space,
+    kept when every vector of the span is singular (for a symplectic form,
+    with quad None: when every pair of them is orthogonal).  Spanning sets
+    are drawn from the singular vectors only, since a totally isotropic
+    space consists of them."""
+    vectors = [
+        v
+        for v in itertools.product(range(q), repeat=n)
+        if any(v) and (quad is None or quad(v) % q == 0)
+    ]
+    levels = []
+    for j in range(top + 1):
+        found = set()
+        for rows in itertools.combinations(vectors, j):
+            r = fq.rref(rows, q)
+            if len(r) != j or r in found:
+                continue
+            span = span_vectors(r, q) if r else []
+            if polar is None:
+                found.add(r)
+            elif quad is not None:
+                if all(quad(u) % q == 0 for u in span):
+                    found.add(r)
+            elif all(polar(u, v) % q == 0 for u in span for v in span):
+                found.add(r)
+        levels.append(tuple(sorted(found)))
+    return levels
+
+
+@pytest.mark.parametrize(
+    "n, top, q, kind, d",
+    [
+        (2, 2, 2, None, None),
+        (3, 3, 2, None, None),
+        (4, 4, 2, None, None),
+        (2, 2, 3, None, None),
+        (3, 3, 3, None, None),
+        (None, 3, 2, "C", 2),
+        (None, 3, 2, "B", 2),
+        (None, 3, 2, "D", 2),
+        (None, 3, 2, "Dplus", 2),
+        (None, 3, 3, "D", 2),
+    ],
+    ids=["F_2^2", "F_2^3", "F_2^4", "F_3^2", "F_3^3", "C_2(2)", "B_2(2)", "D_2(2)",
+         "D_3(2)^+", "D_2(3)"],
+)
+def test_subspace_levels_match_brute_force(n, top, q, kind, d):
+    # every level in full and in order, dual polar ones one past d (empty)
+    polar = quad = None
+    if kind is not None:
+        n, polar, quad = graphs._dual_polar_form(kind, d, q)
+    want = _brute_force_levels(n, top, q, polar, quad)
+    assert graphs._subspace_levels(n, top, q, polar, quad) == want
+    if kind is not None:
+        assert want[d + 1] == () and len(want[d]) == dual_polar_vertex_count(kind, d, q)
 
 
 # ---------------------------------------------------------------------------
@@ -301,50 +354,68 @@ def test_grassmann_validation():
 
 
 def dropped_subspaces_caught():
-    """How many builds of J_2(4,2) with one subspace dropped raise.
+    """The refusals of corrupted subspace enumerations, as messages.
 
-    The first case loses a vertex (dimension 2), the second a point of the
-    lattice (dimension 1); both must raise ConstructionError.
+    J_2(4,2) and then C_2(2) lose one vertex (dimension 2), then one point
+    (dimension 1).  Last, C_2(2) is built on the form of C_3(2), whose Witt
+    index 3 leaves level 3 nonempty; its lower levels are made to match the
+    closed form, so only the empty level past d can refuse it.  Each of the
+    five builds must raise ConstructionError.
     """
-    real = graphs._rref_matrices
-    caught = 0
+    real_levels = graphs._subspace_levels
+    real_form = graphs._dual_polar_form
+    real_count = graphs.isotropic_subspace_count
+    caught = []
+
+    def build(builder, *args):
+        try:
+            builder(*args)
+        except ConstructionError as exc:
+            caught.append(str(exc))
+
     try:
-        for dim in (2, 1):
-            graphs._rref_matrices = lambda n, k, q, dim=dim: (
-                real(n, k, q)[1:] if k == dim else real(n, k, q)
-            )
-            try:
-                build_grassmann(2, 4, 2)
-            except ConstructionError:
-                caught += 1
+        for builder, args in ((build_grassmann, (2, 4, 2)), (build_dual_polar, ("C", 2, 2))):
+            for dim in (2, 1):
+                graphs._subspace_levels = lambda *a, dim=dim: [
+                    lv[1:] if j == dim else lv for j, lv in enumerate(real_levels(*a))
+                ]
+                build(builder, *args)
+        graphs._subspace_levels = real_levels
+        graphs._dual_polar_form = lambda kind, d, q: real_form(kind, d + 1, q)
+        graphs.isotropic_subspace_count = lambda kind, d, q, i: (
+            real_count(kind, d + 1, q, i) if i <= d else 0
+        )
+        build(build_dual_polar, "C", 2, 2)
     finally:
-        graphs._rref_matrices = real
+        graphs._subspace_levels = real_levels
+        graphs._dual_polar_form = real_form
+        graphs.isotropic_subspace_count = real_count
     return caught
 
 
+DROPPED_REFUSALS = [
+    "J_2(4,2): 34 subspaces of dimension 2, expected 35",
+    "J_2(4,2): 14 subspaces of dimension 1, expected 15",
+    "C2(2): 14 subspaces of dimension 2, expected 15",
+    "C2(2): 14 subspaces of dimension 1, expected 15",
+    "C2(2): 135 subspaces of dimension 3, expected 0",
+]
+
+
 def test_dropped_subspace_raises():
-    assert dropped_subspaces_caught() == 2
+    assert dropped_subspaces_caught() == DROPPED_REFUSALS
     assert build_grassmann(2, 4, 2).vertex_count == 35
+    assert build_dual_polar("C", 2, 2).vertex_count == 15
 
 
 DROPPED_SCRIPT = """
-import sys
 from test_graphs import dropped_subspaces_caught
-print(sys.flags.optimize, dropped_subspaces_caught())
+print(dropped_subspaces_caught())
 """
 
 
 def test_dropped_subspace_raises_under_optimize():
-    # conftest already put the package's src/ on PYTHONPATH
-    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", DROPPED_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["1", "2"]
+    assert ast.literal_eval(run_optimized(DROPPED_SCRIPT)) == DROPPED_REFUSALS
 
 
 # ---------------------------------------------------------------------------
@@ -616,26 +687,13 @@ def test_irregular_degree_and_non_path_metric_witnesses_are_real():
 
 
 WITNESS_SCRIPT = """
-import sys
 from test_graphs import refusals
-print(sys.flags.optimize)
 print(refusals())
 """
 
 
 def test_irregular_degree_and_non_path_metric_refused_under_optimize():
-    # conftest already put the package's src/ on PYTHONPATH
-    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", WITNESS_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    flag, witnesses = result.stdout.splitlines()
-    assert flag == "1"
-    assert ast.literal_eval(witnesses) == refusals()
+    assert ast.literal_eval(run_optimized(WITNESS_SCRIPT)) == refusals()
 
 
 @pytest.mark.parametrize(

@@ -9,13 +9,9 @@ the n x n battery run on integer numerators, never on Fraction matrices.
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +24,7 @@ from nortonalg.errors import (
 )
 from nortonalg.graphs import (
     HammingFamily,
+    IntersectionArray,
     JohnsonFamily,
     build_dual_polar,
     build_grassmann,
@@ -42,6 +39,7 @@ from nortonalg.spectral import (
     closed_form_multiplicity,
     spectral_data,
 )
+from conftest import run_optimized
 from test_norton import apply_dense, dense_idempotent, dense_numerator, integer_rows
 
 
@@ -215,7 +213,6 @@ def test_validate_rejects_corrupted_spectral_data():
 
 
 OPTIMIZED_SCRIPT = """
-import sys
 from nortonalg.errors import ConstructionError
 from nortonalg.graphs import build_johnson
 from nortonalg.spectral import spectral_data
@@ -228,21 +225,12 @@ for bad in _corruptions(sd):
         bad.validate()
     except ConstructionError:
         caught += 1
-print(sys.flags.optimize, caught, sd.validate())
+print(caught, sd.validate())
 """
 
 
 def test_validate_rejects_corrupted_spectral_data_under_optimize():
-    # conftest already put the package's src/ on PYTHONPATH
-    path = os.pathsep.join([str(Path(__file__).parent), os.environ["PYTHONPATH"]])
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["1", "2", "True"]
+    assert run_optimized(OPTIMIZED_SCRIPT).split() == ["2", "True"]
 
 
 def test_closed_forms_match_computation():
@@ -343,6 +331,20 @@ def test_distances_that_are_not_a_path_metric_rejected():
     dist = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
     with pytest.raises(SpectralIntegralityError):
         spectral_data(graph_from_distance_matrix("2K2", dist))
+
+
+def test_hand_built_array_with_zero_b1_rejected():
+    # the 2K2 above, with its own counts p^k_ij (constant on each class) as a
+    # hand-built array, so check_distance_regular does not refuse it first
+    dist = np.array([[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]])
+    p = np.zeros((3, 3, 3), dtype=np.int64)
+    for x, y in ((0, 0), (0, 1), (0, 2)):
+        for z in range(4):
+            p[dist[x, z], dist[z, y], dist[x, y]] += 1
+    assert p[2, 1, 1] == 0  # b_1
+    g = graph_from_distance_matrix("2K2", dist)
+    with pytest.raises(SpectralIntegralityError, match="b_1 = 0"):
+        spectral_data(g, IntersectionArray(p))
 
 
 def test_doubled_k2_rejected_by_the_check():
