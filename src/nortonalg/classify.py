@@ -553,7 +553,7 @@ def d22_hamming_aligned_operation(
             vec[a] += 1
             basis.append(tuple(vec))
     products = OracleProducts.of_vectors(g, spectral, range(len(basis)), basis)
-    if products.outside():
+    if not products.fixed.all():
         raise ConstructionError("aligned basis vectors leave V_1")
     _, cube = products.expand(range(len(basis)))
     if any(c is None for row in cube for c in row):

@@ -351,6 +351,9 @@ class GraphInstance:
     notes: tuple = ()
     # incidence[x, p] = 1 iff point p (lattice.levels[1][p]) lies below vertex x
     incidence: np.ndarray | None = field(default=None, repr=False)
+    # point_counts[i] points lie below x meet y when d(x, y) = i, so
+    # incidence @ incidence.T is point_counts[dist]
+    point_counts: tuple | None = field(default=None, repr=False)
     _intersection: IntersectionArray = field(default=None, repr=False)
 
     @property
@@ -382,7 +385,8 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     """The graph on the top level L_D of a lattice, d(x,y) = D - rank(x meet y).
 
     Every element of one level has the same number of points below it, so
-    that count, read from one element per level, names the rank of x meet y.
+    that count, read from one element per level, names the rank of x meet y
+    as long as no two levels share it.
     """
     vertices = lattice.levels[-1]
     points = lattice.levels[1]
@@ -390,15 +394,20 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     incidence = np.array(
         [[lattice.leq(p, x) for p in points] for x in vertices], dtype=np.int64
     )
+    # counts[i]: the points below an element of rank D - i
+    counts = tuple(sum(lattice.leq(p, lv[0]) for p in points) for lv in lattice.levels[::-1])
+    if len(set(counts)) < len(counts):
+        raise ConstructionError(
+            f"{family.label()}: two levels have the same number of points below, {counts}"
+        )
     dist_of_count = np.full(len(points) + 1, -1, dtype=np.int64)
-    for i, lv in enumerate(lattice.levels):
-        dist_of_count[sum(lattice.leq(p, lv[0]) for p in points)] = depth - i
+    dist_of_count[list(counts)] = np.arange(depth + 1)
     dist = dist_of_count[incidence @ incidence.T]
     if dist.min() < 0:
         raise ConstructionError(
             f"{family.label()}: elements of one level differ in the points below them"
         )
-    return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence)
+    return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence, counts)
 
 
 def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):

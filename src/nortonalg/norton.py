@@ -8,19 +8,23 @@ of (suitably rescaled) spanning vectors back into spanning vectors; this
 module computes products both ways, checks them against each other, and
 extracts an exact structure-constant cube on a basis.
 
-Both sides run in integers.  E_1 is D+1 rationals indexed by the distance
-matrix, num[dist] / den, and the spanning vectors times one common
-denominator are integer rows, so the oracle products of all unordered pairs
-are one integer matrix product (OracleProducts).  The closed forms of all
-ordered pairs are one integer coefficient table (FormulaTable), read off
-the vertex-by-point incidence M: every element below the lattice maximum is
-the meet of the vertices above it, so the vertices counted above two or
-three points decide every join the formulas name, and no lattice join is
-formed.  The formula-versus-oracle sweep compares every ordered pair with
-denominators cleared, and the structure constants re-expand the products of
-basis pairs through one fraction-free solve.  Nothing here is a float:
-int64 is used only where a bound proves that no sum can overflow, Python
-integers otherwise.
+Both sides run in integers, and nothing here is n x n.  On these
+Q-polynomial schemes E_1 is affine in M M^T for the vertex-by-point
+incidence M (Delsarte 1973; Brouwer-Cohen-Neumaier 8.4, 9.1-9.4): den E_1
+= alpha J + beta M M^T, proved from the D+1 coefficients of E_1.  With the
+spanning vectors as integer rows, the oracle products of all unordered
+pairs are one (pairs x n) @ (n x P) product (OracleProducts).  They lie in
+col(M), as does every vector E_1 fixes, and rank(M) vertices decide such a
+vector, so products are compared and solved there only.  The closed forms
+of all ordered pairs are one integer coefficient table (FormulaTable), read
+off M: every element below the lattice maximum is the meet of the vertices
+above it, so the vertices counted above two or three points decide every
+join the formulas name, and no lattice join is formed.  The
+formula-versus-oracle sweep compares every ordered pair with denominators
+cleared, and the structure constants re-expand the products of basis pairs
+through one fraction-free solve.  Nothing here is a float: int64 is used
+only where a bound proves that no sum can overflow, Python integers
+otherwise.
 """
 
 from __future__ import annotations
@@ -101,25 +105,46 @@ def family_constants(family) -> dict:
 class OracleProducts:
     """The projection oracle E_1(x . y) on labelled vectors, in integers.
 
-    rows[i] = scale * vectors[i] is an integer row and E_1 = e1 / den with
-    the integer matrix e1 = num[dist], so products[pair[i, j]] =
-    e1 (rows[i] . rows[j]) is den * scale^2 times E_1(x_i . x_j).  The
-    products of all unordered pairs are one matrix product, computed on
-    first use and then shared by the formula sweep and the structure
-    constants.
+    rows[i] = scale * vectors[i] is an integer row and den E_1 = alpha J +
+    beta M M^T for the vertex-by-point incidence M, so E_1 maps into
+    col(M), whose vectors the rank(M) vertices cols decide.  The products
+    of all unordered pairs, products[pair[i, j]] = den * scale^2 times
+    E_1(x_i . x_j) at cols, are computed on first use and shared by the
+    formula sweep and the structure constants, which also work at cols.
     """
 
     labels: tuple
     rows: np.ndarray
     scale: int
-    e1: np.ndarray
+    alpha: int
+    beta: int
     den: int
+    incidence: np.ndarray
 
     @classmethod
     def of_rows(cls, g: GraphInstance, spectral: SpectralData, labels, rows, scale):
-        """From integer rows that are scale times the labelled vectors."""
+        """From integer rows that are scale times the labelled vectors.
+
+        M M^T is f(dist) for f = g.point_counts, so num[i] = alpha + beta f(i)
+        at every distance proves alpha and beta.  A miss means the centered
+        point indicators are not in V_1: their centered Gram matrix lies in
+        the Bose-Mesner algebra, and would then be a multiple of E_1.
+        """
+        if g.incidence is None:
+            raise ConstructionError(f"{g.label()} carries no lattice")
         num, den = spectral.integer_coefficients(1)
-        return cls(tuple(labels), rows, scale, np.array(num, dtype=object)[g.dist], den)
+        f = g.point_counts
+        beta = Fraction(num[0] - num[1], f[0] - f[1])
+        alpha = num[0] - beta * f[0]
+        for i, (x, count) in enumerate(zip(num, f)):
+            if alpha + beta * count != x:
+                raise ConstructionError(
+                    f"{g.label()}: E_1 is not affine in M M^T at distance {i}, "
+                    "so the centered point indicators are not in V_1"
+                )
+        t = beta.denominator
+        alpha, beta, den = int(alpha * t), int(beta * t), den * t
+        return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence)
 
     @classmethod
     def of_vectors(cls, g: GraphInstance, spectral: SpectralData, labels, vectors):
@@ -142,14 +167,30 @@ class OracleProducts:
         return out
 
     @cached_property
+    def cols(self) -> np.ndarray:
+        """rank(M^T M) vertices with independent incidence rows, which decide
+        every vector of col(M); every vertex unless E_1 fixes every row."""
+        m = self.incidence
+        if not self.fixed.all():
+            return np.arange(len(m))
+        rank = len(independent_rows(m.T @ m, range(m.shape[1]), m.shape[1])[0])
+        return np.array(independent_rows(m, range(len(m)), rank)[0], dtype=np.intp)
+
+    def apply(self, x, at=slice(None)):
+        """den E_1 x for each integer row of x, at the vertices at."""
+        m = self.incidence
+        spread = exact_matmul(exact_matmul(x, m), m[at].T)
+        return self.alpha * x.sum(axis=1, dtype=object)[:, None] + self.beta * spread
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """fixed[i]: E_1 fixes vector i, which so lies in V_1 (one n x P check)."""
+        return (self.apply(self.rows) == self.den * self.rows).all(axis=1)
+
+    @cached_property
     def products(self) -> np.ndarray:
         i, j = np.triu_indices(len(self.labels))
-        return exact_matmul(self.rows[i] * self.rows[j], self.e1.T)
-
-    def outside(self) -> list:
-        """Labels of the vectors that E_1 does not fix, i.e. not in V_1."""
-        fixed = exact_matmul(self.rows, self.e1.T) == self.den * self.rows
-        return [label for label, ok in zip(self.labels, fixed.all(axis=1)) if not ok]
+        return self.apply(self.rows[i] * self.rows[j], self.cols)
 
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
@@ -160,15 +201,16 @@ class OracleProducts:
         the span of the basis.
         """
         basis = list(basis)
-        kept, pivots = independent_rows(self.rows, basis, len(basis))
+        rows = self.rows[:, self.cols]
+        kept, pivots = independent_rows(rows, basis, len(basis))
         if len(kept) < len(basis):
             raise ValueError("basis rows are linearly dependent")
         s, k = len(self.labels), len(basis)
         a, b = np.triu_indices(k)
         chosen = np.array(basis)
-        targets = np.concatenate([self.rows, self.products[self.pair[chosen[a], chosen[b]]]])
+        targets = np.concatenate([rows, self.products[self.pair[chosen[a], chosen[b]]]])
         divisors = [1] * s + [self.den * self.scale] * len(a)
-        solved = coordinates(self.rows[chosen], pivots, targets, divisors)
+        solved = coordinates(rows[chosen], pivots, targets, divisors)
         cube = [[None] * k for _ in range(k)]
         for x, y, coeffs in zip(a.tolist(), b.tolist(), solved[s:]):
             cube[x][y] = cube[y][x] = coeffs
@@ -203,11 +245,11 @@ def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
     """OracleProducts of the rescaled centered indicators of all points.
 
     The integer rows are read off the graph's vertex-by-point incidence,
-    after checking that every upper set has the same size and that each
-    centered indicator is fixed by E_1 (one integer product for all of
-    them).  Given spanning instead, the rows come from each vector's
-    coords, not from its label, so vectors that do not match their labels
-    fail the sweep.
+    centered by the size of the first upper set, and E_1 must fix each (one
+    n x P product for all of them); a row whose upper set has another size
+    has a nonzero sum, so E_1 does not fix it.  Given spanning instead, the
+    rows come from each vector's coords, not from its label, so vectors
+    that do not match their labels fail the sweep.
     """
     if spanning is not None:
         return OracleProducts.of_vectors(
@@ -219,13 +261,7 @@ def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
     n = g.vertex_count
     labels = lat.levels[1]
     indicators = g.incidence.T
-    sizes = indicators.sum(axis=1).tolist()
-    upper_size = sizes[0]
-    for v, size in zip(labels, sizes):
-        if size != upper_size:
-            raise ConstructionError(
-                f"upper set of {v!r} has size {size}, expected {upper_size}"
-            )
+    upper_size = int(indicators[0].sum())
     # a rescaled centered indicator is rescale * (n - upper_size) / n on its
     # upper set and -rescale * upper_size / n off it
     rescale = family_constants(g.family)["rescale"]
@@ -234,7 +270,8 @@ def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
     scale = lcm(inside.denominator, outside.denominator)
     rows = np.where(indicators == 1, int(inside * scale), int(outside * scale))
     products = OracleProducts.of_rows(g, spectral, labels, rows.astype(object), scale)
-    for v in products.outside():
+    if not products.fixed.all():
+        v = labels[int(np.argmin(products.fixed))]
         raise ConstructionError(f"centered indicator of {v!r} is not in V_1")
     return products
 
@@ -367,9 +404,9 @@ def verify_formula_vs_oracle(
     coefficients cf_l cleared by L = table.clear, the pair (u, v) agrees
     exactly when
 
-        L e1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
+        L den E_1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
 
-    one integer comparison for all pairs.
+    one integer comparison for all pairs at the vertices products.cols.
     """
     if products is None:
         products = oracle_products(g, spectral, spanning)
@@ -379,19 +416,23 @@ def verify_formula_vs_oracle(
         raise ValueError(f"{g.label()}: spanning vectors must be the points, in order")
     s = len(labels)
     clear = table.clear
+    coefficients = table.coefficients.reshape(s * s, s)
+    rows, cleared = products.rows, products.den * products.scale
     # row u * s + v holds the ordered pair (u, v)
     oracle = clear * products.products[products.pair.reshape(-1)]
-    formula = products.den * products.scale * exact_matmul(
-        table.coefficients.reshape(s * s, s), products.rows
-    )
+    formula = cleared * exact_matmul(coefficients, rows[:, products.cols])
     bad = np.flatnonzero((oracle != formula).any(axis=1))
     if bad.size:
+        # the discrepancy is taken over every vertex
         row = int(bad[0])
-        gap = max(abs(a - b) for a, b in zip(oracle[row], formula[row]))
-        disc = Fraction(gap, clear * products.den * products.scale**2)
+        u, v = divmod(row, s)
+        oracle = clear * products.apply((rows[u] * rows[v])[None])[0]
+        formula = cleared * exact_matmul(coefficients[row][None], rows)[0]
+        gap = max(abs(a - b) for a, b in zip(oracle, formula))
+        disc = Fraction(gap, clear * cleared * products.scale)
         raise FormulaMismatchError(
             f"{g.label()}: formula disagrees with oracle on "
-            f"({labels[row // s]!r}, {labels[row % s]!r}), max discrepancy {disc}"
+            f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
         )
     return FormulaOracleReport(g.label(), s * s, Fraction(0))
 
@@ -464,9 +505,8 @@ def structure_constants(
         list(label_order) if label_order is not None
         else _default_basis_candidates(g, labels)
     )
-    chosen, _ = independent_rows(
-        products.rows, [products.index[lbl] for lbl in candidates], dim
-    )
+    rows = products.rows[:, products.cols]
+    chosen, _ = independent_rows(rows, [products.index[lbl] for lbl in candidates], dim)
     if len(chosen) != dim:
         raise ConstructionError(
             f"{g.label()}: only {len(chosen)} independent vectors "
@@ -494,7 +534,7 @@ def structure_constants(
     i, j = _one_off_pair(g)
     u, v = points[i], points[j]
     pair = [products.index[u], products.index[v]]
-    if not op.is_zero and len(independent_rows(products.rows, pair, 2)[0]) != 2:
+    if not op.is_zero and len(independent_rows(rows, pair, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
     line = ()
     if isinstance(g.family, GrassmannFamily):

@@ -433,3 +433,21 @@ def test_past_desk_scale_build_fits_one_gib(tmp_path):
     assert summary["vertices"] == 729
     assert summary["diameter"] == 6
     assert summary["multiplicities"] == [1, 12, 60, 160, 240, 192, 64]
+
+
+def test_norton_layer_build_fits_half_a_gib(tmp_path):
+    # J_2(6,3), n = 1395: E_1 is alpha J + beta M M^T, so the Norton layer
+    # holds nothing n x n and works on the 63 vertices that decide col(M)
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "build", "grassmann", "2", "6", "3",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: _limit_address_space(1 << 29),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    summary = json.loads(result.stdout)
+    assert summary["vertices"] == 1395
+    assert summary["diameter"] == 3
+    assert summary["multiplicities"] == [1, 62, 588, 744]

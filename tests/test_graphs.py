@@ -779,3 +779,52 @@ def test_lattice_graph_refuses_uneven_levels():
     lat.levels = lat.levels[:2] + (((1, 2, 3),) + lat.levels[2],)
     with pytest.raises(ConstructionError, match="points below them"):
         graphs._lattice_graph(JohnsonFamily(4, 2), lat)
+
+
+class PrefixLattice(graphs.RankedLattice):
+    """Binary words below length 4 that start with 0, ordered by prefix.
+
+    (0,) is the only point, so every element above it has one point below
+    it, and the point count of x meet y cannot tell the meet (0,) of
+    (0, 0, 0) and (0, 1, 0) from the meet (0, 0) of (0, 0, 0) and
+    (0, 0, 1), or from a vertex.
+    """
+
+    def __init__(self):
+        levels = [[(0,) + w for w in itertools.product((0, 1), repeat=i)] for i in range(3)]
+        super().__init__([((),)] + levels)
+
+    def _leq(self, a, b):
+        return b[: len(a)] == a
+
+
+def equal_point_counts_refusal():
+    try:
+        graphs._lattice_graph(graphs.CustomFamily("prefix tree"), PrefixLattice())
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def test_lattice_graph_refuses_levels_with_equal_point_counts():
+    assert equal_point_counts_refusal() == (
+        "prefix tree: two levels have the same number of points below, (1, 1, 1, 0)"
+    )
+
+
+EQUAL_COUNTS_SCRIPT = """
+from test_graphs import equal_point_counts_refusal
+print(equal_point_counts_refusal())
+"""
+
+
+def test_lattice_graph_refuses_levels_with_equal_point_counts_under_optimize():
+    assert run_optimized(EQUAL_COUNTS_SCRIPT).strip() == equal_point_counts_refusal()
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_point_counts_read_off_incidence_gram(name):
+    g = BUILDERS[name]()
+    gram = g.incidence @ g.incidence.T
+    assert np.array_equal(np.array(g.point_counts)[g.dist], gram)
+    assert len(set(g.point_counts)) == g.diameter + 1

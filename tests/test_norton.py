@@ -10,6 +10,7 @@ denominator; the package itself never expands it.
 """
 
 import dataclasses
+import itertools
 import re
 from fractions import Fraction
 from math import lcm
@@ -29,8 +30,9 @@ from nortonalg.graphs import (
     RankedLattice,
     build_dual_polar,
     build_grassmann,
+    build_hamming,
 )
-from nortonalg.intlinalg import exact_matmul, independent_rows
+from nortonalg.intlinalg import coordinates, exact_matmul, independent_rows
 from nortonalg.norton import (
     _default_basis_candidates,
     family_constants,
@@ -41,7 +43,7 @@ from nortonalg.norton import (
     structure_constants,
     verify_formula_vs_oracle,
 )
-from nortonalg.spectral import closed_form_multiplicity
+from nortonalg.spectral import closed_form_multiplicity, spectral_data
 
 CONFTEST_INSTANCES = (
     "j31", "j41", "j42", "j52", "g242", "h22",
@@ -324,12 +326,93 @@ def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
         verify_formula_vs_oracle(g, sd)
 
 
-def test_vectors_outside_v1_are_rejected(bundle):
-    g, sd = bundle("j52")
+@pytest.mark.parametrize("name", ["j52", "c22", "h23", "d32"])
+def test_vectors_outside_v1_are_rejected(bundle, name):
+    g, sd = bundle(name)
     e = sd.coefficients
-    swapped = dataclasses.replace(sd, coefficients=(e[0], e[2], e[1]))
+    # E_2 in place of E_1 is not affine in M M^T
+    swapped = dataclasses.replace(sd, coefficients=(e[0], e[2], e[1]) + e[3:])
     with pytest.raises(ConstructionError, match="not in V_1"):
         spanning_vectors(g, swapped)
+    # 2 E_1 is, but fixes no nonzero vector
+    doubled = dataclasses.replace(sd, coefficients=(e[0], tuple(2 * x for x in e[1])) + e[2:])
+    with pytest.raises(ConstructionError, match="not in V_1"):
+        spanning_vectors(g, doubled)
+    # one point's upper set one vertex short: its row no longer sums to 0
+    incidence = g.incidence.copy()
+    incidence[np.flatnonzero(incidence[:, 0])[0], 0] = 0
+    with pytest.raises(ConstructionError, match="not in V_1"):
+        spanning_vectors(dataclasses.replace(g, incidence=incidence), sd)
+
+
+@pytest.mark.parametrize(
+    "name, disc", [("j52", "361/270"), ("c22", "329/720"), ("d32", "397/900")]
+)
+def test_vector_off_v1_fails_the_sweep_in_full(bundle, name, disc):
+    # svs[0] plus the E_2 column of vertex 0 leaves col(M), where the
+    # vertices the sweep compares at no longer decide a vector; pair and
+    # discrepancy are those of the comparison over every vertex
+    g, sd = bundle(name)
+    svs = spanning_vectors(g, sd)
+    column = dense_idempotent(g, sd, 2)[:, 0]
+    moved = dataclasses.replace(
+        svs[0], coords=tuple(a + b for a, b in zip(svs[0].coords, column))
+    )
+    p = svs[0].label
+    message = f"on ({p!r}, {p!r}), max discrepancy {disc}"
+    with pytest.raises(FormulaMismatchError, match=re.escape(message)):
+        verify_formula_vs_oracle(g, sd, [moved] + svs[1:])
+
+
+def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
+    # H(5,2) is Q-polynomial and dual bipartite, so for z in V_3 both
+    # E_1(z . x) for x in V_1 and E_1(z . z) vanish.  With z zero at every
+    # comparison vertex, svs[0] + z agrees there with every oracle product
+    # and formula; only the full comparison sees the pair it breaks.
+    g = build_hamming(5, 2)
+    sd = spectral_data(g)
+    cols = oracle_products(g, sd).cols
+    chars = np.array(
+        [
+            [(-1) ** sum(w[i] for i in s) for w in g.vertices]
+            for s in itertools.combinations(range(5), 3)
+        ],
+        dtype=object,
+    )
+    kept, pivots = independent_rows(chars[:, cols], range(len(chars)), len(chars))
+    extra = next(i for i in range(len(chars)) if i not in kept)
+    (coeffs,) = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols], [1])
+    z = chars[extra] - sum(c * chars[k] for c, k in zip(coeffs, kept))
+    assert not z[cols].any() and z.any()
+    svs = spanning_vectors(g, sd)
+    moved = dataclasses.replace(
+        svs[0], coords=tuple(a + b for a, b in zip(svs[0].coords, z))
+    )
+    message = "on ((0, 0, 0, 0, 1), (0, 0, 0, 0, 2)), max discrepancy 2"
+    with pytest.raises(FormulaMismatchError, match=re.escape(message)):
+        verify_formula_vs_oracle(g, sd, [moved] + svs[1:])
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_e1_is_affine_in_the_incidence_gram(bundle, name):
+    g, sd = bundle(name)
+    products = oracle_products(g, sd)
+    m = g.incidence.astype(object)
+    affine = products.alpha + products.beta * (m @ m.T)
+    num, den = dense_numerator(g, sd, 1)
+    assert np.array_equal(affine * den, num * products.den)
+    # the comparison vertices have independent incidence rows, rank(M) of them
+    cols = products.cols
+    assert len(cols) == rank_of(m.T) == rank_of(m[cols])
+
+
+def test_e1_not_affine_in_the_incidence_gram_is_refused(bundle):
+    g, sd = bundle("d32")
+    e = sd.coefficients
+    shifted = e[1][:2] + (e[1][2] + Fraction(1, 60),) + e[1][3:]
+    tampered = dataclasses.replace(sd, coefficients=(e[0], shifted) + e[2:])
+    with pytest.raises(ConstructionError, match=re.escape("not affine in M M^T at distance 2")):
+        oracle_products(g, tampered)
 
 
 def test_exact_matmul_leaves_int64_when_sums_could_overflow():
@@ -721,6 +804,8 @@ def test_sweep_and_structure_form_no_lattice_join(bundle, monkeypatch, name):
         monkeypatch.setattr(RankedLattice, attr, refuse)
     for attr in ("rref", "reduce_vector", "in_span", "span_le", "intersect"):
         monkeypatch.setattr(fq, attr, refuse)
+    # nor any read of the n x n distance matrix once the spectrum is known
+    monkeypatch.setattr(g, "dist", None)
     report = verify_formula_vs_oracle(g, sd)
     assert report.pairs_checked == len(g.lattice.levels[1]) ** 2
     structure_constants(g, sd)
