@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -118,8 +119,9 @@ class BilinearOperation:
         """Dimension of the space probe tuples are drawn from."""
         return self._dim + 1 if self.has_linear_terms else self._dim
 
-    @property
+    @cached_property
     def is_commutative(self) -> bool:
+        """Whether x*y == y*x; computed once, as the constants never change."""
         c = self.constants
         d = self._dim
         if any(c[i][j] != c[j][i] for i in range(d) for j in range(i)):

@@ -54,6 +54,21 @@ def _frac_list(values):
     return [frac_str(v) for v in values]
 
 
+def _parse_frac(text) -> Fraction:
+    """Fraction(text), reading the "p/q" form that frac_str writes directly.
+
+    Decimal digits with an optional leading minus over decimal digits are
+    exactly the strings of that form Fraction's parser accepts, so only
+    the regex parse is skipped; anything else goes to Fraction itself.
+    """
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num.startswith("-") else num
+        if slash and digits.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
+    return Fraction(text)
+
+
 def _detuple(obj):
     """JSON lists back to the nested tuples used as lattice labels."""
     if isinstance(obj, list):
@@ -136,11 +151,11 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
                 f"{target} is stale: stored {key} {payload[key]} != {list(fresh)}"
             )
     cube = [
-        [[Fraction(c) for c in row] for row in plane]
+        [[_parse_frac(c) for c in row] for row in plane]
         for plane in payload["structure_constants"]
     ]
     label_coords = {
-        _detuple(label): tuple(Fraction(c) for c in coords)
+        _detuple(label): tuple(map(_parse_frac, coords))
         for label, coords in payload["label_coords"]
     }
     alg = NortonAlgebra(

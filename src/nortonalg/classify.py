@@ -13,12 +13,16 @@ which only the A000975 branch may invoke.  Fingerprint merges go through
 binop's grouping, which compares the exact probe tensors of trees whose
 keys agree, so the tensor and pattern strategies share one exact check.
 
-One-off values are integers from the binop product step, memoized per tree
-shape on the algebra: a subtree's values (one row per position of the
-distinguished vector, plus the value with none) are computed once and
-shared by every tree that contains it.  They stay in int64 while binop's
-overflow bound allows and move to Python integers past it.  Exact
-Fraction evaluation is kept for certificates and the coefficient lemmas.
+One-off values are integers from the binop product step.  When the
+operation is commutative and the second vector v satisfies v * v = mu v
+exactly, the value with the distinguished vector at leaf r depends only on
+the depth of that leaf (the coefficient lemma): the m+1 values of one arity
+are computed once, and each tree is keyed by its depth sequence mapped
+through them.  Otherwise each tree is evaluated subtree by subtree, with
+the values of shared subtrees memoized for one call.  Values stay in int64
+while binop's overflow bound allows and move to Python integers past it.
+Exact Fraction evaluation is kept for certificates and the coefficient
+lemmas.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .spectral import SpectralData
 from .trees import (
     catalan,
     depth_sequence,
+    depth_tuples,
     enumerate_trees,
     left_comb,
 )
@@ -112,16 +117,49 @@ def expected_class_count(branch: str, m: int) -> int:
 # one-off evaluations
 
 
-def _one_off_values(alg: NortonAlgebra, t):
+def _depth_rows(alg: NortonAlgebra, m: int):
+    """The one-off row at each leaf depth h = 0..m, or None when unproved.
+
+    With u and v the preferred pair scaled by the lcm s of their
+    denominators, suppose the operation is commutative and den (v * v) ==
+    mu v exactly in integers, for an integer mu.  Then every all-v subtree
+    with k leaves is mu^(k-1) v whatever its shape, and the leaf holding u
+    at depth h meets one all-v sibling per ancestor, in either order; the
+    siblings hold the other m leaves.  So its one-off value is
+    mu^(m-h) a_h, with a_0 = u and a_{h+1} = den (a_h * v): the value
+    depends only on the depth of the leaf (the coefficient lemma), and
+    carries the s^(m+1) den^m scaling of the per-subtree recursion.
+    """
+    op = alg.operation
+    if not op.is_commutative:
+        return None
+    _, pair = _scaled_rows(op, alg.one_off_vectors())
+    u, v = pair[:1], pair[1:]
+    vv = _int_product(op, v, v)[0].tolist()
+    v_list = v[0].tolist()
+    lead = next((i for i, x in enumerate(v_list) if x), None)
+    mu = 0 if lead is None else vv[lead] // v_list[lead]
+    if vv != [mu * x for x in v_list]:
+        return None
+    d = op.dimension
+    rows, a = [], u
+    for h in range(m + 1):
+        rows.append(tuple(mu ** (m - h) * x for x in a[0, :d].tolist()))
+        if h < m:
+            a = _int_product(op, a, v)
+    return rows
+
+
+def _one_off_values(alg: NortonAlgebra, t, memo: dict):
     """(rows, rest): integer one-off values of t, memoized per tree shape.
 
     rows[r] is t evaluated with the first preferred vector at position r and
     the second everywhere else; rest has the second vector everywhere.  A
     node combines its children: u lands in the left subtree (left rows times
-    right rest) or in the right one (left rest times right rows).
+    right rest) or in the right one (left rest times right rows).  memo maps
+    subtrees to their values for one caller.
     """
-    cache = alg._signature_cache
-    cached = cache.get(t)
+    cached = memo.get(t)
     if cached is not None:
         return cached
     op = alg.operation
@@ -129,13 +167,18 @@ def _one_off_values(alg: NortonAlgebra, t):
         _, pair = _scaled_rows(op, alg.one_off_vectors())
         cached = (pair[:1], pair[1])
     else:
-        l_rows, l_rest = _one_off_values(alg, t.left)
-        r_rows, r_rest = _one_off_values(alg, t.right)
+        l_rows, l_rest = _one_off_values(alg, t.left, memo)
+        r_rows, r_rest = _one_off_values(alg, t.right, memo)
         u_left = _int_product(op, l_rows, r_rest)
         u_right = _int_product(op, l_rest, r_rows)
         cached = (np.concatenate([u_left, u_right]), _int_product(op, l_rest, r_rest))
-    cache[t] = cached
+    memo[t] = cached
     return cached
+
+
+def _memo_signature(alg: NortonAlgebra, t, memo: dict) -> tuple:
+    rows, _ = _one_off_values(alg, t, memo)
+    return tuple(map(tuple, rows[:, : alg.operation.dimension].tolist()))
 
 
 def one_off_signature(alg: NortonAlgebra, t) -> tuple:
@@ -145,9 +188,13 @@ def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     and the second everywhere else, times s**(m+1) * den**m (s clears the
     pair's denominators).  Signatures of trees of equal arity are
     comparable; distinct signatures certify distinct parenthesizations.
+    Read off the leaf depths when _depth_rows proves they decide it, and
+    otherwise evaluated subtree by subtree.
     """
-    rows, _ = _one_off_values(alg, t)
-    return tuple(map(tuple, rows[:, : alg.operation.dimension].tolist()))
+    rows = _depth_rows(alg, t.internal_count)
+    if rows is None:
+        return _memo_signature(alg, t, {})
+    return tuple(rows[h] for h in depth_sequence(t))
 
 
 def count_norton_classes(
@@ -174,9 +221,18 @@ def count_norton_classes(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     trees = enumerate_trees(m)
+    rows = _depth_rows(alg, m)
+    if rows is None:
+        memo = {}
+        keys = (_memo_signature(alg, t, memo) for t in trees)
+    else:
+        # equal rows share an id, so equal id tuples are equal signatures
+        first = {}
+        ids = [first.setdefault(row, len(first)) for row in rows]
+        keys = (tuple(map(ids.__getitem__, d)) for d in depth_tuples(m))
     by_signature = {}
-    for idx, t in enumerate(trees):
-        by_signature.setdefault(one_off_signature(alg, t), []).append(idx)
+    for idx, key in enumerate(keys):
+        by_signature.setdefault(key, []).append(idx)
 
     mod2_checked = False
     groups = []

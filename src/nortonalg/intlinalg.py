@@ -44,6 +44,18 @@ def exact_matmul(a, b):
     return a.astype(object) @ b.astype(object)
 
 
+def exact_multiply(a, b):
+    """a * b elementwise for integer arrays or ints, broadcasting.
+
+    Runs in int64 when max|a| * max|b| fits, which bounds every entry;
+    otherwise on Python ints (dtype object).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if fits_int64(abs_max(a), abs_max(b)):
+        return a.astype(np.int64) * b.astype(np.int64)
+    return a.astype(object) * b.astype(object)
+
+
 def independent_rows(rows, order, limit):
     """Greedy independent subset of integer rows, taken in order, at most limit.
 

@@ -29,7 +29,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -46,7 +46,7 @@ from .graphs import (
     JohnsonFamily,
     q_int,
 )
-from .intlinalg import coordinates, exact_matmul, fits_int64, independent_rows
+from .intlinalg import coordinates, exact_matmul, exact_multiply, fits_int64, independent_rows
 from .spectral import SpectralData, closed_form_multiplicity
 
 def family_constants(family) -> dict:
@@ -180,17 +180,18 @@ class OracleProducts:
         """den E_1 x for each integer row of x, at the vertices at."""
         m = self.incidence
         spread = exact_matmul(exact_matmul(x, m), m[at].T)
-        return self.alpha * x.sum(axis=1, dtype=object)[:, None] + self.beta * spread
+        total = exact_matmul(x, np.ones((x.shape[1], 1), dtype=np.int64))
+        return self.alpha * total + self.beta * spread
 
     @cached_property
     def fixed(self) -> np.ndarray:
         """fixed[i]: E_1 fixes vector i, which so lies in V_1 (one n x P check)."""
-        return (self.apply(self.rows) == self.den * self.rows).all(axis=1)
+        return (self.apply(self.rows) == exact_multiply(self.den, self.rows)).all(axis=1)
 
     @cached_property
     def products(self) -> np.ndarray:
         i, j = np.triu_indices(len(self.labels))
-        return self.apply(self.rows[i] * self.rows[j], self.cols)
+        return self.apply(exact_multiply(self.rows[i], self.rows[j]), self.cols)
 
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
@@ -268,8 +269,9 @@ def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
     inside = rescale * Fraction(n - upper_size, n)
     outside = rescale * Fraction(-upper_size, n)
     scale = lcm(inside.denominator, outside.denominator)
-    rows = np.where(indicators == 1, int(inside * scale), int(outside * scale))
-    products = OracleProducts.of_rows(g, spectral, labels, rows.astype(object), scale)
+    # the 0/1 indicators pick (outside, inside); int64 unless one is past it
+    rows = np.array([int(outside * scale), int(inside * scale)])[indicators]
+    products = OracleProducts.of_rows(g, spectral, labels, rows, scale)
     if not products.fixed.all():
         v = labels[int(np.argmin(products.fixed))]
         raise ConstructionError(f"centered indicator of {v!r} is not in V_1")
@@ -426,7 +428,7 @@ def verify_formula_vs_oracle(
         # the discrepancy is taken over every vertex
         row = int(bad[0])
         u, v = divmod(row, s)
-        oracle = clear * products.apply((rows[u] * rows[v])[None])[0]
+        oracle = clear * products.apply(exact_multiply(rows[u], rows[v])[None])[0]
         formula = cleared * exact_matmul(coefficients[row][None], rows)[0]
         gap = max(abs(a - b) for a, b in zip(oracle, formula))
         disc = Fraction(gap, clear * cleared * products.scale)
@@ -454,7 +456,6 @@ class NortonAlgebra:
     one_off: tuple
     one_off_line: tuple = ()
     notes: tuple = ()
-    _signature_cache: dict = field(default_factory=dict, repr=False)
 
     def one_off_vectors(self):
         u, v = self.one_off

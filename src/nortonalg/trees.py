@@ -160,29 +160,41 @@ def depth_sequence(t: BinaryTree) -> DepthSequence:
     return DepthSequence(tuple(out))
 
 
+def depth_tuples(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple:
+    """Depth tuples of the trees with n internal nodes, in enumerate_trees order.
+
+    Built by the splitting recursion of enumerate_trees: for each split k,
+    raise a member of D_k and one of D_{n-1-k} by one and concatenate, left
+    index before right index.  Entry i is depth_sequence(enumerate_trees(n)[i])
+    as a plain tuple; the result is cached.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > limit:
+        raise EnumerationLimitError(n, limit)
+    return _depths(n)
+
+
+@lru_cache(maxsize=None)
+def _depths(n: int) -> tuple:
+    if n == 0:
+        return ((0,),)
+    out = []
+    for k in range(n):
+        right = [tuple(x + 1 for x in b) for b in _depths(n - 1 - k)]
+        for a in _depths(k):
+            left = tuple(x + 1 for x in a)
+            out.extend(left + b for b in right)
+    return tuple(out)
+
+
 def depth_set(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> frozenset:
     """The set D_n of depth sequences, built by the splitting recursion.
 
     D_0 = {(0)}; D_n is the union over k of sequences obtained by raising a
     member of D_k and a member of D_{n-1-k} by one and concatenating.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise EnumerationLimitError(n, limit)
-    return frozenset(DepthSequence(d) for d in _depth_tuples(n))
-
-
-@lru_cache(maxsize=None)
-def _depth_tuples(n: int) -> frozenset:
-    if n == 0:
-        return frozenset({(0,)})
-    out = set()
-    for k in range(n):
-        for a in _depth_tuples(k):
-            for b in _depth_tuples(n - 1 - k):
-                out.add(tuple(x + 1 for x in a) + tuple(x + 1 for x in b))
-    return frozenset(out)
+    return frozenset(DepthSequence(d) for d in depth_tuples(n, limit))
 
 
 def tree_from_depth_sequence(seq) -> BinaryTree:

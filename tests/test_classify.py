@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -32,6 +33,7 @@ from nortonalg.classify import (
 from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.graphs import CustomFamily, JohnsonFamily
 from nortonalg.instances import build_instance
+from nortonalg.norton import NortonAlgebra
 from nortonalg.trees import catalan, depth_sequence, enumerate_trees, left_comb
 from conftest import run_optimized
 
@@ -77,6 +79,80 @@ def test_one_off_signature_separates_association_orders(algebra):
     assert depth_sequence(t_right) != depth_sequence(t_left)
     assert one_off_signature(alg, t_right) != one_off_signature(alg, t_left)
     assert one_off_signature(alg, t_right) == one_off_signature(alg, t_right)
+
+
+CONFTEST_INSTANCES = (
+    "j31", "j41", "j42", "j52", "g242", "h22",
+    "h13", "h23", "h14", "d22", "c22", "d32",
+)
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_depth_rows_match_subtree_recursion(algebra, name):
+    # v * v = mu v holds on every family algebra, so signatures are read off
+    # the leaf depths; they must equal the per-subtree values exactly
+    alg = algebra(name)
+    for m in range(8):
+        rows = classify._depth_rows(alg, m)
+        assert rows is not None, (name, m)
+        memo = {}
+        for t in enumerate_trees(m):
+            want = classify._memo_signature(alg, t, memo)
+            assert tuple(rows[h] for h in depth_sequence(t)) == want, (name, t)
+            assert one_off_signature(alg, t) == want
+
+
+def _custom_algebra(name, cube, u, v):
+    op = binop.BilinearOperation(cube)
+    return NortonAlgebra(CustomFamily(name), op.dimension, (), op, {"u": u, "v": v}, ("u", "v"))
+
+
+def _exact_signature(alg, t):
+    """one_off_signature from exact Fraction evaluation, scaled to integers."""
+    m = t.internal_count
+    u, v = alg.one_off_vectors()
+    s = lcm(*(Fraction(x).denominator for x in (*u, *v)))
+    scale = s ** (m + 1) * binop._int_form(alg.operation).den ** m
+    out = []
+    for r in range(m + 1):
+        args = [v] * (m + 1)
+        args[r] = u
+        value = binop.evaluate_parenthesization(alg.operation, t, args)
+        out.append(tuple(int(x * scale) for x in value))
+    return tuple(out)
+
+
+# upper triangular 2 x 2 matrices on E11, E12, E22: associative, not
+# commutative, and v = E11 is idempotent, so only commutativity fails
+_Z = (0, 0, 0)
+TRIANGULAR = ([[(1, 0, 0), (0, 1, 0), _Z], [_Z, _Z, (0, 1, 0)], [_Z, _Z, (0, 0, 1)]],
+              (0, 1, 0), (1, 0, 0))
+# commutative, but e1 * e1 = e0 + e1 is no multiple of e1
+SKEW = ([[(1, 0), (2, -1)], [(2, -1), (1, 1)]], (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "name,spec,counts,fingerprinted",
+    [
+        # one class; every merge from m = 2 on is checked on fingerprints
+        ("triangular", TRIANGULAR, [1] * 7, [0, 0, 1, 1, 1, 1, 1]),
+        # all C_m classes; at m = 6 one signature collision is split apart
+        ("skew", SKEW, [catalan(m) for m in range(7)], [0] * 6 + [2]),
+    ],
+)
+def test_unproved_depth_rows_fall_back_to_subtrees(name, spec, counts, fingerprinted):
+    alg = _custom_algebra(name, *spec)
+    for m, want in enumerate(counts):
+        assert classify._depth_rows(alg, m) is None
+        if m <= 5:
+            for t in enumerate_trees(m):
+                assert one_off_signature(alg, t) == _exact_signature(alg, t), t
+        rep = count_norton_classes(alg, m, strategy="pattern")
+        assert rep.class_count == want
+        assert rep.classes == count_norton_classes(alg, m, strategy="tensor").classes
+        tally = rep.merge_justifications.count(JUSTIFY_FINGERPRINT)
+        assert tally == fingerprinted[m], m
+        assert rep.merge_justifications.count(JUSTIFY_SIGNATURE) == want - tally
 
 
 @pytest.mark.parametrize(
@@ -151,7 +227,7 @@ def test_pattern_collisions_split_by_fingerprint(algebra):
     # cannot be justified on a totally nonassociative branch
     real = algebra("j52")
     u = real.one_off[0]
-    fake = dataclasses.replace(real, one_off=(u, u), _signature_cache={})
+    fake = dataclasses.replace(real, one_off=(u, u))
     rep = count_norton_classes(fake, 3, strategy="pattern")
     assert rep.class_count == 5
     assert set(rep.merge_justifications) == {JUSTIFY_FINGERPRINT}
@@ -197,9 +273,7 @@ def test_certify_zero_and_tested_claims(algebra):
     claim = certify_distinct(algebra("h22"), t_left, t_right)
     assert claim.justification == JUSTIFY_ZERO
     real = algebra("j52")
-    fake = dataclasses.replace(
-        real, one_off=(real.one_off[0],) * 2, _signature_cache={}
-    )
+    fake = dataclasses.replace(real, one_off=(real.one_off[0],) * 2)
     claim = certify_distinct(fake, t_left, t_right)
     assert claim.justification == JUSTIFY_TESTED
 
@@ -295,9 +369,7 @@ def test_verify_classification_failure_is_reported(algebra):
     real = algebra("j52")
     # mislabel a totally nonassociative algebra as the A000975 instance:
     # counts diverge first at m = 4 (14 observed, 10 predicted)
-    fake = dataclasses.replace(
-        real, family=JohnsonFamily(3, 1), _signature_cache={}
-    )
+    fake = dataclasses.replace(real, family=JohnsonFamily(3, 1))
     v = verify_classification(fake, 4)
     assert not v.passed
     assert v.branch == BRANCH_A000975

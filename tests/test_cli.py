@@ -10,9 +10,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from nortonalg import cache
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -28,6 +30,7 @@ from nortonalg.instances import (
     normalize_params,
     parse_instance_spec,
 )
+from nortonalg.trees import catalan
 
 
 def run_cli(capsys, *args):
@@ -114,6 +117,22 @@ def test_cache_serializes_rationals_as_fraction_strings(tmp_path):
     flat = [c for plane in payload["structure_constants"] for row in plane for c in row]
     assert all(isinstance(c, str) and "/" in c for c in flat)
     assert "-1/1" in flat and "1/1" in flat
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-7/2", "6/8", "0/1", "-0/5", "\u0663/\u0664", "+3/4", " 3/4", "1_0/3", "3", "1.5",
+     "1/0", "3/-4", "3 /4", "3/ 4", "--3/4", "-/4", "/4", "3/", "\u00b2/3", "x"],
+)
+def test_cache_parses_rationals_exactly_like_fraction(text):
+    # "p/q" is read with int(), everything else still goes through Fraction
+    def parse(f):
+        try:
+            return f(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    assert parse(cache._parse_frac) == parse(Fraction)
 
 
 def test_cache_miss_and_stale_tag(tmp_path):
@@ -415,6 +434,24 @@ def test_tensor_count_fits_one_gib(tmp_path):
     assert verdict["passed"]
     assert verdict["counts"][-1] == 1430
     assert set(verdict["methods"]) == {"tensor_exact"}
+
+
+def test_pattern_count_fits_half_a_gib(tmp_path):
+    # C_2(3) at m = 11: 58 786 trees, keyed by their depth sequences through
+    # m + 1 one-off values instead of holding a value block per subtree
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "verify", "dualpolar", "C", "2", "3",
+         "--m-max", "11", "--strategy", "pattern", "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: _limit_address_space(1 << 29),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    verdict = json.loads(result.stdout)
+    assert verdict["passed"]
+    assert verdict["counts"] == [catalan(m) for m in range(12)]
+    assert set(verdict["methods"]) == {"pattern_certified"}
 
 
 def test_past_desk_scale_build_fits_one_gib(tmp_path):

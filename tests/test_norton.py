@@ -32,8 +32,14 @@ from nortonalg.graphs import (
     build_grassmann,
     build_hamming,
 )
-from nortonalg.intlinalg import coordinates, exact_matmul, independent_rows
+from nortonalg.intlinalg import (
+    coordinates,
+    exact_matmul,
+    exact_multiply,
+    independent_rows,
+)
 from nortonalg.norton import (
+    OracleProducts,
     _default_basis_candidates,
     family_constants,
     formula_product,
@@ -421,6 +427,31 @@ def test_exact_matmul_leaves_int64_when_sums_could_overflow():
     assert exact_matmul(big, col).tolist() == [[2**80 - 1]]
     small = exact_matmul(np.array([[3, -2]]), np.array([[5], [7]]))
     assert small.tolist() == [[1]] and type(small[0, 0]) is int
+
+
+def test_exact_multiply_leaves_int64_when_products_could_overflow():
+    big = exact_multiply(np.array([2**40, -3]), np.array([2**30, 5]))
+    assert big.dtype == object and big.tolist() == [2**70, -15]
+    small = exact_multiply(7, np.array([3, -2]))
+    assert small.dtype == np.int64 and small.tolist() == [21, -14]
+
+
+@pytest.mark.parametrize("name", ["j52", "h23", "c22", "g242"])
+def test_oracle_rows_stay_int64(bundle, name):
+    g, sd = bundle(name)
+    products = oracle_products(g, sd)
+    assert products.rows.dtype == np.int64
+    reference = OracleProducts.of_rows(
+        g, sd, products.labels, products.rows.astype(object), products.scale
+    )
+    assert np.array_equal(products.products, reference.products)
+    # rows of 2^31 times the entries: pairwise products pass 2^63 and must
+    # leave int64 rather than wrap
+    big = OracleProducts.of_rows(
+        g, sd, products.labels, products.rows << 31, products.scale << 31
+    )
+    assert big.fixed.all()
+    assert np.array_equal(big.products, reference.products * (1 << 62))
 
 
 def test_structure_constants_triangle(algebra):

@@ -10,6 +10,7 @@ from nortonalg.trees import (
     catalan,
     depth_sequence,
     depth_set,
+    depth_tuples,
     enumerate_trees,
     left_comb,
     node,
@@ -85,6 +86,19 @@ def test_depth_set_recursion_matches_enumeration():
         via_trees = {depth_sequence(t) for t in enumerate_trees(n)}
         assert depth_set(n) == via_trees
         assert len(depth_set(n)) == catalan(n)
+
+
+def test_depth_tuples_follow_enumeration_order():
+    for n in range(10):
+        tuples = depth_tuples(n)
+        trees = enumerate_trees(n)
+        assert len(tuples) == len(trees)
+        for t, d in zip(trees, tuples):
+            assert depth_sequence(t).depths == d
+    with pytest.raises(ValueError):
+        depth_tuples(-1)
+    with pytest.raises(EnumerationLimitError):
+        depth_tuples(13)
 
 
 def test_depth_map_is_a_bijection_up_to_8():
