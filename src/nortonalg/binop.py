@@ -20,11 +20,14 @@ there.  Fractions appear only at the API edge: evaluate_parenthesization
 clears the denominators of its arguments, evaluates in integers and
 divides once at the end.
 
-Grouping trees by probe tensor keeps no tensor per tree.  Each tensor is
-keyed by two fixed linear forms of its entries mod 2^64; reduction mod
-2^64 is a ring map (int64 wraparound is that map), so equal tensors get
-equal keys and different keys prove different tensors.  Trees with equal
-keys are compared exactly before they are merged.
+Grouping trees by probe tensor builds a tensor only where keys collide.
+A tree's key is den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom
+rows w_r, evaluated through the product step in uint64 and memoized per
+(subtree, leaf offset).  By multilinearity it equals the fixed linear form
+sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
+reduction mod 2^64 is a ring map, so equal tensors get equal keys and
+different keys prove different maps.  Only trees that share a key get
+their tensors built, and those are compared exactly before they merge.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ class BilinearOperation:
         self._int_form = None
         self._tensor_cache = {}
         self._tensor_cells = 0
-        self._key_weights = None
 
     @staticmethod
     def _as_matrix(m, d):
@@ -157,16 +159,10 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
     if len(args) != t.leaf_count:
         raise ValueError(f"tree has {t.leaf_count} leaves, got {len(args)} arguments")
     s, rows = _scaled_rows(op, args)
-
-    def rec(sub, offset):
-        if sub.is_leaf:
-            return rows[offset]
-        right = offset + sub.left.leaf_count
-        return _int_product(op, rec(sub.left, offset), rec(sub.right, right))
-
     m = t.internal_count
     scale = s ** (m + 1) * _int_form(op).den ** m
-    return tuple(Fraction(x, scale) for x in rec(t, 0)[: op.dimension].tolist())
+    value = _evaluate_rows(op, t, rows, {})
+    return tuple(Fraction(x, scale) for x in value[: op.dimension].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +192,7 @@ class _IntForm(NamedTuple):
     den: int
     flat: np.ndarray  # Python ints
     flat64: np.ndarray | None  # the same table in int64, when it fits
+    flat_u64: np.ndarray  # the same table mod 2^64
     bound: int  # max_k sum_{i,j} |flat[i, j*p+k]|
 
 
@@ -238,8 +235,9 @@ def _int_form(op: BilinearOperation) -> _IntForm:
                         flat[h, j * p + k] = flat[h, j * p + k] + int(c * den)
         flat[h, h * p + h] = den
     flat64 = flat.astype(np.int64) if fits_int64(abs_max(flat)) else None
+    flat_u64 = (flat % (1 << 64)).astype(np.uint64)
     bound = int(np.abs(flat).reshape(p * p, p).sum(axis=0).max())
-    op._int_form = _IntForm(den, flat, flat64, bound)
+    op._int_form = _IntForm(den, flat, flat64, flat_u64, bound)
     return op._int_form
 
 
@@ -251,11 +249,15 @@ def _int_product(op: BilinearOperation, x, y):
     every left row times every right row.  The product runs in int64 when
     x and y are int64 and max|x| * max(max|y|, 1) * bound fits, which
     bounds every partial sum of both contractions; otherwise on Python ints.
+    uint64 rows are residues mod 2^64: their product wraps, which is exact
+    mod 2^64, and needs no bound.
     """
     form = _int_form(op)
     p = op.probe_dimension
     flat = form.flat64
-    if not (
+    if x.dtype == y.dtype == np.uint64:
+        flat = form.flat_u64
+    elif not (
         flat is not None
         and x.dtype == y.dtype == np.int64
         and fits_int64(abs_max(x), max(abs_max(y), 1), form.bound)
@@ -263,6 +265,28 @@ def _int_product(op: BilinearOperation, x, y):
         x, y, flat = x.astype(object, copy=False), y.astype(object, copy=False), form.flat
     # (x @ flat)[..., j, k] = sum_i x_i C[i][j][k]; contract with y over j
     return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
+
+
+def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows, memo: dict):
+    """den**internal_count(t) times t evaluated on rows[0], rows[1], ... in order.
+
+    The rows are integer rows of the probe space (or residues mod 2^64, see
+    _int_product).  memo maps (subtree, leaf offset) to its value, so the
+    calls that share it share every subtree value on the same rows.
+    """
+
+    def rec(sub, offset):
+        value = memo.get((sub, offset))
+        if value is None:
+            if sub.is_leaf:
+                value = rows[offset]
+            else:
+                right = offset + sub.left.leaf_count
+                value = _int_product(op, rec(sub.left, offset), rec(sub.right, right))
+            memo[sub, offset] = value
+        return value
+
+    return rec(t, 0)
 
 
 def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> np.ndarray:
@@ -297,33 +321,25 @@ def _check_probe_budget(op, m, budget):
         raise BudgetExceededError("fingerprint", needed, budget)
 
 
-def _key_weights(op: BilinearOperation, cells: int) -> np.ndarray:
-    """(cells, 2) uint64 weights of the two key forms: splitmix64 of 0..2*cells-1.
+def _leaf_weights(p: int, leaves: int) -> np.ndarray:
+    """(leaves, p) uint64 rows w_r: splitmix64 of 0..leaves*p-1, row by row."""
+    z = np.arange(leaves * p, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.reshape(leaves, p)
 
-    Kept on the operation for the last tensor size asked for.
+
+def _tree_key(op: BilinearOperation, t: BinaryTree, weights, memo: dict) -> tuple:
+    """den^m t(w_0, ..., w_m) mod 2^64, as a tuple of p ints.
+
+    By multilinearity this is sum_probe prod_r w_r[probe_r] T[probe] mod
+    2^64 for t's probe tensor T, so equal tensors get equal keys.  memo is
+    _evaluate_rows' and is shared by the trees of one grouping.
     """
-    w = op._key_weights
-    if w is None or len(w) != cells:
-        z = np.arange(2 * cells, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        w = op._key_weights = z.reshape(cells, 2)
-    return w
-
-
-def _tensor_key(tensor: np.ndarray, weights: np.ndarray) -> tuple:
-    """Two fixed linear forms of the tensor's entries mod 2^64.
-
-    Equal tensors get equal keys whatever their dtype (int64 wraparound is
-    reduction mod 2^64), so different keys prove different tensors.
-    """
-    flat = tensor.reshape(-1)
-    if flat.dtype == object:
-        flat = flat % (1 << 64)
-    return tuple((flat.astype(np.uint64) @ weights).tolist())
+    return tuple(_evaluate_rows(op, t, weights, memo).tolist())
 
 
 def tensor_fingerprint(
@@ -388,10 +404,11 @@ def _make_report(m, method, groups, justifications=None) -> EquivalenceReport:
 def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET):
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
-    Returns a list of index lists in first-seen order.  Each tree's probe
-    tensor is computed, keyed and dropped.  A tree joins a group only when
-    its key matches and its tensor equals the group's first tensor exactly;
-    that tensor is recomputed and kept once a matching key first arrives.
+    Returns a list of index lists in first-seen order.  Every tree is keyed
+    by _tree_key without building its probe tensor; a tree alone with its
+    key is a class of its own.  The trees of each shared key get their
+    tensors built and split by exact equality, and those tensors are dropped
+    before the next key.
     """
     if not trees:
         return []
@@ -399,22 +416,28 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    weights = _key_weights(op, op.probe_dimension ** (m + 2))
-    groups = []
-    by_key = {}  # key -> positions in groups
-    kept = {}  # position in groups -> tensor of the group's first tree
+    weights = _leaf_weights(op.probe_dimension, m + 1)
+    memo = {}
+    by_key = {}
     for idx, t in enumerate(trees):
-        tensor = _probe_tensor(op, t)
-        candidates = by_key.setdefault(_tensor_key(tensor, weights), [])
-        for g in candidates:
-            if g not in kept:
-                kept[g] = _probe_tensor(op, trees[groups[g][0]])
-            if np.array_equal(kept[g], tensor):
-                groups[g].append(idx)
-                break
-        else:
-            candidates.append(len(groups))
-            groups.append([idx])
+        by_key.setdefault(_tree_key(op, t, weights, memo), []).append(idx)
+    del memo
+    groups = []
+    for idxs in by_key.values():
+        if len(idxs) == 1:
+            groups.append(idxs)
+            continue
+        split = []  # (tensor of the first tree, group)
+        for idx in idxs:
+            tensor = _probe_tensor(op, trees[idx])
+            for first, group in split:
+                if np.array_equal(first, tensor):
+                    group.append(idx)
+                    break
+            else:
+                split.append((tensor, [idx]))
+        groups += (group for _, group in split)
+    groups.sort(key=lambda group: group[0])
     return groups
 
 

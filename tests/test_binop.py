@@ -333,3 +333,38 @@ def test_product_step_exact_across_the_int64_switch(algebra):
         big = [tuple(F(2**70 + i, 3) for _ in range(d)) for i in range(3)]
         t = left_comb(2)
         assert evaluate_parenthesization(target, t, big) == reference_evaluate(target, t, big)
+
+
+def _key_by_linear_form(op, t):
+    """sum_probe prod_r w_r[probe_r] T[probe] mod 2^64, in Python ints."""
+    p = op.probe_dimension
+    w = binop._leaf_weights(p, t.leaf_count).tolist()
+    total = [0] * p
+    tensor = _probe_tensor(op, t).tolist()
+    for probe, row in zip(product(range(p), repeat=t.leaf_count), tensor):
+        c = 1
+        for r, i in enumerate(probe):
+            c *= w[r][i]
+        total = [acc + c * x for acc, x in zip(total, row)]
+    return tuple(x % 2**64 for x in total)
+
+
+def test_tree_key_is_a_linear_form_of_the_probe_tensor(algebra):
+    noncomm = _random_operation(random.Random(2), 3)
+    assert not noncomm.is_commutative
+    big = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
+    assert _probe_tensor(big, left_comb(3)).dtype == object
+    ops = [
+        algebra("j41").operation,
+        algebra("h23").operation,
+        noncomm,
+        direct_product(algebra("j41").operation, double_minus_operation()),
+        big,
+    ]
+    assert ops[3].probe_dimension == ops[3].dimension + 1
+    for op in ops:
+        for m in range(4):
+            weights = binop._leaf_weights(op.probe_dimension, m + 1)
+            memo = {}
+            for t in enumerate_trees(m):
+                assert binop._tree_key(op, t, weights, memo) == _key_by_linear_form(op, t)

@@ -392,9 +392,9 @@ def test_d22_operation_aligns_with_hamming(bundle, algebra):
 
 
 def test_equal_keys_are_checked_exactly(algebra, monkeypatch):
-    # every probe tensor gets the same key: only the exact comparison of
+    # every tree gets the same key: only the exact comparison of probe
     # tensors can keep the classes apart
-    monkeypatch.setattr(binop, "_tensor_key", lambda tensor, weights: 0)
+    monkeypatch.setattr(binop, "_tree_key", lambda op, t, weights, memo: 0)
     j41, h23 = algebra("j41"), algebra("h23")
     for m in range(6):
         assert count_norton_classes(j41, m, strategy="tensor").class_count == catalan(m)
@@ -404,6 +404,17 @@ def test_equal_keys_are_checked_exactly(algebra, monkeypatch):
         assert rep.class_count == want
         merged = [j for c, j in zip(rep.classes, rep.merge_justifications) if len(c) > 1]
         assert set(merged) == ({JUSTIFY_FINGERPRINT} if want < catalan(m) else set())
+
+
+def test_tree_alone_with_its_key_builds_no_probe_tensor(algebra, monkeypatch):
+    # J(4,1) is totally nonassociative, so every key is its own bucket
+    def refuse(*args, **kwargs):
+        raise AssertionError("probe tensor built for a tree alone with its key")
+
+    monkeypatch.setattr(binop, "_probe_tensor", refuse)
+    j41 = algebra("j41")
+    for m in range(8):
+        assert count_norton_classes(j41, m, strategy="tensor").class_count == catalan(m)
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,30 @@ def test_tensor_count_fits_one_gib(tmp_path):
     assert set(verdict["methods"]) == {"tensor_exact"}
 
 
+@pytest.mark.parametrize(
+    "spec, m_max, last",
+    [(("hamming", "2", "3"), 7, 85), (("johnson", "4", "1"), 10, 16796)],
+    ids=["h23", "j41"],
+)
+def test_tensor_count_fits_a_quarter_gib(tmp_path, spec, m_max, last):
+    # trees are keyed by one memoized evaluation each; only trees that share
+    # a key (the merged A000975 classes of H(2,3)) build probe tensors, and
+    # those are dropped once their key is split
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "verify", *spec,
+         "--m-max", str(m_max), "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: _limit_address_space(1 << 28),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    verdict = json.loads(result.stdout)
+    assert verdict["passed"]
+    assert verdict["counts"][-1] == last
+    assert set(verdict["methods"]) == {"tensor_exact"}
+
+
 def test_pattern_count_fits_half_a_gib(tmp_path):
     # C_2(3) at m = 11: 58 786 trees, keyed by their depth sequences through
     # m + 1 one-off values instead of holding a value block per subtree

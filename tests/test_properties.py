@@ -98,7 +98,8 @@ def test_one_off_signature_matches_reference(data):
     alg = NortonAlgebra(None, op.dimension, (), op, {"u": u, "v": v}, ("u", "v"))
     s = lcm(*(x.denominator for x in (*u, *v)))
     scale = s ** (m + 1) * _int_form(op)[0] ** m
-    # every tree of one arity on one algebra, so subtree values are shared
+    # every tree of one arity on one algebra; one_off_signature shares
+    # nothing between calls, so each tree is evaluated afresh
     for t in enumerate_trees(m):
         want = []
         for r in range(m + 1):
