@@ -20,14 +20,21 @@ there.  Fractions appear only at the API edge: evaluate_parenthesization
 clears the denominators of its arguments, evaluates in integers and
 divides once at the end.
 
-Grouping trees by probe tensor builds a tensor only where keys collide.
-A tree's key is den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom
-rows w_r, evaluated through the product step in uint64 and memoized per
-(subtree, leaf offset).  By multilinearity it equals the fixed linear form
-sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
-reduction mod 2^64 is a ring map, so equal tensors get equal keys and
-different keys prove different maps.  Only trees that share a key get
-their tensors built, and those are compared exactly before they merge.
+Grouping trees by probe tensor builds a tensor only where no exact argument
+decides.  An operation without linear terms whose constants fall into two
+or more direct-sum blocks is grouped once per distinct block, and its
+classes are the common refinement of the blocks' (direct_product's
+argument).  On one block, trees whose left and right subtrees lie in
+classes already proved equal are equal by congruence and merge at once;
+every grouping records a representative per class, so arity m + 1 reuses
+arity m.  The first tree of each (left class, right class) pair is keyed by
+den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom rows w_r, evaluated
+through the product step in uint64 and memoized per (subtree, leaf
+offset).  By multilinearity the key equals the fixed linear form
+sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and reduction
+mod 2^64 is a ring map, so equal tensors get equal keys and different keys
+prove different maps.  Only pairs that share a key get their tensors
+built, and those are compared exactly before they merge.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConstructionError
 from .intlinalg import abs_max, fits_int64
 from .trees import (
     LEAF,
@@ -89,8 +96,11 @@ class BilinearOperation:
         self.linear_left = self._as_matrix(linear_left, d)
         self.linear_right = self._as_matrix(linear_right, d)
         self._int_form = None
+        self._blocks = None
         self._tensor_cache = {}
         self._tensor_cells = 0
+        # tree -> representative of its exact class, from earlier groupings
+        self._classes = {}
 
     @staticmethod
     def _as_matrix(m, d):
@@ -401,14 +411,64 @@ def _make_report(m, method, groups, justifications=None) -> EquivalenceReport:
     return EquivalenceReport(m, method, classes, justifications)
 
 
+def _blocks(op: BilinearOperation) -> tuple:
+    """The distinct direct-sum blocks of op as operations, or (op,) if none.
+
+    Basis indices i, j and k are joined whenever den C[i][j][k] != 0.  Each
+    connected component then spans an ideal and products across components
+    vanish, so a tree's value is the sum of its values on the components
+    (direct_product's argument): two trees are equal on op exactly when they
+    are equal on every block, and blocks whose sub-cubes agree in index
+    order partition alike.  Operations with linear terms are never split,
+    as the affine coordinate couples the blocks.  Cached on op.
+    """
+    if op._blocks is None:
+        op._blocks = (op,) if op.has_linear_terms else _split(op)
+    return op._blocks
+
+
+def _split(op: BilinearOperation) -> tuple:
+    # union-find over basis indices; the check below guards the direct-sum
+    # claim that the refinement rests on
+    d = op.dimension
+    i, jk = np.nonzero(_int_form(op).flat != 0)
+    j, k = np.divmod(jk, d)
+    parent = list(range(d))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b, c in zip(i.tolist(), j.tolist(), k.tolist()):
+        ra, rb, rc = root(a), root(b), root(c)
+        parent[rb] = parent[rc] = ra
+    label = np.array([root(x) for x in range(d)])
+    if ((label[i] != label[j]) | (label[i] != label[k])).any():
+        raise ConstructionError("a structure constant joins two direct-sum blocks")
+    components = {}
+    for x, r in enumerate(label.tolist()):
+        components.setdefault(r, []).append(x)
+    if len(components) == 1:
+        return (op,)
+    c = op.constants
+    distinct = {}
+    for idx in components.values():
+        cube = tuple(tuple(tuple(c[a][b][e] for e in idx) for b in idx) for a in idx)
+        if cube not in distinct:
+            distinct[cube] = BilinearOperation(cube)
+    return tuple(distinct.values())
+
+
 def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET):
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
-    Returns a list of index lists in first-seen order.  Every tree is keyed
-    by _tree_key without building its probe tensor; a tree alone with its
-    key is a class of its own.  The trees of each shared key get their
-    tensors built and split by exact equality, and those tensors are dropped
-    before the next key.
+    Returns a list of index lists in first-seen order.  The budget is
+    checked on op itself and on nothing else.  An op with two or more
+    direct-sum blocks (see _blocks) is grouped once per distinct block, and
+    trees with equal tuples of block class ids form one class.  A zero
+    operation is one class.  Otherwise _group_connected merges trees by
+    their child classes and builds probe tensors only where keys collide.
     """
     if not trees:
         return []
@@ -416,28 +476,74 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    weights = _leaf_weights(op.probe_dimension, m + 1)
+    return _group(op, trees)
+
+
+def _group(op: BilinearOperation, trees) -> list:
+    blocks = _blocks(op)
+    if blocks != (op,):
+        by_ids = {}
+        for idx, ids in enumerate(zip(*(_class_ids(_group(b, trees)) for b in blocks))):
+            by_ids.setdefault(ids, []).append(idx)
+        return list(by_ids.values())
+    if op.is_zero:
+        return [list(range(len(trees)))]
+    return _group_connected(op, trees)
+
+
+def _class_ids(groups) -> list:
+    ids = [0] * sum(map(len, groups))
+    for n, group in enumerate(groups):
+        for idx in group:
+            ids[idx] = n
+    return ids
+
+
+def _group_connected(op: BilinearOperation, trees) -> list:
+    """Exact grouping on one operation, proving merges by children or tensors.
+
+    Trees whose (left class, right class) pairs agree are equal maps by
+    congruence and join at once, a class being the representative that
+    op._classes records from an earlier grouping (a subtree with no record
+    is its own class).  The first tree of each pair is keyed by _tree_key
+    without building its probe tensor; a pair alone with its key is a class
+    of its own.  The pairs of a shared key build the first tree's tensor
+    and are split by exact equality, and those tensors are dropped before
+    the next key.  Every group then records its representative, so arity
+    m + 1 reuses arity m.
+    """
+    classes = op._classes
+    by_pair = {}
+    for idx, t in enumerate(trees):
+        pair = None if t.is_leaf else (classes.get(t.left, t.left), classes.get(t.right, t.right))
+        by_pair.setdefault(pair, []).append(idx)
+    weights = _leaf_weights(op.probe_dimension, trees[0].leaf_count)
     memo = {}
     by_key = {}
-    for idx, t in enumerate(trees):
-        by_key.setdefault(_tree_key(op, t, weights, memo), []).append(idx)
+    for group in by_pair.values():
+        by_key.setdefault(_tree_key(op, trees[group[0]], weights, memo), []).append(group)
     del memo
     groups = []
-    for idxs in by_key.values():
-        if len(idxs) == 1:
-            groups.append(idxs)
+    for same_key in by_key.values():
+        if len(same_key) == 1:
+            groups += same_key
             continue
         split = []  # (tensor of the first tree, group)
-        for idx in idxs:
-            tensor = _probe_tensor(op, trees[idx])
+        for pair_group in same_key:
+            tensor = _probe_tensor(op, trees[pair_group[0]])
             for first, group in split:
                 if np.array_equal(first, tensor):
-                    group.append(idx)
+                    group += pair_group
                     break
             else:
-                split.append((tensor, [idx]))
-        groups += (group for _, group in split)
+                split.append((tensor, pair_group))
+        groups += (sorted(group) for _, group in split)
     groups.sort(key=lambda group: group[0])
+    for group in groups:
+        first = trees[group[0]]
+        rep = classes.get(first, first)
+        for idx in group:
+            classes[trees[idx]] = rep
     return groups
 
 

@@ -117,32 +117,48 @@ def expected_class_count(branch: str, m: int) -> int:
 # one-off evaluations
 
 
+def _one_off_proof(alg: NortonAlgebra):
+    """(pair, mu), proved once per algebra and kept on it.
+
+    pair holds the preferred pair u, v scaled by the lcm s of their
+    denominators, as integer rows (binop._scaled_rows).  mu is an integer
+    with den (v * v) == mu v exactly when the operation is commutative and
+    such an integer exists, and None otherwise.
+    """
+    if alg.one_off_proof is None:
+        op = alg.operation
+        _, pair = _scaled_rows(op, alg.one_off_vectors())
+        mu = None
+        if op.is_commutative:
+            v = pair[1:]
+            vv = _int_product(op, v, v)[0].tolist()
+            v_list = v[0].tolist()
+            lead = next((i for i, x in enumerate(v_list) if x), None)
+            mu = 0 if lead is None else vv[lead] // v_list[lead]
+            if vv != [mu * x for x in v_list]:
+                mu = None
+        alg.one_off_proof = (pair, mu)
+    return alg.one_off_proof
+
+
 def _depth_rows(alg: NortonAlgebra, m: int):
     """The one-off row at each leaf depth h = 0..m, or None when unproved.
 
-    With u and v the preferred pair scaled by the lcm s of their
-    denominators, suppose the operation is commutative and den (v * v) ==
-    mu v exactly in integers, for an integer mu.  Then every all-v subtree
-    with k leaves is mu^(k-1) v whatever its shape, and the leaf holding u
-    at depth h meets one all-v sibling per ancestor, in either order; the
-    siblings hold the other m leaves.  So its one-off value is
-    mu^(m-h) a_h, with a_0 = u and a_{h+1} = den (a_h * v): the value
-    depends only on the depth of the leaf (the coefficient lemma), and
-    carries the s^(m+1) den^m scaling of the per-subtree recursion.
+    With u, v and mu from _one_off_proof, every all-v subtree with k leaves
+    is mu^(k-1) v whatever its shape, and the leaf holding u at depth h
+    meets one all-v sibling per ancestor, in either order; the siblings
+    hold the other m leaves.  So its one-off value is mu^(m-h) a_h, with
+    a_0 = u and a_{h+1} = den (a_h * v): the value depends only on the depth
+    of the leaf (the coefficient lemma), and carries the s^(m+1) den^m
+    scaling of the per-subtree recursion.  Each call runs only its m
+    products.
     """
+    pair, mu = _one_off_proof(alg)
+    if mu is None:
+        return None
     op = alg.operation
-    if not op.is_commutative:
-        return None
-    _, pair = _scaled_rows(op, alg.one_off_vectors())
-    u, v = pair[:1], pair[1:]
-    vv = _int_product(op, v, v)[0].tolist()
-    v_list = v[0].tolist()
-    lead = next((i for i, x in enumerate(v_list) if x), None)
-    mu = 0 if lead is None else vv[lead] // v_list[lead]
-    if vv != [mu * x for x in v_list]:
-        return None
     d = op.dimension
-    rows, a = [], u
+    rows, a, v = [], pair[:1], pair[1:]
     for h in range(m + 1):
         rows.append(tuple(mu ** (m - h) * x for x in a[0, :d].tolist()))
         if h < m:
@@ -164,7 +180,7 @@ def _one_off_values(alg: NortonAlgebra, t, memo: dict):
         return cached
     op = alg.operation
     if t.is_leaf:
-        _, pair = _scaled_rows(op, alg.one_off_vectors())
+        pair, _ = _one_off_proof(alg)
         cached = (pair[:1], pair[1])
     else:
         l_rows, l_rest = _one_off_values(alg, t.left, memo)

@@ -29,7 +29,7 @@ otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -456,6 +456,8 @@ class NortonAlgebra:
     one_off: tuple
     one_off_line: tuple = ()
     notes: tuple = ()
+    # classify._one_off_proof's pair and mu, made on first use
+    one_off_proof: tuple | None = field(default=None, init=False, repr=False)
 
     def one_off_vectors(self):
         u, v = self.one_off

@@ -26,6 +26,8 @@ from nortonalg.binop import (
     tensor_fingerprint,
 )
 from nortonalg.errors import BudgetExceededError
+from nortonalg.instances import build_instance
+from nortonalg.intlinalg import abs_max, fits_int64
 from nortonalg.trees import LEAF, catalan, depth_sequence, enumerate_trees, left_comb, node
 
 # A000975 prefix for m = 1..10, frozen; cross-checked below against the
@@ -368,3 +370,122 @@ def test_tree_key_is_a_linear_form_of_the_probe_tensor(algebra):
             memo = {}
             for t in enumerate_trees(m):
                 assert binop._tree_key(op, t, weights, memo) == _key_by_linear_form(op, t)
+
+
+# ---------------------------------------------------------------------------
+# direct-sum blocks and child classes
+
+
+def _fresh(op):
+    """A copy of op with no cached tensors, blocks or recorded classes."""
+    return BilinearOperation(op.constants, op.linear_left, op.linear_right)
+
+
+def _reference_groups(op, trees):
+    """Group trees by exact equality of their full probe tensors."""
+    ref = _fresh(op)
+    groups = {}
+    for idx, t in enumerate(trees):
+        tensor = _probe_tensor(ref, t)
+        if tensor.dtype == object and fits_int64(abs_max(tensor)):
+            tensor = tensor.astype(np.int64)
+        key = tensor.tobytes() if tensor.dtype == np.int64 else tuple(tensor.ravel().tolist())
+        groups.setdefault(key, []).append(idx)
+    return list(groups.values())
+
+
+# m is capped where the reference's one tensor per class outgrows a test:
+# 132 classes of 6^8 cells at m = 6 on H(2,4) would hold 1.7 GB
+@pytest.mark.parametrize(
+    "params, m_max",
+    [((2, 3), 6), ((3, 3), 5), ((2, 4), 5), ((3, 4), 4)],
+    ids=["h23", "h33", "h24", "h34"],
+)
+def test_hamming_blocks_match_full_tensor_reference(params, m_max):
+    # H(n,e) is n identical blocks of dimension e-1: one distinct block
+    op = build_instance("hamming", params).algebra.operation
+    assert [b.dimension for b in binop._blocks(op)] == [params[1] - 1]
+    for m in range(m_max + 1):
+        trees = enumerate_trees(m)
+        assert group_trees_by_fingerprint(op, trees, budget=10**9) == _reference_groups(op, trees)
+
+
+def test_unequal_blocks_match_full_tensor_reference(algebra):
+    op = direct_product(algebra("j41").operation, algebra("j31").operation)
+    assert [b.dimension for b in binop._blocks(op)] == [3, 2]
+    for m in range(6):
+        trees = enumerate_trees(m)
+        assert group_trees_by_fingerprint(op, trees) == _reference_groups(op, trees)
+
+
+def test_coupled_operations_are_not_split(algebra):
+    cube = direct_product(algebra("j41").operation, algebra("j31").operation).constants
+    cube = [[list(row) for row in plane] for plane in cube]
+    cube[0][0][3] = F(1)  # e_0 * e_0 leaks into the second block's output
+    leak = BilinearOperation(cube)
+    affine = direct_product(double_minus_operation(), double_minus_operation())
+    for op in (leak, affine):
+        assert binop._blocks(op) == (op,)
+        for m in range(6):
+            trees = enumerate_trees(m)
+            assert group_trees_by_fingerprint(op, trees) == _reference_groups(op, trees)
+    assert count_classes_exact(affine, 5).classes == double_minus_classes(5).classes
+
+
+def test_budget_is_checked_on_the_whole_operation():
+    # H(3,3) is 6-dimensional with blocks of dimension 2; the budget refuses
+    # exactly where 6^(m+2) passes it, although every block alone would fit
+    op = build_instance("hamming", (3, 3)).algebra.operation
+    budget = 6**5
+    assert all(b.probe_dimension**6 <= budget for b in binop._blocks(op))
+    assert count_classes_exact(op, 3, budget=budget).class_count == 5
+    with pytest.raises(BudgetExceededError):
+        count_classes_exact(op, 4, budget=budget)
+    with pytest.raises(BudgetExceededError):
+        group_trees_by_fingerprint(op, enumerate_trees(4), budget=budget)
+
+
+def _top_level_tensors(monkeypatch):
+    """Record (op, m) for every probe tensor a grouping asks for itself."""
+    calls = []
+    real = binop._probe_tensor
+
+    def counting(op, t, memo=False):
+        if not memo:  # subtree tensors are requested with memo=True
+            calls.append((op, t.internal_count))
+        return real(op, t, memo)
+
+    monkeypatch.setattr(binop, "_probe_tensor", counting)
+    return calls
+
+
+def test_split_operation_builds_no_tensor_itself(algebra, monkeypatch):
+    calls = _top_level_tensors(monkeypatch)
+    op = _fresh(algebra("h23").operation)
+    for m in range(7):
+        assert count_classes_exact(op, m).class_count == ([1] + A000975_PREFIX)[m]
+    assert calls and all(called is not op for called, _ in calls)
+
+
+def test_child_classes_bound_the_tensors_of_the_next_arity(algebra, monkeypatch):
+    # with the 1, 1, 2, 5, ..., 85 classes of m <= 7 recorded, the trees of
+    # m = 8 have sum_a f(a) f(7-a) = 438 distinct (left, right) class pairs
+    calls = _top_level_tensors(monkeypatch)
+    op = _fresh(algebra("j31").operation)
+    for m in range(8):
+        count_classes_exact(op, m)
+    calls.clear()
+    assert count_classes_exact(op, 8).class_count == 170
+    assert 0 < len(calls) <= 438
+    assert {m for _, m in calls} == {8}
+
+
+@pytest.mark.parametrize("name, m_max", [("j31", 8), ("h13", 8), ("d22", 7)])
+def test_single_arity_call_matches_ascending_run(algebra, name, m_max):
+    # d22 stops at m = 7: a fresh m = 8 call builds some 10^3 tensors of 4^9 rows
+    op = algebra(name).operation
+    ascending = _fresh(op)
+    for m in range(m_max + 1):
+        want = double_minus_classes(m).classes
+        assert count_classes_exact(ascending, m).classes == want
+        assert count_classes_exact(_fresh(op), m).classes == want

@@ -155,6 +155,22 @@ def test_unproved_depth_rows_fall_back_to_subtrees(name, spec, counts, fingerpri
         assert rep.merge_justifications.count(JUSTIFY_SIGNATURE) == want - tally
 
 
+@pytest.mark.parametrize("spec", [None, SKEW], ids=["c22", "skew"])
+def test_one_off_proof_is_made_once_per_algebra(algebra, monkeypatch, spec):
+    # the scaled pair and mu, or the failed proof, are kept on the algebra
+    alg = algebra("c22") if spec is None else _custom_algebra("skew", *spec)
+    alg = dataclasses.replace(alg)  # nothing proved yet
+    calls = []
+    real = classify._scaled_rows
+    monkeypatch.setattr(classify, "_scaled_rows", lambda *a: calls.append(a) or real(*a))
+    for m in range(6):
+        for t in enumerate_trees(m):
+            one_off_signature(alg, t)
+        count_norton_classes(alg, m, strategy="pattern")
+    assert len(calls) == 1
+    assert (alg.one_off_proof[1] is None) == (spec is not None)
+
+
 @pytest.mark.parametrize(
     "name,strategy,counts",
     [

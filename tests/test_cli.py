@@ -31,6 +31,7 @@ from nortonalg.instances import (
     parse_instance_spec,
 )
 from nortonalg.trees import catalan
+from conftest import run_optimized
 
 
 def run_cli(capsys, *args):
@@ -458,6 +459,27 @@ def test_tensor_count_fits_a_quarter_gib(tmp_path, spec, m_max, last):
     assert verdict["passed"]
     assert verdict["counts"][-1] == last
     assert set(verdict["methods"]) == {"tensor_exact"}
+
+
+GROUPING_RUNS = (("hamming", "2", "3", "--m-max", "6"), ("johnson", "3", "1", "--m-max", "8"))
+
+GROUPING_SCRIPT = """
+from nortonalg.cli import main
+for run in {runs!r}:
+    print(main(["verify", *run, "--cache-dir", {cache!r}]))
+"""
+
+
+def test_tensor_grouping_output_unchanged_under_optimize(tmp_path, capsys):
+    # the block split and the child-class merges carry no assert, so a run
+    # under python -O prints what a plain run prints
+    plain = ""
+    for run in GROUPING_RUNS:
+        code, out = run_cli(capsys, "verify", *run, "--cache-dir", str(tmp_path))
+        assert code == 0 and json.loads(out)["passed"]
+        plain += f"{out}{code}\n"
+    script = GROUPING_SCRIPT.format(runs=GROUPING_RUNS, cache=str(tmp_path))
+    assert run_optimized(script) == plain
 
 
 def test_pattern_count_fits_half_a_gib(tmp_path):
