@@ -140,8 +140,9 @@ class BilinearOperation:
             return False
         return self.linear_left == self.linear_right
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
+        """Whether every product vanishes; computed once, like is_commutative."""
         return not self.has_linear_terms and all(
             x == 0 for p in self.constants for r in p for x in r
         )
@@ -280,9 +281,12 @@ def _int_product(op: BilinearOperation, x, y):
 def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows, memo: dict):
     """den**internal_count(t) times t evaluated on rows[0], rows[1], ... in order.
 
-    The rows are integer rows of the probe space (or residues mod 2^64, see
-    _int_product).  memo maps (subtree, leaf offset) to its value, so the
-    calls that share it share every subtree value on the same rows.
+    rows[r] is leaf r's integer row of the probe space (or residues mod
+    2^64, see _int_product), or a batch of such rows with equal leading
+    shapes: the product step runs row by row, so one pass evaluates the
+    whole batch (classify's one-off layout).  memo maps (subtree, leaf
+    offset) to its value, so the calls that share it share every subtree
+    value on the same rows.
     """
 
     def rec(sub, offset):
@@ -464,10 +468,10 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
     Returns a list of index lists in first-seen order.  The budget is
-    checked on op itself and on nothing else.  An op with two or more
-    direct-sum blocks (see _blocks) is grouped once per distinct block, and
-    trees with equal tuples of block class ids form one class.  A zero
-    operation is one class.  Otherwise _group_connected merges trees by
+    checked on op itself and on nothing else.  A zero operation is one
+    class.  An op with two or more direct-sum blocks (see _blocks) is
+    grouped once per distinct block, and trees with equal tuples of block
+    class ids form one class.  Otherwise _group_connected merges trees by
     their child classes and builds probe tensors only where keys collide.
     """
     if not trees:
@@ -480,14 +484,14 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
 
 
 def _group(op: BilinearOperation, trees) -> list:
+    if op.is_zero:
+        return [list(range(len(trees)))]
     blocks = _blocks(op)
     if blocks != (op,):
         by_ids = {}
         for idx, ids in enumerate(zip(*(_class_ids(_group(b, trees)) for b in blocks))):
             by_ids.setdefault(ids, []).append(idx)
         return list(by_ids.values())
-    if op.is_zero:
-        return [list(range(len(trees)))]
     return _group_connected(op, trees)
 
 
@@ -552,14 +556,10 @@ def count_classes_exact(
 ) -> EquivalenceReport:
     """Partition the C_m parenthesizations of m+1 factors by exact equality.
 
-    The zero operation maps every tree to zero, so it is one class without
-    any probe tensor; the budget applies to it all the same.
+    Reports group_trees_by_fingerprint, so the budget applies to every
+    operation, and a zero operation is one class without any probe tensor.
     """
-    trees = enumerate_trees(m)
-    if op.is_zero:
-        _check_probe_budget(op, m, budget)
-        return _make_report(m, METHOD_TENSOR, [range(len(trees))])
-    groups = group_trees_by_fingerprint(op, trees, budget=budget)
+    groups = group_trees_by_fingerprint(op, enumerate_trees(m), budget=budget)
     return _make_report(m, METHOD_TENSOR, groups)
 
 

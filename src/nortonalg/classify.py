@@ -13,22 +13,23 @@ which only the A000975 branch may invoke.  Fingerprint merges go through
 binop's grouping, which compares the exact probe tensors of trees whose
 keys agree, so the tensor and pattern strategies share one exact check.
 
-One-off values are integers from the binop product step.  When the
-operation is commutative and the second vector v satisfies v * v = mu v
-exactly, the value with the distinguished vector at leaf r depends only on
-the depth of that leaf (the coefficient lemma): the m+1 values of one arity
-are computed once, and each tree is keyed by its depth sequence mapped
-through them.  Otherwise each tree is evaluated subtree by subtree, with
-the values of shared subtrees memoized for one call.  Values stay in int64
-while binop's overflow bound allows and move to Python integers past it.
-Exact Fraction evaluation is kept for certificates and the coefficient
-lemmas.
+One-off values are integers from binop's memoized subtree evaluation on
+one batched leaf layout: leaf r of an arity-(m+1) tree is an (m+1) x p
+block with the distinguished vector u in row r and the second vector v in
+the others, so one pass gives all m+1 values of a tree.  When the operation
+is commutative and v * v = mu v exactly, the value with u at leaf r depends
+only on the depth of that leaf (the coefficient lemma): the m+1 values of
+one arity are computed once, and each tree is keyed by its depth sequence
+mapped through them.  Certificates read their exact values off the
+signatures.  Values stay in int64 while binop's overflow bound allows and
+move to Python integers past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,8 @@ from .binop import (
     METHOD_PATTERN,
     BilinearOperation,
     EquivalenceReport,
+    _evaluate_rows,
+    _int_form,
     _int_product,
     _make_report,
     _scaled_rows,
@@ -118,7 +121,7 @@ def expected_class_count(branch: str, m: int) -> int:
 
 
 def _one_off_proof(alg: NortonAlgebra):
-    """(pair, mu), proved once per algebra and kept on it.
+    """(pair, mu, s), proved once per algebra and kept on it.
 
     pair holds the preferred pair u, v scaled by the lcm s of their
     denominators, as integer rows (binop._scaled_rows).  mu is an integer
@@ -127,7 +130,7 @@ def _one_off_proof(alg: NortonAlgebra):
     """
     if alg.one_off_proof is None:
         op = alg.operation
-        _, pair = _scaled_rows(op, alg.one_off_vectors())
+        s, pair = _scaled_rows(op, alg.one_off_vectors())
         mu = None
         if op.is_commutative:
             v = pair[1:]
@@ -137,7 +140,7 @@ def _one_off_proof(alg: NortonAlgebra):
             mu = 0 if lead is None else vv[lead] // v_list[lead]
             if vv != [mu * x for x in v_list]:
                 mu = None
-        alg.one_off_proof = (pair, mu)
+        alg.one_off_proof = (pair, mu, s)
     return alg.one_off_proof
 
 
@@ -150,10 +153,9 @@ def _depth_rows(alg: NortonAlgebra, m: int):
     hold the other m leaves.  So its one-off value is mu^(m-h) a_h, with
     a_0 = u and a_{h+1} = den (a_h * v): the value depends only on the depth
     of the leaf (the coefficient lemma), and carries the s^(m+1) den^m
-    scaling of the per-subtree recursion.  Each call runs only its m
-    products.
+    scaling of _one_off_signatures.  Each call runs only its m products.
     """
-    pair, mu = _one_off_proof(alg)
+    pair, mu, _ = _one_off_proof(alg)
     if mu is None:
         return None
     op = alg.operation
@@ -166,35 +168,20 @@ def _depth_rows(alg: NortonAlgebra, m: int):
     return rows
 
 
-def _one_off_values(alg: NortonAlgebra, t, memo: dict):
-    """(rows, rest): integer one-off values of t, memoized per tree shape.
+def _one_off_signatures(op: BilinearOperation, pair, trees):
+    """Yield the integer one-off signature of each tree, all of one arity.
 
-    rows[r] is t evaluated with the first preferred vector at position r and
-    the second everywhere else; rest has the second vector everywhere.  A
-    node combines its children: u lands in the left subtree (left rows times
-    right rest) or in the right one (left rest times right rows).  memo maps
-    subtrees to their values for one caller.
+    Leaf r is an (m+1) x p block with pair[0] (u) in row r and pair[1] (v)
+    in the others, so one _evaluate_rows pass gives row r = den^m times
+    the tree with u at leaf r and v elsewhere.  The trees share one memo.
     """
-    cached = memo.get(t)
-    if cached is not None:
-        return cached
-    op = alg.operation
-    if t.is_leaf:
-        pair, _ = _one_off_proof(alg)
-        cached = (pair[:1], pair[1])
-    else:
-        l_rows, l_rest = _one_off_values(alg, t.left, memo)
-        r_rows, r_rest = _one_off_values(alg, t.right, memo)
-        u_left = _int_product(op, l_rows, r_rest)
-        u_right = _int_product(op, l_rest, r_rows)
-        cached = (np.concatenate([u_left, u_right]), _int_product(op, l_rest, r_rest))
-    memo[t] = cached
-    return cached
-
-
-def _memo_signature(alg: NortonAlgebra, t, memo: dict) -> tuple:
-    rows, _ = _one_off_values(alg, t, memo)
-    return tuple(map(tuple, rows[:, : alg.operation.dimension].tolist()))
+    n = trees[0].leaf_count
+    leaves = np.tile(pair[1], (n, n, 1))
+    leaves[range(n), range(n)] = pair[0]
+    d = op.dimension
+    memo = {}
+    for t in trees:
+        yield tuple(map(tuple, _evaluate_rows(op, t, leaves, memo)[:, :d].tolist()))
 
 
 def one_off_signature(alg: NortonAlgebra, t) -> tuple:
@@ -205,11 +192,11 @@ def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     pair's denominators).  Signatures of trees of equal arity are
     comparable; distinct signatures certify distinct parenthesizations.
     Read off the leaf depths when _depth_rows proves they decide it, and
-    otherwise evaluated subtree by subtree.
+    otherwise from one batched evaluation of t (_one_off_signatures).
     """
     rows = _depth_rows(alg, t.internal_count)
     if rows is None:
-        return _memo_signature(alg, t, {})
+        return next(_one_off_signatures(alg.operation, _one_off_proof(alg)[0], [t]))
     return tuple(rows[h] for h in depth_sequence(t))
 
 
@@ -239,8 +226,7 @@ def count_norton_classes(
     trees = enumerate_trees(m)
     rows = _depth_rows(alg, m)
     if rows is None:
-        memo = {}
-        keys = (_memo_signature(alg, t, memo) for t in trees)
+        keys = _one_off_signatures(op, _one_off_proof(alg)[0], trees)
     else:
         # equal rows share an id, so equal id tuples are equal signatures
         first = {}
@@ -312,18 +298,12 @@ class EquivalenceClaim:
     justification: str
 
 
-def _exact_one_off_args(alg, m, r):
-    u, v = alg.one_off_vectors()
-    args = [v] * (m + 1)
-    args[r] = u
-    return args
-
-
 def certify_distinct(alg: NortonAlgebra, tree_a, tree_b):
     """One-off certificate that two trees induce different maps, if it exists.
 
     Scans positions in increasing order and returns the first separating one
-    with both exact evaluation vectors; otherwise returns an equivalence
+    with both exact evaluation vectors, read off the two integer signatures
+    (entry r over s^(m+1) den^m); otherwise returns an equivalence
     claim whose justification is the mod-2 criterion (A000975 branch), the
     zero operation, or only the tested assignments.
     """
@@ -336,11 +316,10 @@ def certify_distinct(alg: NortonAlgebra, tree_a, tree_b):
     sig_b = one_off_signature(alg, tree_b)
     for r in range(m + 1):
         if sig_a[r] != sig_b[r]:
-            value_a = evaluate_parenthesization(
-                alg.operation, tree_a, _exact_one_off_args(alg, m, r)
-            )
-            value_b = evaluate_parenthesization(
-                alg.operation, tree_b, _exact_one_off_args(alg, m, r)
+            s = _one_off_proof(alg)[2]
+            scale = s ** (m + 1) * _int_form(alg.operation).den ** m
+            value_a, value_b = (
+                tuple(Fraction(x, scale) for x in sig[r]) for sig in (sig_a, sig_b)
             )
             return DistinctnessCertificate(tree_a, tree_b, r, value_a, value_b)
     if alg.operation.is_zero:
@@ -472,35 +451,35 @@ def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
 
     For each tree t and position r, the one-off evaluation must equal the
     closed-form row at depth d_r(t) (with the measured beta over Grassmann,
-    which simultaneously confirms beta depends only on the depth).  Returns
-    the number of identities checked.
+    which simultaneously confirms beta depends only on the depth).  Each
+    tree is one batched integer evaluation on the scaled lemma pair
+    (_one_off_signatures, subtrees shared across one arity), compared with
+    the closed-form rows times the same s^(m+1) den^m.  Returns the number
+    of identities checked.
     """
     u, v = _lemma_pair(alg)
-    grassmann = isinstance(alg.family, GrassmannFamily)
-    line = _line_sum(alg) if grassmann else None
-    rows = {}
+    op = alg.operation
+    s, pair = _scaled_rows(op, (u, v))
+    den = _int_form(op).den
+    line = _line_sum(alg) if isinstance(alg.family, GrassmannFamily) else (0,) * len(u)
+
+    @cache
+    def closed_form(h, scale):
+        row = pattern_coefficients(alg, h)
+        gamma = row.gamma or 0  # None outside Grassmann
+        return tuple(
+            scale * (row.alpha * a + row.beta * b + gamma * c)
+            for a, b, c in zip(u, v, line)
+        )
+
     checked = 0
     for m in range(1, m_max + 1):
-        for t in enumerate_trees(m):
-            depths = depth_sequence(t)
-            for r in range(m + 1):
-                h = depths[r]
-                row = rows.get(h)
-                if row is None:
-                    row = rows[h] = pattern_coefficients(alg, h)
-                args = [v] * (m + 1)
-                args[r] = u
-                direct = evaluate_parenthesization(alg.operation, t, args)
-                if grassmann:
-                    expected = tuple(
-                        row.alpha * uu + row.beta * vv + row.gamma * ll
-                        for uu, vv, ll in zip(u, v, line)
-                    )
-                else:
-                    expected = tuple(
-                        row.alpha * uu + row.beta * vv for uu, vv in zip(u, v)
-                    )
-                if direct != expected:
+        trees = enumerate_trees(m)
+        scale = s ** (m + 1) * den ** m
+        signatures = _one_off_signatures(op, pair, trees)
+        for t, depths, values in zip(trees, depth_tuples(m), signatures):
+            for r, (h, direct) in enumerate(zip(depths, values)):
+                if direct != closed_form(h, scale):
                     raise ConstructionError(
                         f"{alg.label()}: lemma fails on tree {t!r} at "
                         f"position {r} (depth {h})"

@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,9 +102,10 @@ def _label_str(label) -> str:
     return json.dumps(label, separators=(",", ":"))
 
 
-def _get_bundle(config: RunConfig) -> InstanceBundle:
-    name = (config.family or "").lower()
-    params = normalize_params(name, config.params)
+def _get_bundle(config: RunConfig, name, params) -> InstanceBundle:
+    """The cached instance from config.cache_dir, else a fresh build."""
+    name = (name or "").lower()
+    params = normalize_params(name, params)
     cached = load_cache(name, params, config.cache_dir)
     if cached is not None:
         return cached
@@ -146,7 +146,7 @@ def cmd_build(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    bundle = _get_bundle(config)
+    bundle = _get_bundle(config, config.family, config.params)
     verdict = verify_classification(
         bundle.algebra,
         config.m_max,
@@ -167,7 +167,7 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_classes(config: RunConfig) -> int:
-    bundle = _get_bundle(config)
+    bundle = _get_bundle(config, config.family, config.params)
     reports = [
         count_norton_classes(
             bundle.algebra, m, strategy=config.strategy, budget=config.budget_fingerprint
@@ -190,7 +190,7 @@ def cmd_classes(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    bundle = _get_bundle(config)
+    bundle = _get_bundle(config, config.family, config.params)
     sd = bundle.spectral
     if config.fmt == "csv":
         rows = [["eigenvalue", "multiplicity"]]
@@ -209,7 +209,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 
 
 def cmd_product_table(config: RunConfig) -> int:
-    bundle = _get_bundle(config)
+    bundle = _get_bundle(config, config.family, config.params)
     table = formula_table(bundle.graph)
     labels = table.labels
     entries = [(u, v, table.product(u, v).items()) for u in labels for v in labels]
@@ -243,18 +243,7 @@ def cmd_table(config: RunConfig) -> int:
     columns = []
     for spec, (name, params) in zip(specs, parsed):
         try:
-            sub = RunConfig(
-                command="table",
-                family=name,
-                params=params,
-                m_max=config.m_max,
-                strategy=config.strategy,
-                budget_vertices=config.budget_vertices,
-                budget_fingerprint=config.budget_fingerprint,
-                cache_dir=config.cache_dir,
-                fmt=config.fmt,
-            )
-            bundle = _get_bundle(sub)
+            bundle = _get_bundle(config, name, params)
             counts = [
                 count_norton_classes(
                     bundle.algebra,
@@ -306,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache-dir",
-        default=os.environ.get("NORTON_CACHE_DIR") or None,
         help="cache directory (defaults to $NORTON_CACHE_DIR, then ~/.cache/nortonalg)",
     )
     common.add_argument(

@@ -456,7 +456,7 @@ class NortonAlgebra:
     one_off: tuple
     one_off_line: tuple = ()
     notes: tuple = ()
-    # classify._one_off_proof's pair and mu, made on first use
+    # classify._one_off_proof's pair, mu and s, made on first use
     one_off_proof: tuple | None = field(default=None, init=False, repr=False)
 
     def one_off_vectors(self):

@@ -1,6 +1,7 @@
 """Classification layer: signatures, certificates, coefficient lemmas, verdicts."""
 
 import dataclasses
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -90,14 +91,15 @@ CONFTEST_INSTANCES = (
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
 def test_depth_rows_match_subtree_recursion(algebra, name):
     # v * v = mu v holds on every family algebra, so signatures are read off
-    # the leaf depths; they must equal the per-subtree values exactly
+    # the leaf depths; they must equal the batched subtree evaluation exactly
     alg = algebra(name)
+    pair = classify._one_off_proof(alg)[0]
     for m in range(8):
         rows = classify._depth_rows(alg, m)
         assert rows is not None, (name, m)
-        memo = {}
-        for t in enumerate_trees(m):
-            want = classify._memo_signature(alg, t, memo)
+        trees = enumerate_trees(m)
+        batched = classify._one_off_signatures(alg.operation, pair, trees)
+        for t, want in zip(trees, batched):
             assert tuple(rows[h] for h in depth_sequence(t)) == want, (name, t)
             assert one_off_signature(alg, t) == want
 
@@ -263,6 +265,45 @@ def test_certify_distinct_johnson_4_1(algebra):
     assert cert.value_b == tuple(c * a + c * b for a, b in zip(u, v))
 
 
+def _halve_and_third(alg):
+    """alg with its one-off pair scaled to u/2 and v/3, so that s = 6."""
+    coords = dict(alg.label_coords)
+    for label, k in zip(alg.one_off, (2, 3)):
+        coords[label] = tuple(Fraction(x) / k for x in coords[label])
+    return dataclasses.replace(alg, label_coords=coords)
+
+
+@pytest.mark.parametrize("name", ["j41", "c22", "skew"])
+@pytest.mark.parametrize("scaled", [False, True], ids=["s1", "s6"])
+def test_certificate_values_are_exact_one_off_evaluations(algebra, name, scaled):
+    # values read off the integer signatures equal a direct Fraction
+    # evaluation at the separating position; skew takes the batched path
+    alg = _custom_algebra(name, *SKEW) if name == "skew" else algebra(name)
+    if scaled:
+        alg = _halve_and_third(alg)
+    assert (classify._depth_rows(alg, 4) is None) == (name == "skew")
+    u, v = alg.one_off_vectors()
+    separated = 0
+    for m in range(1, 5):
+        trees = enumerate_trees(m)
+        for a, tree_a in enumerate(trees):
+            for tree_b in trees[a + 1:]:
+                cert = certify_distinct(alg, tree_a, tree_b)
+                if not isinstance(cert, DistinctnessCertificate):
+                    continue
+                args = [v] * (m + 1)
+                args[cert.position] = u
+                assert cert.value_a == binop.evaluate_parenthesization(
+                    alg.operation, tree_a, args
+                )
+                assert cert.value_b == binop.evaluate_parenthesization(
+                    alg.operation, tree_b, args
+                )
+                assert cert.value_a != cert.value_b
+                separated += 1
+    assert separated == 1 + 10 + 91  # every pair of distinct trees
+
+
 def test_certify_distinct_triangle(algebra):
     alg = algebra("j31")
     t_right, t_left = enumerate_trees(2)
@@ -362,6 +403,27 @@ def test_lemma_holds_on_every_tree(algebra):
     for name in ("j31", "j41", "j52", "h23", "h14", "d22", "c22"):
         assert verify_pattern_lemma(algebra(name), 4) == per_position
     assert verify_pattern_lemma(algebra("g242"), 3) == 2 + 6 + 20
+
+
+@pytest.mark.parametrize("name", ["j52", "g242", "c22"])
+def test_lemma_check_catches_a_perturbed_square(algebra, name):
+    # one unit of den C moves v * v and leaves u * v alone, so every left
+    # comb behind the closed form still agrees; the first tree that squares
+    # v, u * (v * v), must fail
+    alg = algebra(name)
+    u, v = alg.one_off_vectors()
+    assert sum(map(abs, v)) == 1  # v is a basis vector e_j
+    j = v.index(1)
+    cube = [[list(row) for row in plane] for plane in alg.operation.constants]
+    cube[j][j][0] += Fraction(1, binop._int_form(alg.operation).den)
+    op = binop.BilinearOperation(cube)
+    assert op.is_commutative
+    assert op.apply(u, v) == alg.operation.apply(u, v)
+    assert op.apply(v, v) != alg.operation.apply(v, v)
+    bad = dataclasses.replace(alg, operation=op)
+    want = "lemma fails on tree BinaryTree('(•(••))') at position 0"
+    with pytest.raises(ConstructionError, match=re.escape(want)):
+        verify_pattern_lemma(bad, 3)
 
 
 def test_verify_classification_passes(algebra):
