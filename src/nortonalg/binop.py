@@ -16,9 +16,11 @@ whenever max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer
 constant table (B = max_k sum_{i,j} |den C[i][j][k]|); that product
 dominates every partial sum of both contractions, so the result is exact.
 Otherwise it runs on Python ints, and an array that has left int64 stays
-there.  Fractions appear only at the API edge: evaluate_parenthesization
-clears the denominators of its arguments, evaluates in integers and
-divides once at the end.
+there.  An operation is stored as the step's integer table and nothing
+else: the solver and the cache hand it over directly, and the Fraction
+constants are a view of it for API callers.  Fractions appear only at the
+API edge: evaluate_parenthesization clears the denominators of its
+arguments, evaluates in integers and divides once at the end.
 
 Grouping trees by probe tensor builds a tensor only where no exact argument
 decides.  An operation without linear terms whose constants fall into two
@@ -42,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import NamedTuple
+from math import gcd, lcm
 
 import numpy as np
 
@@ -76,47 +77,99 @@ def _frac(x) -> Fraction:
 class BilinearOperation:
     """Structure constants of x*y = B(x,y) + Lx + Ry, exact rationals.
 
-    constants[i][j][k] is the e_k coefficient of e_i * e_j.  linear_left and
-    linear_right are dim x dim matrices (output index first) and default to
-    zero; purely bilinear operations leave them None.
+    constants[i][j][k] is the e_k coefficient of e_i * e_j; linear_left and
+    linear_right are dim x dim matrices (output index first), None when
+    zero.  The stored form is one integer table over the probe space (see
+    probe_dimension): den, the lcm of the reduced denominators, and flat, a
+    (p, p*p) array of Python ints with flat[i, j*p+k] = den * C[i][j][k].
+    With linear parts the constants are homogenized: probe index p-1 is the
+    affine coordinate, so e_i * e_h picks up the left linear part, e_h * e_j
+    the right one, and e_h * e_h = e_h.  Fraction input is converted once
+    here; from_int_table takes the table directly.  constants, linear_left
+    and linear_right are Fraction views of flat, made on first use for API
+    callers; nothing inside the package reads them.
     """
 
     def __init__(self, constants, linear_left=None, linear_right=None):
-        cube = tuple(
-            tuple(tuple(_frac(c) for c in row) for row in plane) for plane in constants
-        )
-        d = len(cube)
+        cube = [[[_frac(c) for c in row] for row in plane] for plane in constants]
+        parts = [
+            None if m is None else [[_frac(c) for c in row] for row in m]
+            for m in (linear_left, linear_right)
+        ]
+        mats = cube + [m for m in parts if m is not None]
+        den = lcm(*(c.denominator for mat in mats for row in mat for c in row))
+
+        def scaled(mat):
+            if mat is not None:
+                return [[c.numerator * (den // c.denominator) for c in row] for row in mat]
+
+        self._set_table(den, [scaled(plane) for plane in cube], *map(scaled, parts))
+
+    @classmethod
+    def from_int_table(cls, den, table, linear_left=None, linear_right=None):
+        """The operation with constants table / den (and linear parts / den).
+
+        table is a dim^3 integer array or nested list, the linear parts dim x
+        dim integer matrices, output index first, and den a nonzero integer.
+        den and every entry are divided by their gcd (negated when den < 0),
+        so den ends as the lcm of the reduced denominators.
+        """
+        op = cls.__new__(cls)
+        op._set_table(den, table, linear_left, linear_right)
+        return op
+
+    def _set_table(self, den, table, linear_left, linear_right):
+        table = np.asarray(table, dtype=object)
+        d = len(table)
         if d == 0:
             raise ValueError("dimension must be positive")
-        for plane in cube:
-            if len(plane) != d or any(len(row) != d for row in plane):
-                raise ValueError("structure constants must form a dim^3 cube")
-        self.constants = cube
+        if table.shape != (d, d, d):
+            raise ValueError("structure constants must form a dim^3 cube")
+        den = int(den)
+        if den == 0:
+            raise ValueError("den must be nonzero")
+        parts = [
+            None if m is None else np.asarray(m, dtype=object)
+            for m in (linear_left, linear_right)
+        ]
+        if any(m is not None and m.shape != (d, d) for m in parts):
+            raise ValueError("linear part must be a dim x dim matrix")
+        left, right = (m if m is not None and m.any() else None for m in parts)
+        p = d if left is None and right is None else d + 1
+        cube = np.zeros((p, p, p), dtype=object)
+        cube[:d, :d, :d] = table
+        if p > d:
+            if left is not None:
+                cube[:d, d, :d] = left.T
+            if right is not None:
+                cube[d, :d, :d] = right.T
+            cube[d, d, d] = den
+        flat = cube.reshape(p, p * p)
+        # divide by the content, signed so that den ends positive
+        g = gcd(den, *flat.ravel().tolist()) * (1 if den > 0 else -1)
+        if g != 1:
+            den, flat = den // g, flat // g
+        self.den = den
+        self.flat = flat
         self._dim = d
-        self.linear_left = self._as_matrix(linear_left, d)
-        self.linear_right = self._as_matrix(linear_right, d)
-        self._int_form = None
+        self._p = p
+        self._flat64 = flat.astype(np.int64) if fits_int64(abs_max(flat)) else None
+        # two's complement int64 is the residue mod 2^64
+        self._flat_u64 = (
+            self._flat64.view(np.uint64) if self._flat64 is not None
+            else (flat % (1 << 64)).astype(np.uint64)
+        )
+        # max_k sum_{i,j} |flat[i, j*p+k]|, the product step's overflow bound
+        self._bound = int(np.abs(flat).reshape(p * p, p).sum(axis=0).max())
         self._blocks = None
         self._tensor_cache = {}
         self._tensor_cells = 0
         # tree -> representative of its exact class, from earlier groupings
         self._classes = {}
 
-    @staticmethod
-    def _as_matrix(m, d):
-        if m is None:
-            return None
-        mat = tuple(tuple(_frac(c) for c in row) for row in m)
-        if len(mat) != d or any(len(row) != d for row in mat):
-            raise ValueError("linear part must be a dim x dim matrix")
-        if all(c == 0 for row in mat for c in row):
-            return None
-        return mat
-
     @classmethod
     def zero(cls, dim: int) -> "BilinearOperation":
-        z = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(z)
+        return cls.from_int_table(1, np.zeros((dim, dim, dim), dtype=np.int64))
 
     @property
     def dimension(self) -> int:
@@ -124,28 +177,47 @@ class BilinearOperation:
 
     @property
     def has_linear_terms(self) -> bool:
-        return self.linear_left is not None or self.linear_right is not None
+        return self._p > self._dim
 
     @property
     def probe_dimension(self) -> int:
         """Dimension of the space probe tuples are drawn from."""
-        return self._dim + 1 if self.has_linear_terms else self._dim
+        return self._p
+
+    def _cube(self) -> np.ndarray:
+        """flat as the (p, p, p) cube of den * probe constants."""
+        return self.flat.reshape(self._p, self._p, self._p)
+
+    def _view(self, rows) -> tuple:
+        """Integer rows over den as tuples of Fractions."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in rows)
+
+    @cached_property
+    def constants(self) -> tuple:
+        d = self._dim
+        return tuple(self._view(plane) for plane in self._cube()[:d, :d, :d].tolist())
+
+    def _linear(self, left: bool):
+        if not self.has_linear_terms:
+            return None
+        d, cube = self._dim, self._cube()
+        ints = cube[:d, d, :d] if left else cube[d, :d, :d]
+        return self._view(ints.T.tolist()) if ints.any() else None
+
+    linear_left = cached_property(lambda self: self._linear(left=True))
+    linear_right = cached_property(lambda self: self._linear(left=False))
 
     @cached_property
     def is_commutative(self) -> bool:
-        """Whether x*y == y*x; computed once, as the constants never change."""
-        c = self.constants
-        d = self._dim
-        if any(c[i][j] != c[j][i] for i in range(d) for j in range(i)):
-            return False
-        return self.linear_left == self.linear_right
+        """Whether x*y == y*x: the homogenized cube is symmetric in i and j,
+        which holds exactly when B is symmetric and L == R."""
+        cube = self._cube()
+        return bool((cube == cube.transpose(1, 0, 2)).all())
 
     @cached_property
     def is_zero(self) -> bool:
-        """Whether every product vanishes; computed once, like is_commutative."""
-        return not self.has_linear_terms and all(
-            x == 0 for p in self.constants for r in p for x in r
-        )
+        """Whether every product vanishes."""
+        return not self.has_linear_terms and not self.flat.any()
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         return self.constants[i][j][k]
@@ -171,7 +243,7 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
         raise ValueError(f"tree has {t.leaf_count} leaves, got {len(args)} arguments")
     s, rows = _scaled_rows(op, args)
     m = t.internal_count
-    scale = s ** (m + 1) * _int_form(op).den ** m
+    scale = s ** (m + 1) * op.den ** m
     value = _evaluate_rows(op, t, rows, {})
     return tuple(Fraction(x, scale) for x in value[: op.dimension].tolist())
 
@@ -197,61 +269,6 @@ def _scaled_rows(op: BilinearOperation, vectors):
     return s, rows.astype(np.int64) if fits_int64(abs_max(rows)) else rows
 
 
-class _IntForm(NamedTuple):
-    """The integer constant table of an operation (see _int_form)."""
-
-    den: int
-    flat: np.ndarray  # Python ints
-    flat64: np.ndarray | None  # the same table in int64, when it fits
-    flat_u64: np.ndarray  # the same table mod 2^64
-    bound: int  # max_k sum_{i,j} |flat[i, j*p+k]|
-
-
-def _int_form(op: BilinearOperation) -> _IntForm:
-    """den and flat[i, j*p+k] = den * probe constants, with their bound.
-
-    For operations with linear terms the constants are homogenized: probe
-    index p-1 is the affine coordinate, so e_i * e_h picks up the left linear
-    part, e_h * e_j the right one, and e_h * e_h = e_h.
-    """
-    cached = op._int_form
-    if cached is not None:
-        return cached
-    rows = [row for plane in op.constants for row in plane]
-    for mat in (op.linear_left, op.linear_right):
-        rows += mat or ()
-    den = lcm(*(c.denominator for row in rows for c in row))
-    d = op.dimension
-    p = op.probe_dimension
-    flat = np.zeros((p, p * p), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            row = op.constants[i][j]
-            for k in range(d):
-                if row[k]:
-                    flat[i, j * p + k] = int(row[k] * den)
-    if op.has_linear_terms:
-        h = p - 1
-        if op.linear_left is not None:
-            for k in range(d):
-                for i in range(d):
-                    c = op.linear_left[k][i]
-                    if c:
-                        flat[i, h * p + k] = flat[i, h * p + k] + int(c * den)
-        if op.linear_right is not None:
-            for k in range(d):
-                for j in range(d):
-                    c = op.linear_right[k][j]
-                    if c:
-                        flat[h, j * p + k] = flat[h, j * p + k] + int(c * den)
-        flat[h, h * p + h] = den
-    flat64 = flat.astype(np.int64) if fits_int64(abs_max(flat)) else None
-    flat_u64 = (flat % (1 << 64)).astype(np.uint64)
-    bound = int(np.abs(flat).reshape(p * p, p).sum(axis=0).max())
-    op._int_form = _IntForm(den, flat, flat64, flat_u64, bound)
-    return op._int_form
-
-
 def _int_product(op: BilinearOperation, x, y):
     """den * (x*y) for integer rows x, y of the probe space.
 
@@ -263,17 +280,16 @@ def _int_product(op: BilinearOperation, x, y):
     uint64 rows are residues mod 2^64: their product wraps, which is exact
     mod 2^64, and needs no bound.
     """
-    form = _int_form(op)
     p = op.probe_dimension
-    flat = form.flat64
+    flat = op._flat64
     if x.dtype == y.dtype == np.uint64:
-        flat = form.flat_u64
+        flat = op._flat_u64
     elif not (
         flat is not None
         and x.dtype == y.dtype == np.int64
-        and fits_int64(abs_max(x), max(abs_max(y), 1), form.bound)
+        and fits_int64(abs_max(x), max(abs_max(y), 1), op._bound)
     ):
-        x, y, flat = x.astype(object, copy=False), y.astype(object, copy=False), form.flat
+        x, y, flat = x.astype(object, copy=False), y.astype(object, copy=False), op.flat
     # (x @ flat)[..., j, k] = sum_i x_i C[i][j][k]; contract with y over j
     return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
 
@@ -367,7 +383,7 @@ def tensor_fingerprint(
     maps.
     """
     _check_probe_budget(op, t.internal_count, budget)
-    scale = _int_form(op).den ** t.internal_count
+    scale = op.den ** t.internal_count
     return tuple(Fraction(v, scale) for v in _probe_tensor(op, t).reshape(-1).tolist())
 
 
@@ -435,7 +451,7 @@ def _split(op: BilinearOperation) -> tuple:
     # union-find over basis indices; the check below guards the direct-sum
     # claim that the refinement rests on
     d = op.dimension
-    i, jk = np.nonzero(_int_form(op).flat != 0)
+    i, jk = np.nonzero(op.flat != 0)
     j, k = np.divmod(jk, d)
     parent = list(range(d))
 
@@ -455,12 +471,13 @@ def _split(op: BilinearOperation) -> tuple:
         components.setdefault(r, []).append(x)
     if len(components) == 1:
         return (op,)
-    c = op.constants
+    cube = op._cube()
     distinct = {}
     for idx in components.values():
-        cube = tuple(tuple(tuple(c[a][b][e] for e in idx) for b in idx) for a in idx)
-        if cube not in distinct:
-            distinct[cube] = BilinearOperation(cube)
+        sub = cube[np.ix_(idx, idx, idx)]
+        key = tuple(sub.ravel().tolist())
+        if key not in distinct:
+            distinct[key] = BilinearOperation.from_int_table(op.den, sub)
     return tuple(distinct.values())
 
 
@@ -589,35 +606,18 @@ def direct_product(op1: BilinearOperation, op2: BilinearOperation) -> BilinearOp
     Basis vectors from different factors multiply to zero, so a tree evaluated
     on the product is the pair of its evaluations on the factors; classes of
     the product partition is the common refinement of the factor partitions.
+    The integer tables are put over the lcm of the two dens, the linear
+    parts block-diagonally beside the constants.
     """
-    d1, d2 = op1.dimension, op2.dimension
-    d = d1 + d2
-    cube = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d1):
-        for j in range(d1):
-            for k in range(d1):
-                cube[i][j][k] = op1.constants[i][j][k]
-    for i in range(d2):
-        for j in range(d2):
-            for k in range(d2):
-                cube[d1 + i][d1 + j][d1 + k] = op2.constants[i][j][k]
-
-    def block(m1, m2):
-        if m1 is None and m2 is None:
-            return None
-        out = [[Fraction(0)] * d for _ in range(d)]
-        if m1 is not None:
-            for k in range(d1):
-                for i in range(d1):
-                    out[k][i] = m1[k][i]
-        if m2 is not None:
-            for k in range(d2):
-                for i in range(d2):
-                    out[d1 + k][d1 + i] = m2[k][i]
-        return out
-
-    return BilinearOperation(
-        cube,
-        linear_left=block(op1.linear_left, op2.linear_left),
-        linear_right=block(op1.linear_right, op2.linear_right),
-    )
+    d1, d = op1.dimension, op1.dimension + op2.dimension
+    den = lcm(op1.den, op2.den)
+    cube = np.zeros((d, d, d), dtype=object)
+    linear = np.zeros((2, d, d), dtype=object)  # left, right; output index first
+    for op, at in ((op1, slice(0, d1)), (op2, slice(d1, d))):
+        part = op._cube() * (den // op.den)
+        e = op.dimension
+        cube[at, at, at] = part[:e, :e, :e]
+        if op.has_linear_terms:
+            linear[0, at, at] = part[:e, e, :e].T
+            linear[1, at, at] = part[e, :e, :e].T
+    return BilinearOperation.from_int_table(den, cube, *linear)

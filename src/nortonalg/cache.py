@@ -5,8 +5,11 @@ A cache entry stores everything expensive to recompute: the distance matrix
 and multiplicities, and the algebra's basis, coordinates, and structure
 constants.  The spectrum is not trusted from the file: on load it is
 recomputed from the rebuilt graph's intersection array, and the stored
-eigenvalues and multiplicities must agree with it.  Every rational travels
-as a "numerator/denominator" string.
+eigenvalues and multiplicities must agree with it.  The structure constants
+travel as the operation's own integer table, "den" and the dim^3
+"structure_constants" numerators over it, and the label coordinates as
+integers over one "label_den"; anything there but JSON integers of that
+shape (positive denominators) is a ConstructionError.
 
 Bump CODE_TAG whenever a change could invalidate stored structure
 constants; old entries are then ignored instead of trusted.
@@ -18,6 +21,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +31,7 @@ from .norton import NortonAlgebra
 from .binop import BilinearOperation
 from .spectral import spectral_data
 
-CODE_TAG = "1"
+CODE_TAG = "2"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
@@ -46,27 +50,18 @@ def cache_path(cache_dir, name: str, params) -> Path:
 
 
 def frac_str(f) -> str:
-    """"p/q" for a Fraction (or an int, as p/1); the cache and CLI text form."""
+    """"p/q" for a Fraction (or an int, as p/1); the CLI text form."""
     return f"{f.numerator}/{f.denominator}"
 
 
-def _frac_list(values):
-    return [frac_str(v) for v in values]
-
-
-def _parse_frac(text) -> Fraction:
-    """Fraction(text), reading the "p/q" form that frac_str writes directly.
-
-    Decimal digits with an optional leading minus over decimal digits are
-    exactly the strings of that form Fraction's parser accepts, so only
-    the regex parse is skipped; anything else goes to Fraction itself.
-    """
-    if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num.startswith("-") else num
-        if slash and digits.isdecimal() and den.isdecimal():
-            return Fraction(int(num), int(den))
-    return Fraction(text)
+def _is_int_table(value, shape) -> bool:
+    """Whether value is nested JSON lists of that shape holding only ints."""
+    level = [value]
+    for n in shape:
+        if not all(type(x) is list and len(x) == n for x in level):
+            return False
+        level = [x for row in level for x in row]
+    return set(map(type, level)) <= {int}
 
 
 def _detuple(obj):
@@ -81,6 +76,7 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
     name, params = family_key(bundle.graph.family)
     g = bundle.graph
     alg = bundle.algebra
+    label_den = lcm(*(c.denominator for cs in alg.label_coords.values() for c in cs))
     payload = {
         "code_tag": CODE_TAG,
         "family": name,
@@ -90,11 +86,11 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
         "eigenvalues": list(bundle.spectral.eigenvalues),
         "multiplicities": list(bundle.spectral.multiplicities),
         "basis_labels": [list(x) for x in alg.basis_labels],
-        "structure_constants": [
-            [_frac_list(row) for row in plane] for plane in alg.operation.constants
-        ],
+        "den": alg.operation.den,
+        "structure_constants": alg.operation.flat.reshape((alg.dim,) * 3).tolist(),
+        "label_den": label_den,
         "label_coords": [
-            [list(label), _frac_list(coords)]
+            [list(label), [c.numerator * (label_den // c.denominator) for c in coords]]
             for label, coords in alg.label_coords.items()
         ],
         "one_off": [list(x) for x in alg.one_off],
@@ -107,8 +103,7 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,19 +145,24 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
             raise ConstructionError(
                 f"{target} is stale: stored {key} {payload[key]} != {list(fresh)}"
             )
-    cube = [
-        [[_parse_frac(c) for c in row] for row in plane]
-        for plane in payload["structure_constants"]
-    ]
+    dim = len(payload["basis_labels"])
+    den, table = payload.get("den"), payload.get("structure_constants")
+    label_den, pairs = payload.get("label_den"), payload["label_coords"]
+    if not (
+        dim and _is_int_table([den, label_den], (2,)) and min(den, label_den) > 0
+        and _is_int_table(table, (dim,) * 3)
+        and _is_int_table([coords for _, coords in pairs], (len(pairs), dim))
+    ):
+        raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
     label_coords = {
-        _detuple(label): tuple(map(_parse_frac, coords))
-        for label, coords in payload["label_coords"]
+        _detuple(label): tuple(Fraction(x, label_den) for x in coords)
+        for label, coords in pairs
     }
     alg = NortonAlgebra(
         family=g.family,
-        dim=len(payload["basis_labels"]),
+        dim=dim,
         basis_labels=_detuple(payload["basis_labels"]),
-        operation=BilinearOperation(cube),
+        operation=BilinearOperation.from_int_table(den, table),
         label_coords=label_coords,
         one_off=_detuple(payload["one_off"]),
         one_off_line=_detuple(payload["one_off_line"]),

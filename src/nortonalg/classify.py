@@ -39,7 +39,6 @@ from .binop import (
     BilinearOperation,
     EquivalenceReport,
     _evaluate_rows,
-    _int_form,
     _int_product,
     _make_report,
     _scaled_rows,
@@ -317,7 +316,7 @@ def certify_distinct(alg: NortonAlgebra, tree_a, tree_b):
     for r in range(m + 1):
         if sig_a[r] != sig_b[r]:
             s = _one_off_proof(alg)[2]
-            scale = s ** (m + 1) * _int_form(alg.operation).den ** m
+            scale = s ** (m + 1) * alg.operation.den ** m
             value_a, value_b = (
                 tuple(Fraction(x, scale) for x in sig[r]) for sig in (sig_a, sig_b)
             )
@@ -460,7 +459,7 @@ def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     u, v = _lemma_pair(alg)
     op = alg.operation
     s, pair = _scaled_rows(op, (u, v))
-    den = _int_form(op).den
+    den = op.den
     line = _line_sum(alg) if isinstance(alg.family, GrassmannFamily) else (0,) * len(u)
 
     @cache
@@ -606,10 +605,8 @@ def d22_hamming_aligned_operation(
     products = OracleProducts.of_vectors(g, spectral, range(len(basis)), basis)
     if not products.fixed.all():
         raise ConstructionError("aligned basis vectors leave V_1")
-    _, cube = products.expand(range(len(basis)))
-    if any(c is None for row in cube for c in row):
-        raise ConstructionError("aligned product escapes the basis span")
-    op = BilinearOperation(cube)
+    _, den, table = products.expand(range(len(basis)))
+    op = BilinearOperation.from_int_table(den, table)
     if not op.is_commutative:
         raise ConstructionError("aligned structure constants are not commutative")
     return op

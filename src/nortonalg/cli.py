@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -281,7 +282,9 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="nortonalg",
         description="Norton algebras of distance regular graphs, exactly.",

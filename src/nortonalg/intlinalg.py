@@ -4,12 +4,12 @@ Arrays hold either int64 or Python ints (dtype object).  int64 is used only
 where a bound proves that no partial sum can leave its range: fits_int64 is
 that one overflow rule, shared by exact_matmul here and by the product step
 of binop.  The fraction-free routines below pick independent rows and solve
-for coordinates without ever forming a Fraction until the final division.
+for coordinates in integers over one common denominator; no Fraction is
+formed here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, prod
 
 import numpy as np
@@ -108,19 +108,17 @@ def _adjugate(m):
     return np.array([row[k:] for row in aug], dtype=object), prev
 
 
-def coordinates(basis, pivots, targets, divisors):
-    """Coordinates of integer target rows over independent integer basis rows.
+def coordinates(basis, pivots, targets):
+    """Coordinates of integer target rows over independent integer basis
+    rows, times one common integer det: returns (det, coords).
 
     pivots are columns on which the basis is nonsingular.  One adjugate of
     that k x k block solves every target at once, and basis^T C == det T is
     then checked on all columns, so a target outside the span gives None,
-    never a wrong answer.  Target t's coordinates are divided by
-    divisors[t] and returned as a tuple of Fractions.
+    never a wrong answer.  coords[t] is target t's coordinates times det,
+    a tuple of ints.
     """
     adj, det = _adjugate(basis[:, pivots].T)
     solved = exact_matmul(adj, targets[:, pivots].T)
     inside = (exact_matmul(basis.T, solved) == det * targets.T).all(axis=0)
-    return [
-        tuple(Fraction(x, det * d) for x in col) if ok else None
-        for col, ok, d in zip(solved.T.tolist(), inside, divisors)
-    ]
+    return det, [tuple(col) if ok else None for col, ok in zip(solved.T.tolist(), inside)]

@@ -196,10 +196,12 @@ class OracleProducts:
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
 
-        basis lists independent row indices.  Returns (coords, cube):
-        coords[i] expresses vector i and cube[a][b] the product of basis
-        vectors a and b, each a tuple of Fractions, or None where it leaves
-        the span of the basis.
+        basis lists independent row indices.  Returns (coords, den, table):
+        coords[i] expresses vector i as a tuple of Fractions, or None where
+        it leaves the span of the basis, and table[a, b] / den expresses the
+        product of basis vectors a and b, an integer table straight from
+        the solve, over den = det * self.den * self.scale.  A product that
+        leaves the span is a ConstructionError.
         """
         basis = list(basis)
         rows = self.rows[:, self.cols]
@@ -210,12 +212,16 @@ class OracleProducts:
         a, b = np.triu_indices(k)
         chosen = np.array(basis)
         targets = np.concatenate([rows, self.products[self.pair[chosen[a], chosen[b]]]])
-        divisors = [1] * s + [self.den * self.scale] * len(a)
-        solved = coordinates(rows[chosen], pivots, targets, divisors)
-        cube = [[None] * k for _ in range(k)]
+        det, solved = coordinates(rows[chosen], pivots, targets)
+        table = np.empty((k, k, k), dtype=object)
         for x, y, coeffs in zip(a.tolist(), b.tolist(), solved[s:]):
-            cube[x][y] = cube[y][x] = coeffs
-        return solved[:s], cube
+            if coeffs is None:
+                raise ConstructionError(f"basis product ({x},{y}) escapes V_1")
+            table[x, y] = table[y, x] = coeffs
+        coords = [
+            None if c is None else tuple(Fraction(x, det) for x in c) for c in solved[:s]
+        ]
+        return coords, det * self.den * self.scale, table
 
 
 @dataclass(frozen=True)
@@ -515,7 +521,7 @@ def structure_constants(
             f"{g.label()}: only {len(chosen)} independent vectors "
             f"among candidates, need {dim}"
         )
-    coords, cube = products.expand(chosen)
+    coords, den, table = products.expand(chosen)
     label_coords = {}
     for lbl, coeffs in zip(labels, coords):
         if coeffs is None:
@@ -524,13 +530,7 @@ def structure_constants(
                 f"space: {lbl!r} escapes the basis span"
             )
         label_coords[lbl] = coeffs
-    for i in range(dim):
-        for j in range(i, dim):
-            if cube[i][j] is None:
-                raise ConstructionError(
-                    f"{g.label()}: basis product ({i},{j}) escapes V_1"
-                )
-    op = BilinearOperation(cube)
+    op = BilinearOperation.from_int_table(den, table)
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     points = g.lattice.levels[1]

@@ -114,7 +114,7 @@ def _exact_signature(alg, t):
     m = t.internal_count
     u, v = alg.one_off_vectors()
     s = lcm(*(Fraction(x).denominator for x in (*u, *v)))
-    scale = s ** (m + 1) * binop._int_form(alg.operation).den ** m
+    scale = s ** (m + 1) * alg.operation.den ** m
     out = []
     for r in range(m + 1):
         args = [v] * (m + 1)
@@ -415,7 +415,7 @@ def test_lemma_check_catches_a_perturbed_square(algebra, name):
     assert sum(map(abs, v)) == 1  # v is a basis vector e_j
     j = v.index(1)
     cube = [[list(row) for row in plane] for plane in alg.operation.constants]
-    cube[j][j][0] += Fraction(1, binop._int_form(alg.operation).den)
+    cube[j][j][0] += Fraction(1, alg.operation.den)
     op = binop.BilinearOperation(cube)
     assert op.is_commutative
     assert op.apply(u, v) == alg.operation.apply(u, v)

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from nortonalg import cache
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -110,30 +109,77 @@ def test_cache_round_trip_reproduces_reports(tmp_path):
     assert fresh.to_json_dict() == cached.to_json_dict()
 
 
-def test_cache_serializes_rationals_as_fraction_strings(tmp_path):
-    bundle = build_instance("johnson", (3, 1))
+def test_cache_serializes_constants_as_integer_table(tmp_path):
+    bundle = build_instance("johnson", (5, 2))
+    op = bundle.algebra.operation
     target = write_cache(bundle, tmp_path)
     payload = json.loads(target.read_text())
     assert payload["code_tag"] == CODE_TAG
     flat = [c for plane in payload["structure_constants"] for row in plane for c in row]
-    assert all(isinstance(c, str) and "/" in c for c in flat)
-    assert "-1/1" in flat and "1/1" in flat
+    assert all(type(c) is int for c in flat) and len(flat) == op.dimension ** 3
+    assert type(payload["den"]) is int and payload["den"] > 0
+    assert any(Fraction(c, payload["den"]).denominator > 1 for c in flat)
+    coords = [x for _, xs in payload["label_coords"] for x in xs]
+    assert all(type(x) is int for x in coords) and payload["label_den"] > 0
+    loaded = load_cache("johnson", (5, 2), tmp_path).algebra
+    assert loaded.operation.constants == op.constants
+    assert loaded.label_coords == bundle.algebra.label_coords
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["-7/2", "6/8", "0/1", "-0/5", "\u0663/\u0664", "+3/4", " 3/4", "1_0/3", "3", "1.5",
-     "1/0", "3/-4", "3 /4", "3/ 4", "--3/4", "-/4", "/4", "3/", "\u00b2/3", "x"],
-)
-def test_cache_parses_rationals_exactly_like_fraction(text):
-    # "p/q" is read with int(), everything else still goes through Fraction
-    def parse(f):
-        try:
-            return f(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            return type(exc)
+def _tamper(payload, kind):
+    table = payload["structure_constants"]
+    if kind == "str entry":
+        table[0][0][0] = "7/2"
+    elif kind == "float entry":
+        table[0][0][0] = 3.5
+    elif kind == "bool entry":
+        table[0][0][0] = True
+    elif kind == "str den":
+        payload["den"] = "1"
+    elif kind == "float den":
+        payload["den"] = 1.0
+    elif kind == "bool den":
+        payload["den"] = True
+    elif kind == "zero den":
+        payload["den"] = 0
+    elif kind == "negative den":
+        payload["den"] = -payload["den"]
+    elif kind == "missing den":
+        del payload["den"]
+    elif kind == "short row":
+        table[1][0].pop()
+    elif kind == "missing plane":
+        table.pop()
+    elif kind == "flat table":
+        payload["structure_constants"] = table[0][0]
+    elif kind == "missing table":
+        del payload["structure_constants"]
+    elif kind == "str label coordinate":
+        payload["label_coords"][0][1][0] = "1/2"
+    elif kind == "zero label den":
+        payload["label_den"] = 0
 
-    assert parse(cache._parse_frac) == parse(Fraction)
+
+MALFORMED = [
+    "str entry", "float entry", "bool entry", "str den", "float den", "bool den",
+    "zero den", "negative den", "missing den", "short row", "missing plane",
+    "flat table", "missing table", "str label coordinate", "zero label den",
+]
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_cache_rejects_malformed_tables(capsys, tmp_path, kind):
+    bundle = build_instance("johnson", (3, 1))
+    target = write_cache(bundle, tmp_path)
+    payload = json.loads(target.read_text())
+    _tamper(payload, kind)
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match="malformed"):
+        load_cache("johnson", (3, 1), tmp_path)
+    code, out = run_cli(
+        capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)
+    )
+    assert (code, out) == (1, "")
 
 
 def test_cache_miss_and_stale_tag(tmp_path):
@@ -255,7 +301,12 @@ def test_cli_verify_detects_tampered_cache(capsys, tmp_path):
     run_cli(capsys, "build", "johnson", "3", "1", "--cache-dir", str(tmp_path))
     target = tmp_path / f"johnson-3-1-v{CODE_TAG}.json"
     payload = json.loads(target.read_text())
-    payload["structure_constants"][0][0][0] = "7/2"
+    # the same operation over twice the den, then one entry changed
+    payload["den"] *= 2
+    for plane in payload["structure_constants"]:
+        for row in plane:
+            row[:] = [2 * c for c in row]
+    payload["structure_constants"][0][0][0] = 7
     target.write_text(json.dumps(payload))
     code, out = run_cli(
         capsys, "verify", "johnson", "3", "1", "--m-max", "4",
@@ -410,6 +461,27 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "m,observed,expected,method"
+
+
+def test_consecutive_main_calls_answer_as_if_alone(capsys, tmp_path):
+    # main() builds its parser once per process; a call must not see the
+    # calls before it, a failed parse included
+    calls = [
+        ["verify", "johnson", "5", "2", "--m-max", "5", "--strategy", "pattern"],
+        ["verify", "johnson", "5", "2", "--strategy", "nope"],
+        ["verify", "johnson", "5", "2"],
+    ]
+    alone = []
+    for argv in calls:
+        result = subprocess.run(
+            [sys.executable, "-m", "nortonalg", *argv, "--cache-dir", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        alone.append((result.returncode, result.stdout))
+    together = [run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) for argv in calls]
+    assert together == alone
+    assert [code for code, _ in alone] == [0, 2, 0]
 
 
 def _limit_address_space(limit):

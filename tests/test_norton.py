@@ -387,8 +387,8 @@ def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
     )
     kept, pivots = independent_rows(chars[:, cols], range(len(chars)), len(chars))
     extra = next(i for i in range(len(chars)) if i not in kept)
-    (coeffs,) = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols], [1])
-    z = chars[extra] - sum(c * chars[k] for c, k in zip(coeffs, kept))
+    det, (coeffs,) = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
+    z = chars[extra] - sum(Fraction(c, det) * chars[k] for c, k in zip(coeffs, kept))
     assert not z[cols].any() and z.any()
     svs = spanning_vectors(g, sd)
     moved = dataclasses.replace(
@@ -774,6 +774,21 @@ def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
     assert alg.label_coords == label_coords
     assert list(alg.label_coords) == list(label_coords)
     assert (alg.one_off, alg.one_off_line) == one_off
+
+
+def test_expand_refuses_a_product_outside_the_basis_span(bundle):
+    # over J_2(4,2) the product of two points spills onto the rest of their
+    # line, so it leaves the span of the two points alone
+    g, sd = bundle("g242")
+    with pytest.raises(ConstructionError, match=re.escape("basis product (0,1) escapes V_1")):
+        oracle_products(g, sd).expand([0, 1])
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_structure_constants_den_is_lcm_of_reduced_denominators(algebra, name):
+    op = algebra(name).operation
+    constants = [c for plane in op.constants for row in plane for c in row]
+    assert op.den == lcm(*(c.denominator for c in constants))
 
 
 TABLE_EXTRA_BUILDERS = {

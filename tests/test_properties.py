@@ -7,14 +7,16 @@ string) round-tripped on random trees with up to eight product signs.
 Examples are derandomized so the suite stays deterministic.
 """
 
+from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nortonalg.binop import (
     BilinearOperation,
-    _int_form,
     direct_product,
     evaluate_parenthesization,
     group_trees_by_fingerprint,
@@ -97,7 +99,7 @@ def test_one_off_signature_matches_reference(data):
     m = data.draw(st.integers(0, 4))
     alg = NortonAlgebra(None, op.dimension, (), op, {"u": u, "v": v}, ("u", "v"))
     s = lcm(*(x.denominator for x in (*u, *v)))
-    scale = s ** (m + 1) * _int_form(op)[0] ** m
+    scale = s ** (m + 1) * op.den ** m
     # every tree of one arity on one algebra; one_off_signature shares
     # nothing between calls, so each tree is evaluated afresh
     for t in enumerate_trees(m):
@@ -171,3 +173,46 @@ def test_asymmetric_cube_differs_on_a_basis_pair(data):
     assert not bad.is_commutative
     basis = [tuple(int(a == b) for b in range(d)) for a in range(d)]
     assert any(bad.apply(x, y) != bad.apply(y, x) for x in basis for y in basis)
+
+
+@st.composite
+def constant_tables(draw, max_dim=3):
+    """(cube, linear_left, linear_right) of Fractions: unconstrained, a
+    symmetric cube with equal or one-sided linear parts, or all zero."""
+    d = draw(st.integers(1, max_dim))
+    cube = draw(st.lists(matrices(d), min_size=d, max_size=d))
+    left, right = draw(st.none() | matrices(d)), draw(st.none() | matrices(d))
+    shape = draw(st.sampled_from(["any", "symmetric", "one-sided", "zero"]))
+    if shape != "any":
+        cube = [[cube[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+        right = left if shape == "symmetric" else None
+    if shape == "zero":
+        cube = [[[0] * d for _ in range(d)] for _ in range(d)]
+        left = None
+    return cube, left, right
+
+
+@PROPERTY
+@given(constant_tables(), st.integers(1, 6))
+def test_int_table_matches_fraction_constructor(parts, k):
+    cube, left, right = parts
+    d = len(cube)
+    op = BilinearOperation(cube, left, right)
+    rows = [row for plane in cube for row in plane] + (left or []) + (right or [])
+    den = lcm(*(Fraction(c).denominator for row in rows for c in row))
+    assert op.den == den
+
+    def ints(mat):
+        return None if mat is None else [[int(c * den) * k for c in row] for row in mat]
+
+    other = BilinearOperation.from_int_table(k * den, [ints(p) for p in cube], ints(left), ints(right))
+    assert other.den == op.den and np.array_equal(other.flat, op.flat)
+    assert other.constants == op.constants
+    assert (other.linear_left, other.linear_right) == (op.linear_left, op.linear_right)
+    zero = [[0] * d for _ in range(d)]
+    commutative = all(cube[i][j] == cube[j][i] for i in range(d) for j in range(d)) and (
+        (left or zero) == (right or zero)
+    )
+    assert other.is_commutative == op.is_commutative == commutative
+    is_zero = not any(c for row in rows for c in row)
+    assert other.is_zero == op.is_zero == is_zero
