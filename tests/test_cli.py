@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from nortonalg.binop import BilinearOperation
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -124,6 +125,35 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
     loaded = load_cache("johnson", (5, 2), tmp_path).algebra
     assert loaded.operation.constants == op.constants
     assert loaded.label_coords == bundle.algebra.label_coords
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-7/2", "6/8", "0/1", "-0/5", "\u0663/\u0664", "+3/4", " 3/4", "1_0/3", "3", "1.5",
+     "1/0", "3/-4", "3 /4", "3/ 4", "--3/4", "-/4", "/4", "3/", "\u00b2/3", "x"],
+)
+def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
+    # every rational Fraction reads from text round-trips exactly through
+    # the integer table; the text itself is never parsed, valid or not
+    bundle = build_instance("johnson", (3, 1))
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is not None:
+        cube = [[list(row) for row in plane] for plane in bundle.algebra.operation.constants]
+        cube[0][0][0] = value
+        bundle.algebra.operation = BilinearOperation(cube)
+        write_cache(bundle, tmp_path)
+        loaded = load_cache("johnson", (3, 1), tmp_path).algebra.operation
+        assert loaded.constants[0][0][0] == value
+        assert loaded.constants == bundle.algebra.operation.constants
+    target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
+    payload = json.loads(target.read_text())
+    payload["structure_constants"][0][0][0] = text
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match="malformed"):
+        load_cache("johnson", (3, 1), tmp_path)
 
 
 def _tamper(payload, kind):
