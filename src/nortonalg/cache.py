@@ -9,7 +9,7 @@ eigenvalues and multiplicities must agree with it.  The structure constants
 travel as the operation's own integer table, "den" and the dim^3
 "structure_constants" numerators over it, and the label coordinates as
 integers over one "label_den"; anything there but JSON integers of that
-shape (positive denominators) is a ConstructionError.
+shape (positive denominators), or a missing field, is a ConstructionError.
 
 Bump CODE_TAG whenever a change could invalidate stored structure
 constants; old entries are then ignored instead of trusted.
@@ -34,6 +34,10 @@ from .spectral import spectral_data
 CODE_TAG = "2"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
+
+# the fields load_cache reads besides the integer tables
+_FIELDS = {"vertices", "dist", "eigenvalues", "multiplicities", "basis_labels",
+           "label_coords", "one_off", "one_off_line", "notes"}
 
 
 def default_cache_dir() -> Path:
@@ -132,6 +136,9 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
         return None
     if payload.get("family") != name or _detuple(payload.get("params")) != params:
         raise ConstructionError(f"{target} does not describe {name} {params}")
+    missing = _FIELDS - payload.keys()
+    if missing:
+        raise ConstructionError(f"{target} is malformed: no {', '.join(sorted(missing))}")
     g = build_graph(name, params)
     stored_vertices = [_detuple(v) for v in payload["vertices"]]
     if stored_vertices != list(g.vertices) or payload["dist"] != g.dist.tolist():
@@ -151,6 +158,7 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     if not (
         dim and _is_int_table([den, label_den], (2,)) and min(den, label_den) > 0
         and _is_int_table(table, (dim,) * 3)
+        and all(type(pair) is list and len(pair) == 2 for pair in pairs)
         and _is_int_table([coords for _, coords in pairs], (len(pairs), dim))
     ):
         raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")

@@ -6,7 +6,8 @@ maximum) and derives the whole graph from it: the vertices are the top level
 L_D, d(x,y) = D - rank(x meet y), and the level-1 elements (points) index
 the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
 gives both the distances (the points below x meet y are those below x and
-y, counted by M M^T) and the spanning vectors.
+y, counted by M M^T) and the spanning vectors.  M is read off each
+element's points_below, with no order query.
 
 The Grassmann and dual polar lattices come from one enumerator of the
 subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
@@ -178,6 +179,10 @@ class RankedLattice:
             yield from lv
         yield TOP
 
+    def points_below(self, el):
+        """The level-1 elements below a proper element el, each once."""
+        raise NotImplementedError
+
     # subclasses implement the order on proper elements
     def _leq(self, a, b):
         raise NotImplementedError
@@ -219,6 +224,9 @@ class SubsetLattice(RankedLattice):
         ]
         super().__init__(levels)
 
+    def points_below(self, el):
+        return [(i,) for i in el]
+
     def _leq(self, a, b):
         return set(a) <= set(b)
 
@@ -248,6 +256,9 @@ class WordLattice(RankedLattice):
                     lv.append(tuple(w))
             levels.append(tuple(sorted(lv)))
         super().__init__(levels)
+
+    def points_below(self, el):
+        return [(0,) * i + (x,) + (0,) * (self.d - i - 1) for i, x in enumerate(el) if x]
 
     def _leq(self, a, b):
         return all(x == 0 or x == y for x, y in zip(a, b))
@@ -321,6 +332,16 @@ class SubspaceLattice(RankedLattice):
         self._quad = quad
         super().__init__(levels)
 
+    def points_below(self, el):
+        # row i plus any combination of the later rows is a point's rref
+        q, out = self.q, []
+        span = [(0,) * len(el[0])] if el else []
+        for row in reversed(el):
+            out += [(tuple((x + y) % q for x, y in zip(row, v)),) for v in span]
+            span = [tuple((c * x + y) % q for x, y in zip(row, v))
+                    for c in range(q) for v in span]
+        return out
+
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
 
@@ -391,11 +412,19 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     vertices = lattice.levels[-1]
     points = lattice.levels[1]
     depth = lattice.depth
-    incidence = np.array(
-        [[lattice.leq(p, x) for p in points] for x in vertices], dtype=np.int64
-    )
+    # a row per vertex, then per level's first element from the top down; a
+    # last column marks anything points_below gives that is not a point
+    elements = vertices + tuple(lv[0] for lv in lattice.levels[::-1])
+    column = {p: j for j, p in enumerate(points)}
+    rows = np.zeros((len(elements), len(points) + 1), dtype=np.int64)
+    for x, row in zip(elements, rows):
+        row[[column.get(p, -1) for p in lattice.points_below(x)]] = 1
+    if rows[:, -1].any():
+        x = elements[np.argmax(rows[:, -1])]
+        raise ConstructionError(f"{family.label()}: not all of points_below({x}) are points")
+    incidence = np.ascontiguousarray(rows[: len(vertices), :-1])
     # counts[i]: the points below an element of rank D - i
-    counts = tuple(sum(lattice.leq(p, lv[0]) for p in points) for lv in lattice.levels[::-1])
+    counts = tuple(rows[len(vertices) :, :-1].sum(axis=1).tolist())
     if len(set(counts)) < len(counts):
         raise ConstructionError(
             f"{family.label()}: two levels have the same number of points below, {counts}"

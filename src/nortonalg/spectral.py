@@ -8,7 +8,11 @@ eigenvalue exactly when its cosine sequence u_0 = 1, u_1 = theta/k,
 c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i also meets the last equation
 c_D u_{D-1} + a_D u_D = theta u_D; rational eigenvalues of an integer matrix
 are integers, so scanning theta = k..-k finds an integral spectrum and fewer
-than D+1 hits reject an irrational one.  Multiplicities follow Biggs,
+than D+1 hits reject an irrational one.  The scan runs on integers:
+w_i = b_0 ... b_{i-1} u_i has w_0 = 1, w_1 = theta and
+w_{i+1} = (theta - a_i) w_i - c_i b_{i-1} w_{i-1}, and the last equation
+times b_0 ... b_{D-1} reads w_{D+1} = 0.  Only the D+1 hits become
+Fractions, u_i = w_i / (b_0 ... b_{i-1}).  Multiplicities follow Biggs,
 m_j = n / sum_i k_i u_i(theta_j)^2, and E_j = (m_j/n) sum_i u_i(theta_j) A_i
 is D+1 rationals, the only form of E_j the package keeps: entry (x, y) of
 E_j is the coefficient of A_{dist(x, y)}.  All arithmetic is exact (ints and
@@ -42,22 +46,6 @@ from .graphs import (
 
 # ---------------------------------------------------------------------------
 # spectra
-
-
-def _cosine_sequence(p, theta):
-    """u_0..u_D of theta, or None when theta is not an eigenvalue.
-
-    p is the intersection array as nested lists, p[i][j][k] = p^k_ij, so
-    c_i = p[i-1][1][i], a_i = p[i][1][i] and b_i = p[i+1][1][i].
-    """
-    d = len(p) - 1
-    u = [Fraction(1), Fraction(theta, p[1][1][0])]
-    for i in range(1, d):
-        rest = theta * u[i] - p[i - 1][1][i] * u[i - 1] - p[i][1][i] * u[i]
-        u.append(rest / p[i + 1][1][i])
-    if p[d - 1][1][d] * u[d - 1] + p[d][1][d] * u[d] != theta * u[d]:
-        return None
-    return u
 
 
 def _integer_row(coeffs):
@@ -152,17 +140,23 @@ def spectral_data(g: GraphInstance, intersection: IntersectionArray = None):
     n = g.vertex_count
     k = intersection.degree
     # check_distance_regular proves b_i >= 1 below the diameter, but a
-    # hand-built array need not hold it, and _cosine_sequence divides by b_i
+    # hand-built array need not hold it, and u_i divides by b_0 ... b_{i-1}
+    scale = [1]
     for i in range(g.diameter):
         if not p[i + 1][1][i]:
             raise SpectralIntegralityError(
                 f"{g.label()}: b_{i} = 0 below the diameter {g.diameter}"
             )
+        scale.append(scale[-1] * p[i + 1][1][i])
     thetas, mults, coefficients = [], [], []
+    # a_i = p[i][1][i], c_i = p[i-1][1][i] and b_i = p[i+1][1][i]
     for theta in range(k, -k - 1, -1):
-        u = _cosine_sequence(p, theta)
-        if u is None:
+        w = [1, theta]
+        for i in range(1, len(p)):
+            w.append((theta - p[i][1][i]) * w[i] - p[i - 1][1][i] * p[i][1][i - 1] * w[i - 1])
+        if w.pop():
             continue
+        u = [Fraction(x, s) for x, s in zip(w, scale)]
         m = n / sum(p[i][i][0] * x * x for i, x in enumerate(u))
         if m.denominator != 1:
             raise SpectralIntegralityError(

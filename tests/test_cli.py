@@ -188,12 +188,18 @@ def _tamper(payload, kind):
         payload["label_coords"][0][1][0] = "1/2"
     elif kind == "zero label den":
         payload["label_den"] = 0
+    elif kind == "label coordinate not a pair":
+        payload["label_coords"][0] = [1]
+    elif kind.startswith("missing "):
+        del payload[kind.removeprefix("missing ")]
 
 
 MALFORMED = [
     "str entry", "float entry", "bool entry", "str den", "float den", "bool den",
     "zero den", "negative den", "missing den", "short row", "missing plane",
     "flat table", "missing table", "str label coordinate", "zero label den",
+    "label coordinate not a pair", "missing one_off", "missing one_off_line",
+    "missing notes", "missing vertices", "missing dist", "missing eigenvalues",
 ]
 
 

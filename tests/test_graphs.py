@@ -794,8 +794,8 @@ class PrefixLattice(graphs.RankedLattice):
         levels = [[(0,) + w for w in itertools.product((0, 1), repeat=i)] for i in range(3)]
         super().__init__([((),)] + levels)
 
-    def _leq(self, a, b):
-        return b[: len(a)] == a
+    def points_below(self, el):
+        return [(0,)] if el else []
 
 
 def equal_point_counts_refusal():
@@ -828,3 +828,99 @@ def test_point_counts_read_off_incidence_gram(name):
     gram = g.incidence @ g.incidence.T
     assert np.array_equal(np.array(g.point_counts)[g.dist], gram)
     assert len(set(g.point_counts)) == g.diameter + 1
+
+
+# ---------------------------------------------------------------------------
+# incidence read off the enumerator
+
+
+INCIDENCE_CASES = {
+    **BUILDERS,
+    "g263": lambda: build_grassmann(2, 6, 3),
+    "c32": lambda: build_dual_polar("C", 3, 2),
+    "h43": lambda: build_hamming(4, 3),
+    "j93": lambda: build_johnson(9, 3),
+}
+
+
+def leq_incidence(lattice):
+    """(incidence, point_counts) from lattice.leq alone, the order itself."""
+    points = lattice.levels[1]
+    incidence = np.array(
+        [[lattice.leq(p, x) for p in points] for x in lattice.levels[-1]], dtype=np.int64
+    )
+    counts = tuple(sum(lattice.leq(p, lv[0]) for p in points) for lv in lattice.levels[::-1])
+    return incidence, counts
+
+
+@pytest.mark.parametrize("name", INCIDENCE_CASES)
+def test_incidence_matches_lattice_order(name):
+    g = INCIDENCE_CASES[name]()
+    incidence, counts = leq_incidence(g.lattice)
+    assert g.incidence.dtype == incidence.dtype and g.incidence.flags.c_contiguous
+    assert np.array_equal(g.incidence, incidence)
+    assert g.point_counts == counts and set(map(type, g.point_counts)) == {int}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_CASES)
+def test_graph_build_asks_no_order_query(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("order query on the graph build")
+
+    monkeypatch.setattr(graphs.RankedLattice, "leq", refuse)
+    for attr in ("span_le", "in_span"):
+        monkeypatch.setattr(fq, attr, refuse)
+    g = INCIDENCE_CASES[name]()
+    assert g.incidence.shape == (g.vertex_count, len(g.lattice.levels[1]))
+
+
+class MutantLattice(graphs.SubspaceLattice):
+    """A subspace lattice whose points_below is wrong in one way."""
+
+    def __init__(self, q, levels, mutation):
+        super().__init__(q, levels)
+        self.mutation = mutation
+
+    def points_below(self, el):
+        below = super().points_below(el)
+        if self.mutation == "drop everywhere":
+            return below[:-1]
+        if self.mutation == "drop at the last vertex":
+            return below[1:] if el == self.levels[-1][-1] else below
+        if self.mutation == "vertex as point":
+            return [el] + below[1:] if el in self.levels[-1] else below
+        if self.mutation == "zero row":
+            return [((0,) * len(el[0]),)] + below[1:] if el else below
+        if self.mutation == "doubled row":
+            # over F_2 the zero row, over F_3 a row whose pivot is 2
+            return [(tuple(2 * x % self.q for x in below[0][0]),)] + below[1:] if el else below
+        raise ValueError(self.mutation)
+
+
+MUTATIONS = [
+    "drop everywhere", "drop at the last vertex", "vertex as point", "zero row",
+    "doubled row",
+]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize(
+    "family, q, levels",
+    [
+        (GrassmannFamily(2, 4, 2), 2, lambda: graphs._subspace_levels(4, 2, 2)),
+        (GrassmannFamily(3, 4, 2), 3, lambda: graphs._subspace_levels(4, 2, 3)),
+        (
+            DualPolarFamily("C", 2, 2),
+            2,
+            lambda: graphs._subspace_levels(4, 2, 2, *graphs._dual_polar_form("C", 2, 2)[1:]),
+        ),
+    ],
+    ids=["J_2(4,2)", "J_3(4,2)", "C2(2)"],
+)
+def test_wrong_points_below_is_refused(mutation, family, q, levels):
+    # a point missing or a row that is no level-1 element is a
+    # ConstructionError, never a KeyError or an IndexError; the real
+    # points_below on the same levels builds the graph
+    with pytest.raises(ConstructionError):
+        graphs._lattice_graph(family, MutantLattice(q, levels(), mutation))
+    graphs._lattice_graph(family, graphs.SubspaceLattice(q, levels()))

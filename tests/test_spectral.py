@@ -39,7 +39,7 @@ from nortonalg.spectral import (
     closed_form_multiplicity,
     spectral_data,
 )
-from conftest import run_optimized
+from conftest import BUILDERS, run_optimized
 from test_norton import apply_dense, dense_idempotent, dense_numerator, integer_rows
 
 
@@ -345,7 +345,7 @@ def test_hand_built_array_with_zero_b1_rejected():
             p[dist[x, z], dist[z, y], dist[x, y]] += 1
     assert p[2, 1, 1] == 0  # b_1
     g = graph_from_distance_matrix("2K2", dist)
-    with pytest.raises(SpectralIntegralityError, match="b_1 = 0"):
+    with pytest.raises(SpectralIntegralityError, match="^2K2: b_1 = 0 below the diameter 2$"):
         spectral_data(g, IntersectionArray(p))
 
 
@@ -360,6 +360,52 @@ def test_doubled_k2_rejected_by_the_check():
     with pytest.raises(SpectralIntegralityError) as info:
         spectral_data(g)
     assert isinstance(info.value.__cause__, NotPathMetricError)
+
+
+def reference_cosines(p, theta):
+    """u_0..u_D of theta by the Fraction cosine recurrence, or None when theta
+    misses the last equation c_D u_{D-1} + a_D u_D = theta u_D.
+
+    p[i][j][k] = p^k_ij, so c_i = p[i-1][1][i], a_i = p[i][1][i] and
+    b_i = p[i+1][1][i].
+    """
+    d = len(p) - 1
+    u = [Fraction(1), Fraction(theta, p[1][1][0])]
+    for i in range(1, d):
+        rest = theta * u[i] - p[i - 1][1][i] * u[i - 1] - p[i][1][i] * u[i]
+        u.append(rest / p[i + 1][1][i])
+    if p[d - 1][1][d] * u[d - 1] + p[d][1][d] * u[d] != theta * u[d]:
+        return None
+    return u
+
+
+SCANNED = {**BUILDERS, "C5": lambda: cycle(5), "C6": lambda: cycle(6)}
+
+
+@pytest.mark.parametrize("name", SCANNED)
+def test_integer_scan_matches_fraction_cosine_sequences(name):
+    # every theta in -k..k: the integer scan keeps exactly the thetas whose
+    # Fraction cosine sequence meets the last equation, with the same u_i;
+    # on C_5 the refusal names the reference's hit count
+    g = SCANNED[name]()
+    arr = check_distance_regular(g)
+    p, k, n = arr.p.tolist(), arr.degree, g.vertex_count
+    hits = {}
+    for theta in range(k, -k - 1, -1):
+        u = reference_cosines(p, theta)
+        if u is not None:
+            hits[theta] = u
+    if len(hits) < g.diameter + 1:
+        want = f"{g.label()}: {len(hits)} integer eigenvalues for diameter {g.diameter}"
+        with pytest.raises(SpectralIntegralityError, match=f"^{want}$"):
+            spectral_data(g)
+        assert name == "C5"
+        return
+    sd = spectral_data(g)
+    assert sd.eigenvalues == tuple(hits)
+    for theta, m, e in zip(sd.eigenvalues, sd.multiplicities, sd.coefficients):
+        assert m == n / sum(p[i][i][0] * x * x for i, x in enumerate(hits[theta]))
+        assert e == tuple(m * x / n for x in hits[theta])
 
 
 def test_irrational_drg_spectrum_rejected():
