@@ -54,7 +54,7 @@ from .trees import (
     LEAF,
     BinaryTree,
     catalan,
-    depth_sequence,
+    depth_tuples,
     enumerate_trees,
     node,
 )
@@ -582,10 +582,9 @@ def count_classes_exact(
 
 def double_minus_classes(m: int) -> EquivalenceReport:
     """Classes of the double-minus operation: group by depth sequence mod 2."""
-    trees = enumerate_trees(m)
     groups = {}
-    for idx, t in enumerate(trees):
-        groups.setdefault(depth_sequence(t).mod2(), []).append(idx)
+    for idx, depths in enumerate(depth_tuples(m)):
+        groups.setdefault(tuple(d & 1 for d in depths), []).append(idx)
     return _make_report(m, METHOD_DEPTH_MOD2, list(groups.values()))
 
 

@@ -8,8 +8,11 @@ recomputed from the rebuilt graph's intersection array, and the stored
 eigenvalues and multiplicities must agree with it.  The structure constants
 travel as the operation's own integer table, "den" and the dim^3
 "structure_constants" numerators over it, and the label coordinates as
-integers over one "label_den"; anything there but JSON integers of that
-shape (positive denominators), or a missing field, is a ConstructionError.
+integers over one "label_den"; lattice labels are nested lists of integers,
+and "one_off" and "one_off_line" name labels of "label_coords".  load_cache
+decodes every field in one step (_decode) before it rebuilds anything: a
+missing key, a wrong JSON type or a table of the wrong shape makes the file
+malformed, a ConstructionError.
 
 Bump CODE_TAG whenever a change could invalidate stored structure
 constants; old entries are then ignored instead of trusted.
@@ -35,10 +38,6 @@ CODE_TAG = "2"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
-# the fields load_cache reads besides the integer tables
-_FIELDS = {"vertices", "dist", "eigenvalues", "multiplicities", "basis_labels",
-           "label_coords", "one_off", "one_off_line", "notes"}
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get(_ENV_CACHE_DIR)
@@ -53,11 +52,6 @@ def cache_path(cache_dir, name: str, params) -> Path:
     return Path(cache_dir) / f"{stem}-v{CODE_TAG}.json"
 
 
-def frac_str(f) -> str:
-    """"p/q" for a Fraction (or an int, as p/1); the CLI text form."""
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _is_int_table(value, shape) -> bool:
     """Whether value is nested JSON lists of that shape holding only ints."""
     level = [value]
@@ -66,13 +60,6 @@ def _is_int_table(value, shape) -> bool:
             return False
         level = [x for row in level for x in row]
     return set(map(type, level)) <= {int}
-
-
-def _detuple(obj):
-    """JSON lists back to the nested tuples used as lattice labels."""
-    if isinstance(obj, list):
-        return tuple(_detuple(x) for x in obj)
-    return obj
 
 
 def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
@@ -116,12 +103,71 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
     return target
 
 
+def _label(value):
+    """A lattice label from JSON, nested lists of ints, as nested tuples."""
+    if type(value) is list:
+        return tuple(map(_label, value))
+    if type(value) is not int:
+        raise TypeError(f"{value!r} in a label")
+    return value
+
+
+def _decode(payload: dict, target) -> tuple:
+    """Every field load_cache reads past the header, checked in one step.
+
+    Returns the stored vertices, distances and spectrum, to compare with a
+    rebuild, and the algebra's fields as NortonAlgebra takes them.
+    """
+
+    def get(key, kind=list):
+        if type(payload.get(key)) is not kind:
+            why = f"no {key}" if key not in payload else f"{key} is not a JSON {kind.__name__}"
+            raise ConstructionError(f"{target} is malformed: {why}")
+        return payload[key]
+
+    stored = {key: get(key) for key in ("vertices", "dist", "eigenvalues", "multiplicities")}
+    den, label_den, table = get("den", int), get("label_den", int), get("structure_constants")
+    pairs, notes = get("label_coords"), get("notes")
+    dim = len(get("basis_labels"))
+    if not (
+        dim and min(den, label_den) > 0 and _is_int_table(table, (dim,) * 3)
+        and all(type(pair) is list and len(pair) == 2 for pair in pairs)
+        and _is_int_table([coords for _, coords in pairs], (len(pairs), dim))
+    ):
+        raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
+    try:
+        stored["vertices"] = [_label(v) for v in stored["vertices"]]
+        labels, one_off, line = (
+            tuple(map(_label, get(key))) for key in ("basis_labels", "one_off", "one_off_line")
+        )
+        coords = {_label(x): tuple(Fraction(c, label_den) for c in cs) for x, cs in pairs}
+    except TypeError as exc:
+        raise ConstructionError(f"{target} is malformed: {exc}") from None
+    if len(one_off) != 2 or not coords.keys() >= {*one_off, *line}:
+        raise ConstructionError(
+            f"{target} is malformed: one_off is not two labels of label_coords, "
+            "or one_off_line names another"
+        )
+    if not all(type(note) is str for note in notes):
+        raise ConstructionError(f"{target} is malformed: notes are not all strings")
+    return stored, dict(
+        dim=dim,
+        basis_labels=labels,
+        operation=BilinearOperation.from_int_table(den, table),
+        label_coords=coords,
+        one_off=one_off,
+        one_off_line=line,
+        notes=tuple(notes),
+    )
+
+
 def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     """Rebuild a bundle from cache, or None when absent or tagged stale.
 
-    The graph itself is reconstructed from the family parameters (cheap) and
-    compared against the stored vertex order and distance matrix, and its
-    spectrum is recomputed and compared against the stored eigenvalues and
+    The whole file is decoded first.  The graph itself is then
+    reconstructed from the family parameters (cheap) and compared against
+    the stored vertex order and distance matrix, and its spectrum is
+    recomputed and compared against the stored eigenvalues and
     multiplicities, so a cache file can never silently disagree with the
     code that made it.  The rest of the validation battery of
     build_instance is not repeated.
@@ -130,50 +176,27 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     target = cache_path(cache_dir, name, params)
     if not target.is_file():
         return None
-    with open(target) as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads(target.read_text())
+    except ValueError:
+        payload = None
+    if type(payload) is not dict:
+        raise ConstructionError(f"{target} is malformed: not a JSON object")
     if payload.get("code_tag") != CODE_TAG:
         return None
-    if payload.get("family") != name or _detuple(payload.get("params")) != params:
+    if payload.get("family") != name or payload.get("params") != list(params):
         raise ConstructionError(f"{target} does not describe {name} {params}")
-    missing = _FIELDS - payload.keys()
-    if missing:
-        raise ConstructionError(f"{target} is malformed: no {', '.join(sorted(missing))}")
+    stored, algebra = _decode(payload, target)
     g = build_graph(name, params)
-    stored_vertices = [_detuple(v) for v in payload["vertices"]]
-    if stored_vertices != list(g.vertices) or payload["dist"] != g.dist.tolist():
+    if stored["vertices"] != list(g.vertices) or stored["dist"] != g.dist.tolist():
         raise ConstructionError(f"{target} is stale: graph no longer matches")
     sd = spectral_data(g)
     for key, fresh in (
         ("eigenvalues", sd.eigenvalues),
         ("multiplicities", sd.multiplicities),
     ):
-        if payload[key] != list(fresh):
+        if stored[key] != list(fresh):
             raise ConstructionError(
-                f"{target} is stale: stored {key} {payload[key]} != {list(fresh)}"
+                f"{target} is stale: stored {key} {stored[key]} != {list(fresh)}"
             )
-    dim = len(payload["basis_labels"])
-    den, table = payload.get("den"), payload.get("structure_constants")
-    label_den, pairs = payload.get("label_den"), payload["label_coords"]
-    if not (
-        dim and _is_int_table([den, label_den], (2,)) and min(den, label_den) > 0
-        and _is_int_table(table, (dim,) * 3)
-        and all(type(pair) is list and len(pair) == 2 for pair in pairs)
-        and _is_int_table([coords for _, coords in pairs], (len(pairs), dim))
-    ):
-        raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
-    label_coords = {
-        _detuple(label): tuple(Fraction(x, label_den) for x in coords)
-        for label, coords in pairs
-    }
-    alg = NortonAlgebra(
-        family=g.family,
-        dim=dim,
-        basis_labels=_detuple(payload["basis_labels"]),
-        operation=BilinearOperation.from_int_table(den, table),
-        label_coords=label_coords,
-        one_off=_detuple(payload["one_off"]),
-        one_off_line=_detuple(payload["one_off_line"]),
-        notes=tuple(payload["notes"]),
-    )
-    return InstanceBundle(g, sd, alg, None)
+    return InstanceBundle(g, sd, NortonAlgebra(family=g.family, **algebra), None)

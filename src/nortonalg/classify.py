@@ -222,9 +222,11 @@ def count_norton_classes(
     if strategy != "pattern":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    trees = enumerate_trees(m)
+    # the trees themselves are enumerated only when they are evaluated
+    trees = None
     rows = _depth_rows(alg, m)
     if rows is None:
+        trees = enumerate_trees(m)
         keys = _one_off_signatures(op, _one_off_proof(alg)[0], trees)
     else:
         # equal rows share an id, so equal id tuples are equal signatures
@@ -244,6 +246,7 @@ def count_norton_classes(
             justifications.append(JUSTIFY_SIGNATURE)
             continue
         if affordable:
+            trees = trees or enumerate_trees(m)
             colliding = [trees[i] for i in idxs]
             for sub in group_trees_by_fingerprint(op, colliding, budget=budget):
                 groups.append([idxs[j] for j in sub])

@@ -2,8 +2,10 @@
 
 Exit status is the whole contract for scripting: 0 on success, 1 when a
 verification fails or an artifact disagrees with itself, 2 for invalid
-parameters, 3 when a computation would exceed its budget.  Output goes to
-stdout in one atomic write, as JSON by default or CSV with --format csv.
+parameters, 3 when a computation would exceed its budget.  Each command
+returns (payload, csv_rows, exit_code); main checks the budgets and --m-max
+first and writes the chosen format to stdout in one write at the end, as
+JSON by default or CSV with --format csv.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Optional
 
 from .binop import DEFAULT_FINGERPRINT_BUDGET
-from .cache import default_cache_dir, frac_str, load_cache, write_cache
+from .cache import default_cache_dir, load_cache, write_cache
 from .classify import count_norton_classes, predicted_branch, verify_classification
 from .errors import (
     BudgetExceededError,
@@ -43,59 +43,9 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: Optional[str] = None
-    params: tuple = ()
-    instances: tuple = ()
-    m_max: int = 4
-    strategy: str = "auto"
-    budget_vertices: int = DEFAULT_VERTEX_BUDGET
-    budget_fingerprint: int = DEFAULT_FINGERPRINT_BUDGET
-    cache_dir: Path = None
-    fmt: str = "json"
-
-    def validate(self) -> None:
-        if self.budget_vertices <= 0 or self.budget_fingerprint <= 0:
-            raise ValueError("budgets must be positive")
-        if not 0 <= self.m_max <= MAX_M:
-            raise ValueError(f"--m-max must be between 0 and {MAX_M}")
-
-
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cache_dir = Path(ns.cache_dir) if ns.cache_dir else default_cache_dir()
-    cfg = RunConfig(
-        command=ns.command,
-        family=getattr(ns, "family", None),
-        params=tuple(getattr(ns, "params", ())),
-        instances=tuple(getattr(ns, "instances", ())),
-        m_max=getattr(ns, "m_max", 4),
-        strategy=getattr(ns, "strategy", "auto"),
-        budget_vertices=ns.budget_vertices,
-        budget_fingerprint=getattr(ns, "budget_fingerprint", DEFAULT_FINGERPRINT_BUDGET),
-        cache_dir=cache_dir,
-        fmt=ns.format,
-    )
-    cfg.validate()
-    return cfg
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    sys.stdout.flush()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def frac_str(f) -> str:
+    """"p/q" for a Fraction (or an int, as p/1)."""
+    return f"{f.numerator}/{f.denominator}"
 
 
 def _label_str(label) -> str:
@@ -103,21 +53,27 @@ def _label_str(label) -> str:
     return json.dumps(label, separators=(",", ":"))
 
 
-def _get_bundle(config: RunConfig, name, params) -> InstanceBundle:
-    """The cached instance from config.cache_dir, else a fresh build."""
-    name = (name or "").lower()
+def _bundle(args, name, params) -> InstanceBundle:
+    """The cached instance from --cache-dir, else a fresh build."""
+    name = name.lower()
     params = normalize_params(name, params)
-    cached = load_cache(name, params, config.cache_dir)
+    cached = load_cache(name, params, args.cache_dir)
     if cached is not None:
         return cached
-    return build_instance(name, params, budget=config.budget_vertices)
+    return build_instance(name, params, budget=args.budget_vertices)
 
 
-def cmd_build(config: RunConfig) -> int:
-    name = (config.family or "").lower()
-    params = normalize_params(name, config.params)
-    bundle = build_instance(name, params, budget=config.budget_vertices)
-    target = write_cache(bundle, config.cache_dir)
+def _counts(args, alg):
+    """The class count report of alg at each m = 1..--m-max."""
+    return [
+        count_norton_classes(alg, m, strategy=args.strategy, budget=args.budget_fingerprint)
+        for m in range(1, args.m_max + 1)
+    ]
+
+
+def cmd_build(args):
+    bundle = build_instance(args.family.lower(), args.params, budget=args.budget_vertices)
+    target = write_cache(bundle, args.cache_dir)
     g = bundle.graph
     stored_name, stored_params = family_key(g.family)
     summary = {
@@ -134,152 +90,95 @@ def cmd_build(config: RunConfig) -> int:
         "notes": list(g.notes),
         "cache_file": str(target),
     }
-    if config.fmt == "csv":
-        rows = [["field", "value"]]
-        for key, value in summary.items():
-            if isinstance(value, list):
-                value = ";".join(str(v) for v in value)
-            rows.append([key, value])
-        _emit(_csv_text(rows))
-    else:
-        _emit(_json_text(summary))
-    return EXIT_OK
-
-
-def cmd_verify(config: RunConfig) -> int:
-    bundle = _get_bundle(config, config.family, config.params)
-    verdict = verify_classification(
-        bundle.algebra,
-        config.m_max,
-        strategy=config.strategy,
-        budget=config.budget_fingerprint,
-    )
-    if config.fmt == "csv":
-        rows = [["m", "observed", "expected", "method"]]
-        for m, observed, expected, method in zip(
-            verdict.m_values, verdict.counts, verdict.expected, verdict.methods
-        ):
-            rows.append([m, observed, expected, method])
-        rows.append(["passed", verdict.passed, "", ""])
-        _emit(_csv_text(rows))
-    else:
-        _emit(_json_text(verdict.to_json_dict()))
-    return EXIT_OK if verdict.passed else EXIT_MISMATCH
-
-
-def cmd_classes(config: RunConfig) -> int:
-    bundle = _get_bundle(config, config.family, config.params)
-    reports = [
-        count_norton_classes(
-            bundle.algebra, m, strategy=config.strategy, budget=config.budget_fingerprint
-        )
-        for m in range(1, config.m_max + 1)
+    rows = [["field", "value"]] + [
+        [key, ";".join(map(str, value)) if isinstance(value, list) else value]
+        for key, value in summary.items()
     ]
-    if config.fmt == "csv":
-        rows = [["m", "class_count", "method", "classes"]]
-        for rep in reports:
-            packed = ";".join(" ".join(str(i) for i in c) for c in rep.classes)
-            rows.append([rep.m, rep.class_count, rep.method, packed])
-        _emit(_csv_text(rows))
-    else:
-        payload = {
-            "instance": bundle.label(),
-            "reports": [rep.to_json_dict() for rep in reports],
-        }
-        _emit(_json_text(payload))
-    return EXIT_OK
+    return summary, rows, EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    bundle = _get_bundle(config, config.family, config.params)
+def cmd_verify(args):
+    bundle = _bundle(args, args.family, args.params)
+    verdict = verify_classification(
+        bundle.algebra, args.m_max, strategy=args.strategy, budget=args.budget_fingerprint
+    )
+    rows = [
+        ["m", "observed", "expected", "method"],
+        *zip(verdict.m_values, verdict.counts, verdict.expected, verdict.methods),
+        ["passed", verdict.passed, "", ""],
+    ]
+    return verdict.to_json_dict(), rows, EXIT_OK if verdict.passed else EXIT_MISMATCH
+
+
+def cmd_classes(args):
+    bundle = _bundle(args, args.family, args.params)
+    reports = _counts(args, bundle.algebra)
+    payload = {
+        "instance": bundle.label(),
+        "reports": [rep.to_json_dict() for rep in reports],
+    }
+    rows = [["m", "class_count", "method", "classes"]] + [
+        [rep.m, rep.class_count, rep.method,
+         ";".join(" ".join(map(str, c)) for c in rep.classes)]
+        for rep in reports
+    ]
+    return payload, rows, EXIT_OK
+
+
+def cmd_spectrum(args):
+    bundle = _bundle(args, args.family, args.params)
     sd = bundle.spectral
-    if config.fmt == "csv":
-        rows = [["eigenvalue", "multiplicity"]]
-        rows.extend(
-            [theta, mult] for theta, mult in zip(sd.eigenvalues, sd.multiplicities)
-        )
-        _emit(_csv_text(rows))
-    else:
-        payload = {
-            "instance": bundle.label(),
-            "eigenvalues": list(sd.eigenvalues),
-            "multiplicities": list(sd.multiplicities),
-        }
-        _emit(_json_text(payload))
-    return EXIT_OK
+    payload = {
+        "instance": bundle.label(),
+        "eigenvalues": list(sd.eigenvalues),
+        "multiplicities": list(sd.multiplicities),
+    }
+    rows = [["eigenvalue", "multiplicity"], *zip(sd.eigenvalues, sd.multiplicities)]
+    return payload, rows, EXIT_OK
 
 
-def cmd_product_table(config: RunConfig) -> int:
-    bundle = _get_bundle(config, config.family, config.params)
+def cmd_product_table(args):
+    bundle = _bundle(args, args.family, args.params)
     table = formula_table(bundle.graph)
-    labels = table.labels
-    entries = [(u, v, table.product(u, v).items()) for u in labels for v in labels]
-    if config.fmt == "csv":
-        rows = [["u", "v", "product"]]
-        for u, v, terms in entries:
-            packed = ";".join(f"{_label_str(w)}={frac_str(c)}" for w, c in terms)
-            rows.append([_label_str(u), _label_str(v), packed])
-        _emit(_csv_text(rows))
-    else:
-        payload = {
-            "instance": bundle.label(),
-            "labels": [_label_str(x) for x in labels],
-            "products": [
-                {
-                    "u": _label_str(u),
-                    "v": _label_str(v),
-                    "terms": [[_label_str(w), frac_str(c)] for w, c in terms],
-                }
-                for u, v, terms in entries
-            ],
-        }
-        _emit(_json_text(payload))
-    return EXIT_OK
+    entries = [
+        (u, v, [(_label_str(w), frac_str(c)) for w, c in table.product(u, v).items()])
+        for u in table.labels
+        for v in table.labels
+    ]
+    payload = {
+        "instance": bundle.label(),
+        "labels": [_label_str(x) for x in table.labels],
+        "products": [
+            {"u": _label_str(u), "v": _label_str(v), "terms": terms} for u, v, terms in entries
+        ],
+    }
+    rows = [["u", "v", "product"]] + [
+        [_label_str(u), _label_str(v), ";".join(f"{w}={c}" for w, c in terms)]
+        for u, v, terms in entries
+    ]
+    return payload, rows, EXIT_OK
 
 
-def cmd_table(config: RunConfig) -> int:
-    specs = list(config.instances)
+def cmd_table(args):
+    specs = args.instances
     parsed = [parse_instance_spec(s) for s in specs]
-    m_values = list(range(1, config.m_max + 1))
+    m_values = list(range(1, args.m_max + 1))
     columns = []
     for spec, (name, params) in zip(specs, parsed):
         try:
-            bundle = _get_bundle(config, name, params)
-            counts = [
-                count_norton_classes(
-                    bundle.algebra,
-                    m,
-                    strategy=config.strategy,
-                    budget=config.budget_fingerprint,
-                ).class_count
-                for m in m_values
-            ]
+            bundle = _bundle(args, name, params)
+            counts = [rep.class_count for rep in _counts(args, bundle.algebra)]
             columns.append({"instance": spec, "label": bundle.label(), "counts": counts})
         except (NortonError, ValueError) as exc:
             print(f"table: {spec}: {exc}", file=sys.stderr)
             columns.append({"instance": spec, "error": str(exc)})
-    if config.fmt == "json":
-        _emit(_json_text({"m_values": m_values, "columns": columns}))
-        return EXIT_OK
-    rows = [["m"] + specs]
-    if specs:
-        for i, m in enumerate(m_values):
-            row = [m]
-            for col in columns:
-                row.append(col["counts"][i] if "counts" in col else "error")
-            rows.append(row)
-    _emit(_csv_text(rows))
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "classes": cmd_classes,
-    "spectrum": cmd_spectrum,
-    "product-table": cmd_product_table,
-    "table": cmd_table,
-}
+    # with no specs the CSV table is its header line alone
+    rows = [["m", *specs]] + [
+        [m, *(col["counts"][i] if "counts" in col else "error" for col in columns)]
+        for i, m in enumerate(m_values)
+        if specs
+    ]
+    return {"m_values": m_values, "columns": columns}, rows, EXIT_OK
 
 
 @cache
@@ -328,30 +227,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_command(verb, help_text, parents):
+    both = [common, counting]
+    for verb, run, parents, help_text in (
+        ("build", cmd_build, [common], "construct, validate, and cache one instance"),
+        ("verify", cmd_verify, both, "check class counts against the predicted branch"),
+        ("classes", cmd_classes, both, "list equivalence classes of parenthesizations"),
+        ("spectrum", cmd_spectrum, [common], "print eigenvalues and multiplicities"),
+        ("product-table", cmd_product_table, [common], "print all pairwise products in closed form"),
+    ):
         p = sub.add_parser(verb, help=help_text, parents=parents)
         p.add_argument("family", help="johnson, hamming, grassmann, or dualpolar")
         p.add_argument("params", nargs="*", help="family parameters")
-        return p
-
-    add_instance_command(
-        "build", "construct, validate, and cache one instance", [common]
-    )
-    add_instance_command(
-        "verify", "check class counts against the predicted branch", [common, counting]
-    )
-    add_instance_command(
-        "classes", "list equivalence classes of parenthesizations", [common, counting]
-    )
-    add_instance_command("spectrum", "print eigenvalues and multiplicities", [common])
-    add_instance_command(
-        "product-table", "print all pairwise products in closed form", [common]
-    )
-    table = sub.add_parser(
-        "table",
-        help="class count table for several instances",
-        parents=[common, counting],
-    )
+        p.set_defaults(run=run)
+    table = sub.add_parser("table", help="class count table for several instances", parents=both)
+    table.set_defaults(run=cmd_table)
     table.add_argument(
         "instances",
         nargs="*",
@@ -363,13 +252,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return code if isinstance(code, int) else EXIT_INVALID
+    # the commands without counting options parse no --m-max or fingerprint budget
+    given = vars(args)
     try:
-        config = _config_from_args(ns)
-        return _HANDLERS[config.command](config)
+        if args.budget_vertices <= 0 or given.get("budget_fingerprint", 1) <= 0:
+            raise ValueError("budgets must be positive")
+        if not 0 <= given.get("m_max", 0) <= MAX_M:
+            raise ValueError(f"--m-max must be between 0 and {MAX_M}")
+        args.cache_dir = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
+        payload, rows, code = args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -379,6 +274,14 @@ def main(argv=None) -> int:
     except NortonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    if args.format == "csv":
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        sys.stdout.write(text.getvalue())
+    else:
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.flush()
+    return code
 
 
 if __name__ == "__main__":

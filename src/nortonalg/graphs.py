@@ -436,6 +436,11 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
         raise ConstructionError(
             f"{family.label()}: elements of one level differ in the points below them"
         )
+    if np.diagonal(dist).any():
+        i = int(np.flatnonzero(np.diagonal(dist))[0])
+        raise ConstructionError(
+            f"{family.label()}: vertex {vertices[i]} is at distance {dist[i, i]} from itself"
+        )
     return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence, counts)
 
 

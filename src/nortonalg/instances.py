@@ -7,7 +7,7 @@ validation battery; the cache layer reconstructs bundles without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 from .errors import ConstructionError
@@ -38,7 +38,13 @@ from .spectral import (
     spectral_data,
 )
 
-FAMILY_NAMES = ("johnson", "hamming", "grassmann", "dualpolar")
+# name -> (family class, builder); a class's fields are its builder's parameters
+FAMILIES = {
+    "johnson": (JohnsonFamily, build_johnson),
+    "hamming": (HammingFamily, build_hamming),
+    "grassmann": (GrassmannFamily, build_grassmann),
+    "dualpolar": (DualPolarFamily, build_dual_polar),
+}
 
 
 @dataclass(eq=False)
@@ -54,14 +60,9 @@ class InstanceBundle:
 
 def family_key(family) -> tuple:
     """(name, params) pair identifying a buildable family instance."""
-    if isinstance(family, JohnsonFamily):
-        return "johnson", (family.n, family.k)
-    if isinstance(family, HammingFamily):
-        return "hamming", (family.d, family.e)
-    if isinstance(family, GrassmannFamily):
-        return "grassmann", (family.q, family.n, family.k)
-    if isinstance(family, DualPolarFamily):
-        return "dualpolar", (family.kind, family.d, family.q)
+    for name, (cls, _) in FAMILIES.items():
+        if isinstance(family, cls):
+            return name, astuple(family)
     raise ValueError(f"{family.label()} is not a buildable family")
 
 
@@ -80,32 +81,26 @@ def parse_instance_spec(text: str):
 
 def normalize_params(name: str, raw) -> tuple:
     """Validate a parameter list for a family name, converting to ints."""
-    if name not in FAMILY_NAMES:
-        raise ValueError(f"unknown family {name!r}; expected one of {FAMILY_NAMES}")
-    arity = {"johnson": 2, "hamming": 2, "grassmann": 3, "dualpolar": 3}[name]
-    if len(raw) != arity:
-        raise ValueError(f"{name} takes {arity} parameters, got {len(raw)}")
-    params = []
-    for pos, value in enumerate(raw):
-        if name == "dualpolar" and pos == 0:
-            params.append(str(value))
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; expected one of {tuple(FAMILIES)}")
+    params = fields(FAMILIES[name][0])
+    if len(raw) != len(params):
+        raise ValueError(f"{name} takes {len(params)} parameters, got {len(raw)}")
+    out = []
+    for param, value in zip(params, raw):
+        if param.type in (str, "str"):  # "str" under postponed annotations
+            out.append(str(value))
             continue
         try:
-            params.append(int(value))
+            out.append(int(value))
         except (TypeError, ValueError):
             raise ValueError(f"{name} parameter {value!r} is not an integer") from None
-    return tuple(params)
+    return tuple(out)
 
 
 def build_graph(name: str, params, budget: int = DEFAULT_VERTEX_BUDGET) -> GraphInstance:
     params = normalize_params(name, params)
-    if name == "johnson":
-        return build_johnson(*params, budget=budget)
-    if name == "hamming":
-        return build_hamming(*params, budget=budget)
-    if name == "grassmann":
-        return build_grassmann(*params, budget=budget)
-    return build_dual_polar(*params, budget=budget)
+    return FAMILIES[name][1](*params, budget=budget)
 
 
 def build_instance(

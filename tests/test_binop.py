@@ -118,6 +118,15 @@ def test_double_minus_classes_match_a000975():
     assert double_minus_classes(0).class_count == 1
 
 
+def test_double_minus_classes_group_trees_by_depth_parity():
+    for m in range(0, 10):
+        groups = {}
+        for idx, t in enumerate(enumerate_trees(m)):
+            groups.setdefault(depth_sequence(t).mod2(), []).append(idx)
+        want = sorted(tuple(g) for g in groups.values())
+        assert double_minus_classes(m).classes == tuple(want)
+
+
 def test_tensor_count_cross_checks_depth_grouping():
     op = double_minus_operation()
     for m in range(0, 9):

@@ -239,6 +239,19 @@ def test_pattern_zero_operation_justification(algebra):
     assert rep.merge_justifications == (JUSTIFY_ZERO,)
 
 
+@pytest.mark.parametrize("name, budget", [("h23", 10), ("j52", 10), ("h22", 10), ("h23", 10**7)])
+def test_pattern_count_enumerates_trees_only_to_evaluate_them(algebra, monkeypatch, name, budget):
+    # off proved depth rows the keys come from depth tuples, so only a
+    # colliding bucket within budget (h23 with 10^7) reads the trees
+    alg = algebra(name)
+    want = count_norton_classes(alg, 6, strategy="pattern", budget=budget)
+    assert classify._depth_rows(alg, 6) is not None
+    calls = []
+    monkeypatch.setattr(classify, "enumerate_trees", lambda m: calls.append(m) or enumerate_trees(m))
+    assert count_norton_classes(alg, 6, strategy="pattern", budget=budget) == want
+    assert calls == ([6] if JUSTIFY_FINGERPRINT in want.merge_justifications else [])
+
+
 def test_pattern_collisions_split_by_fingerprint(algebra):
     # a degenerate preferred pair makes every signature collide; with budget
     # the fingerprints recover the honest partition, without it the merge

@@ -23,7 +23,7 @@ from nortonalg.cache import (
     write_cache,
 )
 from nortonalg.classify import count_norton_classes, verify_classification
-from nortonalg.cli import RunConfig, main
+from nortonalg.cli import main
 from nortonalg.errors import ConstructionError
 from nortonalg.instances import (
     build_instance,
@@ -73,16 +73,6 @@ def test_build_instance_bundle():
     assert bundle.algebra.dim == 2
     assert bundle.formula_report is not None
     assert bundle.formula_report.max_discrepancy == 0
-
-
-def test_run_config_validate():
-    RunConfig(command="verify", m_max=12).validate()
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", m_max=13).validate()
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", budget_fingerprint=0).validate()
-    with pytest.raises(ValueError):
-        RunConfig(command="verify", budget_vertices=-1).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +147,10 @@ def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
 
 
 def _tamper(payload, kind):
+    """The payload with one kind of damage; a few kinds replace it whole."""
     table = payload["structure_constants"]
+    if kind == "payload a list":
+        return [payload]
     if kind == "str entry":
         table[0][0][0] = "7/2"
     elif kind == "float entry":
@@ -190,8 +183,26 @@ def _tamper(payload, kind):
         payload["label_den"] = 0
     elif kind == "label coordinate not a pair":
         payload["label_coords"][0] = [1]
+    elif kind == "dict label":
+        payload["label_coords"][0][0] = {"1": 1}
+    elif kind == "str in a basis label":
+        payload["basis_labels"][0] = ["1"]
+    elif kind == "one_off outside label_coords":
+        payload["one_off"][1] = [4]
+    elif kind == "one_off of three labels":
+        payload["one_off"].append([3])
+    elif kind == "one_off_line outside label_coords":
+        payload["one_off_line"] = [[1], [4]]
+    elif kind == "str notes":
+        payload["notes"] = "normalized"
+    elif kind == "int note":
+        payload["notes"] = [3]
     elif kind.startswith("missing "):
         del payload[kind.removeprefix("missing ")]
+    elif kind.endswith((" 3", " 5")):
+        key, value = kind.split()
+        payload[key] = int(value)
+    return payload
 
 
 MALFORMED = [
@@ -200,6 +211,9 @@ MALFORMED = [
     "flat table", "missing table", "str label coordinate", "zero label den",
     "label coordinate not a pair", "missing one_off", "missing one_off_line",
     "missing notes", "missing vertices", "missing dist", "missing eigenvalues",
+    "payload a list", "basis_labels 3", "notes 3", "label_coords 5", "vertices 3",
+    "one_off 3", "dict label", "str in a basis label", "one_off outside label_coords",
+    "one_off of three labels", "one_off_line outside label_coords", "str notes", "int note",
 ]
 
 
@@ -207,8 +221,7 @@ MALFORMED = [
 def test_cache_rejects_malformed_tables(capsys, tmp_path, kind):
     bundle = build_instance("johnson", (3, 1))
     target = write_cache(bundle, tmp_path)
-    payload = json.loads(target.read_text())
-    _tamper(payload, kind)
+    payload = _tamper(json.loads(target.read_text()), kind)
     target.write_text(json.dumps(payload))
     with pytest.raises(ConstructionError, match="malformed"):
         load_cache("johnson", (3, 1), tmp_path)
@@ -216,6 +229,15 @@ def test_cache_rejects_malformed_tables(capsys, tmp_path, kind):
         capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)
     )
     assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1, 2", "\xff"])
+def test_cache_rejects_text_that_is_not_json(capsys, tmp_path, text):
+    target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
+    target.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConstructionError, match="malformed: not a JSON object"):
+        load_cache("johnson", (3, 1), tmp_path)
+    assert run_cli(capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)) == (1, "")
 
 
 def test_cache_miss_and_stale_tag(tmp_path):
@@ -462,10 +484,21 @@ def test_cli_table_json(capsys, tmp_path):
         ["verify", "johnson", "3", "1", "--budget-fingerprint", "0"],
         ["table", "nosuch:1:2"],
         ["frobnicate"],
+        ["verify", "johnson", "3", "1", "--budget-vertices", "-1"],
+        ["build", "johnson", "3", "1", "--budget-vertices", "0"],
     ],
 )
 def test_cli_invalid_parameters_exit_2(args, tmp_path, capsys):
     assert main(args + ["--cache-dir", str(tmp_path)] if args[0] != "frobnicate" else args) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_accepts_the_largest_m_max(capsys, tmp_path):
+    code, out = run_cli(
+        capsys, "verify", "johnson", "4", "2", "--m-max", "12", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert json.loads(out)["counts"] == [1] * 13
 
 
 def test_cli_budget_exceeded_exit_3(capsys, tmp_path):

@@ -781,6 +781,22 @@ def test_lattice_graph_refuses_uneven_levels():
         graphs._lattice_graph(JohnsonFamily(4, 2), lat)
 
 
+class ShortVertexLattice(graphs.SubsetLattice):
+    """J(5,2)'s subsets with one point missing below the last vertex."""
+
+    def points_below(self, el):
+        below = super().points_below(el)
+        return below[1:] if el == self.levels[-1][-1] else below
+
+
+def test_lattice_graph_refuses_a_vertex_away_from_itself():
+    # (4, 5) has one point below it, the count of a rank-1 element, so its
+    # row of the incidence Gram reads d((4, 5), (4, 5)) = 1
+    with pytest.raises(ConstructionError, match=r"vertex \(4, 5\) is at distance 1 from itself"):
+        graphs._lattice_graph(JohnsonFamily(5, 2), ShortVertexLattice(5, 2))
+    graphs._lattice_graph(JohnsonFamily(5, 2), graphs.SubsetLattice(5, 2))
+
+
 class PrefixLattice(graphs.RankedLattice):
     """Binary words below length 4 that start with 0, ordered by prefix.
 
