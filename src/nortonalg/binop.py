@@ -1,20 +1,19 @@
-"""Exact parenthesization engine for binary operations on a rational vector space.
+"""Exact parenthesization engine for bilinear operations on a rational vector space.
 
-An operation is x*y = B(x,y) + Lx + Ry with rational structure constants B
-and optional linear parts L, R (the reference double-minus operation
-a*b = -a-b needs them).  Two parenthesizations of x_0 * ... * x_m are the
-same operation exactly when they agree on every probe tuple drawn from the
-standard basis; for operations with linear parts the probes run over the
-basis of the homogenized space (dimension+1), which restores multilinearity
-without losing any information.
+An operation is x*y = B(x,y) with rational structure constants B.  Two
+parenthesizations of x_0 * ... * x_m are the same operation exactly when
+they agree on every probe tuple drawn from the standard basis.  The
+reference double-minus operation a*b = -a-b is affine, so it is stated as
+its homogenization: a 2-dimensional bilinear cube whose slice h = 1 is
+a*b = -a-b (double_minus_operation).
 
 All arithmetic is exact and runs in integers through one product step,
-_int_product: den * (x*y) on integer rows of the probe space, batched over
-any leading axes.  Probe tensors, exact evaluation and the one-off
-signatures of classify are all built from it.  The step runs in int64
-whenever max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer
-constant table (B = max_k sum_{i,j} |den C[i][j][k]|); that product
-dominates every partial sum of both contractions, so the result is exact.
+_int_product: den * (x*y) on integer rows, batched over any leading
+axes.  Probe tensors, exact evaluation and the one-off signatures of
+classify are all built from it.  The step runs in int64 whenever
+max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer constant
+table (B = max_k sum_{i,j} |den C[i][j][k]|); that product dominates
+every partial sum of both contractions, so the result is exact.
 Otherwise it runs on Python ints, and an array that has left int64 stays
 there.  An operation is stored as the step's integer table and nothing
 else: the solver and the cache hand it over directly, and the Fraction
@@ -23,20 +22,20 @@ API edge: evaluate_parenthesization clears the denominators of its
 arguments, evaluates in integers and divides once at the end.
 
 Grouping trees by probe tensor builds a tensor only where no exact argument
-decides.  An operation without linear terms whose constants fall into two
-or more direct-sum blocks is grouped once per distinct block, and its
-classes are the common refinement of the blocks' (direct_product's
-argument).  On one block, trees whose left and right subtrees lie in
-classes already proved equal are equal by congruence and merge at once;
-every grouping records a representative per class, so arity m + 1 reuses
-arity m.  The first tree of each (left class, right class) pair is keyed by
-den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom rows w_r, evaluated
-through the product step in uint64 and memoized per (subtree, leaf
-offset).  By multilinearity the key equals the fixed linear form
-sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and reduction
-mod 2^64 is a ring map, so equal tensors get equal keys and different keys
-prove different maps.  Only pairs that share a key get their tensors
-built, and those are compared exactly before they merge.
+decides.  An operation whose constants fall into two or more direct-sum
+blocks is grouped once per distinct block, and its classes are the
+common refinement of the blocks' (direct_product's argument).  On one
+block, trees whose left and right subtrees lie in classes already proved
+equal are equal by congruence and merge at once; every grouping records
+a representative per class, so arity m + 1 reuses arity m.  The first
+tree of each (left class, right class) pair is keyed by
+den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom rows w_r,
+evaluated through the product step in uint64 and memoized per (subtree,
+leaf offset).  By multilinearity the key equals the fixed linear form
+sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
+reduction mod 2^64 is a ring map, so equal tensors get equal keys and
+different keys prove different maps.  Only pairs that share a key get
+their tensors built, and those are compared exactly before they merge.
 """
 
 from __future__ import annotations
@@ -75,50 +74,35 @@ def _frac(x) -> Fraction:
 
 
 class BilinearOperation:
-    """Structure constants of x*y = B(x,y) + Lx + Ry, exact rationals.
+    """Structure constants of x*y = B(x,y), exact rationals.
 
-    constants[i][j][k] is the e_k coefficient of e_i * e_j; linear_left and
-    linear_right are dim x dim matrices (output index first), None when
-    zero.  The stored form is one integer table over the probe space (see
-    probe_dimension): den, the lcm of the reduced denominators, and flat, a
-    (p, p*p) array of Python ints with flat[i, j*p+k] = den * C[i][j][k].
-    With linear parts the constants are homogenized: probe index p-1 is the
-    affine coordinate, so e_i * e_h picks up the left linear part, e_h * e_j
-    the right one, and e_h * e_h = e_h.  Fraction input is converted once
-    here; from_int_table takes the table directly.  constants, linear_left
-    and linear_right are Fraction views of flat, made on first use for API
-    callers; nothing inside the package reads them.
+    constants[i][j][k] is the e_k coefficient of e_i * e_j.  The stored
+    form is one integer table: den, the lcm of the reduced denominators,
+    and flat, a (dim, dim*dim) array of Python ints with flat[i, j*dim+k] =
+    den * C[i][j][k].  Fraction input is converted once here;
+    from_int_table takes the table directly.  constants is a Fraction view
+    of flat, made on first use for API callers; nothing inside the package
+    reads it.
     """
 
-    def __init__(self, constants, linear_left=None, linear_right=None):
+    def __init__(self, constants):
         cube = [[[_frac(c) for c in row] for row in plane] for plane in constants]
-        parts = [
-            None if m is None else [[_frac(c) for c in row] for row in m]
-            for m in (linear_left, linear_right)
-        ]
-        mats = cube + [m for m in parts if m is not None]
-        den = lcm(*(c.denominator for mat in mats for row in mat for c in row))
-
-        def scaled(mat):
-            if mat is not None:
-                return [[c.numerator * (den // c.denominator) for c in row] for row in mat]
-
-        self._set_table(den, [scaled(plane) for plane in cube], *map(scaled, parts))
+        den = lcm(*(c.denominator for plane in cube for row in plane for c in row))
+        self._set_table(den, [[[int(c * den) for c in row] for row in plane] for plane in cube])
 
     @classmethod
-    def from_int_table(cls, den, table, linear_left=None, linear_right=None):
-        """The operation with constants table / den (and linear parts / den).
+    def from_int_table(cls, den, table):
+        """The operation with constants table / den.
 
-        table is a dim^3 integer array or nested list, the linear parts dim x
-        dim integer matrices, output index first, and den a nonzero integer.
-        den and every entry are divided by their gcd (negated when den < 0),
-        so den ends as the lcm of the reduced denominators.
+        table is a dim^3 integer array or nested list and den a nonzero
+        integer.  den and every entry are divided by their gcd (negated when
+        den < 0), so den ends as the lcm of the reduced denominators.
         """
         op = cls.__new__(cls)
-        op._set_table(den, table, linear_left, linear_right)
+        op._set_table(den, table)
         return op
 
-    def _set_table(self, den, table, linear_left, linear_right):
+    def _set_table(self, den, table):
         table = np.asarray(table, dtype=object)
         d = len(table)
         if d == 0:
@@ -128,23 +112,7 @@ class BilinearOperation:
         den = int(den)
         if den == 0:
             raise ValueError("den must be nonzero")
-        parts = [
-            None if m is None else np.asarray(m, dtype=object)
-            for m in (linear_left, linear_right)
-        ]
-        if any(m is not None and m.shape != (d, d) for m in parts):
-            raise ValueError("linear part must be a dim x dim matrix")
-        left, right = (m if m is not None and m.any() else None for m in parts)
-        p = d if left is None and right is None else d + 1
-        cube = np.zeros((p, p, p), dtype=object)
-        cube[:d, :d, :d] = table
-        if p > d:
-            if left is not None:
-                cube[:d, d, :d] = left.T
-            if right is not None:
-                cube[d, :d, :d] = right.T
-            cube[d, d, d] = den
-        flat = cube.reshape(p, p * p)
+        flat = table.reshape(d, d * d)
         # divide by the content, signed so that den ends positive
         g = gcd(den, *flat.ravel().tolist()) * (1 if den > 0 else -1)
         if g != 1:
@@ -152,15 +120,14 @@ class BilinearOperation:
         self.den = den
         self.flat = flat
         self._dim = d
-        self._p = p
         self._flat64 = flat.astype(np.int64) if fits_int64(abs_max(flat)) else None
         # two's complement int64 is the residue mod 2^64
         self._flat_u64 = (
             self._flat64.view(np.uint64) if self._flat64 is not None
             else (flat % (1 << 64)).astype(np.uint64)
         )
-        # max_k sum_{i,j} |flat[i, j*p+k]|, the product step's overflow bound
-        self._bound = int(np.abs(flat).reshape(p * p, p).sum(axis=0).max())
+        # max_k sum_{i,j} |flat[i, j*d+k]|, the product step's overflow bound
+        self._bound = int(np.abs(flat).reshape(d * d, d).sum(axis=0).max())
         self._blocks = None
         self._tensor_cache = {}
         self._tensor_cells = 0
@@ -176,48 +143,31 @@ class BilinearOperation:
         return self._dim
 
     @property
-    def has_linear_terms(self) -> bool:
-        return self._p > self._dim
-
-    @property
     def probe_dimension(self) -> int:
-        """Dimension of the space probe tuples are drawn from."""
-        return self._p
+        """Dimension of the space probe tuples are drawn from, the dimension."""
+        return self._dim
 
     def _cube(self) -> np.ndarray:
-        """flat as the (p, p, p) cube of den * probe constants."""
-        return self.flat.reshape(self._p, self._p, self._p)
-
-    def _view(self, rows) -> tuple:
-        """Integer rows over den as tuples of Fractions."""
-        return tuple(tuple(Fraction(x, self.den) for x in row) for row in rows)
+        """flat as the (d, d, d) cube of den * constants."""
+        return self.flat.reshape(self._dim, self._dim, self._dim)
 
     @cached_property
     def constants(self) -> tuple:
-        d = self._dim
-        return tuple(self._view(plane) for plane in self._cube()[:d, :d, :d].tolist())
-
-    def _linear(self, left: bool):
-        if not self.has_linear_terms:
-            return None
-        d, cube = self._dim, self._cube()
-        ints = cube[:d, d, :d] if left else cube[d, :d, :d]
-        return self._view(ints.T.tolist()) if ints.any() else None
-
-    linear_left = cached_property(lambda self: self._linear(left=True))
-    linear_right = cached_property(lambda self: self._linear(left=False))
+        return tuple(
+            tuple(tuple(Fraction(x, self.den) for x in row) for row in plane)
+            for plane in self._cube().tolist()
+        )
 
     @cached_property
     def is_commutative(self) -> bool:
-        """Whether x*y == y*x: the homogenized cube is symmetric in i and j,
-        which holds exactly when B is symmetric and L == R."""
+        """Whether x*y == y*x: the cube is symmetric in i and j."""
         cube = self._cube()
         return bool((cube == cube.transpose(1, 0, 2)).all())
 
     @cached_property
     def is_zero(self) -> bool:
         """Whether every product vanishes."""
-        return not self.has_linear_terms and not self.flat.any()
+        return not self.flat.any()
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         return self.constants[i][j][k]
@@ -228,16 +178,21 @@ class BilinearOperation:
 
 
 def double_minus_operation() -> BilinearOperation:
-    """The one-dimensional reference operation a*b = -a-b."""
-    return BilinearOperation([[[0]]], linear_left=[[-1]], linear_right=[[-1]])
+    """The double-minus operation a*b = -a-b, homogenized.
+
+    The commutative cube on the basis (e, h) with e*e = 0, e*h = h*e = -e
+    and h*h = h: on the slice a*e + h it is (a*e + h)*(b*e + h) =
+    (-a-b)*e + h, so vectors (a, 1) multiply as a*b = -a-b.
+    """
+    return BilinearOperation([[[0, 0], [-1, 0]], [[-1, 0], [0, 1]]])
 
 
 def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tuple:
     """Evaluate the product shaped by t on the given argument vectors.
 
-    The arguments are scaled by the lcm s of their denominators (with s as
-    the affine coordinate when op has linear parts) and evaluated in
-    integers; the result is s**(m+1) * den**m times the exact value.
+    The arguments are scaled by the lcm s of their denominators and
+    evaluated in integers; the result is s**(m+1) * den**m times the exact
+    value.
     """
     if len(args) != t.leaf_count:
         raise ValueError(f"tree has {t.leaf_count} leaves, got {len(args)} arguments")
@@ -245,7 +200,7 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
     m = t.internal_count
     scale = s ** (m + 1) * op.den ** m
     value = _evaluate_rows(op, t, rows, {})
-    return tuple(Fraction(x, scale) for x in value[: op.dimension].tolist())
+    return tuple(Fraction(x, scale) for x in value.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +210,20 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
 def _scaled_rows(op: BilinearOperation, vectors):
     """(s, rows): the vectors times the lcm s of their denominators.
 
-    rows is an integer array (int64 when every entry fits) with one row of
-    length probe_dimension per vector; with linear parts its last column is
-    the affine coordinate s.
+    rows is an integer array (int64 when every entry fits) with one row per
+    vector.
     """
     d = op.dimension
     fracs = [[_frac(c) for c in v] for v in vectors]
     if any(len(v) != d for v in fracs):
         raise ValueError(f"expected vectors of length {d}")
     s = lcm(*(c.denominator for v in fracs for c in v))
-    affine = [s] if op.has_linear_terms else []
-    rows = np.array([[int(c * s) for c in v] + affine for v in fracs], dtype=object)
+    rows = np.array([[int(c * s) for c in v] for v in fracs], dtype=object)
     return s, rows.astype(np.int64) if fits_int64(abs_max(rows)) else rows
 
 
 def _int_product(op: BilinearOperation, x, y):
-    """den * (x*y) for integer rows x, y of the probe space.
+    """den * (x*y) for integer rows x, y.
 
     Leading axes broadcast (matmul does so without copying), so one call
     multiplies a batch of pairs, and shapes (a, 1, p) and (1, b, p) give
@@ -280,7 +233,7 @@ def _int_product(op: BilinearOperation, x, y):
     uint64 rows are residues mod 2^64: their product wraps, which is exact
     mod 2^64, and needs no bound.
     """
-    p = op.probe_dimension
+    p = op.dimension
     flat = op._flat64
     if x.dtype == y.dtype == np.uint64:
         flat = op._flat_u64
@@ -297,10 +250,10 @@ def _int_product(op: BilinearOperation, x, y):
 def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows, memo: dict):
     """den**internal_count(t) times t evaluated on rows[0], rows[1], ... in order.
 
-    rows[r] is leaf r's integer row of the probe space (or residues mod
-    2^64, see _int_product), or a batch of such rows with equal leading
-    shapes: the product step runs row by row, so one pass evaluates the
-    whole batch (classify's one-off layout).  memo maps (subtree, leaf
+    rows[r] is leaf r's integer row (or residues mod 2^64, see
+    _int_product), or a batch of such rows with equal leading shapes: the
+    product step runs row by row, so one pass evaluates the whole batch
+    (classify's one-off layout).  memo maps (subtree, leaf
     offset) to its value, so the calls that share it share every subtree
     value on the same rows.
     """
@@ -331,7 +284,7 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> n
     cached = op._tensor_cache.get(t)
     if cached is not None:
         return cached
-    p = op.probe_dimension
+    p = op.dimension
     if t.is_leaf:
         arr = np.eye(p, dtype=np.int64)
     else:
@@ -344,9 +297,13 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> n
     return arr
 
 
-def _check_probe_budget(op, m, budget):
+def _probe_cells(op, m) -> int:
     # p^(m+1) probe tuples, each with a p-entry output row
-    needed = op.probe_dimension ** (m + 2)
+    return op.dimension ** (m + 2)
+
+
+def _check_probe_budget(op, m, budget):
+    needed = _probe_cells(op, m)
     if needed > budget:
         raise BudgetExceededError("fingerprint", needed, budget)
 
@@ -439,11 +396,10 @@ def _blocks(op: BilinearOperation) -> tuple:
     vanish, so a tree's value is the sum of its values on the components
     (direct_product's argument): two trees are equal on op exactly when they
     are equal on every block, and blocks whose sub-cubes agree in index
-    order partition alike.  Operations with linear terms are never split,
-    as the affine coordinate couples the blocks.  Cached on op.
+    order partition alike.  Cached on op.
     """
     if op._blocks is None:
-        op._blocks = (op,) if op.has_linear_terms else _split(op)
+        op._blocks = _split(op)
     return op._blocks
 
 
@@ -538,7 +494,7 @@ def _group_connected(op: BilinearOperation, trees) -> list:
     for idx, t in enumerate(trees):
         pair = None if t.is_leaf else (classes.get(t.left, t.left), classes.get(t.right, t.right))
         by_pair.setdefault(pair, []).append(idx)
-    weights = _leaf_weights(op.probe_dimension, trees[0].leaf_count)
+    weights = _leaf_weights(op.dimension, trees[0].leaf_count)
     memo = {}
     by_key = {}
     for group in by_pair.values():
@@ -605,18 +561,11 @@ def direct_product(op1: BilinearOperation, op2: BilinearOperation) -> BilinearOp
     Basis vectors from different factors multiply to zero, so a tree evaluated
     on the product is the pair of its evaluations on the factors; classes of
     the product partition is the common refinement of the factor partitions.
-    The integer tables are put over the lcm of the two dens, the linear
-    parts block-diagonally beside the constants.
+    The integer tables are put over the lcm of the two dens.
     """
     d1, d = op1.dimension, op1.dimension + op2.dimension
     den = lcm(op1.den, op2.den)
     cube = np.zeros((d, d, d), dtype=object)
-    linear = np.zeros((2, d, d), dtype=object)  # left, right; output index first
     for op, at in ((op1, slice(0, d1)), (op2, slice(d1, d))):
-        part = op._cube() * (den // op.den)
-        e = op.dimension
-        cube[at, at, at] = part[:e, :e, :e]
-        if op.has_linear_terms:
-            linear[0, at, at] = part[:e, e, :e].T
-            linear[1, at, at] = part[e, :e, :e].T
-    return BilinearOperation.from_int_table(den, cube, *linear)
+        cube[at, at, at] = op._cube() * (den // op.den)
+    return BilinearOperation.from_int_table(den, cube)

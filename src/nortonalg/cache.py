@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConstructionError
+from .graphs import DEFAULT_VERTEX_BUDGET
 from .instances import InstanceBundle, build_graph, family_key, normalize_params
 from .norton import NortonAlgebra
 from .binop import BilinearOperation
@@ -161,15 +162,17 @@ def _decode(payload: dict, target) -> tuple:
     )
 
 
-def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
+def load_cache(
+    name: str, params, cache_dir, budget: int = DEFAULT_VERTEX_BUDGET
+) -> Optional[InstanceBundle]:
     """Rebuild a bundle from cache, or None when absent or tagged stale.
 
     The whole file is decoded first.  The graph itself is then
-    reconstructed from the family parameters (cheap) and compared against
-    the stored vertex order and distance matrix, and its spectrum is
-    recomputed and compared against the stored eigenvalues and
-    multiplicities, so a cache file can never silently disagree with the
-    code that made it.  The rest of the validation battery of
+    reconstructed from the family parameters (cheap) under the vertex
+    budget, as build_instance does, and compared against the stored vertex
+    order and distance matrix, and its spectrum is recomputed and compared
+    against the stored eigenvalues and multiplicities, so a cache file can
+    never silently disagree with the code that made it.  The rest of the validation battery of
     build_instance is not repeated.
     """
     params = normalize_params(name, params)
@@ -187,7 +190,7 @@ def load_cache(name: str, params, cache_dir) -> Optional[InstanceBundle]:
     if payload.get("family") != name or payload.get("params") != list(params):
         raise ConstructionError(f"{target} does not describe {name} {params}")
     stored, algebra = _decode(payload, target)
-    g = build_graph(name, params)
+    g = build_graph(name, params, budget=budget)
     if stored["vertices"] != list(g.vertices) or stored["dist"] != g.dist.tolist():
         raise ConstructionError(f"{target} is stale: graph no longer matches")
     sd = spectral_data(g)

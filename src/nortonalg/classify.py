@@ -38,9 +38,11 @@ from .binop import (
     METHOD_PATTERN,
     BilinearOperation,
     EquivalenceReport,
+    _check_probe_budget,
     _evaluate_rows,
     _int_product,
     _make_report,
+    _probe_cells,
     _scaled_rows,
     a000975_value,
     count_classes_exact,
@@ -48,7 +50,7 @@ from .binop import (
     evaluate_parenthesization,
     group_trees_by_fingerprint,
 )
-from .errors import BudgetExceededError, ConstructionError
+from .errors import ConstructionError
 from .graphs import (
     DualPolarFamily,
     GrassmannFamily,
@@ -158,10 +160,9 @@ def _depth_rows(alg: NortonAlgebra, m: int):
     if mu is None:
         return None
     op = alg.operation
-    d = op.dimension
     rows, a, v = [], pair[:1], pair[1:]
     for h in range(m + 1):
-        rows.append(tuple(mu ** (m - h) * x for x in a[0, :d].tolist()))
+        rows.append(tuple(mu ** (m - h) * x for x in a[0].tolist()))
         if h < m:
             a = _int_product(op, a, v)
     return rows
@@ -177,10 +178,9 @@ def _one_off_signatures(op: BilinearOperation, pair, trees):
     n = trees[0].leaf_count
     leaves = np.tile(pair[1], (n, n, 1))
     leaves[range(n), range(n)] = pair[0]
-    d = op.dimension
     memo = {}
     for t in trees:
-        yield tuple(map(tuple, _evaluate_rows(op, t, leaves, memo)[:, :d].tolist()))
+        yield tuple(map(tuple, _evaluate_rows(op, t, leaves, memo).tolist()))
 
 
 def one_off_signature(alg: NortonAlgebra, t) -> tuple:
@@ -214,7 +214,7 @@ def count_norton_classes(
     picks tensor whenever it fits the budget.
     """
     op = alg.operation
-    affordable = op.probe_dimension ** (m + 2) <= budget
+    affordable = _probe_cells(op, m) <= budget
     if strategy == "auto":
         strategy = "tensor" if affordable else "pattern"
     if strategy == "tensor":
@@ -269,9 +269,7 @@ def count_norton_classes(
             groups.append(idxs)
             justifications.append(JUSTIFY_THEOREM)
             continue
-        raise BudgetExceededError(
-            "fingerprint", op.probe_dimension ** (m + 2), budget
-        )
+        _check_probe_budget(op, m, budget)  # not affordable, so it raises
     return _make_report(m, METHOD_PATTERN, groups, justifications)
 
 

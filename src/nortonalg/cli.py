@@ -2,10 +2,11 @@
 
 Exit status is the whole contract for scripting: 0 on success, 1 when a
 verification fails or an artifact disagrees with itself, 2 for invalid
-parameters, 3 when a computation would exceed its budget.  Each command
-returns (payload, csv_rows, exit_code); main checks the budgets and --m-max
-first and writes the chosen format to stdout in one write at the end, as
-JSON by default or CSV with --format csv.
+parameters (an unusable cache directory among them), 3 when a computation
+would exceed its budget.  Each command returns (payload, csv_rows,
+exit_code); main checks the budgets and --m-max first and writes the
+chosen format to stdout in one write at the end, as JSON by default or
+CSV with --format csv.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .instances import (
     parse_instance_spec,
 )
 from .norton import formula_table
-
-MAX_M = 12
+from .trees import DEFAULT_ENUMERATION_LIMIT as MAX_M
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -57,7 +57,7 @@ def _bundle(args, name, params) -> InstanceBundle:
     """The cached instance from --cache-dir, else a fresh build."""
     name = name.lower()
     params = normalize_params(name, params)
-    cached = load_cache(name, params, args.cache_dir)
+    cached = load_cache(name, params, args.cache_dir, budget=args.budget_vertices)
     if cached is not None:
         return cached
     return build_instance(name, params, budget=args.budget_vertices)
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NortonError as exc:

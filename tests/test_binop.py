@@ -1,7 +1,7 @@
 """Parenthesization engine: evaluation, fingerprints, class counts.
 
-The Fraction route, x*y = B(x,y) + Lx + Ry entry by entry and a recursion
-over the tree, lives here as the reference the integer evaluator is
+The Fraction route, x*y = B(x,y) entry by entry and a recursion over the
+tree, lives here as the reference the integer evaluator is
 compared against.
 """
 
@@ -45,10 +45,6 @@ def reference_apply(op, x, y):
         for j, yj in enumerate(y):
             for k in range(d):
                 out[k] += xi * yj * op.constants[i][j][k]
-    for mat, vec in ((op.linear_left, x), (op.linear_right, y)):
-        if mat is not None:
-            for k in range(d):
-                out[k] += sum(mat[k][i] * vec[i] for i in range(d))
     return tuple(out)
 
 
@@ -65,15 +61,26 @@ def reference_evaluate(op, t, args):
     return rec(t, 0)
 
 
+def test_double_minus_is_the_homogenized_cube():
+    # basis (e, h): e*e = 0, e*h = h*e = -e, h*h = h
+    op = double_minus_operation()
+    assert op.dimension == op.probe_dimension == 2
+    assert op.den == 1
+    assert op.flat.tolist() == [[0, 0, -1, 0], [-1, 0, 0, 1]]
+    assert op.is_commutative and not op.is_zero
+    for a, b in ((F(5), F(7)), (F(-1, 2), F(3)), (F(0), F(0))):
+        assert op.apply((a, 1), (b, 1)) == (-a - b, 1)
+
+
 def test_double_minus_left_comb_signs():
     op = double_minus_operation()
     t = left_comb(2)  # ((a b) c), depths (2, 2, 1)
-    out = evaluate_parenthesization(op, t, [(F(5),), (F(7),), (F(2),)])
-    assert out == (F(5) + F(7) - F(2),)
+    out = evaluate_parenthesization(op, t, [(F(5), 1), (F(7), 1), (F(2), 1)])
+    assert out == (F(5) + F(7) - F(2), 1)
     # depths (1, 2, 2): a (b c) = -a - (-b - c) = -a + b + c
     t2 = node(LEAF, node(LEAF, LEAF))
-    out2 = evaluate_parenthesization(op, t2, [(F(5),), (F(7),), (F(2),)])
-    assert out2 == (-F(5) + F(7) + F(2),)
+    out2 = evaluate_parenthesization(op, t2, [(F(5), 1), (F(7), 1), (F(2), 1)])
+    assert out2 == (-F(5) + F(7) + F(2), 1)
 
 
 def test_double_minus_signs_follow_depth_parity():
@@ -81,14 +88,14 @@ def test_double_minus_signs_follow_depth_parity():
     for m in range(6):
         for t in enumerate_trees(m):
             d = depth_sequence(t)
-            args = [(F(random.Random(i).randint(1, 9)),) for i in range(m + 1)]
+            args = [(F(random.Random(i).randint(1, 9)), 1) for i in range(m + 1)]
             expect = sum((-1) ** d[i] * args[i][0] for i in range(m + 1))
-            assert evaluate_parenthesization(op, t, args) == (expect,)
+            assert evaluate_parenthesization(op, t, args) == (expect, 1)
 
 
 def test_double_minus_fingerprints_distinguish_by_parity():
     op = double_minus_operation()
-    assert op.probe_dimension == 2  # homogenized
+    assert op.probe_dimension == 2  # the basis (e, h)
     t_a = left_comb(2)  # depths (2, 2, 1)
     t_b = node(LEAF, node(LEAF, LEAF))  # depths (1, 2, 2)
     fa = tensor_fingerprint(op, t_a)
@@ -101,7 +108,7 @@ def test_double_minus_fingerprints_distinguish_by_parity():
         p = 2
         out = []
         for i in range(m + 1):
-            # probe tuple: payload basis vector at slot i, affine unit elsewhere
+            # probe tuple: e at slot i, h elsewhere
             idx = sum((0 if s == i else 1) * p ** (m - s) for s in range(m + 1))
             out.append(fp[idx * p + 0])
         return tuple(out)
@@ -229,9 +236,9 @@ def test_direct_product_evaluates_blockwise():
     prod = direct_product(op1, op2)
     t = left_comb(2)
     out = evaluate_parenthesization(
-        prod, t, [(F(2), F(3)), (F(5), F(7)), (F(1), F(2))]
+        prod, t, [(F(2), 1, F(3)), (F(5), 1, F(7)), (F(1), 1, F(2))]
     )
-    assert out == (F(2) + F(5) - F(1), F(3) * F(7) * F(2))
+    assert out == (F(2) + F(5) - F(1), 1, F(3) * F(7) * F(2))
 
 
 def test_evaluate_validates_shapes():
@@ -372,7 +379,6 @@ def test_tree_key_is_a_linear_form_of_the_probe_tensor(algebra):
         direct_product(algebra("j41").operation, double_minus_operation()),
         big,
     ]
-    assert ops[3].probe_dimension == ops[3].dimension + 1
     for op in ops:
         for m in range(4):
             weights = binop._leaf_weights(op.probe_dimension, m + 1)
@@ -387,7 +393,7 @@ def test_tree_key_is_a_linear_form_of_the_probe_tensor(algebra):
 
 def _fresh(op):
     """A copy of op with no cached tensors, blocks or recorded classes."""
-    return BilinearOperation(op.constants, op.linear_left, op.linear_right)
+    return BilinearOperation(op.constants)
 
 
 def _reference_groups(op, trees):
@@ -432,13 +438,15 @@ def test_coupled_operations_are_not_split(algebra):
     cube = [[list(row) for row in plane] for plane in cube]
     cube[0][0][3] = F(1)  # e_0 * e_0 leaks into the second block's output
     leak = BilinearOperation(cube)
-    affine = direct_product(double_minus_operation(), double_minus_operation())
-    for op in (leak, affine):
-        assert binop._blocks(op) == (op,)
-        for m in range(6):
-            trees = enumerate_trees(m)
-            assert group_trees_by_fingerprint(op, trees) == _reference_groups(op, trees)
-    assert count_classes_exact(affine, 5).classes == double_minus_classes(5).classes
+    assert binop._blocks(leak) == (leak,)
+    for m in range(6):
+        trees = enumerate_trees(m)
+        assert group_trees_by_fingerprint(leak, trees) == _reference_groups(leak, trees)
+    # two copies of double minus are two equal blocks, grouped once
+    twice = direct_product(double_minus_operation(), double_minus_operation())
+    blocks = binop._blocks(twice)
+    assert len(blocks) == 1 and blocks[0].flat.tolist() == double_minus_operation().flat.tolist()
+    assert count_classes_exact(twice, 5).classes == double_minus_classes(5).classes
 
 
 def test_budget_is_checked_on_the_whole_operation():

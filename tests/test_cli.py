@@ -514,6 +514,27 @@ def test_cli_budget_exceeded_exit_3(capsys, tmp_path):
     )
 
 
+def test_cli_vertex_budget_holds_on_a_warm_cache(capsys, tmp_path):
+    # H(2,5) has 25 vertices; a cache hit rebuilds the graph under the same
+    # budget as a fresh build, so both refuse it
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    assert main(["build", "hamming", "2", "5", "--cache-dir", str(warm)]) == 0
+    capsys.readouterr()
+    verify = ["verify", "hamming", "2", "5", "--m-max", "2", "--budget-vertices", "10"]
+    for cache_dir in (warm, cold):
+        assert main(verify + ["--cache-dir", str(cache_dir)]) == 3
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_unusable_cache_dir_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["build", "johnson", "3", "1", "--cache-dir", str(blocker)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_cache_dir_from_environment(monkeypatch, capsys, tmp_path):
     monkeypatch.setenv("NORTON_CACHE_DIR", str(tmp_path / "fromenv"))
     code, _ = run_cli(capsys, "build", "johnson", "3", "1")

@@ -1,9 +1,9 @@
 """Property tests: the integer evaluators against the Fraction reference.
 
-Random operations of dimension 1 to 3, with and without linear parts, on
-random trees with up to five product signs; bilinearity and commutativity
-of single products; and the tree encodings (depth sequence, parenthesis
-string) round-tripped on random trees with up to eight product signs.
+Random bilinear operations of dimension 1 to 3 on random trees with up to
+five product signs; bilinearity and commutativity of single products; and
+the tree encodings (depth sequence, parenthesis string) round-tripped on
+random trees with up to eight product signs.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -49,21 +49,17 @@ def matrices(d):
 
 
 @st.composite
-def operations(draw, max_dim=3, linear=True):
+def operations(draw, max_dim=3):
     d = draw(st.integers(1, max_dim))
-    cube = draw(st.lists(matrices(d), min_size=d, max_size=d))
-    linear_parts = st.none() | matrices(d) if linear else st.none()
-    return BilinearOperation(cube, draw(linear_parts), draw(linear_parts))
+    return BilinearOperation(draw(st.lists(matrices(d), min_size=d, max_size=d)))
 
 
 @st.composite
 def commutative_operations(draw, min_dim=1, max_dim=3):
-    """A symmetric cube, with no linear part or one shared by both sides."""
+    """A symmetric cube."""
     d = draw(st.integers(min_dim, max_dim))
     cube = draw(st.lists(matrices(d), min_size=d, max_size=d))
-    sym = [[cube[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
-    linear = draw(st.none() | matrices(d))
-    return BilinearOperation(sym, linear, linear)
+    return BilinearOperation([[cube[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)])
 
 
 @st.composite
@@ -137,8 +133,8 @@ def test_tree_encodings_round_trip(t):
 
 @PROPERTY
 @given(st.data())
-def test_operations_without_linear_parts_are_bilinear(data):
-    op = data.draw(operations(linear=False))
+def test_operations_are_bilinear(data):
+    op = data.draw(operations())
     x, x2, y = (data.draw(vectors(op.dimension)) for _ in range(3))
     a, b = data.draw(rationals), data.draw(rationals)
 
@@ -169,7 +165,7 @@ def test_asymmetric_cube_differs_on_a_basis_pair(data):
     k = data.draw(st.integers(0, d - 1))
     cube = [[list(row) for row in plane] for plane in op.constants]
     cube[i][j][k] += data.draw(rationals.filter(bool))
-    bad = BilinearOperation(cube, op.linear_left, op.linear_right)
+    bad = BilinearOperation(cube)
     assert not bad.is_commutative
     basis = [tuple(int(a == b) for b in range(d)) for a in range(d)]
     assert any(bad.apply(x, y) != bad.apply(y, x) for x in basis for y in basis)
@@ -177,42 +173,30 @@ def test_asymmetric_cube_differs_on_a_basis_pair(data):
 
 @st.composite
 def constant_tables(draw, max_dim=3):
-    """(cube, linear_left, linear_right) of Fractions: unconstrained, a
-    symmetric cube with equal or one-sided linear parts, or all zero."""
+    """A cube of Fractions: unconstrained, symmetric, or all zero."""
     d = draw(st.integers(1, max_dim))
     cube = draw(st.lists(matrices(d), min_size=d, max_size=d))
-    left, right = draw(st.none() | matrices(d)), draw(st.none() | matrices(d))
-    shape = draw(st.sampled_from(["any", "symmetric", "one-sided", "zero"]))
+    shape = draw(st.sampled_from(["any", "symmetric", "zero"]))
     if shape != "any":
         cube = [[cube[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
-        right = left if shape == "symmetric" else None
     if shape == "zero":
         cube = [[[0] * d for _ in range(d)] for _ in range(d)]
-        left = None
-    return cube, left, right
+    return cube
 
 
 @PROPERTY
 @given(constant_tables(), st.integers(1, 6))
-def test_int_table_matches_fraction_constructor(parts, k):
-    cube, left, right = parts
+def test_int_table_matches_fraction_constructor(cube, k):
     d = len(cube)
-    op = BilinearOperation(cube, left, right)
-    rows = [row for plane in cube for row in plane] + (left or []) + (right or [])
+    op = BilinearOperation(cube)
+    rows = [row for plane in cube for row in plane]
     den = lcm(*(Fraction(c).denominator for row in rows for c in row))
     assert op.den == den
-
-    def ints(mat):
-        return None if mat is None else [[int(c * den) * k for c in row] for row in mat]
-
-    other = BilinearOperation.from_int_table(k * den, [ints(p) for p in cube], ints(left), ints(right))
+    ints = [[[int(c * den) * k for c in row] for row in plane] for plane in cube]
+    other = BilinearOperation.from_int_table(k * den, ints)
     assert other.den == op.den and np.array_equal(other.flat, op.flat)
     assert other.constants == op.constants
-    assert (other.linear_left, other.linear_right) == (op.linear_left, op.linear_right)
-    zero = [[0] * d for _ in range(d)]
-    commutative = all(cube[i][j] == cube[j][i] for i in range(d) for j in range(d)) and (
-        (left or zero) == (right or zero)
-    )
+    commutative = all(cube[i][j] == cube[j][i] for i in range(d) for j in range(d))
     assert other.is_commutative == op.is_commutative == commutative
     is_zero = not any(c for row in rows for c in row)
     assert other.is_zero == op.is_zero == is_zero
