@@ -1,18 +1,19 @@
 """JSON cache of built instances keyed by family, parameters, and code tag.
 
-A cache entry stores everything expensive to recompute: the distance matrix
-(as a stale-data check against a fresh rebuild of the graph), eigenvalues
-and multiplicities, and the algebra's basis, coordinates, and structure
-constants.  The spectrum is not trusted from the file: on load it is
-recomputed from the rebuilt graph's intersection array, and the stored
-eigenvalues and multiplicities must agree with it.  The structure constants
-travel as the operation's own integer table, "den" and the dim^3
-"structure_constants" numerators over it, and the label coordinates as
-integers over one "label_den"; lattice labels are nested lists of integers,
-and "one_off" and "one_off_line" name labels of "label_coords".  load_cache
-decodes every field in one step (_decode) before it rebuilds anything: a
-missing key, a wrong JSON type or a table of the wrong shape makes the file
-malformed, a ConstructionError.
+A cache entry stores only what the solve produced: the algebra's basis
+labels, its structure constants and the coordinates of every point over the
+basis.  The vertices, distance matrix, eigenvalues and multiplicities ride
+along as stale-data checks against a fresh rebuild of the graph: the
+spectrum is recomputed from the rebuilt graph's intersection array and must
+agree with them, and the labels of "label_coords" must be the rebuilt
+points, in order.  Everything else is derived from the rebuilt graph: the
+preferred pair and its line (norton.one_off_pair) and the graph's notes.
+The structure constants travel as the operation's own integer table, "den"
+and the dim^3 "structure_constants" numerators over it, and the label
+coordinates as integers over one "label_den"; lattice labels are nested
+lists of integers.  load_cache decodes every field in one step (_decode)
+before it rebuilds anything: a missing key, a wrong JSON type or a table of
+the wrong shape makes the file malformed, a ConstructionError.
 
 Bump CODE_TAG whenever a change could invalidate stored structure
 constants; old entries are then ignored instead of trusted.
@@ -31,11 +32,11 @@ from typing import Optional
 from .errors import ConstructionError
 from .graphs import DEFAULT_VERTEX_BUDGET
 from .instances import InstanceBundle, build_graph, family_key, normalize_params
-from .norton import NortonAlgebra
+from .norton import NortonAlgebra, one_off_pair
 from .binop import BilinearOperation
 from .spectral import spectral_data
 
-CODE_TAG = "2"
+CODE_TAG = "3"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
@@ -85,9 +86,6 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
             [list(label), [c.numerator * (label_den // c.denominator) for c in coords]]
             for label, coords in alg.label_coords.items()
         ],
-        "one_off": [list(x) for x in alg.one_off],
-        "one_off_line": [list(x) for x in alg.one_off_line],
-        "notes": list(alg.notes),
     }
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -128,7 +126,7 @@ def _decode(payload: dict, target) -> tuple:
 
     stored = {key: get(key) for key in ("vertices", "dist", "eigenvalues", "multiplicities")}
     den, label_den, table = get("den", int), get("label_den", int), get("structure_constants")
-    pairs, notes = get("label_coords"), get("notes")
+    pairs = get("label_coords")
     dim = len(get("basis_labels"))
     if not (
         dim and min(den, label_den) > 0 and _is_int_table(table, (dim,) * 3)
@@ -138,27 +136,15 @@ def _decode(payload: dict, target) -> tuple:
         raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
     try:
         stored["vertices"] = [_label(v) for v in stored["vertices"]]
-        labels, one_off, line = (
-            tuple(map(_label, get(key))) for key in ("basis_labels", "one_off", "one_off_line")
-        )
+        labels = tuple(map(_label, get("basis_labels")))
         coords = {_label(x): tuple(Fraction(c, label_den) for c in cs) for x, cs in pairs}
     except TypeError as exc:
         raise ConstructionError(f"{target} is malformed: {exc}") from None
-    if len(one_off) != 2 or not coords.keys() >= {*one_off, *line}:
-        raise ConstructionError(
-            f"{target} is malformed: one_off is not two labels of label_coords, "
-            "or one_off_line names another"
-        )
-    if not all(type(note) is str for note in notes):
-        raise ConstructionError(f"{target} is malformed: notes are not all strings")
     return stored, dict(
         dim=dim,
         basis_labels=labels,
         operation=BilinearOperation.from_int_table(den, table),
         label_coords=coords,
-        one_off=one_off,
-        one_off_line=line,
-        notes=tuple(notes),
     )
 
 
@@ -170,10 +156,11 @@ def load_cache(
     The whole file is decoded first.  The graph itself is then
     reconstructed from the family parameters (cheap) under the vertex
     budget, as build_instance does, and compared against the stored vertex
-    order and distance matrix, and its spectrum is recomputed and compared
-    against the stored eigenvalues and multiplicities, so a cache file can
-    never silently disagree with the code that made it.  The rest of the validation battery of
-    build_instance is not repeated.
+    order, distance matrix and points, and its spectrum is recomputed and
+    compared against the stored eigenvalues and multiplicities, so a cache
+    file can never silently disagree with the code that made it.  The
+    preferred pair and its line come from the rebuilt graph.  The rest of
+    the validation battery of build_instance is not repeated.
     """
     params = normalize_params(name, params)
     target = cache_path(cache_dir, name, params)
@@ -193,6 +180,8 @@ def load_cache(
     g = build_graph(name, params, budget=budget)
     if stored["vertices"] != list(g.vertices) or stored["dist"] != g.dist.tolist():
         raise ConstructionError(f"{target} is stale: graph no longer matches")
+    if tuple(algebra["label_coords"]) != g.lattice.levels[1]:
+        raise ConstructionError(f"{target} is stale: label_coords are not the points in order")
     sd = spectral_data(g)
     for key, fresh in (
         ("eigenvalues", sd.eigenvalues),
@@ -202,4 +191,6 @@ def load_cache(
             raise ConstructionError(
                 f"{target} is stale: stored {key} {stored[key]} != {list(fresh)}"
             )
-    return InstanceBundle(g, sd, NortonAlgebra(family=g.family, **algebra), None)
+    pair, line = one_off_pair(g)
+    algebra = NortonAlgebra(family=g.family, one_off=pair, one_off_line=line, **algebra)
+    return InstanceBundle(g, sd, algebra, None)

@@ -6,7 +6,7 @@ class NortonError(Exception):
 
 
 class EnumerationLimitError(NortonError):
-    """Tree enumeration refused because n exceeds the configured limit."""
+    """Tree enumeration refused because n exceeds DEFAULT_ENUMERATION_LIMIT."""
 
     def __init__(self, n, limit):
         super().__init__(f"refusing to enumerate {n} internal nodes (limit {limit})")

@@ -245,16 +245,10 @@ class WordLattice(RankedLattice):
     def __init__(self, d, e):
         self.d = d
         self.e = e
-        levels = []
-        for i in range(d + 1):
-            lv = []
-            for pos in itertools.combinations(range(d), i):
-                for vals in itertools.product(range(1, e + 1), repeat=i):
-                    w = [0] * d
-                    for p, v in zip(pos, vals):
-                        w[p] = v
-                    lv.append(tuple(w))
-            levels.append(tuple(sorted(lv)))
+        # product() runs in sorted order, so every level comes out sorted
+        levels = [[] for _ in range(d + 1)]
+        for w in itertools.product(range(e + 1), repeat=d):
+            levels[d - w.count(0)].append(w)
         super().__init__(levels)
 
     def points_below(self, el):
@@ -494,62 +488,41 @@ def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET)
 def _dual_polar_form(kind: str, d: int, q: int):
     """Ambient dimension, polar form, and quadratic form for one kind.
 
-    C: symplectic on F_q^2d (every vector singular).
-    B: quadratic x_0^2-type term plus d hyperbolic pairs on F_q^(2d+1).
-    D: d hyperbolic pairs on F_q^2d.
-    Dplus: d hyperbolic pairs plus an anisotropic binary block on F_q^(2d+2),
-    Witt index d either way.
+    The form is a list of terms (i, j, c), c x_i x_j.  Every kind has the d
+    pairs x_i x_{d+i}.  B adds x_2d^2 on F_q^(2d+1); D is the pairs alone on
+    F_q^2d; Dplus adds the smallest irreducible x^2 + a x y + b y^2 on its
+    last two coordinates of F_q^(2d+2), Witt index d either way.  C
+    alternates the pairs on F_q^2d: symplectic, every vector singular, so no
+    quadratic form.  The polar form is sum c (x_i y_j + sign x_j y_i), with
+    sign -1 for C, and for the others Q(x+y) - Q(x) - Q(y).
     """
-    if kind == "C":
-        nvars = 2 * d
-
-        def polar(x, y):
-            return sum(x[i] * y[d + i] - x[d + i] * y[i] for i in range(d))
-
-        return nvars, polar, None
-
-    if kind == "B":
-        nvars = 2 * d + 1
-        pairs = [(i, d + i) for i in range(d)]
-        squares = [2 * d]
-    elif kind == "D":
-        nvars = 2 * d
-        pairs = [(i, d + i) for i in range(d)]
-        squares = []
-    elif kind == "Dplus":
-        nvars = 2 * d + 2
-        pairs = [(i, d + i) for i in range(d)]
-        squares = []
-    else:
+    if kind not in DUAL_POLAR_KINDS:
         raise ValueError(f"unknown dual polar kind {kind!r}")
-
-    aniso = None
-    if kind == "Dplus":
-        # x^2 + a*x*y + b*y^2 irreducible over F_q, smallest (a, b).
-        for a in range(q):
-            for b in range(1, q):
-                if all((t * t + a * t + b) % q for t in range(q)):
-                    aniso = (a, b)
-                    break
-            if aniso:
-                break
+    terms = [(i, d + i, 1) for i in range(d)]
+    nvars = 2 * d
+    if kind == "B":
+        terms.append((nvars, nvars, 1))
+        nvars += 1
+    elif kind == "Dplus":
+        aniso = next(
+            ((a, b) for a in range(q) for b in range(1, q)
+             if all((t * t + a * t + b) % q for t in range(q))),
+            None,
+        )
         if aniso is None:
             raise ConstructionError(f"no anisotropic binary form over F_{q}")
-
-    def quad(x):
-        s = sum(x[i] * x[j] for i, j in pairs)
-        for i in squares:
-            s += x[i] * x[i]
-        if aniso is not None:
-            u, v = x[nvars - 2], x[nvars - 1]
-            s += u * u + aniso[0] * u * v + aniso[1] * v * v
-        return s
+        u, v = nvars, nvars + 1
+        terms += [(u, u, 1), (u, v, aniso[0]), (v, v, aniso[1])]
+        nvars += 2
+    sign = -1 if kind == "C" else 1
 
     def polar(x, y):
-        # Q(x+y) - Q(x) - Q(y), bilinear in every characteristic.
-        return quad([a + b for a, b in zip(x, y)]) - quad(x) - quad(y)
+        return sum(c * (x[i] * y[j] + sign * x[j] * y[i]) for i, j, c in terms)
 
-    return nvars, polar, quad
+    def quad(x):
+        return sum(c * x[i] * x[j] for i, j, c in terms)
+
+    return nvars, polar, None if kind == "C" else quad
 
 
 def isotropic_subspace_count(kind: str, d: int, q: int, i: int) -> int:

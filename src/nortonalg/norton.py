@@ -383,16 +383,6 @@ def formula_table(g: GraphInstance) -> FormulaTable:
     return FormulaTable(tuple(g.lattice.levels[1]), table, clear)
 
 
-def formula_product(g: GraphInstance, u, v) -> dict:
-    """Closed-form product of two spanning vectors, as label -> coefficient.
-
-    Both inputs are level-1 lattice elements; the result, one row of
-    formula_table(g), expands the product of their rescaled vectors over
-    rescaled vectors again.  An empty dict is the zero product.
-    """
-    return formula_table(g).product(u, v)
-
-
 @dataclass(frozen=True)
 class FormulaOracleReport:
     instance: str
@@ -450,8 +440,9 @@ class NortonAlgebra:
     """Exact structure constants of the Norton product on V_1.
 
     label_coords expresses every spanning vector over the chosen basis, and
-    one_off is the preferred pair of labels used by the classification
-    routines (independent whenever the product is nonzero).
+    one_off and one_off_line are one_off_pair(g), the preferred pair of
+    labels used by the classification routines (independent whenever the
+    product is nonzero) and its line.
     """
 
     family: object
@@ -461,7 +452,6 @@ class NortonAlgebra:
     label_coords: dict
     one_off: tuple
     one_off_line: tuple = ()
-    notes: tuple = ()
     # classify._one_off_proof's pair, mu and s, made on first use
     one_off_proof: tuple | None = field(default=None, init=False, repr=False)
 
@@ -480,19 +470,29 @@ def _default_basis_candidates(g: GraphInstance, labels):
     return list(labels)
 
 
-def _one_off_pair(g: GraphInstance):
-    """Indices of the preferred pair of points (lattice level 1).
+def one_off_pair(g: GraphInstance):
+    """The preferred pair of points (lattice level 1) and its line, ((u, v), line).
 
-    The first two points, or for Hamming and dual polar the first pair whose
-    join is the lattice maximum: no vertex lies above both points.
+    The pair is the first two points, or for Hamming and dual polar the first
+    pair whose join is the lattice maximum: no vertex lies above both points.
+    Over Grassmann the line holds every point w on the line u v: each vertex
+    above u and v is above w.  For the other families it is empty.  Both are
+    read off the lattice alone, so structure_constants and load_cache
+    derive them from the graph in the same way.
     """
+    points, m = g.lattice.levels[1], g.incidence
     if isinstance(g.family, (JohnsonFamily, GrassmannFamily)):
-        return 0, 1
-    m = g.incidence
-    first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
-    if not first.size:
-        raise ConstructionError(f"{g.label()}: no level-1 pair joins to the maximum")
-    return int(first[0]), int(second[0])
+        i, j = 0, 1
+    else:
+        first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
+        if not first.size:
+            raise ConstructionError(f"{g.label()}: no level-1 pair joins to the maximum")
+        i, j = int(first[0]), int(second[0])
+    line = ()
+    if isinstance(g.family, GrassmannFamily):
+        common, triple = _triple_counts(m, [i], [j])
+        line = tuple(points[w] for w in np.flatnonzero(triple[0] == common[0]))
+    return (points[i], points[j]), line
 
 
 def structure_constants(
@@ -533,24 +533,16 @@ def structure_constants(
     op = BilinearOperation.from_int_table(den, table)
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
-    points = g.lattice.levels[1]
-    i, j = _one_off_pair(g)
-    u, v = points[i], points[j]
-    pair = [products.index[u], products.index[v]]
-    if not op.is_zero and len(independent_rows(rows, pair, 2)[0]) != 2:
+    pair, line = one_off_pair(g)
+    indices = [products.index[x] for x in pair]
+    if not op.is_zero and len(independent_rows(rows, indices, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
-    line = ()
-    if isinstance(g.family, GrassmannFamily):
-        # w lies on the line u v iff every vertex above u and v is above w
-        common, triple = _triple_counts(g.incidence, [i], [j])
-        line = tuple(points[w] for w in np.flatnonzero(triple[0] == common[0]))
     return NortonAlgebra(
         family=g.family,
         dim=dim,
         basis_labels=tuple(labels[i] for i in chosen),
         operation=op,
         label_coords=label_coords,
-        one_off=(u, v),
+        one_off=pair,
         one_off_line=line,
-        notes=g.notes,
     )

@@ -84,16 +84,17 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def enumerate_trees(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[BinaryTree]:
+def enumerate_trees(n: int) -> list[BinaryTree]:
     """All full binary trees with n internal nodes, in a fixed recursive order.
 
     Order: split position k = 0..n-1 ascending (the left subtree gets k+1 of
-    the n+1 leaves), left subtree index before right subtree index.
+    the n+1 leaves), left subtree index before right subtree index.  n above
+    DEFAULT_ENUMERATION_LIMIT is an EnumerationLimitError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise EnumerationLimitError(n, limit)
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(n, DEFAULT_ENUMERATION_LIMIT)
     return list(_trees(n))
 
 
@@ -160,7 +161,7 @@ def depth_sequence(t: BinaryTree) -> DepthSequence:
     return DepthSequence(tuple(out))
 
 
-def depth_tuples(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple:
+def depth_tuples(n: int) -> tuple:
     """Depth tuples of the trees with n internal nodes, in enumerate_trees order.
 
     Built by the splitting recursion of enumerate_trees: for each split k,
@@ -170,8 +171,8 @@ def depth_tuples(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> tuple:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > limit:
-        raise EnumerationLimitError(n, limit)
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise EnumerationLimitError(n, DEFAULT_ENUMERATION_LIMIT)
     return _depths(n)
 
 
@@ -188,13 +189,13 @@ def _depths(n: int) -> tuple:
     return tuple(out)
 
 
-def depth_set(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> frozenset:
+def depth_set(n: int) -> frozenset:
     """The set D_n of depth sequences, built by the splitting recursion.
 
     D_0 = {(0)}; D_n is the union over k of sequences obtained by raising a
     member of D_k and a member of D_{n-1-k} by one and concatenating.
     """
-    return frozenset(DepthSequence(d) for d in depth_tuples(n, limit))
+    return frozenset(DepthSequence(d) for d in depth_tuples(n))
 
 
 def tree_from_depth_sequence(seq) -> BinaryTree:

@@ -26,7 +26,9 @@ from nortonalg.classify import count_norton_classes, verify_classification
 from nortonalg.cli import main
 from nortonalg.errors import ConstructionError
 from nortonalg.instances import (
+    build_graph,
     build_instance,
+    family_key,
     normalize_params,
     parse_instance_spec,
 )
@@ -187,16 +189,6 @@ def _tamper(payload, kind):
         payload["label_coords"][0][0] = {"1": 1}
     elif kind == "str in a basis label":
         payload["basis_labels"][0] = ["1"]
-    elif kind == "one_off outside label_coords":
-        payload["one_off"][1] = [4]
-    elif kind == "one_off of three labels":
-        payload["one_off"].append([3])
-    elif kind == "one_off_line outside label_coords":
-        payload["one_off_line"] = [[1], [4]]
-    elif kind == "str notes":
-        payload["notes"] = "normalized"
-    elif kind == "int note":
-        payload["notes"] = [3]
     elif kind.startswith("missing "):
         del payload[kind.removeprefix("missing ")]
     elif kind.endswith((" 3", " 5")):
@@ -209,11 +201,9 @@ MALFORMED = [
     "str entry", "float entry", "bool entry", "str den", "float den", "bool den",
     "zero den", "negative den", "missing den", "short row", "missing plane",
     "flat table", "missing table", "str label coordinate", "zero label den",
-    "label coordinate not a pair", "missing one_off", "missing one_off_line",
-    "missing notes", "missing vertices", "missing dist", "missing eigenvalues",
-    "payload a list", "basis_labels 3", "notes 3", "label_coords 5", "vertices 3",
-    "one_off 3", "dict label", "str in a basis label", "one_off outside label_coords",
-    "one_off of three labels", "one_off_line outside label_coords", "str notes", "int note",
+    "label coordinate not a pair", "missing vertices", "missing dist", "missing eigenvalues",
+    "payload a list", "basis_labels 3", "label_coords 5", "vertices 3", "dict label",
+    "str in a basis label",
 ]
 
 
@@ -229,6 +219,50 @@ def test_cache_rejects_malformed_tables(capsys, tmp_path, kind):
         capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)
     )
     assert (code, out) == (1, "")
+
+
+@pytest.mark.parametrize("kind", ["two labels swapped", "a label dropped", "a non-point"])
+def test_cache_refuses_label_coords_that_are_not_the_points(capsys, tmp_path, kind):
+    # the one-off pair is read off the rebuilt points, so label_coords must
+    # name exactly those points, in order; no damage here touches the pair
+    target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
+    payload = json.loads(target.read_text())
+    pairs = payload["label_coords"]
+    if kind == "two labels swapped":
+        pairs[1][0], pairs[2][0] = pairs[2][0], pairs[1][0]
+    elif kind == "a label dropped":
+        pairs.pop()
+    else:
+        pairs[2][0] = [4]
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match="stale: label_coords"):
+        load_cache("johnson", (3, 1), tmp_path)
+    assert run_cli(capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)) == (1, "")
+
+
+CACHED_INSTANCES = [
+    ("johnson", (3, 1)), ("johnson", (4, 1)), ("johnson", (4, 2)), ("johnson", (5, 2)),
+    ("grassmann", (2, 4, 2)), ("hamming", (2, 2)), ("hamming", (1, 3)), ("hamming", (2, 3)),
+    ("hamming", (1, 4)), ("dualpolar", ("D", 2, 2)), ("dualpolar", ("C", 2, 2)),
+    ("dualpolar", ("D", 3, 2)), ("johnson", (6, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params", CACHED_INSTANCES, ids=["-".join(map(str, (n, *p))) for n, p in CACHED_INSTANCES]
+)
+def test_cache_derives_the_one_off_pair_from_the_rebuilt_graph(tmp_path, name, params):
+    bundle = build_instance(name, params)
+    target = write_cache(bundle, tmp_path)
+    assert not {"one_off", "one_off_line", "notes"} & json.loads(target.read_text()).keys()
+    key = family_key(bundle.graph.family)
+    loaded = load_cache(*key, tmp_path)
+    for attr in ("one_off", "one_off_line", "basis_labels"):
+        assert getattr(loaded.algebra, attr) == getattr(bundle.algebra, attr)
+    # notes come from the graph the stored parameters build: D_2(2) keeps its
+    # note, and J(6,4) is stored as J(6,2), which was never complemented
+    assert loaded.graph.notes == build_graph(*key).notes
+    assert bool(loaded.graph.notes) == (key == ("dualpolar", ("D", 2, 2)))
 
 
 @pytest.mark.parametrize("text", ["", "{", "[1, 2", "\xff"])

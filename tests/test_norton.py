@@ -42,7 +42,6 @@ from nortonalg.norton import (
     OracleProducts,
     _default_basis_candidates,
     family_constants,
-    formula_product,
     formula_table,
     oracle_products,
     spanning_vectors,
@@ -180,16 +179,16 @@ def test_norton_oracle_triangle(bundle):
 
 
 def test_formula_product_johnson(bundle):
-    g52 = bundle("j52")[0]
+    t52 = formula_table(bundle("j52")[0])
     u, v = (1,), (2,)
-    assert formula_product(g52, u, u) == {u: 1}
-    assert formula_product(g52, u, v) == {
+    assert t52.product(u, u) == {u: 1}
+    assert t52.product(u, v) == {
         u: Fraction(-1, 3),
         v: Fraction(-1, 3),
     }
-    g42 = bundle("j42")[0]
-    assert formula_product(g42, (1,), (2,)) == {}
-    assert formula_product(g42, (1,), (1,)) == {}
+    t42 = formula_table(bundle("j42")[0])
+    assert t42.product((1,), (2,)) == {}
+    assert t42.product((1,), (1,)) == {}
 
 
 def test_formula_product_hamming(bundle):
@@ -197,12 +196,13 @@ def test_formula_product_hamming(bundle):
     same_pos = ((1, 0), (2, 0))
     diff_pos = ((1, 0), (0, 2))
     assert g.lattice.join(*same_pos) is TOP
-    assert formula_product(g, *same_pos) == {
+    table = formula_table(g)
+    assert table.product(*same_pos) == {
         same_pos[0]: Fraction(-1, 3),
         same_pos[1]: Fraction(-1, 3),
     }
-    assert formula_product(g, *diff_pos) == {}
-    assert formula_product(g, (1, 0), (1, 0)) == {
+    assert table.product(*diff_pos) == {}
+    assert table.product((1, 0), (1, 0)) == {
         (1, 0): Fraction(1, 3)
     }
 
@@ -211,7 +211,7 @@ def test_formula_product_grassmann_line_sum(bundle):
     g = bundle("g242")[0]
     points = g.lattice.levels[1]
     u, v = points[0], points[1]
-    out = formula_product(g, u, v)
+    out = formula_table(g).product(u, v)
     assert out[u] == Fraction(-1, 18)
     assert out[v] == Fraction(-1, 18)
     others = [lbl for lbl in out if lbl not in (u, v)]
@@ -229,7 +229,8 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is not TOP
     )
-    out = formula_product(g, *coll)
+    table = formula_table(g)
+    out = table.product(*coll)
     # c + b = 0 for D_2(2): the factors drop out, the third point survives
     assert len(out) == 1
     (w, cf), = out.items()
@@ -241,7 +242,7 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is TOP
     )
-    assert formula_product(g, *opp) == {opp[0]: -1, opp[1]: -1}
+    assert table.product(*opp) == {opp[0]: -1, opp[1]: -1}
 
 
 def test_formula_matches_oracle_everywhere(bundle):
@@ -501,10 +502,11 @@ def test_algebra_reproduces_formula_in_basis_coordinates(bundle, algebra):
         alg = algebra(name)
         op = alg.operation
         labels = list(g.lattice.levels[1])
+        table = formula_table(g)
         for u in labels:
             for v in labels:
                 got = op.apply(alg.label_coords[u], alg.label_coords[v])
-                expansion = formula_product(g, u, v)
+                expansion = table.product(u, v)
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():
                     for idx, x in enumerate(alg.label_coords[lbl]):
@@ -519,6 +521,7 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
         g, sd, label_order=list(reversed(g.lattice.levels[1]))
     )
     assert reversed_order.basis_labels != default.basis_labels
+    table = formula_table(g)
     # same algebra in different coordinates: products of the same labels
     # must expand identically over the respective label coordinates
     for u in g.lattice.levels[1]:
@@ -530,7 +533,7 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
                 reversed_order.label_coords[u], reversed_order.label_coords[v]
             )
             # compare by re-expanding both over the shared formula
-            expansion = formula_product(g, u, v)
+            expansion = table.product(u, v)
             for alg, got in ((default, a), (reversed_order, b)):
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():

@@ -48,11 +48,9 @@ def test_enumeration_order_is_split_position_recursive():
 
 
 def test_enumeration_limit():
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError) as caught:
         enumerate_trees(13)
-    assert len(enumerate_trees(5, limit=5)) == 42
-    with pytest.raises(EnumerationLimitError):
-        enumerate_trees(6, limit=5)
+    assert (caught.value.n, caught.value.limit) == (13, 12)
 
 
 def test_left_comb_depths():
