@@ -196,7 +196,9 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
     """
     if len(args) != t.leaf_count:
         raise ValueError(f"tree has {t.leaf_count} leaves, got {len(args)} arguments")
-    s, rows = _scaled_rows(op, args)
+    if any(len(x) != op.dimension for x in args):
+        raise ValueError(f"expected vectors of length {op.dimension}")
+    s, rows = _scaled_rows(args)
     m = t.internal_count
     scale = s ** (m + 1) * op.den ** m
     value = _evaluate_rows(op, t, rows, {})
@@ -207,16 +209,11 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
 # the integer product step
 
 
-def _scaled_rows(op: BilinearOperation, vectors):
-    """(s, rows): the vectors times the lcm s of their denominators.
-
-    rows is an integer array (int64 when every entry fits) with one row per
-    vector.
-    """
-    d = op.dimension
+def _scaled_rows(vectors):
+    """(s, rows): rational vectors of one length times the lcm s of their
+    denominators, an integer array (int64 when every entry fits) with one
+    row per vector."""
     fracs = [[_frac(c) for c in v] for v in vectors]
-    if any(len(v) != d for v in fracs):
-        raise ValueError(f"expected vectors of length {d}")
     s = lcm(*(c.denominator for v in fracs for c in v))
     rows = np.array([[int(c * s) for c in v] for v in fracs], dtype=object)
     return s, rows.astype(np.int64) if fits_int64(abs_max(rows)) else rows

@@ -1,22 +1,19 @@
-"""JSON cache of built instances keyed by family, parameters, and code tag.
+"""JSON cache of built instances, one file per graph and code tag.
 
-A cache entry stores only what the solve produced: the algebra's basis
-labels, its structure constants and the coordinates of every point over the
-basis.  The vertices, distance matrix, eigenvalues and multiplicities ride
-along as stale-data checks against a fresh rebuild of the graph: the
-spectrum is recomputed from the rebuilt graph's intersection array and must
-agree with them, and the labels of "label_coords" must be the rebuilt
-points, in order.  Everything else is derived from the rebuilt graph: the
-preferred pair and its line (norton.one_off_pair) and the graph's notes.
-The structure constants travel as the operation's own integer table, "den"
-and the dim^3 "structure_constants" numerators over it, and the label
-coordinates as integers over one "label_den"; lattice labels are nested
-lists of integers.  load_cache decodes every field in one step (_decode)
-before it rebuilds anything: a missing key, a wrong JSON type or a table of
-the wrong shape makes the file malformed, a ConstructionError.
-
-Bump CODE_TAG whenever a change could invalidate stored structure
-constants; old entries are then ignored instead of trusted.
+Past its "code_tag", a file stores only what the solve produced, the
+algebra's two integer tables: "den" and the dim^3 "structure_constants"
+over it, and "coords", one row per point over "coords_den", with "basis"
+the basis points' indices.  The eigenvalues, multiplicities and
+"graph_sha256" (graph_digest of the vertices, points, incidence and
+distances) are stale checks against a rebuild of the graph from the
+parameters; the digest fixes the points' order, so row p of coords is
+rebuilt point p.  The labels, the preferred pair and its line
+(norton.one_off_pair) and the notes come from the rebuilt graph.
+load_cache decodes every field in one step (_decode) before it rebuilds
+anything: a missing key, a wrong JSON type, a table of the wrong shape or
+basis rows that are not coords_den e_i make the file malformed, a
+ConstructionError.  Bump CODE_TAG whenever a change could invalidate
+stored structure constants; old entries are then ignored.
 """
 
 from __future__ import annotations
@@ -24,19 +21,24 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+try:  # CPython's own SHA-256: hashlib's loads OpenSSL, 3.5 MB of resident memory
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12
+    from hashlib import sha256
+
 from .errors import ConstructionError
-from .graphs import DEFAULT_VERTEX_BUDGET
-from .instances import InstanceBundle, build_graph, family_key, normalize_params
+from .graphs import DEFAULT_VERTEX_BUDGET, GraphInstance
+from .instances import FAMILIES, InstanceBundle, build_graph, family_key, normalize_params
 from .norton import NortonAlgebra, one_off_pair
 from .binop import BilinearOperation
 from .spectral import spectral_data
 
-CODE_TAG = "3"
+CODE_TAG = "4"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
@@ -49,9 +51,22 @@ def default_cache_dir() -> Path:
 
 
 def cache_path(cache_dir, name: str, params) -> Path:
+    """The file of the family build_graph(name, params) builds, so J(n, k)
+    and its complement J(n, n-k) share one."""
     params = normalize_params(name, params)
+    name, params = family_key(FAMILIES[name][0](*params))
     stem = "-".join([name] + [str(p) for p in params])
     return Path(cache_dir) / f"{stem}-v{CODE_TAG}.json"
+
+
+def graph_digest(g: GraphInstance) -> str:
+    """SHA-256 (hex) of the vertices and points, in order, and of the
+    incidence and distance matrices."""
+    h = sha256(repr((g.vertices, g.lattice.levels[1])).encode())
+    # n and the points fix both shapes, and 0/1 entries and distances fit a byte
+    for a in (g.incidence, g.dist):
+        h.update(np.ascontiguousarray(a, dtype=np.uint8).data)
+    return h.hexdigest()
 
 
 def _is_int_table(value, shape) -> bool:
@@ -66,30 +81,21 @@ def _is_int_table(value, shape) -> bool:
 
 def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
     """Serialize a bundle; the write is atomic (temp file plus rename)."""
-    name, params = family_key(bundle.graph.family)
-    g = bundle.graph
     alg = bundle.algebra
-    label_den = lcm(*(c.denominator for cs in alg.label_coords.values() for c in cs))
     payload = {
         "code_tag": CODE_TAG,
-        "family": name,
-        "params": list(params),
-        "vertices": [list(v) if isinstance(v, tuple) else v for v in g.vertices],
-        "dist": g.dist.tolist(),
+        "graph_sha256": graph_digest(bundle.graph),
         "eigenvalues": list(bundle.spectral.eigenvalues),
         "multiplicities": list(bundle.spectral.multiplicities),
-        "basis_labels": [list(x) for x in alg.basis_labels],
         "den": alg.operation.den,
         "structure_constants": alg.operation.flat.reshape((alg.dim,) * 3).tolist(),
-        "label_den": label_den,
-        "label_coords": [
-            [list(label), [c.numerator * (label_den // c.denominator) for c in coords]]
-            for label, coords in alg.label_coords.items()
-        ],
+        "coords_den": alg.coords_den,
+        "coords": alg.coords.tolist(),
+        "basis": list(alg.basis),
     }
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    target = cache_path(directory, name, params)
+    target = cache_path(directory, *family_key(bundle.graph.family))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -102,21 +108,9 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
     return target
 
 
-def _label(value):
-    """A lattice label from JSON, nested lists of ints, as nested tuples."""
-    if type(value) is list:
-        return tuple(map(_label, value))
-    if type(value) is not int:
-        raise TypeError(f"{value!r} in a label")
-    return value
-
-
 def _decode(payload: dict, target) -> tuple:
-    """Every field load_cache reads past the header, checked in one step.
-
-    Returns the stored vertices, distances and spectrum, to compare with a
-    rebuild, and the algebra's fields as NortonAlgebra takes them.
-    """
+    """Every field past the header, checked: (the stored digest and
+    spectrum, the algebra's tables as NortonAlgebra takes them)."""
 
     def get(key, kind=list):
         if type(payload.get(key)) is not kind:
@@ -124,27 +118,25 @@ def _decode(payload: dict, target) -> tuple:
             raise ConstructionError(f"{target} is malformed: {why}")
         return payload[key]
 
-    stored = {key: get(key) for key in ("vertices", "dist", "eigenvalues", "multiplicities")}
-    den, label_den, table = get("den", int), get("label_den", int), get("structure_constants")
-    pairs = get("label_coords")
-    dim = len(get("basis_labels"))
+    stored = {key: get(key) for key in ("eigenvalues", "multiplicities")}
+    stored["graph_sha256"] = get("graph_sha256", str)
+    den, coords_den = get("den", int), get("coords_den", int)
+    table, coords, basis = get("structure_constants"), get("coords"), get("basis")
+    dim = len(basis)
     if not (
-        dim and min(den, label_den) > 0 and _is_int_table(table, (dim,) * 3)
-        and all(type(pair) is list and len(pair) == 2 for pair in pairs)
-        and _is_int_table([coords for _, coords in pairs], (len(pairs), dim))
+        dim and min(den, coords_den) > 0 and _is_int_table(table, (dim,) * 3)
+        and _is_int_table(coords, (len(coords), dim)) and _is_int_table(basis, (dim,))
     ):
         raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
-    try:
-        stored["vertices"] = [_label(v) for v in stored["vertices"]]
-        labels = tuple(map(_label, get("basis_labels")))
-        coords = {_label(x): tuple(Fraction(c, label_den) for c in cs) for x, cs in pairs}
-    except TypeError as exc:
-        raise ConstructionError(f"{target} is malformed: {exc}") from None
+    # repeated indices give repeated rows, which are not all unit rows
+    unit = [[coords_den * (i == j) for j in range(dim)] for i in range(dim)]
+    if not all(0 <= i < len(coords) for i in basis) or [coords[i] for i in basis] != unit:
+        raise ConstructionError(f"{target} is malformed: basis rows are not coords_den e_i")
     return stored, dict(
-        dim=dim,
-        basis_labels=labels,
         operation=BilinearOperation.from_int_table(den, table),
-        label_coords=coords,
+        basis=tuple(basis),
+        coords_den=coords_den,
+        coords=coords,
     )
 
 
@@ -153,16 +145,11 @@ def load_cache(
 ) -> Optional[InstanceBundle]:
     """Rebuild a bundle from cache, or None when absent or tagged stale.
 
-    The whole file is decoded first.  The graph itself is then
-    reconstructed from the family parameters (cheap) under the vertex
-    budget, as build_instance does, and compared against the stored vertex
-    order, distance matrix and points, and its spectrum is recomputed and
-    compared against the stored eigenvalues and multiplicities, so a cache
-    file can never silently disagree with the code that made it.  The
-    preferred pair and its line come from the rebuilt graph.  The rest of
-    the validation battery of build_instance is not repeated.
+    The graph is rebuilt from the parameters under the vertex budget, as
+    build_instance does, and its digest and spectrum must match the file's,
+    so a cache file can never silently disagree with the code that made it.
+    The rest of the validation battery of build_instance is not repeated.
     """
-    params = normalize_params(name, params)
     target = cache_path(cache_dir, name, params)
     if not target.is_file():
         return None
@@ -174,23 +161,18 @@ def load_cache(
         raise ConstructionError(f"{target} is malformed: not a JSON object")
     if payload.get("code_tag") != CODE_TAG:
         return None
-    if payload.get("family") != name or payload.get("params") != list(params):
-        raise ConstructionError(f"{target} does not describe {name} {params}")
     stored, algebra = _decode(payload, target)
     g = build_graph(name, params, budget=budget)
-    if stored["vertices"] != list(g.vertices) or stored["dist"] != g.dist.tolist():
+    if stored["graph_sha256"] != graph_digest(g):
         raise ConstructionError(f"{target} is stale: graph no longer matches")
-    if tuple(algebra["label_coords"]) != g.lattice.levels[1]:
-        raise ConstructionError(f"{target} is stale: label_coords are not the points in order")
+    points = g.lattice.levels[1]
+    if len(algebra["coords"]) != len(points):
+        raise ConstructionError(f"{target} is stale: coords do not hold one row per point")
     sd = spectral_data(g)
-    for key, fresh in (
-        ("eigenvalues", sd.eigenvalues),
-        ("multiplicities", sd.multiplicities),
-    ):
-        if stored[key] != list(fresh):
-            raise ConstructionError(
-                f"{target} is stale: stored {key} {stored[key]} != {list(fresh)}"
-            )
+    for key in ("eigenvalues", "multiplicities"):
+        fresh = list(getattr(sd, key))
+        if stored[key] != fresh:
+            raise ConstructionError(f"{target} is stale: stored {key} {stored[key]} != {fresh}")
     pair, line = one_off_pair(g)
-    algebra = NortonAlgebra(family=g.family, one_off=pair, one_off_line=line, **algebra)
+    algebra = NortonAlgebra(g.family, points=points, one_off=pair, one_off_line=line, **algebra)
     return InstanceBundle(g, sd, algebra, None)

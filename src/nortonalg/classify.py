@@ -58,6 +58,7 @@ from .graphs import (
     HammingFamily,
     JohnsonFamily,
 )
+from .intlinalg import abs_max, fits_int64
 from .norton import NortonAlgebra, OracleProducts, family_constants
 from .spectral import SpectralData
 from .trees import (
@@ -125,13 +126,14 @@ def _one_off_proof(alg: NortonAlgebra):
     """(pair, mu, s), proved once per algebra and kept on it.
 
     pair holds the preferred pair u, v scaled by the lcm s of their
-    denominators, as integer rows (binop._scaled_rows).  mu is an integer
-    with den (v * v) == mu v exactly when the operation is commutative and
-    such an integer exists, and None otherwise.
+    denominators, as integer rows (NortonAlgebra.one_off_rows).  mu is an
+    integer with den (v * v) == mu v exactly when the operation is
+    commutative and such an integer exists, and None otherwise.
     """
     if alg.one_off_proof is None:
         op = alg.operation
-        s, pair = _scaled_rows(op, alg.one_off_vectors())
+        s, pair = alg.one_off_rows()
+        pair = pair.astype(np.int64) if fits_int64(abs_max(pair)) else pair
         mu = None
         if op.is_commutative:
             v = pair[1:]
@@ -375,15 +377,11 @@ def _lemma_pair(alg: NortonAlgebra):
             raise ValueError("zero product: no coefficient lemma")
         s = Fraction(e, e - 2)
         return tuple(s * x for x in u), tuple(s * x for x in v)
-    return tuple(map(Fraction, u)), tuple(map(Fraction, v))
+    return u, v
 
 
 def _line_sum(alg: NortonAlgebra):
-    total = [Fraction(0)] * alg.dim
-    for lbl in alg.one_off_line:
-        for i, x in enumerate(alg.label_coords[lbl]):
-            total[i] += x
-    return tuple(total)
+    return tuple(map(sum, zip(*map(alg.label_coords.get, alg.one_off_line))))
 
 
 def pattern_coefficients(alg: NortonAlgebra, h: int) -> CoefficientRow:
@@ -459,7 +457,7 @@ def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     """
     u, v = _lemma_pair(alg)
     op = alg.operation
-    s, pair = _scaled_rows(op, (u, v))
+    s, pair = _scaled_rows((u, v))
     den = op.den
     line = _line_sum(alg) if isinstance(alg.family, GrassmannFamily) else (0,) * len(u)
 
@@ -606,8 +604,7 @@ def d22_hamming_aligned_operation(
     products = OracleProducts.of_vectors(g, spectral, range(len(basis)), basis)
     if not products.fixed.all():
         raise ConstructionError("aligned basis vectors leave V_1")
-    _, den, table = products.expand(range(len(basis)))
-    op = BilinearOperation.from_int_table(den, table)
+    op = products.expand(range(len(basis)))[3]
     if not op.is_commutative:
         raise ConstructionError("aligned structure constants are not commutative")
     return op

@@ -31,7 +31,6 @@ from .instances import (
     InstanceBundle,
     build_instance,
     family_key,
-    normalize_params,
     parse_instance_spec,
 )
 from .norton import formula_table
@@ -56,7 +55,6 @@ def _label_str(label) -> str:
 def _bundle(args, name, params) -> InstanceBundle:
     """The cached instance from --cache-dir, else a fresh build."""
     name = name.lower()
-    params = normalize_params(name, params)
     cached = load_cache(name, params, args.cache_dir, budget=args.budget_vertices)
     if cached is not None:
         return cached

@@ -66,8 +66,14 @@ TOP = _Top()
 
 @dataclass(frozen=True)
 class JohnsonFamily:
+    """J(n, k), stored with k <= n/2: k > n/2 names the isomorphic complement J(n, n-k)."""
+
     n: int
     k: int
+
+    def __post_init__(self):
+        if 2 * self.k > self.n:
+            object.__setattr__(self, "k", self.n - self.k)
 
     def label(self):
         return f"J({self.n},{self.k})"
@@ -445,12 +451,10 @@ def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got ({n},{k})")
-    notes = ()
-    if 2 * k > n:
-        notes = (f"normalized from J({n},{k}) by complementation",)
-        k = n - k
-    _check_budget(comb(n, k), budget)
-    return _lattice_graph(JohnsonFamily(n, k), SubsetLattice(n, k), notes)
+    family = JohnsonFamily(n, k)
+    notes = () if family.k == k else (f"normalized from J({n},{k}) by complementation",)
+    _check_budget(comb(n, family.k), budget)
+    return _lattice_graph(family, SubsetLattice(n, family.k), notes)
 
 
 def build_hamming(d: int, e: int, budget: int = DEFAULT_VERTEX_BUDGET):

@@ -110,15 +110,17 @@ def _adjugate(m):
 
 def coordinates(basis, pivots, targets):
     """Coordinates of integer target rows over independent integer basis
-    rows, times one common integer det: returns (det, coords).
+    rows, as integer rows over one positive denominator: (den, coords, inside).
 
     pivots are columns on which the basis is nonsingular.  One adjugate of
-    that k x k block solves every target at once, and basis^T C == det T is
-    then checked on all columns, so a target outside the span gives None,
-    never a wrong answer.  coords[t] is target t's coordinates times det,
-    a tuple of ints.
+    that k x k block solves every target at once, so coords[t] / den are
+    target t's coordinates.  basis^T C == den T is then checked on all
+    columns: inside[t] is False for a target outside the span, whose row
+    is no answer.
     """
     adj, det = _adjugate(basis[:, pivots].T)
+    if det < 0:
+        adj, det = -adj, -det
     solved = exact_matmul(adj, targets[:, pivots].T)
     inside = (exact_matmul(basis.T, solved) == det * targets.T).all(axis=0)
-    return det, [tuple(col) if ok else None for col, ok in zip(solved.T.tolist(), inside)]
+    return det, solved.T, inside

@@ -32,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
-from .binop import BilinearOperation
+from .binop import BilinearOperation, _scaled_rows
 from .errors import ConstructionError, FormulaMismatchError
 from .graphs import (
     DualPolarFamily,
@@ -148,9 +148,7 @@ class OracleProducts:
 
     @classmethod
     def of_vectors(cls, g: GraphInstance, spectral: SpectralData, labels, vectors):
-        fracs = [[Fraction(x) for x in v] for v in vectors]
-        scale = lcm(*(x.denominator for v in fracs for x in v))
-        rows = np.array([[int(x * scale) for x in v] for v in fracs], dtype=object)
+        scale, rows = _scaled_rows(vectors)
         return cls.of_rows(g, spectral, labels, rows, scale)
 
     @cached_property
@@ -196,12 +194,11 @@ class OracleProducts:
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
 
-        basis lists independent row indices.  Returns (coords, den, table):
-        coords[i] expresses vector i as a tuple of Fractions, or None where
-        it leaves the span of the basis, and table[a, b] / den expresses the
-        product of basis vectors a and b, an integer table straight from
-        the solve, over den = det * self.den * self.scale.  A product that
-        leaves the span is a ConstructionError.
+        basis lists independent row indices.  Returns (den, coords, inside,
+        operation): coords[i] / den is vector i over the basis where
+        inside[i], else it leaves the span; operation is the product of
+        basis vectors, straight from the solve, and a product that leaves
+        the span is a ConstructionError.
         """
         basis = list(basis)
         rows = self.rows[:, self.cols]
@@ -212,16 +209,14 @@ class OracleProducts:
         a, b = np.triu_indices(k)
         chosen = np.array(basis)
         targets = np.concatenate([rows, self.products[self.pair[chosen[a], chosen[b]]]])
-        det, solved = coordinates(rows[chosen], pivots, targets)
+        det, solved, inside = coordinates(rows[chosen], pivots, targets)
+        if not inside[s:].all():
+            x = int(np.argmin(inside[s:]))
+            raise ConstructionError(f"basis product ({a[x]},{b[x]}) escapes V_1")
         table = np.empty((k, k, k), dtype=object)
-        for x, y, coeffs in zip(a.tolist(), b.tolist(), solved[s:]):
-            if coeffs is None:
-                raise ConstructionError(f"basis product ({x},{y}) escapes V_1")
-            table[x, y] = table[y, x] = coeffs
-        coords = [
-            None if c is None else tuple(Fraction(x, det) for x in c) for c in solved[:s]
-        ]
-        return coords, det * self.den * self.scale, table
+        table[a, b] = table[b, a] = solved[s:]
+        op = BilinearOperation.from_int_table(det * self.den * self.scale, table)
+        return det, solved[:s], inside[:s], op
 
 
 @dataclass(frozen=True)
@@ -439,25 +434,61 @@ def verify_formula_vs_oracle(
 class NortonAlgebra:
     """Exact structure constants of the Norton product on V_1.
 
-    label_coords expresses every spanning vector over the chosen basis, and
-    one_off and one_off_line are one_off_pair(g), the preferred pair of
-    labels used by the classification routines (independent whenever the
-    product is nonzero) and its line.
+    Two integer tables from the solve: the operation's cube, and coords,
+    whose row p over the reduced coords_den is point p (of points, lattice
+    level 1) over the basis; basis holds the basis points' indices.
+    label_coords and basis_labels are views by label, and of_fractions
+    converts hand-made Fraction coordinates once.  one_off and one_off_line
+    are one_off_pair(g): the preferred pair of the classification routines
+    (independent whenever the product is nonzero) and its line.
     """
 
     family: object
-    dim: int
-    basis_labels: tuple
     operation: BilinearOperation
-    label_coords: dict
+    points: tuple
+    basis: tuple
+    coords_den: int
+    coords: np.ndarray
     one_off: tuple
     one_off_line: tuple = ()
     # classify._one_off_proof's pair, mu and s, made on first use
     one_off_proof: tuple | None = field(default=None, init=False, repr=False)
 
+    def __post_init__(self):
+        coords = np.asarray(self.coords, dtype=object)
+        content = gcd(self.coords_den, *coords.ravel().tolist())
+        self.coords_den, self.coords = self.coords_den // content, coords // content
+
+    @classmethod
+    def of_fractions(cls, family, operation, label_coords, one_off, basis_labels=()):
+        """The algebra whose points are the labels of label_coords, in order."""
+        points = tuple(label_coords)
+        den, coords = _scaled_rows(label_coords.values())
+        basis = tuple(map(points.index, basis_labels))
+        return cls(family, operation, points, basis, den, coords, one_off)
+
+    @property
+    def dim(self) -> int:
+        return self.operation.dimension
+
+    @property
+    def basis_labels(self) -> tuple:
+        return tuple(self.points[i] for i in self.basis)
+
+    @cached_property
+    def label_coords(self) -> dict:
+        rows = (tuple(Fraction(x, self.coords_den) for x in r) for r in self.coords.tolist())
+        return dict(zip(self.points, rows))
+
     def one_off_vectors(self):
-        u, v = self.one_off
-        return self.label_coords[u], self.label_coords[v]
+        return tuple(self.label_coords[x] for x in self.one_off)
+
+    def one_off_rows(self):
+        """(s, rows): the preferred pair times the lcm s of its denominators,
+        a 2 x dim array of Python ints."""
+        rows = self.coords[list(map(self.points.index, self.one_off))]
+        unit = gcd(self.coords_den, *rows.ravel().tolist())
+        return self.coords_den // unit, rows // unit
 
     def label(self) -> str:
         return self.family.label()
@@ -521,28 +552,16 @@ def structure_constants(
             f"{g.label()}: only {len(chosen)} independent vectors "
             f"among candidates, need {dim}"
         )
-    coords, den, table = products.expand(chosen)
-    label_coords = {}
-    for lbl, coeffs in zip(labels, coords):
-        if coeffs is None:
-            raise ConstructionError(
-                f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
-                f"space: {lbl!r} escapes the basis span"
-            )
-        label_coords[lbl] = coeffs
-    op = BilinearOperation.from_int_table(den, table)
+    coords_den, coords, inside, op = products.expand(chosen)
+    if not inside.all():
+        raise ConstructionError(
+            f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
+            f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
+        )
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     pair, line = one_off_pair(g)
     indices = [products.index[x] for x in pair]
     if not op.is_zero and len(independent_rows(rows, indices, 2)[0]) != 2:
         raise ConstructionError(f"{g.label()}: preferred pair is dependent")
-    return NortonAlgebra(
-        family=g.family,
-        dim=dim,
-        basis_labels=tuple(labels[i] for i in chosen),
-        operation=op,
-        label_coords=label_coords,
-        one_off=pair,
-        one_off_line=line,
-    )
+    return NortonAlgebra(g.family, op, labels, tuple(chosen), coords_den, coords, pair, line)

@@ -106,7 +106,7 @@ def test_depth_rows_match_subtree_recursion(algebra, name):
 
 def _custom_algebra(name, cube, u, v):
     op = binop.BilinearOperation(cube)
-    return NortonAlgebra(CustomFamily(name), op.dimension, (), op, {"u": u, "v": v}, ("u", "v"))
+    return NortonAlgebra.of_fractions(CustomFamily(name), op, {"u": u, "v": v}, ("u", "v"))
 
 
 def _exact_signature(alg, t):
@@ -163,8 +163,8 @@ def test_one_off_proof_is_made_once_per_algebra(algebra, monkeypatch, spec):
     alg = algebra("c22") if spec is None else _custom_algebra("skew", *spec)
     alg = dataclasses.replace(alg)  # nothing proved yet
     calls = []
-    real = classify._scaled_rows
-    monkeypatch.setattr(classify, "_scaled_rows", lambda *a: calls.append(a) or real(*a))
+    real = NortonAlgebra.one_off_rows
+    monkeypatch.setattr(NortonAlgebra, "one_off_rows", lambda a: calls.append(a) or real(a))
     for m in range(6):
         for t in enumerate_trees(m):
             one_off_signature(alg, t)
@@ -283,7 +283,7 @@ def _halve_and_third(alg):
     coords = dict(alg.label_coords)
     for label, k in zip(alg.one_off, (2, 3)):
         coords[label] = tuple(Fraction(x) / k for x in coords[label])
-    return dataclasses.replace(alg, label_coords=coords)
+    return NortonAlgebra.of_fractions(alg.family, alg.operation, coords, alg.one_off)
 
 
 @pytest.mark.parametrize("name", ["j41", "c22", "skew"])

@@ -6,14 +6,18 @@ process; subprocess tests confirm the installed entry point and that a
 large tensor count and a past-desk-scale build fit a bounded address space.
 """
 
+import copy
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nortonalg import cache, cli
 from nortonalg.binop import BilinearOperation
 from nortonalg.cache import (
     CODE_TAG,
@@ -22,17 +26,17 @@ from nortonalg.cache import (
     load_cache,
     write_cache,
 )
-from nortonalg.classify import count_norton_classes, verify_classification
+from nortonalg.classify import count_norton_classes, one_off_signature, verify_classification
 from nortonalg.cli import main
 from nortonalg.errors import ConstructionError
 from nortonalg.instances import (
     build_graph,
     build_instance,
-    family_key,
     normalize_params,
     parse_instance_spec,
 )
-from nortonalg.trees import catalan
+from nortonalg.norton import NortonAlgebra
+from nortonalg.trees import catalan, enumerate_trees
 from conftest import run_optimized
 
 
@@ -112,8 +116,16 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
     assert all(type(c) is int for c in flat) and len(flat) == op.dimension ** 3
     assert type(payload["den"]) is int and payload["den"] > 0
     assert any(Fraction(c, payload["den"]).denominator > 1 for c in flat)
-    coords = [x for _, xs in payload["label_coords"] for x in xs]
-    assert all(type(x) is int for x in coords) and payload["label_den"] > 0
+    # one row per point over coords_den, and nothing else: no labels, no
+    # vertex list and no distance matrix
+    assert set(payload) == {
+        "code_tag", "graph_sha256", "eigenvalues", "multiplicities",
+        "den", "structure_constants", "coords_den", "coords", "basis",
+    }
+    coords = payload["coords"]
+    assert [len(row) for row in coords] == [op.dimension] * 5
+    assert all(type(x) is int for row in coords for x in row) and payload["coords_den"] > 0
+    assert payload["basis"] == [0, 1, 2, 3]
     loaded = load_cache("johnson", (5, 2), tmp_path).algebra
     assert loaded.operation.constants == op.constants
     assert loaded.label_coords == bundle.algebra.label_coords
@@ -126,26 +138,38 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
 )
 def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
     # every rational Fraction reads from text round-trips exactly through
-    # the integer table; the text itself is never parsed, valid or not
+    # both integer tables, the cube and the point coordinates; the text
+    # itself is never parsed, valid or not
     bundle = build_instance("johnson", (3, 1))
+    alg = bundle.algebra
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         value = None
     if value is not None:
-        cube = [[list(row) for row in plane] for plane in bundle.algebra.operation.constants]
+        cube = [[list(row) for row in plane] for plane in alg.operation.constants]
         cube[0][0][0] = value
-        bundle.algebra.operation = BilinearOperation(cube)
+        coords = dict(alg.label_coords)
+        coords[(3,)] = (value, coords[(3,)][1])  # (3,) is no basis point
+        bundle.algebra = NortonAlgebra.of_fractions(
+            alg.family, BilinearOperation(cube), coords, alg.one_off, alg.basis_labels
+        )
         write_cache(bundle, tmp_path)
-        loaded = load_cache("johnson", (3, 1), tmp_path).algebra.operation
-        assert loaded.constants[0][0][0] == value
-        assert loaded.constants == bundle.algebra.operation.constants
-    target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
-    payload = json.loads(target.read_text())
-    payload["structure_constants"][0][0][0] = text
-    target.write_text(json.dumps(payload))
-    with pytest.raises(ConstructionError, match="malformed"):
-        load_cache("johnson", (3, 1), tmp_path)
+        loaded = load_cache("johnson", (3, 1), tmp_path).algebra
+        assert loaded.operation.constants[0][0][0] == value
+        assert loaded.operation.constants == bundle.algebra.operation.constants
+        assert loaded.label_coords[(3,)][0] == value
+        assert loaded.label_coords == coords
+    for key, at in (("structure_constants", (0, 0, 0)), ("coords", (2, 0))):
+        target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
+        payload = json.loads(target.read_text())
+        row = payload[key]
+        for i in at[:-1]:
+            row = row[i]
+        row[at[-1]] = text
+        target.write_text(json.dumps(payload))
+        with pytest.raises(ConstructionError, match="malformed"):
+            load_cache("johnson", (3, 1), tmp_path)
 
 
 def _tamper(payload, kind):
@@ -180,15 +204,24 @@ def _tamper(payload, kind):
     elif kind == "missing table":
         del payload["structure_constants"]
     elif kind == "str label coordinate":
-        payload["label_coords"][0][1][0] = "1/2"
+        payload["coords"][2][0] = "1/2"
+    elif kind == "bool label coordinate":
+        payload["coords"][2][0] = True
     elif kind == "zero label den":
-        payload["label_den"] = 0
-    elif kind == "label coordinate not a pair":
-        payload["label_coords"][0] = [1]
-    elif kind == "dict label":
-        payload["label_coords"][0][0] = {"1": 1}
-    elif kind == "str in a basis label":
-        payload["basis_labels"][0] = ["1"]
+        payload["coords_den"] = 0
+    elif kind == "negative coords den":
+        payload["coords_den"] = -1
+    elif kind == "short coords row":
+        payload["coords"][2].pop()
+    elif kind == "str basis index":
+        payload["basis"][0] = "0"
+    elif kind == "basis index out of range":
+        payload["basis"][0] = 9
+    elif kind == "repeated basis index":
+        payload["basis"][1] = payload["basis"][0]
+    elif kind == "basis rows swapped":
+        coords = payload["coords"]
+        coords[0], coords[1] = coords[1], coords[0]
     elif kind.startswith("missing "):
         del payload[kind.removeprefix("missing ")]
     elif kind.endswith((" 3", " 5")):
@@ -197,13 +230,16 @@ def _tamper(payload, kind):
     return payload
 
 
+# a J(3,1) file holds coords [[1, 0], [0, 1], [-1, -1]] over coords_den 1,
+# with basis [0, 1]: the label coordinates of the points (1), (2) and (3)
 MALFORMED = [
     "str entry", "float entry", "bool entry", "str den", "float den", "bool den",
     "zero den", "negative den", "missing den", "short row", "missing plane",
-    "flat table", "missing table", "str label coordinate", "zero label den",
-    "label coordinate not a pair", "missing vertices", "missing dist", "missing eigenvalues",
-    "payload a list", "basis_labels 3", "label_coords 5", "vertices 3", "dict label",
-    "str in a basis label",
+    "flat table", "missing table", "str label coordinate", "bool label coordinate",
+    "zero label den", "negative coords den", "short coords row", "missing coords",
+    "missing coords_den", "missing basis", "missing graph_sha256", "missing eigenvalues",
+    "payload a list", "basis 3", "coords 5", "graph_sha256 3", "str basis index",
+    "basis index out of range", "repeated basis index", "basis rows swapped",
 ]
 
 
@@ -223,19 +259,23 @@ def test_cache_rejects_malformed_tables(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize("kind", ["two labels swapped", "a label dropped", "a non-point"])
 def test_cache_refuses_label_coords_that_are_not_the_points(capsys, tmp_path, kind):
-    # the one-off pair is read off the rebuilt points, so label_coords must
-    # name exactly those points, in order; no damage here touches the pair
+    # row p of coords holds the label coordinates of rebuilt point p, so the
+    # rows must be one per point, and a basis point's row is its unit vector;
+    # J(3,1) has basis points (1) and (2), and (3) is their negated sum
     target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
     payload = json.loads(target.read_text())
-    pairs = payload["label_coords"]
+    coords = payload["coords"]
     if kind == "two labels swapped":
-        pairs[1][0], pairs[2][0] = pairs[2][0], pairs[1][0]
+        coords[1], coords[2] = coords[2], coords[1]
+        match = "malformed: basis rows are not coords_den e_i"
     elif kind == "a label dropped":
-        pairs.pop()
+        coords.pop()
+        match = "stale: coords do not hold one row per point"
     else:
-        pairs[2][0] = [4]
+        coords.append([1, 1])
+        match = "stale: coords do not hold one row per point"
     target.write_text(json.dumps(payload))
-    with pytest.raises(ConstructionError, match="stale: label_coords"):
+    with pytest.raises(ConstructionError, match=match):
         load_cache("johnson", (3, 1), tmp_path)
     assert run_cli(capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)) == (1, "")
 
@@ -248,21 +288,69 @@ CACHED_INSTANCES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "name, params", CACHED_INSTANCES, ids=["-".join(map(str, (n, *p))) for n, p in CACHED_INSTANCES]
-)
+CACHED_IDS = ["-".join(map(str, (n, *p))) for n, p in CACHED_INSTANCES]
+
+
+@pytest.mark.parametrize("name, params", CACHED_INSTANCES, ids=CACHED_IDS)
 def test_cache_derives_the_one_off_pair_from_the_rebuilt_graph(tmp_path, name, params):
+    # the loaded algebra is the built one, table for table and view for view
     bundle = build_instance(name, params)
     target = write_cache(bundle, tmp_path)
     assert not {"one_off", "one_off_line", "notes"} & json.loads(target.read_text()).keys()
-    key = family_key(bundle.graph.family)
-    loaded = load_cache(*key, tmp_path)
-    for attr in ("one_off", "one_off_line", "basis_labels"):
-        assert getattr(loaded.algebra, attr) == getattr(bundle.algebra, attr)
-    # notes come from the graph the stored parameters build: D_2(2) keeps its
-    # note, and J(6,4) is stored as J(6,2), which was never complemented
-    assert loaded.graph.notes == build_graph(*key).notes
-    assert bool(loaded.graph.notes) == (key == ("dualpolar", ("D", 2, 2)))
+    loaded = load_cache(name, params, tmp_path)
+    built, alg = bundle.algebra, loaded.algebra
+    assert (alg.operation.den, alg.coords_den) == (built.operation.den, built.coords_den)
+    assert np.array_equal(alg.operation.flat, built.operation.flat)
+    assert np.array_equal(alg.coords, built.coords)
+    for attr in ("basis", "label_coords", "basis_labels", "one_off", "one_off_line"):
+        assert getattr(alg, attr) == getattr(built, attr)
+    for t in enumerate_trees(3):
+        assert one_off_signature(alg, t) == one_off_signature(built, t)
+    # notes come from the graph the requested parameters build: D_2(2) keeps
+    # its note, and J(6,4), stored as J(6,2), keeps its complement note
+    assert loaded.graph.notes == bundle.graph.notes
+    noted = (("dualpolar", ("D", 2, 2)), ("johnson", (6, 4)))
+    assert bool(loaded.graph.notes) == ((name, params) in noted)
+
+
+def _spy_on_load_cache(monkeypatch):
+    """Record, for each cli.load_cache call, whether it was a hit."""
+    hits, real = [], cli.load_cache
+    monkeypatch.setattr(
+        cli, "load_cache", lambda *a, **k: hits.append(real(*a, **k)) or hits[-1]
+    )
+    return hits
+
+
+def test_complemented_johnson_spec_reads_the_file_its_build_wrote(
+    capsys, monkeypatch, tmp_path
+):
+    verify = ["verify", "johnson", "6", "4", "--m-max", "4", "--cache-dir"]
+    cold = run_cli(capsys, *verify, str(tmp_path / "cold"))
+    assert run_cli(capsys, "build", "johnson", "6", "4", "--cache-dir", str(tmp_path))[0] == 0
+    assert [p.name for p in tmp_path.glob("*.json")] == [f"johnson-6-2-v{CODE_TAG}.json"]
+    hits = _spy_on_load_cache(monkeypatch)
+    assert run_cli(capsys, *verify, str(tmp_path)) == cold
+    assert [hit is not None for hit in hits] == [True]
+
+
+WARM_COMMANDS = (
+    ("verify", "--m-max", "5"), ("classes", "--m-max", "4"), ("spectrum",), ("product-table",)
+)
+
+
+@pytest.mark.parametrize("name, params", CACHED_INSTANCES, ids=CACHED_IDS)
+def test_warm_runs_print_what_cold_runs_print(capsys, monkeypatch, tmp_path, name, params):
+    words = [name, *map(str, params)]
+    warm, cold = str(tmp_path / "warm"), str(tmp_path / "cold")
+    assert run_cli(capsys, "build", *words, "--cache-dir", warm)[0] == 0
+    hits = _spy_on_load_cache(monkeypatch)
+    for verb, *options in WARM_COMMANDS:
+        argv = [verb, *words, *options, "--cache-dir"]
+        warm_run = run_cli(capsys, *argv, warm)
+        assert warm_run == run_cli(capsys, *argv, cold), verb
+    # every warm run was a hit and every cold run a miss
+    assert [hit is not None for hit in hits] == [True, False] * len(WARM_COMMANDS)
 
 
 @pytest.mark.parametrize("text", ["", "{", "[1, 2", "\xff"])
@@ -284,14 +372,36 @@ def test_cache_miss_and_stale_tag(tmp_path):
     assert load_cache("johnson", (3, 1), tmp_path) is None
 
 
-def test_cache_detects_stale_graph(tmp_path):
-    bundle = build_instance("johnson", (3, 1))
-    target = write_cache(bundle, tmp_path)
-    payload = json.loads(target.read_text())
-    payload["dist"][0][1] = 3
-    target.write_text(json.dumps(payload))
-    with pytest.raises(ConstructionError):
-        load_cache("johnson", (3, 1), tmp_path)
+def _swapped(items, i, j):
+    items = list(items)
+    items[i], items[j] = items[j], items[i]
+    return tuple(items)
+
+
+def test_cache_detects_stale_graph(capsys, monkeypatch, tmp_path):
+    # the file holds one digest of the graph; a rebuild that differs from
+    # the stored graph in one distance, in the order of two vertices or in
+    # the order of two points is refused as stale
+    write_cache(build_instance("johnson", (5, 2)), tmp_path)
+    g = build_graph("johnson", (5, 2))
+    dist = g.dist.copy()
+    dist[0, 1] = dist[1, 0] = 3
+    lattice = copy.copy(g.lattice)
+    levels = lattice.levels
+    lattice.levels = (levels[0], _swapped(levels[1], 0, 1), *levels[2:])
+    for stale in (
+        dataclasses.replace(g, dist=dist),
+        dataclasses.replace(g, vertices=_swapped(g.vertices, 0, 1)),
+        dataclasses.replace(g, lattice=lattice),
+    ):
+        monkeypatch.setattr(cache, "build_graph", lambda *a, **k: stale)
+        with pytest.raises(ConstructionError, match="stale: graph no longer matches"):
+            load_cache("johnson", (5, 2), tmp_path)
+        assert run_cli(capsys, "verify", "johnson", "5", "2", "--cache-dir", str(tmp_path)) == (
+            1, ""
+        )
+    monkeypatch.undo()
+    assert load_cache("johnson", (5, 2), tmp_path) is not None
 
 
 @pytest.mark.parametrize("key", ["eigenvalues", "multiplicities"])

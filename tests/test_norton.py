@@ -388,7 +388,7 @@ def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
     )
     kept, pivots = independent_rows(chars[:, cols], range(len(chars)), len(chars))
     extra = next(i for i in range(len(chars)) if i not in kept)
-    det, (coeffs,) = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
+    det, (coeffs,), _ = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
     z = chars[extra] - sum(Fraction(c, det) * chars[k] for c, k in zip(coeffs, kept))
     assert not z[cols].any() and z.any()
     svs = spanning_vectors(g, sd)

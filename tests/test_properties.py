@@ -93,7 +93,7 @@ def test_one_off_signature_matches_reference(data):
     op = data.draw(operations())
     u, v = data.draw(vectors(op.dimension)), data.draw(vectors(op.dimension))
     m = data.draw(st.integers(0, 4))
-    alg = NortonAlgebra(None, op.dimension, (), op, {"u": u, "v": v}, ("u", "v"))
+    alg = NortonAlgebra.of_fractions(None, op, {"u": u, "v": v}, ("u", "v"))
     s = lcm(*(x.denominator for x in (*u, *v)))
     scale = s ** (m + 1) * op.den ** m
     # every tree of one arity on one algebra; one_off_signature shares

@@ -47,14 +47,15 @@ def test_solve_linear_combination():
     basis = integer_rows([(1, 0, 1), (0, 1, 1)])
     kept, pivots = independent_rows(basis, range(2), 2)
     targets = integer_rows([(2, 3, 5), (0, 0, 1)])
-    det, coords = coordinates(basis[kept], pivots, targets)
-    assert coords == [(2 * det, 3 * det), None]
+    det, coords, inside = coordinates(basis[kept], pivots, targets)
+    assert det > 0 and inside.tolist() == [True, False]
+    assert coords[0].tolist() == [2 * det, 3 * det]
     # a dependent basis is solved over the independent rows picked from it
     basis = integer_rows([(1, 1), (2, 2), (0, 1)])
     kept, pivots = independent_rows(basis, range(3), 3)
     assert kept == [0, 2]
-    det, [c] = coordinates(basis[kept], pivots, integer_rows([(3, 4)]))
-    assert c is not None
+    det, [c], inside = coordinates(basis[kept], pivots, integer_rows([(3, 4)]))
+    assert inside.all()
     assert all(
         sum(ci * basis[i][j] for ci, i in zip(c, kept)) == det * t
         for j, t in enumerate((3, 4))
@@ -293,10 +294,10 @@ def test_distance_matrices_live_in_idempotent_span():
     basis, targets = rows[: sd.count], rows[sd.count :]
     kept, pivots = independent_rows(basis, range(sd.count), sd.count)
     assert kept == list(range(sd.count))
-    det, coords = coordinates(basis, pivots, targets)
-    assert all(c is not None and len(c) == sd.count for c in coords)
+    det, coords, inside = coordinates(basis, pivots, targets)
+    assert inside.all() and coords.shape == (len(targets), sd.count)
     # A_1 = sum_j theta_j E_j
-    assert coords[1] == tuple(det * theta for theta in sd.eigenvalues)
+    assert coords[1].tolist() == [det * theta for theta in sd.eigenvalues]
 
 
 def test_eigenvalues_helper():
