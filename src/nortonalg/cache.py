@@ -7,8 +7,11 @@ the basis points' indices.  The eigenvalues, multiplicities and
 "graph_sha256" (graph_digest of the vertices, points, incidence and
 distances) are stale checks against a rebuild of the graph from the
 parameters; the digest fixes the points' order, so row p of coords is
-rebuilt point p.  The labels, the preferred pair and its line
-(norton.one_off_pair) and the notes come from the rebuilt graph.
+rebuilt point p, and every row is checked against the rebuilt incidence:
+coords_den times a centered point indicator must be its coords row times
+those of the basis points, or the file is stale.  The labels, the
+preferred pair and its line (norton.one_off_pair) and the notes come from
+the rebuilt graph.
 load_cache decodes every field in one step (_decode) before it rebuilds
 anything: a missing key, a wrong JSON type, a table of the wrong shape or
 basis rows that are not coords_den e_i make the file malformed, a
@@ -34,6 +37,7 @@ except ImportError:  # renamed _sha2 in Python 3.12
 from .errors import ConstructionError
 from .graphs import DEFAULT_VERTEX_BUDGET, GraphInstance
 from .instances import FAMILIES, InstanceBundle, build_graph, family_key, normalize_params
+from .intlinalg import exact_matmul, exact_multiply
 from .norton import NortonAlgebra, one_off_pair
 from .binop import BilinearOperation
 from .spectral import spectral_data
@@ -175,4 +179,13 @@ def load_cache(
             raise ConstructionError(f"{target} is stale: stored {key} {stored[key]} != {fresh}")
     pair, line = one_off_pair(g)
     algebra = NortonAlgebra(g.family, points=points, one_off=pair, one_off_line=line, **algebra)
+    # the centered point indicators n M^T - |upper set| span V_1, so dim V_1
+    # of them as the basis fix every row of coords exactly
+    m = g.incidence
+    centered = g.vertex_count * m.T - m.sum(axis=0)[:, None]
+    if algebra.dim != sd.multiplicities[1] or (
+        exact_matmul(algebra.coords, centered[list(algebra.basis)])
+        != exact_multiply(algebra.coords_den, centered)
+    ).any():
+        raise ConstructionError(f"{target} is stale: coords are not the points over the basis")
     return InstanceBundle(g, sd, algebra, None)

@@ -19,10 +19,16 @@ block with the distinguished vector u in row r and the second vector v in
 the others, so one pass gives all m+1 values of a tree.  When the operation
 is commutative and v * v = mu v exactly, the value with u at leaf r depends
 only on the depth of that leaf (the coefficient lemma): the m+1 values of
-one arity are computed once, and each tree is keyed by its depth sequence
-mapped through them.  Certificates read their exact values off the
-signatures.  Values stay in int64 while binop's overflow bound allows and
-move to Python integers past it.
+one arity, one per depth, come from a chain of m products kept on the
+algebra.  A full binary tree is determined by its leaf depth sequence, so
+when those m+1 depth rows are pairwise distinct, distinct trees have
+distinct signatures: all C_m classes are singletons, proved with no tree
+enumerated.  When two rows agree (the zero operation, the A000975 branch)
+each tree is keyed by its depth sequence mapped through the rows, and when
+mu is unproved by its batched evaluation; the merges are then justified as
+above.  Certificates read their exact values off the signatures.  Values
+stay in int64 while binop's overflow bound allows and move to Python
+integers past it.
 """
 
 from __future__ import annotations
@@ -156,18 +162,19 @@ def _depth_rows(alg: NortonAlgebra, m: int):
     hold the other m leaves.  So its one-off value is mu^(m-h) a_h, with
     a_0 = u and a_{h+1} = den (a_h * v): the value depends only on the depth
     of the leaf (the coefficient lemma), and carries the s^(m+1) den^m
-    scaling of _one_off_signatures.  Each call runs only its m products.
+    scaling of _one_off_signatures.  The chain a_h does not depend on m, so
+    it is kept on the algebra (depth_chain) and extended only past the
+    largest m asked so far: rows up to m_max cost m_max products in all.
     """
     pair, mu, _ = _one_off_proof(alg)
     if mu is None:
         return None
-    op = alg.operation
-    rows, a, v = [], pair[:1], pair[1:]
-    for h in range(m + 1):
-        rows.append(tuple(mu ** (m - h) * x for x in a[0].tolist()))
-        if h < m:
-            a = _int_product(op, a, v)
-    return rows
+    if alg.depth_chain is None:
+        alg.depth_chain = [pair[:1]]
+    chain = alg.depth_chain
+    while len(chain) <= m:
+        chain.append(_int_product(alg.operation, chain[-1], pair[1:]))
+    return [tuple(mu ** (m - h) * x for x in chain[h][0].tolist()) for h in range(m + 1)]
 
 
 def _one_off_signatures(op: BilinearOperation, pair, trees):
@@ -209,7 +216,9 @@ def count_norton_classes(
 ) -> EquivalenceReport:
     """Partition the arity-(m+1) parenthesizations of a Norton algebra.
 
-    tensor: exact probe-tensor grouping (cost dim^(m+2)).  pattern: group by
+    tensor: exact probe-tensor grouping (cost dim^(m+2)).  pattern: when the
+    m+1 depth rows are proved (_depth_rows) and pairwise distinct, every
+    tree is its own class, with no tree enumerated.  Otherwise group by
     one-off signatures, then justify every merge, by full fingerprints when
     the budget allows and otherwise by the mod-2 criterion (A000975 branch)
     or triviality (zero operation); an unjustifiable merge raises.  auto
@@ -224,9 +233,15 @@ def count_norton_classes(
     if strategy != "pattern":
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    rows = _depth_rows(alg, m)
+    if rows is not None and len(set(rows)) == len(rows):
+        # leaf r's value is rows[depth of leaf r], and a tree is determined by
+        # its leaf depths: distinct rows give every tree its own signature
+        n = catalan(m)
+        classes = tuple((i,) for i in range(n))
+        return EquivalenceReport(m, METHOD_PATTERN, classes, (JUSTIFY_SIGNATURE,) * n)
     # the trees themselves are enumerated only when they are evaluated
     trees = None
-    rows = _depth_rows(alg, m)
     if rows is None:
         trees = enumerate_trees(m)
         keys = _one_off_signatures(op, _one_off_proof(alg)[0], trees)
@@ -502,7 +517,6 @@ class ClassificationVerdict:
     methods: tuple
     passed: bool
     failures: tuple
-    reports: tuple
 
     def to_json_dict(self) -> dict:
         return {
@@ -543,11 +557,13 @@ def verify_classification(
             f"{alg.label()}: constants {con} contradict the {branch} branch"
         )
     m_values = tuple(range(m_max + 1))
-    reports = tuple(
-        count_norton_classes(alg, m, strategy=strategy, budget=budget)
-        for m in m_values
-    )
-    counts = tuple(r.class_count for r in reports)
+    # keep only count and method: a totally nonassociative report at m = 12
+    # holds C_12 = 208012 singleton classes
+    counts, methods = [], []
+    for m in m_values:
+        rep = count_norton_classes(alg, m, strategy=strategy, budget=budget)
+        counts.append(rep.class_count)
+        methods.append(rep.method)
     expected = tuple(expected_class_count(branch, m) for m in m_values)
     failures = tuple(
         (m, got, want)
@@ -558,12 +574,11 @@ def verify_classification(
         instance=alg.label(),
         branch=branch,
         m_values=m_values,
-        counts=counts,
+        counts=tuple(counts),
         expected=expected,
-        methods=tuple(r.method for r in reports),
+        methods=tuple(methods),
         passed=not failures,
         failures=failures,
-        reports=reports,
     )
 
 

@@ -453,6 +453,8 @@ class NortonAlgebra:
     one_off_line: tuple = ()
     # classify._one_off_proof's pair, mu and s, made on first use
     one_off_proof: tuple | None = field(default=None, init=False, repr=False)
+    # classify._depth_rows's chain a_0, a_1, ..., extended as m grows
+    depth_chain: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=object)

@@ -8,7 +8,12 @@ from math import lcm
 import pytest
 
 from nortonalg import binop, classify
-from nortonalg.binop import METHOD_PATTERN, METHOD_TENSOR, tensor_fingerprint
+from nortonalg.binop import (
+    DEFAULT_FINGERPRINT_BUDGET,
+    METHOD_PATTERN,
+    METHOD_TENSOR,
+    tensor_fingerprint,
+)
 from nortonalg.classify import (
     BRANCH_A000975,
     BRANCH_ASSOCIATIVE,
@@ -102,6 +107,44 @@ def test_depth_rows_match_subtree_recursion(algebra, name):
         for t, want in zip(trees, batched):
             assert tuple(rows[h] for h in depth_sequence(t)) == want, (name, t)
             assert one_off_signature(alg, t) == want
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_pattern_report_is_the_grouping_of_enumerated_signatures(algebra, monkeypatch, name):
+    # the reference groups every enumerated tree by its batched one-off
+    # signature; merges are checked on fingerprints within the default
+    # budget, and past it (h23 and d22 at m = 8) cite the mod-2 criterion.
+    # Distinct depth rows give the report with no tree read
+    alg = algebra(name)
+    pair = classify._one_off_proof(alg)[0]
+    read = []
+    for m in range(9):
+        trees = enumerate_trees(m)
+        groups = {}
+        for i, sig in enumerate(classify._one_off_signatures(alg.operation, pair, trees)):
+            groups.setdefault(sig, []).append(i)
+        classes = sorted(groups.values())
+        merged = [len(c) > 1 for c in classes]
+        if binop._probe_cells(alg.operation, m) <= DEFAULT_FINGERPRINT_BUDGET:
+            why = JUSTIFY_FINGERPRINT
+        else:
+            assert not any(merged) or predicted_branch(alg.family) == BRANCH_A000975
+            why = JUSTIFY_THEOREM
+        want = {
+            "m": m,
+            "method": METHOD_PATTERN,
+            "class_count": len(classes),
+            "classes": classes,
+            "merge_justifications": [why if x else JUSTIFY_SIGNATURE for x in merged],
+        }
+        with monkeypatch.context() as mp:
+            for attr in ("enumerate_trees", "depth_tuples"):
+                real = getattr(classify, attr)
+                mp.setattr(classify, attr, lambda n, real=real: read.append(n) or real(n))
+            rep = count_norton_classes(alg, m, strategy="pattern")
+        assert rep.to_json_dict() == want, (name, m)
+    if predicted_branch(alg.family) == BRANCH_TOTALLY:
+        assert read == []
 
 
 def _custom_algebra(name, cube, u, v):
@@ -231,6 +274,21 @@ def test_pattern_merge_justifications(algebra):
     assert lean.classes == rep.classes
     merged = [w for c, w in zip(lean.classes, lean.merge_justifications) if len(c) > 1]
     assert merged and all(w == JUSTIFY_THEOREM for w in merged)
+
+
+@pytest.mark.parametrize("name", ["h23", "d22"])
+def test_pattern_merges_past_the_budget_carry_the_mod2_criterion(algebra, name):
+    # equal depth rows on the A000975 branch: the count falls back to keyed
+    # trees, whose merges cite the mod-2 criterion once fingerprints are out
+    # of budget; skipping the distinct-rows check would report C_m singletons
+    alg = algebra(name)
+    for m in range(2, 8):
+        rep = count_norton_classes(alg, m, strategy="pattern", budget=10)
+        assert rep.classes == binop.double_minus_classes(m).classes, (name, m)
+        for cls, why in zip(rep.classes, rep.merge_justifications):
+            assert why == (JUSTIFY_THEOREM if len(cls) > 1 else JUSTIFY_SIGNATURE)
+        assert rep.class_count == expected_class_count(BRANCH_A000975, m)
+        assert (rep.class_count < catalan(m)) == (m >= 4)
 
 
 def test_pattern_zero_operation_justification(algebra):

@@ -138,8 +138,9 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
 )
 def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
     # every rational Fraction reads from text round-trips exactly through
-    # both integer tables, the cube and the point coordinates; the text
-    # itself is never parsed, valid or not
+    # both integer tables, the cube and the point coordinates; a coordinate
+    # that is not the point's own is refused as stale.  The text itself is
+    # never parsed, valid or not
     bundle = build_instance("johnson", (3, 1))
     alg = bundle.algebra
     try:
@@ -150,15 +151,23 @@ def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
         cube = [[list(row) for row in plane] for plane in alg.operation.constants]
         cube[0][0][0] = value
         coords = dict(alg.label_coords)
-        coords[(3,)] = (value, coords[(3,)][1])  # (3,) is no basis point
+        assert coords[(3,)] == (-1, -1)  # (3,) is no basis point
+        coords[(3,)] = (value, coords[(3,)][1])
         bundle.algebra = NortonAlgebra.of_fractions(
             alg.family, BilinearOperation(cube), coords, alg.one_off, alg.basis_labels
         )
         write_cache(bundle, tmp_path)
+        if value != -1:
+            with pytest.raises(ConstructionError, match="stale: coords"):
+                load_cache("johnson", (3, 1), tmp_path)
+            coords[(3,)] = (-1, -1)
+            bundle.algebra = NortonAlgebra.of_fractions(
+                alg.family, BilinearOperation(cube), coords, alg.one_off, alg.basis_labels
+            )
+            write_cache(bundle, tmp_path)
         loaded = load_cache("johnson", (3, 1), tmp_path).algebra
         assert loaded.operation.constants[0][0][0] == value
         assert loaded.operation.constants == bundle.algebra.operation.constants
-        assert loaded.label_coords[(3,)][0] == value
         assert loaded.label_coords == coords
     for key, at in (("structure_constants", (0, 0, 0)), ("coords", (2, 0))):
         target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
@@ -278,6 +287,35 @@ def test_cache_refuses_label_coords_that_are_not_the_points(capsys, tmp_path, ki
     with pytest.raises(ConstructionError, match=match):
         load_cache("johnson", (3, 1), tmp_path)
     assert run_cli(capsys, "verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)) == (1, "")
+
+
+@pytest.mark.parametrize(
+    "kind", ["non-basis rows swapped", "one entry changed", "a dependent basis point"]
+)
+def test_cache_refuses_coords_that_are_not_the_points_over_the_basis(capsys, tmp_path, kind):
+    # H(2,3) has basis points 0, 1, 3 and 4; point 2 is -(0) - (1) and
+    # point 5 is -(3) - (4).  Every row of coords is checked against the
+    # rebuilt incidence, so no row can be swapped, changed or padded
+    target = write_cache(build_instance("hamming", (2, 3)), tmp_path)
+    payload = json.loads(target.read_text())
+    assert payload["basis"] == [0, 1, 3, 4]
+    coords = payload["coords"]
+    if kind == "non-basis rows swapped":
+        coords[2], coords[5] = coords[5], coords[2]
+    elif kind == "one entry changed":
+        coords[5][0] += 1
+    else:
+        # point 5 as a fifth basis vector: its row is e_5, every other row
+        # keeps its true coordinates, and the cube grows to 5 x 5 x 5
+        for p, row in enumerate(coords):
+            row.append(int(p == 5))
+        coords[5] = [0, 0, 0, 0, 1]
+        payload["basis"].append(5)
+        payload["structure_constants"] = [[[0] * 5] * 5] * 5
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match="stale: coords are not the points over the basis"):
+        load_cache("hamming", (2, 3), tmp_path)
+    assert run_cli(capsys, "verify", "hamming", "2", "3", "--cache-dir", str(tmp_path)) == (1, "")
 
 
 CACHED_INSTANCES = [

@@ -4,6 +4,7 @@ import pytest
 
 from nortonalg.errors import EnumerationLimitError
 from nortonalg.trees import (
+    DEFAULT_ENUMERATION_LIMIT,
     LEAF,
     BinaryTree,
     DepthSequence,
@@ -17,6 +18,7 @@ from nortonalg.trees import (
     parse_tree,
     to_string,
     tree_from_depth_sequence,
+    _depths,
 )
 
 # Catalan numbers C_0..C_12, frozen.
@@ -107,6 +109,17 @@ def test_depth_map_is_a_bijection_up_to_8():
             assert d not in seen, f"two trees share depth sequence {d}"
             seen[d] = t
             assert tree_from_depth_sequence(d) == t
+
+
+def test_depth_tuples_are_distinct_up_to_12():
+    # a tree is determined by its leaf depths: the count of the totally
+    # nonassociative branch from distinct depth rows rests on this, at every
+    # arity the enumeration limit admits
+    try:
+        for n in range(DEFAULT_ENUMERATION_LIMIT + 1):
+            assert len(set(depth_tuples(n))) == catalan(n), n
+    finally:
+        _depths.cache_clear()  # C_12 tuples need not outlive the test
 
 
 def test_reconstruction_rejects_non_tree_sequences():
