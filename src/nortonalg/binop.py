@@ -47,7 +47,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConstructionError
+from .errors import BudgetExceededError
 from .intlinalg import abs_max, fits_int64
 from .trees import (
     LEAF,
@@ -401,27 +401,20 @@ def _blocks(op: BilinearOperation) -> tuple:
 
 
 def _split(op: BilinearOperation) -> tuple:
-    # union-find over basis indices; the check below guards the direct-sum
-    # claim that the refinement rests on
+    # link i, j and k of every nonzero den C[i][j][k]; ceil(log2 d) boolean
+    # squarings close the links into the connected components, keyed here
+    # by their smallest index
     d = op.dimension
-    i, jk = np.nonzero(op.flat != 0)
+    i, jk = np.nonzero(op.flat)
     j, k = np.divmod(jk, d)
-    parent = list(range(d))
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for a, b, c in zip(i.tolist(), j.tolist(), k.tolist()):
-        ra, rb, rc = root(a), root(b), root(c)
-        parent[rb] = parent[rc] = ra
-    label = np.array([root(x) for x in range(d)])
-    if ((label[i] != label[j]) | (label[i] != label[k])).any():
-        raise ConstructionError("a structure constant joins two direct-sum blocks")
+    link = np.eye(d, dtype=bool)
+    for a, b in ((i, j), (i, k), (j, k)):
+        link[a, b] = link[b, a] = True
+    for _ in range((d - 1).bit_length()):
+        link = link @ link
     components = {}
-    for x, r in enumerate(label.tolist()):
-        components.setdefault(r, []).append(x)
+    for x, first in enumerate(link.argmax(axis=1).tolist()):
+        components.setdefault(first, []).append(x)
     if len(components) == 1:
         return (op,)
     cube = op._cube()

@@ -208,6 +208,27 @@ def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     return tuple(rows[h] for h in depth_sequence(t))
 
 
+def _theorem_justification(alg: NortonAlgebra, holds, failure: str):
+    """What justifies merging trees the one-off pattern cannot separate, or None.
+
+    zero-operation when every product vanishes; mod2-theorem on the A000975
+    branch once holds() confirms that the merges follow the mod-2 depth
+    sequences, and a ConstructionError naming failure when it does not;
+    None on the other branches and for a family with no prediction.
+    """
+    if alg.operation.is_zero:
+        return JUSTIFY_ZERO
+    try:
+        branch = predicted_branch(alg.family)
+    except ValueError:  # no prediction for this family
+        return None
+    if branch != BRANCH_A000975:
+        return None
+    if not holds():
+        raise ConstructionError(f"{alg.label()}: {failure}")
+    return JUSTIFY_THEOREM
+
+
 def count_norton_classes(
     alg: NortonAlgebra,
     m: int,
@@ -254,9 +275,9 @@ def count_norton_classes(
     for idx, key in enumerate(keys):
         by_signature.setdefault(key, []).append(idx)
 
-    mod2_checked = False
     groups = []
     justifications = []
+    theorem = None  # a merge's justification past the budget, found once
     for idxs in by_signature.values():
         if len(idxs) == 1:
             groups.append(idxs)
@@ -269,24 +290,17 @@ def count_norton_classes(
                 groups.append([idxs[j] for j in sub])
                 justifications.append(JUSTIFY_FINGERPRINT)
             continue
-        if op.is_zero:
-            groups.append(idxs)
-            justifications.append(JUSTIFY_ZERO)
-            continue
-        if predicted_branch(alg.family) == BRANCH_A000975:
-            if not mod2_checked:
-                want = {frozenset(c) for c in double_minus_classes(m).classes}
-                got = {frozenset(g) for g in by_signature.values()}
-                if got != want:
-                    raise ConstructionError(
-                        f"{alg.label()}: one-off signatures contradict the "
-                        f"mod-2 criterion at m={m}"
-                    )
-                mod2_checked = True
-            groups.append(idxs)
-            justifications.append(JUSTIFY_THEOREM)
-            continue
-        _check_probe_budget(op, m, budget)  # not affordable, so it raises
+        if theorem is None:
+            theorem = _theorem_justification(
+                alg,
+                lambda: {frozenset(g) for g in by_signature.values()}
+                == {frozenset(c) for c in double_minus_classes(m).classes},
+                f"one-off signatures contradict the mod-2 criterion at m={m}",
+            )
+            if theorem is None:
+                _check_probe_budget(op, m, budget)  # not affordable, so it raises
+        groups.append(idxs)
+        justifications.append(theorem)
     return _make_report(m, METHOD_PATTERN, groups, justifications)
 
 
@@ -339,16 +353,12 @@ def certify_distinct(alg: NortonAlgebra, tree_a, tree_b):
                 tuple(Fraction(x, scale) for x in sig[r]) for sig in (sig_a, sig_b)
             )
             return DistinctnessCertificate(tree_a, tree_b, r, value_a, value_b)
-    if alg.operation.is_zero:
-        return EquivalenceClaim(tree_a, tree_b, JUSTIFY_ZERO)
-    if predicted_branch(alg.family) == BRANCH_A000975:
-        if depth_sequence(tree_a).mod2() != depth_sequence(tree_b).mod2():
-            raise ConstructionError(
-                f"{alg.label()}: equal signatures on trees with different "
-                "mod-2 depth sequences"
-            )
-        return EquivalenceClaim(tree_a, tree_b, JUSTIFY_THEOREM)
-    return EquivalenceClaim(tree_a, tree_b, JUSTIFY_TESTED)
+    why = _theorem_justification(
+        alg,
+        lambda: depth_sequence(tree_a).mod2() == depth_sequence(tree_b).mod2(),
+        "equal signatures on trees with different mod-2 depth sequences",
+    )
+    return EquivalenceClaim(tree_a, tree_b, why or JUSTIFY_TESTED)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +406,9 @@ def _lemma_pair(alg: NortonAlgebra):
 
 
 def _line_sum(alg: NortonAlgebra):
-    return tuple(map(sum, zip(*map(alg.label_coords.get, alg.one_off_line))))
+    """The sum of the points on the pair's line (Grassmann), zero when it has none."""
+    rows = alg.coords[[alg.points.index(w) for w in alg.one_off_line]]
+    return tuple(Fraction(x, alg.coords_den) for x in rows.sum(axis=0).tolist())
 
 
 def pattern_coefficients(alg: NortonAlgebra, h: int) -> CoefficientRow:
@@ -474,7 +486,7 @@ def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     op = alg.operation
     s, pair = _scaled_rows((u, v))
     den = op.den
-    line = _line_sum(alg) if isinstance(alg.family, GrassmannFamily) else (0,) * len(u)
+    line = _line_sum(alg)
 
     @cache
     def closed_form(h, scale):

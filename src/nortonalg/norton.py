@@ -22,7 +22,10 @@ above it, so the vertices counted above two or three points decide every
 join the formulas name, and no lattice join is formed.  The
 formula-versus-oracle sweep compares every ordered pair with denominators
 cleared, and the structure constants re-expand the products of basis pairs
-through one fraction-free solve.  Nothing here is a float: int64 is used
+through one fraction-free solve.  Only the formulas depend on the family:
+the basis (the first dim V_1 independent points in lattice order) and the
+preferred pair with its line (one_off_pair) are read off the lattice by
+one rule for every family.  Nothing here is a float: int64 is used
 only where a bound proves that no sum can overflow, Python integers
 otherwise.
 """
@@ -47,7 +50,7 @@ from .graphs import (
     q_int,
 )
 from .intlinalg import coordinates, exact_matmul, exact_multiply, fits_int64, independent_rows
-from .spectral import SpectralData, closed_form_multiplicity
+from .spectral import SpectralData
 
 def family_constants(family) -> dict:
     """Named rational constants of the product formulas for one family.
@@ -496,63 +499,44 @@ class NortonAlgebra:
         return self.family.label()
 
 
-def _default_basis_candidates(g: GraphInstance, labels):
-    if isinstance(g.family, HammingFamily):
-        e = g.family.e
-        return sorted(lbl for lbl in labels if max(lbl) < e)
-    return list(labels)
-
-
 def one_off_pair(g: GraphInstance):
     """The preferred pair of points (lattice level 1) and its line, ((u, v), line).
 
-    The pair is the first two points, or for Hamming and dual polar the first
-    pair whose join is the lattice maximum: no vertex lies above both points.
-    Over Grassmann the line holds every point w on the line u v: each vertex
-    above u and v is above w.  For the other families it is empty.  Both are
-    read off the lattice alone, so structure_constants and load_cache
-    derive them from the graph in the same way.
+    The pair is the first pair of points whose join is the lattice maximum
+    (no vertex lies above both), or else the first two points.  The line
+    holds the points below the join of the pair when that join is proper
+    and holds more than the two points: every vertex above u and v is above
+    w.  That is the q+1 points of a Grassmann line, and empty for the other
+    families.  Both are read off the incidence alone, so structure_constants
+    and load_cache derive them from the graph in the same way.
     """
     points, m = g.lattice.levels[1], g.incidence
-    if isinstance(g.family, (JohnsonFamily, GrassmannFamily)):
-        i, j = 0, 1
-    else:
-        first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
-        if not first.size:
-            raise ConstructionError(f"{g.label()}: no level-1 pair joins to the maximum")
-        i, j = int(first[0]), int(second[0])
-    line = ()
-    if isinstance(g.family, GrassmannFamily):
-        common, triple = _triple_counts(m, [i], [j])
-        line = tuple(points[w] for w in np.flatnonzero(triple[0] == common[0]))
+    first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
+    i, j = (int(first[0]), int(second[0])) if first.size else (0, 1)
+    common, triple = _triple_counts(m, [i], [j])
+    below = np.flatnonzero(triple[0] == common[0])
+    line = tuple(points[w] for w in below) if common[0] and below.size > 2 else ()
     return (points[i], points[j]), line
 
 
-def structure_constants(
-    g: GraphInstance, spectral: SpectralData, label_order=None, products=None
-) -> NortonAlgebra:
+def structure_constants(g: GraphInstance, spectral: SpectralData, products=None) -> NortonAlgebra:
     """Norton product of a family graph as a structure-constant cube.
 
-    The basis is greedily drawn from label_order (default: all level-1
-    labels, except Hamming where the last value at each coordinate is
-    dropped); products of basis vectors come from the projection oracle
-    (products, shared with the sweep when given) and are re-expanded over
-    the basis together with every spanning vector.
+    The basis is the first dim V_1 independent points in lattice order (over
+    H(d,e) the e points of one coordinate sum to zero, so each coordinate's
+    last letter is skipped); products of basis vectors come from the
+    projection oracle (products, shared with the sweep when given) and are
+    re-expanded over the basis together with every spanning vector.
     """
     if products is None:
         products = oracle_products(g, spectral)
     labels = products.labels
-    dim = closed_form_multiplicity(g.family, 1)
-    candidates = (
-        list(label_order) if label_order is not None
-        else _default_basis_candidates(g, labels)
-    )
+    dim = spectral.multiplicities[1]
     rows = products.rows[:, products.cols]
-    chosen, _ = independent_rows(rows, [products.index[lbl] for lbl in candidates], dim)
+    chosen, _ = independent_rows(rows, range(len(labels)), dim)
     if len(chosen) != dim:
         raise ConstructionError(
-            f"{g.label()}: only {len(chosen)} independent vectors "
-            f"among candidates, need {dim}"
+            f"{g.label()}: only {len(chosen)} independent points, need {dim}"
         )
     coords_den, coords, inside, op = products.expand(chosen)
     if not inside.all():

@@ -433,6 +433,19 @@ def test_unequal_blocks_match_full_tensor_reference(algebra):
         assert group_trees_by_fingerprint(op, trees) == _reference_groups(op, trees)
 
 
+def test_blocks_are_the_connected_components_by_smallest_index():
+    # e_i * e_i = e_{i+2} links 0-2-4-6 and 1-3-5: a path of three links
+    # needs two squarings, and the blocks interleave their indices
+    d = 7
+    cube = [[[int(i == j and k == i + 2) for k in range(d)] for j in range(d)] for i in range(d)]
+    blocks = binop._blocks(BilinearOperation(cube))
+    assert [b.dimension for b in blocks] == [4, 3]
+    for block in blocks:
+        n = block.dimension
+        want = [[[int(i == j and k == i + 1) for k in range(n)] for j in range(n)] for i in range(n)]
+        assert block.constants == BilinearOperation(want).constants
+
+
 def test_coupled_operations_are_not_split(algebra):
     cube = direct_product(algebra("j41").operation, algebra("j31").operation).constants
     cube = [[list(row) for row in plane] for plane in cube]

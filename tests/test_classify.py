@@ -406,6 +406,29 @@ def test_certify_zero_and_tested_claims(algebra):
     assert claim.justification == JUSTIFY_TESTED
 
 
+def test_merges_without_a_prediction_fall_to_the_budget_and_tested_claims():
+    # no theorem covers a family with no predicted branch: a merge past the
+    # fingerprint budget is a budget refusal, and a claim rests on the tests
+    alg = _custom_algebra("triangular", *TRIANGULAR)
+    with pytest.raises(BudgetExceededError):
+        count_norton_classes(alg, 3, strategy="pattern", budget=10)
+    claim = certify_distinct(alg, *enumerate_trees(3)[:2])
+    assert isinstance(claim, EquivalenceClaim)
+    assert claim.justification == JUSTIFY_TESTED
+
+
+def test_a000975_merges_are_checked_against_the_mod2_criterion(algebra):
+    # with a degenerate pair every one-off signature agrees, which the mod-2
+    # criterion the A000975 branch cites for its merges refutes
+    real = algebra("h23")
+    fake = dataclasses.replace(real, one_off=(real.one_off[0],) * 2)
+    with pytest.raises(ConstructionError, match="contradict the mod-2 criterion at m=4"):
+        count_norton_classes(fake, 4, strategy="pattern", budget=10)
+    t_right, t_left = enumerate_trees(2)
+    with pytest.raises(ConstructionError, match="different mod-2 depth sequences"):
+        certify_distinct(fake, t_left, t_right)
+
+
 def test_certify_distinct_rejects_bad_inputs(algebra):
     alg = algebra("j31")
     t = enumerate_trees(2)[0]

@@ -31,6 +31,7 @@ from nortonalg.graphs import (
     build_dual_polar,
     build_grassmann,
     build_hamming,
+    build_johnson,
 )
 from nortonalg.intlinalg import (
     coordinates,
@@ -39,8 +40,8 @@ from nortonalg.intlinalg import (
     independent_rows,
 )
 from nortonalg.norton import (
+    NortonAlgebra,
     OracleProducts,
-    _default_basis_candidates,
     family_constants,
     formula_table,
     oracle_products,
@@ -517,8 +518,14 @@ def test_algebra_reproduces_formula_in_basis_coordinates(bundle, algebra):
 def test_structure_constants_independent_of_basis(bundle, algebra):
     g, sd = bundle("j52")
     default = algebra("j52")
-    reversed_order = structure_constants(
-        g, sd, label_order=list(reversed(g.lattice.levels[1]))
+    # the same algebra over the basis a greedy pass from the last point picks
+    products = oracle_products(g, sd)
+    rows = products.rows[:, products.cols]
+    count = len(products.labels)
+    chosen, _ = independent_rows(rows, reversed(range(count)), default.dim)
+    den, coords, _, op = products.expand(chosen)
+    reversed_order = NortonAlgebra(
+        g.family, op, products.labels, tuple(chosen), den, coords, default.one_off
     )
     assert reversed_order.basis_labels != default.basis_labels
     table = formula_table(g)
@@ -732,21 +739,28 @@ def reference_sweep(g, sd, spanning):
     return pairs
 
 
-def reference_structure_constants(g, sd, spanning):
-    """(basis_labels, cube, label_coords, (one_off, one_off_line)) by rank
-    tests, span solves and lattice joins."""
-    by_label = {sv.label: sv for sv in spanning}
-    labels = [sv.label for sv in spanning]
+def reference_basis(g, spanning):
+    """(labels, rows) of the basis by rank tests: in lattice order, each
+    spanning vector independent of those kept before it, dim V_1 in all."""
     dim = closed_form_multiplicity(g.family, 1)
     assert rank_of([sv.coords for sv in spanning]) == dim
     basis_labels, chosen_rows = [], []
-    for lbl in _default_basis_candidates(g, labels):
-        trial = chosen_rows + [by_label[lbl].coords]
+    for sv in spanning:
+        trial = chosen_rows + [sv.coords]
         if rank_of(trial) == len(trial):
-            basis_labels.append(lbl)
-            chosen_rows.append(by_label[lbl].coords)
+            basis_labels.append(sv.label)
+            chosen_rows.append(sv.coords)
         if len(basis_labels) == dim:
             break
+    return basis_labels, chosen_rows
+
+
+def reference_structure_constants(g, sd, spanning):
+    """(basis_labels, cube, label_coords, (one_off, one_off_line)) by rank
+    tests, span solves and lattice joins."""
+    labels = [sv.label for sv in spanning]
+    basis_labels, chosen_rows = reference_basis(g, spanning)
+    dim = len(basis_labels)
     solver = ReferenceSpanSolver(chosen_rows)
     label_coords = {sv.label: solver.solve(sv.coords) for sv in spanning}
     e1 = dense_numerator(g, sd, 1)
@@ -799,6 +813,30 @@ TABLE_EXTRA_BUILDERS = {
     "dplus22": lambda: build_dual_polar("Dplus", 2, 2),
     "g252": lambda: build_grassmann(2, 5, 2),
 }
+
+
+# past conftest: H(2,4), whose basis skips each coordinate's last letter,
+# the zero product of J(6,3), the 4-point lines of J_3(4,2), and the pairs
+# of B_2(2), D_3(2)^+ and J_2(5,2)
+LATTICE_RULE_BUILDERS = {
+    "h24": lambda: build_hamming(2, 4),
+    "j63": lambda: build_johnson(6, 3),
+    "g342": lambda: build_grassmann(3, 4, 2),
+    **TABLE_EXTRA_BUILDERS,
+}
+
+
+@pytest.mark.parametrize("name", tuple(LATTICE_RULE_BUILDERS))
+def test_basis_and_pair_match_the_rank_and_join_references(name):
+    g = LATTICE_RULE_BUILDERS[name]()
+    sd = spectral_data(g)
+    spanning = spanning_vectors(g, sd)
+    alg = structure_constants(g, sd)
+    assert list(alg.basis_labels) == reference_basis(g, spanning)[0]
+    assert (alg.one_off, alg.one_off_line) == reference_one_off(g, alg.points)
+    if isinstance(g.family, HammingFamily):
+        # each coordinate's e points sum to zero: its last letter is skipped
+        assert alg.basis_labels == tuple(p for p in alg.points if max(p) < g.family.e)
 
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES + tuple(TABLE_EXTRA_BUILDERS))
