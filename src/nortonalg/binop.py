@@ -29,10 +29,15 @@ block, trees whose left and right subtrees lie in classes already proved
 equal are equal by congruence and merge at once; every grouping records
 a representative per class, so arity m + 1 reuses arity m.  The first
 tree of each (left class, right class) pair is keyed by
-den^m t(w_0, ..., w_m) mod 2^64 for fixed pseudorandom rows w_r,
-evaluated through the product step in uint64 and memoized per (subtree,
-leaf offset).  By multilinearity the key equals the fixed linear form
-sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
+den^m t(w_o, ..., w_o+m) mod 2^64 for fixed pseudorandom rows w_r, read
+from key tables held on the operation: table[n, o] holds the keys of
+every tree with n internal nodes on the rows from w_o, in enumerate_trees
+order.  A tree (l, r) whose left subtree has k + 1 leaves is l at offset
+o times r at offset o + k + 1, so table[n, o] is one batched uint64
+product step per split k over all (left, right) rows.  The tables do not
+depend on the arity, so arity m only adds the missing entries with
+n + o <= m.  By multilinearity a key equals the fixed linear form
+sum_probe prod_r w_o+r[probe_r] T[probe] of the probe tensor T, and
 reduction mod 2^64 is a ring map, so equal tensors get equal keys and
 different keys prove different maps.  Only pairs that share a key get
 their tensors built, and those are compared exactly before they merge.
@@ -56,6 +61,7 @@ from .trees import (
     depth_tuples,
     enumerate_trees,
     node,
+    tree_index,
 )
 
 DEFAULT_FINGERPRINT_BUDGET = 10 ** 6
@@ -131,6 +137,8 @@ class BilinearOperation:
         self._blocks = None
         self._tensor_cache = {}
         self._tensor_cells = 0
+        # (n, o) -> keys of the trees with n internal nodes from row w_o
+        self._key_tables = {}
         # tree -> representative of its exact class, from earlier groupings
         self._classes = {}
 
@@ -316,14 +324,33 @@ def _leaf_weights(p: int, leaves: int) -> np.ndarray:
     return z.reshape(leaves, p)
 
 
-def _tree_key(op: BilinearOperation, t: BinaryTree, weights, memo: dict) -> tuple:
-    """den^m t(w_0, ..., w_m) mod 2^64, as a tuple of p ints.
+def _key_table(op: BilinearOperation, m: int) -> np.ndarray:
+    """(C_m, p) uint64 keys den^m t(w_0, ..., w_m) mod 2^64, enumerate_trees order.
 
-    By multilinearity this is sum_probe prod_r w_r[probe_r] T[probe] mod
-    2^64 for t's probe tensor T, so equal tensors get equal keys.  memo is
-    _evaluate_rows' and is shared by the trees of one grouping.
+    Fills the missing entries of op._key_tables with n + o <= m, lowest n
+    first: table[0, o] is w_o, and table[n, o] concatenates, over splits
+    k = 0..n-1, the product of every row of table[k, o] with every row of
+    table[n-1-k, o+k+1], left index before right index as enumerate_trees
+    orders the trees.  By multilinearity each row is
+    sum_probe prod_r w_o+r[probe_r] T[probe] mod 2^64 for its tree's probe
+    tensor T, so equal tensors get equal keys.
     """
-    return tuple(_evaluate_rows(op, t, weights, memo).tolist())
+    tables = op._key_tables
+    if (m, 0) not in tables:
+        p = op.dimension
+        weights = _leaf_weights(p, m + 1)
+        for o in range(m + 1):
+            tables.setdefault((0, o), weights[o : o + 1])
+        for n in range(1, m + 1):
+            for o in range(m - n + 1):
+                if (n, o) not in tables:
+                    tables[n, o] = np.concatenate([
+                        _int_product(
+                            op, tables[k, o][:, None], tables[n - 1 - k, o + k + 1][None]
+                        ).reshape(-1, p)
+                        for k in range(n)
+                    ])
+    return tables[m, 0]
 
 
 def tensor_fingerprint(
@@ -427,7 +454,9 @@ def _split(op: BilinearOperation) -> tuple:
     return tuple(distinct.values())
 
 
-def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET):
+def group_trees_by_fingerprint(
+    op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET, positions=None
+):
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
     Returns a list of index lists in first-seen order.  The budget is
@@ -436,6 +465,8 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     grouped once per distinct block, and trees with equal tuples of block
     class ids form one class.  Otherwise _group_connected merges trees by
     their child classes and builds probe tensors only where keys collide.
+    positions, when given, holds each tree's index in enumerate_trees(m);
+    otherwise tree_index finds it, at a cost in the trees given alone.
     """
     if not trees:
         return []
@@ -443,19 +474,24 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    return _group(op, trees)
+    if positions is None:
+        positions = [tree_index(t) for t in trees]
+    elif len(positions) != len(trees):
+        raise ValueError("need one position per tree")
+    return _group(op, trees, positions)
 
 
-def _group(op: BilinearOperation, trees) -> list:
+def _group(op: BilinearOperation, trees, positions) -> list:
     if op.is_zero:
         return [list(range(len(trees)))]
     blocks = _blocks(op)
     if blocks != (op,):
         by_ids = {}
-        for idx, ids in enumerate(zip(*(_class_ids(_group(b, trees)) for b in blocks))):
+        groupings = (_class_ids(_group(b, trees, positions)) for b in blocks)
+        for idx, ids in enumerate(zip(*groupings)):
             by_ids.setdefault(ids, []).append(idx)
         return list(by_ids.values())
-    return _group_connected(op, trees)
+    return _group_connected(op, trees, positions)
 
 
 def _class_ids(groups) -> list:
@@ -466,30 +502,29 @@ def _class_ids(groups) -> list:
     return ids
 
 
-def _group_connected(op: BilinearOperation, trees) -> list:
+def _group_connected(op: BilinearOperation, trees, positions) -> list:
     """Exact grouping on one operation, proving merges by children or tensors.
 
     Trees whose (left class, right class) pairs agree are equal maps by
     congruence and join at once, a class being the representative that
     op._classes records from an earlier grouping (a subtree with no record
-    is its own class).  The first tree of each pair is keyed by _tree_key
-    without building its probe tensor; a pair alone with its key is a class
-    of its own.  The pairs of a shared key build the first tree's tensor
-    and are split by exact equality, and those tensors are dropped before
-    the next key.  Every group then records its representative, so arity
-    m + 1 reuses arity m.
+    is its own class).  The first tree of each pair is keyed by its row of
+    the key table (_key_table) without building its probe tensor; a pair
+    alone with its key is a class of its own.  The pairs of a shared key
+    build the first tree's tensor and are split by exact equality, and
+    those tensors are dropped before the next key.  Every group then
+    records its representative, so arity m + 1 reuses arity m.
     """
     classes = op._classes
     by_pair = {}
     for idx, t in enumerate(trees):
         pair = None if t.is_leaf else (classes.get(t.left, t.left), classes.get(t.right, t.right))
         by_pair.setdefault(pair, []).append(idx)
-    weights = _leaf_weights(op.dimension, trees[0].leaf_count)
-    memo = {}
+    table = _key_table(op, trees[0].internal_count)
+    keys = table[[positions[group[0]] for group in by_pair.values()]].tolist()
     by_key = {}
-    for group in by_pair.values():
-        by_key.setdefault(_tree_key(op, trees[group[0]], weights, memo), []).append(group)
-    del memo
+    for key, group in zip(keys, by_pair.values()):
+        by_key.setdefault(tuple(key), []).append(group)
     groups = []
     for same_key in by_key.values():
         if len(same_key) == 1:
@@ -522,7 +557,8 @@ def count_classes_exact(
     Reports group_trees_by_fingerprint, so the budget applies to every
     operation, and a zero operation is one class without any probe tensor.
     """
-    groups = group_trees_by_fingerprint(op, enumerate_trees(m), budget=budget)
+    trees = enumerate_trees(m)
+    groups = group_trees_by_fingerprint(op, trees, budget=budget, positions=range(len(trees)))
     return _make_report(m, METHOD_TENSOR, groups)
 
 

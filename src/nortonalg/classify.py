@@ -286,7 +286,7 @@ def count_norton_classes(
         if affordable:
             trees = trees or enumerate_trees(m)
             colliding = [trees[i] for i in idxs]
-            for sub in group_trees_by_fingerprint(op, colliding, budget=budget):
+            for sub in group_trees_by_fingerprint(op, colliding, budget=budget, positions=idxs):
                 groups.append([idxs[j] for j in sub])
                 justifications.append(JUSTIFY_FINGERPRINT)
             continue

@@ -39,6 +39,7 @@ from .errors import (
     NotDistanceRegularError,
     NotPathMetricError,
 )
+from .intlinalg import overlap_counts
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -431,7 +432,7 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
         )
     dist_of_count = np.full(len(points) + 1, -1, dtype=np.int64)
     dist_of_count[list(counts)] = np.arange(depth + 1)
-    dist = dist_of_count[incidence @ incidence.T]
+    dist = dist_of_count[overlap_counts(incidence)]
     if dist.min() < 0:
         raise ConstructionError(
             f"{family.label()}: elements of one level differ in the points below them"

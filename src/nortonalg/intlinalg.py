@@ -3,9 +3,10 @@
 Arrays hold either int64 or Python ints (dtype object).  int64 is used only
 where a bound proves that no partial sum can leave its range: fits_int64 is
 that one overflow rule, shared by exact_matmul here and by the product step
-of binop.  The fraction-free routines below pick independent rows and solve
-for coordinates in integers over one common denominator; no Fraction is
-formed here.
+of binop.  overlap_counts, for 0/1 arrays only, runs in float64, whose
+integers are exact below 2^53.  The fraction-free routines below pick
+independent rows and solve for coordinates in integers over one common
+denominator; no Fraction is formed here.
 """
 
 from __future__ import annotations
@@ -42,6 +43,18 @@ def exact_matmul(a, b):
     if fits_int64(abs_max(a), abs_max(b), a.shape[-1]):
         return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
     return a.astype(object) @ b.astype(object)
+
+
+def overlap_counts(a):
+    """a @ a.T for a 0/1 array, as int64: the ones each two rows share.
+
+    The product runs in float64, which has a BLAS path (a symmetric one for
+    a times its own transpose) where int64 has none.  Every partial sum is
+    an integer at most the row length, far below 2^53 for any array held in
+    memory, so the product is exact.
+    """
+    f = a.astype(np.float64)
+    return (f @ f.T).astype(np.int64)
 
 
 def exact_multiply(a, b):

@@ -49,7 +49,14 @@ from .graphs import (
     JohnsonFamily,
     q_int,
 )
-from .intlinalg import coordinates, exact_matmul, exact_multiply, fits_int64, independent_rows
+from .intlinalg import (
+    coordinates,
+    exact_matmul,
+    exact_multiply,
+    fits_int64,
+    independent_rows,
+    overlap_counts,
+)
 from .spectral import SpectralData
 
 def family_constants(family) -> dict:
@@ -174,7 +181,7 @@ class OracleProducts:
         m = self.incidence
         if not self.fixed.all():
             return np.arange(len(m))
-        rank = len(independent_rows(m.T @ m, range(m.shape[1]), m.shape[1])[0])
+        rank = len(independent_rows(overlap_counts(m.T), range(m.shape[1]), m.shape[1])[0])
         return np.array(independent_rows(m, range(len(m)), rank)[0], dtype=np.intp)
 
     def apply(self, x, at=slice(None)):
@@ -358,7 +365,7 @@ def formula_table(g: GraphInstance) -> FormulaTable:
     table = np.zeros((s, s, s), dtype=dtype)
     points = np.arange(s)
     u, v = np.nonzero(~np.eye(s, dtype=bool))
-    common = (m.T @ m)[u, v]
+    common = overlap_counts(m.T)[u, v]
     if isinstance(family, HammingFamily):
         table[points, points, points] = k["diagonal"]
         u, v = u[common == 0], v[common == 0]
@@ -511,7 +518,7 @@ def one_off_pair(g: GraphInstance):
     and load_cache derive them from the graph in the same way.
     """
     points, m = g.lattice.levels[1], g.incidence
-    first, second = np.nonzero(np.triu(m.T @ m == 0, 1))
+    first, second = np.nonzero(np.triu(overlap_counts(m.T) == 0, 1))
     i, j = (int(first[0]), int(second[0])) if first.size else (0, 1)
     common, triple = _triple_counts(m, [i], [j])
     below = np.flatnonzero(triple[0] == common[0])

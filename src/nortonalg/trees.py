@@ -98,6 +98,19 @@ def enumerate_trees(n: int) -> list[BinaryTree]:
     return list(_trees(n))
 
 
+def tree_index(t: BinaryTree) -> int:
+    """Position of t in enumerate_trees(t.internal_count), read off its shape.
+
+    The trees of split k follow those of every smaller split, and within a
+    split the left subtree's index is the major one.
+    """
+    if t.is_leaf:
+        return 0
+    n, k = t.internal_count, t.left.internal_count
+    before = sum(catalan(j) * catalan(n - 1 - j) for j in range(k))
+    return before + tree_index(t.left) * catalan(n - 1 - k) + tree_index(t.right)
+
+
 @lru_cache(maxsize=None)
 def _trees(n: int) -> tuple:
     if n == 0:

@@ -353,10 +353,10 @@ def test_product_step_exact_across_the_int64_switch(algebra):
         assert evaluate_parenthesization(target, t, big) == reference_evaluate(target, t, big)
 
 
-def _key_by_linear_form(op, t):
-    """sum_probe prod_r w_r[probe_r] T[probe] mod 2^64, in Python ints."""
+def _key_by_linear_form(op, t, offset=0):
+    """sum_probe prod_r w_offset+r[probe_r] T[probe] mod 2^64, in Python ints."""
     p = op.probe_dimension
-    w = binop._leaf_weights(p, t.leaf_count).tolist()
+    w = binop._leaf_weights(p, offset + t.leaf_count).tolist()[offset:]
     total = [0] * p
     tensor = _probe_tensor(op, t).tolist()
     for probe, row in zip(product(range(p), repeat=t.leaf_count), tensor):
@@ -367,24 +367,71 @@ def _key_by_linear_form(op, t):
     return tuple(x % 2**64 for x in total)
 
 
-def test_tree_key_is_a_linear_form_of_the_probe_tensor(algebra):
+def _key_table_ops(algebra):
     noncomm = _random_operation(random.Random(2), 3)
     assert not noncomm.is_commutative
     big = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
     assert _probe_tensor(big, left_comb(3)).dtype == object
-    ops = [
+    return [
         algebra("j41").operation,
         algebra("h23").operation,
         noncomm,
         direct_product(algebra("j41").operation, double_minus_operation()),
         big,
     ]
-    for op in ops:
-        for m in range(4):
-            weights = binop._leaf_weights(op.probe_dimension, m + 1)
-            memo = {}
-            for t in enumerate_trees(m):
-                assert binop._tree_key(op, t, weights, memo) == _key_by_linear_form(op, t)
+
+
+def test_key_table_rows_are_linear_forms_of_the_probe_tensor(algebra):
+    for op in map(_fresh, _key_table_ops(algebra)):
+        binop._key_table(op, 3)
+        assert sorted(op._key_tables) == [(n, o) for n in range(4) for o in range(4 - n)]
+        for (n, o), table in op._key_tables.items():
+            trees = enumerate_trees(n)
+            assert table.dtype == np.uint64
+            assert table.shape == (len(trees), op.dimension)
+            for t, row in zip(trees, table.tolist()):
+                assert tuple(row) == _key_by_linear_form(op, t, o)
+
+
+def test_single_arity_key_table_matches_ascending_build(algebra):
+    for op in _key_table_ops(algebra):
+        ascending = _fresh(op)
+        for m in range(7):
+            binop._key_table(ascending, m)
+        fresh = _fresh(op)
+        binop._key_table(fresh, 6)
+        assert fresh._key_tables.keys() == ascending._key_tables.keys()
+        for entry, table in ascending._key_tables.items():
+            assert np.array_equal(fresh._key_tables[entry], table)
+
+
+def test_key_tables_take_one_product_step_per_split(algebra, monkeypatch):
+    calls = []
+    real = binop._int_product
+
+    def counting(op, x, y):
+        calls.append(op)
+        return real(op, x, y)
+
+    monkeypatch.setattr(binop, "_int_product", counting)
+    # J(4,1) builds no probe tensor, so every step is a key step: the entries
+    # (n, o) with n + o <= 7 take one step per split, sum_n n (8 - n) = 84
+    op = _fresh(algebra("j41").operation)
+    for m in range(8):
+        assert count_classes_exact(op, m).class_count == catalan(m)
+    assert len(calls) == 84
+    binop._key_table(op, 9)
+    calls.clear()
+
+    def refuse(m):
+        raise AssertionError("a 2-tree grouping enumerated every tree")
+
+    monkeypatch.setattr(binop, "enumerate_trees", refuse)
+    trees = enumerate_trees(9)
+    pair = [trees[4000], trees[17]]
+    assert group_trees_by_fingerprint(op, pair) == [[0], [1]]
+    assert group_trees_by_fingerprint(op, pair, positions=[4000, 17]) == [[0], [1]]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

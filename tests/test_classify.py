@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from nortonalg import binop, classify
@@ -566,7 +567,10 @@ def test_d22_operation_aligns_with_hamming(bundle, algebra):
 def test_equal_keys_are_checked_exactly(algebra, monkeypatch):
     # every tree gets the same key: only the exact comparison of probe
     # tensors can keep the classes apart
-    monkeypatch.setattr(binop, "_tree_key", lambda op, t, weights, memo: 0)
+    def equal_keys(op, m):
+        return np.zeros((catalan(m), op.dimension), dtype=np.uint64)
+
+    monkeypatch.setattr(binop, "_key_table", equal_keys)
     j41, h23 = algebra("j41"), algebra("h23")
     for m in range(6):
         assert count_norton_classes(j41, m, strategy="tensor").class_count == catalan(m)

@@ -18,6 +18,7 @@ from nortonalg.trees import (
     parse_tree,
     to_string,
     tree_from_depth_sequence,
+    tree_index,
     _depths,
 )
 
@@ -47,6 +48,11 @@ def test_enumeration_order_is_split_position_recursive():
     t0, t1 = enumerate_trees(2)
     assert t0 == node(LEAF, node(LEAF, LEAF))
     assert t1 == node(node(LEAF, LEAF), LEAF)
+
+
+def test_tree_index_inverts_enumeration_up_to_9():
+    for n in range(10):
+        assert [tree_index(t) for t in enumerate_trees(n)] == list(range(CATALAN[n]))
 
 
 def test_enumeration_limit():
