@@ -21,13 +21,14 @@ off M: every element below the lattice maximum is the meet of the vertices
 above it, so the vertices counted above two or three points decide every
 join the formulas name, and no lattice join is formed.  The
 formula-versus-oracle sweep compares every ordered pair with denominators
-cleared, and the structure constants re-expand the products of basis pairs
-through one fraction-free solve.  Only the formulas depend on the family:
-the basis (the first dim V_1 independent points in lattice order) and the
+cleared, and the structure constants are read off the table it proved:
+one solve, of every point over the basis, then one product of the table
+with those coordinates.  Only the formulas depend on the family: the
+basis (the first dim V_1 independent points in lattice order) and the
 preferred pair with its line (one_off_pair) are read off the lattice by
-one rule for every family.  Nothing here is a float: int64 is used
-only where a bound proves that no sum can overflow, Python integers
-otherwise.
+one rule for every family.  The arithmetic is exact: int64 only where a
+bound proves that no sum can overflow, Python integers otherwise, and
+float64 only inside intlinalg, for integer products bounded below 2^53.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .graphs import (
     q_int,
 )
 from .intlinalg import (
+    abs_max,
     coordinates,
     exact_matmul,
     exact_multiply,
@@ -119,8 +121,8 @@ class OracleProducts:
     beta M M^T for the vertex-by-point incidence M, so E_1 maps into
     col(M), whose vectors the rank(M) vertices cols decide.  The products
     of all unordered pairs, products[pair[i, j]] = den * scale^2 times
-    E_1(x_i . x_j) at cols, are computed on first use and shared by the
-    formula sweep and the structure constants, which also work at cols.
+    E_1(x_i . x_j) at cols, are computed on first use for the formula
+    sweep, which also works at cols.  dim is dim V_1.
     """
 
     labels: tuple
@@ -130,6 +132,7 @@ class OracleProducts:
     beta: int
     den: int
     incidence: np.ndarray
+    dim: int
 
     @classmethod
     def of_rows(cls, g: GraphInstance, spectral: SpectralData, labels, rows, scale):
@@ -138,7 +141,8 @@ class OracleProducts:
         M M^T is f(dist) for f = g.point_counts, so num[i] = alpha + beta f(i)
         at every distance proves alpha and beta.  A miss means the centered
         point indicators are not in V_1: their centered Gram matrix lies in
-        the Bose-Mesner algebra, and would then be a multiple of E_1.
+        the Bose-Mesner algebra, and would then be a multiple of E_1.  beta
+        is nonzero, or E_1 would be a multiple of J.
         """
         if g.incidence is None:
             raise ConstructionError(f"{g.label()} carries no lattice")
@@ -152,9 +156,12 @@ class OracleProducts:
                     f"{g.label()}: E_1 is not affine in M M^T at distance {i}, "
                     "so the centered point indicators are not in V_1"
                 )
+        if not beta:
+            raise ConstructionError(f"{g.label()}: E_1 is a multiple of J")
         t = beta.denominator
         alpha, beta, den = int(alpha * t), int(beta * t), den * t
-        return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence)
+        dim = spectral.multiplicities[1]
+        return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence, dim)
 
     @classmethod
     def of_vectors(cls, g: GraphInstance, spectral: SpectralData, labels, vectors):
@@ -176,20 +183,29 @@ class OracleProducts:
 
     @cached_property
     def cols(self) -> np.ndarray:
-        """rank(M^T M) vertices with independent incidence rows, which decide
-        every vector of col(M); every vertex unless E_1 fixes every row."""
+        """rank(M) vertices with independent incidence rows, which decide
+        every vector of col(M); every vertex unless E_1 fixes every row.
+
+        beta M M^T = den E_1 - alpha J with beta != 0, so col(M) = col(M M^T)
+        lies in V_0 + V_1 and rank(M) <= 1 + dim V_1.  One echelon with that
+        limit takes rank(M) rows: where it finds fewer, it has scanned all.
+        """
         m = self.incidence
         if not self.fixed.all():
             return np.arange(len(m))
-        rank = len(independent_rows(overlap_counts(m.T), range(m.shape[1]), m.shape[1])[0])
-        return np.array(independent_rows(m, range(len(m)), rank)[0], dtype=np.intp)
+        return np.array(independent_rows(m, range(len(m)), 1 + self.dim)[0], dtype=np.intp)
 
     def apply(self, x, at=slice(None)):
         """den E_1 x for each integer row of x, at the vertices at."""
         m = self.incidence
-        spread = exact_matmul(exact_matmul(x, m), m[at].T)
-        total = exact_matmul(x, np.ones((x.shape[1], 1), dtype=np.int64))
-        return self.alpha * total + self.beta * spread
+        # one pass over x: x M, and in the last column the row sums of x
+        through = exact_matmul(x, np.column_stack([m, np.ones(len(m), dtype=m.dtype)]))
+        total, spread = through[:, -1:], exact_matmul(through[:, :-1], m[at].T)
+        terms = exact_multiply(self.alpha, total), exact_multiply(self.beta, spread)
+        # |alpha total + beta spread| <= 2 max(|alpha total|, |beta spread|)
+        if not fits_int64(2, max(map(abs_max, terms))):
+            terms = [t.astype(object) for t in terms]
+        return terms[0] + terms[1]
 
     @cached_property
     def fixed(self) -> np.ndarray:
@@ -204,7 +220,9 @@ class OracleProducts:
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
 
-        basis lists independent row indices.  Returns (den, coords, inside,
+        For vectors with no closed-form products (structure_constants reads
+        the family graphs' cube off the swept formula table instead).  basis
+        lists independent row indices.  Returns (den, coords, inside,
         operation): coords[i] / den is vector i over the basis where
         inside[i], else it leaves the span; operation is the product of
         basis vectors, straight from the solve, and a product that leaves
@@ -296,7 +314,7 @@ def _triple_counts(incidence, first, second):
     points, triple[k, w] those above both points and above point w.
     """
     both = incidence[:, first] * incidence[:, second]
-    return both.sum(axis=0), both.T @ incidence
+    return both.sum(axis=0), exact_matmul(both.T, incidence)
 
 
 @dataclass(eq=False)
@@ -393,6 +411,8 @@ class FormulaOracleReport:
     instance: str
     pairs_checked: int
     max_discrepancy: Fraction
+    # the closed forms the sweep proved on every ordered pair of points
+    table: FormulaTable | None = field(default=None, compare=False, repr=False)
 
 
 def verify_formula_vs_oracle(
@@ -410,6 +430,7 @@ def verify_formula_vs_oracle(
         L den E_1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
 
     one integer comparison for all pairs at the vertices products.cols.
+    The report carries the table it proved, for structure_constants.
     """
     if products is None:
         products = oracle_products(g, spectral, spanning)
@@ -422,22 +443,22 @@ def verify_formula_vs_oracle(
     coefficients = table.coefficients.reshape(s * s, s)
     rows, cleared = products.rows, products.den * products.scale
     # row u * s + v holds the ordered pair (u, v)
-    oracle = clear * products.products[products.pair.reshape(-1)]
-    formula = cleared * exact_matmul(coefficients, rows[:, products.cols])
+    oracle = exact_multiply(clear, products.products[products.pair.reshape(-1)])
+    formula = exact_multiply(cleared, exact_matmul(coefficients, rows[:, products.cols]))
     bad = np.flatnonzero((oracle != formula).any(axis=1))
     if bad.size:
         # the discrepancy is taken over every vertex
         row = int(bad[0])
         u, v = divmod(row, s)
-        oracle = clear * products.apply(exact_multiply(rows[u], rows[v])[None])[0]
-        formula = cleared * exact_matmul(coefficients[row][None], rows)[0]
-        gap = max(abs(a - b) for a, b in zip(oracle, formula))
+        oracle = exact_multiply(clear, products.apply(exact_multiply(rows[u], rows[v])[None])[0])
+        formula = exact_multiply(cleared, exact_matmul(coefficients[row][None], rows)[0])
+        gap = max(abs(a - b) for a, b in zip(oracle.tolist(), formula.tolist()))
         disc = Fraction(gap, clear * cleared * products.scale)
         raise FormulaMismatchError(
             f"{g.label()}: formula disagrees with oracle on "
             f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
         )
-    return FormulaOracleReport(g.label(), s * s, Fraction(0))
+    return FormulaOracleReport(g.label(), s * s, Fraction(0), table)
 
 
 @dataclass(eq=False)
@@ -526,35 +547,55 @@ def one_off_pair(g: GraphInstance):
     return (points[i], points[j]), line
 
 
-def structure_constants(g: GraphInstance, spectral: SpectralData, products=None) -> NortonAlgebra:
+def structure_constants(
+    g: GraphInstance, spectral: SpectralData, products=None, report=None
+) -> NortonAlgebra:
     """Norton product of a family graph as a structure-constant cube.
 
     The basis is the first dim V_1 independent points in lattice order (over
     H(d,e) the e points of one coordinate sum to zero, so each coordinate's
-    last letter is skipped); products of basis vectors come from the
-    projection oracle (products, shared with the sweep when given) and are
-    re-expanded over the basis together with every spanning vector.
+    last letter is skipped).  That one echelon's pivots serve the one solve,
+    of every point over the basis: coords / coords_den.  The cube is read off
+    the closed forms the formula-versus-oracle sweep proved on every ordered
+    pair of points: with cf = table.coefficients over table.clear,
+
+        C[a][b] = sum_w cf[a, b, w] coords[w] / (table.clear coords_den),
+
+    one product.  report is that sweep's report over products (both shared
+    with build_instance when given); without it the sweep runs here first,
+    so no unproved table is read.
     """
     if products is None:
         products = oracle_products(g, spectral)
+    if report is None:
+        report = verify_formula_vs_oracle(g, spectral, products=products)
+    table = report.table
     labels = products.labels
+    if table is None or table.labels != labels:
+        raise ValueError(f"{g.label()}: the report holds no proved table for these points")
     dim = spectral.multiplicities[1]
     rows = products.rows[:, products.cols]
-    chosen, _ = independent_rows(rows, range(len(labels)), dim)
+    chosen, pivots = independent_rows(rows, range(len(labels)), dim)
     if len(chosen) != dim:
         raise ConstructionError(
             f"{g.label()}: only {len(chosen)} independent points, need {dim}"
         )
-    coords_den, coords, inside, op = products.expand(chosen)
+    coords_den, coords, inside = coordinates(rows[chosen], pivots, rows)
     if not inside.all():
         raise ConstructionError(
             f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
             f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
         )
+    cf = table.coefficients[np.ix_(chosen, chosen)].reshape(dim * dim, len(labels))
+    cube = exact_matmul(cf, coords).reshape(dim, dim, dim)
+    op = BilinearOperation.from_int_table(table.clear * coords_den, cube)
     if not op.is_commutative:
         raise ConstructionError(f"{g.label()}: structure constants are not commutative")
     pair, line = one_off_pair(g)
-    indices = [products.index[x] for x in pair]
-    if not op.is_zero and len(independent_rows(rows, indices, 2)[0]) != 2:
-        raise ConstructionError(f"{g.label()}: preferred pair is dependent")
+    if not op.is_zero:
+        # the pair is independent iff its coordinate rows are: a x b^T is
+        # symmetric iff a and b are parallel
+        a, b = (coords[products.index[x]] for x in pair)
+        if np.array_equal(exact_multiply(a[:, None], b), exact_multiply(b[:, None], a)):
+            raise ConstructionError(f"{g.label()}: preferred pair is dependent")
     return NortonAlgebra(g.family, op, labels, tuple(chosen), coords_den, coords, pair, line)

@@ -18,7 +18,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from nortonalg import fq, norton
+from nortonalg import fq, instances, intlinalg, norton
 from nortonalg.binop import BilinearOperation, direct_product
 from nortonalg.errors import ConstructionError, FormulaMismatchError
 from nortonalg.graphs import (
@@ -34,6 +34,7 @@ from nortonalg.graphs import (
     build_johnson,
 )
 from nortonalg.intlinalg import (
+    abs_max,
     coordinates,
     exact_matmul,
     exact_multiply,
@@ -426,9 +427,13 @@ def test_e1_not_affine_in_the_incidence_gram_is_refused(bundle):
 def test_exact_matmul_leaves_int64_when_sums_could_overflow():
     big = np.array([[2**40, 1]], dtype=object)
     col = np.array([[2**40], [-1]], dtype=object)
-    assert exact_matmul(big, col).tolist() == [[2**80 - 1]]
+    out = exact_matmul(big, col)
+    assert out.dtype == object and out.tolist() == [[2**80 - 1]]
+    # past 2^53 but inside int64: exact in int64, where float64 would round
+    mid = exact_matmul(np.array([[2**30 + 1, 1]]), np.array([[2**30 + 1], [1]]))
+    assert mid.dtype == np.int64 and mid.tolist() == [[(2**30 + 1) ** 2 + 1]]
     small = exact_matmul(np.array([[3, -2]]), np.array([[5], [7]]))
-    assert small.tolist() == [[1]] and type(small[0, 0]) is int
+    assert small.dtype == np.int64 and small.tolist() == [[1]]
 
 
 def test_exact_multiply_leaves_int64_when_products_could_overflow():
@@ -436,6 +441,62 @@ def test_exact_multiply_leaves_int64_when_products_could_overflow():
     assert big.dtype == object and big.tolist() == [2**70, -15]
     small = exact_multiply(7, np.array([3, -2]))
     assert small.dtype == np.int64 and small.tolist() == [21, -14]
+
+
+def test_abs_max_takes_python_ints_past_int64():
+    assert abs_max(2**70) == 2**70 and abs_max(-(2**70)) == 2**70
+    assert abs_max(np.array([-(2**63)])) == 2**63
+    assert abs_max(np.array([], dtype=np.int64)) == 0
+    out = exact_multiply(2**70, np.array([1, -2]))
+    assert out.dtype == object and out.tolist() == [2**70, -(2**71)]
+    # a zero or empty factor bounds the product, not the other factor
+    assert exact_multiply(2**70, np.array([0])).tolist() == [0]
+    huge = np.array([[2**63]], dtype=object)
+    assert exact_matmul(huge, np.zeros((1, 1), dtype=np.int64)).tolist() == [[0]]
+    assert exact_matmul(huge, np.zeros((1, 0), dtype=np.int64)).shape == (1, 0)
+
+
+def test_coordinates_compares_int64_targets_past_2_63():
+    # det = 2^66: a determinant times the int64 targets would overflow
+    basis = np.diag([2**22] * 3).astype(np.int64)
+    den, coords, inside = coordinates(basis, [0, 1, 2], basis)
+    assert inside.all() and np.array_equal(coords, den * np.eye(3, dtype=np.int64))
+    # den near 2^80, so den * targets passes 2^63 while every input is int64
+    basis = np.diag([2**40 + 1, 2**40 + 3, 1]).astype(np.int64)
+    targets = np.array([[2**40, 2**40, 2**40], [1, 0, 1 << 62]], dtype=np.int64)
+    den, coords, inside = coordinates(basis, [0, 1, 2], targets)
+    assert den == (2**40 + 1) * (2**40 + 3) and inside.all()
+    want = [
+        [Fraction(2**40, 2**40 + 1), Fraction(2**40, 2**40 + 3), 2**40],
+        [Fraction(1, 2**40 + 1), 0, 1 << 62],
+    ]
+    assert [[Fraction(c, den) for c in row] for row in coords.tolist()] == want
+
+
+def test_coordinates_refuses_a_wrong_lifted_solution(monkeypatch):
+    # every reconstruction is off by one in one entry: the exact check
+    # fails at each prime, up to the Hadamard bound, and then refuses
+    real = intlinalg._reconstruct
+
+    def wrong(residues, m):
+        found = real(residues, m)
+        if found is None:
+            return None
+        den, numerators = found
+        numerators = numerators.copy()
+        numerators.flat[0] += 1
+        return den, numerators
+
+    monkeypatch.setattr(intlinalg, "_reconstruct", wrong)
+    basis = np.array([[2, 1, 0], [1, 3, 1]], dtype=np.int64)
+    with pytest.raises(ConstructionError, match="failed its exact check"):
+        coordinates(basis, [0, 1], basis)
+
+
+def test_coordinates_refuses_a_singular_pivot_block():
+    basis = np.array([[1, 2, 0], [2, 4, 1]], dtype=np.int64)
+    with pytest.raises(ConstructionError, match="singular"):
+        coordinates(basis, [0, 1], basis)
 
 
 @pytest.mark.parametrize("name", ["j52", "h23", "c22", "g242"])
@@ -896,3 +957,89 @@ def test_sweep_and_structure_form_no_lattice_join(bundle, monkeypatch, name):
     report = verify_formula_vs_oracle(g, sd)
     assert report.pairs_checked == len(g.lattice.levels[1]) ** 2
     structure_constants(g, sd)
+
+
+# build_instance's (family, params) for each conftest instance
+CONFTEST_SPECS = {
+    "j31": ("johnson", (3, 1)),
+    "j41": ("johnson", (4, 1)),
+    "j42": ("johnson", (4, 2)),
+    "j52": ("johnson", (5, 2)),
+    "g242": ("grassmann", (2, 4, 2)),
+    "h22": ("hamming", (2, 2)),
+    "h13": ("hamming", (1, 3)),
+    "h23": ("hamming", (2, 3)),
+    "h14": ("hamming", (1, 4)),
+    "d22": ("dualpolar", ("D", 2, 2)),
+    "c22": ("dualpolar", ("C", 2, 2)),
+    "d32": ("dualpolar", ("D", 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_build_echelons_twice_in_machine_integers(monkeypatch, name):
+    # one echelon picks the comparison vertices, one the basis (whose
+    # pivots the solve reuses); every integer product stays int64
+    echelons, dtypes = [], set()
+    real_rows, real_matmul = norton.independent_rows, intlinalg.exact_matmul
+
+    def counted(*args):
+        echelons.append(args[2])
+        return real_rows(*args)
+
+    def recorded(a, b):
+        out = real_matmul(a, b)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setattr(norton, "independent_rows", counted)
+    monkeypatch.setattr(norton, "exact_matmul", recorded)
+    monkeypatch.setattr(intlinalg, "exact_matmul", recorded)
+    built = instances.build_instance(*CONFTEST_SPECS[name])
+    assert len(echelons) == 2
+    assert dtypes == {np.dtype(np.int64)}
+    assert built.formula_report.table is None
+
+
+def expand_route(g, sd):
+    """The algebra by re-expanding every product of basis points: k(k+1)/2
+    oracle products solved over the basis, not read off the formula table."""
+    products = oracle_products(g, sd)
+    rows = products.rows[:, products.cols]
+    chosen, _ = independent_rows(rows, range(len(products.labels)), sd.multiplicities[1])
+    den, coords, inside, op = products.expand(chosen)
+    assert inside.all()
+    pair, line = norton.one_off_pair(g)
+    return NortonAlgebra(g.family, op, products.labels, tuple(chosen), den, coords, pair, line)
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES + ("c32",))
+def test_cube_from_the_swept_table_matches_the_expand_route(bundle, algebra, name):
+    if name == "c32":
+        g = build_dual_polar("C", 3, 2)
+        sd = spectral_data(g)
+        alg = structure_constants(g, sd)
+    else:
+        (g, sd), alg = bundle(name), algebra(name)
+    want = expand_route(g, sd)
+    assert alg.operation.den == want.operation.den
+    assert np.array_equal(alg.operation.flat, want.operation.flat)
+    assert alg.coords_den == want.coords_den
+    assert np.array_equal(alg.coords, want.coords)
+    assert alg.basis == want.basis
+
+
+@pytest.mark.parametrize("name, key", [("j52", "c"), ("g242", "b"), ("d32", "b_prime")])
+def test_wrong_formula_constant_leaves_no_cube(bundle, monkeypatch, name, key):
+    g, sd = bundle(name)
+    real = family_constants
+
+    def wrong(family):
+        con = real(family)
+        return {**con, key: con[key] + 1}
+
+    monkeypatch.setattr(norton, "family_constants", wrong)
+    with pytest.raises(FormulaMismatchError):
+        instances.build_instance(*CONFTEST_SPECS[name])
+    with pytest.raises(FormulaMismatchError):
+        structure_constants(g, sd)

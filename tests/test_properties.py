@@ -1,9 +1,11 @@
 """Property tests: the integer evaluators against the Fraction reference.
 
 Random bilinear operations of dimension 1 to 3 on random trees with up to
-five product signs; bilinearity and commutativity of single products; and
-the tree encodings (depth sequence, parenthesis string) round-tripped on
-random trees with up to eight product signs.
+five product signs; bilinearity and commutativity of single products; the
+tree encodings (depth sequence, parenthesis string) round-tripped on
+random trees with up to eight product signs; and the modular solve of
+intlinalg.coordinates against a Fraction solve on random full-rank
+integer systems.
 Examples are derandomized so the suite stays deterministic.
 """
 
@@ -12,7 +14,8 @@ from math import lcm
 
 import numpy as np
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nortonalg.binop import (
@@ -22,6 +25,14 @@ from nortonalg.binop import (
     group_trees_by_fingerprint,
 )
 from nortonalg.classify import one_off_signature
+from nortonalg.intlinalg import (
+    _solve_mod,
+    _word_primes,
+    abs_max,
+    coordinates,
+    fits_int64,
+    independent_rows,
+)
 from nortonalg.norton import NortonAlgebra
 from nortonalg.trees import (
     LEAF,
@@ -34,6 +45,7 @@ from nortonalg.trees import (
     tree_from_depth_sequence,
 )
 from test_binop import reference_evaluate
+from test_norton import ReferenceSpanSolver
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -200,3 +212,53 @@ def test_int_table_matches_fraction_constructor(cube, k):
     assert other.is_commutative == op.is_commutative == commutative
     is_zero = not any(c for row in rows for c in row)
     assert other.is_zero == op.is_zero == is_zero
+
+
+FIRST_PRIME = next(_word_primes())
+
+
+@st.composite
+def integer_systems(draw, scaled):
+    """(basis, pivots, targets): k independent integer rows of length c >= k,
+    pivot columns on which they are nonsingular, and targets in and out of
+    their span.  Entries are small or near 2^70, held as int64 where they
+    fit.  scaled multiplies the first row by the first word prime, so that
+    the pivot block is singular mod that prime."""
+    k = draw(st.integers(1, 4))
+    c = draw(st.integers(k, k + 2))
+    entries = st.integers(-20, 20) | st.integers(-(2**70), 2**70)
+    row = st.lists(entries, min_size=c, max_size=c)
+    basis = np.array(draw(st.lists(row, min_size=k, max_size=k)), dtype=object)
+    if scaled:
+        basis[0] *= FIRST_PRIME
+    kept, pivots = independent_rows(basis, range(k), k)
+    assume(len(kept) == k)
+    mixes = draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), max_size=3))
+    stray = draw(st.lists(row, max_size=2))
+    targets = np.array(
+        [[int(x) for x in np.array(mix, dtype=object) @ basis] for mix in mixes] + stray,
+        dtype=object,
+    ).reshape(-1, c)
+    if draw(st.booleans()):
+        basis, targets = (
+            a.astype(np.int64) if fits_int64(abs_max(a)) else a for a in (basis, targets)
+        )
+    return basis, pivots, targets
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@PROPERTY
+@given(st.data())
+def test_modular_solve_matches_fraction_solve(scaled, data):
+    basis, pivots, targets = data.draw(integer_systems(scaled))
+    if scaled:
+        block, rhs = basis[:, pivots].T, targets[:, pivots].T
+        assert _solve_mod(block, rhs, FIRST_PRIME) is None
+    den, coords, inside = coordinates(basis, pivots, targets)
+    assert den > 0 and coords.shape == (len(targets), len(basis))
+    solver = ReferenceSpanSolver(basis.tolist())
+    for target, row, found in zip(targets.tolist(), coords.tolist(), inside.tolist()):
+        want = solver.solve(target)
+        assert found == (want is not None)
+        if found:
+            assert tuple(Fraction(x, den) for x in row) == want
