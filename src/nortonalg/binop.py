@@ -28,16 +28,17 @@ common refinement of the blocks' (direct_product's argument).  On one
 block, trees whose left and right subtrees lie in classes already proved
 equal are equal by congruence and merge at once; every grouping records
 a representative per class, so arity m + 1 reuses arity m.  The first
-tree of each (left class, right class) pair is keyed by
-den^m t(w_o, ..., w_o+m) mod 2^64 for fixed pseudorandom rows w_r, read
-from key tables held on the operation: table[n, o] holds the keys of
-every tree with n internal nodes on the rows from w_o, in enumerate_trees
-order.  A tree (l, r) whose left subtree has k + 1 leaves is l at offset
-o times r at offset o + k + 1, so table[n, o] is one batched uint64
-product step per split k over all (left, right) rows.  The tables do not
-depend on the arity, so arity m only adds the missing entries with
-n + o <= m.  By multilinearity a key equals the fixed linear form
-sum_probe prod_r w_o+r[probe_r] T[probe] of the probe tensor T, and
+tree of each (left class, right class) pair is keyed by its row of the
+tree table on fixed pseudorandom rows w_r, den^m t(w_0, ..., w_m) mod 2^64.
+
+Every tree of an arity is evaluated one way, by the tree table on given
+leaf rows (_tree_table): table[n, o] holds the values of every tree with
+n internal nodes on the leaves from o, in enumerate_trees order, and is
+one batched product step per split.  The key tables are kept on the
+operation, so arity m only adds the entries with n + o <= m; classify's
+one-off signatures are the tree table on its one-off layout.  By
+multilinearity a key is the fixed linear form
+sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
 reduction mod 2^64 is a ring map, so equal tensors get equal keys and
 different keys prove different maps.  Only pairs that share a key get
 their tensors built, and those are compared exactly before they merge.
@@ -57,6 +58,7 @@ from .intlinalg import abs_max, fits_int64
 from .trees import (
     LEAF,
     BinaryTree,
+    _trees,
     catalan,
     depth_tuples,
     enumerate_trees,
@@ -209,7 +211,7 @@ def evaluate_parenthesization(op: BilinearOperation, t: BinaryTree, args) -> tup
     s, rows = _scaled_rows(args)
     m = t.internal_count
     scale = s ** (m + 1) * op.den ** m
-    value = _evaluate_rows(op, t, rows, {})
+    value = _evaluate_rows(op, t, rows)
     return tuple(Fraction(x, scale) for x in value.tolist())
 
 
@@ -252,29 +254,19 @@ def _int_product(op: BilinearOperation, x, y):
     return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
 
 
-def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows, memo: dict):
+def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows):
     """den**internal_count(t) times t evaluated on rows[0], rows[1], ... in order.
 
     rows[r] is leaf r's integer row (or residues mod 2^64, see
     _int_product), or a batch of such rows with equal leading shapes: the
-    product step runs row by row, so one pass evaluates the whole batch
-    (classify's one-off layout).  memo maps (subtree, leaf
-    offset) to its value, so the calls that share it share every subtree
-    value on the same rows.
+    product step runs row by row, so one pass evaluates the whole batch.
+    It serves single trees; _tree_table evaluates every tree of an arity.
     """
-
-    def rec(sub, offset):
-        value = memo.get((sub, offset))
-        if value is None:
-            if sub.is_leaf:
-                value = rows[offset]
-            else:
-                right = offset + sub.left.leaf_count
-                value = _int_product(op, rec(sub.left, offset), rec(sub.right, right))
-            memo[sub, offset] = value
-        return value
-
-    return rec(t, 0)
+    if t.is_leaf:
+        return rows[0]
+    k = t.left.leaf_count
+    left, right = _evaluate_rows(op, t.left, rows[:k]), _evaluate_rows(op, t.right, rows[k:])
+    return _int_product(op, left, right)
 
 
 def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> np.ndarray:
@@ -324,33 +316,39 @@ def _leaf_weights(p: int, leaves: int) -> np.ndarray:
     return z.reshape(leaves, p)
 
 
-def _key_table(op: BilinearOperation, m: int) -> np.ndarray:
-    """(C_m, p) uint64 keys den^m t(w_0, ..., w_m) mod 2^64, enumerate_trees order.
+def _tree_table(op: BilinearOperation, leaves, tables: dict):
+    """(C_m, *batch, p) values den^m t(leaves[0], ..., leaves[m]), enumerate_trees order.
 
-    Fills the missing entries of op._key_tables with n + o <= m, lowest n
-    first: table[0, o] is w_o, and table[n, o] concatenates, over splits
-    k = 0..n-1, the product of every row of table[k, o] with every row of
-    table[n-1-k, o+k+1], left index before right index as enumerate_trees
-    orders the trees.  By multilinearity each row is
-    sum_probe prod_r w_o+r[probe_r] T[probe] mod 2^64 for its tree's probe
-    tensor T, so equal tensors get equal keys.
+    leaves[r] holds leaf r's integer rows (or residues mod 2^64), shape
+    (m+1, *batch, p).  tables maps (n, o) to the values of every tree with n
+    internal nodes on the leaves from o, and is kept across calls only for
+    leaves that do not depend on m.  Its missing entries with n + o <= m are
+    filled, lowest n first: table[0, o] is leaves[o], and table[n, o] joins,
+    over splits k = 0..n-1, every row of table[k, o] times every row of
+    table[n-1-k, o+k+1], left index major as in enumerate_trees.
     """
-    tables = op._key_tables
+    m = len(leaves) - 1
     if (m, 0) not in tables:
-        p = op.dimension
-        weights = _leaf_weights(p, m + 1)
         for o in range(m + 1):
-            tables.setdefault((0, o), weights[o : o + 1])
+            tables.setdefault((0, o), leaves[o : o + 1])
         for n in range(1, m + 1):
             for o in range(m - n + 1):
                 if (n, o) not in tables:
                     tables[n, o] = np.concatenate([
                         _int_product(
                             op, tables[k, o][:, None], tables[n - 1 - k, o + k + 1][None]
-                        ).reshape(-1, p)
+                        ).reshape(-1, *leaves.shape[1:])
                         for k in range(n)
                     ])
     return tables[m, 0]
+
+
+def _key_table(op: BilinearOperation, m: int) -> np.ndarray:
+    """(C_m, p) uint64 keys den^m t(w_0, ..., w_m) mod 2^64, enumerate_trees
+    order: the tree table on the rows w_r, kept on the operation."""
+    if (m, 0) not in op._key_tables:  # skip the weights once the table is kept
+        _tree_table(op, _leaf_weights(op.dimension, m + 1), op._key_tables)
+    return op._key_tables[m, 0]
 
 
 def tensor_fingerprint(
@@ -465,8 +463,8 @@ def group_trees_by_fingerprint(
     grouped once per distinct block, and trees with equal tuples of block
     class ids form one class.  Otherwise _group_connected merges trees by
     their child classes and builds probe tensors only where keys collide.
-    positions, when given, holds each tree's index in enumerate_trees(m);
-    otherwise tree_index finds it, at a cost in the trees given alone.
+    positions, when given, must be each tree's index in enumerate_trees(m),
+    checked by identity first; otherwise tree_index finds it, tree by tree.
     """
     if not trees:
         return []
@@ -476,8 +474,13 @@ def group_trees_by_fingerprint(
     _check_probe_budget(op, m, budget)
     if positions is None:
         positions = [tree_index(t) for t in trees]
-    elif len(positions) != len(trees):
-        raise ValueError("need one position per tree")
+    else:
+        listed = _trees(m)
+        if len(positions) != len(trees) or not all(
+            0 <= i < len(listed) and (listed[i] is t or listed[i] == t)
+            for i, t in zip(positions, trees)
+        ):
+            raise ValueError("positions must be the trees' indices in enumerate_trees(m)")
     return _group(op, trees, positions)
 
 
@@ -554,12 +557,12 @@ def count_classes_exact(
 ) -> EquivalenceReport:
     """Partition the C_m parenthesizations of m+1 factors by exact equality.
 
-    Reports group_trees_by_fingerprint, so the budget applies to every
-    operation, and a zero operation is one class without any probe tensor.
+    Groups as group_trees_by_fingerprint, on the enumeration's own positions:
+    the budget applies to every operation, and a zero operation is one class.
     """
     trees = enumerate_trees(m)
-    groups = group_trees_by_fingerprint(op, trees, budget=budget, positions=range(len(trees)))
-    return _make_report(m, METHOD_TENSOR, groups)
+    _check_probe_budget(op, m, budget)
+    return _make_report(m, METHOD_TENSOR, _group(op, trees, range(len(trees))))
 
 
 def double_minus_classes(m: int) -> EquivalenceReport:

@@ -13,22 +13,21 @@ which only the A000975 branch may invoke.  Fingerprint merges go through
 binop's grouping, which compares the exact probe tensors of trees whose
 keys agree, so the tensor and pattern strategies share one exact check.
 
-One-off values are integers from binop's memoized subtree evaluation on
-one batched leaf layout: leaf r of an arity-(m+1) tree is an (m+1) x p
-block with the distinguished vector u in row r and the second vector v in
-the others, so one pass gives all m+1 values of a tree.  When the operation
-is commutative and v * v = mu v exactly, the value with u at leaf r depends
-only on the depth of that leaf (the coefficient lemma): the m+1 values of
-one arity, one per depth, come from a chain of m products kept on the
-algebra.  A full binary tree is determined by its leaf depth sequence, so
-when those m+1 depth rows are pairwise distinct, distinct trees have
-distinct signatures: all C_m classes are singletons, proved with no tree
-enumerated.  When two rows agree (the zero operation, the A000975 branch)
-each tree is keyed by its depth sequence mapped through the rows, and when
-mu is unproved by its batched evaluation; the merges are then justified as
-above.  Certificates read their exact values off the signatures.  Values
-stay in int64 while binop's overflow bound allows and move to Python
-integers past it.
+One-off values are integers from binop's tree table on one batched leaf
+layout: leaf r is an (m+1) x p block with the distinguished vector u in
+row r and the second vector v in the others, so one table gives all m+1
+values of every tree of an arity.  When the operation is commutative and
+v * v = mu v exactly, the value with u at leaf r depends only on the depth
+of that leaf (the coefficient lemma): the m+1 values of one arity, one
+per depth, come from a chain of m products kept on the algebra.  A full
+binary tree is determined by its leaf depth sequence, so when those m+1
+depth rows are pairwise distinct, all C_m classes are singletons, proved
+with no tree enumerated.  When two rows agree (the zero operation, the
+A000975 branch) each tree is keyed by its depth sequence mapped through
+the rows, and when mu is unproved by its row of the table; the merges
+are then justified as above.  Certificates read their exact values off
+the signatures.  Values stay in int64 while binop's overflow bound
+allows and move to Python integers past it.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .binop import (
     _make_report,
     _probe_cells,
     _scaled_rows,
+    _tree_table,
     a000975_value,
     count_classes_exact,
     double_minus_classes,
@@ -113,15 +114,11 @@ def expected_class_count(branch: str, m: int) -> int:
     """Predicted number of classes at arity m + 1 for one branch."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
+    if branch not in (BRANCH_ASSOCIATIVE, BRANCH_A000975, BRANCH_TOTALLY):
+        raise ValueError(f"unknown branch {branch!r}")
+    if m == 0 or branch == BRANCH_ASSOCIATIVE:
         return 1
-    if branch == BRANCH_ASSOCIATIVE:
-        return 1
-    if branch == BRANCH_A000975:
-        return a000975_value(m)
-    if branch == BRANCH_TOTALLY:
-        return catalan(m)
-    raise ValueError(f"unknown branch {branch!r}")
+    return a000975_value(m) if branch == BRANCH_A000975 else catalan(m)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +174,17 @@ def _depth_rows(alg: NortonAlgebra, m: int):
     return [tuple(mu ** (m - h) * x for x in chain[h][0].tolist()) for h in range(m + 1)]
 
 
-def _one_off_signatures(op: BilinearOperation, pair, trees):
-    """Yield the integer one-off signature of each tree, all of one arity.
+def _one_off_leaves(pair, m: int):
+    """The (m+1, m+1, p) one-off layout: leaf r holds u in row r, v elsewhere."""
+    leaves = np.tile(pair[1], (m + 1, m + 1, 1))
+    leaves[range(m + 1), range(m + 1)] = pair[0]
+    return leaves
 
-    Leaf r is an (m+1) x p block with pair[0] (u) in row r and pair[1] (v)
-    in the others, so one _evaluate_rows pass gives row r = den^m times
-    the tree with u at leaf r and v elsewhere.  The trees share one memo.
-    """
-    n = trees[0].leaf_count
-    leaves = np.tile(pair[1], (n, n, 1))
-    leaves[range(n), range(n)] = pair[0]
-    memo = {}
-    for t in trees:
-        yield tuple(map(tuple, _evaluate_rows(op, t, leaves, memo).tolist()))
+
+def _one_off_signatures(op: BilinearOperation, pair, m: int):
+    """(C_m, m+1, p): [i, r] is den^m times enumerate_trees(m)[i] with u at
+    leaf r and v elsewhere, the tree table on the one-off layout."""
+    return _tree_table(op, _one_off_leaves(pair, m), {})
 
 
 def one_off_signature(alg: NortonAlgebra, t) -> tuple:
@@ -200,11 +195,12 @@ def one_off_signature(alg: NortonAlgebra, t) -> tuple:
     pair's denominators).  Signatures of trees of equal arity are
     comparable; distinct signatures certify distinct parenthesizations.
     Read off the leaf depths when _depth_rows proves they decide it, and
-    otherwise from one batched evaluation of t (_one_off_signatures).
+    otherwise from one batched evaluation of t on the one-off layout.
     """
     rows = _depth_rows(alg, t.internal_count)
     if rows is None:
-        return next(_one_off_signatures(alg.operation, _one_off_proof(alg)[0], [t]))
+        leaves = _one_off_leaves(_one_off_proof(alg)[0], t.internal_count)
+        return tuple(map(tuple, _evaluate_rows(alg.operation, t, leaves).tolist()))
     return tuple(rows[h] for h in depth_sequence(t))
 
 
@@ -261,11 +257,10 @@ def count_norton_classes(
         n = catalan(m)
         classes = tuple((i,) for i in range(n))
         return EquivalenceReport(m, METHOD_PATTERN, classes, (JUSTIFY_SIGNATURE,) * n)
-    # the trees themselves are enumerated only when they are evaluated
-    trees = None
     if rows is None:
-        trees = enumerate_trees(m)
-        keys = _one_off_signatures(op, _one_off_proof(alg)[0], trees)
+        # one row of one-off values per tree, in enumerate_trees order
+        signatures = _one_off_signatures(op, _one_off_proof(alg)[0], m)
+        keys = map(tuple, signatures.reshape(len(signatures), -1).tolist())
     else:
         # equal rows share an id, so equal id tuples are equal signatures
         first = {}
@@ -277,6 +272,7 @@ def count_norton_classes(
 
     groups = []
     justifications = []
+    trees = None  # enumerated only for merges checked on fingerprints
     theorem = None  # a merge's justification past the budget, found once
     for idxs in by_signature.values():
         if len(idxs) == 1:
@@ -385,6 +381,8 @@ class CoefficientTable:
     rows: tuple
 
     def row(self, h: int) -> CoefficientRow:
+        if not 1 <= h <= len(self.rows):
+            raise ValueError(f"depth {h} is outside 1..{len(self.rows)}")
         return self.rows[h - 1]
 
 
@@ -477,39 +475,46 @@ def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     For each tree t and position r, the one-off evaluation must equal the
     closed-form row at depth d_r(t) (with the measured beta over Grassmann,
     which simultaneously confirms beta depends only on the depth).  Each
-    tree is one batched integer evaluation on the scaled lemma pair
-    (_one_off_signatures, subtrees shared across one arity), compared with
-    the closed-form rows times the same s^(m+1) den^m.  Returns the number
-    of identities checked.
+    arity's one-off table on the scaled lemma pair is compared in integers
+    with the closed-form rows gathered by depth, and the first failure in
+    enumeration order is reported.  Returns the number of identities checked.
     """
     u, v = _lemma_pair(alg)
     op = alg.operation
     s, pair = _scaled_rows((u, v))
-    den = op.den
     line = _line_sum(alg)
 
     @cache
-    def closed_form(h, scale):
-        row = pattern_coefficients(alg, h)
+    def closed_form(h):
+        """(numerators, denominator) of the closed-form row at depth h; when
+        pattern_coefficients' own cross-check fails, ones over 0, which no
+        value matches."""
+        try:
+            row = pattern_coefficients(alg, h)
+        except ConstructionError:
+            return [1] * len(u), 0
         gamma = row.gamma or 0  # None outside Grassmann
-        return tuple(
-            scale * (row.alpha * a + row.beta * b + gamma * c)
-            for a, b, c in zip(u, v, line)
-        )
+        value = [row.alpha * a + row.beta * b + gamma * c for a, b, c in zip(u, v, line)]
+        den = lcm(*(x.denominator for x in value))
+        return [int(x * den) for x in value], den
 
     checked = 0
     for m in range(1, m_max + 1):
-        trees = enumerate_trees(m)
-        scale = s ** (m + 1) * den ** m
-        signatures = _one_off_signatures(op, pair, trees)
-        for t, depths, values in zip(trees, depth_tuples(m), signatures):
-            for r, (h, direct) in enumerate(zip(depths, values)):
-                if direct != closed_form(h, scale):
-                    raise ConstructionError(
-                        f"{alg.label()}: lemma fails on tree {t!r} at "
-                        f"position {r} (depth {h})"
-                    )
-                checked += 1
+        nums, dens = zip(*map(closed_form, range(1, m + 1)))
+        at = np.array(depth_tuples(m)) - 1  # each leaf's depth, as an index
+        # value * d == s^(m+1) den^m * num at every leaf, num / d its row
+        want = np.array(nums, dtype=object)[at] * (s ** (m + 1) * op.den ** m)
+        dens = np.array(dens, dtype=object)[at][..., None]
+        bad = (_one_off_signatures(op, pair, m) * dens != want).any(axis=-1)
+        if bad.any():
+            i, r = np.argwhere(bad)[0].tolist()
+            h = int(at[i, r]) + 1
+            pattern_coefficients(alg, h)  # raises if its own cross-check failed
+            raise ConstructionError(
+                f"{alg.label()}: lemma fails on tree {enumerate_trees(m)[i]!r} at "
+                f"position {r} (depth {h})"
+            )
+        checked += bad.size
     return checked
 
 

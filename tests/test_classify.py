@@ -78,6 +78,9 @@ def test_expected_class_count():
         expected_class_count(BRANCH_TOTALLY, -1)
     with pytest.raises(ValueError):
         expected_class_count("sideways", 3)
+    # the branch is checked before the one-tree answer at m = 0
+    with pytest.raises(ValueError, match="bogus"):
+        expected_class_count("bogus", 0)
 
 
 def test_one_off_signature_separates_association_orders(algebra):
@@ -97,33 +100,34 @@ CONFTEST_INSTANCES = (
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
 def test_depth_rows_match_subtree_recursion(algebra, name):
     # v * v = mu v holds on every family algebra, so signatures are read off
-    # the leaf depths; they must equal the batched subtree evaluation exactly
+    # the leaf depths; they must equal the tree table on the one-off layout
     alg = algebra(name)
     pair = classify._one_off_proof(alg)[0]
     for m in range(8):
         rows = classify._depth_rows(alg, m)
         assert rows is not None, (name, m)
         trees = enumerate_trees(m)
-        batched = classify._one_off_signatures(alg.operation, pair, trees)
-        for t, want in zip(trees, batched):
+        batched = classify._one_off_signatures(alg.operation, pair, m).tolist()
+        for t, sig in zip(trees, batched):
+            want = tuple(map(tuple, sig))
             assert tuple(rows[h] for h in depth_sequence(t)) == want, (name, t)
             assert one_off_signature(alg, t) == want
 
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
 def test_pattern_report_is_the_grouping_of_enumerated_signatures(algebra, monkeypatch, name):
-    # the reference groups every enumerated tree by its batched one-off
-    # signature; merges are checked on fingerprints within the default
-    # budget, and past it (h23 and d22 at m = 8) cite the mod-2 criterion.
+    # the reference groups every tree by its row of one-off signatures (the
+    # tree table on the one-off layout); merges are checked on fingerprints
+    # within the default budget, and past it (h23 and d22 at m = 8) cite the
+    # mod-2 criterion.
     # Distinct depth rows give the report with no tree read
     alg = algebra(name)
     pair = classify._one_off_proof(alg)[0]
     read = []
     for m in range(9):
-        trees = enumerate_trees(m)
         groups = {}
-        for i, sig in enumerate(classify._one_off_signatures(alg.operation, pair, trees)):
-            groups.setdefault(sig, []).append(i)
+        for i, sig in enumerate(classify._one_off_signatures(alg.operation, pair, m).tolist()):
+            groups.setdefault(tuple(map(tuple, sig)), []).append(i)
         classes = sorted(groups.values())
         merged = [len(c) > 1 for c in classes]
         if binop._probe_cells(alg.operation, m) <= DEFAULT_FINGERPRINT_BUDGET:
@@ -199,6 +203,35 @@ def test_unproved_depth_rows_fall_back_to_subtrees(name, spec, counts, fingerpri
         tally = rep.merge_justifications.count(JUSTIFY_FINGERPRINT)
         assert tally == fingerprinted[m], m
         assert rep.merge_justifications.count(JUSTIFY_SIGNATURE) == want - tally
+
+
+# neither commutative nor associative, so mu is unproved
+NONCOMM = ([[(1, 0, 1), (0, 2, -1), (1, 0, 0)],
+            [(0, -1, 1), (1, 1, 0), (0, 0, 2)],
+            [(2, 0, 0), (0, 1, 1), (-1, 0, 1)]], (1, 0, 2), (0, 1, 1))
+# the same with u past 2^50, so the one-off values leave int64
+NONCOMM_BIG = (NONCOMM[0], (2**50, 0, 2), NONCOMM[2])
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES + ("noncomm", "noncomm_big"))
+def test_one_off_table_rows_are_single_tree_evaluations(algebra, name):
+    # row i of the tree table on the one-off layout is tree i evaluated
+    # alone on that layout
+    if name.startswith("noncomm"):
+        alg = _custom_algebra(name, *(NONCOMM if name == "noncomm" else NONCOMM_BIG))
+        assert not alg.operation.is_commutative and classify._depth_rows(alg, 1) is None
+    else:
+        alg = algebra(name)
+    op = alg.operation
+    pair = classify._one_off_proof(alg)[0]
+    for m in range(8):
+        leaves = classify._one_off_leaves(pair, m)
+        table = classify._one_off_signatures(op, pair, m)
+        assert table.shape == (catalan(m), m + 1, op.dimension)
+        for t, row in zip(enumerate_trees(m), table.tolist()):
+            assert binop._evaluate_rows(op, t, leaves).tolist() == row, (name, t)
+    if name == "noncomm_big":
+        assert table.dtype == object
 
 
 @pytest.mark.parametrize("spec", [None, SKEW], ids=["c22", "skew"])
@@ -472,6 +505,15 @@ def test_pattern_coefficients_validate_against_left_comb(algebra):
         assert table.c == table.rows[0].alpha
 
 
+def test_coefficient_table_rows_are_depths_one_to_h_max(algebra):
+    # unchecked, row(0) would wrap around to the last row
+    table = coefficient_table(algebra("j41"), 3)
+    assert [table.row(h).h for h in (1, 2, 3)] == [1, 2, 3]
+    for h in (0, -1, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            table.row(h)
+
+
 def test_gamma_recursion(algebra):
     alg = algebra("g242")
     table = coefficient_table(alg, 11)
@@ -518,6 +560,23 @@ def test_lemma_check_catches_a_perturbed_square(algebra, name):
     bad = dataclasses.replace(alg, operation=op)
     want = "lemma fails on tree BinaryTree('(•(••))') at position 0"
     with pytest.raises(ConstructionError, match=re.escape(want)):
+        verify_pattern_lemma(bad, 3)
+
+
+@pytest.mark.parametrize("name", ["j52", "c22"])
+def test_lemma_check_reports_a_failed_closed_form_first(algebra, name):
+    # one unit of den C moves u * v, so the first position checked, depth 1
+    # of the tree (••), has no closed form: pattern_coefficients' own
+    # cross-check fails there, and its error is the one reported
+    alg = algebra(name)
+    u, v = alg.one_off_vectors()
+    i, j = u.index(1), v.index(1)  # u and v are basis vectors e_i, e_j
+    cube = [[list(row) for row in plane] for plane in alg.operation.constants]
+    cube[i][j][0] += Fraction(1, alg.operation.den)
+    cube[j][i][0] += Fraction(1, alg.operation.den)
+    bad = dataclasses.replace(alg, operation=binop.BilinearOperation(cube))
+    want = "depth-1 one-off evaluation disagrees with the closed form"
+    with pytest.raises(ConstructionError, match=want):
         verify_pattern_lemma(bad, 3)
 
 

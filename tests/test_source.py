@@ -1,7 +1,9 @@
 """Rules on the package source that no behaviour test can see.
 
 Validation must not rest on assert statements, which python -O strips:
-every check in the package raises an exception of its own.
+every check in the package raises an exception of its own.  numpy is the
+one dependency: networkx, sympy and scipy may serve scratch prototypes,
+but neither the package nor its tests import them.
 """
 
 import ast
@@ -19,4 +21,26 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_and_tests_import_no_scratch_libraries():
+    paths = [
+        *sorted(Path(nortonalg.__file__).parent.glob("*.py")),
+        *sorted(Path(__file__).parent.glob("*.py")),
+    ]
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}"
+                for name in names
+                if name.split(".")[0] in ("networkx", "sympy", "scipy")
+            ]
     assert found == []
