@@ -417,9 +417,10 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     # last column marks anything points_below gives that is not a point
     elements = vertices + tuple(lv[0] for lv in lattice.levels[::-1])
     column = {p: j for j, p in enumerate(points)}
+    below = [[column.get(p, -1) for p in lattice.points_below(x)] for x in elements]
     rows = np.zeros((len(elements), len(points) + 1), dtype=np.int64)
-    for x, row in zip(elements, rows):
-        row[[column.get(p, -1) for p in lattice.points_below(x)]] = 1
+    owner = np.repeat(np.arange(len(elements)), [len(cols) for cols in below])
+    rows[owner, list(itertools.chain(*below))] = 1
     if rows[:, -1].any():
         x = elements[np.argmax(rows[:, -1])]
         raise ConstructionError(f"{family.label()}: not all of points_below({x}) are points")

@@ -338,13 +338,19 @@ def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
 @pytest.mark.parametrize("name", ["j52", "c22", "h23", "d32"])
 def test_vectors_outside_v1_are_rejected(bundle, name):
     g, sd = bundle(name)
-    e = sd.coefficients
     # E_2 in place of E_1 is not affine in M M^T
-    swapped = dataclasses.replace(sd, coefficients=(e[0], e[2], e[1]) + e[3:])
+    order = [0, 2, 1, *range(3, sd.count)]
+    swapped = dataclasses.replace(
+        sd,
+        numerators=sd.numerators[order],
+        denominators=tuple(sd.denominators[j] for j in order),
+    )
     with pytest.raises(ConstructionError, match="not in V_1"):
         spanning_vectors(g, swapped)
     # 2 E_1 is, but fixes no nonzero vector
-    doubled = dataclasses.replace(sd, coefficients=(e[0], tuple(2 * x for x in e[1])) + e[2:])
+    numerators = sd.numerators.copy()
+    numerators[1] *= 2
+    doubled = dataclasses.replace(sd, numerators=numerators)
     with pytest.raises(ConstructionError, match="not in V_1"):
         spanning_vectors(g, doubled)
     # one point's upper set one vertex short: its row no longer sums to 0
@@ -417,9 +423,11 @@ def test_e1_is_affine_in_the_incidence_gram(bundle, name):
 
 def test_e1_not_affine_in_the_incidence_gram_is_refused(bundle):
     g, sd = bundle("d32")
-    e = sd.coefficients
-    shifted = e[1][:2] + (e[1][2] + Fraction(1, 60),) + e[1][3:]
-    tampered = dataclasses.replace(sd, coefficients=(e[0], shifted) + e[2:])
+    # E_1 is over 60, so this adds 1/60 to its coefficient of A_2
+    assert sd.denominators[1] == 60
+    numerators = sd.numerators.copy()
+    numerators[1, 2] += 1
+    tampered = dataclasses.replace(sd, numerators=numerators)
     with pytest.raises(ConstructionError, match=re.escape("not affine in M M^T at distance 2")):
         oracle_products(g, tampered)
 

@@ -235,6 +235,48 @@ def test_validate_rejects_corrupted_spectral_data_under_optimize():
     assert run_optimized(OPTIMIZED_SCRIPT).split() == ["2", "True"]
 
 
+def _moved(sd, i):
+    """A copy with 1/c of A_i moved from E_2 to E_1, c = lcm(den_1, den_2).
+
+    sum_j E_j is kept, and so is every other coefficient.
+    """
+    f, dens = sd.numerators.copy(), list(sd.denominators)
+    c = lcm(dens[1], dens[2])
+    for j in (1, 2):
+        f[j] *= c // dens[j]
+        dens[j] = c
+    f[1, i] += 1
+    f[2, i] -= 1
+    return dataclasses.replace(sd, numerators=f, denominators=tuple(dens))
+
+
+def _identity_corruptions(sd):
+    """(copy, message) pairs, one per identity of validate, in its order.
+
+    Each copy passes every check before its own.  With the true intersection
+    array the first three identities already force E_j = the true E_j (A_1
+    has one eigenvector per theta_j in the algebra), so only a wrong p^k_ab
+    with b != 1 reaches E_j E_l = delta_jl E_j alone.
+    """
+    p = sd.intersection.p.copy()
+    p[2, 2, 0] += 1
+    halved = sd.denominators[:2] + (2 * sd.denominators[2],) + sd.denominators[3:]
+    return [
+        (dataclasses.replace(sd, denominators=halved), "sum_j E_j != I"),
+        (_moved(sd, 0), "trace E_1 != m_1 = 4"),
+        (_moved(sd, 1), "A E_1 != theta E_1"),
+        (dataclasses.replace(sd, intersection=IntersectionArray(p)), "E_0 E_0"),
+    ]
+
+
+def test_validate_names_each_identity_it_refutes():
+    sd = spectral_data(build_johnson(5, 2))  # (6, 1, -2) with (1, 4, 5)
+    for bad, what in _identity_corruptions(sd):
+        with pytest.raises(ConstructionError, match=f"^J\\(5,2\\): spectral check failed: {what}$"):
+            bad.validate()
+    assert sd.validate() is True
+
+
 def test_closed_forms_match_computation():
     instances = [
         build_johnson(3, 1),
@@ -350,6 +392,20 @@ def test_hand_built_array_with_zero_b1_rejected():
         spectral_data(g, IntersectionArray(p))
 
 
+def test_hand_built_array_with_vanishing_norm_rejected():
+    # k_2 = -1: theta = 0 is the one hit, with u = (1, 0, -1) and
+    # sum_i k_i u_i^2 = 1 + 0 - 1 = 0, so no multiplicity n / 0 exists
+    p = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 0], [1, 0, 1], [0, 0, 0]],
+        [[0, 0, 0], [0, 1, 0], [-1, 0, 0]],
+    ]
+    with pytest.raises(
+        SpectralIntegralityError, match=r"^H\(2,3\): eigenvalue 0 has sum_i k_i u_i\^2 <= 0$"
+    ):
+        spectral_data(build_hamming(2, 3), IntersectionArray(np.array(p)))
+
+
 def test_doubled_k2_rejected_by_the_check():
     # K2 with each end doubled at distance 0: every p[i][j][k] is constant
     # (p^0_00 = 2), but 0 and 1 are distinct vertices at distance 0
@@ -380,13 +436,24 @@ def reference_cosines(p, theta):
     return u
 
 
-SCANNED = {**BUILDERS, "C5": lambda: cycle(5), "C6": lambda: cycle(6)}
+SCANNED = {
+    **BUILDERS,
+    "C5": lambda: cycle(5),
+    "C6": lambda: cycle(6),
+    "h43": lambda: build_hamming(4, 3),
+    "j84": lambda: build_johnson(8, 4),
+    "j93": lambda: build_johnson(9, 3),
+    "h53": lambda: build_hamming(5, 3),
+    "j94": lambda: build_johnson(9, 4),
+    "j103": lambda: build_johnson(10, 3),
+}
 
 
 @pytest.mark.parametrize("name", SCANNED)
 def test_integer_scan_matches_fraction_cosine_sequences(name):
     # every theta in -k..k: the integer scan keeps exactly the thetas whose
-    # Fraction cosine sequence meets the last equation, with the same u_i;
+    # Fraction cosine sequence meets the last equation, with the same u_i,
+    # and E_j's integer row is m_j u / n over the lcm of its denominators;
     # on C_5 the refusal names the reference's hit count
     g = SCANNED[name]()
     arr = check_distance_regular(g)
@@ -404,9 +471,15 @@ def test_integer_scan_matches_fraction_cosine_sequences(name):
         return
     sd = spectral_data(g)
     assert sd.eigenvalues == tuple(hits)
-    for theta, m, e in zip(sd.eigenvalues, sd.multiplicities, sd.coefficients):
+    for j, (theta, m, e) in enumerate(zip(sd.eigenvalues, sd.multiplicities, sd.coefficients)):
         assert m == n / sum(p[i][i][0] * x * x for i, x in enumerate(hits[theta]))
-        assert e == tuple(m * x / n for x in hits[theta])
+        want = [m * x / n for x in hits[theta]]
+        assert e == tuple(want)
+        den = lcm(*(x.denominator for x in want))
+        num = [int(x * den) for x in want]
+        assert sd.integer_coefficients(j) == (num, den)
+        assert sd.numerators[j].tolist() == num and sd.denominators[j] == den
+        assert all(type(x) is int for x in [theta, m, den, *num])
 
 
 def test_irrational_drg_spectrum_rejected():
