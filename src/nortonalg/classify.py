@@ -620,20 +620,12 @@ def d22_hamming_aligned_operation(
         and (fam.kind, fam.d, fam.q) == ("D", 2, 2)
     ):
         raise ValueError("alignment is specific to the bipartite instance D2(2)")
-    n = g.vertex_count
-    parts = (
-        [x for x in range(n) if g.dist[0, x] % 2 == 0],
-        [x for x in range(n) if g.dist[0, x] % 2 == 1],
-    )
-    basis = []
-    for part in parts:
-        for a in part[:2]:
-            vec = [Fraction(0)] * n
-            for x in part:
-                vec[x] = Fraction(-1, 3)
-            vec[a] += 1
-            basis.append(tuple(vec))
-    products = OracleProducts.of_vectors(g, spectral, range(len(basis)), basis)
+    # the centered indicator of vertex a in its part of three is e_a minus
+    # a third of the part: over scale 3, 3 e_a minus the part's indicator
+    side = g.dist[0] % 2
+    basis = np.concatenate([np.flatnonzero(side == p)[:2] for p in (0, 1)])
+    rows = 3 * np.eye(g.vertex_count, dtype=np.int64)[basis] - (side[basis, None] == side)
+    products = OracleProducts.of_rows(g, spectral, range(len(basis)), rows, 3)
     if not products.fixed.all():
         raise ConstructionError("aligned basis vectors leave V_1")
     op = products.expand(range(len(basis)))[3]

@@ -16,6 +16,12 @@ once and already canonical; with a form it keeps only the totally isotropic
 ones, and the dual polar build asks for one level past d, which must be
 empty.  Every level is checked against its closed-form size.
 
+Each builder refuses more vertices than its budget before it forms
+anything large: first from exact lower bounds on the count (e^d >= 2^d, e;
+C(n,k) >= 2^k, n for k <= n/2; [n k]_q >= q^(k(n-k)); the dual polar count
+>= 2^d), then from the exact count, formed only once the bounds are within
+the budget.  q is tested for primality once q itself is within the budget.
+
 check_distance_regular proves any distance matrix to be the path metric of
 a distance regular graph from the numbers c_k, a_k, b_k of neighbours of y
 at distance k-1, k, k+1 from x, read for every pair (x, y) by one
@@ -398,9 +404,32 @@ def graph_from_distance_matrix(name: str, dist) -> GraphInstance:
     )
 
 
-def _check_budget(count, budget):
-    if count > budget:
-        raise BudgetExceededError("vertices", count, budget)
+def _check_budget(budget, floors, count=None):
+    """Refuse more than budget vertices, first from exact lower bounds.
+
+    floors lists pairs (base, exp), base >= 2, with base^exp at most the
+    vertex count.  A floor is formed only when base <= budget and exp <
+    budget.bit_length(), since otherwise it exceeds the budget, so none is
+    formed past budget^bit_length(budget).  count forms the exact count,
+    and runs only once every floor is within the budget.
+    """
+    for base, exp in floors:
+        if base > budget or exp >= budget.bit_length() or base ** exp > budget:
+            needed = base if exp == 1 else f"{base}^{exp}"
+            raise BudgetExceededError("vertices", f"at least {needed}", budget)
+    needed = count() if count else 0
+    if needed > budget:
+        raise BudgetExceededError("vertices", needed, budget)
+
+
+def _require_prime(q: int, budget: int):
+    """Refuse a q that is not prime.  Every family over F_q has more than q
+    vertices, so a q past the budget is refused first, and trial division
+    takes at most sqrt(budget) steps."""
+    if q >= 2:
+        _check_budget(budget, [(q, 1)])
+    if not fq.is_prime(q):
+        raise ValueError(f"q = {q} must be prime")
 
 
 def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
@@ -455,7 +484,8 @@ def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got ({n},{k})")
     family = JohnsonFamily(n, k)
     notes = () if family.k == k else (f"normalized from J({n},{k}) by complementation",)
-    _check_budget(comb(n, family.k), budget)
+    # C(n,k) >= n, and >= C(2k,k) >= 2^k for k <= n/2
+    _check_budget(budget, [(2, family.k), (n, 1)], lambda: comb(n, family.k))
     return _lattice_graph(family, SubsetLattice(n, family.k), notes)
 
 
@@ -463,7 +493,7 @@ def build_hamming(d: int, e: int, budget: int = DEFAULT_VERTEX_BUDGET):
     """Hamming graph H(d,e): words of length d over {1..e}, Hamming distance."""
     if d < 1 or e < 2:
         raise ValueError(f"need d >= 1 and e >= 2, got ({d},{e})")
-    _check_budget(e ** d, budget)
+    _check_budget(budget, [(2, d), (e, 1)], lambda: e ** d)
     return _lattice_graph(HammingFamily(d, e), WordLattice(d, e))
 
 
@@ -480,11 +510,11 @@ def _require_level_sizes(family, levels, closed_form):
 
 def build_grassmann(q: int, n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
     """Grassmann graph J_q(n,k): k-dim subspaces of F_q^n, d = k - dim(x n y)."""
-    if not fq.is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
     if k < 2 or n < 2 * k:
         raise ValueError(f"need n >= 2k >= 4, got ({n},{k})")
-    _check_budget(q_binomial(n, k, q), budget)
+    _require_prime(q, budget)
+    # q^(k(n-k)) is the leading term of [n k]_q, whose coefficients are >= 0
+    _check_budget(budget, [(q, k * (n - k))], lambda: q_binomial(n, k, q))
     family = GrassmannFamily(q, n, k)
     levels = _subspace_levels(n, k, q)
     _require_level_sizes(family, levels, lambda j: q_binomial(n, j, q))
@@ -558,9 +588,9 @@ def build_dual_polar(kind: str, d: int, q: int, budget: int = DEFAULT_VERTEX_BUD
         raise ValueError(f"kind must be one of {DUAL_POLAR_KINDS}, got {kind!r}")
     if d < 2:
         raise ValueError("need d >= 2")
-    if not fq.is_prime(q):
-        raise ValueError(f"q = {q} must be prime")
-    _check_budget(dual_polar_vertex_count(kind, d, q), budget)
+    _require_prime(q, budget)
+    # each of the d factors q^(d+e-j-1) + 1 of the count is at least 2
+    _check_budget(budget, [(2, d)], lambda: dual_polar_vertex_count(kind, d, q))
 
     family = DualPolarFamily(kind, d, q)
     nvars, polar, quad = _dual_polar_form(kind, d, q)

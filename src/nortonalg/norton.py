@@ -11,19 +11,20 @@ extracts an exact structure-constant cube on a basis.
 Both sides run in integers, and nothing here is n x n.  On these
 Q-polynomial schemes E_1 is affine in M M^T for the vertex-by-point
 incidence M (Delsarte 1973; Brouwer-Cohen-Neumaier 8.4, 9.1-9.4): den E_1
-= alpha J + beta M M^T, proved from the D+1 coefficients of E_1.  With the
-spanning vectors as integer rows, the oracle products of all unordered
-pairs are one (pairs x n) @ (n x P) product (OracleProducts).  They lie in
-col(M), as does every vector E_1 fixes, and rank(M) vertices decide such a
-vector, so products are compared and solved there only.  The closed forms
-of all ordered pairs are one integer coefficient table (FormulaTable), read
-off M: every element below the lattice maximum is the meet of the vertices
-above it, so the vertices counted above two or three points decide every
-join the formulas name, and no lattice join is formed.  The
-formula-versus-oracle sweep compares every ordered pair with denominators
-cleared, and the structure constants are read off the table it proved:
-one solve, of every point over the basis, then one product of the table
-with those coordinates.  Only the formulas depend on the family: the
+= alpha J + beta M M^T, proved from the D+1 coefficients of E_1.  The
+spanning vectors exist only as integer rows, read off M by oracle_products
+(OracleProducts.of_rows takes any others), and the oracle products of all
+unordered pairs are one (pairs x n) @ (n x P) product (OracleProducts).
+They lie in col(M), as does every vector E_1 fixes, and rank(M) vertices
+decide such a vector, so products are compared and solved there only.  The
+closed forms of all ordered pairs are one integer coefficient table
+(FormulaTable), read off M: every element below the lattice maximum is the
+meet of the vertices above it, so the vertices counted above two or three
+points decide every join the formulas name, and no lattice join is formed.
+The formula-versus-oracle sweep compares every ordered pair with
+denominators cleared, and the structure constants are read off the table it
+proved: one solve, of every point over the basis, then one product of the
+table with those coordinates.  Only the formulas depend on the family: the
 basis (the first dim V_1 independent points in lattice order) and the
 preferred pair with its line (one_off_pair) are read off the lattice by
 one rule for every family.  The arithmetic is exact: int64 only where a
@@ -163,11 +164,6 @@ class OracleProducts:
         dim = spectral.multiplicities[1]
         return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence, dim)
 
-    @classmethod
-    def of_vectors(cls, g: GraphInstance, spectral: SpectralData, labels, vectors):
-        scale, rows = _scaled_rows(vectors)
-        return cls.of_rows(g, spectral, labels, rows, scale)
-
     @cached_property
     def index(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}
@@ -247,44 +243,15 @@ class OracleProducts:
         return det, solved[:s], inside[:s], op
 
 
-@dataclass(frozen=True)
-class SpanningVector:
-    """A level-1 upper-set indicator, centered and rescaled into V_1."""
-
-    label: object
-    coords: tuple
-    unscaled: tuple
-    scale: Fraction
-
-
-def spanning_vectors(g: GraphInstance, spectral: SpectralData):
-    """Rescaled centered indicators for every level-1 lattice element.
-
-    They are the vectors of oracle_products(g, spectral), which checks them.
-    """
-    products = oracle_products(g, spectral)
-    rescale = family_constants(g.family)["rescale"]
-    out = []
-    for v, row in zip(products.labels, products.rows.tolist()):
-        coords = tuple(Fraction(x, products.scale) for x in row)
-        out.append(SpanningVector(v, coords, tuple(x / rescale for x in coords), rescale))
-    return out
-
-
-def oracle_products(g: GraphInstance, spectral: SpectralData, spanning=None):
+def oracle_products(g: GraphInstance, spectral: SpectralData):
     """OracleProducts of the rescaled centered indicators of all points.
 
     The integer rows are read off the graph's vertex-by-point incidence,
     centered by the size of the first upper set, and E_1 must fix each (one
     n x P product for all of them); a row whose upper set has another size
-    has a nonzero sum, so E_1 does not fix it.  Given spanning instead, the
-    rows come from each vector's coords, not from its label, so vectors
-    that do not match their labels fail the sweep.
+    has a nonzero sum, so E_1 does not fix it.  rows / scale are the
+    spanning vectors, and rows / (scale * rescale) the centered indicators.
     """
-    if spanning is not None:
-        return OracleProducts.of_vectors(
-            g, spectral, [sv.label for sv in spanning], [sv.coords for sv in spanning]
-        )
     lat = g.lattice
     if lat is None:
         raise ConstructionError(f"{g.label()} carries no lattice")
@@ -408,7 +375,6 @@ def formula_table(g: GraphInstance) -> FormulaTable:
 
 @dataclass(frozen=True)
 class FormulaOracleReport:
-    instance: str
     pairs_checked: int
     max_discrepancy: Fraction
     # the closed forms the sweep proved on every ordered pair of points
@@ -416,16 +382,17 @@ class FormulaOracleReport:
 
 
 def verify_formula_vs_oracle(
-    g: GraphInstance, spectral: SpectralData, spanning=None, products=None
+    g: GraphInstance, spectral: SpectralData, products=None
 ) -> FormulaOracleReport:
     """Compare the closed-form product against the projection oracle.
 
     Runs over every ordered pair of spanning vectors and demands exact
     agreement; the report's max_discrepancy is always zero on return.  The
-    oracle side is products (from oracle_products(g, spectral, spanning)
-    unless given), the formula side formula_table(g).  With the formula's
-    coefficients cf_l cleared by L = table.clear, the pair (u, v) agrees
-    exactly when
+    oracle side is products (oracle_products(g, spectral) unless given: any
+    OracleProducts labelled by the points in order, so rows that do not
+    match their labels fail the sweep), the formula side formula_table(g).
+    With the formula's coefficients cf_l cleared by L = table.clear, the
+    pair (u, v) agrees exactly when
 
         L den E_1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
 
@@ -433,7 +400,7 @@ def verify_formula_vs_oracle(
     The report carries the table it proved, for structure_constants.
     """
     if products is None:
-        products = oracle_products(g, spectral, spanning)
+        products = oracle_products(g, spectral)
     table = formula_table(g)
     labels = products.labels
     if labels != table.labels:
@@ -458,7 +425,7 @@ def verify_formula_vs_oracle(
             f"{g.label()}: formula disagrees with oracle on "
             f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
         )
-    return FormulaOracleReport(g.label(), s * s, Fraction(0), table)
+    return FormulaOracleReport(s * s, Fraction(0), table)
 
 
 @dataclass(eq=False)

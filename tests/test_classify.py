@@ -617,10 +617,21 @@ def test_d22_operation_aligns_with_hamming(bundle, algebra):
     aligned = d22_hamming_aligned_operation(g, sd)
     h23_op = algebra("h23").operation
     assert aligned.constants == h23_op.constants
+    assert aligned.den == h23_op.den and np.array_equal(aligned.flat, h23_op.flat)
     for t in enumerate_trees(3):
         assert tensor_fingerprint(aligned, t) == tensor_fingerprint(h23_op, t)
     with pytest.raises(ValueError):
         d22_hamming_aligned_operation(*bundle("c22"))
+
+
+def test_d22_aligned_vectors_outside_v1_are_refused(bundle):
+    # 2 E_1 is still affine in M M^T, but fixes none of the aligned vectors
+    g, sd = bundle("d22")
+    numerators = sd.numerators.copy()
+    numerators[1] *= 2
+    doubled = dataclasses.replace(sd, numerators=numerators)
+    with pytest.raises(ConstructionError, match="leave V_1"):
+        d22_hamming_aligned_operation(g, doubled)
 
 
 def test_equal_keys_are_checked_exactly(algebra, monkeypatch):

@@ -28,7 +28,7 @@ from nortonalg.cache import (
 )
 from nortonalg.classify import count_norton_classes, one_off_signature, verify_classification
 from nortonalg.cli import main
-from nortonalg.errors import ConstructionError
+from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.instances import (
     build_graph,
     build_instance,
@@ -694,6 +694,34 @@ def test_cli_budget_exceeded_exit_3(capsys, tmp_path):
               "--strategy", "tensor", "--cache-dir", str(tmp_path)])
         == 3
     )
+
+
+# counts far past the default budget: 3^(10^8), C(2*10^6, 10^6),
+# [10^5 5*10^4]_2, the C_(10^5)(2) dual polar count, and a q = 2^61 - 1 whose
+# trial division alone would take 2^30 steps
+HUGE_PARAMETERS = [
+    ("hamming", (100000000, 3)),
+    ("johnson", (2000000, 1000000)),
+    ("grassmann", (2, 100000, 50000)),
+    ("dualpolar", ("C", 100000, 2)),
+    ("grassmann", (2**61 - 1, 4, 2)),
+]
+
+
+@pytest.mark.parametrize("family, params", HUGE_PARAMETERS)
+def test_budget_refuses_huge_parameters_at_once(family, params, tmp_path):
+    # refused from a lower bound on the count, before the count is formed
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "build", family, *map(str, params),
+         "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    assert result.returncode == 3
+    assert "budget" in result.stderr
+    with pytest.raises(BudgetExceededError):
+        build_graph(family, params)
 
 
 def test_cli_vertex_budget_holds_on_a_warm_cache(capsys, tmp_path):

@@ -46,7 +46,6 @@ from nortonalg.norton import (
     family_constants,
     formula_table,
     oracle_products,
-    spanning_vectors,
     structure_constants,
     verify_formula_vs_oracle,
 )
@@ -63,6 +62,20 @@ def integer_rows(rows):
     fracs = [[Fraction(x) for x in r] for r in rows]
     scale = lcm(*(x.denominator for r in fracs for x in r))
     return np.array([[int(x * scale) for x in r] for r in fracs], dtype=object)
+
+
+def spanning(g, sd):
+    """(labels, vectors): the points and their spanning vectors, rows / scale
+    of oracle_products, as tuples of Fractions."""
+    products = oracle_products(g, sd)
+    rows = products.rows.tolist()
+    return products.labels, [tuple(Fraction(x, products.scale) for x in r) for r in rows]
+
+
+def products_of(g, sd, labels, vectors):
+    """OracleProducts of labelled rational vectors, cleared to integer rows."""
+    scale = lcm(*(Fraction(x).denominator for vec in vectors for x in vec))
+    return OracleProducts.of_rows(g, sd, labels, integer_rows(vectors), scale)
 
 
 def dense_idempotent(g, sd, j):
@@ -149,34 +162,37 @@ def test_family_constants_dual_polar(bundle):
 
 def test_spanning_vectors_triangle(bundle):
     g, sd = bundle("j31")
-    svs = spanning_vectors(g, sd)
-    assert [sv.label for sv in svs] == [(1,), (2,), (3,)]
-    assert svs[0].coords == (2, -1, -1)
-    assert svs[0].unscaled == (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
-    assert svs[0].scale == 3
+    labels, vectors = spanning(g, sd)
+    assert labels == ((1,), (2,), (3,))
+    assert vectors[0] == (2, -1, -1)
+    products = oracle_products(g, sd)
+    rescale = family_constants(g.family)["rescale"]
+    assert rescale == 3
+    unscaled = tuple(Fraction(x, products.scale) / rescale for x in products.rows[0].tolist())
+    assert unscaled == (Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3))
 
 
 def test_spanning_vectors_are_centered_and_span(bundle):
     for name in ("j52", "g242", "h23", "d22", "c22"):
         g, sd = bundle(name)
-        svs = spanning_vectors(g, sd)
-        assert len(svs) == len(g.lattice.levels[1])
-        for sv in svs:
-            assert sum(sv.coords) == 0
+        labels, vectors = spanning(g, sd)
+        assert labels == g.lattice.levels[1]
+        for vec in vectors:
+            assert sum(vec) == 0
         dim = sd.multiplicities[1]
-        assert rank_of([sv.coords for sv in svs]) == dim
+        assert rank_of(vectors) == dim
 
 
 def test_norton_oracle_triangle(bundle):
     g, sd = bundle("j31")
     e1 = dense_numerator(g, sd, 1)
-    svs = spanning_vectors(g, sd)
-    u, v = svs[0].coords, svs[1].coords
+    _, vectors = spanning(g, sd)
+    u, v = vectors[0], vectors[1]
     assert apply_dense(e1, u) == u and apply_dense(e1, v) == v
     prod = apply_dense(e1, [a * b for a, b in zip(u, v)])
     minus_u_minus_v = tuple(-a - b for a, b in zip(u, v))
     assert prod == minus_u_minus_v
-    assert prod == svs[2].coords
+    assert prod == vectors[2]
     assert apply_dense(e1, [a * a for a in u]) == u
 
 
@@ -270,30 +286,31 @@ def test_formula_matches_oracle_with_triple_joins(bundle):
 
 def test_tampered_vectors_fail_verification(bundle):
     g, sd = bundle("j52")
-    svs = spanning_vectors(g, sd)
-    doubled = dataclasses.replace(
-        svs[0], coords=tuple(2 * x for x in svs[0].coords)
-    )
+    products = oracle_products(g, sd)
+    rows = products.rows.copy()
+    rows[0] *= 2
+    doubled = dataclasses.replace(products, rows=rows)
     with pytest.raises(FormulaMismatchError):
-        verify_formula_vs_oracle(g, sd, [doubled] + svs[1:])
+        verify_formula_vs_oracle(g, sd, products=doubled)
 
 
 def test_halved_vectors_fail_verification(bundle):
-    # coords that are no longer integers still go through the integer oracle
+    # a vector halved past the rows' scale still goes through the integer oracle
     g, sd = bundle("g242")
-    svs = spanning_vectors(g, sd)
-    halved = dataclasses.replace(
-        svs[3], coords=tuple(x / 2 for x in svs[3].coords)
-    )
+    labels, vectors = spanning(g, sd)
+    vectors[3] = tuple(x / 2 for x in vectors[3])
     with pytest.raises(FormulaMismatchError):
-        verify_formula_vs_oracle(g, sd, svs[:3] + [halved] + svs[4:])
+        verify_formula_vs_oracle(g, sd, products=products_of(g, sd, labels, vectors))
 
 
 def test_sweep_refuses_vectors_out_of_point_order(bundle):
     g, sd = bundle("j52")
-    svs = spanning_vectors(g, sd)
+    products = oracle_products(g, sd)
+    reversed_order = OracleProducts.of_rows(
+        g, sd, products.labels[::-1], products.rows[::-1], products.scale
+    )
     with pytest.raises(ValueError, match="in order"):
-        verify_formula_vs_oracle(g, sd, svs[::-1])
+        verify_formula_vs_oracle(g, sd, products=reversed_order)
 
 
 @pytest.mark.parametrize(
@@ -346,44 +363,43 @@ def test_vectors_outside_v1_are_rejected(bundle, name):
         denominators=tuple(sd.denominators[j] for j in order),
     )
     with pytest.raises(ConstructionError, match="not in V_1"):
-        spanning_vectors(g, swapped)
+        oracle_products(g, swapped)
     # 2 E_1 is, but fixes no nonzero vector
     numerators = sd.numerators.copy()
     numerators[1] *= 2
     doubled = dataclasses.replace(sd, numerators=numerators)
     with pytest.raises(ConstructionError, match="not in V_1"):
-        spanning_vectors(g, doubled)
+        oracle_products(g, doubled)
     # one point's upper set one vertex short: its row no longer sums to 0
     incidence = g.incidence.copy()
     incidence[np.flatnonzero(incidence[:, 0])[0], 0] = 0
     with pytest.raises(ConstructionError, match="not in V_1"):
-        spanning_vectors(dataclasses.replace(g, incidence=incidence), sd)
+        oracle_products(dataclasses.replace(g, incidence=incidence), sd)
 
 
 @pytest.mark.parametrize(
     "name, disc", [("j52", "361/270"), ("c22", "329/720"), ("d32", "397/900")]
 )
 def test_vector_off_v1_fails_the_sweep_in_full(bundle, name, disc):
-    # svs[0] plus the E_2 column of vertex 0 leaves col(M), where the
-    # vertices the sweep compares at no longer decide a vector; pair and
+    # the first vector plus the E_2 column of vertex 0 leaves col(M), where
+    # the vertices the sweep compares at no longer decide a vector; pair and
     # discrepancy are those of the comparison over every vertex
     g, sd = bundle(name)
-    svs = spanning_vectors(g, sd)
+    labels, vectors = spanning(g, sd)
     column = dense_idempotent(g, sd, 2)[:, 0]
-    moved = dataclasses.replace(
-        svs[0], coords=tuple(a + b for a, b in zip(svs[0].coords, column))
-    )
-    p = svs[0].label
+    vectors[0] = tuple(a + b for a, b in zip(vectors[0], column))
+    p = labels[0]
     message = f"on ({p!r}, {p!r}), max discrepancy {disc}"
     with pytest.raises(FormulaMismatchError, match=re.escape(message)):
-        verify_formula_vs_oracle(g, sd, [moved] + svs[1:])
+        verify_formula_vs_oracle(g, sd, products=products_of(g, sd, labels, vectors))
 
 
 def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
     # H(5,2) is Q-polynomial and dual bipartite, so for z in V_3 both
     # E_1(z . x) for x in V_1 and E_1(z . z) vanish.  With z zero at every
-    # comparison vertex, svs[0] + z agrees there with every oracle product
-    # and formula; only the full comparison sees the pair it breaks.
+    # comparison vertex, the first vector plus z agrees there with every
+    # oracle product and formula; only the full comparison sees the pair it
+    # breaks.
     g = build_hamming(5, 2)
     sd = spectral_data(g)
     cols = oracle_products(g, sd).cols
@@ -399,13 +415,11 @@ def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
     det, (coeffs,), _ = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
     z = chars[extra] - sum(Fraction(c, det) * chars[k] for c, k in zip(coeffs, kept))
     assert not z[cols].any() and z.any()
-    svs = spanning_vectors(g, sd)
-    moved = dataclasses.replace(
-        svs[0], coords=tuple(a + b for a, b in zip(svs[0].coords, z))
-    )
+    labels, vectors = spanning(g, sd)
+    vectors[0] = tuple(a + b for a, b in zip(vectors[0], z))
     message = "on ((0, 0, 0, 0, 1), (0, 0, 0, 0, 2)), max discrepancy 2"
     with pytest.raises(FormulaMismatchError, match=re.escape(message)):
-        verify_formula_vs_oracle(g, sd, [moved] + svs[1:])
+        verify_formula_vs_oracle(g, sd, products=products_of(g, sd, labels, vectors))
 
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
@@ -652,7 +666,7 @@ def test_missing_lattice_is_rejected(bundle):
     g = graph_from_distance_matrix("cycle4", c4)
     sd = spectral_data(g)
     with pytest.raises(ConstructionError):
-        spanning_vectors(g, sd)
+        oracle_products(g, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -790,48 +804,47 @@ def reference_one_off(g, labels):
     return (u, v), line
 
 
-def reference_sweep(g, sd, spanning):
+def reference_sweep(g, sd, labels, vectors):
     """Ordered pairs checked, one dense E_1 apply per pair."""
-    by_label = {sv.label: sv for sv in spanning}
+    by_label = dict(zip(labels, vectors))
     e1 = dense_numerator(g, sd, 1)
     pairs = 0
-    for su in spanning:
-        for sv in spanning:
-            oracle = apply_dense(e1, [a * b for a, b in zip(su.coords, sv.coords)])
+    for u, x in by_label.items():
+        for v, y in by_label.items():
+            oracle = apply_dense(e1, [a * b for a, b in zip(x, y)])
             predicted = [Fraction(0)] * g.vertex_count
-            expansion = reference_formula_product(g.family, g.lattice, su.label, sv.label)
+            expansion = reference_formula_product(g.family, g.lattice, u, v)
             for lbl, cf in expansion.items():
-                for idx, x in enumerate(by_label[lbl].coords):
-                    predicted[idx] += cf * x
-            assert list(oracle) == predicted, (su.label, sv.label)
+                for idx, c in enumerate(by_label[lbl]):
+                    predicted[idx] += cf * c
+            assert list(oracle) == predicted, (u, v)
             pairs += 1
     return pairs
 
 
-def reference_basis(g, spanning):
+def reference_basis(g, labels, vectors):
     """(labels, rows) of the basis by rank tests: in lattice order, each
     spanning vector independent of those kept before it, dim V_1 in all."""
     dim = closed_form_multiplicity(g.family, 1)
-    assert rank_of([sv.coords for sv in spanning]) == dim
+    assert rank_of(vectors) == dim
     basis_labels, chosen_rows = [], []
-    for sv in spanning:
-        trial = chosen_rows + [sv.coords]
+    for label, vec in zip(labels, vectors):
+        trial = chosen_rows + [vec]
         if rank_of(trial) == len(trial):
-            basis_labels.append(sv.label)
-            chosen_rows.append(sv.coords)
+            basis_labels.append(label)
+            chosen_rows.append(vec)
         if len(basis_labels) == dim:
             break
     return basis_labels, chosen_rows
 
 
-def reference_structure_constants(g, sd, spanning):
+def reference_structure_constants(g, sd, labels, vectors):
     """(basis_labels, cube, label_coords, (one_off, one_off_line)) by rank
     tests, span solves and lattice joins."""
-    labels = [sv.label for sv in spanning]
-    basis_labels, chosen_rows = reference_basis(g, spanning)
+    basis_labels, chosen_rows = reference_basis(g, labels, vectors)
     dim = len(basis_labels)
     solver = ReferenceSpanSolver(chosen_rows)
-    label_coords = {sv.label: solver.solve(sv.coords) for sv in spanning}
+    label_coords = {label: solver.solve(vec) for label, vec in zip(labels, vectors)}
     e1 = dense_numerator(g, sd, 1)
     cube = [[None] * dim for _ in range(dim)]
     for i in range(dim):
@@ -845,14 +858,16 @@ def reference_structure_constants(g, sd, spanning):
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
 def test_integer_oracle_matches_fraction_reference(bundle, algebra, name):
     g, sd = bundle(name)
-    spanning = spanning_vectors(g, sd)
+    labels, vectors = spanning(g, sd)
+    rescale = family_constants(g.family)["rescale"]
     e1 = dense_numerator(g, sd, 1)
-    for sv in spanning:
-        assert apply_dense(e1, sv.unscaled) == sv.unscaled
-    report = verify_formula_vs_oracle(g, sd, spanning)
-    assert report.pairs_checked == reference_sweep(g, sd, spanning) == len(spanning) ** 2
+    for vec in vectors:
+        unscaled = tuple(x / rescale for x in vec)
+        assert apply_dense(e1, unscaled) == unscaled
+    report = verify_formula_vs_oracle(g, sd, products=products_of(g, sd, labels, vectors))
+    assert report.pairs_checked == reference_sweep(g, sd, labels, vectors) == len(labels) ** 2
     basis_labels, cube, label_coords, one_off = reference_structure_constants(
-        g, sd, spanning
+        g, sd, labels, vectors
     )
     alg = algebra(name)
     assert alg.basis_labels == basis_labels
@@ -899,9 +914,8 @@ LATTICE_RULE_BUILDERS = {
 def test_basis_and_pair_match_the_rank_and_join_references(name):
     g = LATTICE_RULE_BUILDERS[name]()
     sd = spectral_data(g)
-    spanning = spanning_vectors(g, sd)
     alg = structure_constants(g, sd)
-    assert list(alg.basis_labels) == reference_basis(g, spanning)[0]
+    assert list(alg.basis_labels) == reference_basis(g, *spanning(g, sd))[0]
     assert (alg.one_off, alg.one_off_line) == reference_one_off(g, alg.points)
     if isinstance(g.family, HammingFamily):
         # each coordinate's e points sum to zero: its last letter is skipped

@@ -3,10 +3,13 @@
 Validation must not rest on assert statements, which python -O strips:
 every check in the package raises an exception of its own.  numpy is the
 one dependency: networkx, sympy and scipy may serve scratch prototypes,
-but neither the package nor its tests import them.
+but neither the package nor its tests import them.  The package's __all__
+names exactly its public names: a name removed from the package leaves it
+too.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import nortonalg
@@ -44,3 +47,13 @@ def test_package_and_tests_import_no_scratch_libraries():
                 if name.split(".")[0] in ("networkx", "sympy", "scipy")
             ]
     assert found == []
+
+
+def test_all_names_exactly_the_public_names():
+    public = [
+        name
+        for name, value in vars(nortonalg).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(nortonalg.__all__) == sorted(public)
+    assert [name for name in nortonalg.__all__ if not hasattr(nortonalg, name)] == []
