@@ -58,7 +58,6 @@ from .intlinalg import abs_max, fits_int64
 from .trees import (
     LEAF,
     BinaryTree,
-    _trees,
     catalan,
     depth_tuples,
     enumerate_trees,
@@ -452,9 +451,7 @@ def _split(op: BilinearOperation) -> tuple:
     return tuple(distinct.values())
 
 
-def group_trees_by_fingerprint(
-    op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET, positions=None
-):
+def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FINGERPRINT_BUDGET):
     """Group an explicit tree list (all of one arity) by exact fingerprint.
 
     Returns a list of index lists in first-seen order.  The budget is
@@ -463,8 +460,6 @@ def group_trees_by_fingerprint(
     grouped once per distinct block, and trees with equal tuples of block
     class ids form one class.  Otherwise _group_connected merges trees by
     their child classes and builds probe tensors only where keys collide.
-    positions, when given, must be each tree's index in enumerate_trees(m),
-    checked by identity first; otherwise tree_index finds it, tree by tree.
     """
     if not trees:
         return []
@@ -472,19 +467,12 @@ def group_trees_by_fingerprint(
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    if positions is None:
-        positions = [tree_index(t) for t in trees]
-    else:
-        listed = _trees(m)
-        if len(positions) != len(trees) or not all(
-            0 <= i < len(listed) and (listed[i] is t or listed[i] == t)
-            for i, t in zip(positions, trees)
-        ):
-            raise ValueError("positions must be the trees' indices in enumerate_trees(m)")
-    return _group(op, trees, positions)
+    return _group(op, trees, [tree_index(t) for t in trees])
 
 
 def _group(op: BilinearOperation, trees, positions) -> list:
+    """group_trees_by_fingerprint on trees whose indices in enumerate_trees(m)
+    are positions, with the budget already checked."""
     if op.is_zero:
         return [list(range(len(trees)))]
     blocks = _blocks(op)

@@ -1,22 +1,22 @@
 """JSON cache of built instances, one file per graph and code tag.
 
-Past its "code_tag", a file stores only what the solve produced, the
-algebra's two integer tables: "den" and the dim^3 "structure_constants"
-over it, and "coords", one row per point over "coords_den", with "basis"
-the basis points' indices.  The eigenvalues, multiplicities and
-"graph_sha256" (graph_digest of the vertices, points, incidence and
-distances) are stale checks against a rebuild of the graph from the
-parameters; the digest fixes the points' order, so row p of coords is
-rebuilt point p, and every row is checked against the rebuilt incidence:
-coords_den times a centered point indicator must be its coords row times
-those of the basis points, or the file is stale.  The labels, the
-preferred pair and its line (norton.one_off_pair) and the notes come from
-the rebuilt graph.
+Past its "code_tag", a file stores only what the solve produced: "coords",
+one integer row per point over "coords_den", with "basis" the basis points'
+indices.  The eigenvalues, multiplicities and "graph_sha256" (graph_digest
+of the vertices, points, incidence and distances) are stale checks against
+a rebuild of the graph from the parameters; the digest fixes the points'
+order, so row p of coords is rebuilt point p, and every row is checked
+against the rebuilt incidence: coords_den times a centered point indicator
+must be its coords row times those of the basis points, or the file is
+stale.  No structure constant is stored: norton.algebra_from_coords reads
+the cube off formula_table of the rebuilt graph, as a build does, and the
+labels, the preferred pair and its line and the notes come from the
+rebuilt graph too.
 load_cache decodes every field in one step (_decode) before it rebuilds
 anything: a missing key, a wrong JSON type, a table of the wrong shape or
 basis rows that are not coords_den e_i make the file malformed, a
 ConstructionError.  Bump CODE_TAG whenever a change could invalidate
-stored structure constants; old entries are then ignored.
+stored coordinates; old entries are then ignored.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from .errors import ConstructionError
 from .graphs import DEFAULT_VERTEX_BUDGET, GraphInstance
 from .instances import FAMILIES, InstanceBundle, build_graph, family_key, normalize_params
 from .intlinalg import exact_matmul, exact_multiply
-from .norton import NortonAlgebra, one_off_pair
-from .binop import BilinearOperation
+from .norton import algebra_from_coords, formula_table
 from .spectral import spectral_data
 
-CODE_TAG = "4"
+CODE_TAG = "5"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
@@ -91,8 +90,6 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
         "graph_sha256": graph_digest(bundle.graph),
         "eigenvalues": list(bundle.spectral.eigenvalues),
         "multiplicities": list(bundle.spectral.multiplicities),
-        "den": alg.operation.den,
-        "structure_constants": alg.operation.flat.reshape((alg.dim,) * 3).tolist(),
         "coords_den": alg.coords_den,
         "coords": alg.coords.tolist(),
         "basis": list(alg.basis),
@@ -114,7 +111,7 @@ def write_cache(bundle: InstanceBundle, cache_dir) -> Path:
 
 def _decode(payload: dict, target) -> tuple:
     """Every field past the header, checked: (the stored digest and
-    spectrum, the algebra's tables as NortonAlgebra takes them)."""
+    spectrum, basis, coords_den, coords)."""
 
     def get(key, kind=list):
         if type(payload.get(key)) is not kind:
@@ -124,11 +121,10 @@ def _decode(payload: dict, target) -> tuple:
 
     stored = {key: get(key) for key in ("eigenvalues", "multiplicities")}
     stored["graph_sha256"] = get("graph_sha256", str)
-    den, coords_den = get("den", int), get("coords_den", int)
-    table, coords, basis = get("structure_constants"), get("coords"), get("basis")
+    coords_den, coords, basis = get("coords_den", int), get("coords"), get("basis")
     dim = len(basis)
     if not (
-        dim and min(den, coords_den) > 0 and _is_int_table(table, (dim,) * 3)
+        dim and coords_den > 0
         and _is_int_table(coords, (len(coords), dim)) and _is_int_table(basis, (dim,))
     ):
         raise ConstructionError(f"{target} is malformed: not integer tables over dim {dim}")
@@ -136,12 +132,7 @@ def _decode(payload: dict, target) -> tuple:
     unit = [[coords_den * (i == j) for j in range(dim)] for i in range(dim)]
     if not all(0 <= i < len(coords) for i in basis) or [coords[i] for i in basis] != unit:
         raise ConstructionError(f"{target} is malformed: basis rows are not coords_den e_i")
-    return stored, dict(
-        operation=BilinearOperation.from_int_table(den, table),
-        basis=tuple(basis),
-        coords_den=coords_den,
-        coords=coords,
-    )
+    return stored, basis, coords_den, np.array(coords, dtype=object)
 
 
 def load_cache(
@@ -152,7 +143,9 @@ def load_cache(
     The graph is rebuilt from the parameters under the vertex budget, as
     build_instance does, and its digest and spectrum must match the file's,
     so a cache file can never silently disagree with the code that made it.
-    The rest of the validation battery of build_instance is not repeated.
+    The cube is read off the rebuilt graph's formula table, which the digest
+    ties to the graph the build's sweep proved it on; the rest of the
+    validation battery of build_instance is not repeated.
     """
     target = cache_path(cache_dir, name, params)
     if not target.is_file():
@@ -165,27 +158,24 @@ def load_cache(
         raise ConstructionError(f"{target} is malformed: not a JSON object")
     if payload.get("code_tag") != CODE_TAG:
         return None
-    stored, algebra = _decode(payload, target)
+    stored, basis, coords_den, coords = _decode(payload, target)
     g = build_graph(name, params, budget=budget)
     if stored["graph_sha256"] != graph_digest(g):
         raise ConstructionError(f"{target} is stale: graph no longer matches")
-    points = g.lattice.levels[1]
-    if len(algebra["coords"]) != len(points):
+    if len(coords) != len(g.lattice.levels[1]):
         raise ConstructionError(f"{target} is stale: coords do not hold one row per point")
     sd = spectral_data(g)
     for key in ("eigenvalues", "multiplicities"):
         fresh = list(getattr(sd, key))
         if stored[key] != fresh:
             raise ConstructionError(f"{target} is stale: stored {key} {stored[key]} != {fresh}")
-    pair, line = one_off_pair(g)
-    algebra = NortonAlgebra(g.family, points=points, one_off=pair, one_off_line=line, **algebra)
     # the centered point indicators n M^T - |upper set| span V_1, so dim V_1
     # of them as the basis fix every row of coords exactly
     m = g.incidence
     centered = g.vertex_count * m.T - m.sum(axis=0)[:, None]
-    if algebra.dim != sd.multiplicities[1] or (
-        exact_matmul(algebra.coords, centered[list(algebra.basis)])
-        != exact_multiply(algebra.coords_den, centered)
+    if len(basis) != sd.multiplicities[1] or (
+        exact_matmul(coords, centered[basis]) != exact_multiply(coords_den, centered)
     ).any():
         raise ConstructionError(f"{target} is stale: coords are not the points over the basis")
+    algebra = algebra_from_coords(g, formula_table(g), basis, coords_den, coords)
     return InstanceBundle(g, sd, algebra, None)

@@ -46,6 +46,7 @@ from .binop import (
     EquivalenceReport,
     _check_probe_budget,
     _evaluate_rows,
+    _group,
     _int_product,
     _make_report,
     _probe_cells,
@@ -55,7 +56,6 @@ from .binop import (
     count_classes_exact,
     double_minus_classes,
     evaluate_parenthesization,
-    group_trees_by_fingerprint,
 )
 from .errors import ConstructionError
 from .graphs import (
@@ -282,7 +282,8 @@ def count_norton_classes(
         if affordable:
             trees = trees or enumerate_trees(m)
             colliding = [trees[i] for i in idxs]
-            for sub in group_trees_by_fingerprint(op, colliding, budget=budget, positions=idxs):
+            # affordable proved the budget, and idxs index enumerate_trees(m)
+            for sub in _group(op, colliding, idxs):
                 groups.append([idxs[j] for j in sub])
                 justifications.append(JUSTIFY_FINGERPRINT)
             continue

@@ -8,17 +8,6 @@ is the empty tuple).  q must be prime.
 from __future__ import annotations
 
 
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def inv_mod(a: int, q: int) -> int:
     return pow(a % q, q - 2, q)
 

@@ -45,7 +45,7 @@ from .errors import (
     NotDistanceRegularError,
     NotPathMetricError,
 )
-from .intlinalg import overlap_counts
+from .intlinalg import is_prime, overlap_counts
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -424,11 +424,11 @@ def _check_budget(budget, floors, count=None):
 
 def _require_prime(q: int, budget: int):
     """Refuse a q that is not prime.  Every family over F_q has more than q
-    vertices, so a q past the budget is refused first, and trial division
-    takes at most sqrt(budget) steps."""
+    vertices, so a q past the budget is refused first; Miller-Rabin decides
+    the rest in a few modular powers."""
     if q >= 2:
         _check_budget(budget, [(q, 1)])
-    if not fq.is_prime(q):
+    if not is_prime(q):
         raise ValueError(f"q = {q} must be prime")
 
 

@@ -24,12 +24,14 @@ points decide every join the formulas name, and no lattice join is formed.
 The formula-versus-oracle sweep compares every ordered pair with
 denominators cleared, and the structure constants are read off the table it
 proved: one solve, of every point over the basis, then one product of the
-table with those coordinates.  Only the formulas depend on the family: the
-basis (the first dim V_1 independent points in lattice order) and the
-preferred pair with its line (one_off_pair) are read off the lattice by
-one rule for every family.  The arithmetic is exact: int64 only where a
-bound proves that no sum can overflow, Python integers otherwise, and
-float64 only inside intlinalg, for integer products bounded below 2^53.
+table with those coordinates (algebra_from_coords, which a cached algebra
+also goes through, with its stored coordinates).  Only the formulas depend
+on the family: the basis (the first dim V_1 independent points in lattice
+order) and the preferred pair with its line (one_off_pair) are read off
+the lattice by one rule for every family.  The arithmetic is exact: int64
+only where a bound proves that no sum can overflow, Python integers
+otherwise, and float64 only inside intlinalg, for integer products bounded
+below 2^53.
 """
 
 from __future__ import annotations
@@ -163,10 +165,6 @@ class OracleProducts:
         alpha, beta, den = int(alpha * t), int(beta * t), den * t
         dim = spectral.multiplicities[1]
         return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence, dim)
-
-    @cached_property
-    def index(self) -> dict:
-        return {label: i for i, label in enumerate(self.labels)}
 
     @cached_property
     def pair(self) -> np.ndarray:
@@ -502,8 +500,8 @@ def one_off_pair(g: GraphInstance):
     holds the points below the join of the pair when that join is proper
     and holds more than the two points: every vertex above u and v is above
     w.  That is the q+1 points of a Grassmann line, and empty for the other
-    families.  Both are read off the incidence alone, so structure_constants
-    and load_cache derive them from the graph in the same way.
+    families.  Both are read off the incidence alone, by algebra_from_coords
+    for a built and a cached algebra alike.
     """
     points, m = g.lattice.levels[1], g.incidence
     first, second = np.nonzero(np.triu(overlap_counts(m.T) == 0, 1))
@@ -522,15 +520,11 @@ def structure_constants(
     The basis is the first dim V_1 independent points in lattice order (over
     H(d,e) the e points of one coordinate sum to zero, so each coordinate's
     last letter is skipped).  That one echelon's pivots serve the one solve,
-    of every point over the basis: coords / coords_den.  The cube is read off
-    the closed forms the formula-versus-oracle sweep proved on every ordered
-    pair of points: with cf = table.coefficients over table.clear,
-
-        C[a][b] = sum_w cf[a, b, w] coords[w] / (table.clear coords_den),
-
-    one product.  report is that sweep's report over products (both shared
-    with build_instance when given); without it the sweep runs here first,
-    so no unproved table is read.
+    of every point over the basis: coords / coords_den.  algebra_from_coords
+    reads the cube off the closed forms the formula-versus-oracle sweep
+    proved on every ordered pair of points.  report is that sweep's report
+    over products (both shared with build_instance when given); without it
+    the sweep runs here first, so no unproved table is read.
     """
     if products is None:
         products = oracle_products(g, spectral)
@@ -553,7 +547,28 @@ def structure_constants(
             f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
             f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
         )
-    cf = table.coefficients[np.ix_(chosen, chosen)].reshape(dim * dim, len(labels))
+    return algebra_from_coords(g, table, chosen, coords_den, coords)
+
+
+def algebra_from_coords(
+    g: GraphInstance, table: FormulaTable, basis, coords_den, coords
+) -> NortonAlgebra:
+    """The NortonAlgebra of g whose points have the given coordinates.
+
+    coords[p] / coords_den is point p (table.labels) over the basis points,
+    whose indices basis lists.  The cube is read off the closed forms of
+    table: with cf = table.coefficients over table.clear,
+
+        C[a][b] = sum_w cf[a, b, w] coords[w] / (table.clear coords_den),
+
+    one product.  The cube must be commutative, and the preferred pair
+    (one_off_pair) independent whenever the product is nonzero.
+    structure_constants passes the table its sweep proved; load_cache
+    passes the stored coordinates, checked against the rebuilt incidence,
+    with formula_table of the rebuilt graph, so no cube is ever stored.
+    """
+    dim, labels = len(basis), table.labels
+    cf = table.coefficients[np.ix_(basis, basis)].reshape(dim * dim, len(labels))
     cube = exact_matmul(cf, coords).reshape(dim, dim, dim)
     op = BilinearOperation.from_int_table(table.clear * coords_den, cube)
     if not op.is_commutative:
@@ -562,7 +577,7 @@ def structure_constants(
     if not op.is_zero:
         # the pair is independent iff its coordinate rows are: a x b^T is
         # symmetric iff a and b are parallel
-        a, b = (coords[products.index[x]] for x in pair)
+        a, b = (coords[table.index[x]] for x in pair)
         if np.array_equal(exact_multiply(a[:, None], b), exact_multiply(b[:, None], a)):
             raise ConstructionError(f"{g.label()}: preferred pair is dependent")
-    return NortonAlgebra(g.family, op, labels, tuple(chosen), coords_den, coords, pair, line)
+    return NortonAlgebra(g.family, op, labels, tuple(basis), coords_den, coords, pair, line)

@@ -35,8 +35,6 @@ from nortonalg.trees import (
     enumerate_trees,
     left_comb,
     node,
-    parse_tree,
-    to_string,
 )
 
 # A000975 prefix for m = 1..10, frozen; cross-checked below against the
@@ -439,27 +437,7 @@ def test_key_tables_take_one_product_step_per_split(algebra, monkeypatch):
     trees = enumerate_trees(9)
     pair = [trees[4000], trees[17]]
     assert group_trees_by_fingerprint(op, pair) == [[0], [1]]
-    assert group_trees_by_fingerprint(op, pair, positions=[4000, 17]) == [[0], [1]]
     assert calls == []
-
-
-def test_grouping_refuses_positions_that_are_not_the_enumeration_indices(algebra):
-    # shuffled positions would read other trees' keys: unchecked, they give
-    # 14 classes at m = 4 and 42 at m = 5 on H(2,3), where there are 10 and 21
-    for m, want in ((4, 10), (5, 21)):
-        op = _fresh(algebra("h23").operation)
-        trees = enumerate_trees(m)
-        shuffled = list(range(len(trees)))
-        random.Random(1).shuffle(shuffled)
-        with pytest.raises(ValueError, match="positions"):
-            group_trees_by_fingerprint(op, trees, positions=shuffled)
-        # the same shuffle of trees and positions is fine, and equal trees
-        # need not be the enumeration's own objects
-        moved = [parse_tree(to_string(trees[i])) for i in shuffled]
-        assert len(group_trees_by_fingerprint(op, moved, positions=shuffled)) == want
-        for bad in ([len(trees)], [-1]):
-            with pytest.raises(ValueError, match="positions"):
-                group_trees_by_fingerprint(op, trees[-1:], positions=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from nortonalg import cache, cli
-from nortonalg.binop import BilinearOperation
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -106,21 +106,17 @@ def test_cache_round_trip_reproduces_reports(tmp_path):
     assert fresh.to_json_dict() == cached.to_json_dict()
 
 
-def test_cache_serializes_constants_as_integer_table(tmp_path):
+def test_cache_serializes_coords_as_integer_table(tmp_path):
     bundle = build_instance("johnson", (5, 2))
     op = bundle.algebra.operation
     target = write_cache(bundle, tmp_path)
     payload = json.loads(target.read_text())
     assert payload["code_tag"] == CODE_TAG
-    flat = [c for plane in payload["structure_constants"] for row in plane for c in row]
-    assert all(type(c) is int for c in flat) and len(flat) == op.dimension ** 3
-    assert type(payload["den"]) is int and payload["den"] > 0
-    assert any(Fraction(c, payload["den"]).denominator > 1 for c in flat)
-    # one row per point over coords_den, and nothing else: no labels, no
-    # vertex list and no distance matrix
+    # one row per point over coords_den, and nothing else: no structure
+    # constant, no labels, no vertex list and no distance matrix
     assert set(payload) == {
         "code_tag", "graph_sha256", "eigenvalues", "multiplicities",
-        "den", "structure_constants", "coords_den", "coords", "basis",
+        "coords_den", "coords", "basis",
     }
     coords = payload["coords"]
     assert [len(row) for row in coords] == [op.dimension] * 5
@@ -128,6 +124,7 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
     assert payload["basis"] == [0, 1, 2, 3]
     loaded = load_cache("johnson", (5, 2), tmp_path).algebra
     assert loaded.operation.constants == op.constants
+    assert any(c.denominator > 1 for plane in op.constants for row in plane for c in row)
     assert loaded.label_coords == bundle.algebra.label_coords
 
 
@@ -138,9 +135,8 @@ def test_cache_serializes_constants_as_integer_table(tmp_path):
 )
 def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
     # every rational Fraction reads from text round-trips exactly through
-    # both integer tables, the cube and the point coordinates; a coordinate
-    # that is not the point's own is refused as stale.  The text itself is
-    # never parsed, valid or not
+    # the point coordinates, and a coordinate that is not the point's own
+    # is refused as stale.  The text itself is never parsed, valid or not
     bundle = build_instance("johnson", (3, 1))
     alg = bundle.algebra
     try:
@@ -148,71 +144,33 @@ def test_cache_parses_rationals_exactly_like_fraction(tmp_path, text):
     except (ValueError, ZeroDivisionError):
         value = None
     if value is not None:
-        cube = [[list(row) for row in plane] for plane in alg.operation.constants]
-        cube[0][0][0] = value
         coords = dict(alg.label_coords)
         assert coords[(3,)] == (-1, -1)  # (3,) is no basis point
         coords[(3,)] = (value, coords[(3,)][1])
         bundle.algebra = NortonAlgebra.of_fractions(
-            alg.family, BilinearOperation(cube), coords, alg.one_off, alg.basis_labels
+            alg.family, alg.operation, coords, alg.one_off, alg.basis_labels
         )
         write_cache(bundle, tmp_path)
         if value != -1:
             with pytest.raises(ConstructionError, match="stale: coords"):
                 load_cache("johnson", (3, 1), tmp_path)
-            coords[(3,)] = (-1, -1)
-            bundle.algebra = NortonAlgebra.of_fractions(
-                alg.family, BilinearOperation(cube), coords, alg.one_off, alg.basis_labels
-            )
-            write_cache(bundle, tmp_path)
-        loaded = load_cache("johnson", (3, 1), tmp_path).algebra
-        assert loaded.operation.constants[0][0][0] == value
-        assert loaded.operation.constants == bundle.algebra.operation.constants
-        assert loaded.label_coords == coords
-    for key, at in (("structure_constants", (0, 0, 0)), ("coords", (2, 0))):
-        target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
-        payload = json.loads(target.read_text())
-        row = payload[key]
-        for i in at[:-1]:
-            row = row[i]
-        row[at[-1]] = text
-        target.write_text(json.dumps(payload))
-        with pytest.raises(ConstructionError, match="malformed"):
-            load_cache("johnson", (3, 1), tmp_path)
+        else:
+            loaded = load_cache("johnson", (3, 1), tmp_path).algebra
+            assert loaded.label_coords == coords
+            assert loaded.operation.constants == alg.operation.constants
+    target = write_cache(build_instance("johnson", (3, 1)), tmp_path)
+    payload = json.loads(target.read_text())
+    payload["coords"][2][0] = text
+    target.write_text(json.dumps(payload))
+    with pytest.raises(ConstructionError, match="malformed"):
+        load_cache("johnson", (3, 1), tmp_path)
 
 
 def _tamper(payload, kind):
     """The payload with one kind of damage; a few kinds replace it whole."""
-    table = payload["structure_constants"]
     if kind == "payload a list":
         return [payload]
-    if kind == "str entry":
-        table[0][0][0] = "7/2"
-    elif kind == "float entry":
-        table[0][0][0] = 3.5
-    elif kind == "bool entry":
-        table[0][0][0] = True
-    elif kind == "str den":
-        payload["den"] = "1"
-    elif kind == "float den":
-        payload["den"] = 1.0
-    elif kind == "bool den":
-        payload["den"] = True
-    elif kind == "zero den":
-        payload["den"] = 0
-    elif kind == "negative den":
-        payload["den"] = -payload["den"]
-    elif kind == "missing den":
-        del payload["den"]
-    elif kind == "short row":
-        table[1][0].pop()
-    elif kind == "missing plane":
-        table.pop()
-    elif kind == "flat table":
-        payload["structure_constants"] = table[0][0]
-    elif kind == "missing table":
-        del payload["structure_constants"]
-    elif kind == "str label coordinate":
+    if kind == "str label coordinate":
         payload["coords"][2][0] = "1/2"
     elif kind == "bool label coordinate":
         payload["coords"][2][0] = True
@@ -242,12 +200,10 @@ def _tamper(payload, kind):
 # a J(3,1) file holds coords [[1, 0], [0, 1], [-1, -1]] over coords_den 1,
 # with basis [0, 1]: the label coordinates of the points (1), (2) and (3)
 MALFORMED = [
-    "str entry", "float entry", "bool entry", "str den", "float den", "bool den",
-    "zero den", "negative den", "missing den", "short row", "missing plane",
-    "flat table", "missing table", "str label coordinate", "bool label coordinate",
-    "zero label den", "negative coords den", "short coords row", "missing coords",
-    "missing coords_den", "missing basis", "missing graph_sha256", "missing eigenvalues",
-    "payload a list", "basis 3", "coords 5", "graph_sha256 3", "str basis index",
+    "str label coordinate", "bool label coordinate", "zero label den",
+    "negative coords den", "short coords row", "missing coords", "missing coords_den",
+    "missing basis", "missing graph_sha256", "missing eigenvalues", "payload a list",
+    "basis 3", "coords 5", "graph_sha256 3", "str basis index",
     "basis index out of range", "repeated basis index", "basis rows swapped",
 ]
 
@@ -305,13 +261,12 @@ def test_cache_refuses_coords_that_are_not_the_points_over_the_basis(capsys, tmp
     elif kind == "one entry changed":
         coords[5][0] += 1
     else:
-        # point 5 as a fifth basis vector: its row is e_5, every other row
-        # keeps its true coordinates, and the cube grows to 5 x 5 x 5
+        # point 5 as a fifth basis vector: its row is e_5, and every other
+        # row keeps its true coordinates
         for p, row in enumerate(coords):
             row.append(int(p == 5))
         coords[5] = [0, 0, 0, 0, 1]
         payload["basis"].append(5)
-        payload["structure_constants"] = [[[0] * 5] * 5] * 5
     target.write_text(json.dumps(payload))
     with pytest.raises(ConstructionError, match="stale: coords are not the points over the basis"):
         load_cache("hamming", (2, 3), tmp_path)
@@ -537,25 +492,61 @@ def test_cli_verify_csv_rows(capsys, tmp_path):
     assert lines[-1].startswith("passed,True")
 
 
-def test_cli_verify_detects_tampered_cache(capsys, tmp_path):
+# the stored cube of CODE_TAG 4 ("den" and "structure_constants" over it),
+# added back to a file and damaged: a doubled den and cube with one entry
+# changed made the old loader report 14 classes at m = 4 where J(3,1) has 10
+STORED_CUBE = [
+    "doubled and one entry changed", "str entry", "float entry", "bool entry",
+    "str den", "float den", "bool den", "zero den", "negative den", "missing den",
+    "short row", "missing plane", "flat table", "missing table",
+]
+
+
+@pytest.mark.parametrize("kind", STORED_CUBE)
+def test_cli_verify_ignores_a_stored_cube(capsys, tmp_path, kind):
     run_cli(capsys, "build", "johnson", "3", "1", "--cache-dir", str(tmp_path))
     target = tmp_path / f"johnson-3-1-v{CODE_TAG}.json"
     payload = json.loads(target.read_text())
-    # the same operation over twice the den, then one entry changed
-    payload["den"] *= 2
-    for plane in payload["structure_constants"]:
-        for row in plane:
-            row[:] = [2 * c for c in row]
-    payload["structure_constants"][0][0][0] = 7
+    op = build_instance("johnson", (3, 1)).algebra.operation
+    table = op.flat.reshape((op.dimension,) * 3).tolist()
+    payload["den"], payload["structure_constants"] = op.den, table
+    if kind == "doubled and one entry changed":
+        payload["den"] *= 2
+        for plane in table:
+            for row in plane:
+                row[:] = [2 * c for c in row]
+        table[0][0][0] = 7
+    elif kind.endswith(" entry"):
+        table[0][0][0] = {"str": "7/2", "float": 3.5, "bool": True}[kind.split()[0]]
+    elif kind.endswith(" den") and not kind.startswith("missing"):
+        den = {"str": "1", "float": 1.0, "bool": True, "zero": 0, "negative": -op.den}
+        payload["den"] = den[kind.split()[0]]
+    elif kind == "missing den":
+        del payload["den"]
+    elif kind == "short row":
+        table[1][0].pop()
+    elif kind == "missing plane":
+        table.pop()
+    elif kind == "flat table":
+        payload["structure_constants"] = table[0][0]
+    else:
+        del payload["structure_constants"]
     target.write_text(json.dumps(payload))
     code, out = run_cli(
         capsys, "verify", "johnson", "3", "1", "--m-max", "4",
         "--cache-dir", str(tmp_path),
     )
-    assert code == 1
+    assert code == 0
     verdict = json.loads(out)
-    assert verdict["passed"] is False
-    assert verdict["failures"] == [[4, 14, 10]]
+    assert verdict["passed"] is True
+    assert verdict["counts"] == [1, 1, 2, 5, 10]
+    # the coordinates are still read, and checked: one non-basis entry
+    # changed is refused as stale
+    payload["coords"][2][0] += 1
+    target.write_text(json.dumps(payload))
+    assert main(["verify", "johnson", "3", "1", "--cache-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "stale: coords" in err
 
 
 def test_cli_classes_output(capsys, tmp_path):
@@ -722,6 +713,21 @@ def test_budget_refuses_huge_parameters_at_once(family, params, tmp_path):
     assert "budget" in result.stderr
     with pytest.raises(BudgetExceededError):
         build_graph(family, params)
+
+
+def test_prime_q_within_a_huge_budget_is_refused_at_once(tmp_path):
+    # q = 2^61 - 1 is within the budget, so its primality is tested before
+    # q^4 refuses the graph
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "nortonalg", "build", "grassmann", str(2**61 - 1), "4", "2",
+         "--budget-vertices", str(10**20), "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert result.returncode == 3 and "budget" in result.stderr
+    assert time.perf_counter() - start < 1
 
 
 def test_cli_vertex_budget_holds_on_a_warm_cache(capsys, tmp_path):

@@ -31,6 +31,7 @@ from nortonalg.graphs import (
     q_binomial,
     q_int,
 )
+from nortonalg.intlinalg import is_prime
 from conftest import BUILDERS, run_optimized
 from test_spectral import cycle, petersen
 
@@ -345,12 +346,35 @@ def test_grassmann_lattice_sizes():
 
 
 def test_grassmann_validation():
-    with pytest.raises(ValueError):
-        build_grassmann(4, 8, 2)  # q not prime
+    with pytest.raises(ValueError, match="must be prime"):
+        build_grassmann(4, 8, 2)
     with pytest.raises(ValueError):
         build_grassmann(2, 3, 2)  # n < 2k
     with pytest.raises(BudgetExceededError):
         build_grassmann(2, 10, 3)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, n, d))
+    assert [is_prime(k) for k in range(-3, n)] == [False] * 3 + sieve
+
+
+def test_is_prime_past_the_small_bases():
+    # the least strong pseudoprimes to the bases 2, 3, 5, 7 and to the
+    # first nine primes, 2 to 23, are composite
+    assert 3_215_031_751 == 151 * 751 * 28351
+    assert not is_prime(3_215_031_751)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+    bound = 3_317_044_064_679_887_385_961_981
+    for n in (bound, bound + 2):
+        with pytest.raises(ValueError, match=str(bound)):
+            is_prime(n)
 
 
 def dropped_subspaces_caught():

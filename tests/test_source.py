@@ -5,7 +5,8 @@ every check in the package raises an exception of its own.  numpy is the
 one dependency: networkx, sympy and scipy may serve scratch prototypes,
 but neither the package nor its tests import them.  The package's __all__
 names exactly its public names: a name removed from the package leaves it
-too.
+too.  One module, norton, assembles a NortonAlgebra, so a built and a
+cached algebra take their structure constants from the same code.
 """
 
 import ast
@@ -57,3 +58,16 @@ def test_all_names_exactly_the_public_names():
     ]
     assert sorted(nortonalg.__all__) == sorted(public)
     assert [name for name in nortonalg.__all__ if not hasattr(nortonalg, name)] == []
+
+
+def test_only_norton_constructs_a_norton_algebra():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        if path.name != "norton.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "NortonAlgebra" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
