@@ -9,9 +9,9 @@ order, so row p of coords is rebuilt point p, and every row is checked
 against the rebuilt incidence: coords_den times a centered point indicator
 must be its coords row times those of the basis points, or the file is
 stale.  No structure constant is stored: norton.algebra_from_coords reads
-the cube off formula_table of the rebuilt graph, as a build does, and the
-labels, the preferred pair and its line and the notes come from the
-rebuilt graph too.
+the cube off the closed-form rows of the basis pairs of the rebuilt graph,
+as a build does, and the labels, the preferred pair and its line and the
+notes come from the rebuilt graph too.
 load_cache decodes every field in one step (_decode) before it rebuilds
 anything: a missing key, a wrong JSON type, a table of the wrong shape or
 basis rows that are not coords_den e_i make the file malformed, a
@@ -38,7 +38,7 @@ from .errors import ConstructionError
 from .graphs import DEFAULT_VERTEX_BUDGET, GraphInstance
 from .instances import FAMILIES, InstanceBundle, build_graph, family_key, normalize_params
 from .intlinalg import exact_matmul, exact_multiply
-from .norton import algebra_from_coords, formula_table
+from .norton import algebra_from_coords
 from .spectral import spectral_data
 
 CODE_TAG = "5"
@@ -143,9 +143,10 @@ def load_cache(
     The graph is rebuilt from the parameters under the vertex budget, as
     build_instance does, and its digest and spectrum must match the file's,
     so a cache file can never silently disagree with the code that made it.
-    The cube is read off the rebuilt graph's formula table, which the digest
-    ties to the graph the build's sweep proved it on; the rest of the
-    validation battery of build_instance is not repeated.
+    The cube is read off the rebuilt graph's closed forms of the basis
+    pairs, which the digest ties to the graph the build's sweep proved them
+    on; the rest of the validation battery of build_instance is not
+    repeated, and no formula row past the basis pairs is formed.
     """
     target = cache_path(cache_dir, name, params)
     if not target.is_file():
@@ -177,5 +178,5 @@ def load_cache(
         exact_matmul(coords, centered[basis]) != exact_multiply(coords_den, centered)
     ).any():
         raise ConstructionError(f"{target} is stale: coords are not the points over the basis")
-    algebra = algebra_from_coords(g, formula_table(g), basis, coords_den, coords)
+    algebra = algebra_from_coords(g, basis, coords_den, coords)
     return InstanceBundle(g, sd, algebra, None)

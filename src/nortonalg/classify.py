@@ -25,9 +25,8 @@ depth rows are pairwise distinct, all C_m classes are singletons, proved
 with no tree enumerated.  When two rows agree (the zero operation, the
 A000975 branch) each tree is keyed by its depth sequence mapped through
 the rows, and when mu is unproved by its row of the table; the merges
-are then justified as above.  Certificates read their exact values off
-the signatures.  Values stay in int64 while binop's overflow bound
-allows and move to Python integers past it.
+are then justified as above.  Values stay in int64 while binop's
+overflow bound allows and move to Python integers past it.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ JUSTIFY_SIGNATURE = "signature-distinct"
 JUSTIFY_FINGERPRINT = "fingerprint-verified"
 JUSTIFY_THEOREM = "mod2-theorem"
 JUSTIFY_ZERO = "zero-operation"
-JUSTIFY_TESTED = "tested-assignments-only"
 
 
 def predicted_branch(family) -> str:
@@ -299,63 +297,6 @@ def count_norton_classes(
         groups.append(idxs)
         justifications.append(theorem)
     return _make_report(m, METHOD_PATTERN, groups, justifications)
-
-
-# ---------------------------------------------------------------------------
-# distinctness certificates
-
-
-@dataclass(frozen=True)
-class DistinctnessCertificate:
-    """A position r where the one-off evaluations of two trees differ."""
-
-    tree_a: object
-    tree_b: object
-    position: int
-    value_a: tuple
-    value_b: tuple
-
-
-@dataclass(frozen=True)
-class EquivalenceClaim:
-    """Two trees the one-off pattern could not separate, with the reason
-    the merge is believed (or merely not refuted)."""
-
-    tree_a: object
-    tree_b: object
-    justification: str
-
-
-def certify_distinct(alg: NortonAlgebra, tree_a, tree_b):
-    """One-off certificate that two trees induce different maps, if it exists.
-
-    Scans positions in increasing order and returns the first separating one
-    with both exact evaluation vectors, read off the two integer signatures
-    (entry r over s^(m+1) den^m); otherwise returns an equivalence
-    claim whose justification is the mod-2 criterion (A000975 branch), the
-    zero operation, or only the tested assignments.
-    """
-    if tree_a == tree_b:
-        raise ValueError("the two trees must be distinct")
-    if tree_a.internal_count != tree_b.internal_count:
-        raise ValueError("trees of different arity are not comparable")
-    m = tree_a.internal_count
-    sig_a = one_off_signature(alg, tree_a)
-    sig_b = one_off_signature(alg, tree_b)
-    for r in range(m + 1):
-        if sig_a[r] != sig_b[r]:
-            s = _one_off_proof(alg)[2]
-            scale = s ** (m + 1) * alg.operation.den ** m
-            value_a, value_b = (
-                tuple(Fraction(x, scale) for x in sig[r]) for sig in (sig_a, sig_b)
-            )
-            return DistinctnessCertificate(tree_a, tree_b, r, value_a, value_b)
-    why = _theorem_justification(
-        alg,
-        lambda: depth_sequence(tree_a).mod2() == depth_sequence(tree_b).mod2(),
-        "equal signatures on trees with different mod-2 depth sequences",
-    )
-    return EquivalenceClaim(tree_a, tree_b, why or JUSTIFY_TESTED)
 
 
 # ---------------------------------------------------------------------------

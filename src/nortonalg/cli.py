@@ -16,8 +16,11 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
+
+import numpy as np
 
 from .binop import DEFAULT_FINGERPRINT_BUDGET
 from .cache import default_cache_dir, load_cache, write_cache
@@ -33,7 +36,7 @@ from .instances import (
     family_key,
     parse_instance_spec,
 )
-from .norton import formula_table
+from .norton import _pair_blocks, formula_rows
 from .trees import DEFAULT_ENUMERATION_LIMIT as MAX_M
 
 EXIT_OK = 0
@@ -137,22 +140,23 @@ def cmd_spectrum(args):
 
 def cmd_product_table(args):
     bundle = _bundle(args, args.family, args.params)
-    table = formula_table(bundle.graph)
-    entries = [
-        (u, v, [(_label_str(w), frac_str(c)) for w, c in table.product(u, v).items()])
-        for u in table.labels
-        for v in table.labels
-    ]
+    g = bundle.graph
+    labels = [_label_str(x) for x in g.lattice.levels[1]]
+    s, entries = len(labels), []
+    # the ordered pairs row by row, one block of formula rows at a time
+    for u, v in _pair_blocks(g, *np.divmod(np.arange(s * s), s)):
+        clear, rows = formula_rows(g, u, v)
+        for a, b, row in zip(u, v, rows):
+            nonzero = np.flatnonzero(row)
+            terms = [(labels[w], frac_str(Fraction(int(row[w]), clear))) for w in nonzero]
+            entries.append((labels[a], labels[b], terms))
     payload = {
         "instance": bundle.label(),
-        "labels": [_label_str(x) for x in table.labels],
-        "products": [
-            {"u": _label_str(u), "v": _label_str(v), "terms": terms} for u, v, terms in entries
-        ],
+        "labels": labels,
+        "products": [{"u": u, "v": v, "terms": terms} for u, v, terms in entries],
     }
     rows = [["u", "v", "product"]] + [
-        [_label_str(u), _label_str(v), ";".join(f"{w}={c}" for w, c in terms)]
-        for u, v, terms in entries
+        [u, v, ";".join(f"{w}={c}" for w, c in terms)] for u, v, terms in entries
     ]
     return payload, rows, EXIT_OK
 

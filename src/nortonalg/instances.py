@@ -7,7 +7,7 @@ validation battery; the cache layer reconstructs bundles without it.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 from .errors import ConstructionError
@@ -125,10 +125,9 @@ def build_instance(
                 f"(multiplicity {sd.multiplicities[i]}) disagrees with the "
                 f"closed form {theta} (multiplicity {mult}) at index {i}"
             )
-    # one set of spanning vectors and oracle products serves both steps, and
-    # the cube is read off the formula table the sweep proved
+    # one set of spanning vectors serves both steps, and the cube is read
+    # off the formulas the sweep proved
     products = oracle_products(g, sd)
     report = verify_formula_vs_oracle(g, sd, products=products)
     algebra = structure_constants(g, sd, products=products, report=report)
-    # the bundle keeps the sweep's figures, not its s^3 table
-    return InstanceBundle(g, sd, algebra, replace(report, table=None))
+    return InstanceBundle(g, sd, algebra, report)

@@ -13,25 +13,27 @@ Q-polynomial schemes E_1 is affine in M M^T for the vertex-by-point
 incidence M (Delsarte 1973; Brouwer-Cohen-Neumaier 8.4, 9.1-9.4): den E_1
 = alpha J + beta M M^T, proved from the D+1 coefficients of E_1.  The
 spanning vectors exist only as integer rows, read off M by oracle_products
-(OracleProducts.of_rows takes any others), and the oracle products of all
-unordered pairs are one (pairs x n) @ (n x P) product (OracleProducts).
+(OracleProducts.of_rows takes any others), and the oracle products of any
+list of pairs are one (pairs x n) @ (n x P) product (OracleProducts).
 They lie in col(M), as does every vector E_1 fixes, and rank(M) vertices
 decide such a vector, so products are compared and solved there only.  The
-closed forms of all ordered pairs are one integer coefficient table
-(FormulaTable), read off M: every element below the lattice maximum is the
-meet of the vertices above it, so the vertices counted above two or three
-points decide every join the formulas name, and no lattice join is formed.
-The formula-versus-oracle sweep compares every ordered pair with
-denominators cleared, and the structure constants are read off the table it
-proved: one solve, of every point over the basis, then one product of the
-table with those coordinates (algebra_from_coords, which a cached algebra
-also goes through, with its stored coordinates).  Only the formulas depend
-on the family: the basis (the first dim V_1 independent points in lattice
-order) and the preferred pair with its line (one_off_pair) are read off
-the lattice by one rule for every family.  The arithmetic is exact: int64
-only where a bound proves that no sum can overflow, Python integers
-otherwise, and float64 only inside intlinalg, for integer products bounded
-below 2^53.
+closed form of each pair of points is one integer coefficient row over the
+points (formula_rows), read off M: every element below the lattice maximum
+is the meet of the vertices above it, so the vertices counted above two or
+three points decide every join the formulas name, and no lattice join is
+formed.  Every reader asks for the pairs it needs, a block of at most
+_BLOCK_CELLS cells at a time, so memory follows the block, not the point
+count.  The formula-versus-oracle sweep compares every unordered pair in
+both orders with denominators cleared, and the structure constants are read
+off the same formulas: one solve, of every point over the basis, then the
+formula rows of the basis pairs times those coordinates (algebra_from_coords,
+which a cached algebra also goes through, with its stored coordinates).
+Only the formulas depend on the family: the basis (the first dim V_1
+independent points in lattice order) and the preferred pair with its line
+(one_off_pair) are read off the lattice by one rule for every family.  The
+arithmetic is exact: int64 only where a bound proves that no sum can
+overflow, Python integers otherwise, and float64 only inside intlinalg, for
+integer products bounded below 2^53.
 """
 
 from __future__ import annotations
@@ -122,10 +124,8 @@ class OracleProducts:
 
     rows[i] = scale * vectors[i] is an integer row and den E_1 = alpha J +
     beta M M^T for the vertex-by-point incidence M, so E_1 maps into
-    col(M), whose vectors the rank(M) vertices cols decide.  The products
-    of all unordered pairs, products[pair[i, j]] = den * scale^2 times
-    E_1(x_i . x_j) at cols, are computed on first use for the formula
-    sweep, which also works at cols.  dim is dim V_1.
+    col(M), whose vectors the rank(M) vertices cols decide, and products
+    gives E_1(x_i . x_j) there for the pairs asked for.  dim is dim V_1.
     """
 
     labels: tuple
@@ -167,15 +167,6 @@ class OracleProducts:
         return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence, dim)
 
     @cached_property
-    def pair(self) -> np.ndarray:
-        """pair[i, j] == pair[j, i]: the row of products that holds i . j."""
-        s = len(self.labels)
-        i, j = np.triu_indices(s)
-        out = np.empty((s, s), dtype=np.intp)
-        out[i, j] = out[j, i] = np.arange(len(i))
-        return out
-
-    @cached_property
     def cols(self) -> np.ndarray:
         """rank(M) vertices with independent incidence rows, which decide
         every vector of col(M); every vertex unless E_1 fixes every row.
@@ -206,16 +197,16 @@ class OracleProducts:
         """fixed[i]: E_1 fixes vector i, which so lies in V_1 (one n x P check)."""
         return (self.apply(self.rows) == exact_multiply(self.den, self.rows)).all(axis=1)
 
-    @cached_property
-    def products(self) -> np.ndarray:
-        i, j = np.triu_indices(len(self.labels))
-        return self.apply(exact_multiply(self.rows[i], self.rows[j]), self.cols)
+    def products(self, first, second) -> np.ndarray:
+        """Row k: den * scale^2 E_1(x_i . x_j) at cols, for i = first[k]
+        and j = second[k]."""
+        return self.apply(exact_multiply(self.rows[first], self.rows[second]), self.cols)
 
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
 
         For vectors with no closed-form products (structure_constants reads
-        the family graphs' cube off the swept formula table instead).  basis
+        the family graphs' cube off the swept formula rows instead).  basis
         lists independent row indices.  Returns (den, coords, inside,
         operation): coords[i] / den is vector i over the basis where
         inside[i], else it leaves the span; operation is the product of
@@ -230,7 +221,7 @@ class OracleProducts:
         s, k = len(self.labels), len(basis)
         a, b = np.triu_indices(k)
         chosen = np.array(basis)
-        targets = np.concatenate([rows, self.products[self.pair[chosen[a], chosen[b]]]])
+        targets = np.concatenate([rows, self.products(chosen[a], chosen[b])])
         det, solved, inside = coordinates(rows[chosen], pivots, targets)
         if not inside[s:].all():
             x = int(np.argmin(inside[s:]))
@@ -272,43 +263,25 @@ def oracle_products(g: GraphInstance, spectral: SpectralData):
     return products
 
 
-def _triple_counts(incidence, first, second):
-    """Vertex counts above the point pairs (first[k], second[k]).
-
-    Returns (common, triple): common[k] counts the vertices above both
-    points, triple[k, w] those above both points and above point w.
-    """
-    both = incidence[:, first] * incidence[:, second]
-    return both.sum(axis=0), exact_matmul(both.T, incidence)
+# the most cells (pairs times max(vertices, points)) an array of one block holds
+_BLOCK_CELLS = 1 << 20
 
 
-@dataclass(eq=False)
-class FormulaTable:
-    """Closed-form products of all ordered pairs of spanning vectors.
-
-    The product of the rescaled vectors of points u and v expands as
-    sum_w coefficients[u, v, w] / clear times the rescaled vector of w, with
-    points indexed as labels (lattice level 1, the incidence columns).
-    """
-
-    labels: tuple
-    coefficients: np.ndarray
-    clear: int
-
-    @cached_property
-    def index(self) -> dict:
-        return {label: i for i, label in enumerate(self.labels)}
-
-    def product(self, u, v) -> dict:
-        """Label -> coefficient of the product of u and v; zeros are left out."""
-        row = self.coefficients[self.index[u], self.index[v]]
-        return {
-            self.labels[w]: Fraction(int(row[w]), self.clear) for w in np.flatnonzero(row)
-        }
+def _pair_blocks(g: GraphInstance, first, second):
+    """The pairs (first[k], second[k]) in consecutive blocks, each of at
+    most _BLOCK_CELLS // max(n, points) pairs, and at least one."""
+    step = max(1, _BLOCK_CELLS // max(g.incidence.shape))
+    for start in range(0, len(first), step):
+        yield first[start:start + step], second[start:start + step]
 
 
-def formula_table(g: GraphInstance) -> FormulaTable:
-    """The closed-form product of every ordered pair of points, in integers.
+def formula_rows(g: GraphInstance, u, v):
+    """The closed-form products of the point pairs (u[k], v[k]), in integers.
+
+    Returns (clear, rows): the product of the rescaled vectors of points
+    u[k] and v[k] is sum_w rows[k, w] / clear times the rescaled vector of
+    point w, with points indexed as g.lattice.levels[1] (the incidence
+    columns).
 
     u * u is u, or "diagonal" u for Hamming.  For u != v the product is
     c (u + v) (Johnson; zero when there is no c); c (u + v) plus b on every
@@ -342,41 +315,39 @@ def formula_table(g: GraphInstance) -> FormulaTable:
     clear = lcm(*(Fraction(con[name]).denominator for name in names))
     k = {name: int(con[name] * clear) for name in names}
     m = g.incidence
-    s = m.shape[1]
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
     # every entry is clear, one constant, or the sum of c and b
     dtype = np.int64 if fits_int64(clear + sum(abs(x) for x in k.values())) else object
-    table = np.zeros((s, s, s), dtype=dtype)
-    points = np.arange(s)
-    u, v = np.nonzero(~np.eye(s, dtype=bool))
-    common = overlap_counts(m.T)[u, v]
+    rows = np.zeros((len(u), m.shape[1]), dtype=dtype)
+    at, other = np.arange(len(u)), u != v
+    # both[k]: the vertices above u[k] and v[k], common[k] of them
+    above = m.T.astype(bool, order="C")
+    both = above[u] & above[v]
+    common = both.sum(axis=1)
+    same = at[~other]
     if isinstance(family, HammingFamily):
-        table[points, points, points] = k["diagonal"]
-        u, v = u[common == 0], v[common == 0]
-        table[u, v, u] = table[u, v, v] = k["adjacent"]
+        rows[same, u[same]] = k["diagonal"]
+        apart = at[other & (common == 0)]
+        rows[apart, u[apart]] = rows[apart, v[apart]] = k["adjacent"]
     elif names:
-        table[points, points, points] = clear
-        table[u, v, u] = table[u, v, v] = k["c"]
+        rows[at, u] = rows[at, v] = k["c"]
+        rows[same, u[same]] = clear
     if "b" in k:
-        # the b terms are symmetric in u and v; dual polar has them only
-        # where join(u, v) is a line
-        keep = (u < v) & (common > 0) if "b_prime" in k else u < v
-        u, v = u[keep], v[keep]
-        pair, triple = _triple_counts(m, u, v)
-        pair = pair[:, None]
+        # dual polar has the b terms only where join(u, v) is a line
+        keep = at[other & (common > 0)] if "b_prime" in k else at[other]
+        # triple[k, w]: the vertices above the pair and above point w
+        pair, triple = common[keep, None], exact_matmul(both[keep].astype(m.dtype), m)
         extra = (triple == pair).astype(dtype) * k["b"]
         if "b_prime" in k:
             extra += ((triple > 0) & (triple < pair)).astype(dtype) * k["b_prime"]
-        table[u, v] += extra
-        table[v, u] += extra
-    return FormulaTable(tuple(g.lattice.levels[1]), table, clear)
+        rows[keep] += extra
+    return clear, rows
 
 
 @dataclass(frozen=True)
 class FormulaOracleReport:
     pairs_checked: int
     max_discrepancy: Fraction
-    # the closed forms the sweep proved on every ordered pair of points
-    table: FormulaTable | None = field(default=None, compare=False, repr=False)
 
 
 def verify_formula_vs_oracle(
@@ -388,42 +359,44 @@ def verify_formula_vs_oracle(
     agreement; the report's max_discrepancy is always zero on return.  The
     oracle side is products (oracle_products(g, spectral) unless given: any
     OracleProducts labelled by the points in order, so rows that do not
-    match their labels fail the sweep), the formula side formula_table(g).
-    With the formula's coefficients cf_l cleared by L = table.clear, the
-    pair (u, v) agrees exactly when
+    match their labels fail the sweep), the formula side formula_rows.
+    With the formula's coefficients cf_l cleared by L = clear, the pair
+    (u, v) agrees exactly when
 
         L den E_1 (rows[u] . rows[v]) == den scale sum_l (L cf_l) rows[l],
 
-    one integer comparison for all pairs at the vertices products.cols.
-    The report carries the table it proved, for structure_constants.
+    one integer comparison per block of pairs at the vertices products.cols.
+    The oracle product of an unordered pair is formed once and compared
+    with the formula rows of both orders, so a formula wrong in one order
+    only is caught; each block's arrays are dropped before the next.
     """
     if products is None:
         products = oracle_products(g, spectral)
-    table = formula_table(g)
     labels = products.labels
-    if labels != table.labels:
+    if labels != tuple(g.lattice.levels[1]):
         raise ValueError(f"{g.label()}: spanning vectors must be the points, in order")
     s = len(labels)
-    clear = table.clear
-    coefficients = table.coefficients.reshape(s * s, s)
     rows, cleared = products.rows, products.den * products.scale
-    # row u * s + v holds the ordered pair (u, v)
-    oracle = exact_multiply(clear, products.products[products.pair.reshape(-1)])
-    formula = exact_multiply(cleared, exact_matmul(coefficients, rows[:, products.cols]))
-    bad = np.flatnonzero((oracle != formula).any(axis=1))
-    if bad.size:
-        # the discrepancy is taken over every vertex
-        row = int(bad[0])
-        u, v = divmod(row, s)
-        oracle = exact_multiply(clear, products.apply(exact_multiply(rows[u], rows[v])[None])[0])
-        formula = exact_multiply(cleared, exact_matmul(coefficients[row][None], rows)[0])
-        gap = max(abs(a - b) for a, b in zip(oracle.tolist(), formula.tolist()))
-        disc = Fraction(gap, clear * cleared * products.scale)
-        raise FormulaMismatchError(
-            f"{g.label()}: formula disagrees with oracle on "
-            f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
-        )
-    return FormulaOracleReport(s * s, Fraction(0), table)
+    at_cols = rows[:, products.cols]
+    for i, j in _pair_blocks(g, *np.triu_indices(s)):
+        oracle = products.products(i, j)
+        for first, second in ((i, j), (j, i)):
+            clear, coefficients = formula_rows(g, first, second)
+            formula = exact_multiply(cleared, exact_matmul(coefficients, at_cols))
+            bad = np.flatnonzero((exact_multiply(clear, oracle) != formula).any(axis=1))
+            if bad.size:
+                # the discrepancy is taken over every vertex
+                row = int(bad[0])
+                u, v = int(first[row]), int(second[row])
+                full = products.apply(exact_multiply(rows[u], rows[v])[None])[0]
+                want = exact_matmul(coefficients[row][None], rows)[0]
+                gap = exact_multiply(clear, full).astype(object) - exact_multiply(cleared, want)
+                disc = Fraction(abs_max(gap), clear * cleared * products.scale)
+                raise FormulaMismatchError(
+                    f"{g.label()}: formula disagrees with oracle on "
+                    f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
+                )
+    return FormulaOracleReport(s * s, Fraction(0))
 
 
 @dataclass(eq=False)
@@ -506,9 +479,9 @@ def one_off_pair(g: GraphInstance):
     points, m = g.lattice.levels[1], g.incidence
     first, second = np.nonzero(np.triu(overlap_counts(m.T) == 0, 1))
     i, j = (int(first[0]), int(second[0])) if first.size else (0, 1)
-    common, triple = _triple_counts(m, [i], [j])
-    below = np.flatnonzero(triple[0] == common[0])
-    line = tuple(points[w] for w in below) if common[0] and below.size > 2 else ()
+    both = m[:, i] * m[:, j]
+    below = np.flatnonzero(exact_matmul(both[None], m)[0] == both.sum())
+    line = tuple(points[w] for w in below) if both.any() and below.size > 2 else ()
     return (points[i], points[j]), line
 
 
@@ -524,16 +497,13 @@ def structure_constants(
     reads the cube off the closed forms the formula-versus-oracle sweep
     proved on every ordered pair of points.  report is that sweep's report
     over products (both shared with build_instance when given); without it
-    the sweep runs here first, so no unproved table is read.
+    the sweep runs here first, so no unproved formula is read.
     """
     if products is None:
         products = oracle_products(g, spectral)
     if report is None:
-        report = verify_formula_vs_oracle(g, spectral, products=products)
-    table = report.table
+        verify_formula_vs_oracle(g, spectral, products=products)
     labels = products.labels
-    if table is None or table.labels != labels:
-        raise ValueError(f"{g.label()}: the report holds no proved table for these points")
     dim = spectral.multiplicities[1]
     rows = products.rows[:, products.cols]
     chosen, pivots = independent_rows(rows, range(len(labels)), dim)
@@ -547,37 +517,39 @@ def structure_constants(
             f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
             f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
         )
-    return algebra_from_coords(g, table, chosen, coords_den, coords)
+    return algebra_from_coords(g, chosen, coords_den, coords)
 
 
-def algebra_from_coords(
-    g: GraphInstance, table: FormulaTable, basis, coords_den, coords
-) -> NortonAlgebra:
+def algebra_from_coords(g: GraphInstance, basis, coords_den, coords) -> NortonAlgebra:
     """The NortonAlgebra of g whose points have the given coordinates.
 
-    coords[p] / coords_den is point p (table.labels) over the basis points,
-    whose indices basis lists.  The cube is read off the closed forms of
-    table: with cf = table.coefficients over table.clear,
+    coords[p] / coords_den is point p (of g.lattice.levels[1]) over the
+    basis points, whose indices basis lists.  The cube is read off the
+    closed forms of the basis pairs alone, a block at a time: with
+    (clear, cf) = formula_rows(g, a, b),
 
-        C[a][b] = sum_w cf[a, b, w] coords[w] / (table.clear coords_den),
+        C[a][b] = C[b][a] = sum_w cf[w] coords[w] / (clear coords_den),
 
-    one product.  The cube must be commutative, and the preferred pair
-    (one_off_pair) independent whenever the product is nonzero.
-    structure_constants passes the table its sweep proved; load_cache
-    passes the stored coordinates, checked against the rebuilt incidence,
-    with formula_table of the rebuilt graph, so no cube is ever stored.
+    one product per block.  The preferred pair (one_off_pair) must be
+    independent whenever the product is nonzero.  structure_constants
+    passes the coordinates of its solve, after the sweep proved the
+    formulas in both orders; load_cache passes the stored coordinates,
+    checked against the rebuilt incidence, so no cube is ever stored.
     """
-    dim, labels = len(basis), table.labels
-    cf = table.coefficients[np.ix_(basis, basis)].reshape(dim * dim, len(labels))
-    cube = exact_matmul(cf, coords).reshape(dim, dim, dim)
-    op = BilinearOperation.from_int_table(table.clear * coords_den, cube)
-    if not op.is_commutative:
-        raise ConstructionError(f"{g.label()}: structure constants are not commutative")
+    points, dim = tuple(g.lattice.levels[1]), len(basis)
+    a, b = np.triu_indices(dim)
+    chosen, upper = np.asarray(basis, dtype=np.intp), []
+    for first, second in _pair_blocks(g, chosen[a], chosen[b]):
+        clear, cf = formula_rows(g, first, second)
+        upper.append(exact_matmul(cf, coords))
+    cube = np.empty((dim, dim, dim), dtype=object)
+    cube[a, b] = cube[b, a] = np.concatenate(upper)
+    op = BilinearOperation.from_int_table(clear * coords_den, cube)
     pair, line = one_off_pair(g)
     if not op.is_zero:
         # the pair is independent iff its coordinate rows are: a x b^T is
         # symmetric iff a and b are parallel
-        a, b = (coords[table.index[x]] for x in pair)
-        if np.array_equal(exact_multiply(a[:, None], b), exact_multiply(b[:, None], a)):
+        x, y = (coords[points.index(p)] for p in pair)
+        if np.array_equal(exact_multiply(x[:, None], y), exact_multiply(y[:, None], x)):
             raise ConstructionError(f"{g.label()}: preferred pair is dependent")
-    return NortonAlgebra(g.family, op, labels, tuple(basis), coords_den, coords, pair, line)
+    return NortonAlgebra(g.family, op, points, tuple(basis), coords_den, coords, pair, line)

@@ -21,12 +21,8 @@ from nortonalg.classify import (
     BRANCH_TOTALLY,
     JUSTIFY_FINGERPRINT,
     JUSTIFY_SIGNATURE,
-    JUSTIFY_TESTED,
     JUSTIFY_THEOREM,
     JUSTIFY_ZERO,
-    DistinctnessCertificate,
-    EquivalenceClaim,
-    certify_distinct,
     coefficient_table,
     count_norton_classes,
     d22_hamming_aligned_operation,
@@ -358,18 +354,6 @@ def test_pattern_collisions_split_by_fingerprint(algebra):
         count_norton_classes(fake, 3, strategy="pattern", budget=10)
 
 
-def test_certify_distinct_johnson_4_1(algebra):
-    alg = algebra("j41")
-    t_right, t_left = enumerate_trees(2)  # depths (1,2,2) and (2,2,1)
-    cert = certify_distinct(alg, t_left, t_right)
-    assert isinstance(cert, DistinctnessCertificate)
-    assert cert.position == 0
-    u, v = alg.one_off_vectors()
-    c = Fraction(-1, 2)
-    assert cert.value_a == tuple(c * c * a + (c + c * c) * b for a, b in zip(u, v))
-    assert cert.value_b == tuple(c * a + c * b for a, b in zip(u, v))
-
-
 def _halve_and_third(alg):
     """alg with its one-off pair scaled to u/2 and v/3, so that s = 6."""
     coords = dict(alg.label_coords)
@@ -381,74 +365,36 @@ def _halve_and_third(alg):
 @pytest.mark.parametrize("name", ["j41", "c22", "skew"])
 @pytest.mark.parametrize("scaled", [False, True], ids=["s1", "s6"])
 def test_certificate_values_are_exact_one_off_evaluations(algebra, name, scaled):
-    # values read off the integer signatures equal a direct Fraction
-    # evaluation at the separating position; skew takes the batched path
+    # entry r of a one-off signature, over s^(m+1) den^m, is a direct
+    # Fraction evaluation with u at position r and v elsewhere; skew takes
+    # the batched path
     alg = _custom_algebra(name, *SKEW) if name == "skew" else algebra(name)
     if scaled:
         alg = _halve_and_third(alg)
     assert (classify._depth_rows(alg, 4) is None) == (name == "skew")
     u, v = alg.one_off_vectors()
-    separated = 0
+    s = classify._one_off_proof(alg)[2]
+    assert s == (6 if scaled else 1)
     for m in range(1, 5):
+        scale = s ** (m + 1) * alg.operation.den ** m
         trees = enumerate_trees(m)
-        for a, tree_a in enumerate(trees):
-            for tree_b in trees[a + 1:]:
-                cert = certify_distinct(alg, tree_a, tree_b)
-                if not isinstance(cert, DistinctnessCertificate):
-                    continue
+        signatures = [one_off_signature(alg, t) for t in trees]
+        for tree, signature in zip(trees, signatures):
+            for r, entry in enumerate(signature):
                 args = [v] * (m + 1)
-                args[cert.position] = u
-                assert cert.value_a == binop.evaluate_parenthesization(
-                    alg.operation, tree_a, args
-                )
-                assert cert.value_b == binop.evaluate_parenthesization(
-                    alg.operation, tree_b, args
-                )
-                assert cert.value_a != cert.value_b
-                separated += 1
-    assert separated == 1 + 10 + 91  # every pair of distinct trees
-
-
-def test_certify_distinct_triangle(algebra):
-    alg = algebra("j31")
-    t_right, t_left = enumerate_trees(2)
-    cert = certify_distinct(alg, t_left, t_right)
-    assert cert.position == 0
-    u, v = alg.one_off_vectors()
-    assert cert.value_a == tuple(u)  # (-1)^2 u + 0 v
-    assert cert.value_b == tuple(-a - b for a, b in zip(u, v))
-
-
-def test_certify_equivalent_mod2(algebra):
-    alg = algebra("j31")
-    groups = {}
-    for t in enumerate_trees(4):
-        groups.setdefault(depth_sequence(t).mod2(), []).append(t)
-    pair = next(g for g in groups.values() if len(g) > 1)
-    claim = certify_distinct(alg, pair[0], pair[1])
-    assert isinstance(claim, EquivalenceClaim)
-    assert claim.justification == JUSTIFY_THEOREM
-
-
-def test_certify_zero_and_tested_claims(algebra):
-    t_right, t_left = enumerate_trees(2)
-    claim = certify_distinct(algebra("h22"), t_left, t_right)
-    assert claim.justification == JUSTIFY_ZERO
-    real = algebra("j52")
-    fake = dataclasses.replace(real, one_off=(real.one_off[0],) * 2)
-    claim = certify_distinct(fake, t_left, t_right)
-    assert claim.justification == JUSTIFY_TESTED
+                args[r] = u
+                want = binop.evaluate_parenthesization(alg.operation, tree, args)
+                assert tuple(Fraction(x, scale) for x in entry) == want
+        # every pair of distinct trees is separated
+        assert len(set(signatures)) == len(trees)
 
 
 def test_merges_without_a_prediction_fall_to_the_budget_and_tested_claims():
     # no theorem covers a family with no predicted branch: a merge past the
-    # fingerprint budget is a budget refusal, and a claim rests on the tests
+    # fingerprint budget is a budget refusal
     alg = _custom_algebra("triangular", *TRIANGULAR)
     with pytest.raises(BudgetExceededError):
         count_norton_classes(alg, 3, strategy="pattern", budget=10)
-    claim = certify_distinct(alg, *enumerate_trees(3)[:2])
-    assert isinstance(claim, EquivalenceClaim)
-    assert claim.justification == JUSTIFY_TESTED
 
 
 def test_a000975_merges_are_checked_against_the_mod2_criterion(algebra):
@@ -458,18 +404,6 @@ def test_a000975_merges_are_checked_against_the_mod2_criterion(algebra):
     fake = dataclasses.replace(real, one_off=(real.one_off[0],) * 2)
     with pytest.raises(ConstructionError, match="contradict the mod-2 criterion at m=4"):
         count_norton_classes(fake, 4, strategy="pattern", budget=10)
-    t_right, t_left = enumerate_trees(2)
-    with pytest.raises(ConstructionError, match="different mod-2 depth sequences"):
-        certify_distinct(fake, t_left, t_right)
-
-
-def test_certify_distinct_rejects_bad_inputs(algebra):
-    alg = algebra("j31")
-    t = enumerate_trees(2)[0]
-    with pytest.raises(ValueError):
-        certify_distinct(alg, t, t)
-    with pytest.raises(ValueError):
-        certify_distinct(alg, t, enumerate_trees(3)[0])
 
 
 def test_pattern_coefficients_johnson(algebra):

@@ -3,7 +3,7 @@
 The per-pair route, one dense E_1 apply per pair of spanning vectors, the
 closed-form product of each pair from lattice joins, and a Gauss-Jordan
 span solver for the structure constants, lives here as the reference the
-batched integer oracle and the incidence-read formula table are compared
+batched integer oracle and the incidence-read formula rows are compared
 against.  The dense E_j is built here too, from its D+1 coefficients and
 the distance matrix, as Fractions or as integer numerators over one
 denominator; the package itself never expands it.
@@ -11,7 +11,10 @@ denominator; the package itself never expands it.
 
 import dataclasses
 import itertools
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -44,7 +47,7 @@ from nortonalg.norton import (
     NortonAlgebra,
     OracleProducts,
     family_constants,
-    formula_table,
+    formula_rows,
     oracle_products,
     structure_constants,
     verify_formula_vs_oracle,
@@ -76,6 +79,14 @@ def products_of(g, sd, labels, vectors):
     """OracleProducts of labelled rational vectors, cleared to integer rows."""
     scale = lcm(*(Fraction(x).denominator for vec in vectors for x in vec))
     return OracleProducts.of_rows(g, sd, labels, integer_rows(vectors), scale)
+
+
+def formula_product(g, u, v):
+    """Label -> coefficient of the closed-form product of points u and v,
+    zeros left out, read off formula_rows."""
+    points = g.lattice.levels[1]
+    clear, rows = formula_rows(g, [points.index(u)], [points.index(v)])
+    return {points[w]: Fraction(int(rows[0, w]), clear) for w in np.flatnonzero(rows[0])}
 
 
 def dense_idempotent(g, sd, j):
@@ -197,16 +208,16 @@ def test_norton_oracle_triangle(bundle):
 
 
 def test_formula_product_johnson(bundle):
-    t52 = formula_table(bundle("j52")[0])
+    g52 = bundle("j52")[0]
     u, v = (1,), (2,)
-    assert t52.product(u, u) == {u: 1}
-    assert t52.product(u, v) == {
+    assert formula_product(g52, u, u) == {u: 1}
+    assert formula_product(g52, u, v) == {
         u: Fraction(-1, 3),
         v: Fraction(-1, 3),
     }
-    t42 = formula_table(bundle("j42")[0])
-    assert t42.product((1,), (2,)) == {}
-    assert t42.product((1,), (1,)) == {}
+    g42 = bundle("j42")[0]
+    assert formula_product(g42, (1,), (2,)) == {}
+    assert formula_product(g42, (1,), (1,)) == {}
 
 
 def test_formula_product_hamming(bundle):
@@ -214,13 +225,12 @@ def test_formula_product_hamming(bundle):
     same_pos = ((1, 0), (2, 0))
     diff_pos = ((1, 0), (0, 2))
     assert g.lattice.join(*same_pos) is TOP
-    table = formula_table(g)
-    assert table.product(*same_pos) == {
+    assert formula_product(g, *same_pos) == {
         same_pos[0]: Fraction(-1, 3),
         same_pos[1]: Fraction(-1, 3),
     }
-    assert table.product(*diff_pos) == {}
-    assert table.product((1, 0), (1, 0)) == {
+    assert formula_product(g, *diff_pos) == {}
+    assert formula_product(g, (1, 0), (1, 0)) == {
         (1, 0): Fraction(1, 3)
     }
 
@@ -229,7 +239,7 @@ def test_formula_product_grassmann_line_sum(bundle):
     g = bundle("g242")[0]
     points = g.lattice.levels[1]
     u, v = points[0], points[1]
-    out = formula_table(g).product(u, v)
+    out = formula_product(g, u, v)
     assert out[u] == Fraction(-1, 18)
     assert out[v] == Fraction(-1, 18)
     others = [lbl for lbl in out if lbl not in (u, v)]
@@ -247,8 +257,7 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is not TOP
     )
-    table = formula_table(g)
-    out = table.product(*coll)
+    out = formula_product(g, *coll)
     # c + b = 0 for D_2(2): the factors drop out, the third point survives
     assert len(out) == 1
     (w, cf), = out.items()
@@ -260,7 +269,7 @@ def test_formula_product_dual_polar_collinear(bundle):
         for v in points[i + 1:]
         if lat.join(u, v) is TOP
     )
-    assert table.product(*opp) == {opp[0]: -1, opp[1]: -1}
+    assert formula_product(g, *opp) == {opp[0]: -1, opp[1]: -1}
 
 
 def test_formula_matches_oracle_everywhere(bundle):
@@ -333,22 +342,20 @@ def test_wrong_formula_constant_fails_verification(bundle, monkeypatch, name, ke
 
 @pytest.mark.parametrize("which", ["first", "second"])
 def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
-    # the oracle product is symmetric, the formula need not be: a table
-    # wrong in one order only must still be caught
+    # the oracle product is symmetric, the formula need not be: formula
+    # rows wrong in one order only must still be caught
     g, sd = bundle("j52")
-    u, v = g.lattice.levels[1][:2]
-    bad = (u, v) if which == "first" else (v, u)
-    real = formula_table
+    points = g.lattice.levels[1]
+    a, b = (0, 1) if which == "first" else (1, 0)
+    real = formula_rows
 
-    def one_sided(graph):
-        table = real(graph)
-        a, b = table.index[bad[0]], table.index[bad[1]]
-        coefficients = table.coefficients.copy()
-        coefficients[a, b, a] *= 2
-        return dataclasses.replace(table, coefficients=coefficients)
+    def one_sided(graph, u, v):
+        clear, rows = real(graph, u, v)
+        rows[(np.asarray(u) == a) & (np.asarray(v) == b), a] *= 2
+        return clear, rows
 
-    monkeypatch.setattr(norton, "formula_table", one_sided)
-    with pytest.raises(FormulaMismatchError, match=re.escape(f"({bad[0]!r}, {bad[1]!r})")):
+    monkeypatch.setattr(norton, "formula_rows", one_sided)
+    with pytest.raises(FormulaMismatchError, match=re.escape(f"({points[a]!r}, {points[b]!r})")):
         verify_formula_vs_oracle(g, sd)
 
 
@@ -529,14 +536,15 @@ def test_oracle_rows_stay_int64(bundle, name):
     reference = OracleProducts.of_rows(
         g, sd, products.labels, products.rows.astype(object), products.scale
     )
-    assert np.array_equal(products.products, reference.products)
+    i, j = np.triu_indices(len(products.labels))
+    assert np.array_equal(products.products(i, j), reference.products(i, j))
     # rows of 2^31 times the entries: pairwise products pass 2^63 and must
     # leave int64 rather than wrap
     big = OracleProducts.of_rows(
         g, sd, products.labels, products.rows << 31, products.scale << 31
     )
     assert big.fixed.all()
-    assert np.array_equal(big.products, reference.products * (1 << 62))
+    assert np.array_equal(big.products(i, j), reference.products(i, j) * (1 << 62))
 
 
 def test_structure_constants_triangle(algebra):
@@ -586,11 +594,10 @@ def test_algebra_reproduces_formula_in_basis_coordinates(bundle, algebra):
         alg = algebra(name)
         op = alg.operation
         labels = list(g.lattice.levels[1])
-        table = formula_table(g)
         for u in labels:
             for v in labels:
                 got = op.apply(alg.label_coords[u], alg.label_coords[v])
-                expansion = table.product(u, v)
+                expansion = formula_product(g, u, v)
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():
                     for idx, x in enumerate(alg.label_coords[lbl]):
@@ -611,7 +618,6 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
         g.family, op, products.labels, tuple(chosen), den, coords, default.one_off
     )
     assert reversed_order.basis_labels != default.basis_labels
-    table = formula_table(g)
     # same algebra in different coordinates: products of the same labels
     # must expand identically over the respective label coordinates
     for u in g.lattice.levels[1]:
@@ -623,7 +629,7 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
                 reversed_order.label_coords[u], reversed_order.label_coords[v]
             )
             # compare by re-expanding both over the shared formula
-            expansion = table.product(u, v)
+            expansion = formula_product(g, u, v)
             for alg, got in ((default, a), (reversed_order, b)):
                 want = [Fraction(0)] * alg.dim
                 for lbl, cf in expansion.items():
@@ -924,24 +930,26 @@ def test_basis_and_pair_match_the_rank_and_join_references(name):
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES + tuple(TABLE_EXTRA_BUILDERS))
 def test_formula_table_matches_lattice_join_reference(bundle, name):
+    # the formula rows of every ordered pair, asked for all at once
     g = TABLE_EXTRA_BUILDERS[name]() if name in TABLE_EXTRA_BUILDERS else bundle(name)[0]
-    table = formula_table(g)
     points = g.lattice.levels[1]
-    assert table.labels == points
+    s = len(points)
+    clear, rows = formula_rows(g, *np.divmod(np.arange(s * s), s))
+    assert rows.shape == (s * s, s)
     dropped = False
-    for u in points:
-        for v in points:
-            want = reference_formula_product(g.family, g.lattice, u, v)
-            assert table.product(u, v) == want, (u, v)
-            dropped |= u != v and bool(want) and u not in want
+    for (u, v), row in zip(itertools.product(points, repeat=2), rows):
+        want = reference_formula_product(g.family, g.lattice, u, v)
+        got = {points[w]: Fraction(int(row[w]), clear) for w in np.flatnonzero(row)}
+        assert got == want, (u, v)
+        dropped |= u != v and bool(want) and u not in want
     # D_2(2): c + b = 0, so collinear factors drop out of their own product
     assert dropped == (name == "d22")
 
 
 @pytest.mark.parametrize("name", ["g242", "c22"])
 def test_formula_table_leaves_int64_for_huge_constants(bundle, monkeypatch, name):
-    # b off by 2^-70: the cleared constants pass 2^63, so the table holds
-    # Python ints, and the sweep still sees the wrong constant
+    # b off by 2^-70: the cleared constants pass 2^63, so the formula rows
+    # hold Python ints, and the sweep still sees the wrong constant
     g, sd = bundle(name)
     products = oracle_products(g, sd)
     real = family_constants
@@ -951,14 +959,74 @@ def test_formula_table_leaves_int64_for_huge_constants(bundle, monkeypatch, name
         return {**con, "b": con["b"] + Fraction(1, 2**70)}
 
     monkeypatch.setattr(norton, "family_constants", huge)
-    table = formula_table(g)
-    assert table.coefficients.dtype == object
     points = g.lattice.levels[1]
+    assert formula_rows(g, [0], [1])[1].dtype == object
     for u in points:
         for v in points:
-            assert table.product(u, v) == reference_formula_product(g.family, g.lattice, u, v)
+            want = reference_formula_product(g.family, g.lattice, u, v)
+            assert formula_product(g, u, v) == want
     with pytest.raises(FormulaMismatchError):
         verify_formula_vs_oracle(g, sd, products=products)
+
+
+@pytest.mark.parametrize("name", CONFTEST_INSTANCES)
+def test_formula_rows_are_symmetric(bundle, name):
+    g = bundle(name)[0]
+    s = len(g.lattice.levels[1])
+    u, v = np.divmod(np.arange(s * s), s)
+    clear, rows = formula_rows(g, u, v)
+    swapped = formula_rows(g, v, u)
+    assert swapped[0] == clear and np.array_equal(swapped[1], rows)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_sweep_and_assembly_across_block_boundaries(bundle, algebra, monkeypatch, per_block):
+    # blocks of one to three pairs give the report and the algebra of one
+    # block, and a defect on the last pair the sweep reaches is caught
+    g, sd = bundle("d32")
+    whole, want = verify_formula_vs_oracle(g, sd), algebra("d32").operation
+    monkeypatch.setattr(norton, "_BLOCK_CELLS", per_block * max(g.incidence.shape))
+    sizes, real = set(), formula_rows
+
+    def recorded(graph, u, v):
+        sizes.add(len(u))
+        return real(graph, u, v)
+
+    monkeypatch.setattr(norton, "formula_rows", recorded)
+    assert verify_formula_vs_oracle(g, sd) == whole
+    got = structure_constants(g, sd).operation
+    assert got.den == want.den and np.array_equal(got.flat, want.flat)
+    assert max(sizes) == per_block
+    last = len(g.lattice.levels[1]) - 1
+
+    def wrong_last(graph, u, v):
+        clear, rows = real(graph, u, v)
+        rows[(np.asarray(u) == last) & (np.asarray(v) == last), last] += 1
+        return clear, rows
+
+    monkeypatch.setattr(norton, "formula_rows", wrong_last)
+    point = g.lattice.levels[1][last]
+    with pytest.raises(FormulaMismatchError, match=re.escape(f"on ({point!r}, {point!r})")):
+        verify_formula_vs_oracle(g, sd)
+
+
+def test_build_memory_follows_the_block_not_the_point_count():
+    # D_2(17) has 36 vertices but 324 points, so a points^3 int64 table
+    # alone would take 272 MB.  The child reads its own peak RSS (KiB on
+    # Linux), which no other test's subprocess can raise; one BLAS thread
+    # keeps the figure independent of the core count.
+    script = (
+        "import resource\n"
+        "from nortonalg.instances import build_instance\n"
+        "build_instance('dualpolar', ('D', 2, 17))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 256 * 1024
 
 
 @pytest.mark.parametrize("name", ["g242", "h23", "c22", "d32"])
@@ -1020,12 +1088,12 @@ def test_build_echelons_twice_in_machine_integers(monkeypatch, name):
     built = instances.build_instance(*CONFTEST_SPECS[name])
     assert len(echelons) == 2
     assert dtypes == {np.dtype(np.int64)}
-    assert built.formula_report.table is None
+    assert built.formula_report.pairs_checked == len(built.algebra.points) ** 2
 
 
 def expand_route(g, sd):
     """The algebra by re-expanding every product of basis points: k(k+1)/2
-    oracle products solved over the basis, not read off the formula table."""
+    oracle products solved over the basis, not read off the formula rows."""
     products = oracle_products(g, sd)
     rows = products.rows[:, products.cols]
     chosen, _ = independent_rows(rows, range(len(products.labels)), sd.multiplicities[1])
