@@ -27,14 +27,17 @@ A000975 branch) each tree is keyed by its depth sequence mapped through
 the rows, and when mu is unproved by its row of the table; the merges
 are then justified as above.  Values stay in int64 while binop's
 overflow bound allows and move to Python integers past it.
+
+The lemma's closed forms are checked against one integer chain of left
+combs (_lemma_chain), so every one-off value comes from the tree table or
+a depth chain, and Fractions appear only in the coefficients returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm
+from math import gcd
 
 import numpy as np
 
@@ -44,17 +47,14 @@ from .binop import (
     BilinearOperation,
     EquivalenceReport,
     _check_probe_budget,
-    _evaluate_rows,
     _group,
     _int_product,
     _make_report,
     _probe_cells,
-    _scaled_rows,
     _tree_table,
     a000975_value,
     count_classes_exact,
     double_minus_classes,
-    evaluate_parenthesization,
 )
 from .errors import ConstructionError
 from .graphs import (
@@ -67,13 +67,7 @@ from .graphs import (
 from .intlinalg import abs_max, fits_int64
 from .norton import NortonAlgebra, OracleProducts, family_constants
 from .spectral import SpectralData
-from .trees import (
-    catalan,
-    depth_sequence,
-    depth_tuples,
-    enumerate_trees,
-    left_comb,
-)
+from .trees import catalan, depth_tuples, enumerate_trees
 
 BRANCH_ASSOCIATIVE = "associative"
 BRANCH_A000975 = "a000975"
@@ -183,23 +177,6 @@ def _one_off_signatures(op: BilinearOperation, pair, m: int):
     """(C_m, m+1, p): [i, r] is den^m times enumerate_trees(m)[i] with u at
     leaf r and v elsewhere, the tree table on the one-off layout."""
     return _tree_table(op, _one_off_leaves(pair, m), {})
-
-
-def one_off_signature(alg: NortonAlgebra, t) -> tuple:
-    """Exact (integer-scaled) results of every one-off assignment through t.
-
-    Entry r is the evaluation with the first preferred vector at position r
-    and the second everywhere else, times s**(m+1) * den**m (s clears the
-    pair's denominators).  Signatures of trees of equal arity are
-    comparable; distinct signatures certify distinct parenthesizations.
-    Read off the leaf depths when _depth_rows proves they decide it, and
-    otherwise from one batched evaluation of t on the one-off layout.
-    """
-    rows = _depth_rows(alg, t.internal_count)
-    if rows is None:
-        leaves = _one_off_leaves(_one_off_proof(alg)[0], t.internal_count)
-        return tuple(map(tuple, _evaluate_rows(alg.operation, t, leaves).tolist()))
-    return tuple(rows[h] for h in depth_sequence(t))
 
 
 def _theorem_justification(alg: NortonAlgebra, holds, failure: str):
@@ -328,27 +305,30 @@ class CoefficientTable:
         return self.rows[h - 1]
 
 
-def _lemma_pair(alg: NortonAlgebra):
-    """The pair of vectors the coefficient lemma is stated for.
+def _lemma_chain(alg: NortonAlgebra, h_max: int):
+    """(s, rows, chain): the lemma pair u, v and its left combs in integers.
 
-    Matches the preferred pair except over Hamming, where the single
-    nonblank coordinate behaves like a smaller complete-graph instance only
-    after rescaling by e/(e-2).
+    rows is s times u, v and the sum of the points on the pair's line (zero
+    when it has none), int64 when it fits.  u, v are the preferred pair over
+    "diagonal" (u * u = diagonal u; Hamming only, else 1), so v * v = v.
+    chain[h] = s^(h+1) den^h times the left comb of depth h on u, v, by the
+    recurrence of _depth_rows: chain[h+1] = den (chain[h] * s v).
     """
-    u, v = alg.one_off_vectors()
-    if isinstance(alg.family, HammingFamily):
-        e = alg.family.e
-        if e == 2:
-            raise ValueError("zero product: no coefficient lemma")
-        s = Fraction(e, e - 2)
-        return tuple(s * x for x in u), tuple(s * x for x in v)
-    return u, v
-
-
-def _line_sum(alg: NortonAlgebra):
-    """The sum of the points on the pair's line (Grassmann), zero when it has none."""
-    rows = alg.coords[[alg.points.index(w) for w in alg.one_off_line]]
-    return tuple(Fraction(x, alg.coords_den) for x in rows.sum(axis=0).tolist())
+    con = family_constants(alg.family)
+    if con.get("zero_product"):
+        raise ValueError("zero product: no coefficient lemma")
+    scale = 1 / Fraction(con.get("diagonal", 1))
+    pair = alg.coords[[alg.points.index(w) for w in alg.one_off]] * scale.numerator
+    line = alg.coords[[alg.points.index(w) for w in alg.one_off_line]].sum(axis=0)
+    rows = np.vstack([pair, line * scale.denominator])
+    den = alg.coords_den * scale.denominator
+    unit = gcd(den, *rows.ravel().tolist())
+    s, rows = den // unit, rows // unit
+    rows = rows.astype(np.int64) if fits_int64(abs_max(rows)) else rows
+    chain = [rows[:1]]
+    for _ in range(h_max):
+        chain.append(_int_product(alg.operation, chain[-1], rows[1:2]))
+    return s, rows, chain
 
 
 def pattern_coefficients(alg: NortonAlgebra, h: int) -> CoefficientRow:
@@ -357,40 +337,35 @@ def pattern_coefficients(alg: NortonAlgebra, h: int) -> CoefficientRow:
     alpha(h) = c^h always; beta(h) = c + ... + c^h except over Grassmann,
     where beta has no closed form and is measured from the evaluation while
     gamma(h) = ((qb+c)^h - c^h)/q is checked against it.  The cross-check
-    evaluates the left comb of depth h with the lemma pair and demands exact
-    agreement.
+    demands exact agreement with the left comb of depth h on the lemma
+    pair, chain[h] of _lemma_chain, in integers.
     """
     if h < 1:
         raise ValueError("depth must be at least 1")
+    s, rows, chain = _lemma_chain(alg, h)
+    u, v, line = rows.astype(object)
+    direct = chain[h][0].astype(object)
+    k = (s * alg.operation.den) ** h
     con = family_constants(alg.family)
-    if con.get("zero_product"):
-        raise ValueError("zero product: no coefficient lemma")
     c = con["c"]
-    u, v = _lemma_pair(alg)
-    direct = evaluate_parenthesization(
-        alg.operation, left_comb(h), [u] + [v] * h
-    )
     alpha = c ** h
     if isinstance(alg.family, GrassmannFamily):
         q = alg.family.q
-        b = con["b"]
-        gamma = ((q * b + c) ** h - c ** h) / q
-        line = _line_sum(alg)
-        residual = [
-            x - alpha * uu - gamma * ll for x, uu, ll in zip(direct, u, line)
-        ]
-        beta = next(
-            (r / vv for r, vv in zip(residual, v) if vv), Fraction(0)
-        )
-        if any(r != beta * vv for r, vv in zip(residual, v)):
+        gamma = ((q * con["b"] + c) ** h - c ** h) / q
+        d = alpha.denominator * gamma.denominator
+        # d k beta v, if the lemma holds
+        residual = d * direct - k * (int(d * alpha) * u + int(d * gamma) * line)
+        lead = np.flatnonzero(v)
+        beta = Fraction(residual[lead[0]], d * k * v[lead[0]]) if lead.size else Fraction(0)
+        if (residual * beta.denominator != beta.numerator * d * k * v).any():
             raise ConstructionError(
                 f"{alg.label()}: one-off residual at depth {h} is not a "
                 "multiple of the second lemma vector"
             )
         return CoefficientRow(h, alpha, beta, gamma)
     beta = sum(c ** j for j in range(1, h + 1))
-    expected = tuple(alpha * uu + beta * vv for uu, vv in zip(u, v))
-    if direct != expected:
+    d = alpha.denominator * beta.denominator
+    if (d * direct != k * (int(d * alpha) * u + int(d * beta) * v)).any():
         raise ConstructionError(
             f"{alg.label()}: depth-{h} one-off evaluation disagrees with "
             "the closed form"
@@ -414,49 +389,29 @@ def coefficient_table(alg: NortonAlgebra, h_max: int) -> CoefficientTable:
 def verify_pattern_lemma(alg: NortonAlgebra, m_max: int) -> int:
     """Check the coefficient lemma on every tree and position up to m_max.
 
-    For each tree t and position r, the one-off evaluation must equal the
-    closed-form row at depth d_r(t) (with the measured beta over Grassmann,
-    which simultaneously confirms beta depends only on the depth).  Each
-    arity's one-off table on the scaled lemma pair is compared in integers
-    with the closed-form rows gathered by depth, and the first failure in
-    enumeration order is reported.  Returns the number of identities checked.
+    v * v = v on the lemma pair makes every all-v sibling a single v, so
+    with u at depth h every tree's one-off value is the left comb of depth
+    h.  Each arity's one-off table is compared in integers with the chain
+    rows of _lemma_chain gathered by leaf depth, scaled by (s den)^(m-h), and
+    the first failure in enumeration order is reported; then the closed
+    form at depth m is checked.  Returns the number of identities checked.
     """
-    u, v = _lemma_pair(alg)
+    s, rows, chain = _lemma_chain(alg, m_max)
     op = alg.operation
-    s, pair = _scaled_rows((u, v))
-    line = _line_sum(alg)
-
-    @cache
-    def closed_form(h):
-        """(numerators, denominator) of the closed-form row at depth h; when
-        pattern_coefficients' own cross-check fails, ones over 0, which no
-        value matches."""
-        try:
-            row = pattern_coefficients(alg, h)
-        except ConstructionError:
-            return [1] * len(u), 0
-        gamma = row.gamma or 0  # None outside Grassmann
-        value = [row.alpha * a + row.beta * b + gamma * c for a, b, c in zip(u, v, line)]
-        den = lcm(*(x.denominator for x in value))
-        return [int(x * den) for x in value], den
-
+    scale = s * op.den
     checked = 0
     for m in range(1, m_max + 1):
-        nums, dens = zip(*map(closed_form, range(1, m + 1)))
-        at = np.array(depth_tuples(m)) - 1  # each leaf's depth, as an index
-        # value * d == s^(m+1) den^m * num at every leaf, num / d its row
-        want = np.array(nums, dtype=object)[at] * (s ** (m + 1) * op.den ** m)
-        dens = np.array(dens, dtype=object)[at][..., None]
-        bad = (_one_off_signatures(op, pair, m) * dens != want).any(axis=-1)
+        at = np.array(depth_tuples(m))  # each leaf's depth
+        want = np.array([chain[h][0].astype(object) * scale ** (m - h) for h in range(m + 1)])
+        bad = (_one_off_signatures(op, rows[:2], m) != want[at]).any(axis=-1)
         if bad.any():
             i, r = np.argwhere(bad)[0].tolist()
-            h = int(at[i, r]) + 1
-            pattern_coefficients(alg, h)  # raises if its own cross-check failed
             raise ConstructionError(
                 f"{alg.label()}: lemma fails on tree {enumerate_trees(m)[i]!r} at "
-                f"position {r} (depth {h})"
+                f"position {r} (depth {at[i, r]})"
             )
         checked += bad.size
+        pattern_coefficients(alg, m)
     return checked
 
 

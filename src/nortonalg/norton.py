@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -268,11 +268,13 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _pair_blocks(g: GraphInstance, first, second):
-    """The pairs (first[k], second[k]) in consecutive blocks, each of at
-    most _BLOCK_CELLS // max(n, points) pairs, and at least one."""
-    step = max(1, _BLOCK_CELLS // max(g.incidence.shape))
-    for start in range(0, len(first), step):
-        yield first[start:start + step], second[start:start + step]
+    """The pairs (first[..., k], second[..., k]) in consecutive blocks of
+    columns k, each of at most _BLOCK_CELLS // max(n, points) pairs in all,
+    and at least one column."""
+    *lead, count = first.shape
+    step = max(1, _BLOCK_CELLS // (max(g.incidence.shape) * prod(lead)))
+    for start in range(0, count, step):
+        yield first[..., start:start + step], second[..., start:start + step]
 
 
 def formula_rows(g: GraphInstance, u, v):
@@ -368,7 +370,8 @@ def verify_formula_vs_oracle(
     one integer comparison per block of pairs at the vertices products.cols.
     The oracle product of an unordered pair is formed once and compared
     with the formula rows of both orders, so a formula wrong in one order
-    only is caught; each block's arrays are dropped before the next.
+    only is caught: one formula_rows call per block, on (i, j) then (j, i),
+    reported in that order.  Each block's arrays are dropped before the next.
     """
     if products is None:
         products = oracle_products(g, spectral)
@@ -378,24 +381,26 @@ def verify_formula_vs_oracle(
     s = len(labels)
     rows, cleared = products.rows, products.den * products.scale
     at_cols = rows[:, products.cols]
-    for i, j in _pair_blocks(g, *np.triu_indices(s)):
-        oracle = products.products(i, j)
-        for first, second in ((i, j), (j, i)):
-            clear, coefficients = formula_rows(g, first, second)
-            formula = exact_multiply(cleared, exact_matmul(coefficients, at_cols))
-            bad = np.flatnonzero((exact_multiply(clear, oracle) != formula).any(axis=1))
-            if bad.size:
-                # the discrepancy is taken over every vertex
-                row = int(bad[0])
-                u, v = int(first[row]), int(second[row])
-                full = products.apply(exact_multiply(rows[u], rows[v])[None])[0]
-                want = exact_matmul(coefficients[row][None], rows)[0]
-                gap = exact_multiply(clear, full).astype(object) - exact_multiply(cleared, want)
-                disc = Fraction(abs_max(gap), clear * cleared * products.scale)
-                raise FormulaMismatchError(
-                    f"{g.label()}: formula disagrees with oracle on "
-                    f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
-                )
+    i, j = np.triu_indices(s)
+    for first, second in _pair_blocks(g, np.stack([i, j]), np.stack([j, i])):
+        oracle = products.products(first[0], second[0])
+        first, second = first.ravel(), second.ravel()
+        clear, coefficients = formula_rows(g, first, second)
+        formula = exact_multiply(cleared, exact_matmul(coefficients, at_cols))
+        mismatch = exact_multiply(clear, oracle) != formula.reshape(2, *oracle.shape)
+        bad = np.flatnonzero(mismatch.any(axis=2))
+        if bad.size:
+            # the discrepancy is taken over every vertex
+            row = int(bad[0])
+            u, v = int(first[row]), int(second[row])
+            full = products.apply(exact_multiply(rows[u], rows[v])[None])[0]
+            want = exact_matmul(coefficients[row][None], rows)[0]
+            gap = exact_multiply(clear, full).astype(object) - exact_multiply(cleared, want)
+            disc = Fraction(abs_max(gap), clear * cleared * products.scale)
+            raise FormulaMismatchError(
+                f"{g.label()}: formula disagrees with oracle on "
+                f"({labels[u]!r}, {labels[v]!r}), max discrepancy {disc}"
+            )
     return FormulaOracleReport(s * s, Fraction(0))
 
 
@@ -450,9 +455,6 @@ class NortonAlgebra:
     def label_coords(self) -> dict:
         rows = (tuple(Fraction(x, self.coords_den) for x in r) for r in self.coords.tolist())
         return dict(zip(self.points, rows))
-
-    def one_off_vectors(self):
-        return tuple(self.label_coords[x] for x in self.one_off)
 
     def one_off_rows(self):
         """(s, rows): the preferred pair times the lcm s of its denominators,

@@ -27,17 +27,16 @@ from nortonalg.classify import (
     count_norton_classes,
     d22_hamming_aligned_operation,
     expected_class_count,
-    one_off_signature,
     pattern_coefficients,
     predicted_branch,
     verify_classification,
     verify_pattern_lemma,
 )
 from nortonalg.errors import BudgetExceededError, ConstructionError
-from nortonalg.graphs import CustomFamily, JohnsonFamily
+from nortonalg.graphs import CustomFamily, HammingFamily, JohnsonFamily
 from nortonalg.instances import build_instance
 from nortonalg.norton import NortonAlgebra
-from nortonalg.trees import catalan, depth_sequence, enumerate_trees, left_comb
+from nortonalg.trees import catalan, depth_sequence, depth_tuples, enumerate_trees, left_comb
 from conftest import run_optimized
 
 
@@ -83,8 +82,10 @@ def test_one_off_signature_separates_association_orders(algebra):
     alg = algebra("j52")
     t_right, t_left = enumerate_trees(2)
     assert depth_sequence(t_right) != depth_sequence(t_left)
-    assert one_off_signature(alg, t_right) != one_off_signature(alg, t_left)
-    assert one_off_signature(alg, t_right) == one_off_signature(alg, t_right)
+    right, left = classify._one_off_signatures(alg.operation, classify._one_off_proof(alg)[0], 2)
+    assert not np.array_equal(right, left)
+    rows = classify._depth_rows(alg, 2)
+    assert [list(rows[h]) for h in depth_sequence(t_right)] == right.tolist()
 
 
 CONFTEST_INSTANCES = (
@@ -107,7 +108,6 @@ def test_depth_rows_match_subtree_recursion(algebra, name):
         for t, sig in zip(trees, batched):
             want = tuple(map(tuple, sig))
             assert tuple(rows[h] for h in depth_sequence(t)) == want, (name, t)
-            assert one_off_signature(alg, t) == want
 
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
@@ -153,10 +153,15 @@ def _custom_algebra(name, cube, u, v):
     return NortonAlgebra.of_fractions(CustomFamily(name), op, {"u": u, "v": v}, ("u", "v"))
 
 
+def _pair_fractions(alg):
+    """The preferred pair as Fraction coordinate tuples."""
+    return tuple(alg.label_coords[x] for x in alg.one_off)
+
+
 def _exact_signature(alg, t):
-    """one_off_signature from exact Fraction evaluation, scaled to integers."""
+    """t's one-off signature from exact Fraction evaluation, scaled to integers."""
     m = t.internal_count
-    u, v = alg.one_off_vectors()
+    u, v = _pair_fractions(alg)
     s = lcm(*(Fraction(x).denominator for x in (*u, *v)))
     scale = s ** (m + 1) * alg.operation.den ** m
     out = []
@@ -191,8 +196,9 @@ def test_unproved_depth_rows_fall_back_to_subtrees(name, spec, counts, fingerpri
     for m, want in enumerate(counts):
         assert classify._depth_rows(alg, m) is None
         if m <= 5:
-            for t in enumerate_trees(m):
-                assert one_off_signature(alg, t) == _exact_signature(alg, t), t
+            table = classify._one_off_signatures(alg.operation, classify._one_off_proof(alg)[0], m)
+            for t, sig in zip(enumerate_trees(m), table.tolist()):
+                assert tuple(map(tuple, sig)) == _exact_signature(alg, t), t
         rep = count_norton_classes(alg, m, strategy="pattern")
         assert rep.class_count == want
         assert rep.classes == count_norton_classes(alg, m, strategy="tensor").classes
@@ -239,8 +245,7 @@ def test_one_off_proof_is_made_once_per_algebra(algebra, monkeypatch, spec):
     real = NortonAlgebra.one_off_rows
     monkeypatch.setattr(NortonAlgebra, "one_off_rows", lambda a: calls.append(a) or real(a))
     for m in range(6):
-        for t in enumerate_trees(m):
-            one_off_signature(alg, t)
+        classify._depth_rows(alg, m)
         count_norton_classes(alg, m, strategy="pattern")
     assert len(calls) == 1
     assert (alg.one_off_proof[1] is None) == (spec is not None)
@@ -372,13 +377,17 @@ def test_certificate_values_are_exact_one_off_evaluations(algebra, name, scaled)
     if scaled:
         alg = _halve_and_third(alg)
     assert (classify._depth_rows(alg, 4) is None) == (name == "skew")
-    u, v = alg.one_off_vectors()
-    s = classify._one_off_proof(alg)[2]
+    u, v = _pair_fractions(alg)
+    pair, _, s = classify._one_off_proof(alg)
     assert s == (6 if scaled else 1)
     for m in range(1, 5):
         scale = s ** (m + 1) * alg.operation.den ** m
         trees = enumerate_trees(m)
-        signatures = [one_off_signature(alg, t) for t in trees]
+        table = classify._one_off_signatures(alg.operation, pair, m).tolist()
+        signatures = [tuple(map(tuple, sig)) for sig in table]
+        rows = classify._depth_rows(alg, m)
+        if rows is not None:
+            assert [tuple(rows[h] for h in d) for d in depth_tuples(m)] == signatures
         for tree, signature in zip(trees, signatures):
             for r, entry in enumerate(signature):
                 args = [v] * (m + 1)
@@ -430,13 +439,42 @@ def test_pattern_coefficients_grassmann(algebra):
 
 
 def test_pattern_coefficients_validate_against_left_comb(algebra):
-    # the constructor itself cross-checks every row against a direct
-    # evaluation; surviving h = 1..10 is the assertion
+    # an independent Fraction reference: the left comb of depth h on the
+    # lemma pair, lambda u and lambda v with lambda = e/(e-2) over Hamming
+    # and 1 elsewhere, is alpha lambda u + beta lambda v + gamma line
+    for name in ("j31", "j41", "j52", "h23", "h14", "d22", "c22", "g242"):
+        alg = algebra(name)
+        fam = alg.family
+        lam = Fraction(fam.e, fam.e - 2) if isinstance(fam, HammingFamily) else 1
+        u, v = (tuple(lam * x for x in w) for w in _pair_fractions(alg))
+        points = [alg.label_coords[w] for w in alg.one_off_line]
+        line = [sum(col) for col in zip(*points)] or [0] * alg.dim
+        for h in range(1, 7):
+            row = pattern_coefficients(alg, h)
+            gamma = row.gamma or 0
+            want = tuple(row.alpha * a + row.beta * b + gamma * c for a, b, c in zip(u, v, line))
+            got = binop.evaluate_parenthesization(alg.operation, left_comb(h), [u] + [v] * h)
+            assert got == want, (name, h)
     for name in ("j52", "h23", "h14", "d22", "c22", "g242"):
         table = coefficient_table(algebra(name), 10)
         assert len(table.rows) == 10
         assert table.row(7).h == 7
         assert table.c == table.rows[0].alpha
+
+
+def test_lemma_rescale_comes_from_family_constants(algebra, monkeypatch):
+    # over Hamming the lemma pair is the preferred pair over "diagonal";
+    # without it v * v = v fails and so does the lemma
+    alg = algebra("h23")
+    assert verify_pattern_lemma(alg, 3) == 2 + 6 + 20
+    real = classify.family_constants
+    monkeypatch.setattr(
+        classify,
+        "family_constants",
+        lambda family: {k: x for k, x in real(family).items() if k != "diagonal"},
+    )
+    with pytest.raises(ConstructionError):
+        verify_pattern_lemma(alg, 3)
 
 
 def test_coefficient_table_rows_are_depths_one_to_h_max(algebra):
@@ -482,7 +520,7 @@ def test_lemma_check_catches_a_perturbed_square(algebra, name):
     # comb behind the closed form still agrees; the first tree that squares
     # v, u * (v * v), must fail
     alg = algebra(name)
-    u, v = alg.one_off_vectors()
+    u, v = _pair_fractions(alg)
     assert sum(map(abs, v)) == 1  # v is a basis vector e_j
     j = v.index(1)
     cube = [[list(row) for row in plane] for plane in alg.operation.constants]
@@ -503,7 +541,7 @@ def test_lemma_check_reports_a_failed_closed_form_first(algebra, name):
     # of the tree (••), has no closed form: pattern_coefficients' own
     # cross-check fails there, and its error is the one reported
     alg = algebra(name)
-    u, v = alg.one_off_vectors()
+    u, v = _pair_fractions(alg)
     i, j = u.index(1), v.index(1)  # u and v are basis vectors e_i, e_j
     cube = [[list(row) for row in plane] for plane in alg.operation.constants]
     cube[i][j][0] += Fraction(1, alg.operation.den)
@@ -511,6 +549,23 @@ def test_lemma_check_reports_a_failed_closed_form_first(algebra, name):
     bad = dataclasses.replace(alg, operation=binop.BilinearOperation(cube))
     want = "depth-1 one-off evaluation disagrees with the closed form"
     with pytest.raises(ConstructionError, match=want):
+        verify_pattern_lemma(bad, 3)
+
+
+def test_lemma_check_reports_a_grassmann_residual_off_the_second_vector(algebra):
+    # over Grassmann beta is measured from the residual, which must be a
+    # multiple of v; one unit of den C moves u * v off v's coordinate
+    alg = algebra("g242")
+    u, v = _pair_fractions(alg)
+    i, j = u.index(1), v.index(1)  # u and v are basis vectors e_i, e_j
+    k = next(k for k in range(alg.dim) if k != j)
+    cube = [[list(row) for row in plane] for plane in alg.operation.constants]
+    cube[i][j][k] += Fraction(1, alg.operation.den)
+    cube[j][i][k] += Fraction(1, alg.operation.den)
+    bad = dataclasses.replace(alg, operation=binop.BilinearOperation(cube))
+    with pytest.raises(ConstructionError, match="residual at depth 1 is not a multiple"):
+        pattern_coefficients(bad, 1)
+    with pytest.raises(ConstructionError, match="residual at depth 1 is not a multiple"):
         verify_pattern_lemma(bad, 3)
 
 

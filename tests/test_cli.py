@@ -26,7 +26,7 @@ from nortonalg.cache import (
     load_cache,
     write_cache,
 )
-from nortonalg.classify import count_norton_classes, one_off_signature, verify_classification
+from nortonalg.classify import _depth_rows, count_norton_classes, verify_classification
 from nortonalg.cli import main
 from nortonalg.errors import BudgetExceededError, ConstructionError
 from nortonalg.instances import (
@@ -297,8 +297,8 @@ def test_cache_derives_the_one_off_pair_from_the_rebuilt_graph(tmp_path, name, p
     assert np.array_equal(alg.coords, built.coords)
     for attr in ("basis", "label_coords", "basis_labels", "one_off", "one_off_line"):
         assert getattr(alg, attr) == getattr(built, attr)
-    for t in enumerate_trees(3):
-        assert one_off_signature(alg, t) == one_off_signature(built, t)
+    for m in range(4):
+        assert _depth_rows(alg, m) == _depth_rows(built, m)
     # notes come from the graph the requested parameters build: D_2(2) keeps
     # its note, and J(6,4), stored as J(6,2), keeps its complement note
     assert loaded.graph.notes == bundle.graph.notes

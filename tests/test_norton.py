@@ -359,6 +359,25 @@ def test_sweep_compares_each_order_of_a_pair(bundle, monkeypatch, which):
         verify_formula_vs_oracle(g, sd)
 
 
+def test_sweep_reports_the_first_order_of_a_block_first(bundle, monkeypatch):
+    # (2, 3) is wrong in the first order and (4, 0) in the second; the
+    # unordered pair (0, 4) comes before (2, 3), but the first orders of a
+    # block are checked before the second
+    g, sd = bundle("j52")
+    points = g.lattice.levels[1]
+    real = formula_rows
+
+    def two_sided(graph, u, v):
+        clear, rows = real(graph, u, v)
+        for a, b in ((2, 3), (4, 0)):
+            rows[(np.asarray(u) == a) & (np.asarray(v) == b), a] *= 2
+        return clear, rows
+
+    monkeypatch.setattr(norton, "formula_rows", two_sided)
+    with pytest.raises(FormulaMismatchError, match=re.escape(f"({points[2]!r}, {points[3]!r})")):
+        verify_formula_vs_oracle(g, sd)
+
+
 @pytest.mark.parametrize("name", ["j52", "c22", "h23", "d32"])
 def test_vectors_outside_v1_are_rejected(bundle, name):
     g, sd = bundle(name)
@@ -996,7 +1015,9 @@ def test_sweep_and_assembly_across_block_boundaries(bundle, algebra, monkeypatch
     assert verify_formula_vs_oracle(g, sd) == whole
     got = structure_constants(g, sd).operation
     assert got.den == want.den and np.array_equal(got.flat, want.flat)
-    assert max(sizes) == per_block
+    # the sweep asks for a block's pairs in both orders at once, so a block
+    # of one pair is two rows
+    assert max(sizes) == max(per_block, 2)
     last = len(g.lattice.levels[1]) - 1
 
     def wrong_last(graph, u, v):

@@ -24,7 +24,7 @@ from nortonalg.binop import (
     evaluate_parenthesization,
     group_trees_by_fingerprint,
 )
-from nortonalg.classify import one_off_signature
+from nortonalg.classify import _depth_rows, _one_off_proof, _one_off_signatures
 from nortonalg.intlinalg import (
     _solve_mod,
     _word_primes,
@@ -108,9 +108,11 @@ def test_one_off_signature_matches_reference(data):
     alg = NortonAlgebra.of_fractions(None, op, {"u": u, "v": v}, ("u", "v"))
     s = lcm(*(x.denominator for x in (*u, *v)))
     scale = s ** (m + 1) * op.den ** m
-    # every tree of one arity on one algebra; one_off_signature shares
-    # nothing between calls, so each tree is evaluated afresh
-    for t in enumerate_trees(m):
+    # every tree of one arity on one algebra, in the tree table and, when
+    # v * v = mu v is proved, in the depth rows
+    table = _one_off_signatures(op, _one_off_proof(alg)[0], m).tolist()
+    rows = _depth_rows(alg, m)
+    for t, sig in zip(enumerate_trees(m), table):
         want = []
         for r in range(m + 1):
             args = [v] * (m + 1)
@@ -118,7 +120,9 @@ def test_one_off_signature_matches_reference(data):
             scaled = [x * scale for x in reference_evaluate(op, t, args)]
             assert all(x.denominator == 1 for x in scaled)
             want.append(tuple(map(int, scaled)))
-        assert one_off_signature(alg, t) == tuple(want)
+        assert tuple(map(tuple, sig)) == tuple(want)
+        if rows is not None:
+            assert tuple(rows[h] for h in depth_sequence(t)) == tuple(want)
 
 
 @PROPERTY

@@ -6,7 +6,10 @@ one dependency: networkx, sympy and scipy may serve scratch prototypes,
 but neither the package nor its tests import them.  The package's __all__
 names exactly its public names: a name removed from the package leaves it
 too.  One module, norton, assembles a NortonAlgebra, so a built and a
-cached algebra take their structure constants from the same code.
+cached algebra take their structure constants from the same code.  Only
+binop calls its Fraction entry points, evaluate_parenthesization and
+tensor_fingerprint: Fractions stay at its API edge, and the package
+computes in integer rows.
 """
 
 import ast
@@ -69,5 +72,19 @@ def test_only_norton_constructs_a_norton_algebra():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
         and "NortonAlgebra" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
+def test_only_binop_calls_its_fraction_entry_points():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        if path.name != "binop.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        & {"evaluate_parenthesization", "tensor_fingerprint"}
     ]
     assert found == []
