@@ -6,8 +6,14 @@ maximum) and derives the whole graph from it: the vertices are the top level
 L_D, d(x,y) = D - rank(x meet y), and the level-1 elements (points) index
 the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
 gives both the distances (the points below x meet y are those below x and
-y, counted by M M^T) and the spanning vectors.  M is read off each
-element's points_below, with no order query.
+y, counted by M M^T) and the spanning vectors.  M is filled in whole-array
+steps, with no order query: each lattice codes the points below the
+elements of one level as one integer array (a subset's members, a word's
+one-letter subwords base e+1, a subspace's echelon-row combinations whose
+first nonzero coefficient is 1, base q), and one searchsorted against the
+points' own strictly ascending codes turns the codes into columns.  The
+distances are written straight into an int8 matrix from row blocks of a
+float32 Gram, which is exact because no count exceeds the number of points.
 
 The Grassmann and dual polar lattices come from one enumerator of the
 subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
@@ -34,7 +40,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from functools import cache, cached_property
+from math import comb, prod
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .errors import (
     NotDistanceRegularError,
     NotPathMetricError,
 )
-from .intlinalg import is_prime, overlap_counts
+from .intlinalg import INT64_MAX, is_prime
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -172,14 +179,14 @@ class RankedLattice:
 
     def __init__(self, levels):
         self.levels = tuple(tuple(lv) for lv in levels)
-        self._rank = {}
-        for i, lv in enumerate(self.levels):
-            for el in lv:
-                self._rank[el] = i
 
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
+
+    @cached_property
+    def _rank(self):
+        return {el: i for i, lv in enumerate(self.levels) for el in lv}
 
     def rank_of(self, el):
         """Level index of an element; None for the adjoined maximum."""
@@ -192,8 +199,13 @@ class RankedLattice:
             yield from lv
         yield TOP
 
-    def points_below(self, el):
-        """The level-1 elements below a proper element el, each once."""
+    def point_codes(self, elements):
+        """The points below some elements of one level, as integer codes.
+
+        An int64 array with a row per element and a column per point below
+        it.  Level 1 gives each point's own code, and those codes ascend
+        strictly in level order.
+        """
         raise NotImplementedError
 
     # subclasses implement the order on proper elements
@@ -237,8 +249,10 @@ class SubsetLattice(RankedLattice):
         ]
         super().__init__(levels)
 
-    def points_below(self, el):
-        return [(i,) for i in el]
+    def point_codes(self, elements):
+        # a subset's points are its members
+        size = _common_size(elements, list(map(len, elements)))
+        return _int_array(elements, (len(elements), size))
 
     def _leq(self, a, b):
         return set(a) <= set(b)
@@ -264,8 +278,13 @@ class WordLattice(RankedLattice):
             levels[d - w.count(0)].append(w)
         super().__init__(levels)
 
-    def points_below(self, el):
-        return [(0,) * i + (x,) + (0,) * (self.d - i - 1) for i, x in enumerate(el) if x]
+    def point_codes(self, elements):
+        # a word's points are its one-letter subwords, read as numbers base e+1
+        words = _int_array(elements, (len(elements), self.d))
+        letters = words != 0
+        size = _common_size(elements, letters.sum(axis=1).tolist())
+        place = _place_values(self.e + 1, self.d)
+        return (words * place)[letters].reshape(len(elements), size)
 
     def _leq(self, a, b):
         return all(x == 0 or x == y for x, y in zip(a, b))
@@ -280,6 +299,47 @@ class WordLattice(RankedLattice):
                 return TOP
             out.append(x if x else y)
         return tuple(out)
+
+
+def _common_size(elements, sizes) -> int:
+    """The one size (members, letters or rows) of some elements of a level.
+
+    The size fixes how many points lie below an element, so elements of one
+    level that differ in it are refused.
+    """
+    if sizes.count(sizes[0]) < len(sizes):
+        odd = next(el for el, size in zip(elements, sizes) if size != sizes[0])
+        raise ConstructionError(
+            f"{odd} and {elements[0]} lie in one level but differ in the points below them"
+        )
+    return sizes[0]
+
+
+def _int_array(rows, shape):
+    """Integer tuples, each as long as the last axis, as one int64 array."""
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, np.int64, prod(shape)).reshape(shape)
+
+
+@cache
+def _place_values(base: int, length: int):
+    """base^(length-1), ..., base, 1 as int64: a point's digits, dotted with
+    them, give its code, which is below base^length."""
+    if base ** length > INT64_MAX:
+        raise ConstructionError(f"point codes base {base} of length {length} pass int64")
+    out = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _leading_one_vectors(rank: int, q: int):
+    """The vectors of F_q^rank whose first nonzero entry is 1, as rows."""
+    vectors = np.array(list(itertools.product(range(q), repeat=rank)), dtype=np.int64)
+    lead = vectors[np.arange(len(vectors)), np.argmax(vectors != 0, axis=1)]
+    out = vectors[lead == 1]
+    out.flags.writeable = False
+    return out
 
 
 def _extends_isotropic(rows, v, q, polar, quad):
@@ -339,15 +399,16 @@ class SubspaceLattice(RankedLattice):
         self._quad = quad
         super().__init__(levels)
 
-    def points_below(self, el):
-        # row i plus any combination of the later rows is a point's rref
-        q, out = self.q, []
-        span = [(0,) * len(el[0])] if el else []
-        for row in reversed(el):
-            out += [(tuple((x + y) % q for x, y in zip(row, v)),) for v in span]
-            span = [tuple((c * x + y) % q for x, y in zip(row, v))
-                    for c in range(q) for v in span]
-        return out
+    def point_codes(self, elements):
+        # row i plus any combination of the later rows is a point's rref,
+        # read as a number base q
+        rank = _common_size(elements, list(map(len, elements)))
+        if not rank:
+            return np.zeros((len(elements), 0), dtype=np.int64)
+        n = len(elements[0][0])
+        rows = _int_array(itertools.chain.from_iterable(elements), (len(elements), rank, n))
+        spans = (_leading_one_vectors(rank, self.q) @ rows) % self.q
+        return spans @ _place_values(self.q, n)
 
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
@@ -373,6 +434,7 @@ class SubspaceLattice(RankedLattice):
 class GraphInstance:
     family: object
     vertices: tuple
+    # int8 for a lattice graph; graph_from_distance_matrix keeps int64
     dist: np.ndarray
     diameter: int
     lattice: RankedLattice | None
@@ -432,6 +494,14 @@ def _require_prime(q: int, budget: int):
         raise ValueError(f"q = {q} must be prime")
 
 
+# float32 holds every integer up to 2^24 exactly, so the float32 Gram of 0/1
+# rows is exact while no row holds that many points
+_FLOAT32_EXACT = 1 << 24
+# Cells of one row block of that Gram; the block and its integer copy are
+# all the distance matrix needs beside its own n^2 bytes.
+_GRAM_CELLS = 1 << 20
+
+
 def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     """The graph on the top level L_D of a lattice, d(x,y) = D - rank(x meet y).
 
@@ -442,17 +512,26 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     vertices = lattice.levels[-1]
     points = lattice.levels[1]
     depth = lattice.depth
+    own = lattice.point_codes(points)
+    if own.shape != (len(points), 1) or (own[1:] <= own[:-1]).any():
+        raise ConstructionError(
+            f"{family.label()}: the points' own codes are not one strictly ascending column"
+        )
     # a row per vertex, then per level's first element from the top down; a
-    # last column marks anything points_below gives that is not a point
+    # last column marks any code that names no point
     elements = vertices + tuple(lv[0] for lv in lattice.levels[::-1])
-    column = {p: j for j, p in enumerate(points)}
-    below = [[column.get(p, -1) for p in lattice.points_below(x)] for x in elements]
+    codes = [lattice.point_codes(vertices)]
+    codes += [lattice.point_codes(lv[:1]) for lv in lattice.levels[::-1]]
+    flat = np.concatenate([c.ravel() for c in codes])
+    own = own[:, 0]
+    cols = np.searchsorted(own, flat)
+    cols[np.take(own, cols, mode="clip") != flat] = len(points)
+    widths = np.repeat([c.shape[1] for c in codes], [len(c) for c in codes])
     rows = np.zeros((len(elements), len(points) + 1), dtype=np.int64)
-    owner = np.repeat(np.arange(len(elements)), [len(cols) for cols in below])
-    rows[owner, list(itertools.chain(*below))] = 1
+    rows[np.repeat(np.arange(len(elements)), widths), cols] = 1
     if rows[:, -1].any():
         x = elements[np.argmax(rows[:, -1])]
-        raise ConstructionError(f"{family.label()}: not all of points_below({x}) are points")
+        raise ConstructionError(f"{family.label()}: a point code below {x} names no point")
     incidence = np.ascontiguousarray(rows[: len(vertices), :-1])
     # counts[i]: the points below an element of rank D - i
     counts = tuple(rows[len(vertices) :, :-1].sum(axis=1).tolist())
@@ -460,9 +539,15 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
         raise ConstructionError(
             f"{family.label()}: two levels have the same number of points below, {counts}"
         )
-    dist_of_count = np.full(len(points) + 1, -1, dtype=np.int64)
+    # int8 holds the distances 0..D while D <= 127
+    if len(points) >= _FLOAT32_EXACT or depth > 127:
+        raise ConstructionError(
+            f"{family.label()}: {len(points)} points or diameter {depth} "
+            "too large for float32 counts and int8 distances"
+        )
+    dist_of_count = np.full(len(points) + 1, -1, dtype=np.int8)
     dist_of_count[list(counts)] = np.arange(depth + 1)
-    dist = dist_of_count[overlap_counts(incidence)]
+    dist = _distances(incidence, dist_of_count)
     if dist.min() < 0:
         raise ConstructionError(
             f"{family.label()}: elements of one level differ in the points below them"
@@ -473,6 +558,18 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
             f"{family.label()}: vertex {vertices[i]} is at distance {dist[i, i]} from itself"
         )
     return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence, counts)
+
+
+def _distances(incidence, dist_of_count):
+    """dist_of_count[M M^T] as int8, one float32 Gram row block at a time."""
+    n = len(incidence)
+    m = incidence.astype(np.float32)
+    dist = np.empty((n, n), dtype=np.int8)
+    step = max(1, _GRAM_CELLS // max(n, 1))
+    for start in range(0, n, step):
+        block = m[start : start + step] @ m.T
+        dist[start : start + step] = dist_of_count[block.astype(np.intp)]
+    return dist
 
 
 def build_johnson(n: int, k: int, budget: int = DEFAULT_VERTEX_BUDGET):
@@ -706,8 +803,9 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     k = int(degrees[0])
     # nbrs[s, y] is the s-th neighbour of y
     nbrs = np.ascontiguousarray(np.nonzero(adjacent)[1].reshape(n, k).T)
-    # below 127, distances and their differences fit int8
-    small = dist.astype(np.int8) if dmax < 127 else dist
+    # below 127, distances and their differences fit int8; a lattice graph's
+    # distances are int8 already
+    small = dist.astype(np.int8, copy=False) if dmax < 127 else dist
     first = np.full((dmax + 1, 2), -1)  # the first pair of each distance class
     ref = np.zeros((dmax + 1, 2), dtype=np.int64)  # its c and a
     rows = max(1, _GATHER_CELLS // (n * max(k, 1)))

@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from nortonalg.graphs import (
     q_binomial,
     q_int,
 )
-from nortonalg.intlinalg import is_prime
+from nortonalg.intlinalg import is_prime, overlap_counts
 from conftest import BUILDERS, run_optimized
 from test_spectral import cycle, petersen
 
@@ -797,20 +800,39 @@ def test_lattice_laws_sampled_grassmann():
 
 
 def test_lattice_graph_refuses_uneven_levels():
-    # a top level that mixes a 3-set into the 2-sets: (1, 2) meets itself in a
-    # 2-set, and no level's representative has 2 points below it
+    # a top level that mixes a 3-set into the 2-sets: its point codes cannot
+    # be one array with a column per point below each element
     lat = graphs.SubsetLattice(4, 2)
     lat.levels = lat.levels[:2] + (((1, 2, 3),) + lat.levels[2],)
     with pytest.raises(ConstructionError, match="points below them"):
         graphs._lattice_graph(JohnsonFamily(4, 2), lat)
 
 
-class ShortVertexLattice(graphs.SubsetLattice):
-    """J(5,2)'s subsets with one point missing below the last vertex."""
+@pytest.mark.parametrize(
+    "lattice, odd",
+    [
+        (lambda: graphs.WordLattice(2, 3), (1, 0)),
+        (lambda: graphs.SubspaceLattice(2, graphs._subspace_levels(3, 2, 2)), ((1, 0, 0),)),
+    ],
+    ids=["H(2,3)", "J_2(3,2)"],
+)
+def test_uneven_word_and_subspace_levels_are_refused(lattice, odd):
+    # a word with one letter among two-letter words, a line among planes
+    lattice = lattice()
+    lattice.levels = lattice.levels[:-1] + ((odd,) + lattice.levels[-1][1:],)
+    with pytest.raises(ConstructionError, match="differ in the points below them"):
+        graphs._lattice_graph(graphs.CustomFamily("uneven"), lattice)
 
-    def points_below(self, el):
-        below = super().points_below(el)
-        return below[1:] if el == self.levels[-1][-1] else below
+
+class ShortVertexLattice(graphs.SubsetLattice):
+    """J(5,2)'s subsets whose last vertex lists one point twice, so that the
+    other is missing below it."""
+
+    def point_codes(self, elements):
+        codes = super().point_codes(elements)
+        if elements[-1] == self.levels[-1][-1]:
+            codes[-1, 0] = codes[-1, 1]
+        return codes
 
 
 def test_lattice_graph_refuses_a_vertex_away_from_itself():
@@ -834,8 +856,8 @@ class PrefixLattice(graphs.RankedLattice):
         levels = [[(0,) + w for w in itertools.product((0, 1), repeat=i)] for i in range(3)]
         super().__init__([((),)] + levels)
 
-    def points_below(self, el):
-        return [(0,)] if el else []
+    def point_codes(self, elements):
+        return np.zeros((len(elements), 1 if elements[0] else 0), dtype=np.int64)
 
 
 def equal_point_counts_refusal():
@@ -880,6 +902,9 @@ INCIDENCE_CASES = {
     "c32": lambda: build_dual_polar("C", 3, 2),
     "h43": lambda: build_hamming(4, 3),
     "j93": lambda: build_johnson(9, 3),
+    "b23": lambda: build_dual_polar("B", 2, 3),
+    "dplus22": lambda: build_dual_polar("Dplus", 2, 2),
+    "g342": lambda: build_grassmann(3, 4, 2),
 }
 
 
@@ -914,27 +939,48 @@ def test_graph_build_asks_no_order_query(monkeypatch, name):
     assert g.incidence.shape == (g.vertex_count, len(g.lattice.levels[1]))
 
 
+def _code(vector, q):
+    """A vector's code, its entries read as digits base q."""
+    return sum(x * q ** i for i, x in enumerate(reversed(vector)))
+
+
+def _digits(code, q, n):
+    return tuple(code // q ** (n - 1 - i) % q for i in range(n))
+
+
 class MutantLattice(graphs.SubspaceLattice):
-    """A subspace lattice whose points_below is wrong in one way."""
+    """A subspace lattice whose codes below elements other than the points
+    are wrong in one way."""
 
     def __init__(self, q, levels, mutation):
         super().__init__(q, levels)
         self.mutation = mutation
 
-    def points_below(self, el):
-        below = super().points_below(el)
+    def point_codes(self, elements):
+        codes = super().point_codes(elements)
+        if elements == self.levels[1]:
+            return codes
+        q, n = self.q, len(self.levels[1][0][0])
         if self.mutation == "drop everywhere":
-            return below[:-1]
+            return codes[:, :-1]
         if self.mutation == "drop at the last vertex":
-            return below[1:] if el == self.levels[-1][-1] else below
-        if self.mutation == "vertex as point":
-            return [el] + below[1:] if el in self.levels[-1] else below
-        if self.mutation == "zero row":
-            return [((0,) * len(el[0]),)] + below[1:] if el else below
-        if self.mutation == "doubled row":
+            # the last vertex lists one point twice and misses another
+            if elements[-1] == self.levels[-1][-1]:
+                codes[-1, 0] = codes[-1, 1]
+        elif self.mutation == "vertex as point":
+            # a vertex's whole matrix read as one code, past every point's
+            for i, el in enumerate(elements):
+                if el in self.levels[-1]:
+                    codes[i, 0] = _code(sum(el, ()), q)
+        elif self.mutation == "zero row":
+            codes[:, :1] = 0
+        elif self.mutation == "doubled row":
             # over F_2 the zero row, over F_3 a row whose pivot is 2
-            return [(tuple(2 * x % self.q for x in below[0][0]),)] + below[1:] if el else below
-        raise ValueError(self.mutation)
+            for row in codes[:, :1]:
+                row[:] = [_code([2 * x % q for x in _digits(int(c), q, n)], q) for c in row]
+        else:
+            raise ValueError(self.mutation)
+        return codes
 
 
 MUTATIONS = [
@@ -958,9 +1004,112 @@ MUTATIONS = [
     ids=["J_2(4,2)", "J_3(4,2)", "C2(2)"],
 )
 def test_wrong_points_below_is_refused(mutation, family, q, levels):
-    # a point missing or a row that is no level-1 element is a
-    # ConstructionError, never a KeyError or an IndexError; the real
-    # points_below on the same levels builds the graph
+    # a point missing or a code that names no point is a ConstructionError,
+    # never a KeyError or an IndexError; the real point codes on the same
+    # levels build the graph
     with pytest.raises(ConstructionError):
         graphs._lattice_graph(family, MutantLattice(q, levels(), mutation))
     graphs._lattice_graph(family, graphs.SubspaceLattice(q, levels()))
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        lambda: graphs.SubsetLattice(5, 2),
+        lambda: graphs.WordLattice(2, 3),
+        lambda: graphs.SubspaceLattice(3, graphs._subspace_levels(4, 2, 3)),
+    ],
+    ids=["J(5,2)", "H(2,3)", "J_3(4,2)"],
+)
+@pytest.mark.parametrize("swap", [(0, 1), (0, -1)], ids=["neighbours", "ends"])
+def test_points_out_of_code_order_are_refused(lattice, swap):
+    # searchsorted needs the points' own codes strictly ascending
+    lat = lattice()
+    points = list(lat.levels[1])
+    points[swap[0]], points[swap[1]] = points[swap[1]], points[swap[0]]
+    lat.levels = (lat.levels[0], tuple(points), *lat.levels[2:])
+    with pytest.raises(ConstructionError, match="not one strictly ascending column"):
+        graphs._lattice_graph(graphs.CustomFamily("swapped"), lat)
+
+
+class StrayCodeLattice(graphs.SubspaceLattice):
+    """J_3(4,2) whose vertex ((0,0,1,0), (0,0,0,1)) lists a stray code in place
+    of its point (0,0,0,1)."""
+
+    def __init__(self, stray):
+        super().__init__(3, graphs._subspace_levels(4, 2, 3))
+        self.stray = stray
+
+    def point_codes(self, elements):
+        codes = super().point_codes(elements)
+        vertex = ((0, 0, 1, 0), (0, 0, 0, 1))
+        if vertex in elements:
+            row = codes[elements.index(vertex)]
+            row[row == _code((0, 0, 0, 1), 3)] = self.stray
+        return codes
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [0, _code((0, 0, 0, 2), 3), _code((0, 2, 1, 0), 3), 3 ** 4],
+    ids=["zero row", "last-column pivot 2", "pivot 2", "past every point"],
+)
+def test_code_that_is_no_point_is_refused(stray):
+    with pytest.raises(
+        ConstructionError, match=r"a point code below \(\(0, 0, 1, 0\), \(0, 0, 0, 1\)\) names no point"
+    ):
+        graphs._lattice_graph(GrassmannFamily(3, 4, 2), StrayCodeLattice(stray))
+    graphs._lattice_graph(GrassmannFamily(3, 4, 2), StrayCodeLattice(_code((0, 0, 0, 1), 3)))
+
+
+@pytest.mark.parametrize("block", ["default", "one row", "non-divisor"])
+@pytest.mark.parametrize("name", INCIDENCE_CASES)
+def test_int8_distances_match_overlap_reference(monkeypatch, name, block):
+    # the row-blocked float32 Gram gives point_counts^-1 of the int64 M M^T,
+    # at every seam between blocks
+    n = INCIDENCE_CASES[name]().vertex_count
+    if block == "one row":
+        monkeypatch.setattr(graphs, "_GRAM_CELLS", 1)
+    elif block == "non-divisor":
+        rows = next(r for r in itertools.count(2) if n % r)
+        monkeypatch.setattr(graphs, "_GRAM_CELLS", rows * n)
+    g = INCIDENCE_CASES[name]()
+    distance_of = np.full(max(g.point_counts) + 1, -1)
+    distance_of[list(g.point_counts)] = np.arange(g.diameter + 1)
+    assert g.dist.dtype == np.int8 and g.dist.shape == (n, n)
+    assert np.array_equal(g.dist, distance_of[overlap_counts(g.incidence)])
+
+
+def test_distance_matrix_fixtures_keep_int64():
+    for g in (petersen(), cycle(7), graph_from_distance_matrix("K_3", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])):
+        assert g.dist.dtype == np.int64
+        check_distance_regular(g)
+
+
+def test_ranks_are_indexed_on_first_use():
+    lat = build_hamming(2, 3).lattice
+    assert "_rank" not in vars(lat)
+    assert [lat.rank_of(x) for x in ((0, 0), (0, 2), (1, 2))] == [0, 1, 2]
+    assert len(lat._rank) == 16
+
+
+MEMORY_SCRIPT = """
+import resource
+from nortonalg.instances import build_graph
+g = build_graph("hamming", (8, 3))
+print(g.vertex_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_large_graph_build_holds_no_dense_wide_matrix():
+    # H(8,3): 6561 vertices, so an n x n float64 or int64 matrix is 344 MB
+    # by itself, while the int8 distances take 43 MB
+    result = subprocess.run(
+        [sys.executable, "-c", MEMORY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    n, peak_kb = map(int, result.stdout.split())
+    assert n == 6561 and peak_kb < 300 * 1024
