@@ -36,7 +36,8 @@ from .instances import (
     family_key,
     parse_instance_spec,
 )
-from .norton import _pair_blocks, formula_rows
+from .intlinalg import row_blocks
+from .norton import formula_rows
 from .trees import DEFAULT_ENUMERATION_LIMIT as MAX_M
 
 EXIT_OK = 0
@@ -144,7 +145,8 @@ def cmd_product_table(args):
     labels = [_label_str(x) for x in g.lattice.levels[1]]
     s, entries = len(labels), []
     # the ordered pairs row by row, one block of formula rows at a time
-    for u, v in _pair_blocks(g, *np.divmod(np.arange(s * s), s)):
+    for pairs in row_blocks(s * s, max(g.incidence.shape)):
+        u, v = np.divmod(np.arange(pairs.start, pairs.stop), s)
         clear, rows = formula_rows(g, u, v)
         for a, b, row in zip(u, v, rows):
             nonzero = np.flatnonzero(row)

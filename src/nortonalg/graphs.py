@@ -12,8 +12,9 @@ elements of one level as one integer array (a subset's members, a word's
 one-letter subwords base e+1, a subspace's echelon-row combinations whose
 first nonzero coefficient is 1, base q), and one searchsorted against the
 points' own strictly ascending codes turns the codes into columns.  The
-distances are written straight into an int8 matrix from row blocks of a
-float32 Gram, which is exact because no count exceeds the number of points.
+distances are written straight into an int8 matrix from row blocks of the
+Gram M M^T, each an exact integer product (exact_matmul), so no n x n
+matrix wider than int8 is formed.
 
 The Grassmann and dual polar lattices come from one enumerator of the
 subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
@@ -52,7 +53,7 @@ from .errors import (
     NotDistanceRegularError,
     NotPathMetricError,
 )
-from .intlinalg import INT64_MAX, is_prime
+from .intlinalg import INT64_MAX, exact_matmul, is_prime, row_blocks
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -494,14 +495,6 @@ def _require_prime(q: int, budget: int):
         raise ValueError(f"q = {q} must be prime")
 
 
-# float32 holds every integer up to 2^24 exactly, so the float32 Gram of 0/1
-# rows is exact while no row holds that many points
-_FLOAT32_EXACT = 1 << 24
-# Cells of one row block of that Gram; the block and its integer copy are
-# all the distance matrix needs beside its own n^2 bytes.
-_GRAM_CELLS = 1 << 20
-
-
 def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     """The graph on the top level L_D of a lattice, d(x,y) = D - rank(x meet y).
 
@@ -540,11 +533,8 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
             f"{family.label()}: two levels have the same number of points below, {counts}"
         )
     # int8 holds the distances 0..D while D <= 127
-    if len(points) >= _FLOAT32_EXACT or depth > 127:
-        raise ConstructionError(
-            f"{family.label()}: {len(points)} points or diameter {depth} "
-            "too large for float32 counts and int8 distances"
-        )
+    if depth > 127:
+        raise ConstructionError(f"{family.label()}: diameter {depth} too large for int8 distances")
     dist_of_count = np.full(len(points) + 1, -1, dtype=np.int8)
     dist_of_count[list(counts)] = np.arange(depth + 1)
     dist = _distances(incidence, dist_of_count)
@@ -561,14 +551,17 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
 
 
 def _distances(incidence, dist_of_count):
-    """dist_of_count[M M^T] as int8, one float32 Gram row block at a time."""
+    """dist_of_count[M M^T] as int8, one row block of the Gram at a time,
+    so beside its own n^2 bytes it holds only one block's arrays."""
     n = len(incidence)
-    m = incidence.astype(np.float32)
+    # the entries are 0/1: from an int8 copy, each block's bound and float
+    # copy of the whole right factor read one byte per entry, not eight
+    m = incidence.astype(np.int8)
     dist = np.empty((n, n), dtype=np.int8)
-    step = max(1, _GRAM_CELLS // max(n, 1))
-    for start in range(0, n, step):
-        block = m[start : start + step] @ m.T
-        dist[start : start + step] = dist_of_count[block.astype(np.intp)]
+    for rows in row_blocks(n, n):
+        # every count is 0..points, inside the table, so no index is clipped;
+        # no name holds the block, which is freed before the next one is made
+        np.take(dist_of_count, exact_matmul(m[rows], m.T), out=dist[rows], mode="clip")
     return dist
 
 
@@ -720,11 +713,6 @@ class IntersectionArray:
         return self.value(1, 1, 0)
 
 
-# Cells (rows x degree x vertices) of one row block's neighbour gather; the
-# block's temporaries are a few arrays of this many small integers.
-_GATHER_CELLS = 1 << 20
-
-
 def _first(mask):
     """Index tuple of the first True entry of mask, in row-major order."""
     return tuple(int(v) for v in np.unravel_index(np.argmax(mask), mask.shape))
@@ -808,9 +796,9 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     small = dist.astype(np.int8, copy=False) if dmax < 127 else dist
     first = np.full((dmax + 1, 2), -1)  # the first pair of each distance class
     ref = np.zeros((dmax + 1, 2), dtype=np.int64)  # its c and a
-    rows = max(1, _GATHER_CELLS // (n * max(k, 1)))
-    for start in range(0, n, rows):
-        here = small[start : start + rows]
+    # a block's temporaries are a few arrays of rows x degree x n small integers
+    for rows in row_blocks(n, n * max(k, 1)):
+        start, here = rows.start, small[rows]
         # step[x, s, y] = d(x, z) - d(x, y) for z the s-th neighbour of y
         step = here[:, nbrs] - here[:, None, :]
         if step.min(initial=0) < -1 or step.max(initial=0) > 1:

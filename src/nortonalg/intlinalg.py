@@ -3,12 +3,16 @@
 Arrays hold either int64 or Python ints (dtype object), and a product of
 Python ints stays Python ints.  int64 is used only where a bound proves
 that no partial sum can leave its range: fits_int64 is that one overflow
-rule, shared by the routines here and by the product step of binop.  An
-integer product whose bound is below 2^53 runs in float64 BLAS, whose
-integers are exact there whatever the order of summation (exact_matmul,
-overlap_counts).  The fraction-free echelon below picks independent rows;
-coordinates solves for them modulo word-size primes and returns only an
-answer it has checked exactly in integers.  No Fraction is formed here.
+rule, shared by the routines here and by the product step of binop.
+exact_matmul is the one place the package turns integers into floats: an
+integer product whose bound is below 2^24 runs in float32 BLAS, below 2^53
+in float64 BLAS, whose integers are exact there whatever the order of
+summation.  BLOCK_CELLS is the one block size: every loop that takes an
+array a block of rows at a time walks the slices of row_blocks, so no
+array of a block holds more than about that many cells.  The
+fraction-free echelon below picks independent rows; coordinates solves
+for them modulo word-size primes and returns only an answer it has
+checked exactly in integers.  No Fraction is formed here.
 """
 
 from __future__ import annotations
@@ -20,8 +24,11 @@ import numpy as np
 from .errors import ConstructionError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-# float64 holds every integer of smaller magnitude exactly
-FLOAT_EXACT = 1 << 53
+# float32 and float64 hold every integer of smaller magnitude exactly
+FLOAT32_EXACT = 1 << 24
+FLOAT64_EXACT = 1 << 53
+# the most cells one row block of a blocked loop holds
+BLOCK_CELLS = 1 << 20
 
 
 def abs_max(a) -> int:
@@ -47,34 +54,32 @@ def fits_int64(*bounds) -> bool:
 def exact_matmul(a, b):
     """a @ b for integer arrays, exactly.
 
-    max|a| * max|b| * (inner size) bounds every partial sum: below 2^53 the
-    product runs in float64 BLAS, which is exact there, below 2^63 in
-    int64, and past that on Python ints.  The result is int64 when the
-    product ran in machine integers and neither input holds Python ints
-    (dtype object); otherwise Python ints.
+    max|a| * max|b| * (inner size) bounds every partial sum: below 2^24 the
+    product runs in float32 BLAS, below 2^53 in float64 BLAS, each exact
+    there, below 2^63 in int64, and past that on Python ints.  The result
+    is int64 when the product ran in machine numbers and neither input
+    holds Python ints (dtype object); otherwise Python ints.
     """
     amax, bmax = abs_max(a), abs_max(b)
     # each factor's own bound matters when the other is zero or empty
-    largest = max(amax, bmax)
-    if amax * bmax * a.shape[-1] < FLOAT_EXACT and largest < FLOAT_EXACT:
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    elif fits_int64(amax, bmax, a.shape[-1]) and fits_int64(largest):
+    top = max(amax * bmax * a.shape[-1], amax, bmax)
+    if top < FLOAT64_EXACT:
+        tier = np.float32 if top < FLOAT32_EXACT else np.float64
+        out = (a.astype(tier) @ b.astype(tier)).astype(np.int64)
+    elif fits_int64(top):
         out = a.astype(np.int64) @ b.astype(np.int64)
     else:
         return a.astype(object) @ b.astype(object)
     return out.astype(object) if object in (a.dtype, b.dtype) else out
 
 
-def overlap_counts(a):
-    """a @ a.T for a 0/1 array, as int64: the ones each two rows share.
-
-    The product runs in float64, which has a BLAS path (a symmetric one for
-    a times its own transpose) where int64 has none.  Every partial sum is
-    an integer at most the row length, far below 2^53 for any array held in
-    memory, so the product is exact.
-    """
-    f = a.astype(np.float64)
-    return (f @ f.T).astype(np.int64)
+def row_blocks(count, width):
+    """Consecutive slices tiling range(count), for rows of width cells each:
+    every slice holds at least one row and at most BLOCK_CELLS // width
+    (a width of 0 counts as 1)."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def exact_multiply(a, b):

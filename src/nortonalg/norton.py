@@ -21,19 +21,20 @@ closed form of each pair of points is one integer coefficient row over the
 points (formula_rows), read off M: every element below the lattice maximum
 is the meet of the vertices above it, so the vertices counted above two or
 three points decide every join the formulas name, and no lattice join is
-formed.  Every reader asks for the pairs it needs, a block of at most
-_BLOCK_CELLS cells at a time, so memory follows the block, not the point
-count.  The formula-versus-oracle sweep compares every unordered pair in
-both orders with denominators cleared, and the structure constants are read
-off the same formulas: one solve, of every point over the basis, then the
-formula rows of the basis pairs times those coordinates (algebra_from_coords,
-which a cached algebra also goes through, with its stored coordinates).
+formed.  Every reader asks for the pairs it needs a block at a time
+(intlinalg.row_blocks, a pair max(n, points) cells wide), so memory
+follows the block, not the point count.  The formula-versus-oracle sweep
+compares every unordered pair in both orders with denominators cleared,
+and the structure constants are read off the same formulas: one solve, of
+every point over the basis, then the formula rows of the basis pairs times
+those coordinates (algebra_from_coords, which a cached algebra also goes
+through, with its stored coordinates).
 Only the formulas depend on the family: the basis (the first dim V_1
 independent points in lattice order) and the preferred pair with its line
 (one_off_pair) are read off the lattice by one rule for every family.  The
 arithmetic is exact: int64 only where a bound proves that no sum can
-overflow, Python integers otherwise, and float64 only inside intlinalg, for
-integer products bounded below 2^53.
+overflow, Python integers otherwise, and floats only inside
+intlinalg.exact_matmul, for integer products whose bound they hold exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .intlinalg import (
     exact_multiply,
     fits_int64,
     independent_rows,
-    overlap_counts,
+    row_blocks,
 )
 from .spectral import SpectralData
 
@@ -263,20 +264,6 @@ def oracle_products(g: GraphInstance, spectral: SpectralData):
     return products
 
 
-# the most cells (pairs times max(vertices, points)) an array of one block holds
-_BLOCK_CELLS = 1 << 20
-
-
-def _pair_blocks(g: GraphInstance, first, second):
-    """The pairs (first[..., k], second[..., k]) in consecutive blocks of
-    columns k, each of at most _BLOCK_CELLS // max(n, points) pairs in all,
-    and at least one column."""
-    *lead, count = first.shape
-    step = max(1, _BLOCK_CELLS // (max(g.incidence.shape) * prod(lead)))
-    for start in range(0, count, step):
-        yield first[..., start:start + step], second[..., start:start + step]
-
-
 def formula_rows(g: GraphInstance, u, v):
     """The closed-form products of the point pairs (u[k], v[k]), in integers.
 
@@ -381,8 +368,10 @@ def verify_formula_vs_oracle(
     s = len(labels)
     rows, cleared = products.rows, products.den * products.scale
     at_cols = rows[:, products.cols]
-    i, j = np.triu_indices(s)
-    for first, second in _pair_blocks(g, np.stack([i, j]), np.stack([j, i])):
+    # a block's pairs are asked for in both orders, so each is two rows wide
+    ordered = np.stack(np.triu_indices(s))
+    for cols in row_blocks(ordered.shape[1], 2 * max(g.incidence.shape)):
+        first, second = ordered[:, cols], ordered[::-1, cols]
         oracle = products.products(first[0], second[0])
         first, second = first.ravel(), second.ravel()
         clear, coefficients = formula_rows(g, first, second)
@@ -479,7 +468,7 @@ def one_off_pair(g: GraphInstance):
     for a built and a cached algebra alike.
     """
     points, m = g.lattice.levels[1], g.incidence
-    first, second = np.nonzero(np.triu(overlap_counts(m.T) == 0, 1))
+    first, second = np.nonzero(np.triu(exact_matmul(m.T, m) == 0, 1))
     i, j = (int(first[0]), int(second[0])) if first.size else (0, 1)
     both = m[:, i] * m[:, j]
     below = np.flatnonzero(exact_matmul(both[None], m)[0] == both.sum())
@@ -541,8 +530,8 @@ def algebra_from_coords(g: GraphInstance, basis, coords_den, coords) -> NortonAl
     points, dim = tuple(g.lattice.levels[1]), len(basis)
     a, b = np.triu_indices(dim)
     chosen, upper = np.asarray(basis, dtype=np.intp), []
-    for first, second in _pair_blocks(g, chosen[a], chosen[b]):
-        clear, cf = formula_rows(g, first, second)
+    for cols in row_blocks(len(a), max(g.incidence.shape)):
+        clear, cf = formula_rows(g, chosen[a[cols]], chosen[b[cols]])
         upper.append(exact_matmul(cf, coords))
     cube = np.empty((dim, dim, dim), dtype=object)
     cube[a, b] = cube[b, a] = np.concatenate(upper)

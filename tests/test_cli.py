@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nortonalg import cache, cli
+from nortonalg import cache, cli, intlinalg
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -584,6 +584,24 @@ def test_cli_product_table(capsys, tmp_path):
     by_pair = {(e["u"], e["v"]): e["terms"] for e in payload["products"]}
     assert by_pair[("[1]", "[1]")] == [["[1]", "1/1"]]
     assert by_pair[("[1]", "[2]")] == [["[1]", "-1/1"], ["[2]", "-1/1"]]
+
+
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_cli_product_table_is_the_same_in_blocks(capsys, monkeypatch, tmp_path, per_block):
+    # J_2(4,2): 35 vertices, 15 points, so 225 ordered pairs in blocks of one
+    # pair, or of seven, which does not divide 225
+    args = ["product-table", "grassmann", "2", "4", "2", "--cache-dir", str(tmp_path)]
+    whole = [run_cli(capsys, *args, "--format", fmt) for fmt in ("json", "csv")]
+    monkeypatch.setattr(intlinalg, "BLOCK_CELLS", per_block * 35)
+    sizes, real = [], cli.formula_rows
+
+    def recorded(g, u, v):
+        sizes.append(len(u))
+        return real(g, u, v)
+
+    monkeypatch.setattr(cli, "formula_rows", recorded)
+    assert [run_cli(capsys, *args, "--format", fmt) for fmt in ("json", "csv")] == whole
+    assert max(sizes) == per_block and sum(sizes) == 2 * 225
 
 
 def test_cli_table_csv_columns_in_input_order(capsys, tmp_path):

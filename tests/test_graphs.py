@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from nortonalg import fq, graphs
+from nortonalg import fq, graphs, intlinalg
 from nortonalg.errors import (
     BudgetExceededError,
     ConstructionError,
@@ -34,7 +34,7 @@ from nortonalg.graphs import (
     q_binomial,
     q_int,
 )
-from nortonalg.intlinalg import is_prime, overlap_counts
+from nortonalg.intlinalg import is_prime
 from conftest import BUILDERS, run_optimized
 from test_spectral import cycle, petersen
 
@@ -745,6 +745,38 @@ def test_diameter_must_be_the_largest_distance():
         check_distance_regular(g)
 
 
+def _block_sizes(g):
+    """BLOCK_CELLS for neighbour gathers of one row, of a row count that does
+    not divide n, and the default."""
+    n, k = g.vertex_count, int(np.count_nonzero(g.dist[0] == 1))
+    rows = next(r for r in itertools.count(2) if n % r)
+    return {"one row": n * k, "non-divisor": rows * n * k, "default": intlinalg.BLOCK_CELLS}
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: build_johnson(6, 3), lambda: build_hamming(3, 3)], ids=["J(6,3)", "H(3,3)"]
+)
+def test_drg_check_agrees_across_block_seams(monkeypatch, build):
+    # the same array at every gather block size, and a distance planted in
+    # the last row block refused with the same witness each time
+    sizes = _block_sizes(build())
+    arrays, refusals = [], []
+    for cells in sizes.values():
+        monkeypatch.setattr(intlinalg, "BLOCK_CELLS", cells)
+        g = build()
+        x = g.vertex_count - 1
+        y = int(np.flatnonzero(g.dist[x] == 2)[-1])
+        dist = g.dist.copy()
+        dist[x, y] = dist[y, x] = 3
+        with pytest.raises(NotPathMetricError) as exc:
+            check_distance_regular(dataclasses.replace(g, dist=dist))
+        refusals.append((str(exc.value), exc.value.vertices))
+        arrays.append(check_distance_regular(g).p)
+    assert all(np.array_equal(p, arrays[0]) for p in arrays)
+    assert refusals == [refusals[0]] * len(sizes)
+    assert {x, y} <= set(refusals[0][1])
+
+
 def test_recurrence_refuses_inexact_division():
     # c = (0, 1, 2), a = 0, b = (3, 1, 0) is no graph's array: A_2 would be
     # (A_1^2 - 3 I) / 2, which has entry 3/2
@@ -1065,19 +1097,20 @@ def test_code_that_is_no_point_is_refused(stray):
 @pytest.mark.parametrize("block", ["default", "one row", "non-divisor"])
 @pytest.mark.parametrize("name", INCIDENCE_CASES)
 def test_int8_distances_match_overlap_reference(monkeypatch, name, block):
-    # the row-blocked float32 Gram gives point_counts^-1 of the int64 M M^T,
-    # at every seam between blocks
+    # the row-blocked Gram gives point_counts^-1 of a plain int64 M M^T, at
+    # every seam between blocks
     n = INCIDENCE_CASES[name]().vertex_count
     if block == "one row":
-        monkeypatch.setattr(graphs, "_GRAM_CELLS", 1)
+        monkeypatch.setattr(intlinalg, "BLOCK_CELLS", 1)
     elif block == "non-divisor":
         rows = next(r for r in itertools.count(2) if n % r)
-        monkeypatch.setattr(graphs, "_GRAM_CELLS", rows * n)
+        monkeypatch.setattr(intlinalg, "BLOCK_CELLS", rows * n)
     g = INCIDENCE_CASES[name]()
     distance_of = np.full(max(g.point_counts) + 1, -1)
     distance_of[list(g.point_counts)] = np.arange(g.diameter + 1)
     assert g.dist.dtype == np.int8 and g.dist.shape == (n, n)
-    assert np.array_equal(g.dist, distance_of[overlap_counts(g.incidence)])
+    gram = g.incidence @ g.incidence.T  # int64, with no float on the way
+    assert np.array_equal(g.dist, distance_of[gram])
 
 
 def test_distance_matrix_fixtures_keep_int64():

@@ -484,6 +484,50 @@ def test_exact_matmul_leaves_int64_when_sums_could_overflow():
     assert small.dtype == np.int64 and small.tolist() == [[1]]
 
 
+def _row(values, dtype=np.int64):
+    return np.array([values], dtype=dtype)
+
+
+# each product is just past the bound of a tier, through the product of the
+# factors' bounds or through the inner size, and the tier below would round it
+TIER_EDGES = {
+    "float32 product": (_row([2**12 + 1]), _row([2**12 + 1]).T, np.int64),
+    "float32 inner size": (_row([2**23 - 1] * 3), _row([1] * 3).T, np.int64),
+    "float32 factor": (_row([2**24 + 1]), _row([1]).T, np.int64),
+    "float64 product": (_row([2**26 + 1]), _row([2**27 + 1]).T, np.int64),
+    "float64 inner size": (_row([2**52 - 1] * 3), _row([1] * 3).T, np.int64),
+    "float64 factor": (_row([2**53 + 1]), _row([1]).T, np.int64),
+    "int64 product": (_row([2**31 + 1]), _row([2**32 + 1]).T, object),
+    "int64 inner size": (_row([2**62 - 1] * 3), _row([1] * 3).T, object),
+    "int64 factor": (_row([2**63 + 1], object), _row([1]).T, object),
+    "object input": (_row([2**12 + 1], object), _row([2**12 + 1]).T, object),
+}
+
+
+@pytest.mark.parametrize("name", TIER_EDGES)
+def test_exact_matmul_is_exact_past_each_tier_bound(name):
+    a, b, dtype = TIER_EDGES[name]
+    want = [[sum(int(x) * int(y) for x, y in zip(a[0], b[:, 0]))]]
+    out = exact_matmul(a, b)
+    assert out.dtype == dtype and out.tolist() == want
+    assert all(type(x) is int for x in out.ravel().tolist())
+
+
+@pytest.mark.parametrize(
+    "count,width,cells",
+    [(0, 3, 6), (10, 3, 6), (12, 3, 6), (5, 0, 6), (5, 7, 6), (3, 0, None), (3, 2**21, None)],
+)
+def test_row_blocks_tile_the_rows_within_the_cell_bound(monkeypatch, count, width, cells):
+    if cells is not None:
+        monkeypatch.setattr(intlinalg, "BLOCK_CELLS", cells)
+    most = max(1, intlinalg.BLOCK_CELLS // max(width, 1))
+    blocks = list(intlinalg.row_blocks(count, width))
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(count))
+    assert all(b.step is None and 1 <= b.stop - b.start <= most for b in blocks)
+    # a full block wherever the rows allow one
+    assert all(b.stop - b.start == most for b in blocks[:-1])
+
+
 def test_exact_multiply_leaves_int64_when_products_could_overflow():
     big = exact_multiply(np.array([2**40, -3]), np.array([2**30, 5]))
     assert big.dtype == object and big.tolist() == [2**70, -15]
@@ -1004,7 +1048,7 @@ def test_sweep_and_assembly_across_block_boundaries(bundle, algebra, monkeypatch
     # block, and a defect on the last pair the sweep reaches is caught
     g, sd = bundle("d32")
     whole, want = verify_formula_vs_oracle(g, sd), algebra("d32").operation
-    monkeypatch.setattr(norton, "_BLOCK_CELLS", per_block * max(g.incidence.shape))
+    monkeypatch.setattr(intlinalg, "BLOCK_CELLS", per_block * max(g.incidence.shape))
     sizes, real = set(), formula_rows
 
     def recorded(graph, u, v):

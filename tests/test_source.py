@@ -9,7 +9,11 @@ too.  One module, norton, assembles a NortonAlgebra, so a built and a
 cached algebra take their structure constants from the same code.  Only
 binop calls its Fraction entry points, evaluate_parenthesization and
 tensor_fingerprint: Fractions stay at its API edge, and the package
-computes in integer rows.
+computes in integer rows.  One module, intlinalg, holds the array policy:
+only it names a float type, so exact_matmul alone decides when a float
+holds an integer product exactly, and only it sets a block size (a
+module-level *_CELLS constant), so every blocked loop sizes its blocks
+by row_blocks.
 """
 
 import ast
@@ -87,4 +91,26 @@ def test_only_binop_calls_its_fraction_entry_points():
         and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
         & {"evaluate_parenthesization", "tensor_fingerprint"}
     ]
+    assert found == []
+
+
+def test_only_intlinalg_names_a_float_type_or_a_block_size():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        if path.name == "intlinalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("float32", "float64")
+        ]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
+        ]
     assert found == []
