@@ -12,6 +12,22 @@ def inv_mod(a: int, q: int) -> int:
     return pow(a % q, q - 2, q)
 
 
+def primitive_root(q: int) -> int:
+    """The least generator of the multiplicative group of Z/q."""
+    order, factors, m, p = q - 1, [], q - 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            factors.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        factors.append(m)
+    return next(
+        w for w in range(1, q) if all(pow(w, order // f, q) != 1 for f in factors)
+    )
+
+
 def rref(rows, q: int) -> tuple:
     """Reduced row echelon form; zero rows dropped, rows as tuples."""
     m = [list(r) for r in rows]

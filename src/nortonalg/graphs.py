@@ -34,7 +34,11 @@ a distance regular graph from the numbers c_k, a_k, b_k of neighbours of y
 at distance k-1, k, k+1 from x, read for every pair (x, y) by one
 neighbour gather per vertex (Brouwer-Cohen-Neumaier, Distance-Regular
 Graphs, 4.1), and derives every p^k_ij from them by the three-term
-recurrence A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}.
+recurrence A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}.  The
+Johnson, Hamming and Grassmann lattices offer a few candidate point
+permutations (generator_images); once the check has proved them
+automorphisms of the distances whose group is transitive on the vertices,
+the gather reads vertex 0's row alone.
 """
 
 from __future__ import annotations
@@ -209,6 +213,22 @@ class RankedLattice:
         """
         raise NotImplementedError
 
+    @cached_property
+    def own_codes(self):
+        """point_codes of the points themselves: one column, in level order."""
+        return self.point_codes(self.levels[1])
+
+    def generator_images(self):
+        """Candidate automorphisms, as the codes of the points' images.
+
+        An int64 array with a row per candidate and a column per point, in
+        the code system of point_codes.  Nothing here is trusted:
+        check_distance_regular uses the candidates only once it has proved
+        them automorphisms of the graph.  A lattice with none gives an
+        empty tuple.
+        """
+        return ()
+
     # subclasses implement the order on proper elements
     def _leq(self, a, b):
         raise NotImplementedError
@@ -255,6 +275,12 @@ class SubsetLattice(RankedLattice):
         size = _common_size(elements, list(map(len, elements)))
         return _int_array(elements, (len(elements), size))
 
+    def generator_images(self):
+        # (1 2) and (1 2 ... n), which generate the symmetric group; a
+        # point's code is its member
+        points = self.own_codes[:, 0]
+        return np.stack([np.where(points <= 2, 3 - points, points), points % self.n + 1])
+
     def _leq(self, a, b):
         return set(a) <= set(b)
 
@@ -286,6 +312,19 @@ class WordLattice(RankedLattice):
         size = _common_size(elements, letters.sum(axis=1).tolist())
         place = _place_values(self.e + 1, self.d)
         return (words * place)[letters].reshape(len(elements), size)
+
+    def generator_images(self):
+        # a letter cycle on the first coordinate and the cyclic shift of the
+        # coordinates, whose conjugates cycle the letters of every one.  A
+        # point is letter l at coordinate i, code l (e+1)^(d-1-i): the first
+        # coordinate's points are those from (e+1)^(d-1) on, and the shift
+        # sends the last coordinate's, below e+1, to the first
+        base, points = self.e + 1, self.own_codes[:, 0]
+        first = base ** (self.d - 1)
+        return np.stack([
+            np.where(points >= first, (points // first % self.e + 1) * first, points),
+            np.where(points < base, points * first, points // base),
+        ])
 
     def _leq(self, a, b):
         return all(x == 0 or x == y for x, y in zip(a, b))
@@ -411,6 +450,30 @@ class SubspaceLattice(RankedLattice):
         spans = (_leading_one_vectors(rank, self.q) @ rows) % self.q
         return spans @ _place_values(self.q, n)
 
+    def generator_images(self):
+        # the permutation matrices of (1 2) and (1 2 ... n), the transvection
+        # I + E_12 and, for q > 2, diag(w, 1, ..., 1) with w primitive
+        # generate GL(n, q), acting on the points' rows from the right.  They
+        # do not keep a polar form, so a dual polar lattice gets none.
+        points = self.levels[1]
+        n = len(points[0][0]) if points else 0
+        if self._polar is not None or n < 2:
+            return ()
+        q, place = self.q, _place_values(self.q, n)
+        # a point's code is its normalized row read base q
+        vectors = self.own_codes // place % q
+        eye = np.eye(n, dtype=np.int64)
+        transvection = eye.copy()
+        transvection[0, 1] = 1
+        mats = [eye[[1, 0, *range(2, n)]], np.roll(eye, 1, axis=1), transvection]
+        if q > 2:
+            mats.append(np.diag([fq.primitive_root(q)] + [1] * (n - 1)))
+        inverse = np.array([0] + [fq.inv_mod(a, q) for a in range(1, q)])
+        images = vectors @ np.stack(mats) % q
+        # scale each image so that its first nonzero entry is 1
+        lead = np.take_along_axis(images, np.argmax(images != 0, axis=2)[..., None], axis=2)
+        return images * inverse[lead] % q @ place
+
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
 
@@ -505,7 +568,7 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     vertices = lattice.levels[-1]
     points = lattice.levels[1]
     depth = lattice.depth
-    own = lattice.point_codes(points)
+    own = lattice.own_codes
     if own.shape != (len(points), 1) or (own[1:] <= own[:-1]).any():
         raise ConstructionError(
             f"{family.label()}: the points' own codes are not one strictly ascending column"
@@ -535,9 +598,7 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     # int8 holds the distances 0..D while D <= 127
     if depth > 127:
         raise ConstructionError(f"{family.label()}: diameter {depth} too large for int8 distances")
-    dist_of_count = np.full(len(points) + 1, -1, dtype=np.int8)
-    dist_of_count[list(counts)] = np.arange(depth + 1)
-    dist = _distances(incidence, dist_of_count)
+    dist = _distances(incidence, _dist_of_count(counts, len(points)))
     if dist.min() < 0:
         raise ConstructionError(
             f"{family.label()}: elements of one level differ in the points below them"
@@ -550,18 +611,34 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence, counts)
 
 
-def _distances(incidence, dist_of_count):
-    """dist_of_count[M M^T] as int8, one row block of the Gram at a time,
-    so beside its own n^2 bytes it holds only one block's arrays."""
+def _dist_of_count(counts, points):
+    """The int8 table from a count 0..points of shared points to the distance
+    it names, -1 where it names none; counts[i] names distance i."""
+    table = np.full(points + 1, -1, dtype=np.int8)
+    table[list(counts)] = np.arange(len(counts))
+    return table
+
+
+def _distance_blocks(incidence, dist_of_count):
+    """(rows, dist_of_count[M[rows] M^T]) as int8 over the row blocks of the
+    vertices, each Gram block an exact integer product freed before the
+    block of distances is handed out."""
     n = len(incidence)
     # the entries are 0/1: from an int8 copy, each block's bound and float
     # copy of the whole right factor read one byte per entry, not eight
     m = incidence.astype(np.int8)
-    dist = np.empty((n, n), dtype=np.int8)
     for rows in row_blocks(n, n):
-        # every count is 0..points, inside the table, so no index is clipped;
-        # no name holds the block, which is freed before the next one is made
-        np.take(dist_of_count, exact_matmul(m[rows], m.T), out=dist[rows], mode="clip")
+        # every count is 0..points, inside the table, so no index is clipped
+        yield rows, np.take(dist_of_count, exact_matmul(m[rows], m.T), mode="clip")
+
+
+def _distances(incidence, dist_of_count):
+    """dist_of_count[M M^T] as int8, one row block of the Gram at a time,
+    so beside its own n^2 bytes it holds only one block's arrays."""
+    n = len(incidence)
+    dist = np.empty((n, n), dtype=np.int8)
+    for rows, block in _distance_blocks(incidence, dist_of_count):
+        dist[rows] = block
     return dist
 
 
@@ -724,20 +801,25 @@ def _intersection_numbers(c, a, b):
     L_i[k][j] = p^k_ij is the matrix of multiplication by A_i in the basis
     A_0..A_D.  A_1 A_j = b_{j-1} A_{j-1} + a_j A_j + c_{j+1} A_{j+1} makes
     L_1 tridiagonal, and the same identity with A_i in place of A_j gives
-    L_{i+1} = (L_1 L_i - b_{i-1} L_{i-1} - a_i L_i) / c_{i+1}, exactly.
+    L_{i+1} = (L_1 L_i - b_{i-1} L_{i-1} - a_i L_i) / c_{i+1}, exactly.  p[i]
+    is L_i transposed, so the recurrence runs on the transposes.
     """
     size = len(c)
-    one = np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)
-    mats = [np.eye(size, dtype=np.int64), one]
+    p = np.zeros((size, size, size), dtype=np.int64)
+    p[0].reshape(-1)[:: size + 1] = 1
+    if size > 1:
+        # L_1^T has a on its diagonal, c above it and b below it
+        one = p[1].reshape(-1)
+        one[:: size + 1], one[1 :: size + 1], one[size :: size + 1] = a, c[1:], b[:-1]
     for i in range(1, size - 1):
-        rest = one @ mats[i] - b[i - 1] * mats[i - 1] - a[i] * mats[i]
+        rest = p[i] @ p[1] - b[i - 1] * p[i - 1] - a[i] * p[i]
         nxt, left = np.divmod(rest, c[i + 1])
-        if left.any():
+        if np.count_nonzero(left):
             raise ConstructionError(
                 f"A_{i + 1} is not integral: c_{i + 1} = {c[i + 1]}"
             )
-        mats.append(nxt)
-    return np.ascontiguousarray(np.stack(mats[:size]).transpose(0, 2, 1))
+        p[i + 1] = nxt
+    return p
 
 
 def check_distance_regular(g: GraphInstance) -> IntersectionArray:
@@ -746,58 +828,185 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     A connected graph is distance regular exactly when, for every pair
     (x, y) at distance k, the numbers c_k, a_k and b_k of neighbours of y at
     distance k-1, k and k+1 from x depend only on k (Brouwer-Cohen-Neumaier,
-    Distance-Regular Graphs, 4.1).  For each block of rows x one gather
-    dist[x][nbrs] reads d(x, z) for every neighbour z of every y and checks:
+    Distance-Regular Graphs, 4.1).  One pass over row blocks of dist checks
+    that it is symmetric, 0 exactly on the diagonal, largest at the
+    diameter and of constant degree, and lists every vertex's neighbours.
+    Then for each block of rows x one gather dist[x][nbrs] reads d(x, z)
+    for every neighbour z of every y and checks:
 
     * every neighbour z of y has |d(x,z) - d(x,y)| <= 1;
-    * the degree and the per-pair counts c and a (so also b) are constant
-      on each distance class;
-    * c_k >= 1 for k >= 1, the diagonal is 0 and no other entry is below 1.
+    * the per-pair counts c and a (so also b) are constant on each
+      distance class;
+    * c_k >= 1 for k >= 1.
 
     The first and last make dist the path metric of the connected graph
-    dist == 1, so together they prove distance regularity in O(k n^2)
-    small-integer work.  p[i][j][k] = p^k_ij then follows from (b_k, c_k)
-    by the three-term recurrence (_intersection_numbers).  A path-metric
-    failure raises NotPathMetricError naming the vertices; a count that
-    differs between two pairs raises NotDistanceRegularError whose witness
-    (i, 1, k) with i in {k-1, k, k+1} carries both pairs' p^k_i1.  The
-    proved array is kept on the instance (whose distance matrix never
-    changes after construction), so a second check of the same graph costs
-    nothing.
+    dist == 1, so together they prove distance regularity.
+
+    The route, which rows x the gather reads, depends only on g.  When the
+    candidate automorphisms of g's lattice pass _transitive_generators and
+    the pass over dist proves dist == point_counts^-1[M M^T] in place of
+    symmetry, those candidates are automorphisms of dist and their group is
+    transitive on the vertices.  Every pair (x, y) is then the image of a
+    pair (0, y') with the same counts, so the gather reads vertex 0's row
+    alone: O(k n) work beside the O(n^2) pass.  Otherwise the gather reads
+    every row, O(k n^2) small-integer work.  Any refusal on vertex 0's
+    route reruns the every-row route, so a graph that fails gets the same
+    error and witness either way.
+
+    p[i][j][k] = p^k_ij then follows from (b_k, c_k) by the three-term
+    recurrence (_intersection_numbers).  A path-metric failure raises
+    NotPathMetricError naming the vertices; a count that differs between
+    two pairs raises NotDistanceRegularError whose witness (i, 1, k) with i
+    in {k-1, k, k+1} carries both pairs' p^k_i1.  The proved array is kept
+    on the instance (whose distance matrix never changes after
+    construction), so a second check of the same graph costs nothing.
     """
-    if g._intersection is not None:
-        return g._intersection
-    dist, dmax, n = g.dist, g.diameter, g.vertex_count
-    if not np.array_equal(dist, dist.T):
-        raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
-    wrong = dist < 1
-    np.fill_diagonal(wrong, np.diagonal(dist) != 0)
-    if wrong.any():
-        x, y = _first(wrong)
+    if g._intersection is None:
+        base = _transitive_generators(g)
+        try:
+            g._intersection = _intersection_array(g, base)
+        except (ConstructionError, NotPathMetricError, NotDistanceRegularError):
+            if not base:
+                raise
+            g._intersection = _intersection_array(g, False)
+    return g._intersection
+
+
+def _row_keys(rows):
+    """Each 0/1 row (along the last axis) as one bytes key, its entries
+    packed to bits."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=-1))
+    return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
+
+
+def _lookup(ascending, keys):
+    """The index of each key in an ascending array, or None when one is
+    missing."""
+    at = np.searchsorted(ascending, keys)
+    if np.count_nonzero(np.take(ascending, at, mode="clip") != keys):
+        return None
+    return at
+
+
+def _orbit_is_everything(maps) -> bool:
+    """Whether the orbit of vertex 0 under the rows of maps, permutations of
+    the vertices, is every vertex.  A permutation's inverse is one of its
+    powers, so the images of vertex 0 under words in the rows alone make up
+    the orbit: each round adds the images of every vertex reached so far."""
+    n = maps.shape[1]
+    # the words of length 1 and 2 halve the rounds
+    maps = np.concatenate([maps, maps[:, maps].reshape(-1, n)])
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    reached = 1
+    while True:
+        seen[maps[:, seen]] = True
+        before, reached = reached, np.count_nonzero(seen)
+        if reached in (before, n):
+            return reached == n
+
+
+def _transitive_generators(g) -> bool:
+    """Whether the candidate automorphisms of g's lattice permute the
+    vertices, with vertex 0's orbit every vertex.
+
+    Each candidate of lattice.generator_images names, by its images' codes
+    looked up among the points' own codes, a map pi of the points.  The
+    incidence rows, moved by pi (the point pi(p) where there was p), must be
+    the rows of a permutation sigma of the vertices: each moved row is
+    looked up exactly among the rows, packed to bits and sorted once.  The
+    move is the column permutation argsort(pi), which is pi^-1 whenever pi
+    is a permutation, so sigma keeps the Gram M M^T whatever pi is.  Once
+    dist == point_counts^-1[M M^T] is proved as well (_neighbours, on
+    vertex 0's route), every sigma keeps dist and is an automorphism.
+    """
+    lattice = g.lattice
+    images = lattice.generator_images() if lattice is not None else ()
+    if not len(images):
+        return False
+    m = g.incidence.astype(bool)
+    pis = _lookup(lattice.own_codes[:, 0], images)
+    if pis is None or pis.shape[1] != m.shape[1]:
+        return False
+    # column 0 keys each row as it is, column c + 1 as candidate c moves it
+    keys = _row_keys(np.concatenate([m[:, None], m[:, np.argsort(pis, axis=1)]], axis=1))
+    order = np.argsort(keys[:, 0])
+    at = _lookup(keys[order, 0], keys[:, 1:].T)
+    if at is None or np.count_nonzero(np.sort(at, axis=1) != np.arange(len(m))):
+        return False
+    return _orbit_is_everything(order[at])
+
+
+def _diagonal(block, start):
+    """A view of the entries (i, start + i) of a C-contiguous row block."""
+    return block.reshape(-1)[start :: block.shape[1] + 1]
+
+
+def _neighbours(g, base):
+    """The degree k and the k x n array nbrs, nbrs[s, y] the s-th neighbour
+    of y, after the whole-matrix checks of check_distance_regular, each
+    read one row block at a time.
+
+    A refusal is the one the checks name first in the order symmetry, a
+    path distance below 1 (the first in row-major order), the largest
+    distance, the degree.  With base, the blocks of dist must equal
+    point_counts^-1 of the Gram blocks of the incidence (exact_matmul, as
+    the build made them), which implies symmetry.
+    """
+    dist, n = g.dist, g.vertex_count
+    if base:
+        table = _dist_of_count(g.point_counts, g.incidence.shape[1])
+        blocks = _distance_blocks(g.incidence, table)
+    else:
+        blocks = ((rows, None) for rows in row_blocks(n, n))
+    wrong, top, cols = None, 0, []
+    degrees = np.empty(n, dtype=np.int64)
+    for rows, overlap in blocks:
+        here = dist[rows]
+        if overlap is not None:
+            if np.count_nonzero(overlap != here):
+                raise ConstructionError(f"{g.label()}: distances are not read off the incidence")
+        elif not np.array_equal(here, dist[:, rows].T):
+            raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
+        if wrong is None:
+            bad = here < 1
+            _diagonal(bad, rows.start)[:] = _diagonal(here, rows.start) != 0
+            if np.count_nonzero(bad):
+                bx, y = _first(bad)
+                wrong = rows.start + bx, y
+        top = max(top, int(here.max()))
+        xs, ys = np.nonzero(here == 1)
+        degrees[rows] = np.bincount(xs, minlength=len(here))
+        cols.append(ys)
+    if wrong is not None:
+        x, y = wrong
         raise NotPathMetricError(
             f"{g.label()}: d({x},{y}) = {dist[x, y]} is not a path distance", (x, y)
         )
-    if dist.max() != dmax:
-        raise ConstructionError(
-            f"{g.label()}: largest distance {dist.max()}, diameter {dmax}"
-        )
-    adjacent = dist == 1
-    degrees = adjacent.sum(axis=1)
-    if (degrees != degrees[0]).any():
+    if top != g.diameter:
+        raise ConstructionError(f"{g.label()}: largest distance {top}, diameter {g.diameter}")
+    if np.count_nonzero(degrees != degrees[0]):
         x = int(np.argmax(degrees != degrees[0]))
         raise NotDistanceRegularError(
             1, 1, 0, (0, 0), (x, x), int(degrees[0]), int(degrees[x])
         )
     k = int(degrees[0])
-    # nbrs[s, y] is the s-th neighbour of y
-    nbrs = np.ascontiguousarray(np.nonzero(adjacent)[1].reshape(n, k).T)
+    return k, np.ascontiguousarray(np.concatenate(cols).reshape(n, k).T)
+
+
+def _intersection_array(g, base) -> IntersectionArray:
+    """The checks of check_distance_regular, the gather on every row block,
+    or with base on vertex 0's row alone."""
+    dist, dmax, n = g.dist, g.diameter, g.vertex_count
+    k, nbrs = _neighbours(g, base)
     # below 127, distances and their differences fit int8; a lattice graph's
     # distances are int8 already
     small = dist.astype(np.int8, copy=False) if dmax < 127 else dist
     first = np.full((dmax + 1, 2), -1)  # the first pair of each distance class
     ref = np.zeros((dmax + 1, 2), dtype=np.int64)  # its c and a
+    unmet = dmax + 1
     # a block's temporaries are a few arrays of rows x degree x n small integers
-    for rows in row_blocks(n, n * max(k, 1)):
+    for rows in [slice(0, 1)] if base else row_blocks(n, n * max(k, 1)):
         start, here = rows.start, small[rows]
         # step[x, s, y] = d(x, z) - d(x, y) for z the s-th neighbour of y
         step = here[:, nbrs] - here[:, None, :]
@@ -809,10 +1018,11 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
                 f"from {x}, but {y} is at distance {dist[x, y]}",
                 (x, y, z),
             )
-        # per pair: the neighbours of y one step closer to x (c) and as far (a)
-        counts = [(step == v).sum(axis=1, dtype=np.int32) for v in (-1, 0)]
-        stuck = (counts[0] == 0) & (here > 0)
-        if stuck.any():
+        # counts[x, y] = (c, a): the neighbours of y one step closer to x and
+        # as far
+        counts = np.stack([(step == v).sum(axis=1, dtype=np.int32) for v in (-1, 0)], axis=-1)
+        stuck = (counts[..., 0] == 0) & (here > 0)
+        if np.count_nonzero(stuck):
             bx, y = _first(stuck)
             x = start + bx
             raise NotPathMetricError(
@@ -820,26 +1030,29 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
                 f"d({x},{y}) = {dist[x, y]}",
                 (x, y),
             )
-        for d in np.flatnonzero(first[:, 0] < 0):
-            at = here == d
-            if at.any():
-                bx, y = _first(at)
-                first[d] = start + bx, y
-                ref[d] = counts[0][bx, y], counts[1][bx, y]
-        for col, count in enumerate(counts):
-            off = count != ref[here, col]
-            if off.any():
-                bx, y = _first(off)
-                d = int(here[bx, y])
-                raise NotDistanceRegularError(
-                    d - 1 + col,
-                    1,
-                    d,
-                    tuple(int(v) for v in first[d]),
-                    (start + bx, y),
-                    int(ref[d, col]),
-                    int(count[bx, y]),
-                )
+        if unmet:
+            # the first pair of each distance met here and in no earlier block
+            met, at = np.unique(here, return_index=True)
+            fresh = first[met, 0] < 0
+            met, at = met[fresh], at[fresh]
+            first[met, 0], first[met, 1] = np.divmod(at, n)
+            first[met, 0] += start
+            ref[met] = counts.reshape(-1, 2)[at]
+            unmet -= len(met)
+        off = counts != ref[here]
+        if np.count_nonzero(off):
+            col = int(np.count_nonzero(off[..., 0]) == 0)
+            bx, y = _first(off[..., col])
+            d = int(here[bx, y])
+            raise NotDistanceRegularError(
+                d - 1 + col,
+                1,
+                d,
+                tuple(int(v) for v in first[d]),
+                (start + bx, y),
+                int(ref[d, col]),
+                int(counts[bx, y, col]),
+            )
     c, a = ref[:, 0], ref[:, 1]
-    g._intersection = IntersectionArray(_intersection_numbers(c, a, k - c - a))
-    return g._intersection
+    return IntersectionArray(_intersection_numbers(c, a, k - c - a))
+

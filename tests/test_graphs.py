@@ -183,6 +183,21 @@ def test_fq_intersect_matches_brute_force():
             assert fq.span_le(inter, a, q) and fq.span_le(inter, b, q)
 
 
+def _order(w, q):
+    """The multiplicative order of w modulo q, by repeated multiplication."""
+    x, order = w, 1
+    while x != 1:
+        x, order = x * w % q, order + 1
+    return order
+
+
+def test_fq_primitive_root_is_the_least_generator():
+    for q in (p for p in range(2, 200) if is_prime(p)):
+        w = fq.primitive_root(q)
+        assert _order(w, q) == q - 1
+        assert all(_order(v, q) < q - 1 for v in range(1, w))
+
+
 # ---------------------------------------------------------------------------
 # Johnson
 
@@ -754,11 +769,20 @@ def _block_sizes(g):
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: build_johnson(6, 3), lambda: build_hamming(3, 3)], ids=["J(6,3)", "H(3,3)"]
+    "build",
+    [
+        lambda: build_johnson(6, 3),
+        lambda: build_hamming(3, 3),
+        lambda: graph_from_distance_matrix("J(6,3)", build_johnson(6, 3).dist),
+        lambda: graph_from_distance_matrix("H(3,3)", build_hamming(3, 3).dist),
+    ],
+    ids=["J(6,3)", "H(3,3)", "J(6,3) lattice-free", "H(3,3) lattice-free"],
 )
 def test_drg_check_agrees_across_block_seams(monkeypatch, build):
     # the same array at every gather block size, and a distance planted in
-    # the last row block refused with the same witness each time
+    # the last row block refused with the same witness each time; a lattice
+    # graph's array comes from vertex 0's row, a lattice-free one's from
+    # every row block
     sizes = _block_sizes(build())
     arrays, refusals = [], []
     for cells in sizes.values():
@@ -1146,3 +1170,174 @@ def test_large_graph_build_holds_no_dense_wide_matrix():
     assert result.returncode == 0, result.stderr
     n, peak_kb = map(int, result.stdout.split())
     assert n == 6561 and peak_kb < 300 * 1024
+
+
+# ---------------------------------------------------------------------------
+# distance regularity from one base vertex
+
+
+def _moved_point(lattice, candidate, point):
+    """The image of a point under one of a lattice's candidate automorphisms,
+    read off the point's tuple: the reference for generator_images."""
+    if isinstance(lattice, graphs.SubsetLattice):
+        (i,) = point
+        if candidate == 0:
+            return ({1: 2, 2: 1}.get(i, i),)
+        return (i % lattice.n + 1,)
+    if isinstance(lattice, graphs.WordLattice):
+        if candidate == 0:
+            return ((point[0] % lattice.e + 1 if point[0] else 0),) + point[1:]
+        return point[-1:] + point[:-1]
+    # a subspace's point is one normalized row; the candidates act from the
+    # right as (1 2), (1 2 ... n), I + E_12 and diag(w, 1, ..., 1)
+    (row,) = point
+    q = lattice.q
+    if candidate == 0:
+        image = (row[1], row[0]) + row[2:]
+    elif candidate == 1:
+        image = row[-1:] + row[:-1]
+    elif candidate == 2:
+        image = (row[0], (row[0] + row[1]) % q) + row[2:]
+    else:
+        image = (row[0] * fq.primitive_root(q) % q,) + row[1:]
+    lead = next(x for x in image if x)
+    return (tuple(x * fq.inv_mod(lead, q) % q for x in image),)
+
+
+@pytest.mark.parametrize(
+    "lattice, candidates",
+    [
+        (lambda: build_johnson(6, 3).lattice, 2),
+        (lambda: build_hamming(3, 4).lattice, 2),
+        (lambda: build_grassmann(2, 4, 2).lattice, 3),
+        (lambda: build_grassmann(3, 4, 2).lattice, 4),
+        (lambda: build_dual_polar("C", 2, 3).lattice, 0),
+    ],
+    ids=["J(6,3)", "H(3,4)", "J_2(4,2)", "J_3(4,2)", "C2(3)"],
+)
+def test_generator_images_match_the_points_moved_one_by_one(lattice, candidates):
+    lattice = lattice()
+    points = lattice.levels[1]
+    images = lattice.generator_images()
+    assert len(images) == candidates
+    if candidates:
+        assert images.shape == (candidates, len(points))
+        at = np.searchsorted(lattice.own_codes[:, 0], images)
+        assert [[points[p] for p in row] for row in at] == [
+            [_moved_point(lattice, c, point) for point in points] for c in range(candidates)
+        ]
+
+
+def _routes(monkeypatch):
+    """The route of every _intersection_array call, True for vertex 0's row."""
+    taken = []
+    every_row = graphs._intersection_array
+
+    def spy(g, base):
+        taken.append(base)
+        return every_row(g, base)
+
+    monkeypatch.setattr(graphs, "_intersection_array", spy)
+    return taken
+
+
+ROUTE_CASES = {
+    **INCIDENCE_CASES,
+    "j84": lambda: build_johnson(8, 4),
+    "g252": lambda: build_grassmann(2, 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_CASES)
+def test_base_vertex_route_agrees_with_every_row(monkeypatch, name):
+    # Johnson, Hamming and Grassmann graphs take vertex 0's row; the same
+    # distances with no lattice, and the dual polar graphs, take every row
+    taken = _routes(monkeypatch)
+    g = ROUTE_CASES[name]()
+    p = check_distance_regular(g).p
+    assert np.array_equal(check_distance_regular(graph_from_distance_matrix(name, g.dist)).p, p)
+    assert taken == [not isinstance(g.family, DualPolarFamily), False]
+
+
+def _outcome(g):
+    """The array a check returns, or the text and witness of its refusal."""
+    try:
+        return check_distance_regular(g).p.tolist()
+    except (NotPathMetricError, NotDistanceRegularError) as exc:
+        return type(exc), str(exc), getattr(exc, "vertices", None) or exc.witness
+
+
+class SwappedPointWords(graphs.WordLattice):
+    """Words whose one candidate only trades letter 1 at the first
+    coordinate for letter 1 at the second: it moves some words' points to
+    two letters at one coordinate, which no word has."""
+
+    def generator_images(self):
+        own = self.own_codes[:, 0].copy()
+        first = (self.e + 1) ** (self.d - 1)
+        a, b = np.searchsorted(own, [first // (self.e + 1), first])
+        own[[a, b]] = own[[b, a]]
+        return own[None]
+
+
+class TranspositionOnlySubsets(graphs.SubsetLattice):
+    """Subsets with the candidate (1 2) alone, whose orbit of {1..k} is
+    {1..k} and {1..k} again."""
+
+    def generator_images(self):
+        return super().generator_images()[:1]
+
+
+def _plant_distance(g):
+    # the distance the block-seam test plants: 3 for a pair 2 apart
+    x = g.vertex_count - 1
+    y = int(np.flatnonzero(g.dist[x] == 2)[-1])
+    dist = g.dist.copy()
+    dist[x, y] = dist[y, x] = 3
+    return dataclasses.replace(g, dist=dist)
+
+
+@pytest.mark.parametrize(
+    "build, routes",
+    [
+        (lambda: graphs._lattice_graph(HammingFamily(3, 3), SwappedPointWords(3, 3)), [False]),
+        (lambda: graphs._lattice_graph(JohnsonFamily(6, 3), TranspositionOnlySubsets(6, 3)), [False]),
+        # the candidates hold, and the pass over dist refuses vertex 0's route
+        (lambda: _plant_distance(build_johnson(6, 3)), [True, False]),
+    ],
+    ids=["no vertex map", "short orbit", "dist not the overlap"],
+)
+def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, routes):
+    g = build()
+    taken = _routes(monkeypatch)
+    outcome = _outcome(g)
+    assert taken == routes
+    assert outcome == _outcome(graph_from_distance_matrix(g.label(), g.dist))
+
+
+# ru_maxrss keeps the high-water mark of the process that forked the child,
+# here the test session; VmHWM, that of the child's own memory, does not
+CHECK_MEMORY_SCRIPT = """
+from nortonalg.graphs import check_distance_regular
+from nortonalg.instances import build_graph
+g = build_graph("hamming", (8, 3))
+check_distance_regular(g)
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(g.vertex_count, peak_kb)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_large_graph_check_holds_no_dense_mask():
+    # H(8,3): build and check peak near 98 MB, as the build alone does; one
+    # n x n bool mask or int8 copy of the distances adds 43 MB
+    result = subprocess.run(
+        [sys.executable, "-c", CHECK_MEMORY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    n, peak_kb = map(int, result.stdout.split())
+    assert n == 6561 and peak_kb < 125 * 1024
