@@ -13,8 +13,9 @@ one-letter subwords base e+1, a subspace's echelon-row combinations whose
 first nonzero coefficient is 1, base q), and one searchsorted against the
 points' own strictly ascending codes turns the codes into columns.  The
 distances are written straight into an int8 matrix from row blocks of the
-Gram M M^T, each an exact integer product (exact_matmul), so no n x n
-matrix wider than int8 is formed.
+Gram M M^T, each an exact integer product against the one right factor M^T
+(RightFactor, which bounds and casts M^T once), so no n x n matrix wider
+than int8 is formed.
 
 The Grassmann and dual polar lattices come from one enumerator of the
 subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
@@ -38,7 +39,7 @@ recurrence A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}.  The
 Johnson, Hamming and Grassmann lattices offer a few candidate point
 permutations (generator_images); once the check has proved them
 automorphisms of the distances whose group is transitive on the vertices,
-the gather reads vertex 0's row alone.
+the checks and the gather read vertex 0's row alone.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     NotDistanceRegularError,
     NotPathMetricError,
 )
-from .intlinalg import INT64_MAX, exact_matmul, is_prime, row_blocks
+from .intlinalg import INT64_MAX, RightFactor, is_prime, row_blocks
 
 DEFAULT_VERTEX_BUDGET = 10 ** 4
 
@@ -459,20 +460,29 @@ class SubspaceLattice(RankedLattice):
         n = len(points[0][0]) if points else 0
         if self._polar is not None or n < 2:
             return ()
-        q, place = self.q, _place_values(self.q, n)
-        # a point's code is its normalized row read base q
-        vectors = self.own_codes // place % q
-        eye = np.eye(n, dtype=np.int64)
-        transvection = eye.copy()
-        transvection[0, 1] = 1
-        mats = [eye[[1, 0, *range(2, n)]], np.roll(eye, 1, axis=1), transvection]
-        if q > 2:
-            mats.append(np.diag([fq.primitive_root(q)] + [1] * (n - 1)))
+        q, codes = self.q, self.own_codes[:, 0]
+        # a point's code is its normalized row read base q, so its first
+        # entry x is 0 or 1; y is its second entry and z its last.  The
+        # images, each by arithmetic on the codes: x and y trade places, z
+        # moves to the front, y becomes x + y, and x becomes w x
+        top, second = q ** (n - 1), q ** (n - 2)
+        x, y, z = codes // top, codes // second % q, codes % q
+        images = [
+            codes + (y - x) * (top - second),
+            codes // q + z * top,
+            codes + ((x + y) % q - y) * second,
+        ]
+        if q == 2:
+            # every nonzero entry is 1, so every image is normalized
+            return np.stack(images)
+        w = fq.primitive_root(q)
+        images.append(codes + (w - 1) * x * top)
+        # scale each image by the inverse of its first nonzero entry, the
+        # leading digit of its code
+        images, place = np.stack(images), _place_values(q, n)
+        lead = images // place[::-1][np.searchsorted(place[::-1], images, side="right") - 1]
         inverse = np.array([0] + [fq.inv_mod(a, q) for a in range(1, q)])
-        images = vectors @ np.stack(mats) % q
-        # scale each image so that its first nonzero entry is 1
-        lead = np.take_along_axis(images, np.argmax(images != 0, axis=2)[..., None], axis=2)
-        return images * inverse[lead] % q @ place
+        return (images[..., None] // place % q) * inverse[lead][..., None] % q @ place
 
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
@@ -622,14 +632,16 @@ def _dist_of_count(counts, points):
 def _distance_blocks(incidence, dist_of_count):
     """(rows, dist_of_count[M[rows] M^T]) as int8 over the row blocks of the
     vertices, each Gram block an exact integer product freed before the
-    block of distances is handed out."""
+    block of distances is handed out.  M^T is the fixed right factor of
+    every block, so its bound is read and its cast made once."""
     n = len(incidence)
-    # the entries are 0/1: from an int8 copy, each block's bound and float
-    # copy of the whole right factor read one byte per entry, not eight
+    # the entries are 0/1: from an int8 copy, the bounds and float copies
+    # read one byte per entry, not eight
     m = incidence.astype(np.int8)
+    gram = RightFactor(m.T)
     for rows in row_blocks(n, n):
         # every count is 0..points, inside the table, so no index is clipped
-        yield rows, np.take(dist_of_count, exact_matmul(m[rows], m.T), mode="clip")
+        yield rows, np.take(dist_of_count, gram.times(m[rows]), mode="clip")
 
 
 def _distances(incidence, dist_of_count):
@@ -842,16 +854,21 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     The first and last make dist the path metric of the connected graph
     dist == 1, so together they prove distance regularity.
 
-    The route, which rows x the gather reads, depends only on g.  When the
-    candidate automorphisms of g's lattice pass _transitive_generators and
-    the pass over dist proves dist == point_counts^-1[M M^T] in place of
-    symmetry, those candidates are automorphisms of dist and their group is
-    transitive on the vertices.  Every pair (x, y) is then the image of a
-    pair (0, y') with the same counts, so the gather reads vertex 0's row
-    alone: O(k n) work beside the O(n^2) pass.  Otherwise the gather reads
-    every row, O(k n^2) small-integer work.  Any refusal on vertex 0's
-    route reruns the every-row route, so a graph that fails gets the same
-    error and witness either way.
+    The route, which rows x the checks and the gather read, depends only on
+    g.  When the candidate automorphisms of g's lattice pass
+    _transitive_generators (a few whole-array steps: one sort and search
+    match the moved incidence rows, an exact comparison proves each match,
+    and one breadth-first pass takes vertex 0's orbit) and the pass over
+    dist proves dist == point_counts^-1[M M^T] in place of symmetry (one
+    exact Gram product per row block, whose fixed factor M^T is bounded
+    and cast once), those candidates are automorphisms of dist and their
+    group is transitive on the vertices.  Every row is then row 0 moved by
+    an automorphism, and every pair (x, y) the image of a pair (0, y') with
+    the same counts, so the checks and the gather read vertex 0's row
+    alone (_vertex_0_counts): O(k n) work beside the O(n^2) pass.
+    Otherwise they read every row, O(k n^2) small-integer work.  Any
+    refusal on vertex 0's route reruns the every-row route, so a graph that
+    fails gets the same error and witness either way.
 
     p[i][j][k] = p^k_ij then follows from (b_k, c_k) by the three-term
     recurrence (_intersection_numbers).  A path-metric failure raises
@@ -872,69 +889,72 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     return g._intersection
 
 
-def _row_keys(rows):
-    """Each 0/1 row (along the last axis) as one bytes key, its entries
-    packed to bits."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=-1))
-    return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
-
-
-def _lookup(ascending, keys):
-    """The index of each key in an ascending array, or None when one is
-    missing."""
-    at = np.searchsorted(ascending, keys)
-    if np.count_nonzero(np.take(ascending, at, mode="clip") != keys):
-        return None
-    return at
+# an odd multiplier: point p weighs _KEY_BASE^(p+1) in a row's key, mod 2^64
+_KEY_BASE = -7046029254386353131
 
 
 def _orbit_is_everything(maps) -> bool:
     """Whether the orbit of vertex 0 under the rows of maps, permutations of
     the vertices, is every vertex.  A permutation's inverse is one of its
     powers, so the images of vertex 0 under words in the rows alone make up
-    the orbit: each round adds the images of every vertex reached so far."""
-    n = maps.shape[1]
-    # the words of length 1 and 2 halve the rounds
-    maps = np.concatenate([maps, maps[:, maps].reshape(-1, n)])
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    reached = 1
-    while True:
-        seen[maps[:, seen]] = True
-        before, reached = reached, np.count_nonzero(seen)
-        if reached in (before, n):
-            return reached == n
+    the orbit: one breadth-first pass from vertex 0 moves each vertex it
+    reaches by every row, once."""
+    maps = maps.tolist()
+    seen = bytearray(len(maps[0]))
+    seen[0] = 1
+    reached = [0]
+    # reached grows as the loop walks it, so each vertex is moved once
+    for x in reached:
+        for row in maps:
+            y = row[x]
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+    return len(reached) == len(seen)
 
 
 def _transitive_generators(g) -> bool:
     """Whether the candidate automorphisms of g's lattice permute the
     vertices, with vertex 0's orbit every vertex.
 
-    Each candidate of lattice.generator_images names, by its images' codes
-    looked up among the points' own codes, a map pi of the points.  The
-    incidence rows, moved by pi (the point pi(p) where there was p), must be
-    the rows of a permutation sigma of the vertices: each moved row is
-    looked up exactly among the rows, packed to bits and sorted once.  The
-    move is the column permutation argsort(pi), which is pi^-1 whenever pi
-    is a permutation, so sigma keeps the Gram M M^T whatever pi is.  Once
-    dist == point_counts^-1[M M^T] is proved as well (_neighbours, on
-    vertex 0's route), every sigma keeps dist and is an automorphism.
+    Each candidate of lattice.generator_images must permute the points'
+    own codes; it names, by one search among them, a permutation pi of the
+    points.  Moving the incidence rows by pi (the point pi(p) where there
+    was p) must give the rows of a permutation sigma of the vertices.  Two
+    integer products key every row and every moved row of every candidate
+    at once, by the sum of its points' weights mod 2^64 (the moved row of x
+    weighs M[x] . weight[pi]); one sort and one search match each moved key
+    to a row's.  A key is only a hash, so the match is then proved exactly,
+    a block of vertices at a time: M[sigma(x), pi(p)] == M[x, p] for every
+    vertex x and point p.  The rows' keys are distinct, so the rows are, and
+    each such sigma is one-to-one.  It keeps the Gram M M^T, and once
+    dist == point_counts^-1[M M^T] is proved as well (_vertex_0_counts),
+    every sigma keeps dist and is an automorphism.
     """
     lattice = g.lattice
     images = lattice.generator_images() if lattice is not None else ()
     if not len(images):
         return False
-    m = g.incidence.astype(bool)
-    pis = _lookup(lattice.own_codes[:, 0], images)
-    if pis is None or pis.shape[1] != m.shape[1]:
+    own = lattice.own_codes[:, 0]
+    # each candidate's images, sorted, must be the points' own codes
+    if images.shape[1] != len(own) or np.count_nonzero(np.sort(images, axis=1) != own):
         return False
-    # column 0 keys each row as it is, column c + 1 as candidate c moves it
-    keys = _row_keys(np.concatenate([m[:, None], m[:, np.argsort(pis, axis=1)]], axis=1))
-    order = np.argsort(keys[:, 0])
-    at = _lookup(keys[order, 0], keys[:, 1:].T)
-    if at is None or np.count_nonzero(np.sort(at, axis=1) != np.arange(len(m))):
+    pis, m = np.searchsorted(own, images), g.incidence
+    # int64 products wrap, so every key is a sum mod 2^64
+    weight = np.cumprod(np.full(len(own), _KEY_BASE, dtype=np.int64))
+    keys, moved = m @ weight, weight[pis] @ m.T
+    order = np.argsort(keys)
+    ascending = keys[order]
+    # distinct keys make the rows distinct, so each sigma that passes the
+    # exact match below is one-to-one
+    if np.count_nonzero(ascending[1:] == ascending[:-1]):
         return False
-    return _orbit_is_everything(order[at])
+    sigma = order.take(np.searchsorted(ascending, moved), mode="clip")
+    # a block of vertices at a time, each a row of points per candidate
+    for rows in row_blocks(len(m), pis.size):
+        if np.count_nonzero(m[sigma[:, rows, None], pis[:, None]] != m[rows]):
+            return False
+    return _orbit_is_everything(sigma)
 
 
 def _diagonal(block, start):
@@ -942,31 +962,21 @@ def _diagonal(block, start):
     return block.reshape(-1)[start :: block.shape[1] + 1]
 
 
-def _neighbours(g, base):
+def _neighbours(g):
     """The degree k and the k x n array nbrs, nbrs[s, y] the s-th neighbour
     of y, after the whole-matrix checks of check_distance_regular, each
     read one row block at a time.
 
     A refusal is the one the checks name first in the order symmetry, a
     path distance below 1 (the first in row-major order), the largest
-    distance, the degree.  With base, the blocks of dist must equal
-    point_counts^-1 of the Gram blocks of the incidence (exact_matmul, as
-    the build made them), which implies symmetry.
+    distance, the degree.
     """
     dist, n = g.dist, g.vertex_count
-    if base:
-        table = _dist_of_count(g.point_counts, g.incidence.shape[1])
-        blocks = _distance_blocks(g.incidence, table)
-    else:
-        blocks = ((rows, None) for rows in row_blocks(n, n))
     wrong, top, cols = None, 0, []
     degrees = np.empty(n, dtype=np.int64)
-    for rows, overlap in blocks:
+    for rows in row_blocks(n, n):
         here = dist[rows]
-        if overlap is not None:
-            if np.count_nonzero(overlap != here):
-                raise ConstructionError(f"{g.label()}: distances are not read off the incidence")
-        elif not np.array_equal(here, dist[:, rows].T):
+        if not np.array_equal(here, dist[:, rows].T):
             raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
         if wrong is None:
             bad = here < 1
@@ -995,10 +1005,62 @@ def _neighbours(g, base):
 
 
 def _intersection_array(g, base) -> IntersectionArray:
-    """The checks of check_distance_regular, the gather on every row block,
-    or with base on vertex 0's row alone."""
+    """The checks of check_distance_regular on every row, or with base on
+    vertex 0's row alone."""
+    c, a, k = _vertex_0_counts(g) if base else _every_row_counts(g)
+    return IntersectionArray(_intersection_numbers(c, a, k - c - a))
+
+
+def _vertex_0_counts(g):
+    """c_k, a_k and the degree, read off vertex 0's row once the candidate
+    automorphisms have passed _transitive_generators.
+
+    The blocks of dist must equal point_counts^-1 of the Gram blocks of the
+    incidence (exact products, as the build made them), which makes every
+    candidate an automorphism of dist.  Their group is transitive, so each
+    row of dist is row 0 moved by an automorphism, which carries each pair
+    (0, y) and the neighbours of y to any other pair at that distance.  So
+    row 0 alone must be 0 at vertex 0 only, largest at the diameter, and
+    show |d(0,z) - d(0,y)| <= 1 for each neighbour z of each y, with the
+    counts c and a constant on each distance class and c_k >= 1 for k >= 1;
+    and every row holds as many neighbours as row 0.  One pass over the
+    blocks proves the Gram identity and lists every vertex's neighbours.
+    Each refusal is a ConstructionError, and check_distance_regular reruns
+    the every-row route for its own refusal.
+    """
     dist, dmax, n = g.dist, g.diameter, g.vertex_count
-    k, nbrs = _neighbours(g, base)
+    table = _dist_of_count(g.point_counts, g.incidence.shape[1])
+    cols = []
+    for rows, overlap in _distance_blocks(g.incidence, table):
+        here = dist[rows]
+        if np.count_nonzero(overlap != here):
+            raise ConstructionError(f"{g.label()}: distances are not read off the incidence")
+        # one flat index array, not nonzero's row and column arrays
+        cols.append(np.flatnonzero(here == 1) % n)
+    row = dist[0]
+    if np.count_nonzero(row < 1) != 1 or row[0] or row.max() != dmax:
+        raise ConstructionError(f"{g.label()}: vertex 0's distances are not a path metric's")
+    k = np.count_nonzero(row == 1)
+    # step[s, y] = d(0, z) - d(0, y) for z the s-th neighbour of y
+    step = row[np.concatenate(cols).reshape(n, k).T] - row
+    counts = np.stack([np.count_nonzero(step == v, axis=0) for v in (-1, 0)], axis=1)
+    ref = np.zeros((dmax + 1, 2), dtype=np.int64)
+    ref[row] = counts
+    if (
+        step.min(initial=0) < -1
+        or step.max(initial=0) > 1
+        or np.count_nonzero(ref[row] != counts)
+        or not ref[1:, 0].all()
+    ):
+        raise ConstructionError(f"{g.label()}: vertex 0's row is not distance regular")
+    return ref[:, 0], ref[:, 1], k
+
+
+def _every_row_counts(g):
+    """c_k, a_k and the degree, by the checks of check_distance_regular on
+    every row block: one gather dist[x][nbrs] per block of rows x."""
+    dist, dmax, n = g.dist, g.diameter, g.vertex_count
+    k, nbrs = _neighbours(g)
     # below 127, distances and their differences fit int8; a lattice graph's
     # distances are int8 already
     small = dist.astype(np.int8, copy=False) if dmax < 127 else dist
@@ -1006,7 +1068,7 @@ def _intersection_array(g, base) -> IntersectionArray:
     ref = np.zeros((dmax + 1, 2), dtype=np.int64)  # its c and a
     unmet = dmax + 1
     # a block's temporaries are a few arrays of rows x degree x n small integers
-    for rows in [slice(0, 1)] if base else row_blocks(n, n * max(k, 1)):
+    for rows in row_blocks(n, n * max(k, 1)):
         start, here = rows.start, small[rows]
         # step[x, s, y] = d(x, z) - d(x, y) for z the s-th neighbour of y
         step = here[:, nbrs] - here[:, None, :]
@@ -1053,6 +1115,5 @@ def _intersection_array(g, base) -> IntersectionArray:
                 int(ref[d, col]),
                 int(counts[bx, y, col]),
             )
-    c, a = ref[:, 0], ref[:, 1]
-    return IntersectionArray(_intersection_numbers(c, a, k - c - a))
+    return ref[:, 0], ref[:, 1], k
 

@@ -4,15 +4,17 @@ Arrays hold either int64 or Python ints (dtype object), and a product of
 Python ints stays Python ints.  int64 is used only where a bound proves
 that no partial sum can leave its range: fits_int64 is that one overflow
 rule, shared by the routines here and by the product step of binop.
-exact_matmul is the one place the package turns integers into floats: an
-integer product whose bound is below 2^24 runs in float32 BLAS, below 2^53
-in float64 BLAS, whose integers are exact there whatever the order of
-summation.  BLOCK_CELLS is the one block size: every loop that takes an
-array a block of rows at a time walks the slices of row_blocks, so no
-array of a block holds more than about that many cells.  The
-fraction-free echelon below picks independent rows; coordinates solves
-for them modulo word-size primes and returns only an answer it has
-checked exactly in integers.  No Fraction is formed here.
+RightFactor.times, behind exact_matmul, is the one place the package turns
+integers into floats: an integer product whose bound is below 2^24 runs in
+float32 BLAS, below 2^53 in float64 BLAS, whose integers are exact there
+whatever the order of summation.  A blocked loop whose blocks share one
+right factor holds it as a RightFactor, which reads its bound and makes
+its cast once for every block.  BLOCK_CELLS is the one block size: every
+loop that takes an array a block of rows at a time walks the slices of
+row_blocks, so no array of a block holds more than about that many
+cells.  The fraction-free echelon below picks independent rows;
+coordinates solves for them modulo word-size primes and returns only an
+answer it has checked exactly in integers.  No Fraction is formed here.
 """
 
 from __future__ import annotations
@@ -60,17 +62,39 @@ def exact_matmul(a, b):
     is int64 when the product ran in machine numbers and neither input
     holds Python ints (dtype object); otherwise Python ints.
     """
-    amax, bmax = abs_max(a), abs_max(b)
-    # each factor's own bound matters when the other is zero or empty
-    top = max(amax * bmax * a.shape[-1], amax, bmax)
-    if top < FLOAT64_EXACT:
-        tier = np.float32 if top < FLOAT32_EXACT else np.float64
-        out = (a.astype(tier) @ b.astype(tier)).astype(np.int64)
-    elif fits_int64(top):
-        out = a.astype(np.int64) @ b.astype(np.int64)
-    else:
-        return a.astype(object) @ b.astype(object)
-    return out.astype(object) if object in (a.dtype, b.dtype) else out
+    return RightFactor(b).times(a)
+
+
+class RightFactor:
+    """One right factor b of many exact products a @ b (exact_matmul).
+
+    A blocked loop multiplies each block by the same b: its bound is read
+    once, here, and its cast to a tier is made once, when a product first
+    runs in that tier.  Each product picks its tier from b's bound and its
+    own left factor's, by exact_matmul's rule.
+    """
+
+    def __init__(self, b):
+        self.b, self.bound, self._casts = b, abs_max(b), {}
+
+    def _cast(self, tier):
+        if tier not in self._casts:
+            self._casts[tier] = self.b.astype(tier)
+        return self._casts[tier]
+
+    def times(self, a):
+        """a @ b, exactly, typed as exact_matmul types it."""
+        amax, bmax = abs_max(a), self.bound
+        # each factor's own bound matters when the other is zero or empty
+        top = max(amax * bmax * a.shape[-1], amax, bmax)
+        if top < FLOAT64_EXACT:
+            tier = np.float32 if top < FLOAT32_EXACT else np.float64
+            out = (a.astype(tier) @ self._cast(tier)).astype(np.int64)
+        elif fits_int64(top):
+            out = a.astype(np.int64) @ self._cast(np.int64)
+        else:
+            return a.astype(object) @ self._cast(object)
+        return out.astype(object) if object in (a.dtype, self.b.dtype) else out
 
 
 def row_blocks(count, width):

@@ -34,7 +34,9 @@ independent points in lattice order) and the preferred pair with its line
 (one_off_pair) are read off the lattice by one rule for every family.  The
 arithmetic is exact: int64 only where a bound proves that no sum can
 overflow, Python integers otherwise, and floats only inside
-intlinalg.exact_matmul, for integer products whose bound they hold exactly.
+intlinalg's exact products (exact_matmul, and RightFactor for a right
+factor shared by every block), for integer products whose bound they hold
+exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .graphs import (
     q_int,
 )
 from .intlinalg import (
+    RightFactor,
     abs_max,
     coordinates,
     exact_matmul,
@@ -367,7 +370,8 @@ def verify_formula_vs_oracle(
         raise ValueError(f"{g.label()}: spanning vectors must be the points, in order")
     s = len(labels)
     rows, cleared = products.rows, products.den * products.scale
-    at_cols = rows[:, products.cols]
+    # the fixed right factor of every block's formula product
+    at_cols = RightFactor(rows[:, products.cols])
     # a block's pairs are asked for in both orders, so each is two rows wide
     ordered = np.stack(np.triu_indices(s))
     for cols in row_blocks(ordered.shape[1], 2 * max(g.incidence.shape)):
@@ -375,7 +379,7 @@ def verify_formula_vs_oracle(
         oracle = products.products(first[0], second[0])
         first, second = first.ravel(), second.ravel()
         clear, coefficients = formula_rows(g, first, second)
-        formula = exact_multiply(cleared, exact_matmul(coefficients, at_cols))
+        formula = exact_multiply(cleared, at_cols.times(coefficients))
         mismatch = exact_multiply(clear, oracle) != formula.reshape(2, *oracle.shape)
         bad = np.flatnonzero(mismatch.any(axis=2))
         if bad.size:
@@ -529,10 +533,10 @@ def algebra_from_coords(g: GraphInstance, basis, coords_den, coords) -> NortonAl
     """
     points, dim = tuple(g.lattice.levels[1]), len(basis)
     a, b = np.triu_indices(dim)
-    chosen, upper = np.asarray(basis, dtype=np.intp), []
+    chosen, upper, by_coords = np.asarray(basis, dtype=np.intp), [], RightFactor(coords)
     for cols in row_blocks(len(a), max(g.incidence.shape)):
         clear, cf = formula_rows(g, chosen[a[cols]], chosen[b[cols]])
-        upper.append(exact_matmul(cf, coords))
+        upper.append(by_coords.times(cf))
     cube = np.empty((dim, dim, dim), dtype=object)
     cube[a, b] = cube[b, a] = np.concatenate(upper)
     op = BilinearOperation.from_int_table(clear * coords_den, cube)

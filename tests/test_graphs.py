@@ -1150,17 +1150,22 @@ def test_ranks_are_indexed_on_first_use():
     assert len(lat._rank) == 16
 
 
+# ru_maxrss keeps the high-water mark of the process that forked the child,
+# here the test session; VmHWM, that of the child's own memory, does not
 MEMORY_SCRIPT = """
-import resource
 from nortonalg.instances import build_graph
 g = build_graph("hamming", (8, 3))
-print(g.vertex_count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(g.vertex_count, peak_kb)
 """
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_large_graph_build_holds_no_dense_wide_matrix():
     # H(8,3): 6561 vertices, so an n x n float64 or int64 matrix is 344 MB
-    # by itself, while the int8 distances take 43 MB
+    # by itself, while the int8 distances take 43 MB; the build peaks near
+    # 100 MB
     result = subprocess.run(
         [sys.executable, "-c", MEMORY_SCRIPT],
         capture_output=True,
@@ -1169,7 +1174,7 @@ def test_large_graph_build_holds_no_dense_wide_matrix():
     )
     assert result.returncode == 0, result.stderr
     n, peak_kb = map(int, result.stdout.split())
-    assert n == 6561 and peak_kb < 300 * 1024
+    assert n == 6561 and peak_kb < 125 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -1211,9 +1216,13 @@ def _moved_point(lattice, candidate, point):
         (lambda: build_hamming(3, 4).lattice, 2),
         (lambda: build_grassmann(2, 4, 2).lattice, 3),
         (lambda: build_grassmann(3, 4, 2).lattice, 4),
+        (lambda: build_grassmann(2, 5, 2).lattice, 3),
+        # the points of F_5^3: diag(w, 1, 1) with w = 2, and images led by
+        # 2, 3 and 4, which must be scaled back to a leading 1
+        (lambda: graphs.SubspaceLattice(5, graphs._subspace_levels(3, 1, 5)), 4),
         (lambda: build_dual_polar("C", 2, 3).lattice, 0),
     ],
-    ids=["J(6,3)", "H(3,4)", "J_2(4,2)", "J_3(4,2)", "C2(3)"],
+    ids=["J(6,3)", "H(3,4)", "J_2(4,2)", "J_3(4,2)", "J_2(5,2)", "J_5(3,1)", "C2(3)"],
 )
 def test_generator_images_match_the_points_moved_one_by_one(lattice, candidates):
     lattice = lattice()
@@ -1241,10 +1250,14 @@ def _routes(monkeypatch):
     return taken
 
 
+# with INCIDENCE_CASES' h43 and j93, every graph the benchmark checks on
+# vertex 0's route
 ROUTE_CASES = {
     **INCIDENCE_CASES,
     "j84": lambda: build_johnson(8, 4),
     "g252": lambda: build_grassmann(2, 5, 2),
+    "h25": lambda: build_hamming(2, 5),
+    "j72": lambda: build_johnson(7, 2),
 }
 
 
@@ -1288,6 +1301,33 @@ class TranspositionOnlySubsets(graphs.SubsetLattice):
         return super().generator_images()[:1]
 
 
+class RookWords(graphs.WordLattice):
+    """Words with letters 1..2 at the first coordinate and 1..3 at the
+    second, whose graph is the rook's graph K2 x K3: its candidates, 1 <-> 2
+    at the first coordinate and 1 -> 2 -> 3 at the second, are automorphisms
+    transitive on the vertices, but an edge along the first coordinate lies
+    in no triangle and one along the second in one."""
+
+    def __init__(self):
+        super().__init__(2, 3)
+        self.levels = tuple(tuple(w for w in lv if w[0] <= 2) for lv in self.levels)
+
+    def generator_images(self):
+        # letter l at the first coordinate has code 4 l, at the second l
+        own = self.own_codes[:, 0]
+        first = own >= 4
+        return np.stack([np.where(first, 12 - own, own), np.where(first, own, own % 3 + 1)])
+
+
+def test_row_lookup_refuses_a_candidate_whatever_the_orbit(monkeypatch):
+    # with the orbit step forced to pass, the moved rows of SwappedPointWords
+    # (two letters at one coordinate) must still match no vertex's row
+    g = graphs._lattice_graph(HammingFamily(3, 3), SwappedPointWords(3, 3))
+    monkeypatch.setattr(graphs, "_orbit_is_everything", lambda maps: True)
+    assert graphs._transitive_generators(g) is False
+    assert graphs._transitive_generators(build_hamming(3, 3)) is True
+
+
 def _plant_distance(g):
     # the distance the block-seam test plants: 3 for a pair 2 apart
     x = g.vertex_count - 1
@@ -1304,8 +1344,10 @@ def _plant_distance(g):
         (lambda: graphs._lattice_graph(JohnsonFamily(6, 3), TranspositionOnlySubsets(6, 3)), [False]),
         # the candidates hold, and the pass over dist refuses vertex 0's route
         (lambda: _plant_distance(build_johnson(6, 3)), [True, False]),
+        # and vertex 0's row refuses it: a_1 is 0 or 1
+        (lambda: graphs._lattice_graph(HammingFamily(2, 3), RookWords()), [True, False]),
     ],
-    ids=["no vertex map", "short orbit", "dist not the overlap"],
+    ids=["no vertex map", "short orbit", "dist not the overlap", "not distance regular"],
 )
 def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, routes):
     g = build()
@@ -1315,8 +1357,40 @@ def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, route
     assert outcome == _outcome(graph_from_distance_matrix(g.label(), g.dist))
 
 
-# ru_maxrss keeps the high-water mark of the process that forked the child,
-# here the test session; VmHWM, that of the child's own memory, does not
+def _relabelled(g, f):
+    """g with each distance d read as f[d], f a permutation of 0..D, and
+    point_counts permuted to match: the Gram identity and the candidate
+    automorphisms still hold, so only vertex 0's own checks can refuse."""
+    counts = [0] * len(f)
+    for d, count in enumerate(g.point_counts):
+        counts[f[d]] = count
+    dist = np.array(f, dtype=g.dist.dtype)[g.dist]
+    return dataclasses.replace(g, dist=dist, point_counts=tuple(counts))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_hamming(2, 3), lambda: build_hamming(3, 3), lambda: build_johnson(6, 3)],
+    ids=["H(2,3)", "H(3,3)", "J(6,3)"],
+)
+def test_relabelled_distances_give_the_every_row_outcome(monkeypatch, build):
+    # every relabelling starts on vertex 0's route, and whatever it accepts
+    # or refuses there must be what every row gives
+    def outcome(g):
+        try:
+            return _outcome(g)
+        except ConstructionError as exc:
+            return str(exc)
+
+    g = build()
+    taken = _routes(monkeypatch)
+    for f in itertools.permutations(range(g.diameter + 1)):
+        h = _relabelled(g, f)
+        taken.clear()
+        assert outcome(h) == outcome(graph_from_distance_matrix(h.label(), h.dist))
+        assert taken[0] is True
+
+
 CHECK_MEMORY_SCRIPT = """
 from nortonalg.graphs import check_distance_regular
 from nortonalg.instances import build_graph

@@ -37,6 +37,7 @@ from nortonalg.graphs import (
     build_johnson,
 )
 from nortonalg.intlinalg import (
+    RightFactor,
     abs_max,
     coordinates,
     exact_matmul,
@@ -508,9 +509,27 @@ TIER_EDGES = {
 def test_exact_matmul_is_exact_past_each_tier_bound(name):
     a, b, dtype = TIER_EDGES[name]
     want = [[sum(int(x) * int(y) for x, y in zip(a[0], b[:, 0]))]]
-    out = exact_matmul(a, b)
-    assert out.dtype == dtype and out.tolist() == want
-    assert all(type(x) is int for x in out.ravel().tolist())
+    fixed = RightFactor(b)
+    # the fixed-factor form twice: the second product reuses the first's cast
+    for out in (exact_matmul(a, b), fixed.times(a), fixed.times(a)):
+        assert out.dtype == dtype and out.tolist() == want
+        assert all(type(x) is int for x in out.ravel().tolist())
+
+
+def test_right_factor_picks_each_blocks_tier_across_seams(monkeypatch):
+    # one block per row, each past the bound of the tier before it, then back
+    # to the lowest: every block picks its own tier from its bound and b's,
+    # and gets b cast to that tier, not to the tier of the block before
+    monkeypatch.setattr(intlinalg, "BLOCK_CELLS", 2)
+    a = np.array(
+        [[3, 4], [2**23 + 1, 2**23 + 2], [2**52 + 1, 2**52 + 2], [2**62, 2**62], [5, -6]],
+        dtype=np.int64,
+    )
+    b = np.array([[1], [1]], dtype=np.int64)
+    fixed = RightFactor(b)
+    blocks = [fixed.times(a[rows]) for rows in intlinalg.row_blocks(len(a), a.shape[1])]
+    assert [block.dtype for block in blocks] == [np.int64] * 3 + [object, np.int64]
+    assert [block.tolist() for block in blocks] == [[[sum(map(int, row))]] for row in a]
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,13 @@ cached algebra take their structure constants from the same code.  Only
 binop calls its Fraction entry points, evaluate_parenthesization and
 tensor_fingerprint: Fractions stay at its API edge, and the package
 computes in integer rows.  One module, intlinalg, holds the array policy:
-only it names a float type, so exact_matmul alone decides when a float
-holds an integer product exactly, and only it sets a block size (a
+only it names a float type, so its exact products alone decide when a
+float holds an integer product exactly, and only it sets a block size (a
 module-level *_CELLS constant), so every blocked loop sizes its blocks
-by row_blocks.
+by row_blocks.  Five small helpers memoize across calls, and nothing else
+may use functools.cache or lru_cache: a memo that outlives a call speeds up
+only a process that repeats the call, never a command that builds one
+graph per process, and it holds what it keeps for the process's life.
 """
 
 import ast
@@ -114,3 +117,56 @@ def test_only_intlinalg_names_a_float_type_or_a_block_size():
             if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
         ]
     assert found == []
+
+
+# the only functions that functools.cache or lru_cache may decorate
+MEMOIZED = {
+    "graphs._place_values",
+    "graphs._leading_one_vectors",
+    "trees._trees",
+    "trees._depths",
+    "cli._build_parser",
+}
+
+
+def _memo_sites(path):
+    """Every function of one module decorated with functools.cache or
+    lru_cache, as module.qualified_name, and every other call of either,
+    as module:line."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {"cache", "lru_cache"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in ("cache", "lru_cache") and alias.asname
+    }
+
+    def memo(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return (getattr(node, "id", None) or getattr(node, "attr", None)) in names
+
+    found, decorators = set(), set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                decorators.update(map(id, child.decorator_list))
+                if any(map(memo, child.decorator_list)):
+                    found.add(f"{path.stem}.{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    found |= {
+        f"{path.stem}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and memo(node) and id(node) not in decorators
+    }
+    return found
+
+
+def test_only_five_helpers_memoize_across_calls():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    assert set().union(*map(_memo_sites, paths)) == MEMOIZED
