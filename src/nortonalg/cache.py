@@ -3,12 +3,12 @@
 Past its "code_tag", a file stores only what the solve produced: "coords",
 one integer row per point over "coords_den", with "basis" the basis points'
 indices.  The eigenvalues, multiplicities and "graph_sha256" (graph_digest
-of the vertices, points, incidence and distances) are stale checks against
-a rebuild of the graph from the parameters; the digest fixes the points'
-order, so row p of coords is rebuilt point p, and every row is checked
-against the rebuilt incidence: coords_den times a centered point indicator
-must be its coords row times those of the basis points, or the file is
-stale.  No structure constant is stored: norton.algebra_from_coords reads
+of the vertices, points, incidence and point counts, which fix every
+distance) are stale checks against a rebuild of the graph from the
+parameters; the digest fixes the points' order, so row p of coords is
+rebuilt point p, and every row is checked against the rebuilt incidence:
+coords_den times a centered point indicator must be its coords row times
+those of the basis points, or the file is stale.  No structure constant is stored: norton.algebra_from_coords reads
 the cube off the closed-form rows of the basis pairs of the rebuilt graph,
 as a build does, and the labels, the preferred pair and its line and the
 notes come from the rebuilt graph too.
@@ -41,7 +41,7 @@ from .intlinalg import exact_matmul, exact_multiply
 from .norton import algebra_from_coords
 from .spectral import spectral_data
 
-CODE_TAG = "5"
+CODE_TAG = "6"
 
 _ENV_CACHE_DIR = "NORTON_CACHE_DIR"
 
@@ -63,12 +63,11 @@ def cache_path(cache_dir, name: str, params) -> Path:
 
 
 def graph_digest(g: GraphInstance) -> str:
-    """SHA-256 (hex) of the vertices and points, in order, and of the
-    incidence and distance matrices."""
-    h = sha256(repr((g.vertices, g.lattice.levels[1])).encode())
-    # n and the points fix both shapes, and 0/1 entries and distances fit a byte
-    for a in (g.incidence, g.dist):
-        h.update(np.ascontiguousarray(a, dtype=np.uint8).data)
+    """SHA-256 (hex) of the vertices and points, in order, of the point
+    counts and of the incidence matrix, which together fix every distance."""
+    h = sha256(repr((g.vertices, g.lattice.levels[1], g.point_counts)).encode())
+    # n and the points fix the shape, and 0/1 entries fit a byte
+    h.update(np.ascontiguousarray(g.incidence, dtype=np.uint8).data)
     return h.hexdigest()
 
 

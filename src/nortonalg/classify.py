@@ -63,6 +63,7 @@ from .graphs import (
     GraphInstance,
     HammingFamily,
     JohnsonFamily,
+    distance_row,
 )
 from .intlinalg import abs_max, fits_int64
 from .norton import NortonAlgebra, OracleProducts, family_constants
@@ -519,7 +520,7 @@ def d22_hamming_aligned_operation(
         raise ValueError("alignment is specific to the bipartite instance D2(2)")
     # the centered indicator of vertex a in its part of three is e_a minus
     # a third of the part: over scale 3, 3 e_a minus the part's indicator
-    side = g.dist[0] % 2
+    side = distance_row(g, 0) % 2
     basis = np.concatenate([np.flatnonzero(side == p)[:2] for p in (0, 1)])
     rows = 3 * np.eye(g.vertex_count, dtype=np.int64)[basis] - (side[basis, None] == side)
     products = OracleProducts.of_rows(g, spectral, range(len(basis)), rows, 3)

@@ -4,18 +4,18 @@ Each builder constructs a graded lattice (subsets of size <= k, subspaces of
 dimension <= k, partial words, or isotropic subspaces, each with an adjoined
 maximum) and derives the whole graph from it: the vertices are the top level
 L_D, d(x,y) = D - rank(x meet y), and the level-1 elements (points) index
-the eigenspace spanning vectors.  One vertex-by-point incidence matrix M
-gives both the distances (the points below x meet y are those below x and
-y, counted by M M^T) and the spanning vectors.  M is filled in whole-array
+the eigenspace spanning vectors.  A lattice graph is its vertex-by-point
+incidence matrix M and its point_counts: the points below x meet y are
+those below x and y, counted by M M^T, so d = point_counts^-1[M M^T], and
+the rows of M are the spanning vectors.  M is filled in whole-array
 steps, with no order query: each lattice codes the points below the
 elements of one level as one integer array (a subset's members, a word's
 one-letter subwords base e+1, a subspace's echelon-row combinations whose
 first nonzero coefficient is 1, base q), and one searchsorted against the
-points' own strictly ascending codes turns the codes into columns.  The
-distances are written straight into an int8 matrix from row blocks of the
-Gram M M^T, each an exact integer product against the one right factor M^T
-(RightFactor, which bounds and casts M^T once), so no n x n matrix wider
-than int8 is formed.
+points' own strictly ascending codes turns the codes into columns.  Rows
+of d are exact products against M^T (RightFactor, which bounds and casts
+it once); the whole n x n g.dist, read-only int8, is formed in row blocks
+only where it is read, on the every-row route of check_distance_regular.
 
 The Grassmann and dual polar lattices come from one enumerator of the
 subspaces of F_q^n (_subspace_levels).  It grows each subspace's reduced
@@ -30,16 +30,16 @@ C(n,k) >= 2^k, n for k <= n/2; [n k]_q >= q^(k(n-k)); the dual polar count
 >= 2^d), then from the exact count, formed only once the bounds are within
 the budget.  q is tested for primality once q itself is within the budget.
 
-check_distance_regular proves any distance matrix to be the path metric of
-a distance regular graph from the numbers c_k, a_k, b_k of neighbours of y
-at distance k-1, k, k+1 from x, read for every pair (x, y) by one
-neighbour gather per vertex (Brouwer-Cohen-Neumaier, Distance-Regular
-Graphs, 4.1), and derives every p^k_ij from them by the three-term
-recurrence A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}.  The
-Johnson, Hamming and Grassmann lattices offer a few candidate point
-permutations (generator_images); once the check has proved them
-automorphisms of the distances whose group is transitive on the vertices,
-the checks and the gather read vertex 0's row alone.
+check_distance_regular proves a graph distance regular from the numbers
+c_k, a_k, b_k of neighbours of y at distance k-1, k, k+1 from x
+(Brouwer-Cohen-Neumaier, Distance-Regular Graphs, 4.1), and derives every
+p^k_ij from them by the three-term recurrence A_1 A_i = b_{i-1} A_{i-1} +
+a_i A_i + c_{i+1} A_{i+1}.  The Johnson, Hamming and Grassmann lattices
+offer a few candidate point permutations (generator_images); once the
+check has proved them automorphisms of M whose group is transitive on the
+vertices, it reads the pairs (x, 0) alone: the rows of vertex 0 and of its
+neighbours.  Otherwise it reads every pair, by one neighbour gather per
+row block of the whole matrix.
 """
 
 from __future__ import annotations
@@ -508,8 +508,6 @@ class SubspaceLattice(RankedLattice):
 class GraphInstance:
     family: object
     vertices: tuple
-    # int8 for a lattice graph; graph_from_distance_matrix keeps int64
-    dist: np.ndarray
     diameter: int
     lattice: RankedLattice | None
     notes: tuple = ()
@@ -518,6 +516,8 @@ class GraphInstance:
     # point_counts[i] points lie below x meet y when d(x, y) = i, so
     # incidence @ incidence.T is point_counts[dist]
     point_counts: tuple | None = field(default=None, repr=False)
+    # graph_from_distance_matrix's own int64 matrix; a lattice graph has none
+    stored_dist: np.ndarray | None = field(default=None, repr=False)
     _intersection: IntersectionArray = field(default=None, repr=False)
 
     @property
@@ -527,6 +527,12 @@ class GraphInstance:
     def label(self) -> str:
         return self.family.label()
 
+    @cached_property
+    def dist(self) -> np.ndarray:
+        """The n x n distances: stored_dist, or a lattice graph's
+        point_counts^-1[M M^T] as read-only int8, formed on first read."""
+        return self.stored_dist if self.incidence is None else _distances(self)
+
 
 def graph_from_distance_matrix(name: str, dist) -> GraphInstance:
     """Test-fixture constructor; no lattice, no closed forms."""
@@ -534,10 +540,15 @@ def graph_from_distance_matrix(name: str, dist) -> GraphInstance:
     return GraphInstance(
         family=CustomFamily(name),
         vertices=tuple(range(d.shape[0])),
-        dist=d,
         diameter=int(d.max()),
         lattice=None,
+        stored_dist=d,
     )
+
+
+def distance_row(g: GraphInstance, x: int) -> np.ndarray:
+    """A lattice graph's d(x, y) for every vertex y, with no n x n matrix."""
+    return _distance_rows(g)([x])[0]
 
 
 def _check_budget(budget, floors, count=None):
@@ -573,7 +584,8 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
 
     Every element of one level has the same number of points below it, so
     that count, read from one element per level, names the rank of x meet y
-    as long as no two levels share it.
+    as long as no two levels share it.  The graph keeps M and those counts
+    and forms no distances: M's row sums, the diagonal of M M^T, must name 0.
     """
     vertices = lattice.levels[-1]
     points = lattice.levels[1]
@@ -608,17 +620,19 @@ def _lattice_graph(family, lattice: RankedLattice, notes=()) -> GraphInstance:
     # int8 holds the distances 0..D while D <= 127
     if depth > 127:
         raise ConstructionError(f"{family.label()}: diameter {depth} too large for int8 distances")
-    dist = _distances(incidence, _dist_of_count(counts, len(points)))
-    if dist.min() < 0:
+    diagonal = _dist_of_count(counts, len(points))[incidence.sum(axis=1)]
+    if diagonal.min() < 0:
+        raise ConstructionError(_UNEVEN.format(family.label()))
+    if np.count_nonzero(diagonal):
+        i = int(np.flatnonzero(diagonal)[0])
         raise ConstructionError(
-            f"{family.label()}: elements of one level differ in the points below them"
+            f"{family.label()}: vertex {vertices[i]} is at distance {diagonal[i]} from itself"
         )
-    if np.diagonal(dist).any():
-        i = int(np.flatnonzero(np.diagonal(dist))[0])
-        raise ConstructionError(
-            f"{family.label()}: vertex {vertices[i]} is at distance {dist[i, i]} from itself"
-        )
-    return GraphInstance(family, vertices, dist, depth, lattice, notes, incidence, counts)
+    return GraphInstance(family, vertices, depth, lattice, notes, incidence, counts)
+
+
+# the refusal of a count of shared points that names no distance
+_UNEVEN = "{}: elements of one level differ in the points below them"
 
 
 def _dist_of_count(counts, points):
@@ -629,28 +643,29 @@ def _dist_of_count(counts, points):
     return table
 
 
-def _distance_blocks(incidence, dist_of_count):
-    """(rows, dist_of_count[M[rows] M^T]) as int8 over the row blocks of the
-    vertices, each Gram block an exact integer product freed before the
-    block of distances is handed out.  M^T is the fixed right factor of
-    every block, so its bound is read and its cast made once."""
-    n = len(incidence)
+def _distance_rows(g):
+    """rows -> point_counts^-1[M[rows] M^T] as int8: per call one exact
+    product against the fixed factor M^T, bounded and cast once."""
     # the entries are 0/1: from an int8 copy, the bounds and float copies
     # read one byte per entry, not eight
-    m = incidence.astype(np.int8)
+    m = g.incidence.astype(np.int8)
+    table = _dist_of_count(g.point_counts, m.shape[1])
     gram = RightFactor(m.T)
-    for rows in row_blocks(n, n):
-        # every count is 0..points, inside the table, so no index is clipped
-        yield rows, np.take(dist_of_count, gram.times(m[rows]), mode="clip")
+    # every count is 0..points, inside the table, so no index is clipped
+    return lambda rows: np.take(table, gram.times(m[rows]), mode="clip")
 
 
-def _distances(incidence, dist_of_count):
-    """dist_of_count[M M^T] as int8, one row block of the Gram at a time,
-    so beside its own n^2 bytes it holds only one block's arrays."""
-    n = len(incidence)
+def _distances(g):
+    """A lattice graph's read-only int8 distances, a row block at a time, so
+    beside its n^2 bytes it holds one block's arrays; a count naming no
+    distance is refused."""
+    n, rows_of = g.vertex_count, _distance_rows(g)
     dist = np.empty((n, n), dtype=np.int8)
-    for rows, block in _distance_blocks(incidence, dist_of_count):
-        dist[rows] = block
+    for rows in row_blocks(n, n):
+        dist[rows] = rows_of(rows)
+    if dist.min() < 0:
+        raise ConstructionError(_UNEVEN.format(g.label()))
+    dist.flags.writeable = False
     return dist
 
 
@@ -840,35 +855,30 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     A connected graph is distance regular exactly when, for every pair
     (x, y) at distance k, the numbers c_k, a_k and b_k of neighbours of y at
     distance k-1, k and k+1 from x depend only on k (Brouwer-Cohen-Neumaier,
-    Distance-Regular Graphs, 4.1).  One pass over row blocks of dist checks
-    that it is symmetric, 0 exactly on the diagonal, largest at the
-    diameter and of constant degree, and lists every vertex's neighbours.
-    Then for each block of rows x one gather dist[x][nbrs] reads d(x, z)
-    for every neighbour z of every y and checks:
+    Distance-Regular Graphs, 4.1).  On a set of pairs (x, y), the checks
+    read d(x, z) for every neighbour z of y:
 
     * every neighbour z of y has |d(x,z) - d(x,y)| <= 1;
     * the per-pair counts c and a (so also b) are constant on each
       distance class;
     * c_k >= 1 for k >= 1.
 
-    The first and last make dist the path metric of the connected graph
-    dist == 1, so together they prove distance regularity.
+    The first and last make d the path metric of the connected graph
+    d == 1, so together they prove distance regularity.
 
-    The route, which rows x the checks and the gather read, depends only on
-    g.  When the candidate automorphisms of g's lattice pass
-    _transitive_generators (a few whole-array steps: one sort and search
-    match the moved incidence rows, an exact comparison proves each match,
-    and one breadth-first pass takes vertex 0's orbit) and the pass over
-    dist proves dist == point_counts^-1[M M^T] in place of symmetry (one
-    exact Gram product per row block, whose fixed factor M^T is bounded
-    and cast once), those candidates are automorphisms of dist and their
-    group is transitive on the vertices.  Every row is then row 0 moved by
-    an automorphism, and every pair (x, y) the image of a pair (0, y') with
-    the same counts, so the checks and the gather read vertex 0's row
-    alone (_vertex_0_counts): O(k n) work beside the O(n^2) pass.
-    Otherwise they read every row, O(k n^2) small-integer work.  Any
-    refusal on vertex 0's route reruns the every-row route, so a graph that
-    fails gets the same error and witness either way.
+    The route, which pairs the checks read, depends only on g.  When the
+    candidate automorphisms of g's lattice pass _transitive_generators (a
+    few whole-array steps), they keep M, so d = point_counts^-1[M M^T], and
+    are transitive: one that takes y to 0 carries (x, y) to a pair (x', 0)
+    with the same counts.  So the checks read the pairs (x, 0)
+    alone (_vertex_0_counts), off the rows of vertex 0 and its k
+    neighbours: O(k n P) work and no n x n array.  Otherwise one pass over
+    row blocks of g.dist checks that it is symmetric, 0 exactly on the
+    diagonal, largest at the diameter and of constant degree, and lists
+    every vertex's neighbours, and one gather dist[x][nbrs] per row block
+    reads every pair, O(k n^2) small-integer work.  Any refusal on vertex
+    0's route reruns the every-row route, so a graph that fails gets the
+    same error and witness either way.
 
     p[i][j][k] = p^k_ij then follows from (b_k, c_k) by the three-term
     recurrence (_intersection_numbers).  A path-metric failure raises
@@ -927,9 +937,8 @@ def _transitive_generators(g) -> bool:
     to a row's.  A key is only a hash, so the match is then proved exactly,
     a block of vertices at a time: M[sigma(x), pi(p)] == M[x, p] for every
     vertex x and point p.  The rows' keys are distinct, so the rows are, and
-    each such sigma is one-to-one.  It keeps the Gram M M^T, and once
-    dist == point_counts^-1[M M^T] is proved as well (_vertex_0_counts),
-    every sigma keeps dist and is an automorphism.
+    each such sigma is one-to-one.  It keeps the Gram M M^T, so the
+    distances point_counts^-1[M M^T], and is an automorphism.
     """
     lattice = g.lattice
     images = lattice.generator_images() if lattice is not None else ()
@@ -985,7 +994,8 @@ def _neighbours(g):
                 bx, y = _first(bad)
                 wrong = rows.start + bx, y
         top = max(top, int(here.max()))
-        xs, ys = np.nonzero(here == 1)
+        # one flat index array, not nonzero's row and column arrays
+        xs, ys = np.divmod(np.flatnonzero(here == 1), n)
         degrees[rows] = np.bincount(xs, minlength=len(here))
         cols.append(ys)
     if wrong is not None:
@@ -1006,43 +1016,31 @@ def _neighbours(g):
 
 def _intersection_array(g, base) -> IntersectionArray:
     """The checks of check_distance_regular on every row, or with base on
-    vertex 0's row alone."""
+    the pairs (x, 0) alone."""
     c, a, k = _vertex_0_counts(g) if base else _every_row_counts(g)
     return IntersectionArray(_intersection_numbers(c, a, k - c - a))
 
 
 def _vertex_0_counts(g):
-    """c_k, a_k and the degree, read off vertex 0's row once the candidate
+    """c_k, a_k and the degree, read off the pairs (x, 0) once the candidate
     automorphisms have passed _transitive_generators.
 
-    The blocks of dist must equal point_counts^-1 of the Gram blocks of the
-    incidence (exact products, as the build made them), which makes every
-    candidate an automorphism of dist.  Their group is transitive, so each
-    row of dist is row 0 moved by an automorphism, which carries each pair
-    (0, y) and the neighbours of y to any other pair at that distance.  So
-    row 0 alone must be 0 at vertex 0 only, largest at the diameter, and
-    show |d(0,z) - d(0,y)| <= 1 for each neighbour z of each y, with the
-    counts c and a constant on each distance class and c_k >= 1 for k >= 1;
-    and every row holds as many neighbours as row 0.  One pass over the
-    blocks proves the Gram identity and lists every vertex's neighbours.
+    The candidates keep d and are transitive, so each row of d is row 0
+    moved, and each pair (x, y) with the neighbours of y goes to a pair
+    (x', 0) with those of 0.  So row 0 must be 0 at vertex 0 only and
+    largest at the diameter, and the k x n array d(x, z) - d(x, 0) over
+    vertex 0's neighbours z (their rows, as d is symmetric) must hold
+    |step| <= 1, c and a constant on each distance class and c_k >= 1.
     Each refusal is a ConstructionError, and check_distance_regular reruns
     the every-row route for its own refusal.
     """
-    dist, dmax, n = g.dist, g.diameter, g.vertex_count
-    table = _dist_of_count(g.point_counts, g.incidence.shape[1])
-    cols = []
-    for rows, overlap in _distance_blocks(g.incidence, table):
-        here = dist[rows]
-        if np.count_nonzero(overlap != here):
-            raise ConstructionError(f"{g.label()}: distances are not read off the incidence")
-        # one flat index array, not nonzero's row and column arrays
-        cols.append(np.flatnonzero(here == 1) % n)
-    row = dist[0]
+    dmax, rows_of = g.diameter, _distance_rows(g)
+    row = rows_of([0])[0]
     if np.count_nonzero(row < 1) != 1 or row[0] or row.max() != dmax:
         raise ConstructionError(f"{g.label()}: vertex 0's distances are not a path metric's")
-    k = np.count_nonzero(row == 1)
-    # step[s, y] = d(0, z) - d(0, y) for z the s-th neighbour of y
-    step = row[np.concatenate(cols).reshape(n, k).T] - row
+    nbrs = np.flatnonzero(row == 1)
+    # step[s, x] = d(x, z) - d(x, 0) for z the s-th neighbour of vertex 0
+    step = rows_of(nbrs) - row
     counts = np.stack([np.count_nonzero(step == v, axis=0) for v in (-1, 0)], axis=1)
     ref = np.zeros((dmax + 1, 2), dtype=np.int64)
     ref[row] = counts
@@ -1053,7 +1051,7 @@ def _vertex_0_counts(g):
         or not ref[1:, 0].all()
     ):
         raise ConstructionError(f"{g.label()}: vertex 0's row is not distance regular")
-    return ref[:, 0], ref[:, 1], k
+    return ref[:, 0], ref[:, 1], len(nbrs)
 
 
 def _every_row_counts(g):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nortonalg import cache, cli, intlinalg
+from nortonalg import cache, cli, graphs, intlinalg
 from nortonalg.cache import (
     CODE_TAG,
     cache_path,
@@ -29,6 +29,7 @@ from nortonalg.cache import (
 from nortonalg.classify import _depth_rows, count_norton_classes, verify_classification
 from nortonalg.cli import main
 from nortonalg.errors import BudgetExceededError, ConstructionError
+from nortonalg.graphs import check_distance_regular
 from nortonalg.instances import (
     build_graph,
     build_instance,
@@ -373,17 +374,15 @@ def _swapped(items, i, j):
 
 def test_cache_detects_stale_graph(capsys, monkeypatch, tmp_path):
     # the file holds one digest of the graph; a rebuild that differs from
-    # the stored graph in one distance, in the order of two vertices or in
-    # the order of two points is refused as stale
+    # the stored graph in its point counts (so in its distances), in the
+    # order of two vertices or in the order of two points is refused as stale
     write_cache(build_instance("johnson", (5, 2)), tmp_path)
     g = build_graph("johnson", (5, 2))
-    dist = g.dist.copy()
-    dist[0, 1] = dist[1, 0] = 3
     lattice = copy.copy(g.lattice)
     levels = lattice.levels
     lattice.levels = (levels[0], _swapped(levels[1], 0, 1), *levels[2:])
     for stale in (
-        dataclasses.replace(g, dist=dist),
+        dataclasses.replace(g, point_counts=g.point_counts[::-1]),
         dataclasses.replace(g, vertices=_swapped(g.vertices, 0, 1)),
         dataclasses.replace(g, lattice=lattice),
     ):
@@ -395,6 +394,23 @@ def test_cache_detects_stale_graph(capsys, monkeypatch, tmp_path):
         )
     monkeypatch.undo()
     assert load_cache("johnson", (5, 2), tmp_path) is not None
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("johnson", (9, 3)), ("hamming", (4, 3)), ("grassmann", (2, 4, 2))],
+    ids=["J(9,3)", "H(4,3)", "J_2(4,2)"],
+)
+def test_check_and_cache_never_form_the_distance_matrix(monkeypatch, tmp_path, name, params):
+    # the distance check on vertex 0's route, the cache digest and a build,
+    # write and load read the incidence alone: the n x n former must not run
+    def refuse(g):
+        raise AssertionError(f"{g.label()}: formed the n x n distances")
+
+    monkeypatch.setattr(graphs, "_distances", refuse)
+    check_distance_regular(build_graph(name, params))
+    write_cache(build_instance(name, params), tmp_path)
+    assert load_cache(name, params, tmp_path) is not None
 
 
 @pytest.mark.parametrize("key", ["eigenvalues", "multiplicities"])

@@ -758,6 +758,12 @@ def test_diameter_must_be_the_largest_distance():
     g = dataclasses.replace(cycle(6), diameter=4)
     with pytest.raises(ConstructionError, match="diameter 4"):
         check_distance_regular(g)
+    # a lattice graph's vertex 0 reads distance 3 past a diameter of 2, and
+    # no distance 4 below one of 4: both go on to the every-row refusal
+    for diameter in (2, 4):
+        g = dataclasses.replace(build_johnson(6, 3), diameter=diameter)
+        with pytest.raises(ConstructionError, match=f"largest distance 3, diameter {diameter}"):
+            check_distance_regular(g)
 
 
 def _block_sizes(g):
@@ -779,26 +785,27 @@ def _block_sizes(g):
     ids=["J(6,3)", "H(3,3)", "J(6,3) lattice-free", "H(3,3) lattice-free"],
 )
 def test_drg_check_agrees_across_block_seams(monkeypatch, build):
-    # the same array at every gather block size, and a distance planted in
-    # the last row block refused with the same witness each time; a lattice
-    # graph's array comes from vertex 0's row, a lattice-free one's from
-    # every row block
+    # the same array at every gather block size; a lattice graph's comes
+    # from the rows of vertex 0 and its neighbours, a lattice-free one's
+    # from every row block, where a distance planted in the last row block
+    # is refused with the same witness each time
     sizes = _block_sizes(build())
     arrays, refusals = [], []
     for cells in sizes.values():
         monkeypatch.setattr(intlinalg, "BLOCK_CELLS", cells)
         g = build()
-        x = g.vertex_count - 1
-        y = int(np.flatnonzero(g.dist[x] == 2)[-1])
-        dist = g.dist.copy()
-        dist[x, y] = dist[y, x] = 3
-        with pytest.raises(NotPathMetricError) as exc:
-            check_distance_regular(dataclasses.replace(g, dist=dist))
-        refusals.append((str(exc.value), exc.value.vertices))
+        if g.lattice is None:
+            x = g.vertex_count - 1
+            y = int(np.flatnonzero(g.dist[x] == 2)[-1])
+            dist = g.dist.copy()
+            dist[x, y] = dist[y, x] = 3
+            with pytest.raises(NotPathMetricError) as exc:
+                check_distance_regular(graph_from_distance_matrix(g.label(), dist))
+            assert {x, y} <= set(exc.value.vertices)
+            refusals.append((str(exc.value), exc.value.vertices))
         arrays.append(check_distance_regular(g).p)
     assert all(np.array_equal(p, arrays[0]) for p in arrays)
-    assert refusals == [refusals[0]] * len(sizes)
-    assert {x, y} <= set(refusals[0][1])
+    assert refusals == refusals[:1] * len(refusals)
 
 
 def test_recurrence_refuses_inexact_division():
@@ -878,6 +885,19 @@ def test_uneven_word_and_subspace_levels_are_refused(lattice, odd):
     lattice.levels = lattice.levels[:-1] + ((odd,) + lattice.levels[-1][1:],)
     with pytest.raises(ConstructionError, match="differ in the points below them"):
         graphs._lattice_graph(graphs.CustomFamily("uneven"), lattice)
+
+
+def test_a_count_that_names_no_distance_is_refused_where_distances_are_read():
+    # J(6,3)'s lattice without its 2-subsets: two vertices that share two
+    # points meet in no level, so that count names no distance.  The build
+    # forms no distances; reading them, or checking the graph, refuses it
+    lat = graphs.SubsetLattice(6, 3)
+    lat.levels = lat.levels[:2] + lat.levels[3:]
+    g = graphs._lattice_graph(JohnsonFamily(6, 3), lat)
+    assert g.point_counts == (3, 1, 0)
+    for read in (lambda: g.dist, lambda: check_distance_regular(g)):
+        with pytest.raises(ConstructionError, match=r"J\(6,3\): elements of one level differ"):
+            read()
 
 
 class ShortVertexLattice(graphs.SubsetLattice):
@@ -1164,8 +1184,8 @@ print(g.vertex_count, peak_kb)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_large_graph_build_holds_no_dense_wide_matrix():
     # H(8,3): 6561 vertices, so an n x n float64 or int64 matrix is 344 MB
-    # by itself, while the int8 distances take 43 MB; the build peaks near
-    # 100 MB
+    # by itself, and even the int8 distances take 43 MB; the build, which
+    # forms no n x n matrix, peaks near 44 MB
     result = subprocess.run(
         [sys.executable, "-c", MEMORY_SCRIPT],
         capture_output=True,
@@ -1174,7 +1194,7 @@ def test_large_graph_build_holds_no_dense_wide_matrix():
     )
     assert result.returncode == 0, result.stderr
     n, peak_kb = map(int, result.stdout.split())
-    assert n == 6561 and peak_kb < 125 * 1024
+    assert n == 6561 and peak_kb < 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -1328,13 +1348,13 @@ def test_row_lookup_refuses_a_candidate_whatever_the_orbit(monkeypatch):
     assert graphs._transitive_generators(build_hamming(3, 3)) is True
 
 
-def _plant_distance(g):
-    # the distance the block-seam test plants: 3 for a pair 2 apart
-    x = g.vertex_count - 1
-    y = int(np.flatnonzero(g.dist[x] == 2)[-1])
-    dist = g.dist.copy()
-    dist[x, y] = dist[y, x] = 3
-    return dataclasses.replace(g, dist=dist)
+def _repeat_incidence_row(g):
+    # the last vertex's points copied onto vertex 1: two rows alike, so no
+    # candidate permutes the vertices, and the distances derived from the
+    # incidence put vertex 1 at distance 0 from the last
+    incidence = g.incidence.copy()
+    incidence[1] = incidence[-1]
+    return dataclasses.replace(g, incidence=incidence)
 
 
 @pytest.mark.parametrize(
@@ -1342,12 +1362,12 @@ def _plant_distance(g):
     [
         (lambda: graphs._lattice_graph(HammingFamily(3, 3), SwappedPointWords(3, 3)), [False]),
         (lambda: graphs._lattice_graph(JohnsonFamily(6, 3), TranspositionOnlySubsets(6, 3)), [False]),
-        # the candidates hold, and the pass over dist refuses vertex 0's route
-        (lambda: _plant_distance(build_johnson(6, 3)), [True, False]),
-        # and vertex 0's row refuses it: a_1 is 0 or 1
+        (lambda: _repeat_incidence_row(build_johnson(6, 3)), [False]),
+        # the candidates hold, and the pairs (x, 0) refuse the route: a_1 is
+        # 0 or 1
         (lambda: graphs._lattice_graph(HammingFamily(2, 3), RookWords()), [True, False]),
     ],
-    ids=["no vertex map", "short orbit", "dist not the overlap", "not distance regular"],
+    ids=["no vertex map", "short orbit", "repeated incidence row", "not distance regular"],
 )
 def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, routes):
     g = build()
@@ -1358,14 +1378,13 @@ def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, route
 
 
 def _relabelled(g, f):
-    """g with each distance d read as f[d], f a permutation of 0..D, and
-    point_counts permuted to match: the Gram identity and the candidate
-    automorphisms still hold, so only vertex 0's own checks can refuse."""
+    """g with point_counts permuted so that each distance d reads f[d], f a
+    permutation of 0..D: the incidence, so the candidate automorphisms,
+    still hold, so only the checks of the pairs (x, 0) can refuse."""
     counts = [0] * len(f)
     for d, count in enumerate(g.point_counts):
         counts[f[d]] = count
-    dist = np.array(f, dtype=g.dist.dtype)[g.dist]
-    return dataclasses.replace(g, dist=dist, point_counts=tuple(counts))
+    return dataclasses.replace(g, point_counts=tuple(counts))
 
 
 @pytest.mark.parametrize(
@@ -1392,9 +1411,10 @@ def test_relabelled_distances_give_the_every_row_outcome(monkeypatch, build):
 
 
 CHECK_MEMORY_SCRIPT = """
+import sys
 from nortonalg.graphs import check_distance_regular
 from nortonalg.instances import build_graph
-g = build_graph("hamming", (8, 3))
+g = build_graph(sys.argv[1], tuple(map(int, sys.argv[2:])), budget=10 ** 5)
 check_distance_regular(g)
 with open("/proc/self/status") as status:
     peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
@@ -1404,14 +1424,16 @@ print(g.vertex_count, peak_kb)
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
 def test_large_graph_check_holds_no_dense_mask():
-    # H(8,3): build and check peak near 98 MB, as the build alone does; one
-    # n x n bool mask or int8 copy of the distances adds 43 MB
-    result = subprocess.run(
-        [sys.executable, "-c", CHECK_MEMORY_SCRIPT],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-    )
-    assert result.returncode == 0, result.stderr
-    n, peak_kb = map(int, result.stdout.split())
-    assert n == 6561 and peak_kb < 125 * 1024
+    # build and check peak near 44 MB on H(8,3) and 90 MB on J(20,6), as
+    # they read only the rows of vertex 0 and its neighbours; an n x n
+    # bool mask or int8 copy of the distances adds 43 MB and 1.5 GB
+    for spec, n, bound_mb in [(("hamming", 8, 3), 6561, 64), (("johnson", 20, 6), 38760, 200)]:
+        result = subprocess.run(
+            [sys.executable, "-c", CHECK_MEMORY_SCRIPT, *map(str, spec)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert result.returncode == 0, result.stderr
+        count, peak_kb = map(int, result.stdout.split())
+        assert count == n and peak_kb < bound_mb * 1024

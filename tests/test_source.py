@@ -13,10 +13,13 @@ computes in integer rows.  One module, intlinalg, holds the array policy:
 only it names a float type, so its exact products alone decide when a
 float holds an integer product exactly, and only it sets a block size (a
 module-level *_CELLS constant), so every blocked loop sizes its blocks
-by row_blocks.  Five small helpers memoize across calls, and nothing else
-may use functools.cache or lru_cache: a memo that outlives a call speeds up
-only a process that repeats the call, never a command that builds one
-graph per process, and it holds what it keeps for the process's life.
+by row_blocks.  Only graphs reads a graph's .dist: a lattice graph's
+distances are its incidence, and anywhere else a read would form the
+whole n x n matrix for what rows of the incidence Gram give.  Five small
+helpers memoize across calls, and nothing else may use functools.cache or
+lru_cache: a memo that outlives a call speeds up only a process that
+repeats the call, never a command that builds one graph per process, and
+it holds what it keeps for the process's life.
 """
 
 import ast
@@ -116,6 +119,18 @@ def test_only_intlinalg_names_a_float_type_or_a_block_size():
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
             if isinstance(target, ast.Name) and target.id.endswith("_CELLS")
         ]
+    assert found == []
+
+
+def test_only_graphs_reads_the_distance_matrix():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        if path.name != "graphs.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "dist"
+    ]
     assert found == []
 
 
