@@ -179,9 +179,13 @@ def q_binomial(n: int, k: int, q: int) -> int:
 
 
 class RankedLattice:
-    """Graded lattice L_0 | ... | L_D plus the adjoined maximum TOP."""
+    """Graded lattice L_0 | ... | L_D plus the adjoined maximum TOP.
 
-    top = TOP
+    The program reads a lattice through levels, depth, point_codes,
+    own_codes and generator_images alone.  leq and join, with TOP, are the
+    order that the tests' references read; subclasses define them on proper
+    elements as _leq and _join.
+    """
 
     def __init__(self, levels):
         self.levels = tuple(tuple(lv) for lv in levels)
@@ -189,21 +193,6 @@ class RankedLattice:
     @property
     def depth(self) -> int:
         return len(self.levels) - 1
-
-    @cached_property
-    def _rank(self):
-        return {el: i for i, lv in enumerate(self.levels) for el in lv}
-
-    def rank_of(self, el):
-        """Level index of an element; None for the adjoined maximum."""
-        if el is TOP:
-            return None
-        return self._rank[el]
-
-    def all_elements(self):
-        for lv in self.levels:
-            yield from lv
-        yield TOP
 
     def point_codes(self, elements):
         """The points below some elements of one level, as integer codes.
@@ -230,29 +219,12 @@ class RankedLattice:
         """
         return ()
 
-    # subclasses implement the order on proper elements
-    def _leq(self, a, b):
-        raise NotImplementedError
-
-    def _meet(self, a, b):
-        raise NotImplementedError
-
-    def _join(self, a, b):
-        raise NotImplementedError
-
     def leq(self, a, b) -> bool:
         if b is TOP:
             return True
         if a is TOP:
             return False
         return self._leq(a, b)
-
-    def meet(self, a, b):
-        if a is TOP:
-            return b
-        if b is TOP:
-            return a
-        return self._meet(a, b)
 
     def join(self, a, b):
         if a is TOP or b is TOP:
@@ -284,9 +256,6 @@ class SubsetLattice(RankedLattice):
 
     def _leq(self, a, b):
         return set(a) <= set(b)
-
-    def _meet(self, a, b):
-        return tuple(sorted(set(a) & set(b)))
 
     def _join(self, a, b):
         u = sorted(set(a) | set(b))
@@ -329,9 +298,6 @@ class WordLattice(RankedLattice):
 
     def _leq(self, a, b):
         return all(x == 0 or x == y for x, y in zip(a, b))
-
-    def _meet(self, a, b):
-        return tuple(x if x == y else 0 for x, y in zip(a, b))
 
     def _join(self, a, b):
         out = []
@@ -487,9 +453,6 @@ class SubspaceLattice(RankedLattice):
     def _leq(self, a, b):
         return fq.span_le(a, b, self.q)
 
-    def _meet(self, a, b):
-        return fq.intersect(a, b, self.q)
-
     def _join(self, a, b):
         r = fq.rref(a + b, self.q)
         if len(r) > self.depth or not all(
@@ -535,8 +498,21 @@ class GraphInstance:
 
 
 def graph_from_distance_matrix(name: str, dist) -> GraphInstance:
-    """Test-fixture constructor; no lattice, no closed forms."""
-    d = np.asarray(dist, dtype=np.int64)
+    """Test-fixture constructor; no lattice, no closed forms.  The matrix
+    must be non-empty, 2-D, square and equal to its int64 conversion
+    (ValueError), and symmetric (ConstructionError)."""
+    given = np.asarray(dist)
+    if not given.size:
+        raise ValueError(f"{name}: distance matrix is empty")
+    if given.ndim != 2 or given.shape[0] != given.shape[1]:
+        raise ValueError(f"{name}: distance matrix of shape {given.shape} is not square")
+    # a NaN or infinite entry casts to some integer, which differs from it
+    with np.errstate(invalid="ignore"):
+        d = given.astype(np.int64)
+    if not np.array_equal(d, given):
+        raise ValueError(f"{name}: distance matrix is not integral")
+    if not np.array_equal(d, d.T):
+        raise ConstructionError(f"{name}: distance matrix is not symmetric")
     return GraphInstance(
         family=CustomFamily(name),
         vertices=tuple(range(d.shape[0])),
@@ -873,7 +849,8 @@ def check_distance_regular(g: GraphInstance) -> IntersectionArray:
     with the same counts.  So the checks read the pairs (x, 0)
     alone (_vertex_0_counts), off the rows of vertex 0 and its k
     neighbours: O(k n P) work and no n x n array.  Otherwise one pass over
-    row blocks of g.dist checks that it is symmetric, 0 exactly on the
+    row blocks of g.dist, which is symmetric (M M^T, or a matrix that
+    graph_from_distance_matrix checked), checks that it is 0 exactly on the
     diagonal, largest at the diameter and of constant degree, and lists
     every vertex's neighbours, and one gather dist[x][nbrs] per row block
     reads every pair, O(k n^2) small-integer work.  Any refusal on vertex
@@ -976,17 +953,15 @@ def _neighbours(g):
     of y, after the whole-matrix checks of check_distance_regular, each
     read one row block at a time.
 
-    A refusal is the one the checks name first in the order symmetry, a
-    path distance below 1 (the first in row-major order), the largest
-    distance, the degree.
+    A refusal is the one the checks name first in the order a path
+    distance below 1 (the first in row-major order), the largest distance,
+    the degree.
     """
     dist, n = g.dist, g.vertex_count
     wrong, top, cols = None, 0, []
     degrees = np.empty(n, dtype=np.int64)
     for rows in row_blocks(n, n):
         here = dist[rows]
-        if not np.array_equal(here, dist[:, rows].T):
-            raise ConstructionError(f"{g.label()}: distance matrix is not symmetric")
         if wrong is None:
             bad = here < 1
             _diagonal(bad, rows.start)[:] = _diagonal(here, rows.start) != 0

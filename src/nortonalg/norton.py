@@ -184,12 +184,23 @@ class OracleProducts:
             return np.arange(len(m))
         return np.array(independent_rows(m, range(len(m)), 1 + self.dim)[0], dtype=np.intp)
 
-    def apply(self, x, at=slice(None)):
-        """den E_1 x for each integer row of x, at the vertices at."""
-        m = self.incidence
-        # one pass over x: x M, and in the last column the row sums of x
-        through = exact_matmul(x, np.column_stack([m, np.ones(len(m), dtype=m.dtype)]))
-        total, spread = through[:, -1:], exact_matmul(through[:, :-1], m[at].T)
+    @cached_property
+    def _with_sums(self) -> RightFactor:
+        """[M | 1] as int8: x [M | 1] is x M and, last, x's row sums; its
+        0/1 entries' bound and casts read one byte each, not eight."""
+        m = self.incidence.astype(np.int8)
+        return RightFactor(np.column_stack([m, np.ones(len(m), dtype=np.int8)]))
+
+    @cached_property
+    def _at_cols(self) -> RightFactor:
+        return RightFactor(self.incidence[self.cols].T)
+
+    def apply(self, x, at_cols=False):
+        """den E_1 x for each integer row of x, at cols or at every vertex:
+        x [M | 1], then times M^T at those vertices, two fixed factors."""
+        onto = self._at_cols if at_cols else RightFactor(self.incidence.T)
+        through = self._with_sums.times(x)
+        total, spread = through[:, -1:], onto.times(through[:, :-1])
         terms = exact_multiply(self.alpha, total), exact_multiply(self.beta, spread)
         # |alpha total + beta spread| <= 2 max(|alpha total|, |beta spread|)
         if not fits_int64(2, max(map(abs_max, terms))):
@@ -204,7 +215,7 @@ class OracleProducts:
     def products(self, first, second) -> np.ndarray:
         """Row k: den * scale^2 E_1(x_i . x_j) at cols, for i = first[k]
         and j = second[k]."""
-        return self.apply(exact_multiply(self.rows[first], self.rows[second]), self.cols)
+        return self.apply(exact_multiply(self.rows[first], self.rows[second]), at_cols=True)
 
     def expand(self, basis):
         """Every vector and every product of basis vectors over the basis.
@@ -287,23 +298,17 @@ def formula_rows(g: GraphInstance, u, v):
     parts.  So with P the vertices above u and v and T those also above w,
     both read off g.incidence: join(u, v) is the maximum iff P = 0, w lies
     below join(u, v) iff T = P, and join(u, v, w) has rank 3 iff 0 < T < P.
-    The constants come from family_constants, looked up at call time, times
-    their common denominator clear.
+    The terms are the keys of family_constants, read at call time, each
+    times their common denominator clear: "diagonal" marks Hamming's form,
+    and otherwise the terms are whichever of c, b and b' are present.
     """
-    family = g.family
     if g.lattice is None:
         raise ConstructionError(f"{g.label()} carries no lattice")
-    con = family_constants(family)
-    if isinstance(family, JohnsonFamily):
-        names = () if con.get("zero_product") else ("c",)
-    elif isinstance(family, GrassmannFamily):
-        names = ("c", "b")
-    elif isinstance(family, HammingFamily):
+    con = family_constants(g.family)
+    if "diagonal" in con:
         names = ("diagonal", "adjacent")
-    elif isinstance(family, DualPolarFamily):
-        names = ("c", "b", "b_prime")
     else:
-        raise ValueError(f"no product formulas for {family!r}")
+        names = tuple(name for name in ("c", "b", "b_prime") if name in con)
     clear = lcm(*(Fraction(con[name]).denominator for name in names))
     k = {name: int(con[name] * clear) for name in names}
     m = g.incidence
@@ -317,7 +322,7 @@ def formula_rows(g: GraphInstance, u, v):
     both = above[u] & above[v]
     common = both.sum(axis=1)
     same = at[~other]
-    if isinstance(family, HammingFamily):
+    if "diagonal" in k:
         rows[same, u[same]] = k["diagonal"]
         apart = at[other & (common == 0)]
         rows[apart, u[apart]] = rows[apart, v[apart]] = k["adjacent"]

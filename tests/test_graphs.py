@@ -247,8 +247,6 @@ def test_johnson_lattice():
     assert [len(lv) for lv in lat.levels] == [1, 4, 6]
     assert lat.join((1,), (2,)) == (1, 2)
     assert lat.join((1, 2), (3,)) is TOP
-    assert lat.meet((1, 2), (2, 3)) == (2,)
-    assert lat.rank_of(()) == 0 and lat.rank_of(TOP) is None
     assert lat.leq((1,), (1, 2)) and not lat.leq((3,), (1, 2))
 
 
@@ -289,7 +287,6 @@ def test_hamming_lattice():
     assert [len(lv) for lv in lat.levels] == [1, 6, 9]
     assert lat.join((0, 2), (1, 0)) == (1, 2)
     assert lat.join((0, 2), (1, 1)) is TOP  # conflicting nonzero letters
-    assert lat.meet((1, 2), (1, 3)) == (1, 0)
     assert lat.leq((0, 2), (1, 2)) and lat.leq((0, 2), (2, 2))
     assert not lat.leq((0, 2), (1, 1))
 
@@ -360,7 +357,6 @@ def test_grassmann_lattice_sizes():
     c = ((0, 0, 1, 0),)
     ab = lat.join(a, b)
     assert lat.join(ab, c) is TOP
-    assert lat.meet(ab, lat.join(a, c)) == a
 
 
 def test_grassmann_validation():
@@ -679,6 +675,23 @@ def test_hexagonal_prism_witness_counts_common_neighbours():
     assert count_a != count_b
 
 
+@pytest.mark.parametrize(
+    "dist, match",
+    [
+        ([[0, 1.5], [1.5, 0]], "not integral"),
+        ([[0, np.nan], [np.nan, 0]], "not integral"),
+        ([], "empty"),
+        ([[0, 1, 1], [1, 0, 1]], "not square"),
+        ([0, 1], "not square"),
+    ],
+    ids=["half", "nan", "empty", "2x3", "1-D"],
+)
+def test_bad_distance_matrix_refused_where_it_enters(dist, match):
+    # K_2 with distance 1.5 would be truncated to K_2 and pass the check
+    with pytest.raises(ValueError, match=match):
+        graph_from_distance_matrix("bad", dist)
+
+
 def test_asymmetric_distance_matrix_rejected():
     # distances along a directed 3-cycle: every p[i][j][k] is constant
     dist = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -827,39 +840,33 @@ def _lattice_instances():
     yield build_dual_polar("C", 2, 2).lattice
 
 
+def _elements(lat):
+    return [*itertools.chain.from_iterable(lat.levels), TOP]
+
+
+def _assert_join_is_least_upper_bound(lat, pairs):
+    # join(a, b) is an element, lies above a and b, and below every element
+    # above both
+    els = _elements(lat)
+    members = set(els)
+    for a, b in pairs:
+        j = lat.join(a, b)
+        assert j in members and lat.leq(a, j) and lat.leq(b, j)
+        assert all(lat.leq(j, c) for c in els if lat.leq(a, c) and lat.leq(b, c))
+
+
 def test_lattice_laws_exhaustive_small():
     for lat in _lattice_instances():
-        els = list(lat.all_elements())
+        els = _elements(lat)
         assert len(els) <= 40
-        for a in els:
-            assert lat.join(a, a) == a or (a is TOP and lat.join(a, a) is TOP)
-            assert lat.meet(a, a) == a
-            assert lat.leq(a, TOP)
-        for a, b in itertools.product(els, repeat=2):
-            j = lat.join(a, b)
-            m = lat.meet(a, b)
-            assert j == lat.join(b, a)
-            assert m == lat.meet(b, a)
-            assert lat.leq(m, a) and lat.leq(m, b)
-            assert lat.leq(a, j) and lat.leq(b, j)
-            # absorption
-            assert lat.join(a, m) == a
-            assert lat.meet(a, j) == a
-        for a, b, c in itertools.product(els, repeat=3):
-            assert lat.join(lat.join(a, b), c) == lat.join(a, lat.join(b, c))
-            assert lat.meet(lat.meet(a, b), c) == lat.meet(a, lat.meet(b, c))
+        _assert_join_is_least_upper_bound(lat, itertools.product(els, repeat=2))
 
 
 def test_lattice_laws_sampled_grassmann():
     lat = build_grassmann(2, 4, 2).lattice
-    els = list(lat.all_elements())
+    els = _elements(lat)
     rng = random.Random(5)
-    for _ in range(400):
-        a, b, c = (rng.choice(els) for _ in range(3))
-        assert lat.join(lat.join(a, b), c) == lat.join(a, lat.join(b, c))
-        assert lat.meet(lat.meet(a, b), c) == lat.meet(a, lat.meet(b, c))
-        m = lat.meet(a, b)
-        assert lat.join(a, m) == a and lat.leq(m, b)
+    _assert_join_is_least_upper_bound(lat, [(rng.choice(els), rng.choice(els)) for _ in range(400)])
 
 
 def test_lattice_graph_refuses_uneven_levels():
@@ -1161,13 +1168,6 @@ def test_distance_matrix_fixtures_keep_int64():
     for g in (petersen(), cycle(7), graph_from_distance_matrix("K_3", [[0, 1, 1], [1, 0, 1], [1, 1, 0]])):
         assert g.dist.dtype == np.int64
         check_distance_regular(g)
-
-
-def test_ranks_are_indexed_on_first_use():
-    lat = build_hamming(2, 3).lattice
-    assert "_rank" not in vars(lat)
-    assert [lat.rank_of(x) for x in ((0, 0), (0, 2), (1, 2))] == [0, 1, 2]
-    assert len(lat._rank) == 16
 
 
 # ru_maxrss keeps the high-water mark of the process that forked the child,

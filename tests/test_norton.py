@@ -861,7 +861,9 @@ def reference_formula_product(family, lattice, u, v):
             out[u] = c
             out[v] = c
             for w in lattice.levels[1]:
-                r = lattice.rank_of(lattice.join(plane, w))
+                # a join's rank is its rref row count; TOP has none
+                span = lattice.join(plane, w)
+                r = None if span is TOP else len(span)
                 if r == 2:
                     out[w] = out.get(w, Fraction(0)) + b
                 elif r == 3:
@@ -1061,6 +1063,32 @@ def test_formula_rows_are_symmetric(bundle, name):
     assert swapped[0] == clear and np.array_equal(swapped[1], rows)
 
 
+def test_oracle_products_stack_the_incidence_once(monkeypatch):
+    # E_1's fixed right factor [M | 1] is stacked once per OracleProducts,
+    # not once per block of a sweep that takes several
+    g = build_hamming(4, 3)
+    sd = spectral_data(g)
+    monkeypatch.setattr(intlinalg, "BLOCK_CELLS", 8 * 2 * max(g.incidence.shape))
+    stacks, blocks = [], []
+    real_stack, real_rows = np.column_stack, formula_rows
+
+    def stack(arrays):
+        stacks.append(len(arrays[0]))
+        return real_stack(arrays)
+
+    def recorded(graph, u, v):
+        blocks.append(len(u))
+        return real_rows(graph, u, v)
+
+    monkeypatch.setattr(np, "column_stack", stack)
+    monkeypatch.setattr(norton, "formula_rows", recorded)
+    # the fixed check, then two sweeps of the same products
+    products = oracle_products(g, sd)
+    verify_formula_vs_oracle(g, sd, products=products)
+    verify_formula_vs_oracle(g, sd, products=products)
+    assert len(blocks) > 4 and stacks == [g.vertex_count]
+
+
 @pytest.mark.parametrize("per_block", [1, 2, 3])
 def test_sweep_and_assembly_across_block_boundaries(bundle, algebra, monkeypatch, per_block):
     # blocks of one to three pairs give the report and the algebra of one
@@ -1122,7 +1150,7 @@ def test_sweep_and_structure_form_no_lattice_join(bundle, monkeypatch, name):
     def refuse(*args, **kwargs):
         raise AssertionError("lattice or F_q call on the sweep path")
 
-    for attr in ("join", "leq", "meet"):
+    for attr in ("join", "leq"):
         monkeypatch.setattr(RankedLattice, attr, refuse)
     for attr in ("rref", "reduce_vector", "in_span", "span_le", "intersect"):
         monkeypatch.setattr(fq, attr, refuse)

@@ -19,7 +19,9 @@ whole n x n matrix for what rows of the incidence Gram give.  Five small
 helpers memoize across calls, and nothing else may use functools.cache or
 lru_cache: a memo that outlives a call speeds up only a process that
 repeats the call, never a command that builds one graph per process, and
-it holds what it keeps for the process's life.
+it holds what it keeps for the process's life.  isinstance tests a
+family class only in the six functions that state the paper's formulas and
+theorem; everywhere else a family is read through what they return.
 """
 
 import ast
@@ -185,3 +187,46 @@ def _memo_sites(path):
 def test_only_five_helpers_memoize_across_calls():
     paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
     assert set().union(*map(_memo_sites, paths)) == MEMOIZED
+
+
+# the only functions whose isinstance calls may name a family class
+FAMILY_TABLES = {
+    "norton.family_constants",
+    "spectral.closed_form_eigenvalue",
+    "spectral.closed_form_multiplicity",
+    "classify.predicted_branch",
+    "classify.pattern_coefficients",
+    "classify.d22_hamming_aligned_operation",
+}
+
+
+def _family_isinstance_sites(path):
+    """module.function for every isinstance call of one module whose class
+    argument names a family class (a name ending in Family), module:line
+    outside any function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "id", None) == "isinstance"
+                and len(child.args) == 2
+                and any(
+                    (getattr(n, "id", None) or getattr(n, "attr", None) or "").endswith("Family")
+                    for n in ast.walk(child.args[1])
+                )
+            ):
+                found.add(where or f"{path.stem}:{child.lineno}")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_only_the_family_tables_test_a_family_class():
+    paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
+    assert set().union(*map(_family_isinstance_sites, paths)) <= FAMILY_TABLES
