@@ -499,11 +499,11 @@ class GraphInstance:
 
 def graph_from_distance_matrix(name: str, dist) -> GraphInstance:
     """Test-fixture constructor; no lattice, no closed forms.  The matrix
-    must be non-empty, 2-D, square and equal to its int64 conversion
-    (ValueError), and symmetric (ConstructionError)."""
+    must be 2-D, square, at least 2 x 2 (K_1 has no V_1) and equal to its
+    int64 conversion (ValueError), and symmetric (ConstructionError)."""
     given = np.asarray(dist)
-    if not given.size:
-        raise ValueError(f"{name}: distance matrix is empty")
+    if given.size < 2:
+        raise ValueError(f"{name}: distance matrix is empty or 1 x 1")
     if given.ndim != 2 or given.shape[0] != given.shape[1]:
         raise ValueError(f"{name}: distance matrix of shape {given.shape} is not square")
     # a NaN or infinite entry casts to some integer, which differs from it

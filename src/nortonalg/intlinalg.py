@@ -12,14 +12,15 @@ right factor holds it as a RightFactor, which reads its bound and makes
 its cast once for every block.  BLOCK_CELLS is the one block size: every
 loop that takes an array a block of rows at a time walks the slices of
 row_blocks, so no array of a block holds more than about that many
-cells.  The fraction-free echelon below picks independent rows;
-coordinates solves for them modulo word-size primes and returns only an
-answer it has checked exactly in integers.  No Fraction is formed here.
+cells.  One Gauss-Jordan modulo a word-size prime, eliminate, picks
+independent columns with their pivot rows and serves coordinates, which
+solves modulo such primes and returns only an answer it has checked
+exactly in integers.  No Fraction is formed here.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, prod
+from math import isqrt, prod
 
 import numpy as np
 
@@ -121,34 +122,6 @@ def exact_multiply(a, b):
     return out.astype(object) if object in (a.dtype, b.dtype) else out
 
 
-def independent_rows(rows, order, limit):
-    """Greedy independent subset of integer rows, taken in order, at most limit.
-
-    A fraction-free incremental echelon: each candidate is reduced against
-    the rows kept so far by cross-multiplying at their pivot columns (and
-    dividing out the content), and kept when something nonzero is left.
-    Returns the kept indices and the pivot column of each; rows[kept] is
-    nonsingular on those columns.
-    """
-    echelon, kept, pivots = [], [], []
-    for idx in order:
-        if len(kept) == limit:
-            break
-        r = [int(x) for x in rows[idx]]
-        for e, c in zip(echelon, pivots):
-            if r[c]:
-                f, p = r[c], e[c]
-                r = [p * x - f * y for x, y in zip(r, e)]
-                content = gcd(*r) or 1
-                r = [x // content for x in r]
-        col = next((c for c, x in enumerate(r) if x), None)
-        if col is not None:
-            echelon.append(r)
-            kept.append(idx)
-            pivots.append(col)
-    return kept, pivots
-
-
 # Miller-Rabin on the primes 2 to 41 is exact below 3.317e24 (Sorenson and
 # Webster 2015), and on 2, 3, 5 and 7 alone below 3 215 031 751 (Jaeschke 1993)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -180,38 +153,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _word_primes():
+def word_primes():
     """The primes below 2^31, from the largest down.
 
     Residues below 2^31 multiply to below 2^62, so an elimination step
     r - f * s on residues stays inside int64.
     """
-    n = (1 << 31) - 1
+    # 2^31 - 1 is prime (Euler 1772), so the first needs no test
+    yield (1 << 31) - 1
+    n = (1 << 31) - 3
     while n > 2:
         if is_prime(n):
             yield n
         n -= 2
 
 
-def _solve_mod(block, rhs, p):
-    """X with block @ X == rhs (mod p), as int64 residues in [0, p); None
-    when block is singular mod p.  Gauss-Jordan on [block | rhs]."""
-    k = len(block)
-    aug = np.concatenate([block % p, rhs % p], axis=1).astype(np.int64)
-    for c in range(k):
-        nonzero = np.flatnonzero(aug[c:, c])
+def eliminate(a, p, width=None):
+    """Gauss-Jordan on the integer matrix a modulo the prime p, pivoting in
+    its first width columns (all by default): (reduced, rows, cols).
+
+    Each column pivots on its first nonzero entry in a row not yet a pivot
+    row, which is scaled to 1 there and cleared from every other row:
+    rows[j], cols[j] is the j-th pivot.  So cols are the greedy independent
+    columns mod p, in order, and a[rows][:, cols] is nonsingular mod p, so
+    over Q (a minor nonzero mod p is nonzero).  reduced holds a's residues
+    after it, int64 in [0, p).
+    """
+    work = (a % p).astype(np.int64)
+    free = np.ones(len(work), dtype=np.int64)
+    rows, cols = [], []
+    for c in range(work.shape[1] if width is None else width):
+        nonzero = np.flatnonzero(work[:, c] * free)
         if not nonzero.size:
-            return None
-        r = c + int(nonzero[0])
-        if r != c:
-            aug[[c, r]] = aug[[r, c]]
-        aug[c] = aug[c] * pow(int(aug[c, c]), -1, p) % p
-        factors = aug[:, c].copy()
-        factors[c] = 0
-        # the columns before c are unit columns, which this step keeps
-        aug[:, c:] -= np.outer(factors, aug[c, c:])
-        aug[:, c:] %= p
-    return aug[:, k:]
+            continue
+        r = nonzero[0]
+        free[r] = 0
+        pivot = work[r, c:] * pow(int(work[r, c]), -1, p) % p
+        # before column c row r is zero, as pivot columns are unit columns and
+        # the others zero off the pivot rows; it clears itself, then is pivot
+        work[:, c:] -= work[:, c, None] * pivot
+        work[:, c:] %= p
+        work[r, c:] = pivot
+        rows.append(r)
+        cols.append(c)
+    return work, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
 def _rational_denominator(r: int, m: int, bound: int, den_bound: int):
@@ -255,11 +240,9 @@ def _hadamard_square(block, rhs) -> int:
     one column replaced by a column of rhs (Hadamard's inequality over the
     columns), so of det(block) and every numerator of Cramer's rule."""
     norms = [sum(x * x for x in col) for col in block.T.tolist()]
-    full = prod(norms)
-    if not full:
-        return 0
     widest = max((sum(x * x for x in col) for col in rhs.T.tolist()), default=0)
-    return full * max(1, -(-widest // min(norms)))
+    # a zero column makes the product 0; rhs replaces the shortest column
+    return prod(norms) * max(1, -(-widest // max(1, min(norms, default=1))))
 
 
 def coordinates(basis, pivots, targets):
@@ -268,7 +251,8 @@ def coordinates(basis, pivots, targets):
 
     pivots are columns on which the basis is nonsingular: block =
     basis[:, pivots]^T.  block X = targets[:, pivots]^T is solved modulo
-    word-size primes (a prime that divides det(block) is skipped), the
+    word-size primes, by eliminate on [block | rhs] pivoting in block's
+    columns (a prime that divides det(block) is skipped), the
     residues are joined by the Chinese remainder theorem, and coords / den
     is read back from them by rational reconstruction over one common
     denominator.  Nothing unchecked is returned: basis^T coords^T == den
@@ -280,15 +264,14 @@ def coordinates(basis, pivots, targets):
     """
     block = basis[:, pivots].T
     rhs = targets[:, pivots].T
-    square = _hadamard_square(block, rhs)
-    if not square:
-        raise ConstructionError("pivot block is singular")
+    square, k = _hadamard_square(block, rhs), len(block)
     # once m > 2 H^2 every true numerator and den is within sqrt(m / 2)
     certain = 2 * square
     residues, m, skipped = None, 1, 1
-    for p in _word_primes():
-        x = _solve_mod(block, rhs, p)
-        if x is None:
+    for p in word_primes():
+        reduced, rows, _ = eliminate(np.concatenate([block, rhs], axis=1), p, k)
+        x = reduced[rows, k:]
+        if len(rows) < k:
             # every skipped prime divides det(block), and |det| <= H
             skipped *= p
             if skipped * skipped > square:

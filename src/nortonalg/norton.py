@@ -15,8 +15,9 @@ incidence M (Delsarte 1973; Brouwer-Cohen-Neumaier 8.4, 9.1-9.4): den E_1
 spanning vectors exist only as integer rows, read off M by oracle_products
 (OracleProducts.of_rows takes any others), and the oracle products of any
 list of pairs are one (pairs x n) @ (n x P) product (OracleProducts).
-They lie in col(M), as does every vector E_1 fixes, and rank(M) vertices
-decide such a vector, so products are compared and solved there only.  The
+They lie in V_1, as does every vector E_1 fixes, and the 1 + dim V_1
+pivot rows of one elimination of [rows^T | 1] modulo a word prime decide
+V_0 + V_1, so products are compared and solved there only.  The
 closed form of each pair of points is one integer coefficient row over the
 points (formula_rows), read off M: every element below the lattice maximum
 is the meet of the vertices above it, so the vertices counted above two or
@@ -62,11 +63,12 @@ from .intlinalg import (
     RightFactor,
     abs_max,
     coordinates,
+    eliminate,
     exact_matmul,
     exact_multiply,
     fits_int64,
-    independent_rows,
     row_blocks,
+    word_primes,
 )
 from .spectral import SpectralData
 
@@ -127,9 +129,9 @@ class OracleProducts:
     """The projection oracle E_1(x . y) on labelled vectors, in integers.
 
     rows[i] = scale * vectors[i] is an integer row and den E_1 = alpha J +
-    beta M M^T for the vertex-by-point incidence M, so E_1 maps into
-    col(M), whose vectors the rank(M) vertices cols decide, and products
-    gives E_1(x_i . x_j) there for the pairs asked for.  dim is dim V_1.
+    beta M M^T for the vertex-by-point incidence M.  E_1 maps into V_1,
+    whose vectors the vertices cols decide, and products gives
+    E_1(x_i . x_j) there for the pairs asked for.  dim is dim V_1.
     """
 
     labels: tuple
@@ -171,18 +173,22 @@ class OracleProducts:
         return cls(tuple(labels), rows, scale, alpha, beta, den, g.incidence, dim)
 
     @cached_property
-    def cols(self) -> np.ndarray:
-        """rank(M) vertices with independent incidence rows, which decide
-        every vector of col(M); every vertex unless E_1 fixes every row.
+    def pivots(self):
+        """(vertices, points): the pivot rows and columns of [rows^T | 1]
+        modulo the first word prime, whose columns are the points, then 1."""
+        ones = np.ones((len(self.incidence), 1), dtype=np.int64)
+        return eliminate(np.concatenate([self.rows.T, ones], axis=1), next(word_primes()))[1:]
 
-        beta M M^T = den E_1 - alpha J with beta != 0, so col(M) = col(M M^T)
-        lies in V_0 + V_1 and rank(M) <= 1 + dim V_1.  One echelon with that
-        limit takes rank(M) rows: where it finds fewer, it has scanned all.
-        """
-        m = self.incidence
-        if not self.fixed.all():
-            return np.arange(len(m))
-        return np.array(independent_rows(m, range(len(m)), 1 + self.dim)[0], dtype=np.intp)
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The vertices that decide V_0 + V_1, ascending.  When E_1 fixes every
+        row, the columns of [rows^T | 1] lie in V_0 + V_1; 1 + dim pivots,
+        independent mod p so over Q, span it, and their rows decide it.
+        Otherwise, or with fewer pivots, every vertex."""
+        vertices = self.pivots[0]
+        if len(vertices) < 1 + self.dim or not self.fixed.all():
+            return np.arange(len(self.incidence))
+        return np.sort(vertices)
 
     @cached_property
     def _with_sums(self) -> RightFactor:
@@ -228,14 +234,17 @@ class OracleProducts:
         basis vectors, straight from the solve, and a product that leaves
         the span is a ConstructionError.
         """
-        basis = list(basis)
+        chosen = np.array(list(basis), dtype=np.intp)
         rows = self.rows[:, self.cols]
-        kept, pivots = independent_rows(rows, basis, len(basis))
-        if len(kept) < len(basis):
-            raise ValueError("basis rows are linearly dependent")
-        s, k = len(self.labels), len(basis)
+        for p in word_primes():
+            _, pivots, kept = eliminate(rows[chosen].T, p)
+            if len(kept) == len(chosen):
+                break
+            # dependent mod p, and over Q once the rest lie in the kept span
+            if coordinates(rows[chosen[kept]], pivots, rows[chosen])[2].all():
+                raise ValueError("basis rows are linearly dependent")
+        s, k = len(self.labels), len(chosen)
         a, b = np.triu_indices(k)
-        chosen = np.array(basis)
         targets = np.concatenate([rows, self.products(chosen[a], chosen[b])])
         det, solved, inside = coordinates(rows[chosen], pivots, targets)
         if not inside[s:].all():
@@ -492,8 +501,11 @@ def structure_constants(
 
     The basis is the first dim V_1 independent points in lattice order (over
     H(d,e) the e points of one coordinate sum to zero, so each coordinate's
-    last letter is skipped).  That one echelon's pivots serve the one solve,
-    of every point over the basis: coords / coords_den.  algebra_from_coords
+    last letter is skipped): products.pivots, mod a word prime, serve the
+    one solve, of every point over the basis (coords / coords_den), which
+    certifies them exactly: no point has a coordinate on a later basis
+    point.  A failed certificate, or a refusal the solve does not prove,
+    takes the next prime's pivots of the rows at cols.  algebra_from_coords
     reads the cube off the closed forms the formula-versus-oracle sweep
     proved on every ordered pair of points.  report is that sweep's report
     over products (both shared with build_instance when given); without it
@@ -506,18 +518,23 @@ def structure_constants(
     labels = products.labels
     dim = spectral.multiplicities[1]
     rows = products.rows[:, products.cols]
-    chosen, pivots = independent_rows(rows, range(len(labels)), dim)
-    if len(chosen) != dim:
-        raise ConstructionError(
-            f"{g.label()}: only {len(chosen)} independent points, need {dim}"
-        )
-    coords_den, coords, inside = coordinates(rows[chosen], pivots, rows)
-    if not inside.all():
-        raise ConstructionError(
-            f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
-            f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
-        )
-    return algebra_from_coords(g, chosen, coords_den, coords)
+    vertices, points = products.pivots
+    at = np.searchsorted(products.cols, vertices)
+    for i, p in enumerate(word_primes()):
+        if i:
+            _, at, points = eliminate(rows.T, p)
+        basis = points[: min(dim, np.count_nonzero(points < len(labels)))]
+        coords_den, coords, inside = coordinates(rows[basis], at[: len(basis)], rows)
+        if len(basis) == dim and not inside.all():
+            raise ConstructionError(
+                f"{g.label()}: spanning vectors do not span a {dim}-dimensional "
+                f"space: {labels[int(np.argmin(inside))]!r} escapes the basis span"
+            )
+        if inside.all() and len(basis) < dim:
+            raise ConstructionError(f"{g.label()}: only {len(basis)} independent points, need {dim}")
+        if inside.all() and not coords[basis > np.arange(len(labels))[:, None]].any():
+            return algebra_from_coords(g, basis.tolist(), coords_den, coords)
+    raise ConstructionError("ran out of word-size primes")
 
 
 def algebra_from_coords(g: GraphInstance, basis, coords_den, coords) -> NortonAlgebra:

@@ -681,13 +681,15 @@ def test_hexagonal_prism_witness_counts_common_neighbours():
         ([[0, 1.5], [1.5, 0]], "not integral"),
         ([[0, np.nan], [np.nan, 0]], "not integral"),
         ([], "empty"),
+        ([[0]], "1 x 1"),
         ([[0, 1, 1], [1, 0, 1]], "not square"),
         ([0, 1], "not square"),
     ],
-    ids=["half", "nan", "empty", "2x3", "1-D"],
+    ids=["half", "nan", "empty", "K1", "2x3", "1-D"],
 )
 def test_bad_distance_matrix_refused_where_it_enters(dist, match):
-    # K_2 with distance 1.5 would be truncated to K_2 and pass the check
+    # K_2 with distance 1.5 would be truncated to K_2 and pass the check;
+    # K_1 passes it, and has no p[1] for its degree, nor a V_1
     with pytest.raises(ValueError, match=match):
         graph_from_distance_matrix("bad", dist)
 
@@ -1321,6 +1323,17 @@ class TranspositionOnlySubsets(graphs.SubsetLattice):
         return super().generator_images()[:1]
 
 
+class OffCodeSubsets(graphs.SubsetLattice):
+    """Subsets whose candidate (1 2) names code 0, which no point has, for
+    point 2's image: a search among the points' codes alone still reads
+    (1 2), so only the check that the images are the codes refuses it."""
+
+    def generator_images(self):
+        images = super().generator_images().copy()
+        images[0, 1] = 0
+        return images
+
+
 class RookWords(graphs.WordLattice):
     """Words with letters 1..2 at the first coordinate and 1..3 at the
     second, whose graph is the rook's graph K2 x K3: its candidates, 1 <-> 2
@@ -1362,12 +1375,19 @@ def _repeat_incidence_row(g):
     [
         (lambda: graphs._lattice_graph(HammingFamily(3, 3), SwappedPointWords(3, 3)), [False]),
         (lambda: graphs._lattice_graph(JohnsonFamily(6, 3), TranspositionOnlySubsets(6, 3)), [False]),
+        (lambda: graphs._lattice_graph(JohnsonFamily(6, 3), OffCodeSubsets(6, 3)), [False]),
         (lambda: _repeat_incidence_row(build_johnson(6, 3)), [False]),
         # the candidates hold, and the pairs (x, 0) refuse the route: a_1 is
         # 0 or 1
         (lambda: graphs._lattice_graph(HammingFamily(2, 3), RookWords()), [True, False]),
     ],
-    ids=["no vertex map", "short orbit", "repeated incidence row", "not distance regular"],
+    ids=[
+        "no vertex map",
+        "short orbit",
+        "image off the point codes",
+        "repeated incidence row",
+        "not distance regular",
+    ],
 )
 def test_refused_candidates_give_the_every_row_outcome(monkeypatch, build, routes):
     g = build()

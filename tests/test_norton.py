@@ -16,7 +16,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -40,9 +40,10 @@ from nortonalg.intlinalg import (
     RightFactor,
     abs_max,
     coordinates,
+    eliminate,
     exact_matmul,
     exact_multiply,
-    independent_rows,
+    word_primes,
 )
 from nortonalg.norton import (
     NortonAlgebra,
@@ -115,9 +116,29 @@ def apply_dense(e, vec):
     return tuple(Fraction(x, den * s) for x in out.tolist())
 
 
+def fraction_pivots(rows):
+    """Pivot columns of rational rows by Gauss-Jordan in Fractions, so the
+    greedy independent columns in order; their count is the rank."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][col]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    return pivots
+
+
 def rank_of(rows):
-    ints = integer_rows(rows)
-    return len(independent_rows(ints, range(len(ints)), len(ints))[0])
+    return len(fraction_pivots(rows))
 
 
 def test_family_constants_johnson(bundle):
@@ -437,9 +458,11 @@ def test_sweep_sees_a_vector_its_comparison_vertices_cannot():
         ],
         dtype=object,
     )
-    kept, pivots = independent_rows(chars[:, cols], range(len(chars)), len(chars))
+    # rows independent mod p are so over Q, and the solve is checked exactly
+    _, pivots, kept = eliminate(chars[:, cols].T, next(word_primes()))
     extra = next(i for i in range(len(chars)) if i not in kept)
-    det, (coeffs,), _ = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
+    det, (coeffs,), inside = coordinates(chars[kept][:, cols], pivots, chars[[extra]][:, cols])
+    assert inside.all()
     z = chars[extra] - sum(Fraction(c, det) * chars[k] for c, k in zip(coeffs, kept))
     assert not z[cols].any() and z.any()
     labels, vectors = spanning(g, sd)
@@ -460,6 +483,17 @@ def test_e1_is_affine_in_the_incidence_gram(bundle, name):
     # the comparison vertices have independent incidence rows, rank(M) of them
     cols = products.cols
     assert len(cols) == rank_of(m.T) == rank_of(m[cols])
+
+
+def test_e1_a_multiple_of_j_is_refused(bundle):
+    # one numerator at every distance: E_1 = alpha J, affine in M M^T with
+    # beta = 0, so no comparison through M M^T can see V_1
+    g, sd = bundle("j52")
+    numerators = sd.numerators.copy()
+    numerators[1] = numerators[1, 0]
+    tampered = dataclasses.replace(sd, numerators=numerators)
+    with pytest.raises(ConstructionError, match=re.escape("E_1 is a multiple of J")):
+        oracle_products(g, tampered)
 
 
 def test_e1_not_affine_in_the_incidence_gram_is_refused(bundle):
@@ -610,6 +644,27 @@ def test_coordinates_refuses_a_singular_pivot_block():
         coordinates(basis, [0, 1], basis)
 
 
+def test_coordinates_skips_primes_up_to_the_hadamard_bound(monkeypatch):
+    # det(block) = 0 but no column is zero: every prime divides det, and the
+    # refusal comes once their product passes the Hadamard bound H, a few
+    # primes in for entries near 2^70
+    x, y = 2**70 + 1, 3**45
+    basis = np.array([[x, 2 * x, 0], [y, 2 * y, 1]], dtype=object)
+    square = intlinalg._hadamard_square(basis[:, :2].T, basis[:, :2].T)
+    primes, tried = list(itertools.islice(word_primes(), 10)), []
+
+    def recorded():
+        for p in primes:
+            tried.append(p)
+            yield p
+
+    monkeypatch.setattr(intlinalg, "word_primes", recorded)
+    with pytest.raises(ConstructionError, match="pivot block is singular"):
+        coordinates(basis, [0, 1], basis)
+    assert 1 < len(tried) < len(primes)
+    assert prod(tried[:-1]) ** 2 <= square < prod(tried) ** 2
+
+
 @pytest.mark.parametrize("name", ["j52", "h23", "c22", "g242"])
 def test_oracle_rows_stay_int64(bundle, name):
     g, sd = bundle(name)
@@ -690,11 +745,13 @@ def test_algebra_reproduces_formula_in_basis_coordinates(bundle, algebra):
 def test_structure_constants_independent_of_basis(bundle, algebra):
     g, sd = bundle("j52")
     default = algebra("j52")
-    # the same algebra over the basis a greedy pass from the last point picks
+    # the same algebra over the basis a greedy pass from the last point
+    # picks mod p, which expand's exact solve checks
     products = oracle_products(g, sd)
     rows = products.rows[:, products.cols]
     count = len(products.labels)
-    chosen, _ = independent_rows(rows, reversed(range(count)), default.dim)
+    _, _, kept = eliminate(rows[::-1].T, next(word_primes()))
+    chosen = [count - 1 - int(i) for i in kept[: default.dim]]
     den, coords, _, op = products.expand(chosen)
     reversed_order = NortonAlgebra(
         g.family, op, products.labels, tuple(chosen), den, coords, default.one_off
@@ -718,6 +775,20 @@ def test_structure_constants_independent_of_basis(bundle, algebra):
                     for idx, x in enumerate(alg.label_coords[lbl]):
                         want[idx] += cf * x
                 assert list(got) == want
+
+
+def test_a_dependent_preferred_pair_is_refused(bundle, algebra):
+    # the second point of J(5,2)'s preferred pair given the first's
+    # coordinates: the product is nonzero, so the pair must be independent
+    g = bundle("j52")[0]
+    alg = algebra("j52")
+    u, v = (alg.points.index(p) for p in alg.one_off)
+    coords = alg.coords.copy()
+    coords[v] = coords[u]
+    with pytest.raises(ConstructionError, match="preferred pair is dependent"):
+        norton.algebra_from_coords(g, alg.basis, alg.coords_den, coords)
+    again = norton.algebra_from_coords(g, alg.basis, alg.coords_den, alg.coords)
+    assert again.one_off == alg.one_off
 
 
 def test_one_off_pairs(bundle, algebra):
@@ -768,25 +839,8 @@ class ReferenceSpanSolver:
         self.rows = [tuple(Fraction(x) for x in r) for r in rows]
         k = len(self.rows)
         self.n = len(self.rows[0])
-        work = [list(r) for r in self.rows]
-        piv_cols = []
-        r = 0
-        for ccol in range(self.n):
-            piv = next((i for i in range(r, k) if work[i][ccol]), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = 1 / work[r][ccol]
-            work[r] = [x * inv for x in work[r]]
-            for i in range(k):
-                if i != r and work[i][ccol]:
-                    f = work[i][ccol]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            piv_cols.append(ccol)
-            r += 1
-            if r == k:
-                break
-        assert r == k, "basis rows are linearly dependent"
+        piv_cols = fraction_pivots(self.rows)
+        assert len(piv_cols) == k, "basis rows are linearly dependent"
         self.piv_cols = piv_cols
         # invert M[i][j] = rows[j][piv_cols[i]] by Gauss-Jordan
         m = [[self.rows[j][c] for j in range(k)] for c in piv_cols]
@@ -913,19 +967,13 @@ def reference_sweep(g, sd, labels, vectors):
 
 
 def reference_basis(g, labels, vectors):
-    """(labels, rows) of the basis by rank tests: in lattice order, each
-    spanning vector independent of those kept before it, dim V_1 in all."""
+    """(labels, rows) of the basis by one Fraction elimination: in lattice
+    order, each spanning vector independent of those kept before it (the
+    pivot columns of the vectors as columns), dim V_1 in all."""
     dim = closed_form_multiplicity(g.family, 1)
-    assert rank_of(vectors) == dim
-    basis_labels, chosen_rows = [], []
-    for label, vec in zip(labels, vectors):
-        trial = chosen_rows + [vec]
-        if rank_of(trial) == len(trial):
-            basis_labels.append(label)
-            chosen_rows.append(vec)
-        if len(basis_labels) == dim:
-            break
-    return basis_labels, chosen_rows
+    kept = fraction_pivots(list(zip(*vectors)))
+    assert len(kept) == dim
+    return [labels[i] for i in kept], [vectors[i] for i in kept]
 
 
 def reference_structure_constants(g, sd, labels, vectors):
@@ -1180,27 +1228,95 @@ CONFTEST_SPECS = {
 
 @pytest.mark.parametrize("name", CONFTEST_INSTANCES)
 def test_build_echelons_twice_in_machine_integers(monkeypatch, name):
-    # one echelon picks the comparison vertices, one the basis (whose
-    # pivots the solve reuses); every integer product stays int64
-    echelons, dtypes = [], set()
-    real_rows, real_matmul = norton.independent_rows, intlinalg.exact_matmul
+    # two eliminations mod p: one of [rows^T | 1] over every vertex picks
+    # the comparison vertices and the basis, one of [block | rhs] solves
+    # every point over the basis; every integer product stays int64
+    shapes, dtypes = [], set()
+    real_eliminate, real_matmul = intlinalg.eliminate, intlinalg.exact_matmul
 
-    def counted(*args):
-        echelons.append(args[2])
-        return real_rows(*args)
+    def counted(a, p, width=None):
+        shapes.append(a.shape)
+        return real_eliminate(a, p, width)
 
     def recorded(a, b):
         out = real_matmul(a, b)
         dtypes.add(out.dtype)
         return out
 
-    monkeypatch.setattr(norton, "independent_rows", counted)
+    monkeypatch.setattr(norton, "eliminate", counted)
+    monkeypatch.setattr(intlinalg, "eliminate", counted)
     monkeypatch.setattr(norton, "exact_matmul", recorded)
     monkeypatch.setattr(intlinalg, "exact_matmul", recorded)
     built = instances.build_instance(*CONFTEST_SPECS[name])
-    assert len(echelons) == 2
+    n, s, dim = built.graph.vertex_count, len(built.algebra.points), built.algebra.dim
+    assert shapes == [(n, s + 1), (dim, dim + s)]
     assert dtypes == {np.dtype(np.int64)}
-    assert built.formula_report.pairs_checked == len(built.algebra.points) ** 2
+    assert built.formula_report.pairs_checked == s * s
+
+
+def first_prime(monkeypatch, p):
+    """Make the small prime p the first that norton's eliminations take; the
+    word primes follow it."""
+    monkeypatch.setattr(norton, "word_primes", lambda: itertools.chain([p], word_primes()))
+
+
+def test_an_unlucky_basis_fails_its_certificate_and_the_next_prime_mends_it(
+    bundle, algebra, monkeypatch
+):
+    # mod 2, D_3(2)'s [rows^T | 1] has all 1 + dim pivots, but its greedy
+    # points are not those over Q: a point independent over Q is skipped.
+    # The exact solve over those points rejects them, and the next prime
+    # picks the basis of the ordinary build
+    g, sd = bundle("d32")
+    want = algebra("d32")
+    first_prime(monkeypatch, 2)
+    products = oracle_products(g, sd)
+    vertices, points = products.pivots
+    assert len(vertices) == 1 + products.dim and len(products.cols) == 1 + products.dim
+    assert tuple(points[: products.dim].tolist()) != want.basis
+    alg = structure_constants(g, sd, products=products)
+    assert alg.basis == want.basis
+    assert alg.coords_den == want.coords_den and np.array_equal(alg.coords, want.coords)
+    assert np.array_equal(alg.operation.flat, want.operation.flat)
+
+
+def test_too_few_pivots_compare_at_every_vertex(bundle, algebra, monkeypatch):
+    # mod 3 every row of H(2,3) is -1 everywhere: [rows^T | 1] has rank 1,
+    # so the sweep compares at every vertex, and the short basis leaves
+    # points outside its span, so the next prime picks the basis
+    g, sd = bundle("h23")
+    want = algebra("h23")
+    first_prime(monkeypatch, 3)
+    products = oracle_products(g, sd)
+    assert len(products.pivots[0]) == 1
+    assert products.cols.tolist() == list(range(g.vertex_count))
+    report = verify_formula_vs_oracle(g, sd, products=products)
+    assert report.pairs_checked == 36
+    alg = structure_constants(g, sd, products=products, report=report)
+    assert alg.basis == want.basis and np.array_equal(alg.coords, want.coords)
+    assert np.array_equal(alg.operation.flat, want.operation.flat)
+
+
+@pytest.mark.parametrize("unlucky", [False, True])
+def test_refusals_of_dependent_points_are_proved_over_q(bundle, monkeypatch, unlucky):
+    # points 4 and 5 of H(2,3) given point 3's vector: the points span 3
+    # dimensions of 4; and two letters of one coordinate are independent,
+    # three are not.  A prime of rank 1 proves neither refusal, so the next
+    # prime decides
+    g, sd = bundle("h23")
+    if unlucky:
+        first_prime(monkeypatch, 3)
+    labels, vectors = spanning(g, sd)
+    vectors[4] = vectors[5] = vectors[3]
+    short = products_of(g, sd, labels, vectors)
+    with pytest.raises(ConstructionError, match="only 3 independent points, need 4"):
+        structure_constants(g, sd, products=short, report=True)
+    products = oracle_products(g, sd)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        products.expand([0, 1, 2])
+    den, coords, inside, _ = products.expand([0, 3])
+    assert inside.tolist() == [True, False, False, True, False, False]
+    assert coords[0].tolist() == [den, 0] and coords[3].tolist() == [0, den]
 
 
 def expand_route(g, sd):
@@ -1208,7 +1324,7 @@ def expand_route(g, sd):
     oracle products solved over the basis, not read off the formula rows."""
     products = oracle_products(g, sd)
     rows = products.rows[:, products.cols]
-    chosen, _ = independent_rows(rows, range(len(products.labels)), sd.multiplicities[1])
+    chosen = fraction_pivots(rows.T.tolist())[: sd.multiplicities[1]]
     den, coords, inside, op = products.expand(chosen)
     assert inside.all()
     pair, line = norton.one_off_pair(g)

@@ -21,10 +21,15 @@ lru_cache: a memo that outlives a call speeds up only a process that
 repeats the call, never a command that builds one graph per process, and
 it holds what it keeps for the process's life.  isinstance tests a
 family class only in the six functions that state the paper's formulas and
-theorem; everywhere else a family is read through what they return.
+theorem; everywhere else a family is read through what they return.  The
+test configuration makes a DeprecationWarning an error, but not the one
+Hypothesis's failure report raises, so a failing property test fails like
+any other and the run goes on.
 """
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -230,3 +235,27 @@ def _family_isinstance_sites(path):
 def test_only_the_family_tables_test_a_family_class():
     paths = sorted(Path(nortonalg.__file__).parent.glob("*.py"))
     assert set().union(*map(_family_isinstance_sites, paths)) <= FAMILY_TABLES
+
+
+def test_a_failing_property_test_fails_and_the_run_goes_on(tmp_path):
+    # Hypothesis's failure report imports a module that warns with a
+    # DeprecationWarning; under the error filter alone that warning is a
+    # pytest INTERNALERROR, exit 3, and the tests after it never run
+    (tmp_path / "test_child.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    command = ["-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path), "-q"]
+    result = subprocess.run(
+        [sys.executable, *command, "-p", "no:cacheprovider", "test_child.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

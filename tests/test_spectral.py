@@ -33,7 +33,7 @@ from nortonalg.graphs import (
     check_distance_regular,
     graph_from_distance_matrix,
 )
-from nortonalg.intlinalg import coordinates, independent_rows
+from nortonalg.intlinalg import coordinates, eliminate, word_primes
 from nortonalg.spectral import (
     closed_form_eigenvalue,
     closed_form_multiplicity,
@@ -43,16 +43,23 @@ from conftest import BUILDERS, run_optimized
 from test_norton import apply_dense, dense_idempotent, dense_numerator, integer_rows
 
 
+def independent(rows):
+    """(kept, pivots): the greedy independent rows mod the first word prime,
+    so over Q, and columns on which they are nonsingular."""
+    _, pivots, kept = eliminate(rows.T, next(word_primes()))
+    return kept.tolist(), pivots
+
+
 def test_solve_linear_combination():
     basis = integer_rows([(1, 0, 1), (0, 1, 1)])
-    kept, pivots = independent_rows(basis, range(2), 2)
+    kept, pivots = independent(basis)
     targets = integer_rows([(2, 3, 5), (0, 0, 1)])
     det, coords, inside = coordinates(basis[kept], pivots, targets)
     assert det > 0 and inside.tolist() == [True, False]
     assert coords[0].tolist() == [2 * det, 3 * det]
     # a dependent basis is solved over the independent rows picked from it
     basis = integer_rows([(1, 1), (2, 2), (0, 1)])
-    kept, pivots = independent_rows(basis, range(3), 3)
+    kept, pivots = independent(basis)
     assert kept == [0, 2]
     det, [c], inside = coordinates(basis[kept], pivots, integer_rows([(3, 4)]))
     assert inside.all()
@@ -64,8 +71,7 @@ def test_solve_linear_combination():
 
 def test_rational_rank():
     def kept(rows):
-        ints = integer_rows(rows)
-        return independent_rows(ints, range(len(ints)), len(ints))[0]
+        return independent(integer_rows(rows).reshape(len(rows), 2))[0]
 
     assert kept([(1, 2), (2, 4)]) == [0]
     assert kept([(1, 0), (0, 1), (1, 1)]) == [0, 1]
@@ -334,7 +340,7 @@ def test_distance_matrices_live_in_idempotent_span():
     flat = [m.reshape(-1).tolist() for m in idempotents + shells]
     rows = integer_rows(flat)  # one common scale for E_0..E_D and A_0..A_D
     basis, targets = rows[: sd.count], rows[sd.count :]
-    kept, pivots = independent_rows(basis, range(sd.count), sd.count)
+    kept, pivots = independent(basis)
     assert kept == list(range(sd.count))
     det, coords, inside = coordinates(basis, pivots, targets)
     assert inside.all() and coords.shape == (len(targets), sd.count)
