@@ -15,21 +15,30 @@ max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer constant
 table (B = max_k sum_{i,j} |den C[i][j][k]|); that product dominates
 every partial sum of both contractions, so the result is exact.
 Otherwise it runs on Python ints, and an array that has left int64 stays
-there.  An operation is stored as the step's integer table and nothing
+there.  A probe tensor needs no scan: on unit probes a tree with n
+internal nodes has entries at most B^n, which also bounds every partial
+sum of its own product step, so it runs in int64 exactly when B^n fits.
+An operation is stored as the step's integer table and nothing
 else: the solver and the cache hand it over directly, and the Fraction
 constants are a view of it for API callers.  Fractions appear only at the
 API edge: evaluate_parenthesization clears the denominators of its
 arguments, evaluates in integers and divides once at the end.
 
 Grouping trees by probe tensor builds a tensor only where no exact argument
-decides.  An operation whose constants fall into two or more direct-sum
-blocks is grouped once per distinct block, and its classes are the
-common refinement of the blocks' (direct_product's argument).  On one
-block, trees whose left and right subtrees lie in classes already proved
-equal are equal by congruence and merge at once; every grouping records
-a representative per class, so arity m + 1 reuses arity m.  The first
-tree of each (left class, right class) pair is keyed by its row of the
-tree table on fixed pseudorandom rows w_r, den^m t(w_0, ..., w_m) mod 2^64.
+decides, and names every tree by its position in enumerate_trees, so its
+congruence pass hashes no tree.  An operation whose constants fall into two or more
+direct-sum blocks is grouped once per distinct block, and its classes are
+the common refinement of the blocks' (direct_product's argument).  On one
+block every tree is keyed by its row of the tree table on fixed
+pseudorandom rows w_r, den^m t(w_0, ..., w_m) mod 2^64.  While no lower
+arity has merged two trees, pairwise different keys prove arity m all
+singletons in one array step.  Otherwise the tree of split k with subtrees
+i and j has the (left class, right class) pair off_k + rep_k[i] C_{m-1-k}
++ rep_{m-1-k}[j], itself a position, and trees with one pair are equal by
+congruence and merge at once.  A grouping that merges two trees records
+the representative of every tree of its arity in one integer array on
+the operation, so arity m + 1 reuses arity m; an arity without one is its
+own representatives.
 
 Every tree of an arity is evaluated one way, by the tree table on given
 leaf rows (_tree_table): table[n, o] holds the values of every tree with
@@ -49,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -140,8 +150,9 @@ class BilinearOperation:
         self._tensor_cells = 0
         # (n, o) -> keys of the trees with n internal nodes from row w_o
         self._key_tables = {}
-        # tree -> representative of its exact class, from earlier groupings
-        self._classes = {}
+        # m -> representative position of every tree of m internal nodes,
+        # held only for the arities where a grouping has merged two trees
+        self._reps = {}
 
     @classmethod
     def zero(cls, dim: int) -> "BilinearOperation":
@@ -239,7 +250,6 @@ def _int_product(op: BilinearOperation, x, y):
     uint64 rows are residues mod 2^64: their product wraps, which is exact
     mod 2^64, and needs no bound.
     """
-    p = op.dimension
     flat = op._flat64
     if x.dtype == y.dtype == np.uint64:
         flat = op._flat_u64
@@ -249,6 +259,12 @@ def _int_product(op: BilinearOperation, x, y):
         and fits_int64(abs_max(x), max(abs_max(y), 1), op._bound)
     ):
         x, y, flat = x.astype(object, copy=False), y.astype(object, copy=False), op.flat
+    return _contract(x, y, flat)
+
+
+def _contract(x, y, flat):
+    """The product step on rows x, y and the table flat of their dtype."""
+    p = x.shape[-1]
     # (x @ flat)[..., j, k] = sum_i x_i C[i][j][k]; contract with y over j
     return (y[..., None, :] @ (x @ flat).reshape(*x.shape[:-1], p, p))[..., 0, :]
 
@@ -276,6 +292,13 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> n
     tuple (lexicographic order over probe basis indices).  Subtree tensors
     are memoized on the operation while their total stays within
     _TENSOR_CACHE_CELL_CAP cells; t's own only when memo is set.
+
+    The dtype is fixed before any product: on unit probes an entry of a
+    tree with n internal nodes is at most bound**n (a leaf's are 0 or 1, and
+    a product step multiplies the bounds of its factors by bound), and that
+    also bounds every partial sum of the step that makes it.  So t runs in
+    int64 when bound**n fits, and so do all its subtrees; otherwise on
+    Python ints.
     """
     cached = op._tensor_cache.get(t)
     if cached is not None:
@@ -286,7 +309,10 @@ def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> n
     else:
         l = _probe_tensor(op, t.left, memo=True)
         r = _probe_tensor(op, t.right, memo=True)
-        arr = _int_product(op, l[:, None], r[None]).reshape(-1, p)
+        flat = op._flat64
+        if not fits_int64(op._bound ** t.internal_count):
+            l, r, flat = l.astype(object, copy=False), r.astype(object, copy=False), op.flat
+        arr = _contract(l[:, None], r[None], flat).reshape(-1, p)
     if memo and op._tensor_cells + arr.size <= _TENSOR_CACHE_CELL_CAP:
         op._tensor_cache[t] = arr
         op._tensor_cells += arr.size
@@ -395,17 +421,23 @@ class EquivalenceReport:
 
 
 def _make_report(m, method, groups, justifications=None) -> EquivalenceReport:
-    classes = tuple(tuple(sorted(g)) for g in groups)
-    classes = tuple(sorted(classes, key=lambda c: c[0]))
-    if justifications is not None:
-        order = sorted(range(len(groups)), key=lambda i: min(groups[i]))
-        justifications = tuple(justifications[i] for i in order)
+    """The report of groups, lists of ascending indices into
+    enumerate_trees(m) as every grouping here builds them, ordered by first
+    index, with their justifications in the same order."""
     cm = catalan(m)
-    covered = sorted(i for c in classes for i in c)
-    if covered != list(range(cm)):
+    # one mark per tree: cm indices, all in range and all marked, are a partition
+    covered = np.fromiter(chain.from_iterable(groups), dtype=np.int64)
+    marks = np.zeros(cm, dtype=bool)
+    if len(covered) == cm and ((covered >= 0) & (covered < cm)).all():
+        marks[covered] = True
+    if not marks.all():
         raise ValueError("classes do not partition the tree list")
-    if not 1 <= len(classes) <= cm:
+    if not 1 <= len(groups) <= cm:
         raise ValueError("class count out of range")
+    order = sorted(range(len(groups)), key=lambda i: groups[i][0])
+    classes = tuple(tuple(groups[i]) for i in order)
+    if justifications is not None:
+        justifications = tuple(justifications[i] for i in order)
     return EquivalenceReport(m, method, classes, justifications)
 
 
@@ -476,13 +508,15 @@ def _group(op: BilinearOperation, trees, positions) -> list:
     if op.is_zero:
         return [list(range(len(trees)))]
     blocks = _blocks(op)
-    if blocks != (op,):
-        by_ids = {}
-        groupings = (_class_ids(_group(b, trees, positions)) for b in blocks)
-        for idx, ids in enumerate(zip(*groupings)):
-            by_ids.setdefault(ids, []).append(idx)
-        return list(by_ids.values())
-    return _group_connected(op, trees, positions)
+    if blocks == (op,):
+        return _group_connected(op, trees, positions)
+    groupings = [_group(b, trees, positions) for b in blocks]
+    if len(groupings) == 1:  # copies of one block partition as it does
+        return groupings[0]
+    by_ids = {}
+    for idx, ids in enumerate(zip(*map(_class_ids, groupings))):
+        by_ids.setdefault(ids, []).append(idx)
+    return list(by_ids.values())
 
 
 def _class_ids(groups) -> list:
@@ -496,48 +530,86 @@ def _class_ids(groups) -> list:
 def _group_connected(op: BilinearOperation, trees, positions) -> list:
     """Exact grouping on one operation, proving merges by children or tensors.
 
-    Trees whose (left class, right class) pairs agree are equal maps by
-    congruence and join at once, a class being the representative that
-    op._classes records from an earlier grouping (a subtree with no record
-    is its own class).  The first tree of each pair is keyed by its row of
-    the key table (_key_table) without building its probe tensor; a pair
-    alone with its key is a class of its own.  The pairs of a shared key
-    build the first tree's tensor and are split by exact equality, and
-    those tensors are dropped before the next key.  Every group then
-    records its representative, so arity m + 1 reuses arity m.
+    Returns the groups ordered by first index, each ascending.  Pairwise
+    different keys make every tree a class of its own in one step, tried
+    only while no lower arity holds a recorded merge: a merge below gives
+    two trees of arity m equal maps, so their keys could not differ.
+    Otherwise trees join by their child pairs
+    (_child_pairs); a pair alone with its key is a class of its own, and the
+    pairs of a shared key build their first tree's tensor and are split by
+    exact equality, those tensors dropped before the next key.  A grouping
+    that merges two positions records every tree's representative in
+    op._reps[m].
     """
-    classes = op._classes
-    by_pair = {}
-    for idx, t in enumerate(trees):
-        pair = None if t.is_leaf else (classes.get(t.left, t.left), classes.get(t.right, t.right))
-        by_pair.setdefault(pair, []).append(idx)
-    table = _key_table(op, trees[0].internal_count)
-    keys = table[[positions[group[0]] for group in by_pair.values()]].tolist()
+    m = trees[0].internal_count
+    pos = np.fromiter(positions, dtype=np.int64, count=len(trees))
+    if m == 0:  # every tree is the leaf
+        return [list(range(len(pos)))]
+    keys = _key_table(op, m)[pos]
+    if all(n >= m for n in op._reps) and _distinct_rows(keys):
+        return [[idx] for idx in range(len(pos))]
+    # pair groups, each named by its first index
+    _, first, pair_of = np.unique(_child_pairs(op, m, pos), return_index=True, return_inverse=True)
+    rows, names = keys[first].tolist(), first.tolist()
     by_key = {}
-    for key, group in zip(keys, by_pair.values()):
-        by_key.setdefault(tuple(key), []).append(group)
-    groups = []
+    for g in np.argsort(first).tolist():
+        by_key.setdefault(tuple(rows[g]), []).append(g)
+    label = first.copy()  # each pair group's class, named by its first index
     for same_key in by_key.values():
         if len(same_key) == 1:
-            groups += same_key
             continue
-        split = []  # (tensor of the first tree, group)
-        for pair_group in same_key:
-            tensor = _probe_tensor(op, trees[pair_group[0]])
-            for first, group in split:
-                if np.array_equal(first, tensor):
-                    group += pair_group
+        heads = []  # (tensor, name) of the classes of this key
+        for g in same_key:
+            tensor = _probe_tensor(op, trees[names[g]])
+            for head, name in heads:
+                if np.array_equal(head, tensor):
+                    label[g] = name
                     break
             else:
-                split.append((tensor, pair_group))
-        groups += (sorted(group) for _, group in split)
-    groups.sort(key=lambda group: group[0])
-    for group in groups:
-        first = trees[group[0]]
-        rep = classes.get(first, first)
-        for idx in group:
-            classes[trees[idx]] = rep
+                heads.append((tensor, names[g]))
+    labels = label[pair_of]
+    order = np.argsort(labels, kind="stable")
+    cuts = (np.flatnonzero(np.diff(labels[order])) + 1).tolist()
+    order = order.tolist()
+    groups = [order[a:b] for a, b in zip([0, *cuts], [*cuts, len(order)])]
+    heads_pos = pos[labels]
+    reps = op._reps.get(m)
+    if reps is None and (heads_pos != pos).any():
+        reps = op._reps[m] = np.arange(catalan(m))
+    if reps is not None:
+        reps[pos] = reps[heads_pos]
     return groups
+
+
+def _distinct_rows(rows) -> bool:
+    """Whether the rows of a 2-d array are pairwise different: at once when
+    their first entries are, else by comparing whole rows."""
+    column = np.sort(rows[:, 0])
+    if (column[1:] != column[:-1]).all():
+        return True
+    return len(set(map(tuple, rows.tolist()))) == len(rows)
+
+
+def _child_pairs(op: BilinearOperation, m: int, pos) -> np.ndarray:
+    """The (left class, right class) pair of each tree at pos, as a position.
+
+    In enumerate_trees(m), split k holds the trees off_k + i C_{m-1-k} + j
+    whose subtrees are tree i of arity k and tree j of arity m-1-k, so the
+    pair is the tree of their representatives, off_k + rep_k[i] C_{m-1-k} +
+    rep_{m-1-k}[j].  An arity with no record in op._reps is its own
+    representatives.
+    """
+    cat = np.array([catalan(n) for n in range(m)])
+    starts = np.concatenate(([0], np.cumsum(cat * cat[::-1])))  # off_k
+    k = np.searchsorted(starts, pos, side="right") - 1
+    width = cat[m - 1 - k]
+    i, j = np.divmod(pos - starts[k], width)
+    # every lower arity's representatives in one array, arity n from base[n]
+    base = np.concatenate(([0], np.cumsum(cat)))
+    reps = np.concatenate([
+        op._reps[n] if n in op._reps else np.arange(c) for n, c in enumerate(cat.tolist())
+    ])
+    return starts[k] + reps[base[k] + i] * width + reps[base[m - 1 - k] + j]
 
 
 def count_classes_exact(

@@ -35,6 +35,7 @@ from nortonalg.trees import (
     enumerate_trees,
     left_comb,
     node,
+    tree_index,
 )
 
 # A000975 prefix for m = 1..10, frozen; cross-checked below against the
@@ -288,6 +289,18 @@ def test_report_serialization():
     assert sorted(i for c in d["classes"] for i in c) == [0, 1]
 
 
+def test_report_refuses_a_duplicated_or_missing_index():
+    # C_3 = 5 trees: five indices with 2 twice leave 4 unmarked
+    with pytest.raises(ValueError, match="do not partition"):
+        binop._make_report(3, "tensor_exact", [[0, 1], [2], [2, 3]])
+    with pytest.raises(ValueError, match="do not partition"):
+        binop._make_report(3, "tensor_exact", [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="do not partition"):
+        binop._make_report(3, "tensor_exact", [[0, 1], [2, 3], [5]])
+    rep = binop._make_report(3, "tensor_exact", [[2, 4], [0, 1, 3]], ["b", "a"])
+    assert rep.classes == ((0, 1, 3), (2, 4)) and rep.merge_justifications == ("a", "b")
+
+
 def test_commutativity_detection():
     sym = BilinearOperation(
         [
@@ -358,6 +371,20 @@ def test_product_step_exact_across_the_int64_switch(algebra):
         big = [tuple(F(2**70 + i, 3) for _ in range(d)) for i in range(3)]
         t = left_comb(2)
         assert evaluate_parenthesization(target, t, big) == reference_evaluate(target, t, big)
+
+
+def test_probe_tensor_dtype_follows_the_a_priori_bound(algebra):
+    # den * constants is about 2^40, so bound ** n fits int64 for n = 1 only:
+    # every deeper tree runs on Python ints, whatever its entries
+    op = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
+    assert fits_int64(op._bound) and not fits_int64(op._bound**2)
+    for m in range(5):
+        for t in enumerate_trees(m):
+            tensor = _probe_tensor(op, t)
+            assert (tensor.dtype == np.int64) == fits_int64(op._bound**m)
+            assert abs_max(tensor) <= op._bound**m
+            want = [[op.den**m * x for x in v] for v in _reference_probe_values(op, t)]
+            assert tensor.tolist() == want
 
 
 def _key_by_linear_form(op, t, offset=0):
@@ -563,6 +590,45 @@ def test_child_classes_bound_the_tensors_of_the_next_arity(algebra, monkeypatch)
     assert {m for _, m in calls} == {8}
 
 
+def test_all_singleton_step_never_fires_after_a_merge(algebra, monkeypatch):
+    # every tree alone with its key is a class in one step, tried only while
+    # no lower arity has merged; after that, tensors are built for exactly
+    # the child-class pairs that share a key with another pair
+    calls = _top_level_tensors(monkeypatch)
+    tried = []
+    real = binop._distinct_rows
+
+    def recording(rows):
+        tried.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(binop, "_distinct_rows", recording)
+    j41 = _fresh(algebra("j41").operation)
+    for m in range(8):
+        assert count_classes_exact(j41, m).class_count == catalan(m)
+    assert calls == [] and tried == [catalan(m) for m in range(1, 8)]
+
+    op = _fresh(algebra("h23").operation)
+    (block,) = binop._blocks(op)
+    class_of = []  # reference class ids of the trees of each arity
+    for m in range(8):
+        calls.clear()
+        tried.clear()
+        trees = enumerate_trees(m)
+        assert count_classes_exact(op, m).class_count == ([1] + A000975_PREFIX)[m]
+        assert tried == ([catalan(m)] if 1 <= m <= 4 else [])
+        if m:
+            pairs = {}
+            for idx, t in enumerate(trees):
+                left, right = t.left.internal_count, t.right.internal_count
+                pair = (left, class_of[left][tree_index(t.left)], class_of[right][tree_index(t.right)])
+                pairs.setdefault(pair, idx)
+            keys = [tuple(row) for row in binop._key_table(block, m)[list(pairs.values())].tolist()]
+            shared = sum(keys.count(key) > 1 for key in keys)
+            assert len(calls) == shared and (shared > 0) == (m >= 4)
+        class_of.append(binop._class_ids(_reference_groups(block, trees)))
+
+
 @pytest.mark.parametrize("name, m_max", [("j31", 8), ("h13", 8), ("d22", 7)])
 def test_single_arity_call_matches_ascending_run(algebra, name, m_max):
     # d22 stops at m = 7: a fresh m = 8 call builds some 10^3 tensors of 4^9 rows
@@ -572,3 +638,22 @@ def test_single_arity_call_matches_ascending_run(algebra, name, m_max):
         want = double_minus_classes(m).classes
         assert count_classes_exact(ascending, m).classes == want
         assert count_classes_exact(_fresh(op), m).classes == want
+
+
+@pytest.mark.parametrize("name", ["j31", "h23", "j41", "d22"])
+def test_partial_and_full_groupings_share_one_memo(algebra, name):
+    # the pattern path groups colliding subsets, and a tensor count may run
+    # later on the same operation: both read and write one record per arity
+    fresh_op = algebra(name).operation
+    op = _fresh(fresh_op)
+    rng = random.Random(name)
+    for m in range(7):
+        trees = enumerate_trees(m)
+        subset = rng.sample(trees, min(len(trees), 24))
+        subset.insert(rng.randrange(len(subset) + 1), rng.choice(subset))
+        want = _reference_groups(op, subset)
+        for n in (m, m + 1):
+            assert group_trees_by_fingerprint(op, subset) == want
+            got = count_classes_exact(op, n).class_count
+            assert got == count_classes_exact(_fresh(fresh_op), n).class_count
+        assert group_trees_by_fingerprint(op, subset) == want

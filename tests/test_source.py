@@ -21,10 +21,11 @@ lru_cache: a memo that outlives a call speeds up only a process that
 repeats the call, never a command that builds one graph per process, and
 it holds what it keeps for the process's life.  isinstance tests a
 family class only in the six functions that state the paper's formulas and
-theorem; everywhere else a family is read through what they return.  The
-test configuration makes a DeprecationWarning an error, but not the one
-Hypothesis's failure report raises, so a failing property test fails like
-any other and the run goes on.
+theorem; everywhere else a family is read through what they return.  Every
+memo binop keeps on an operation is set in BilinearOperation._set_table, so
+each operation starts with empty ones.  The test configuration makes a
+DeprecationWarning an error, but not the one Hypothesis's failure report
+raises, so a failing property test fails like any other and the run goes on.
 """
 
 import ast
@@ -139,6 +140,35 @@ def test_only_graphs_reads_the_distance_matrix():
         if isinstance(node, ast.Attribute) and node.attr == "dist"
     ]
     assert found == []
+
+
+def test_binop_memos_start_in_set_table():
+    # every attribute binop stores on an operation other than self, whole or
+    # by item, is first set in _set_table, so an operation made by any route
+    # (from_int_table, _split's blocks, a test's fresh copy) starts empty
+    path = Path(nortonalg.__file__).parent / "binop.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    set_table = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_set_table"
+    )
+
+    def stored(nodes, on_self):
+        found = set()
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                node = node.value
+            elif not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)):
+                continue
+            if isinstance(node, ast.Attribute) and (getattr(node.value, "id", None) == "self") == on_self:
+                found.add(node.attr)
+        return found
+
+    initialised = stored(ast.walk(set_table), True)
+    elsewhere = stored(ast.walk(tree), False)
+    assert {"_reps", "_tensor_cache", "_tensor_cells", "_blocks"} <= elsewhere
+    assert elsewhere <= initialised
 
 
 # the only functions that functools.cache or lru_cache may decorate
