@@ -15,50 +15,40 @@ max|x| * max|y| * B <= 2^63 - 1, where B bounds the integer constant
 table (B = max_k sum_{i,j} |den C[i][j][k]|); that product dominates
 every partial sum of both contractions, so the result is exact.
 Otherwise it runs on Python ints, and an array that has left int64 stays
-there.  A probe tensor needs no scan: on unit probes a tree with n
-internal nodes has entries at most B^n, which also bounds every partial
-sum of its own product step, so it runs in int64 exactly when B^n fits.
+there; a probe tensor, whose entries on unit probes are at most B^n for n
+internal nodes, is typed from that bound with no scan (_probe_tensor).
 An operation is stored as the step's integer table and nothing
 else: the solver and the cache hand it over directly, and the Fraction
 constants are a view of it for API callers.  Fractions appear only at the
 API edge: evaluate_parenthesization clears the denominators of its
 arguments, evaluates in integers and divides once at the end.
 
-Grouping trees by probe tensor builds a tensor only where no exact argument
-decides, and names every tree by its position in enumerate_trees, so its
-congruence pass hashes no tree.  An operation whose constants fall into two or more
-direct-sum blocks is grouped once per distinct block, and its classes are
-the common refinement of the blocks' (direct_product's argument).  On one
-block every tree is keyed by its row of the tree table on fixed
-pseudorandom rows w_r, den^m t(w_0, ..., w_m) mod 2^64.  While no lower
-arity has merged two trees, pairwise different keys prove arity m all
-singletons in one array step.  Otherwise the tree of split k with subtrees
-i and j has the (left class, right class) pair off_k + rep_k[i] C_{m-1-k}
-+ rep_{m-1-k}[j], itself a position, and trees with one pair are equal by
-congruence and merge at once.  A grouping that merges two trees records
-the representative of every tree of its arity in one integer array on
-the operation, so arity m + 1 reuses arity m; an arity without one is its
-own representatives.
-
-Every tree of an arity is evaluated one way, by the tree table on given
-leaf rows (_tree_table): table[n, o] holds the values of every tree with
-n internal nodes on the leaves from o, in enumerate_trees order, and is
-one batched product step per split.  The key tables are kept on the
-operation, so arity m only adds the entries with n + o <= m; classify's
-one-off signatures are the tree table on its one-off layout.  By
-multilinearity a key is the fixed linear form
-sum_probe prod_r w_r[probe_r] T[probe] of the probe tensor T, and
-reduction mod 2^64 is a ring map, so equal tensors get equal keys and
-different keys prove different maps.  Only pairs that share a key get
-their tensors built, and those are compared exactly before they merge.
+Grouping names every tree by its position in enumerate_trees and builds
+no tree object.  An operation whose constants fall into two or more
+direct-sum blocks is grouped once per distinct block, its classes the
+common refinement of the blocks' (direct_product's argument).  On one
+block tree t is keyed by den^m t(w_0, ..., w_m) mod 2^64 on fixed
+pseudorandom rows w_r, its row of the tree table (_tree_table) kept on the
+operation.  A key is a fixed linear form of the probe tensor, by
+multilinearity, and reduction mod 2^64 is a ring map, so different keys
+prove different maps.  While no lower arity has merged two trees,
+pairwise different keys prove arity m all singletons in one array step.
+Otherwise the tree of split k with subtrees i and j has the (left class,
+right class) pair off_k + rep_k[i] C_{m-1-k} + rep_{m-1-k}[j], itself a
+position, and trees with one pair merge by congruence.  Only pairs that
+share a key get probe tensors, compared exactly: one contraction of the
+pair's two child class tensors, memoized on the operation by (arity,
+representative position).  A grouping that merges records every tree's
+representative in one integer array per arity on the operation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 import numpy as np
@@ -66,20 +56,27 @@ import numpy as np
 from .errors import BudgetExceededError
 from .intlinalg import abs_max, fits_int64
 from .trees import (
+    DEFAULT_ENUMERATION_LIMIT,
     LEAF,
     BinaryTree,
     catalan,
+    check_arity,
     depth_tuples,
-    enumerate_trees,
     node,
     tree_index,
 )
 
 DEFAULT_FINGERPRINT_BUDGET = 10 ** 6
 
-# Probe tensors of subtrees are memoized on the operation up to this many
-# cells in total; past it, subtrees are recomputed when needed.
+# Cells of child class tensors memoized per operation; past it, rebuilt.
 _TENSOR_CACHE_CELL_CAP = 1 << 24
+
+# C_m, and [m][k] the first position of split k of arity m, up to the limit
+_CATALAN = [catalan(m) for m in range(DEFAULT_ENUMERATION_LIMIT + 1)]
+_SPLITS = [
+    list(accumulate((_CATALAN[k] * _CATALAN[m - 1 - k] for k in range(m)), initial=0))
+    for m in range(DEFAULT_ENUMERATION_LIMIT + 1)
+]
 
 METHOD_TENSOR = "tensor_exact"
 METHOD_DEPTH_MOD2 = "depth_mod2"
@@ -284,39 +281,45 @@ def _evaluate_rows(op: BilinearOperation, t: BinaryTree, rows):
     return _int_product(op, left, right)
 
 
-def _probe_tensor(op: BilinearOperation, t: BinaryTree, memo: bool = False) -> np.ndarray:
-    """Integer tensor of the multilinear probe map of t.
+def _probe_tensor(op: BilinearOperation, m: int, pos: int) -> np.ndarray:
+    """Integer tensor of the multilinear probe map of tree pos of arity m.
 
-    Shape (p**leaves, p); entry [probe, k] is den**internal_count(t) times the
-    k-th output coordinate of the parenthesization evaluated at the probe
-    tuple (lexicographic order over probe basis indices).  Subtree tensors
-    are memoized on the operation while their total stays within
-    _TENSOR_CACHE_CELL_CAP cells; t's own only when memo is set.
+    Shape (p**(m+1), p); entry [probe, k] is den**m times the k-th output
+    coordinate of the parenthesization evaluated at the probe tuple
+    (lexicographic order over probe basis indices).  It is one contraction
+    of the tensors of its two child classes (_class_tensor), and is not
+    memoized itself.
 
-    The dtype is fixed before any product: on unit probes an entry of a
-    tree with n internal nodes is at most bound**n (a leaf's are 0 or 1, and
-    a product step multiplies the bounds of its factors by bound), and that
-    also bounds every partial sum of the step that makes it.  So t runs in
-    int64 when bound**n fits, and so do all its subtrees; otherwise on
-    Python ints.
+    The dtype is fixed before any product: on unit probes bound**m bounds
+    every entry and every partial sum of the product step (a step multiplies
+    its factors' bounds by bound), so it runs in int64 when bound**m fits,
+    as its subtrees then do, and otherwise on Python ints.
     """
-    cached = op._tensor_cache.get(t)
-    if cached is not None:
-        return cached
     p = op.dimension
-    if t.is_leaf:
-        arr = np.eye(p, dtype=np.int64)
-    else:
-        l = _probe_tensor(op, t.left, memo=True)
-        r = _probe_tensor(op, t.right, memo=True)
-        flat = op._flat64
-        if not fits_int64(op._bound ** t.internal_count):
-            l, r, flat = l.astype(object, copy=False), r.astype(object, copy=False), op.flat
-        arr = _contract(l[:, None], r[None], flat).reshape(-1, p)
-    if memo and op._tensor_cells + arr.size <= _TENSOR_CACHE_CELL_CAP:
-        op._tensor_cache[t] = arr
-        op._tensor_cells += arr.size
-    return arr
+    if m == 0:
+        return np.eye(p, dtype=np.int64)
+    starts = _SPLITS[m]
+    k = bisect_right(starts, pos) - 1
+    i, j = divmod(pos - starts[k], _CATALAN[m - 1 - k])  # subtrees of arity k, m-1-k
+    l, r = _class_tensor(op, k, i), _class_tensor(op, m - 1 - k, j)
+    flat = op._flat64
+    if not fits_int64(op._bound ** m):
+        l, r, flat = l.astype(object, copy=False), r.astype(object, copy=False), op.flat
+    return _contract(l[:, None], r[None], flat).reshape(-1, p)
+
+
+def _class_tensor(op: BilinearOperation, n: int, i: int) -> np.ndarray:
+    """The probe tensor of the class of tree i of arity n, memoized on op under
+    (n, its representative in op._reps) within _TENSOR_CACHE_CELL_CAP cells."""
+    reps = op._reps.get(n)
+    key = (n, i if reps is None else reps.item(i))
+    tensor = op._tensor_cache.get(key)
+    if tensor is None:
+        tensor = _probe_tensor(op, *key)
+        if op._tensor_cells + tensor.size <= _TENSOR_CACHE_CELL_CAP:
+            op._tensor_cache[key] = tensor
+            op._tensor_cells += tensor.size
+    return tensor
 
 
 def _probe_cells(op, m) -> int:
@@ -384,11 +387,13 @@ def tensor_fingerprint(
     Concatenates, in lexicographic order of probe basis tuples, the output
     vectors of the parenthesization.  Two trees with the same number of leaves
     get equal fingerprints exactly when their parenthesizations are equal as
-    maps.
+    maps.  Trees past enumerate_trees' limit are refused.
     """
-    _check_probe_budget(op, t.internal_count, budget)
-    scale = op.den ** t.internal_count
-    return tuple(Fraction(v, scale) for v in _probe_tensor(op, t).reshape(-1).tolist())
+    m = t.internal_count
+    _check_probe_budget(op, m, budget)
+    check_arity(m)
+    tensor = _probe_tensor(op, m, tree_index(t))
+    return tuple(Fraction(v, op.den**m) for v in tensor.reshape(-1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +504,18 @@ def group_trees_by_fingerprint(op: BilinearOperation, trees, budget=DEFAULT_FING
     if any(t.internal_count != m for t in trees):
         raise ValueError("all trees must have the same number of internal nodes")
     _check_probe_budget(op, m, budget)
-    return _group(op, trees, [tree_index(t) for t in trees])
+    return _group(op, m, [tree_index(t) for t in trees])
 
 
-def _group(op: BilinearOperation, trees, positions) -> list:
-    """group_trees_by_fingerprint on trees whose indices in enumerate_trees(m)
-    are positions, with the budget already checked."""
+def _group(op: BilinearOperation, m: int, positions) -> list:
+    """group_trees_by_fingerprint on the trees of arity m at positions, with
+    the budget already checked."""
     if op.is_zero:
-        return [list(range(len(trees)))]
+        return [list(range(len(positions)))]
     blocks = _blocks(op)
     if blocks == (op,):
-        return _group_connected(op, trees, positions)
-    groupings = [_group(b, trees, positions) for b in blocks]
+        return _group_connected(op, m, positions)
+    groupings = [_group(b, m, positions) for b in blocks]
     if len(groupings) == 1:  # copies of one block partition as it does
         return groupings[0]
     by_ids = {}
@@ -527,30 +532,30 @@ def _class_ids(groups) -> list:
     return ids
 
 
-def _group_connected(op: BilinearOperation, trees, positions) -> list:
+def _group_connected(op: BilinearOperation, m: int, positions) -> list:
     """Exact grouping on one operation, proving merges by children or tensors.
 
     Returns the groups ordered by first index, each ascending.  Pairwise
     different keys make every tree a class of its own in one step, tried
     only while no lower arity holds a recorded merge: a merge below gives
     two trees of arity m equal maps, so their keys could not differ.
-    Otherwise trees join by their child pairs
-    (_child_pairs); a pair alone with its key is a class of its own, and the
-    pairs of a shared key build their first tree's tensor and are split by
-    exact equality, those tensors dropped before the next key.  A grouping
-    that merges two positions records every tree's representative in
-    op._reps[m].
+    Otherwise trees join by their child pairs (_child_pairs); a pair alone
+    with its key is a class of its own, and the pairs of a shared key build
+    their tensors and are split by exact equality, those tensors dropped
+    before the next key.  A grouping that merges two positions records
+    every tree's representative in op._reps[m].  Arities past
+    enumerate_trees' limit are refused.
     """
-    m = trees[0].internal_count
-    pos = np.fromiter(positions, dtype=np.int64, count=len(trees))
+    check_arity(m)
+    pos = np.asarray(positions, dtype=np.int64)
     if m == 0:  # every tree is the leaf
         return [list(range(len(pos)))]
     keys = _key_table(op, m)[pos]
     if all(n >= m for n in op._reps) and _distinct_rows(keys):
         return [[idx] for idx in range(len(pos))]
     # pair groups, each named by its first index
-    _, first, pair_of = np.unique(_child_pairs(op, m, pos), return_index=True, return_inverse=True)
-    rows, names = keys[first].tolist(), first.tolist()
+    pairs, first, pair_of = np.unique(_child_pairs(op, m, pos), return_index=True, return_inverse=True)
+    rows, names, pairs = keys[first].tolist(), first.tolist(), pairs.tolist()
     by_key = {}
     for g in np.argsort(first).tolist():
         by_key.setdefault(tuple(rows[g]), []).append(g)
@@ -560,7 +565,7 @@ def _group_connected(op: BilinearOperation, trees, positions) -> list:
             continue
         heads = []  # (tensor, name) of the classes of this key
         for g in same_key:
-            tensor = _probe_tensor(op, trees[names[g]])
+            tensor = _probe_tensor(op, m, pairs[g])
             for head, name in heads:
                 if np.array_equal(head, tensor):
                     label[g] = name
@@ -599,8 +604,8 @@ def _child_pairs(op: BilinearOperation, m: int, pos) -> np.ndarray:
     rep_{m-1-k}[j].  An arity with no record in op._reps is its own
     representatives.
     """
-    cat = np.array([catalan(n) for n in range(m)])
-    starts = np.concatenate(([0], np.cumsum(cat * cat[::-1])))  # off_k
+    cat = np.array(_CATALAN[:m])
+    starts = np.array(_SPLITS[m])  # off_k
     k = np.searchsorted(starts, pos, side="right") - 1
     width = cat[m - 1 - k]
     i, j = np.divmod(pos - starts[k], width)
@@ -620,9 +625,9 @@ def count_classes_exact(
     Groups as group_trees_by_fingerprint, on the enumeration's own positions:
     the budget applies to every operation, and a zero operation is one class.
     """
-    trees = enumerate_trees(m)
+    check_arity(m)
     _check_probe_budget(op, m, budget)
-    return _make_report(m, METHOD_TENSOR, _group(op, trees, range(len(trees))))
+    return _make_report(m, METHOD_TENSOR, _group(op, m, np.arange(catalan(m))))
 
 
 def double_minus_classes(m: int) -> EquivalenceReport:

@@ -248,7 +248,6 @@ def count_norton_classes(
 
     groups = []
     justifications = []
-    trees = None  # enumerated only for merges checked on fingerprints
     theorem = None  # a merge's justification past the budget, found once
     for idxs in by_signature.values():
         if len(idxs) == 1:
@@ -256,10 +255,8 @@ def count_norton_classes(
             justifications.append(JUSTIFY_SIGNATURE)
             continue
         if affordable:
-            trees = trees or enumerate_trees(m)
-            colliding = [trees[i] for i in idxs]
-            # affordable proved the budget, and idxs index enumerate_trees(m)
-            for sub in _group(op, colliding, idxs):
+            # affordable proved the budget, and idxs are positions of arity m
+            for sub in _group(op, m, idxs):
                 groups.append([idxs[j] for j in sub])
                 justifications.append(JUSTIFY_FINGERPRINT)
             continue

@@ -21,7 +21,7 @@ DEFAULT_ENUMERATION_LIMIT = 12
 class BinaryTree:
     """Immutable full binary tree: a leaf, or a node with two subtrees."""
 
-    __slots__ = ("left", "right", "leaf_count", "_hash")
+    __slots__ = ("left", "right", "leaf_count")
 
     def __init__(self, left=None, right=None):
         if (left is None) != (right is None):
@@ -29,7 +29,6 @@ class BinaryTree:
         self.left = left
         self.right = right
         self.leaf_count = 1 if left is None else left.leaf_count + right.leaf_count
-        self._hash = None
 
     @property
     def is_leaf(self):
@@ -51,11 +50,7 @@ class BinaryTree:
         return not other.is_leaf and self.left == other.left and self.right == other.right
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash("leaf") if self.is_leaf else hash((self.left, self.right))
-            self._hash = h
-        return h
+        return hash("leaf") if self.is_leaf else hash((self.left, self.right))
 
     def __repr__(self):
         return f"BinaryTree({to_string(self)!r})"
@@ -91,11 +86,16 @@ def enumerate_trees(n: int) -> list[BinaryTree]:
     the n+1 leaves), left subtree index before right subtree index.  n above
     DEFAULT_ENUMERATION_LIMIT is an EnumerationLimitError.
     """
+    check_arity(n)
+    return list(_trees(n))
+
+
+def check_arity(n: int) -> None:
+    """Refuse n < 0 (ValueError) and n > DEFAULT_ENUMERATION_LIMIT."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > DEFAULT_ENUMERATION_LIMIT:
         raise EnumerationLimitError(n, DEFAULT_ENUMERATION_LIMIT)
-    return list(_trees(n))
 
 
 def tree_index(t: BinaryTree) -> int:
@@ -182,10 +182,7 @@ def depth_tuples(n: int) -> tuple:
     index before right index.  Entry i is depth_sequence(enumerate_trees(n)[i])
     as a plain tuple; the result is cached.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > DEFAULT_ENUMERATION_LIMIT:
-        raise EnumerationLimitError(n, DEFAULT_ENUMERATION_LIMIT)
+    check_arity(n)
     return _depths(n)
 
 

@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from nortonalg import binop
+from nortonalg import binop, classify
 from nortonalg.binop import (
     BilinearOperation,
     _probe_tensor,
@@ -25,7 +25,7 @@ from nortonalg.binop import (
     group_trees_by_fingerprint,
     tensor_fingerprint,
 )
-from nortonalg.errors import BudgetExceededError
+from nortonalg.errors import BudgetExceededError, EnumerationLimitError
 from nortonalg.instances import build_instance
 from nortonalg.intlinalg import abs_max, fits_int64
 from nortonalg.trees import (
@@ -167,7 +167,7 @@ def test_zero_operation_collapses_everything():
 
 def test_zero_operation_needs_no_probe_tensor(monkeypatch):
     # is_zero alone proves one class; the fingerprint budget still applies
-    def refuse(*args, **kwargs):
+    def refuse(op, m, pos):
         raise AssertionError("probe tensor computed for the zero operation")
 
     monkeypatch.setattr(binop, "_probe_tensor", refuse)
@@ -340,8 +340,8 @@ def test_product_step_exact_across_the_int64_switch(algebra):
     # power, so the classes stay A000975's, while den * constants is about
     # 2^40, so leaf products run in int64 and deeper ones leave it
     op = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
-    assert _probe_tensor(op, left_comb(1)).dtype == np.int64
-    assert _probe_tensor(op, left_comb(3)).dtype == object
+    assert _probe_tensor(op, 1, 0).dtype == np.int64
+    assert _probe_tensor(op, 3, tree_index(left_comb(3))).dtype == object
     for m in range(5):
         trees = enumerate_trees(m)
         values = [_reference_probe_values(op, t) for t in trees]
@@ -379,12 +379,25 @@ def test_probe_tensor_dtype_follows_the_a_priori_bound(algebra):
     op = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
     assert fits_int64(op._bound) and not fits_int64(op._bound**2)
     for m in range(5):
-        for t in enumerate_trees(m):
-            tensor = _probe_tensor(op, t)
+        for pos, t in enumerate(enumerate_trees(m)):
+            tensor = _probe_tensor(op, m, pos)
             assert (tensor.dtype == np.int64) == fits_int64(op._bound**m)
             assert abs_max(tensor) <= op._bound**m
             want = [[op.den**m * x for x in v] for v in _reference_probe_values(op, t)]
             assert tensor.tolist() == want
+
+
+def _unit_probe_tensor(op, t):
+    """den^m t on every probe tuple of basis vectors, in lexicographic order,
+    by _evaluate_rows: leaf r is eye(p) on axis r of m+1 probe axes, which
+    the product step broadcasts, and the value is reshaped to (p^(m+1), p)."""
+    p, leaves = op.dimension, t.leaf_count
+    rows = []
+    for r in range(leaves):
+        shape = [1] * leaves + [p]
+        shape[r] = p
+        rows.append(np.eye(p, dtype=np.int64).reshape(shape))
+    return binop._evaluate_rows(op, t, rows).reshape(-1, p)
 
 
 def _key_by_linear_form(op, t, offset=0):
@@ -392,7 +405,7 @@ def _key_by_linear_form(op, t, offset=0):
     p = op.probe_dimension
     w = binop._leaf_weights(p, offset + t.leaf_count).tolist()[offset:]
     total = [0] * p
-    tensor = _probe_tensor(op, t).tolist()
+    tensor = _unit_probe_tensor(op, t).tolist()
     for probe, row in zip(product(range(p), repeat=t.leaf_count), tensor):
         c = 1
         for r, i in enumerate(probe):
@@ -405,7 +418,7 @@ def _key_table_ops(algebra):
     noncomm = _random_operation(random.Random(2), 3)
     assert not noncomm.is_commutative
     big = _scaled(algebra("h13").operation, F(2**40 + 1, 7))
-    assert _probe_tensor(big, left_comb(3)).dtype == object
+    assert _probe_tensor(big, 3, tree_index(left_comb(3))).dtype == object
     return [
         algebra("j41").operation,
         algebra("h23").operation,
@@ -457,12 +470,13 @@ def test_key_tables_take_one_product_step_per_split(algebra, monkeypatch):
     binop._key_table(op, 9)
     calls.clear()
 
-    def refuse(m):
+    every = enumerate_trees(9)
+    pair = [every[4000], every[17]]
+
+    def refuse(n):
         raise AssertionError("a 2-tree grouping enumerated every tree")
 
-    monkeypatch.setattr(binop, "enumerate_trees", refuse)
-    trees = enumerate_trees(9)
-    pair = [trees[4000], trees[17]]
+    monkeypatch.setattr("nortonalg.trees._trees", refuse)
     assert group_trees_by_fingerprint(op, pair) == [[0], [1]]
     assert calls == []
 
@@ -478,10 +492,9 @@ def _fresh(op):
 
 def _reference_groups(op, trees):
     """Group trees by exact equality of their full probe tensors."""
-    ref = _fresh(op)
     groups = {}
     for idx, t in enumerate(trees):
-        tensor = _probe_tensor(ref, t)
+        tensor = _unit_probe_tensor(op, t)
         if tensor.dtype == object and fits_int64(abs_max(tensor)):
             tensor = tensor.astype(np.int64)
         key = tensor.tobytes() if tensor.dtype == np.int64 else tuple(tensor.ravel().tolist())
@@ -559,11 +572,16 @@ def _top_level_tensors(monkeypatch):
     """Record (op, m) for every probe tensor a grouping asks for itself."""
     calls = []
     real = binop._probe_tensor
+    depth = [0]  # child class tensors are requested from inside a call
 
-    def counting(op, t, memo=False):
-        if not memo:  # subtree tensors are requested with memo=True
-            calls.append((op, t.internal_count))
-        return real(op, t, memo)
+    def counting(op, m, pos):
+        if not depth[0]:
+            calls.append((op, m))
+        depth[0] += 1
+        try:
+            return real(op, m, pos)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(binop, "_probe_tensor", counting)
     return calls
@@ -638,6 +656,38 @@ def test_single_arity_call_matches_ascending_run(algebra, name, m_max):
         want = double_minus_classes(m).classes
         assert count_classes_exact(ascending, m).classes == want
         assert count_classes_exact(_fresh(op), m).classes == want
+
+
+def test_count_path_never_builds_a_tree(algebra, monkeypatch):
+    # the grouping names trees by position alone; D_2(2) stops at m = 7, the
+    # last arity its 4^(m+2) probe cells fit the default budget
+    def refuse(n):
+        raise AssertionError("the count path built a tree")
+
+    monkeypatch.setattr("nortonalg.trees._trees", refuse)
+    for name, m_max in (("j31", 9), ("h13", 9), ("d22", 7)):
+        op = _fresh(algebra(name).operation)
+        for m in range(m_max + 1):
+            assert count_classes_exact(op, m).classes == double_minus_classes(m).classes
+    # h23's pattern path splits its colliding one-off buckets by fingerprint
+    h23 = algebra("h23")
+    for m in range(8):
+        report = classify.count_norton_classes(h23, m, strategy="pattern", budget=10**7)
+        assert report.class_count == ([1] + A000975_PREFIX)[m]
+        assert (classify.JUSTIFY_FINGERPRINT in report.merge_justifications) == (m >= 4)
+
+
+def test_arities_past_the_enumeration_limit_are_refused():
+    # positions name the trees enumerate_trees covers; the zero operation
+    # and a 1-cell probe tensor pass every other check
+    for op in (BilinearOperation.zero(1), BilinearOperation([[[1]]])):
+        with pytest.raises(EnumerationLimitError):
+            count_classes_exact(op, 13)
+    one = BilinearOperation([[[1]]])
+    with pytest.raises(EnumerationLimitError):
+        tensor_fingerprint(one, left_comb(13))
+    with pytest.raises(EnumerationLimitError):
+        group_trees_by_fingerprint(one, [left_comb(13), left_comb(13)])
 
 
 @pytest.mark.parametrize("name", ["j31", "h23", "j41", "d22"])

@@ -334,15 +334,15 @@ def test_pattern_zero_operation_justification(algebra):
 
 @pytest.mark.parametrize("name, budget", [("h23", 10), ("j52", 10), ("h22", 10), ("h23", 10**7)])
 def test_pattern_count_enumerates_trees_only_to_evaluate_them(algebra, monkeypatch, name, budget):
-    # off proved depth rows the keys come from depth tuples, so only a
-    # colliding bucket within budget (h23 with 10^7) reads the trees
+    # off proved depth rows the keys come from depth tuples, and a colliding
+    # bucket within budget (h23 with 10^7) is grouped by position alone
     alg = algebra(name)
     want = count_norton_classes(alg, 6, strategy="pattern", budget=budget)
     assert classify._depth_rows(alg, 6) is not None
     calls = []
     monkeypatch.setattr(classify, "enumerate_trees", lambda m: calls.append(m) or enumerate_trees(m))
     assert count_norton_classes(alg, 6, strategy="pattern", budget=budget) == want
-    assert calls == ([6] if JUSTIFY_FINGERPRINT in want.merge_justifications else [])
+    assert calls == []
 
 
 def test_pattern_collisions_split_by_fingerprint(algebra):
@@ -643,7 +643,7 @@ def test_equal_keys_are_checked_exactly(algebra, monkeypatch):
 
 def test_tree_alone_with_its_key_builds_no_probe_tensor(algebra, monkeypatch):
     # J(4,1) is totally nonassociative, so every key is its own bucket
-    def refuse(*args, **kwargs):
+    def refuse(op, m, pos):
         raise AssertionError("probe tensor built for a tree alone with its key")
 
     monkeypatch.setattr(binop, "_probe_tensor", refuse)

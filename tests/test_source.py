@@ -23,7 +23,9 @@ it holds what it keeps for the process's life.  isinstance tests a
 family class only in the six functions that state the paper's formulas and
 theorem; everywhere else a family is read through what they return.  Every
 memo binop keeps on an operation is set in BilinearOperation._set_table, so
-each operation starts with empty ones.  The test configuration makes a
+each operation starts with empty ones.  The class count's grouping names a
+tree by its position alone: none of its functions names a tree object, the
+tree enumeration or tree_index.  The test configuration makes a
 DeprecationWarning an error, but not the one Hypothesis's failure report
 raises, so a failing property test fails like any other and the run goes on.
 """
@@ -169,6 +171,37 @@ def test_binop_memos_start_in_set_table():
     elsewhere = stored(ast.walk(tree), False)
     assert {"_reps", "_tensor_cache", "_tensor_cells", "_blocks"} <= elsewhere
     assert elsewhere <= initialised
+
+
+# the class count's grouping, which names trees by position alone
+COUNT_PATH = {
+    "binop._group",
+    "binop._group_connected",
+    "binop._child_pairs",
+    "binop._probe_tensor",
+    "binop._class_tensor",
+    "binop.count_classes_exact",
+    "classify.count_norton_classes",
+}
+
+
+def test_count_path_names_no_tree():
+    # a tree object, its enumeration or its index on the count path would be
+    # a second naming beside the position
+    tree_names = {"enumerate_trees", "BinaryTree", "tree_index"}
+    seen, found = set(), []
+    for module in ("binop", "classify"):
+        path = Path(nortonalg.__file__).parent / f"{module}.py"
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef) and f"{module}.{fn.name}" in COUNT_PATH:
+                seen.add(f"{module}.{fn.name}")
+                found += [
+                    f"{module}.{fn.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if {getattr(node, "id", None), getattr(node, "attr", None)} & tree_names
+                ]
+    assert seen == COUNT_PATH
+    assert found == []
 
 
 # the only functions that functools.cache or lru_cache may decorate
